@@ -26,8 +26,6 @@ fn main() {
     let nem = ipa_bench::figures::nemesis::run(quick);
     ipa_bench::figures::nemesis::print(&nem);
     println!();
-    ipa_bench::figures::replication::regenerate(quick);
-    println!();
     ipa_bench::figures::load::regenerate(quick);
     println!();
     ipa_bench::figures::escrow::regenerate(quick);

@@ -9,5 +9,4 @@ pub mod fig8;
 pub mod fig9;
 pub mod load;
 pub mod nemesis;
-pub mod replication;
 pub mod table1;

@@ -22,9 +22,6 @@
 //! * [`LockMode`] + [`ReservationTable`] — Indigo's multi-level
 //!   lock-style reservations, and [`coordination_plan`] mapping static
 //!   analysis output 1:1 onto typed backend selections.
-//!
-//! The pre-redesign names (`IndigoCoordinator`, `reservation::Mode`)
-//! remain as `#[deprecated]` shims for this release.
 
 pub mod counter;
 pub mod error;
@@ -45,6 +42,3 @@ pub use plan::{coordination_plan, PlanEntry, ReservationPlan};
 pub use policy::{CoordBackend, CoordConfig, LockMode, ProvisioningPolicy};
 pub use reservation::ReservationTable;
 pub use strong::StrongCoordinator;
-
-#[allow(deprecated)]
-pub use reservation::{IndigoCoordinator, Mode};

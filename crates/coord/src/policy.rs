@@ -4,12 +4,10 @@
 //! ([`ProvisioningPolicy`]), and the [`CoordConfig`] builder that turns
 //! a policy choice into a running backend.
 //!
-//! Before this module each consumer spelled the choice differently —
-//! `reservation::Mode` in the coordinator, per-op string matching in the
-//! applications, prose in the analysis plan. One typed enum now flows
-//! from static analysis ([`crate::coordination_plan`]) through backend
-//! construction to per-operation acquisition, so a plan entry maps 1:1
-//! onto the mechanism that enforces it.
+//! One typed enum flows from static analysis
+//! ([`crate::coordination_plan`]) through backend construction to
+//! per-operation acquisition, so a plan entry maps 1:1 onto the
+//! mechanism that enforces it.
 
 use crate::counter::{CounterBackend, ReservationCounter, StrongCounter};
 use crate::escrow_shard::EscrowShard;
@@ -17,8 +15,7 @@ use ipa_sim::Region;
 use std::fmt;
 
 /// How a lock-style reservation is held (Indigo's multi-level locks,
-/// reduced to the two levels its evaluation exercises). Replaces the
-/// old `reservation::Mode` name.
+/// reduced to the two levels its evaluation exercises).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LockMode {
     /// Many replicas may hold simultaneously (e.g. "may enroll players").

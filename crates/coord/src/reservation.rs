@@ -22,11 +22,7 @@
 use ipa_sim::{OpCtx, Region};
 use std::collections::{BTreeSet, HashMap};
 
-pub use crate::policy::LockMode;
-
-/// Old name of [`LockMode`], kept for one PR.
-#[deprecated(note = "renamed to `LockMode` (see `ipa_coord::policy`)")]
-pub type Mode = LockMode;
+use crate::policy::LockMode;
 
 #[derive(Clone, Debug)]
 struct ResState {
@@ -146,22 +142,6 @@ impl ReservationTable {
             .get(res)
             .map(|s| s.holders.iter().copied().collect())
             .unwrap_or_default()
-    }
-}
-
-/// Indigo coordinator: lock-style reservations plus escrow counters.
-#[deprecated(note = "hold a `ReservationTable`/`EscrowTable` directly, or build a \
-            `BoundedCounter` backend via `CoordConfig`")]
-#[derive(Clone, Debug, Default)]
-pub struct IndigoCoordinator {
-    pub table: ReservationTable,
-    pub escrow: crate::escrow::EscrowTable,
-}
-
-#[allow(deprecated)]
-impl IndigoCoordinator {
-    pub fn new() -> Self {
-        Self::default()
     }
 }
 

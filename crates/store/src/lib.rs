@@ -27,7 +27,6 @@ pub mod key;
 mod pool;
 pub mod replica;
 pub mod schedule;
-pub mod shared;
 pub mod threaded;
 pub mod transport;
 pub mod txn;
@@ -37,11 +36,10 @@ pub use cluster::Cluster;
 pub use errors::StoreError;
 pub use key::Key;
 pub use replica::{
-    anti_entropy_fixpoint_with, anti_entropy_round, anti_entropy_round_with, AeCursors,
-    ApplyDispatch, Replica, ReplicaStats, ShardStats, DEFAULT_SHARDS, PARALLEL_APPLY_MIN_UPDATES,
+    AeCursors, ApplyDispatch, Replica, ReplicaStats, ShardStats, DEFAULT_SHARDS,
+    PARALLEL_APPLY_MIN_UPDATES,
 };
 pub use schedule::{CausalItem, DeliveryFaults, Schedule, ScheduleReport};
-pub use shared::SharedReplica;
 pub use threaded::{ThreadedCluster, ThreadedConfig, ThreadedStats};
 pub use transport::{
     anti_entropy_fixpoint_nodes, anti_entropy_round_nodes, anti_entropy_round_nodes_with_links,

@@ -6,8 +6,7 @@
 //! dispatcher parks until the last worker drives the completion counter
 //! to zero and unparks it. Nothing is spawned per batch: the whole
 //! per-dispatch cost is a channel send plus a park/unpark handoff
-//! (single-digit microseconds), versus the tens of microseconds per
-//! *thread* the scoped spawn-per-batch path this replaced paid.
+//! (single-digit microseconds).
 //!
 //! # Ownership and aliasing
 //!

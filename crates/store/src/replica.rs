@@ -16,9 +16,9 @@
 //! apply shards in fixed index order, the threaded transport hands wide
 //! batches to a **persistent shard-worker pool** — one long-lived thread
 //! per shard, fed over bounded channels with park/unpark completion
-//! ([`Replica::set_parallel_apply`], [`ApplyDispatch`]) — both produce
-//! identical state, logs, and counters, because shards are disjoint by
-//! construction and the dispatcher blocks until every worker finishes.
+//! ([`ApplyDispatch`]) — both produce identical state, logs, and
+//! counters, because shards are disjoint by construction and the
+//! dispatcher blocks until every worker finishes.
 
 use crate::batch::UpdateBatch;
 use crate::errors::StoreError;
@@ -41,15 +41,11 @@ pub struct ReplicaStats {
     /// Batches handed out through anti-entropy pulls.
     pub anti_entropy_sent: u64,
     /// Log entries examined while serving anti-entropy pulls (segment
-    /// probes + returned batches). The full-scan implementation this
-    /// replaced examined the entire log per pull; the benchmark tracks
-    /// the ratio.
+    /// probes + returned batches).
     pub anti_entropy_scanned: u64,
     /// Object-table hash lookups performed by the apply path (one per
     /// same-key run of a batch, plus one kind-map touch per object
-    /// creation). The pre-cache implementation paid two lookups and two
-    /// key clones per *update*; the benchmark tracks the ratio against
-    /// `2 × updates_applied`.
+    /// creation).
     pub apply_table_lookups: u64,
     /// Stability-frontier folds actually computed — by [`Replica::run_gc`]
     /// or [`Replica::stability_frontier_cached`]. The fold is
@@ -138,19 +134,13 @@ pub(crate) struct ShardTable {
 /// Default number of key-space shards per replica.
 pub const DEFAULT_SHARDS: usize = 4;
 
-/// Batches below this update count apply inline (sequentially) even when
-/// pool dispatch is enabled. Sized from measurement, not folklore: on
-/// the reference runner the legacy scoped spawn+join dispatch cost
-/// ≈130 µs per wide batch at 4 shards (the old floor of 256 updates was
-/// sized to amortize exactly that), while the pool's channel-send +
-/// park/unpark handoff measures ≈5 µs per dispatched batch in steady
-/// state (≈20 µs worst-case when all worker wakeups contend on one
-/// core) — a ~26× cheaper dispatch. Inline apply runs ≈57 ns per
-/// counter update, so below ~64 updates a shard's run is shorter than
-/// the worker wakeup that delivers it and dispatch cannot win; from 64
-/// updates up the handoff stays under ~10% of batch apply time and the
-/// pool's shard parallelism can pay for itself. Hence 64 — a 4× lower
-/// floor than the spawn-era value.
+/// Batches below this update count apply inline (sequentially) even
+/// under [`ApplyDispatch::Pool`]. The pool's channel-send + park/unpark
+/// handoff measures ≈5 µs per dispatched batch on the reference runner
+/// (≈20 µs when all worker wakeups contend on one core) and inline apply
+/// ≈57 ns per counter update, so below ~64 updates a shard's run is
+/// shorter than the worker wakeup that delivers it and dispatch cannot
+/// win.
 pub const PARALLEL_APPLY_MIN_UPDATES: usize = 64;
 
 /// How a replica applies the per-shard runs of a wide batch. Narrow
@@ -161,14 +151,9 @@ pub enum ApplyDispatch {
     /// Fixed sequential shard order — what deterministic transports use.
     #[default]
     Sequential,
-    /// Spawn-and-join one scoped thread per non-empty shard, per batch.
-    /// This is the legacy dispatch the pool replaced; it is kept so the
-    /// replication benchmark can report an honest same-code-path A/B of
-    /// pool handoff versus per-batch spawn cost.
-    SpawnPerBatch,
     /// Persistent shard-worker pool: long-lived worker per shard,
-    /// bounded-channel handoff, park/unpark completion. What
-    /// [`Replica::set_parallel_apply`] enables.
+    /// bounded-channel handoff, park/unpark completion — what the
+    /// threaded transport uses.
     Pool,
 }
 
@@ -462,27 +447,9 @@ impl Replica {
         self.shards.len()
     }
 
-    /// The shard owning `key`.
-    pub fn shard_of_key(&self, key: &Key) -> usize {
-        shard_of(key, self.shards.len())
-    }
-
     /// Per-shard apply counters (deterministic; see [`ShardStats`]).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards.iter().map(|s| s.stats).collect()
-    }
-
-    /// Enable or disable pool dispatch for wide batches (`on` maps to
-    /// [`ApplyDispatch::Pool`], `off` to [`ApplyDispatch::Sequential`]).
-    /// Only the threaded transport turns this on; deterministic
-    /// transports keep the fixed sequential shard order. Either way the
-    /// resulting state and counters are identical — shards are disjoint.
-    pub fn set_parallel_apply(&mut self, on: bool) {
-        self.set_apply_dispatch(if on {
-            ApplyDispatch::Pool
-        } else {
-            ApplyDispatch::Sequential
-        });
     }
 
     /// Select how wide batches dispatch their per-shard runs. Leaving
@@ -495,11 +462,6 @@ impl Replica {
         if dispatch != ApplyDispatch::Pool {
             self.pool = None;
         }
-    }
-
-    /// The current wide-batch dispatch mode.
-    pub fn apply_dispatch(&self) -> ApplyDispatch {
-        self.dispatch
     }
 
     /// Whether the persistent worker pool is currently spawned (it is
@@ -603,12 +565,12 @@ impl Replica {
     }
 
     /// [`Replica::receive`] with the integrity gate's verdict computed by
-    /// the caller. The threaded transport's ingest stage runs the exact
-    /// same predicate (`integrity_ok() && well_formed()`) off the node
-    /// lock so seal verification overlaps with shard apply; passing the
-    /// verdict here skips re-hashing the payload under the lock. The
-    /// caller must have evaluated that predicate on this very batch — a
-    /// forged `valid` would bypass the quarantine ledger.
+    /// the caller. The threaded transport's delivery thread runs the
+    /// exact same predicate (`integrity_ok() && well_formed()`) before
+    /// taking the node lock; passing the verdict here skips re-hashing
+    /// the payload under the lock. The caller must have evaluated that
+    /// predicate on this very batch — a forged `valid` would bypass the
+    /// quarantine ledger.
     pub fn receive_prevalidated(
         &mut self,
         batch: impl Into<Arc<UpdateBatch>>,
@@ -634,16 +596,7 @@ impl Replica {
         // round-trip.
         if self.pending_order.is_empty() && batch.clock.deliverable_from(batch.origin, &self.clock)
         {
-            self.apply_batch(&batch);
-            self.lamport = self.lamport.max(batch.lamport);
-            self.last_from
-                .entry(batch.origin)
-                .and_modify(|c| c.merge(&batch.clock))
-                .or_insert_with(|| batch.clock.clone());
-            self.frontier_dirty = true;
-            self.clock_epoch += 1;
-            self.note_repair(&batch);
-            self.log_append(batch);
+            self.apply_remote(batch);
             return 1;
         }
         let key = (batch.origin, batch.seq);
@@ -711,16 +664,7 @@ impl Replica {
             }
             let Some(pos) = next else { break };
             let batch = self.pending_swap_remove(pos);
-            self.apply_batch(&batch);
-            self.lamport = self.lamport.max(batch.lamport);
-            self.last_from
-                .entry(batch.origin)
-                .and_modify(|c| c.merge(&batch.clock))
-                .or_insert_with(|| batch.clock.clone());
-            self.frontier_dirty = true;
-            self.clock_epoch += 1;
-            self.note_repair(&batch);
-            self.log_append(batch);
+            self.apply_remote(batch);
             applied += 1;
         }
         // Purge buffered copies whose content arrived through another
@@ -749,6 +693,23 @@ impl Replica {
             }
         }
         applied
+    }
+
+    /// Apply a causally deliverable remote batch and do the bookkeeping
+    /// every applied remote batch owes: Lamport time, the origin's
+    /// stability input, both frontier-cache invalidations, quarantine
+    /// repair, and the durable log.
+    fn apply_remote(&mut self, batch: Arc<UpdateBatch>) {
+        self.apply_batch(&batch);
+        self.lamport = self.lamport.max(batch.lamport);
+        self.last_from
+            .entry(batch.origin)
+            .and_modify(|c| c.merge(&batch.clock))
+            .or_insert_with(|| batch.clock.clone());
+        self.frontier_dirty = true;
+        self.clock_epoch += 1;
+        self.note_repair(&batch);
+        self.log_append(batch);
     }
 
     fn apply_batch(&mut self, batch: &UpdateBatch) {
@@ -804,25 +765,6 @@ impl Replica {
                 let jobs = pool.dispatch(&mut self.shards, updates, runs, counts);
                 self.stats.pool_batches += 1;
                 self.stats.pool_dispatches += jobs;
-            }
-            ApplyDispatch::SpawnPerBatch if wide => {
-                // The legacy per-batch scoped-spawn dispatch, retained
-                // only so the replication benchmark can A/B the pool
-                // against the exact path it replaced.
-                std::thread::scope(|scope| {
-                    for (s, shard) in self.shards.iter_mut().enumerate() {
-                        if counts[s] == 0 {
-                            continue;
-                        }
-                        scope.spawn(move || {
-                            for &(rs, start, len) in runs {
-                                if rs as usize == s {
-                                    apply_run(shard, updates, start as usize, len as usize);
-                                }
-                            }
-                        });
-                    }
-                });
             }
             _ => {
                 for (s, shard) in self.shards.iter_mut().enumerate() {
@@ -1301,58 +1243,10 @@ impl AeCursors {
     }
 }
 
-/// One full pairwise anti-entropy round over a replica set: every
-/// replica pulls the batches it is missing from every peer's durable
-/// log. Returns the number of batches applied. Shared by
-/// [`crate::Cluster::anti_entropy`] and the simulator's post-run repair.
-pub fn anti_entropy_round(replicas: &mut [Replica]) -> usize {
-    anti_entropy_round_with(replicas, &mut AeCursors::new())
-}
-
-/// Run [`anti_entropy_round_with`] to a fixpoint and return how many
-/// *productive* rounds it took (rounds that applied at least one batch;
-/// an already-converged set costs zero). This is the quiesce-time
-/// instrumentation the bounded-liveness oracle audits: after the last
-/// injected fault every replica must converge within N rounds, and this
-/// count is exactly the N a given run needed.
-pub fn anti_entropy_fixpoint_with(replicas: &mut [Replica], cursors: &mut AeCursors) -> u64 {
-    let mut rounds = 0;
-    while anti_entropy_round_with(replicas, cursors) > 0 {
-        rounds += 1;
-    }
-    rounds
-}
-
-/// [`anti_entropy_round`] with per-peer cursors carried across rounds:
-/// pairs whose last pull drained and whose inputs are unchanged are
-/// skipped without touching the source log.
-pub fn anti_entropy_round_with(replicas: &mut [Replica], cursors: &mut AeCursors) -> usize {
-    let mut applied = 0;
-    let n = replicas.len();
-    for dst in 0..n {
-        for src in 0..n {
-            if src == dst {
-                continue;
-            }
-            let (d, s) = (replicas[dst].id(), replicas[src].id());
-            let version = replicas[src].log_version();
-            let since = replicas[dst].clock().clone();
-            if !cursors.should_pull(d, s, &since, version) {
-                continue;
-            }
-            let missing = replicas[src].batches_since(&since);
-            cursors.record(d, s, since, version, missing.is_empty());
-            for b in missing {
-                applied += replicas[dst].receive(b);
-            }
-        }
-    }
-    applied
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{anti_entropy_round_nodes, Node};
     use ipa_crdt::Val;
 
     fn r(i: u16) -> ReplicaId {
@@ -1692,30 +1586,35 @@ mod tests {
 
     #[test]
     fn cursors_skip_drained_pairs_without_changing_results() {
-        let mut replicas = vec![Replica::new(r(0)), Replica::new(r(1))];
-        let mut tx = replicas[0].begin();
+        let mut nodes = vec![Node::new(r(0)), Node::new(r(1))];
+        let mut tx = nodes[0].replica_mut().begin();
         tx.ensure("c", ObjectKind::PNCounter).unwrap();
         tx.counter_add("c", 1).unwrap();
         tx.commit();
+        let scanned = |nodes: &[Node]| -> u64 {
+            nodes
+                .iter()
+                .map(|n| n.replica().stats.anti_entropy_scanned)
+                .sum()
+        };
         let mut cursors = AeCursors::new();
-        assert_eq!(anti_entropy_round_with(&mut replicas, &mut cursors), 1);
+        assert_eq!(anti_entropy_round_nodes(&mut nodes, &mut cursors), 1);
         // Second round: nothing to pull; third round after cursors have
         // seen the drained state: the source log is not even probed.
-        assert_eq!(anti_entropy_round_with(&mut replicas, &mut cursors), 0);
-        let probes =
-            replicas[0].stats.anti_entropy_scanned + replicas[1].stats.anti_entropy_scanned;
-        assert_eq!(anti_entropy_round_with(&mut replicas, &mut cursors), 0);
+        assert_eq!(anti_entropy_round_nodes(&mut nodes, &mut cursors), 0);
+        let probes = scanned(&nodes);
+        assert_eq!(anti_entropy_round_nodes(&mut nodes, &mut cursors), 0);
         assert_eq!(
-            replicas[0].stats.anti_entropy_scanned + replicas[1].stats.anti_entropy_scanned,
+            scanned(&nodes),
             probes,
             "drained pairs are skipped without a pull"
         );
         // A new commit invalidates the cursor and the pull resumes.
-        let mut tx = replicas[1].begin();
+        let mut tx = nodes[1].replica_mut().begin();
         tx.ensure("c", ObjectKind::PNCounter).unwrap();
         tx.counter_add("c", 1).unwrap();
         tx.commit();
-        assert_eq!(anti_entropy_round_with(&mut replicas, &mut cursors), 1);
+        assert_eq!(anti_entropy_round_nodes(&mut nodes, &mut cursors), 1);
     }
 
     #[test]
@@ -1845,7 +1744,7 @@ mod tests {
         assert!(batch.updates.len() >= super::PARALLEL_APPLY_MIN_UPDATES);
         let mut seq = Replica::with_shards(r(1), 4);
         let mut par = Replica::with_shards(r(1), 4);
-        par.set_parallel_apply(true);
+        par.set_apply_dispatch(ApplyDispatch::Pool);
         seq.receive(Arc::clone(&batch));
         par.receive(batch);
         assert_eq!(seq.clock(), par.clock());
@@ -1864,6 +1763,28 @@ mod tests {
             assert_eq!(a.table_lookups, b.table_lookups);
             assert_eq!(a.max_batch_runs, b.max_batch_runs);
         }
+    }
+
+    #[test]
+    fn same_key_runs_coalesce_into_one_lookup() {
+        // Two adds per object per batch: one table lookup per same-key
+        // run plus one kind touch per creation, not one per update.
+        let mut a = Replica::new(r(0));
+        let mut b = Replica::new(r(1));
+        for i in 0..10 {
+            let mut tx = a.begin();
+            for key in ["t:players", "t:enrolled", "t:matches", "t:budget"] {
+                tx.ensure(key, ObjectKind::PNCounter).unwrap();
+                tx.counter_add(key, i).unwrap();
+                tx.counter_add(key, 1).unwrap();
+            }
+            tx.commit();
+        }
+        for batch in a.take_outbox() {
+            assert_eq!(b.receive(batch), 1);
+        }
+        assert_eq!(b.stats.updates_applied, 80);
+        assert_eq!(b.stats.apply_table_lookups, 40 + 4);
     }
 
     #[test]

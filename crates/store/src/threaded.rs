@@ -3,23 +3,20 @@
 //! races — the second [`Transport`] implementation, complementing the
 //! deterministic discrete-event simulator.
 //!
-//! Each node is a [`Node`] behind a mutex, serviced by a **two-stage
-//! delivery pipeline**: an *ingest* thread drains the node's channel and
-//! runs the integrity gate (seal check + envelope well-formedness) off
-//! the node lock, then forwards every message FIFO over a bounded
-//! channel to an *apply* thread that takes the lock and feeds causal
-//! delivery ([`Replica::receive_prevalidated`]). Seal verification of
-//! the next batch thus overlaps with shard apply of the previous one,
-//! and the bounded hop is the backpressure seam — a slow applier stalls
-//! its ingest thread, never grows an unbounded queue. Commits happen on
-//! the *caller's* thread ([`ThreadedCluster::commit_at`] locks the
-//! shard, runs the transaction, then ships the outbox over the
-//! channels), so concurrent clients at different regions genuinely race
-//! their commits, deliveries interleave with transactions, and an
-//! optional background anti-entropy ticker repairs losses while the
-//! workload runs. Nothing here is deterministic; correctness is checked
-//! at quiescence (convergence, invariants, idempotence, bounded
-//! liveness) — see the [`Transport`] contract and `ARCHITECTURE.md`.
+//! Each node is a [`Node`] behind a mutex, serviced by **one delivery
+//! thread** that drains the node's channel FIFO: for every batch it runs
+//! the integrity gate (seal check + envelope well-formedness) *before*
+//! taking the node lock, then feeds causal delivery under it
+//! ([`Replica::receive_prevalidated`]), so hashing a payload never
+//! blocks a reader or committer. Commits happen on the *caller's* thread
+//! ([`ThreadedCluster::commit_at`] locks the shard, runs the
+//! transaction, then ships the outbox over the channels), so concurrent
+//! clients at different regions genuinely race their commits, deliveries
+//! interleave with transactions, and an optional background anti-entropy
+//! ticker repairs losses while the workload runs. Nothing here is
+//! deterministic; correctness is checked at quiescence (convergence,
+//! invariants, idempotence, bounded liveness) — see the [`Transport`]
+//! contract and `ARCHITECTURE.md`.
 //!
 //! Fault signals are live: [`ThreadedCluster::crash_node`] wipes the
 //! shard's volatile state and makes it refuse traffic,
@@ -28,7 +25,7 @@
 
 use crate::batch::UpdateBatch;
 use crate::errors::StoreError;
-use crate::replica::Replica;
+use crate::replica::{ApplyDispatch, Replica};
 use crate::transport::{Node, Transport};
 use crate::txn::{CommitInfo, Transaction};
 use ipa_crdt::{ReplicaId, VClock};
@@ -51,28 +48,6 @@ enum Msg {
     Barrier(mpsc::Sender<()>),
     Stop,
 }
-
-/// Messages the apply stage services — [`Msg`] after the ingest stage
-/// ran the integrity gate. Forwarded strictly FIFO, so barriers and
-/// pulls observe every delivery sent before them, exactly as with the
-/// single-threaded loop this pipeline replaced.
-enum ApplyMsg {
-    /// A batch plus the ingest stage's integrity verdict (computed off
-    /// the node lock; [`Replica::receive_prevalidated`] trusts it).
-    Deliver(Arc<UpdateBatch>, bool),
-    Pull {
-        since: VClock,
-        reply: mpsc::Sender<Vec<Arc<UpdateBatch>>>,
-    },
-    Barrier(mpsc::Sender<()>),
-    Stop,
-}
-
-/// Depth of the bounded ingest→apply hop. Deep enough to keep the apply
-/// thread fed across scheduling hiccups, shallow enough that a wedged
-/// applier stalls ingest (backpressure) instead of buffering a run's
-/// whole traffic.
-const APPLY_PIPELINE_DEPTH: usize = 64;
 
 /// One replica shard: the actor state plus its crash flag. The flag is
 /// atomic (not under the mutex) so fault injection and down-checks
@@ -117,8 +92,8 @@ pub struct ThreadedStats {
     pub lost_in_crash: AtomicU64,
     /// Commits refused because the origin shard was down.
     pub commits_refused: AtomicU64,
-    /// Batches whose integrity gate ran on the ingest stage (off the
-    /// node lock) before being forwarded to the apply stage.
+    /// Batches whose integrity gate ran off the node lock, before the
+    /// lock was taken to apply them.
     pub pipeline_prevalidated: AtomicU64,
 }
 
@@ -176,32 +151,23 @@ impl ThreadedCluster {
         let mut shards = Vec::with_capacity(n as usize);
         let mut senders = Vec::with_capacity(n as usize);
         let mut threads = Vec::with_capacity(n as usize);
-        let mut receivers = Vec::with_capacity(n as usize);
         for i in 0..n {
             let (tx, rx) = mpsc::channel();
             // The threaded transport is the one place parallel apply is
             // on: real threads, no schedule digests, large anti-entropy
             // bursts worth splitting across shards.
             let mut node = Node::with_shards(ReplicaId(i), cfg.shards);
-            node.replica_mut().set_parallel_apply(true);
-            shards.push(Arc::new(Shard {
+            node.replica_mut().set_apply_dispatch(ApplyDispatch::Pool);
+            let shard = Arc::new(Shard {
                 node: Mutex::new(node),
                 down: AtomicBool::new(false),
+            });
+            let (served, stats) = (Arc::clone(&shard), Arc::clone(&stats));
+            threads.push(std::thread::spawn(move || {
+                delivery_loop(&served, &stats, rx)
             }));
+            shards.push(shard);
             senders.push(tx);
-            receivers.push(rx);
-        }
-        for (i, rx) in receivers.into_iter().enumerate() {
-            let shard = Arc::clone(&shards[i]);
-            let ingest_stats = Arc::clone(&stats);
-            let apply_stats = Arc::clone(&stats);
-            let (apply_tx, apply_rx) = mpsc::sync_channel(APPLY_PIPELINE_DEPTH);
-            threads.push(std::thread::spawn(move || {
-                ingest_loop(ingest_stats, rx, apply_tx)
-            }));
-            threads.push(std::thread::spawn(move || {
-                apply_loop(shard, apply_stats, apply_rx)
-            }));
         }
         let ticker_stop = Arc::new(AtomicBool::new(false));
         let ticker = cfg.ae_interval.map(|period| {
@@ -212,7 +178,14 @@ impl ThreadedCluster {
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     std::thread::sleep(period);
-                    ae_round_over_channels(&shards, &senders, &links);
+                    // Pulled batches go through `dst`'s delivery thread;
+                    // they race with live commits, so a node may receive
+                    // a batch twice — causal delivery deduplicates, and
+                    // the double-apply oracle checks that it did.
+                    pull_round(&shards, &senders, &links, |dst, batch| {
+                        let _ = senders[dst as usize].send(Msg::Deliver(batch));
+                        0
+                    });
                 }
             })
         });
@@ -349,45 +322,13 @@ impl ThreadedCluster {
 
     /// One coordinator-driven anti-entropy round: every live node pulls
     /// what it is missing from every live, reachable peer (pulls go
-    /// through the peer's delivery thread; applications happen under
-    /// the puller's shard lock). Returns batches applied cluster-wide.
+    /// through the peer's delivery thread; applications happen on the
+    /// caller's thread, gated and down-checked exactly like a delivery).
+    /// Returns batches applied cluster-wide.
     pub fn anti_entropy_round(&self) -> usize {
-        let mut applied = 0;
-        let n = self.shards.len() as u16;
-        for dst in 0..n {
-            if self.is_node_down(dst) {
-                continue;
-            }
-            for src in 0..n {
-                if src == dst || self.is_node_down(src) || !self.links.is_up(src, dst) {
-                    continue;
-                }
-                let since = self.shards[dst as usize]
-                    .node
-                    .lock()
-                    .replica()
-                    .clock()
-                    .clone();
-                let (tx, rx) = mpsc::channel();
-                if self.senders[src as usize]
-                    .send(Msg::Pull { since, reply: tx })
-                    .is_err()
-                {
-                    continue;
-                }
-                let Ok(missing) = rx.recv_timeout(REPLY_TIMEOUT) else {
-                    continue;
-                };
-                if missing.is_empty() {
-                    continue;
-                }
-                let mut node = self.shards[dst as usize].node.lock();
-                for b in missing {
-                    applied += node.replica_mut().receive(b);
-                }
-            }
-        }
-        applied
+        pull_round(&self.shards, &self.senders, &self.links, |dst, batch| {
+            deliver(&self.shards[dst as usize], &self.stats, batch)
+        })
     }
 
     /// Quiesce: restart every node, heal every link, drain the
@@ -489,58 +430,33 @@ impl Transport for ThreadedCluster {
     }
 }
 
-/// The ingest-stage body: drain the node's channel, run the integrity
-/// gate on deliveries *off the node lock*, and forward everything FIFO
-/// over the bounded hop. The send blocks when the applier falls
-/// `APPLY_PIPELINE_DEPTH` messages behind — that stall is the
-/// backpressure contract, propagating to senders only through channel
-/// buffering, never through loss.
-fn ingest_loop(
-    stats: Arc<ThreadedStats>,
-    rx: mpsc::Receiver<Msg>,
-    apply: mpsc::SyncSender<ApplyMsg>,
-) {
-    for msg in rx {
-        let forward = match msg {
-            Msg::Deliver(batch) => {
-                let valid = batch.integrity_ok() && batch.well_formed();
-                stats.pipeline_prevalidated.fetch_add(1, Ordering::Relaxed);
-                ApplyMsg::Deliver(batch, valid)
-            }
-            Msg::Pull { since, reply } => ApplyMsg::Pull { since, reply },
-            Msg::Barrier(reply) => ApplyMsg::Barrier(reply),
-            Msg::Stop => {
-                let _ = apply.send(ApplyMsg::Stop);
-                break;
-            }
-        };
-        if apply.send(forward).is_err() {
-            break;
-        }
+/// Deliver one batch to a node: run the integrity gate *before* taking
+/// the node lock, then feed causal delivery under it. The down-check
+/// happens under the lock, at apply time — a batch still queued when its
+/// node crashes is refused exactly like one still in a dead process's
+/// socket buffer, and anti-entropy replays it from a peer's durable log
+/// after restart. Returns the number of batches applied.
+fn deliver(shard: &Shard, stats: &ThreadedStats, batch: Arc<UpdateBatch>) -> usize {
+    let valid = batch.integrity_ok() && batch.well_formed();
+    stats.pipeline_prevalidated.fetch_add(1, Ordering::Relaxed);
+    let mut node = shard.node.lock();
+    if shard.down.load(Ordering::Relaxed) {
+        stats.refused_down.fetch_add(1, Ordering::Relaxed);
+        return 0;
     }
+    node.replica_mut().receive_prevalidated(batch, valid)
 }
 
-/// The apply-stage body: feed prevalidated batches into causal delivery
-/// under the shard lock. The down-check happens *here*, at apply time —
-/// a batch still queued in the pipeline when its node crashes is
-/// refused exactly like one still in a dead process's socket buffer,
-/// and anti-entropy replays it from a peer's durable log after restart.
-/// A down shard serves empty pulls, like a dead process.
-fn apply_loop(shard: Arc<Shard>, stats: Arc<ThreadedStats>, rx: mpsc::Receiver<ApplyMsg>) {
+/// The delivery thread's body: service the node's channel strictly FIFO,
+/// so barriers and pulls observe every delivery sent before them. A down
+/// shard serves empty pulls, like a dead process.
+fn delivery_loop(shard: &Shard, stats: &ThreadedStats, rx: mpsc::Receiver<Msg>) {
     for msg in rx {
         match msg {
-            ApplyMsg::Deliver(batch, valid) => {
-                if shard.down.load(Ordering::Relaxed) {
-                    stats.refused_down.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    shard
-                        .node
-                        .lock()
-                        .replica_mut()
-                        .receive_prevalidated(batch, valid);
-                }
+            Msg::Deliver(batch) => {
+                deliver(shard, stats, batch);
             }
-            ApplyMsg::Pull { since, reply } => {
+            Msg::Pull { since, reply } => {
                 let batches = if shard.down.load(Ordering::Relaxed) {
                     Vec::new()
                 } else {
@@ -548,33 +464,33 @@ fn apply_loop(shard: Arc<Shard>, stats: Arc<ThreadedStats>, rx: mpsc::Receiver<A
                 };
                 let _ = reply.send(batches);
             }
-            ApplyMsg::Barrier(reply) => {
+            Msg::Barrier(reply) => {
                 let _ = reply.send(());
             }
-            ApplyMsg::Stop => break,
+            Msg::Stop => break,
         }
     }
 }
 
-/// One background anti-entropy round over the delivery channels (the
-/// ticker's body): pulls race with live commits, so a node may receive
-/// a batch twice — causal delivery deduplicates, and the double-apply
-/// oracle checks that it did.
-fn ae_round_over_channels(
+/// One anti-entropy round: every live node pulls what it is missing from
+/// every live, reachable peer through the peer's delivery thread, and
+/// `hand_off(dst, batch)` moves each pulled batch into `dst`, returning
+/// how many batches that applied. Returns the sum.
+fn pull_round(
     shards: &[Arc<Shard>],
     senders: &[mpsc::Sender<Msg>],
     links: &LinkMatrix,
-) {
+    mut hand_off: impl FnMut(u16, Arc<UpdateBatch>) -> usize,
+) -> usize {
+    let is_down = |node: u16| shards[node as usize].down.load(Ordering::Relaxed);
+    let mut applied = 0;
     let n = shards.len() as u16;
     for dst in 0..n {
-        if shards[dst as usize].down.load(Ordering::Relaxed) {
+        if is_down(dst) {
             continue;
         }
         for src in 0..n {
-            if src == dst
-                || shards[src as usize].down.load(Ordering::Relaxed)
-                || !links.is_up(src, dst)
-            {
+            if src == dst || is_down(src) || !links.is_up(src, dst) {
                 continue;
             }
             let since = shards[dst as usize].node.lock().replica().clock().clone();
@@ -588,11 +504,12 @@ fn ae_round_over_channels(
             let Ok(missing) = rx.recv_timeout(REPLY_TIMEOUT) else {
                 continue;
             };
-            for b in missing {
-                let _ = senders[dst as usize].send(Msg::Deliver(b));
+            for batch in missing {
+                applied += hand_off(dst, batch);
             }
         }
     }
+    applied
 }
 
 #[cfg(test)]
@@ -712,8 +629,8 @@ mod tests {
                 .expect("commit");
         }
         cluster.barrier();
-        // Every batch shipped toward node 1 crossed the ingest stage's
-        // integrity gate before reaching the apply stage.
+        // Every batch shipped toward node 1 crossed the integrity gate
+        // off the node lock before being applied.
         assert!(
             cluster
                 .stats()
@@ -737,8 +654,8 @@ mod tests {
                 })
                 .expect("commit");
         }
-        // Crash node 1 with deliveries still racing through its ingest →
-        // apply pipeline (no barrier: whatever is queued at the crash is
+        // Crash node 1 with deliveries still queued for its delivery
+        // thread (no barrier: whatever is queued at the crash is
         // refused at apply time, like bytes in a dead process's socket
         // buffer). The durable half of the story lives at node 0.
         cluster.crash_node(1);
@@ -773,6 +690,27 @@ mod tests {
         assert_eq!(sync_v, v, "pipelined recovery matches synchronous replay");
         assert_eq!(clock, *sync.clock());
         assert!(cluster.with_replica(1, |r| r.applied_consistent()));
+    }
+
+    #[test]
+    fn batch_pulled_for_a_node_that_then_crashed_is_refused() {
+        let cluster = no_ticker(2);
+        cluster.set_link_up(0, 1, false);
+        cluster
+            .commit_at(0, |tx| {
+                tx.ensure("c", ObjectKind::PNCounter)?;
+                tx.counter_add("c", 1)
+            })
+            .expect("commit");
+        let pulled = cluster.with_replica(0, |r| r.batches_since(&VClock::new()));
+        // A round that found node 1 up and pulled for it, then lost the
+        // race to a crash: the hand-off re-checks under the node lock.
+        cluster.crash_node(1);
+        for batch in pulled {
+            assert_eq!(deliver(&cluster.shards[1], &cluster.stats, batch), 0);
+        }
+        assert_eq!(cluster.stats().refused_down.load(Ordering::Relaxed), 1);
+        assert_eq!(cluster.with_replica(1, |r| r.stats.batches_received), 0);
     }
 
     #[test]

@@ -326,8 +326,7 @@ pub trait Transport {
 
 /// One pairwise anti-entropy round over a node set: every live node
 /// pulls the batches it is missing from every live peer's durable log
-/// (the [`Node`]-level analog of [`crate::anti_entropy_round_with`];
-/// down nodes neither pull nor serve). Returns the number of batches
+/// (down nodes neither pull nor serve). Returns the number of batches
 /// applied.
 pub fn anti_entropy_round_nodes(nodes: &mut [Node], cursors: &mut AeCursors) -> usize {
     anti_entropy_round_nodes_with_links(nodes, cursors, |_, _| true)

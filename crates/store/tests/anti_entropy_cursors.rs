@@ -11,7 +11,7 @@
 //!   exact set *and order* the legacy implementation returned.
 
 use ipa_crdt::{ObjectKind, ReplicaId};
-use ipa_store::{anti_entropy_round_with, AeCursors, Replica};
+use ipa_store::{anti_entropy_round_nodes, AeCursors, Node, Replica};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,59 +28,61 @@ fn commit_counter(replica: &mut Replica, key: &str, delta: i64) {
     tx.commit();
 }
 
-fn converged(replicas: &[Replica]) -> bool {
-    replicas
-        .iter()
-        .all(|x| x.clock() == replicas[0].clock() && x.pending_count() == 0)
+/// Equal clocks and nothing buffered, over replicas or nodes.
+fn converged<T>(xs: &[T], replica: impl Fn(&T) -> &Replica) -> bool {
+    xs.iter()
+        .map(&replica)
+        .all(|x| x.clock() == replica(&xs[0]).clock() && x.pending_count() == 0)
 }
 
 #[test]
 fn crash_mid_pull_recovers_through_later_rounds() {
-    let mut replicas = vec![Replica::new(r(0)), Replica::new(r(1))];
+    let mut nodes = vec![Node::new(r(0)), Node::new(r(1))];
     for i in 0..10 {
-        commit_counter(&mut replicas[0], "c", i);
+        commit_counter(nodes[0].replica_mut(), "c", i);
     }
     // The direct replication traffic is lost entirely (partition).
-    replicas[0].take_outbox();
+    nodes[0].replica_mut().take_outbox();
 
     // A pull starts: the source serves the full gap and the cursor
     // records it, but only the second half ever arrives — out of order,
     // so every delivered batch buffers as non-deliverable.
     let mut cursors = AeCursors::new();
-    let since = replicas[1].clock().clone();
-    let version = replicas[0].log_version();
+    let since = nodes[1].replica().clock().clone();
+    let version = nodes[0].replica().log_version();
     assert!(cursors.should_pull(r(1), r(0), &since, version));
-    let missing = replicas[0].batches_since(&since);
+    let missing = nodes[0].replica_mut().batches_since(&since);
     cursors.record(r(1), r(0), since, version, missing.is_empty());
     assert_eq!(missing.len(), 10);
     for b in &missing[5..] {
         assert_eq!(
-            replicas[1].receive(Arc::clone(b)),
+            nodes[1].replica_mut().receive(Arc::clone(b)),
             0,
             "buffered, not applied"
         );
     }
-    assert_eq!(replicas[1].pending_count(), 5);
+    assert_eq!(nodes[1].replica().pending_count(), 5);
 
     // Mid-pull crash: the buffered half is gone.
-    replicas[1].crash();
-    assert_eq!(replicas[1].pending_count(), 0);
-    assert_eq!(replicas[1].clock().total(), 0);
+    nodes[1].replica_mut().crash();
+    assert_eq!(nodes[1].replica().pending_count(), 0);
+    assert_eq!(nodes[1].replica().clock().total(), 0);
 
     // Cursor-carrying rounds repair from the durable log: the crashed
     // puller's clock still says it has nothing, so the cursor must not
     // skip the pair.
-    let applied = anti_entropy_round_with(&mut replicas, &mut cursors);
+    let applied = anti_entropy_round_nodes(&mut nodes, &mut cursors);
     assert_eq!(applied, 10, "restart pull re-serves the full gap");
-    assert!(converged(&replicas));
-    assert!(replicas[1].applied_consistent());
+    assert!(converged(&nodes, Node::replica));
+    assert!(nodes[1].replica().applied_consistent());
     // One more round discovers the drained state (it still probes);
     // after that the pair is skipped without touching the log.
-    assert_eq!(anti_entropy_round_with(&mut replicas, &mut cursors), 0);
-    let probes = replicas[0].stats.anti_entropy_scanned;
-    assert_eq!(anti_entropy_round_with(&mut replicas, &mut cursors), 0);
+    assert_eq!(anti_entropy_round_nodes(&mut nodes, &mut cursors), 0);
+    let probes = nodes[0].replica().stats.anti_entropy_scanned;
+    assert_eq!(anti_entropy_round_nodes(&mut nodes, &mut cursors), 0);
     assert_eq!(
-        replicas[0].stats.anti_entropy_scanned, probes,
+        nodes[0].replica().stats.anti_entropy_scanned,
+        probes,
         "drained round skipped the pull without probing the log"
     );
 }
@@ -88,7 +90,7 @@ fn crash_mid_pull_recovers_through_later_rounds() {
 #[test]
 fn gc_compaction_before_the_cursor_is_crossed_safely() {
     let ids = [r(0), r(1), r(2)];
-    let mut replicas: Vec<Replica> = ids.iter().map(|&i| Replica::new(i)).collect();
+    let mut nodes: Vec<Node> = ids.iter().map(|&i| Node::new(i)).collect();
     let mut cursors = AeCursors::new();
 
     // Replica 0 commits a burst; everyone syncs, then acknowledges with
@@ -96,48 +98,48 @@ fn gc_compaction_before_the_cursor_is_crossed_safely() {
     // syncs again — advancing the stability frontier past the burst.
     // Direct traffic is dropped throughout; cursors drive the exchange.
     for i in 0..5 {
-        commit_counter(&mut replicas[0], "c", i);
+        commit_counter(nodes[0].replica_mut(), "c", i);
     }
-    replicas[0].take_outbox();
-    while anti_entropy_round_with(&mut replicas, &mut cursors) > 0 {}
-    commit_counter(&mut replicas[1], "ack1", 1);
-    commit_counter(&mut replicas[2], "ack2", 1);
-    replicas[1].take_outbox();
-    replicas[2].take_outbox();
-    while anti_entropy_round_with(&mut replicas, &mut cursors) > 0 {}
-    assert!(converged(&replicas));
+    nodes[0].replica_mut().take_outbox();
+    while anti_entropy_round_nodes(&mut nodes, &mut cursors) > 0 {}
+    commit_counter(nodes[1].replica_mut(), "ack1", 1);
+    commit_counter(nodes[2].replica_mut(), "ack2", 1);
+    nodes[1].replica_mut().take_outbox();
+    nodes[2].replica_mut().take_outbox();
+    while anti_entropy_round_nodes(&mut nodes, &mut cursors) > 0 {}
+    assert!(converged(&nodes, Node::replica));
 
     // Compact: the synced burst is causally stable everywhere.
-    let before = replicas[0].log_len();
-    for x in replicas.iter_mut() {
-        x.run_gc(&ids);
+    let before = nodes[0].replica().log_len();
+    for n in nodes.iter_mut() {
+        n.replica_mut().run_gc(&ids);
     }
     assert!(
-        replicas[0].log_len() < before,
+        nodes[0].replica().log_len() < before,
         "stable prefix compacted: {} -> {}",
         before,
-        replicas[0].log_len()
+        nodes[0].replica().log_len()
     );
 
     // New commits after compaction: peers' cursors predate the
     // compaction (their recorded log version is stale), and the seek
     // must serve exactly the new tail from the shortened segments.
     for i in 0..3 {
-        commit_counter(&mut replicas[0], "c", 100 + i);
+        commit_counter(nodes[0].replica_mut(), "c", 100 + i);
     }
-    replicas[0].take_outbox();
-    let base = replicas[1].stats.batches_received;
-    let applied = anti_entropy_round_with(&mut replicas, &mut cursors);
+    nodes[0].replica_mut().take_outbox();
+    let base = nodes[1].replica().stats.batches_received;
+    let applied = anti_entropy_round_nodes(&mut nodes, &mut cursors);
     assert_eq!(applied, 6, "both peers pulled exactly the 3 new batches");
     assert_eq!(
-        replicas[1].stats.batches_received - base,
+        nodes[1].replica().stats.batches_received - base,
         3,
         "no compacted batch was re-sent"
     );
-    while anti_entropy_round_with(&mut replicas, &mut cursors) > 0 {}
-    assert!(converged(&replicas));
-    for x in &replicas {
-        assert!(x.applied_consistent());
+    while anti_entropy_round_nodes(&mut nodes, &mut cursors) > 0 {}
+    assert!(converged(&nodes, Node::replica));
+    for n in &nodes {
+        assert!(n.replica().applied_consistent());
     }
 }
 
@@ -218,7 +220,7 @@ proptest! {
                 break;
             }
         }
-        prop_assert!(converged(&replicas), "seed {} did not converge", seed);
+        prop_assert!(converged(&replicas, |r| r), "seed {} did not converge", seed);
         for x in &replicas {
             prop_assert!(x.applied_consistent());
         }

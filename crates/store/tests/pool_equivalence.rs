@@ -7,7 +7,7 @@
 //! toggles tear workers down and respawn them lazily).
 
 use ipa_crdt::{ObjectKind, ReplicaId, Val};
-use ipa_store::{Replica, Transaction, UpdateBatch, PARALLEL_APPLY_MIN_UPDATES};
+use ipa_store::{ApplyDispatch, Replica, Transaction, UpdateBatch, PARALLEL_APPLY_MIN_UPDATES};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -128,17 +128,21 @@ proptest! {
         // lazily on the next wide batch), always re-enabled for the
         // remainder once the schedule runs out.
         let mut pooled = Replica::with_shards(ReplicaId(1), 4);
-        pooled.set_parallel_apply(true);
+        pooled.set_apply_dispatch(ApplyDispatch::Pool);
         for (i, b) in batches.iter().enumerate() {
             if let Some(&t) = toggles.get(i) {
                 let on = t == 1;
-                pooled.set_parallel_apply(on);
+                pooled.set_apply_dispatch(if on {
+                    ApplyDispatch::Pool
+                } else {
+                    ApplyDispatch::Sequential
+                });
                 prop_assert!(on || !pooled.pool_active(),
                     "disabling dispatch must tear the pool down");
             }
             pooled.receive(Arc::clone(b));
         }
-        pooled.set_parallel_apply(true);
+        pooled.set_apply_dispatch(ApplyDispatch::Pool);
 
         prop_assert_eq!(pooled.clock(), oracle.clock());
         prop_assert_eq!(pooled.object_count(), oracle.object_count());
@@ -191,7 +195,7 @@ fn pool_shutdown_and_restart_mid_stream() {
 
     let mut oracle = Replica::with_shards(ReplicaId(1), 1);
     let mut pooled = Replica::with_shards(ReplicaId(1), 4);
-    pooled.set_parallel_apply(true);
+    pooled.set_apply_dispatch(ApplyDispatch::Pool);
     assert!(!pooled.pool_active(), "pool spawn is lazy");
 
     oracle.receive(Arc::clone(&batches[0]));
@@ -199,10 +203,10 @@ fn pool_shutdown_and_restart_mid_stream() {
     assert!(pooled.pool_active(), "first wide batch spawns the workers");
     assert_eq!(pooled.stats.pool_batches, 1);
 
-    pooled.set_parallel_apply(false);
+    pooled.set_apply_dispatch(ApplyDispatch::Sequential);
     assert!(!pooled.pool_active(), "mode change joins the workers");
 
-    pooled.set_parallel_apply(true);
+    pooled.set_apply_dispatch(ApplyDispatch::Pool);
     oracle.receive(Arc::clone(&batches[1]));
     pooled.receive(Arc::clone(&batches[1]));
     assert!(pooled.pool_active(), "respawned on the next wide batch");
@@ -215,4 +219,33 @@ fn pool_shutdown_and_restart_mid_stream() {
         let k = name.as_str().into();
         assert_eq!(pooled.object(&k), oracle.object(&k), "object {name}");
     }
+}
+
+/// Every wide batch dispatches one job per shard, and the FNV key spread
+/// keeps all worker queues fed: no shard idles and the deepest queue
+/// stays within 2x of the mean. Deterministic (a key-hash property).
+#[test]
+fn wide_batches_spread_evenly_over_the_pool() {
+    let keys: Vec<String> = (0..1024).map(|k| format!("p:k{k}")).collect();
+    let mut origin = Replica::with_shards(ReplicaId(0), 1);
+    for i in 0..16 {
+        let mut tx = origin.begin();
+        for key in &keys {
+            tx.ensure(key.as_str(), ObjectKind::PNCounter).unwrap();
+            tx.counter_add(key.as_str(), i).unwrap();
+        }
+        tx.commit();
+    }
+    let mut pooled = Replica::with_shards(ReplicaId(1), 4);
+    pooled.set_apply_dispatch(ApplyDispatch::Pool);
+    for b in origin.take_outbox() {
+        pooled.receive(b);
+    }
+    assert_eq!(pooled.stats.pool_batches, 16);
+    assert_eq!(pooled.stats.pool_dispatches, 16 * 4);
+    let stats = pooled.shard_stats();
+    let hwm: Vec<u64> = stats.iter().map(|s| s.pool_queued_hwm).collect();
+    assert!(hwm.iter().all(|&q| q > 0), "idle shard worker: {hwm:?}");
+    let max = hwm.iter().max().unwrap();
+    assert!(max * 4 <= 2 * hwm.iter().sum::<u64>(), "imbalance: {hwm:?}");
 }

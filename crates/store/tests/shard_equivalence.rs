@@ -6,6 +6,7 @@
 //! pre-sharding data path.
 
 use ipa_crdt::{ObjectKind, ReplicaId, Val};
+use ipa_store::ApplyDispatch::{self, Pool, Sequential};
 use ipa_store::{Replica, Transaction, UpdateBatch};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -104,9 +105,9 @@ fn commit_stream(ops: &[(u8, u8)], chunk: usize) -> Vec<Arc<UpdateBatch>> {
     origin.take_outbox()
 }
 
-fn materialize(batches: &[Arc<UpdateBatch>], shards: usize, parallel: bool) -> Replica {
+fn materialize(batches: &[Arc<UpdateBatch>], shards: usize, dispatch: ApplyDispatch) -> Replica {
     let mut r = Replica::with_shards(ReplicaId(1), shards);
-    r.set_parallel_apply(parallel);
+    r.set_apply_dispatch(dispatch);
     for b in batches {
         r.receive(Arc::clone(b));
     }
@@ -124,9 +125,11 @@ proptest! {
         let batches = commit_stream(&ops, chunk);
         prop_assert!(!batches.is_empty());
 
-        let oracle = materialize(&batches, 1, false);
-        for (shards, parallel) in [(2, false), (4, false), (8, false), (4, true), (8, true)] {
-            let got = materialize(&batches, shards, parallel);
+        let oracle = materialize(&batches, 1, Sequential);
+        for (shards, dispatch) in
+            [(2, Sequential), (4, Sequential), (8, Sequential), (4, Pool), (8, Pool)]
+        {
+            let got = materialize(&batches, shards, dispatch);
             prop_assert_eq!(got.shard_count(), shards);
             prop_assert_eq!(got.clock(), oracle.clock(), "clock ({shards} shards)");
             prop_assert_eq!(got.object_count(), oracle.object_count(),
@@ -136,7 +139,7 @@ proptest! {
                 let name = key_name(key);
                 let k = name.as_str().into();
                 prop_assert_eq!(got.object(&k), oracle.object(&k),
-                    "object {} ({} shards, parallel={})", name, shards, parallel);
+                    "object {} ({} shards, {:?})", name, shards, dispatch);
                 prop_assert_eq!(got.kind_of(&k), oracle.kind_of(&k),
                     "kind {} ({} shards)", name, shards);
             }
