@@ -33,8 +33,7 @@ fn sorted_compset_elements(s: &ipa_crdt::CompensationSet<Val>) -> Vec<Val> {
     // CompensationSet only exposes contains/read; reconstruct raw
     // membership through its AWSet view helpers.
     let mut out = Vec::new();
-    let mut probe = s.clone();
-    let read = probe.read();
+    let read = s.read();
     out.extend(read.elements);
     out.extend(read.cancelled);
     out

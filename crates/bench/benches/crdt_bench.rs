@@ -100,8 +100,7 @@ fn bench_compset(c: &mut Criterion) {
             s.apply(&op);
         }
         b.iter(|| {
-            let mut copy = s.clone();
-            let r = copy.read();
+            let r = s.read();
             black_box((r.elements.len(), r.cancelled.len()))
         })
     });

@@ -103,6 +103,20 @@ impl<K: Ord + Clone, V: Clone + PartialEq> AWMap<K, V> {
         self.len() == 0
     }
 
+    /// Copy `k`'s entry (presence tags, payload — latent or visible — and
+    /// last-modification clock) into `into`, a partial copy of this map:
+    /// `into` then answers for `k` exactly as `self` does. Returns whether
+    /// there was an entry.
+    pub fn copy_entry(&self, k: &K, into: &mut Self) -> bool {
+        match self.entries.get(k) {
+            Some(entry) => {
+                into.entries.insert(k.clone(), entry.clone());
+                true
+            }
+            None => false,
+        }
+    }
+
     // ------------------------------------------------------------------
     // Prepare
     // ------------------------------------------------------------------

@@ -61,6 +61,20 @@ impl<E: Ord + Clone> AWSet<E> {
         self.live.get(e).into_iter().flatten()
     }
 
+    /// Copy `e`'s entry (its live tags) into `into`, a partial copy of
+    /// this set. Everything this type reads or applies about an element
+    /// is decided by that element's entry alone, so `into` then answers
+    /// for `e` exactly as `self` does. Returns whether there was an entry.
+    pub fn copy_entry(&self, e: &E, into: &mut Self) -> bool {
+        match self.live.get(e) {
+            Some(tags) => {
+                into.live.insert(e.clone(), tags.clone());
+                true
+            }
+            None => false,
+        }
+    }
+
     // ------------------------------------------------------------------
     // Prepare (origin side)
     // ------------------------------------------------------------------

@@ -22,9 +22,6 @@ use serde::{Deserialize, Serialize};
 pub struct CompensationSet<E: Ord + Clone> {
     set: AWSet<E>,
     capacity: usize,
-    /// Local count of reads that observed a violated constraint
-    /// (the red dots of the paper's Figure 7).
-    violations_observed: u64,
 }
 
 /// Effect operations: the underlying set's operations. Compensation
@@ -51,7 +48,6 @@ impl<E: Ord + Clone> CompensationSet<E> {
         CompensationSet {
             set: AWSet::new(),
             capacity,
-            violations_observed: 0,
         }
     }
 
@@ -63,10 +59,6 @@ impl<E: Ord + Clone> CompensationSet<E> {
     /// and its compensation.
     pub fn raw_len(&self) -> usize {
         self.set.len()
-    }
-
-    pub fn violations_observed(&self) -> u64 {
-        self.violations_observed
     }
 
     pub fn contains(&self, e: &E) -> bool {
@@ -89,7 +81,7 @@ impl<E: Ord + Clone> CompensationSet<E> {
     /// underlying set exceeds the capacity, the excess — *newest additions
     /// first* by tag order — is masked and a compensation remove is
     /// prepared for the caller to commit.
-    pub fn read(&mut self) -> CompensatedRead<E> {
+    pub fn read(&self) -> CompensatedRead<E> {
         // Order elements by their maximum add tag (deterministic across
         // replicas: tags are globally unique and totally ordered).
         let mut ordered: Vec<(Tag, E)> = self
@@ -113,7 +105,6 @@ impl<E: Ord + Clone> CompensationSet<E> {
                 cancelled: Vec::new(),
             };
         }
-        self.violations_observed += 1;
         let keep: Vec<E> = ordered
             .iter()
             .take(self.capacity)
@@ -153,7 +144,6 @@ mod tests {
         let r = s.read();
         assert_eq!(r.elements.len(), 2);
         assert!(r.compensation.is_none());
-        assert_eq!(s.violations_observed(), 0);
     }
 
     #[test]
@@ -180,7 +170,6 @@ mod tests {
         b.apply(rb.compensation.as_ref().unwrap());
         assert_eq!(a, b);
         assert_eq!(a.raw_len(), 1);
-        assert_eq!(a.violations_observed(), 1);
     }
 
     #[test]

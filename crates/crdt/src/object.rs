@@ -173,6 +173,40 @@ impl Object {
     }
 
     // ------------------------------------------------------------------
+    // Partial copies (the transaction overlay's copy-on-write)
+    // ------------------------------------------------------------------
+
+    /// The start of a partial copy, for the kinds whose state is keyed by
+    /// element (add-wins set, rem-wins set, add-wins map): an object of
+    /// the same kind holding none of this one's element entries, to be
+    /// filled one element at a time by [`Object::copy_entry`]. `None` for
+    /// the kinds that are not — counters and registers are O(replicas) or
+    /// O(1), a compensation set is bounded by its capacity and is read
+    /// whole — which are copied with `clone`.
+    pub fn partial_copy(&self) -> Option<Object> {
+        match self {
+            Object::AWSet(_) => Some(Object::AWSet(AWSet::new())),
+            Object::RWSet(s) => Some(Object::RWSet(s.partial_copy())),
+            Object::AWMap(_) => Some(Object::AWMap(AWMap::new())),
+            _ => None,
+        }
+    }
+
+    /// Copy element `e`'s entry from this object into `into`, which began
+    /// as this object's [`Object::partial_copy`]. Afterwards every
+    /// element-level question about `e` (membership, payload, the tags a
+    /// remove observes) has the same answer on `into` as on `self`.
+    /// Returns whether there was an entry to copy.
+    pub fn copy_entry(&self, e: &Val, into: &mut Object) -> bool {
+        match (self, into) {
+            (Object::AWSet(s), Object::AWSet(into)) => s.copy_entry(e, into),
+            (Object::RWSet(s), Object::RWSet(into)) => s.copy_entry(e, into),
+            (Object::AWMap(m), Object::AWMap(into)) => m.copy_entry(e, into),
+            _ => false,
+        }
+    }
+
+    // ------------------------------------------------------------------
     // Typed accessors (used by the application layer)
     // ------------------------------------------------------------------
 
@@ -232,13 +266,6 @@ impl Object {
         }
     }
 
-    pub fn as_compset_mut(&mut self) -> Option<&mut CompensationSet<Val>> {
-        match self {
-            Object::CompSet(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Set membership across set-like kinds (convenience for invariants
     /// checking in the applications).
     pub fn set_contains(&self, v: &Val) -> Option<bool> {
@@ -248,6 +275,24 @@ impl Object {
             Object::CompSet(s) => Some(s.contains(v)),
             Object::AWMap(m) => Some(m.contains(v)),
             _ => None,
+        }
+    }
+}
+
+impl ObjectOp {
+    /// Call `f` on every element this effect names: the entries of a
+    /// partial copy it reads or changes when applied. A rem-wins wildcard
+    /// names none (it joins the wildcard list, which a partial copy holds
+    /// in full), and neither do effects on kinds not keyed by element.
+    pub fn for_each_elem(&self, mut f: impl FnMut(&Val)) {
+        match self {
+            ObjectOp::AWSet(AWSetOp::Add { elem, .. })
+            | ObjectOp::RWSet(RWSetOp::Add { elem, .. } | RWSetOp::Remove { elem, .. }) => f(elem),
+            ObjectOp::AWSet(AWSetOp::Remove { victims }) => {
+                victims.iter().for_each(|(elem, _)| f(elem));
+            }
+            ObjectOp::AWMap(AWMapOp::Put { key, .. } | AWMapOp::Remove { key, .. }) => f(key),
+            _ => {}
         }
     }
 }

@@ -108,6 +108,34 @@ impl<E: Ord + Clone, P: Pattern<E>> RWSet<E, P> {
         self.len() == 0
     }
 
+    /// The start of a partial copy: no element entries, but every
+    /// wildcard remove, because a wildcard bears on the membership of any
+    /// matching element and so has to travel with whichever entries are
+    /// copied later.
+    pub fn partial_copy(&self) -> Self {
+        RWSet {
+            adds: BTreeMap::new(),
+            removes: BTreeMap::new(),
+            wild_removes: self.wild_removes.clone(),
+        }
+    }
+
+    /// Copy `e`'s entry (its adds and element removes) into `into`, which
+    /// began as [`RWSet::partial_copy`] of this set: `into` then decides
+    /// `e`'s membership exactly as `self` does. Returns whether there was
+    /// an entry.
+    pub fn copy_entry(&self, e: &E, into: &mut Self) -> bool {
+        let adds = self.adds.get(e);
+        let removes = self.removes.get(e);
+        if let Some(adds) = adds {
+            into.adds.insert(e.clone(), adds.clone());
+        }
+        if let Some(removes) = removes {
+            into.removes.insert(e.clone(), removes.clone());
+        }
+        adds.is_some() || removes.is_some()
+    }
+
     // ------------------------------------------------------------------
     // Prepare (origin side)
     // ------------------------------------------------------------------

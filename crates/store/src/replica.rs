@@ -83,6 +83,17 @@ pub struct ReplicaStats {
     /// Bounded-counter decrements refused locally for lack of escrow
     /// rights (the starvation signal the provisioning policies watch).
     pub escrow_dec_denied: u64,
+    /// Whole-object copies transactions made of stored objects: the
+    /// first write to a kind not keyed by element (counter, register,
+    /// compensation set), or a whole-object question about a set or map
+    /// the transaction had already written. Never an element-level access.
+    pub txn_objects_copied: u64,
+    /// Per-element entries transactions copied out of stored sets and
+    /// maps they were writing. With `txn_objects_copied` this pins "a
+    /// commit costs what it touches" without a wall clock: both are exact
+    /// functions of the operations run, under the simulator and under
+    /// threads alike.
+    pub txn_entries_copied: u64,
     /// Stability-frontier folds served from the escrow-path cache
     /// without recomputing (no clock advanced since the last fold).
     pub frontier_cache_hits: u64,
@@ -480,12 +491,19 @@ impl Replica {
         self.lamport
     }
 
-    /// Read an object (committed state only; in-transaction reads go
-    /// through the transaction's overlay).
+    /// Read an object: committed state only. A transaction reads the same
+    /// object through this function for every key it has not written, and
+    /// its own overlay for the keys it has.
     pub fn object(&self, key: &Key) -> Option<&Object> {
         self.shards[shard_of(key, self.shards.len())]
             .objects
             .get(key)
+    }
+
+    /// A stored object with its declared kind, from one shard lookup.
+    pub(crate) fn object_and_kind(&self, key: &Key) -> Option<(ObjectKind, &Object)> {
+        let shard = &self.shards[shard_of(key, self.shards.len())];
+        Some((*shard.kinds.get(key)?, shard.objects.get(key)?))
     }
 
     pub(crate) fn insert_object(&mut self, key: Key, kind: ObjectKind, obj: Object) {

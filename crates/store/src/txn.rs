@@ -5,6 +5,41 @@
 //! read-your-writes), buffers update effects, and on commit installs them
 //! atomically and stages one [`UpdateBatch`] for asynchronous replication.
 //! Dropping the transaction without committing aborts it.
+//!
+//! # The overlay: a transaction copies what it changes
+//!
+//! The overlay holds only the keys this transaction created or has
+//! written, and of a written set or map only the elements it has touched:
+//!
+//! 1. **Unwritten, stored key**: never copied. Reads and prepares borrow
+//!    the object from [`Replica::object`].
+//! 2. **Written key, element-level access** (`aw_add`, `aw_remove`,
+//!    `rw_*`, `map_put`/`touch`/`remove`/`get`, `contains`): the first
+//!    write to a stored add-wins set, rem-wins set or add-wins map starts
+//!    a *partial copy* ([`Object::partial_copy`]); an element's entry is
+//!    pulled from the stored object ([`Object::copy_entry`]) on the first
+//!    read or effect that names it, and the element is remembered as
+//!    covered even when the stored object had no entry. Reads, prepares
+//!    and the effect itself then run against the partial copy.
+//! 3. **Written key, whole-object access** (`set_elements`,
+//!    `aw_remove_matching`; `compset_read` and counter or register reads
+//!    ask the same way, and by rule 4 always find a whole copy): the copy
+//!    is made whole once, as the stored object's clone plus a replay of
+//!    this transaction's effects on the key. This is the only O(object)
+//!    copy, paired with an O(object) answer.
+//! 4. **Kinds not keyed by element** (counters and registers, whose state
+//!    is O(replicas) or O(1); the compensation set, bounded by its
+//!    capacity) and **objects the transaction created** are held whole.
+//! 5. **Commit and abort**: written keys are rebuilt from their effects
+//!    by the one apply path (`Replica::commit_batch`), so no copy is ever
+//!    installed; created-but-unwritten objects install locally; dropping
+//!    the transaction leaves the replica's objects untouched.
+//!
+//! Cost: O(entries touched) per transaction, whatever the size of the
+//! objects it looks at; O(object) only for a whole-object question about
+//! a key the transaction has already written.
+//! [`ReplicaStats::txn_objects_copied`](crate::ReplicaStats) and
+//! [`txn_entries_copied`](crate::ReplicaStats) count both kinds of copy.
 
 use crate::batch::UpdateBatch;
 use crate::errors::StoreError;
@@ -12,6 +47,7 @@ use crate::key::Key;
 use crate::replica::{creation_owner, Replica};
 use ipa_crdt::compset::CompensatedRead;
 use ipa_crdt::{Object, ObjectKind, ObjectOp, VClock, Val, ValPattern};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Result of a successful commit.
@@ -26,13 +62,78 @@ pub struct CommitInfo {
     pub compensations: usize,
 }
 
+/// A buffered effect: the key, its declared kind, the operation.
+type Update = (Key, ObjectKind, ObjectOp);
+
+/// The overlay's entry for one key the transaction created or has written.
+struct Shadow {
+    kind: ObjectKind,
+    obj: Object,
+    /// `Some` while `obj` is a partial copy of the stored object: the
+    /// elements, sorted, whose stored entry (or lack of one) `obj`
+    /// already reflects. `None` once `obj` is whole.
+    covered: Option<Vec<Val>>,
+    /// An effect on this key is buffered, so commit rebuilds the object
+    /// from the batch. Unset only on a created object nothing was written
+    /// to, which commit installs as it is.
+    written: bool,
+}
+
+impl Shadow {
+    /// Rule 2: bring `e`'s stored entry into a partial copy, once.
+    fn cover(&mut self, replica: &mut Replica, key: &Key, e: &Val) {
+        let Some(covered) = &mut self.covered else {
+            return;
+        };
+        let Err(at) = covered.binary_search(e) else {
+            return;
+        };
+        covered.insert(at, e.clone());
+        let stored = replica
+            .object(key)
+            .expect("a partial copy is of a stored object");
+        if stored.copy_entry(e, &mut self.obj) {
+            replica.stats.txn_entries_copied += 1;
+        }
+    }
+
+    /// Rule 3: turn a partial copy into the whole object, as this
+    /// transaction sees it.
+    fn make_whole(&mut self, replica: &mut Replica, key: &Key, updates: &[Update]) {
+        if self.covered.take().is_none() {
+            return;
+        }
+        self.obj = replica
+            .object(key)
+            .expect("a partial copy is of a stored object")
+            .clone();
+        replica.stats.txn_objects_copied += 1;
+        for (_, _, op) in updates.iter().filter(|(k, _, _)| k == key) {
+            self.obj
+                .apply(op)
+                .expect("the partial copy took this effect");
+        }
+    }
+}
+
+/// How much of a key's object a read depends on: what has to be in a
+/// partial copy before the read may run against it.
+enum Reads<'e> {
+    /// Only the object's type (a prepare that captures no state).
+    Nothing,
+    /// One element's entry.
+    Element(&'e Val),
+    /// Every entry.
+    Whole,
+}
+
 /// An in-flight transaction on one replica.
 pub struct Transaction<'a> {
     replica: &'a mut Replica,
-    /// Copy-on-write view of touched objects.
-    overlay: HashMap<Key, (ObjectKind, Object)>,
+    /// Copy-on-write view of the keys created or written (module docs).
+    overlay: HashMap<Key, Shadow>,
     /// Buffered effects, in execution order.
-    updates: Vec<(Key, ObjectKind, ObjectOp)>,
+    updates: Vec<Update>,
     /// The clock this commit will carry (replica clock + own tick).
     commit_clock: VClock,
     /// Lamport timestamp for LWW writes.
@@ -57,53 +158,72 @@ impl<'a> Transaction<'a> {
     /// Declare (and lazily create) an object of the given kind.
     pub fn ensure(&mut self, key: impl Into<Key>, kind: ObjectKind) -> Result<(), StoreError> {
         let key = key.into();
-        if self.overlay.contains_key(&key) {
-            return Ok(());
-        }
-        match self.replica.object(&key) {
-            Some(obj) => {
-                let declared = self.replica.kind_of(&key).unwrap_or(kind);
-                self.overlay.insert(key, (declared, obj.clone()));
-            }
-            None => {
-                self.overlay
-                    .insert(key, (kind, Object::new(kind, creation_owner())));
-            }
+        if self.replica.object(&key).is_none() {
+            self.overlay.entry(key).or_insert_with(|| Shadow {
+                kind,
+                obj: Object::new(kind, creation_owner()),
+                covered: None,
+                written: false,
+            });
         }
         Ok(())
     }
 
-    /// Fetch (copy-on-write) the object for a key, requiring it to exist
-    /// either in the overlay or the replica.
-    fn obj_mut(&mut self, key: &Key) -> Result<&mut (ObjectKind, Object), StoreError> {
-        if !self.overlay.contains_key(key) {
-            let obj = self
+    /// The object a read of `key` runs against: the stored object while
+    /// the transaction has not written the key (rule 1), else its copy
+    /// with what the read depends on brought in (rules 2 and 3).
+    fn view(&mut self, key: &Key, reads: Reads<'_>) -> Result<&Object, StoreError> {
+        match self.overlay.get_mut(key) {
+            Some(shadow) => {
+                match reads {
+                    Reads::Nothing => {}
+                    Reads::Element(e) => shadow.cover(self.replica, key, e),
+                    Reads::Whole => shadow.make_whole(self.replica, key, &self.updates),
+                }
+                Ok(&shadow.obj)
+            }
+            None => self
                 .replica
                 .object(key)
-                .cloned()
-                .ok_or_else(|| StoreError::NoSuchObject(key.clone()))?;
-            let kind = self
-                .replica
-                .kind_of(key)
-                .ok_or_else(|| StoreError::NoSuchObject(key.clone()))?;
-            self.overlay.insert(key.clone(), (kind, obj));
+                .ok_or_else(|| StoreError::NoSuchObject(key.clone())),
         }
-        Ok(self.overlay.get_mut(key).expect("inserted above"))
     }
 
-    fn obj_ref(&mut self, key: &Key) -> Result<&(ObjectKind, Object), StoreError> {
-        self.obj_mut(key).map(|x| &*x)
-    }
-
-    /// Record and locally apply an effect.
+    /// Record an effect and apply it to the transaction's copy of the
+    /// key, which the first write to a stored key starts: partial for the
+    /// kinds keyed by element, whole for the rest (rule 4).
     fn push(&mut self, key: Key, op: ObjectOp) -> Result<(), StoreError> {
-        let (kind, obj) = self.obj_mut(&key)?;
-        let kind = *kind;
-        obj.apply(&op).map_err(|e| StoreError::WrongType {
+        let shadow = match self.overlay.entry(key.clone()) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let (kind, stored) = self
+                    .replica
+                    .object_and_kind(&key)
+                    .ok_or_else(|| StoreError::NoSuchObject(key.clone()))?;
+                let (obj, covered) = match stored.partial_copy() {
+                    Some(partial) => (partial, Some(Vec::new())),
+                    None => {
+                        let whole = stored.clone();
+                        self.replica.stats.txn_objects_copied += 1;
+                        (whole, None)
+                    }
+                };
+                e.insert(Shadow {
+                    kind,
+                    obj,
+                    covered,
+                    written: false,
+                })
+            }
+        };
+        // The effect's own elements are covered before it is applied.
+        op.for_each_elem(|e| shadow.cover(self.replica, &key, e));
+        shadow.written = true;
+        shadow.obj.apply(&op).map_err(|e| StoreError::WrongType {
             key: key.clone(),
             expected: e.expected,
         })?;
-        self.updates.push((key, kind, op));
+        self.updates.push((key, shadow.kind, op));
         Ok(())
     }
 
@@ -114,7 +234,7 @@ impl<'a> Transaction<'a> {
     pub fn aw_add(&mut self, key: impl Into<Key>, v: Val) -> Result<(), StoreError> {
         let key = key.into();
         let tag = self.replica.alloc_tag();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Nothing)?;
         let set = obj.as_awset().ok_or_else(|| wrong(&key, "aw-set"))?;
         let op = ObjectOp::AWSet(set.prepare_add(v, tag));
         self.push(key, op)
@@ -122,7 +242,7 @@ impl<'a> Transaction<'a> {
 
     pub fn aw_remove(&mut self, key: impl Into<Key>, v: &Val) -> Result<(), StoreError> {
         let key = key.into();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Element(v))?;
         let set = obj.as_awset().ok_or_else(|| wrong(&key, "aw-set"))?;
         if let Some(op) = set.prepare_remove(v) {
             let op = ObjectOp::AWSet(op);
@@ -138,7 +258,7 @@ impl<'a> Transaction<'a> {
         pattern: &ValPattern,
     ) -> Result<(), StoreError> {
         let key = key.into();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Whole)?;
         let set = obj.as_awset().ok_or_else(|| wrong(&key, "aw-set"))?;
         let op = ObjectOp::AWSet(set.prepare_remove_matching(|e| pattern.matches(e)));
         self.push(key, op)
@@ -152,7 +272,7 @@ impl<'a> Transaction<'a> {
         let key = key.into();
         let tag = self.replica.alloc_tag();
         let clock = self.commit_clock.clone();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Nothing)?;
         let set = obj.as_rwset().ok_or_else(|| wrong(&key, "rw-set"))?;
         let op = ObjectOp::RWSet(set.prepare_add(v, tag, clock));
         self.push(key, op)
@@ -162,7 +282,7 @@ impl<'a> Transaction<'a> {
         let key = key.into();
         let tag = self.replica.alloc_tag();
         let clock = self.commit_clock.clone();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Nothing)?;
         let set = obj.as_rwset().ok_or_else(|| wrong(&key, "rw-set"))?;
         let op = ObjectOp::RWSet(set.prepare_remove(v, tag, clock));
         self.push(key, op)
@@ -178,7 +298,7 @@ impl<'a> Transaction<'a> {
         let key = key.into();
         let tag = self.replica.alloc_tag();
         let clock = self.commit_clock.clone();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Nothing)?;
         let set = obj.as_rwset().ok_or_else(|| wrong(&key, "rw-set"))?;
         let op = ObjectOp::RWSet(set.prepare_remove_matching(pattern, tag, clock));
         self.push(key, op)
@@ -193,7 +313,7 @@ impl<'a> Transaction<'a> {
         let tag = self.replica.alloc_tag();
         let clock = self.commit_clock.clone();
         let ts = self.ts;
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Nothing)?;
         let map = obj.as_awmap().ok_or_else(|| wrong(&key, "aw-map"))?;
         let op = ObjectOp::AWMap(map.prepare_put(k, tag, clock, ts, v));
         self.push(key, op)
@@ -204,7 +324,7 @@ impl<'a> Transaction<'a> {
         let key = key.into();
         let tag = self.replica.alloc_tag();
         let clock = self.commit_clock.clone();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Nothing)?;
         let map = obj.as_awmap().ok_or_else(|| wrong(&key, "aw-map"))?;
         let op = ObjectOp::AWMap(map.prepare_touch(k, tag, clock));
         self.push(key, op)
@@ -213,7 +333,7 @@ impl<'a> Transaction<'a> {
     pub fn map_remove(&mut self, key: impl Into<Key>, k: &Val) -> Result<(), StoreError> {
         let key = key.into();
         let clock = self.commit_clock.clone();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Element(k))?;
         let map = obj.as_awmap().ok_or_else(|| wrong(&key, "aw-map"))?;
         if let Some(op) = map.prepare_remove(k, clock) {
             let op = ObjectOp::AWMap(op);
@@ -229,7 +349,7 @@ impl<'a> Transaction<'a> {
     pub fn counter_add(&mut self, key: impl Into<Key>, delta: i64) -> Result<(), StoreError> {
         let key = key.into();
         let origin = self.replica.id();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Nothing)?;
         let c = obj
             .as_pncounter()
             .ok_or_else(|| wrong(&key, "pn-counter"))?;
@@ -240,7 +360,7 @@ impl<'a> Transaction<'a> {
     pub fn bcounter_inc(&mut self, key: impl Into<Key>, n: u64) -> Result<(), StoreError> {
         let key = key.into();
         let origin = self.replica.id();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Nothing)?;
         let c = obj
             .as_bcounter()
             .ok_or_else(|| wrong(&key, "bounded-counter"))?;
@@ -253,7 +373,7 @@ impl<'a> Transaction<'a> {
     pub fn bcounter_dec(&mut self, key: impl Into<Key>, n: u64) -> Result<(), StoreError> {
         let key = key.into();
         let origin = self.replica.id();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Whole)?;
         let c = obj
             .as_bcounter()
             .ok_or_else(|| wrong(&key, "bounded-counter"))?;
@@ -273,7 +393,7 @@ impl<'a> Transaction<'a> {
     ) -> Result<(), StoreError> {
         let key = key.into();
         let origin = self.replica.id();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Whole)?;
         let c = obj
             .as_bcounter()
             .ok_or_else(|| wrong(&key, "bounded-counter"))?;
@@ -293,7 +413,7 @@ impl<'a> Transaction<'a> {
         holder: ipa_crdt::ReplicaId,
     ) -> Result<i64, StoreError> {
         let key = key.into();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Whole)?;
         let c = obj
             .as_bcounter()
             .ok_or_else(|| wrong(&key, "bounded-counter"))?;
@@ -313,7 +433,7 @@ impl<'a> Transaction<'a> {
         let key = key.into();
         let tag = self.replica.alloc_tag();
         let ts = self.ts;
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Nothing)?;
         let r = obj.as_lww().ok_or_else(|| wrong(&key, "lww-register"))?;
         let op = ObjectOp::LWW(r.prepare_write(ts, tag, v));
         self.push(key, op)
@@ -322,7 +442,7 @@ impl<'a> Transaction<'a> {
     pub fn mv_write(&mut self, key: impl Into<Key>, v: Val) -> Result<(), StoreError> {
         let key = key.into();
         let clock = self.commit_clock.clone();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Nothing)?;
         let r = obj.as_mv().ok_or_else(|| wrong(&key, "mv-register"))?;
         let op = ObjectOp::MV(r.prepare_write(clock, v));
         self.push(key, op)
@@ -335,7 +455,7 @@ impl<'a> Transaction<'a> {
     pub fn compset_add(&mut self, key: impl Into<Key>, v: Val) -> Result<(), StoreError> {
         let key = key.into();
         let tag = self.replica.alloc_tag();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Nothing)?;
         let s = obj
             .as_compset()
             .ok_or_else(|| wrong(&key, "compensation-set"))?;
@@ -350,16 +470,13 @@ impl<'a> Transaction<'a> {
         key: impl Into<Key>,
     ) -> Result<CompensatedRead<Val>, StoreError> {
         let key = key.into();
-        let (kind, obj) = self.obj_mut(&key)?;
-        let kind = *kind;
-        let s = obj
-            .as_compset_mut()
-            .ok_or_else(|| wrong(&key, "compensation-set"))?;
-        let read = s.read();
+        let read = self
+            .view(&key, Reads::Whole)?
+            .as_compset()
+            .ok_or_else(|| wrong(&key, "compensation-set"))?
+            .read();
         if let Some(comp) = &read.compensation {
-            s.apply(comp);
-            self.updates
-                .push((key, kind, ObjectOp::CompSet(comp.clone())));
+            self.push(key, ObjectOp::CompSet(comp.clone()))?;
             self.compensations += 1;
         }
         Ok(read)
@@ -372,14 +489,14 @@ impl<'a> Transaction<'a> {
     /// Membership across set-like objects (read-your-writes).
     pub fn contains(&mut self, key: impl Into<Key>, v: &Val) -> Result<bool, StoreError> {
         let key = key.into();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Element(v))?;
         obj.set_contains(v).ok_or_else(|| wrong(&key, "set-like"))
     }
 
     /// Elements of a set-like object.
     pub fn set_elements(&mut self, key: impl Into<Key>) -> Result<Vec<Val>, StoreError> {
         let key = key.into();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Whole)?;
         match obj {
             Object::AWSet(s) => Ok(s.elements().cloned().collect()),
             Object::RWSet(s) => Ok(s.elements().cloned().collect()),
@@ -394,7 +511,7 @@ impl<'a> Transaction<'a> {
 
     pub fn counter_value(&mut self, key: impl Into<Key>) -> Result<i64, StoreError> {
         let key = key.into();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Whole)?;
         match obj {
             Object::PNCounter(c) => Ok(c.value()),
             Object::BCounter(c) => Ok(c.value()),
@@ -404,14 +521,14 @@ impl<'a> Transaction<'a> {
 
     pub fn lww_get(&mut self, key: impl Into<Key>) -> Result<Option<Val>, StoreError> {
         let key = key.into();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Whole)?;
         let r = obj.as_lww().ok_or_else(|| wrong(&key, "lww-register"))?;
         Ok(r.get().cloned())
     }
 
     pub fn map_get(&mut self, key: impl Into<Key>, k: &Val) -> Result<Option<Val>, StoreError> {
         let key = key.into();
-        let (_, obj) = self.obj_ref(&key)?;
+        let obj = self.view(&key, Reads::Element(k))?;
         let m = obj.as_awmap().ok_or_else(|| wrong(&key, "aw-map"))?;
         Ok(m.get(k).cloned())
     }
@@ -425,8 +542,8 @@ impl<'a> Transaction<'a> {
     // Commit
     // ------------------------------------------------------------------
 
-    /// Commit: install the overlay and stage the batch. Read-only
-    /// transactions commit without consuming a sequence number.
+    /// Commit: stage the buffered effects as one batch and apply it.
+    /// Read-only transactions commit without consuming a sequence number.
     pub fn commit(self) -> CommitInfo {
         let Transaction {
             replica,
@@ -436,14 +553,17 @@ impl<'a> Transaction<'a> {
             ts,
             compensations,
         } = self;
-        if updates.is_empty() {
-            // Read-only: nothing replicates; created (ensured) objects
-            // still install locally so later transactions find them.
-            for (key, (kind, obj)) in overlay {
-                if replica.object(&key).is_none() {
-                    replica.insert_object(key, kind, obj);
-                }
+        // Created objects nothing was written to install locally, so later
+        // transactions find them. No other copy is installed: a written
+        // key is rebuilt from its effects by the batch application below,
+        // and installing both would apply every effect twice.
+        for (key, shadow) in overlay {
+            if !shadow.written {
+                replica.insert_object(key, shadow.kind, shadow.obj);
             }
+        }
+        if updates.is_empty() {
+            // Read-only: nothing replicates.
             return CommitInfo {
                 clock: replica.clock().clone(),
                 updates: 0,
@@ -458,21 +578,6 @@ impl<'a> Transaction<'a> {
             updates,
         );
         let n = batch.updates.len();
-        // Install ensured-but-unwritten objects (local only). Keys written
-        // by this transaction are NOT installed from the overlay: the batch
-        // application below re-creates them from their ops, and installing
-        // both would apply every effect twice.
-        let written: std::collections::HashSet<&Key> =
-            batch.updates.iter().map(|(k, _, _)| k).collect();
-        let unwritten: Vec<(Key, (ObjectKind, Object))> = overlay
-            .into_iter()
-            .filter(|(key, _)| !written.contains(key))
-            .collect();
-        for (key, (kind, obj)) in unwritten {
-            if replica.object(&key).is_none() {
-                replica.insert_object(key, kind, obj);
-            }
-        }
         replica.commit_batch(batch);
         CommitInfo {
             clock: commit_clock,

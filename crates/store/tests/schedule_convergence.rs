@@ -149,10 +149,9 @@ fn observe(cluster: &Cluster, kind: ObjectKind, r: u16) -> String {
             format!("{e:?}")
         }
         ObjectKind::CompSet { .. } => {
-            // Probe a clone: `read` runs the compensation, which must
-            // resolve identically at every converged replica.
-            let mut probe = obj.as_compset().unwrap().clone();
-            let read = probe.read();
+            // `read` prepares the compensation, which must resolve
+            // identically at every converged replica.
+            let read = obj.as_compset().unwrap().read();
             let mut e: Vec<String> = read.elements.iter().map(|v| format!("{v:?}")).collect();
             e.sort();
             let mut c: Vec<String> = read.cancelled.iter().map(|v| format!("{v:?}")).collect();
