@@ -26,7 +26,6 @@
 pub mod common;
 pub mod oracle;
 pub mod soak;
-pub mod threaded_soak;
 pub mod ticket;
 pub mod tournament;
 pub mod tpc;

@@ -22,11 +22,14 @@
 //! event staying sold out is exactly the regime the escrow comparison
 //! measures.
 
+use crate::oracle::Oracle;
+use crate::soak::{SoakApp, SoakMode};
 use crate::ticket::runtime::pool_key;
 use crate::ticket::workload::TicketOp;
 use ipa_coord::{BoundedCounter, CoordConfig, CoordError, CounterBackend, EscrowShardStats};
 use ipa_crdt::{ObjectKind, Val};
-use ipa_sim::{AppOp, ClientInfo, OpCtx, OpOutcome, SimCtx, Workload};
+use ipa_sim::{AppWorkload, ClientInfo, OpCtx, OpOutcome};
+use ipa_store::{StoreError, Transaction};
 use rand::Rng;
 
 /// Which coordination discipline sells the tickets.
@@ -94,13 +97,6 @@ impl Default for SaleConfig {
 /// The primary region the strong backend forwards to.
 const PRIMARY: u16 = 0;
 
-/// Event names and capacities of the default configuration — what the
-/// pre-run continuous auditor registers (events are static, so the
-/// pre-run registry is exact, not merely sufficient).
-pub fn default_event_capacities() -> Vec<(String, usize)> {
-    SaleWorkload::new(SaleBackend::Escrow, SaleConfig::default()).event_capacities()
-}
-
 /// Simulator workload for one sale backend.
 pub struct SaleWorkload {
     pub backend: SaleBackend,
@@ -162,10 +158,10 @@ impl SaleWorkload {
     }
 }
 
-impl SaleWorkload {
-    /// Transport-agnostic setup body; [`Workload::setup`] and the
-    /// threaded harness both call it.
-    pub(crate) fn setup_in<C: OpCtx>(&mut self, ctx: &mut C) {
+impl AppWorkload for SaleWorkload {
+    type Op = TicketOp;
+
+    fn setup<C: OpCtx>(&mut self, ctx: &mut C) {
         let regions = ctx.regions() as u16;
         let pools: Vec<(String, ObjectKind)> = (0..self.cfg.num_events)
             .map(|s| (pool_key(&self.event_name(s)), self.pool_kind(s)))
@@ -199,14 +195,8 @@ impl SaleWorkload {
         self.counter = Some(counter);
     }
 
-    /// Transport-agnostic op body.
-    pub(crate) fn op_in<C: OpCtx>(&mut self, ctx: &mut C, client: ClientInfo) -> OpOutcome {
-        let op = self.decide_op(ctx);
-        self.execute_op(ctx, client, op)
-    }
-
     /// Draw the next op (hot?, tail slot, buy? — in that order).
-    pub(crate) fn decide_op<C: OpCtx>(&mut self, ctx: &mut C) -> TicketOp {
+    fn decide<C: OpCtx>(&mut self, ctx: &mut C, _client: ClientInfo) -> TicketOp {
         let hot = ctx.rng().gen::<f64>() < self.cfg.hot_fraction;
         let slot = if hot || self.cfg.num_events <= 1 {
             0
@@ -223,14 +213,9 @@ impl SaleWorkload {
 
     /// Execute a decided (or replayed) op. User ids are execute-time
     /// state, so a replayed trace regenerates them identically.
-    pub(crate) fn execute_op<C: OpCtx>(
-        &mut self,
-        ctx: &mut C,
-        client: ClientInfo,
-        op: TicketOp,
-    ) -> OpOutcome {
+    fn execute<C: OpCtx>(&mut self, ctx: &mut C, client: ClientInfo, op: &TicketOp) -> OpOutcome {
         let region = client.region;
-        let (slot, is_buy) = match op {
+        let (slot, is_buy) = match *op {
             TicketOp::Buy { slot } => (slot, true),
             TicketOp::View { slot } => (slot, false),
         };
@@ -332,28 +317,6 @@ impl SaleWorkload {
     }
 }
 
-impl Workload for SaleWorkload {
-    fn setup(&mut self, ctx: &mut SimCtx<'_>) {
-        self.setup_in(ctx);
-    }
-
-    fn op(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> OpOutcome {
-        self.op_in(ctx, client)
-    }
-
-    fn decide(&mut self, ctx: &mut SimCtx<'_>, _client: ClientInfo) -> Option<AppOp> {
-        Some(AppOp::new(self.decide_op(ctx).to_string()))
-    }
-
-    fn execute(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo, op: &AppOp) -> OpOutcome {
-        let op: TicketOp = op
-            .as_str()
-            .parse()
-            .unwrap_or_else(|e| panic!("op trace: {e}"));
-        self.execute_op(ctx, client, op)
-    }
-}
-
 /// Post-run raw oversell count at one replica: total tickets beyond
 /// capacity, summed over events (the benchmark's correctness column).
 pub fn raw_oversell(sim: &ipa_sim::Simulation, workload: &SaleWorkload) -> u64 {
@@ -371,6 +334,31 @@ pub fn raw_oversell(sim: &ipa_sim::Simulation, workload: &SaleWorkload) -> u64 {
         total += n.saturating_sub(cap) as u64;
     }
     total
+}
+
+/// IPA mode runs the escrow backend, causal mode the uncoordinated one.
+impl SoakApp for SaleWorkload {
+    fn fresh(mode: SoakMode) -> Self {
+        Self::with_defaults(match mode {
+            SoakMode::Ipa => SaleBackend::Escrow,
+            SoakMode::Causal => SaleBackend::Causal,
+        })
+    }
+
+    fn oracle(&self) -> Oracle {
+        Oracle::ticket_escrow(self.event_capacities())
+    }
+
+    /// Only the compensation-set backend has anything to sweep: the
+    /// escrow and strong bounds are continuous by construction.
+    fn sweep(&self, tx: &mut Transaction<'_>) -> Result<(), StoreError> {
+        if self.backend == SaleBackend::IpaRepair {
+            for slot in 0..self.cfg.num_events {
+                tx.compset_read(pool_key(&self.event_name(slot)).as_str())?;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -448,19 +436,9 @@ mod tests {
     #[test]
     fn ipa_repair_settles_within_capacity_after_view_sweeps() {
         let (mut sim, w) = run(SaleBackend::IpaRepair, 7, FaultPlan::none());
-        // Raw overshoot may exist; two rounds of constrained reads
-        // (repair + replicate) settle every pool within its bound.
-        for _round in 0..2 {
-            for region in 0..sim.regions() as u16 {
-                let replica = sim.replica_mut(region);
-                let mut tx = replica.begin();
-                for (e, _) in w.event_capacities() {
-                    tx.compset_read(pool_key(&e).as_str()).expect("view sweep");
-                }
-                tx.commit();
-            }
-            sim.sync_all();
-        }
+        // Raw overshoot may exist; the shared repair sweep (constrained
+        // reads, replicated, twice) settles every pool within its bound.
+        crate::soak::repair(&w, &mut sim, Simulation::sync_all);
         let oracle = Oracle::ticket_escrow(w.event_capacities());
         for r in 0..3 {
             assert_eq!(oracle.final_violations(sim.replica(r)), 0, "replica {r}");
@@ -468,10 +446,8 @@ mod tests {
     }
 
     #[test]
-    fn default_event_capacities_match_the_workload() {
-        let w = SaleWorkload::with_defaults(SaleBackend::Causal);
-        assert_eq!(default_event_capacities(), w.event_capacities());
-        let caps = default_event_capacities();
+    fn default_config_has_one_contended_hot_event() {
+        let caps = SaleWorkload::with_defaults(SaleBackend::Causal).event_capacities();
         assert_eq!(caps.len(), SaleConfig::default().num_events);
         assert!(caps[0].1 < caps[1].1, "slot 0 is the contended hot event");
     }

@@ -2,10 +2,13 @@
 //! counting (Causal) vs on-read compensation (IPA).
 
 use crate::common::Mode;
+use crate::oracle::Oracle;
+use crate::soak::{SoakApp, SoakMode};
 use crate::ticket::runtime::{pool_key, TicketApp};
 use ipa_coord::escrow::EscrowOutcome;
 use ipa_coord::EscrowTable;
-use ipa_sim::{AppOp, ClientInfo, OpCtx, OpOutcome, SimCtx, Workload};
+use ipa_sim::{AppWorkload, ClientInfo, OpCtx, OpOutcome};
+use ipa_store::{StoreError, Transaction};
 use rand::Rng;
 use std::collections::HashSet;
 use std::fmt;
@@ -120,10 +123,10 @@ impl TicketWorkload {
     }
 }
 
-impl TicketWorkload {
-    /// Transport-agnostic setup body; [`Workload::setup`] and the
-    /// threaded harness both call it.
-    pub(crate) fn setup_in<C: OpCtx>(&mut self, ctx: &mut C) {
+impl AppWorkload for TicketWorkload {
+    type Op = TicketOp;
+
+    fn setup<C: OpCtx>(&mut self, ctx: &mut C) {
         let app = self.app;
         let events: Vec<String> = (0..self.cfg.num_events)
             .map(|s| self.event_name(s))
@@ -143,35 +146,10 @@ impl TicketWorkload {
             }
         }
     }
-}
 
-impl Workload for TicketWorkload {
-    fn setup(&mut self, ctx: &mut SimCtx<'_>) {
-        self.setup_in(ctx);
-    }
-
-    fn op(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> OpOutcome {
-        let op = self.decide_op(ctx);
-        self.execute_op(ctx, client, op)
-    }
-
-    fn decide(&mut self, ctx: &mut SimCtx<'_>, _client: ClientInfo) -> Option<AppOp> {
-        Some(AppOp::new(self.decide_op(ctx).to_string()))
-    }
-
-    fn execute(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo, op: &AppOp) -> OpOutcome {
-        let op: TicketOp = op
-            .as_str()
-            .parse()
-            .unwrap_or_else(|e| panic!("op trace: {e}"));
-        self.execute_op(ctx, client, op)
-    }
-}
-
-impl TicketWorkload {
     /// Draw the next op (slot, then buy-vs-view — the pre-split order,
     /// so probabilistic schedules are unchanged).
-    pub(crate) fn decide_op<C: OpCtx>(&mut self, ctx: &mut C) -> TicketOp {
+    fn decide<C: OpCtx>(&mut self, ctx: &mut C, _client: ClientInfo) -> TicketOp {
         let slot = ctx.rng().gen_range(0..self.cfg.num_events);
         let is_buy = ctx.rng().gen::<f64>() < self.cfg.buy_fraction;
         if is_buy {
@@ -184,14 +162,9 @@ impl TicketWorkload {
     /// Execute a decided (or replayed) op. User ids and generation rolls
     /// are execute-time state, so a replayed trace regenerates them
     /// identically.
-    pub(crate) fn execute_op<C: OpCtx>(
-        &mut self,
-        ctx: &mut C,
-        client: ClientInfo,
-        op: TicketOp,
-    ) -> OpOutcome {
+    fn execute<C: OpCtx>(&mut self, ctx: &mut C, client: ClientInfo, op: &TicketOp) -> OpOutcome {
         let region = client.region;
-        let (slot, is_buy) = match op {
+        let (slot, is_buy) = match *op {
             TicketOp::Buy { slot } => (slot, true),
             TicketOp::View { slot } => (slot, false),
         };
@@ -303,6 +276,28 @@ pub fn final_oversell_count(sim: &ipa_sim::Simulation, workload: &TicketWorkload
         }
     }
     total
+}
+
+impl SoakApp for TicketWorkload {
+    fn fresh(mode: SoakMode) -> Self {
+        Self::with_defaults(mode.app_mode())
+    }
+
+    /// The oversell check enumerates event generations, which only the
+    /// finished workload knows; it is final-phase, so the pre-run
+    /// registry (generation 0 only) arms the same — empty — continuous
+    /// auditor.
+    fn oracle(&self) -> Oracle {
+        Oracle::ticket(self.all_event_names(), self.app.capacity)
+    }
+
+    /// Overselling is compensated by the `view` read.
+    fn sweep(&self, tx: &mut Transaction<'_>) -> Result<(), StoreError> {
+        for e in &self.all_event_names() {
+            self.app.view(tx, e)?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

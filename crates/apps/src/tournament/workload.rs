@@ -2,9 +2,12 @@
 //! entity locality that keeps Indigo reservations mostly resident.
 
 use crate::common::{pick_local, Mode};
+use crate::oracle::Oracle;
+use crate::soak::{SoakApp, SoakMode};
 use crate::tournament::runtime::{OpCost, Tournament};
 use ipa_coord::{CoordBackend, LockMode, ReservationTable, StrongCoordinator};
-use ipa_sim::{AppOp, ClientInfo, OpCtx, OpOutcome, SimCtx, Workload};
+use ipa_sim::{AppWorkload, ClientInfo, OpCtx, OpOutcome};
+use ipa_store::{StoreError, Transaction};
 use rand::Rng;
 use std::fmt;
 use std::str::FromStr;
@@ -137,29 +140,12 @@ impl TournamentWorkload {
         self.app.mode
     }
 
-    /// The tournament entity names this workload operates on (the
-    /// final-repair status sweep iterates them).
-    pub fn tournaments(&self) -> &[String] {
-        &self.tournaments
-    }
-
     /// Run the read-side compensations to a fixpoint after a simulation:
     /// every replica performs a `status` read of every tournament (reads
     /// repair observed capacity violations, §3.4/§4.2.2), replicating the
     /// compensations in between. No-op except under IPA.
     pub fn final_repair(&self, sim: &mut ipa_sim::Simulation) {
-        let app = self.app;
-        for _round in 0..2 {
-            for region in 0..sim.regions() as u16 {
-                let replica = sim.replica_mut(region);
-                let mut tx = replica.begin();
-                for t in &self.tournaments {
-                    app.status(&mut tx, t).expect("status sweep");
-                }
-                tx.commit();
-            }
-            sim.sync_all();
-        }
+        crate::soak::repair(self, sim, ipa_sim::Simulation::sync_all);
     }
 
     /// The typed coordination mechanism guarding one op label under this
@@ -179,12 +165,42 @@ impl TournamentWorkload {
     }
 }
 
-impl TournamentWorkload {
+impl AppWorkload for TournamentWorkload {
+    type Op = TournamentOp;
+
+    /// Seed data + initial reservation placement.
+    fn setup<C: OpCtx>(&mut self, ctx: &mut C) {
+        let app = self.app;
+        let players = self.players.clone();
+        let tournaments = self.tournaments.clone();
+        ctx.commit(0, |tx| {
+            app.ensure_schema(tx)?;
+            for p in &players {
+                app.add_player(tx, p)?;
+            }
+            for t in &tournaments {
+                app.add_tourn(tx, t)?;
+                app.begin_tourn(tx, t)?;
+            }
+            Ok(())
+        })
+        .expect("seed data");
+        // Indigo: tournament reservations start at their home region.
+        let regions = ctx.regions() as u16;
+        for (i, t) in self.tournaments.iter().enumerate() {
+            self.reservations.grant(
+                format!("tourn:{t}"),
+                (i % regions as usize) as u16,
+                LockMode::Shared,
+            );
+        }
+    }
+
     /// Draw the next op from the workload RNG. Draw order (is_write,
     /// tournament, player, write-kind) is exactly the pre-split `op()`'s,
     /// so probabilistic schedules — and their digest pins — are
     /// unchanged.
-    pub(crate) fn decide_op<C: OpCtx>(&mut self, ctx: &mut C, client: ClientInfo) -> TournamentOp {
+    fn decide<C: OpCtx>(&mut self, ctx: &mut C, client: ClientInfo) -> TournamentOp {
         let regions = ctx.regions();
         let region = client.region;
         let is_write = ctx.rng().gen::<f64>() < self.cfg.write_fraction;
@@ -220,7 +236,7 @@ impl TournamentWorkload {
     /// Execute a decided (or replayed) op. Deterministic: the only
     /// context draws are the commit-staging latencies, which replay from
     /// the recorded op trace.
-    pub(crate) fn execute_op<C: OpCtx>(
+    fn execute<C: OpCtx>(
         &mut self,
         ctx: &mut C,
         client: ClientInfo,
@@ -326,58 +342,21 @@ impl TournamentWorkload {
     }
 }
 
-impl TournamentWorkload {
-    /// Transport-agnostic setup body (seed data + initial reservation
-    /// placement); [`Workload::setup`] and the threaded harness both
-    /// call it.
-    pub(crate) fn setup_in<C: OpCtx>(&mut self, ctx: &mut C) {
-        let app = self.app;
-        let players = self.players.clone();
-        let tournaments = self.tournaments.clone();
-        ctx.commit(0, |tx| {
-            app.ensure_schema(tx)?;
-            for p in &players {
-                app.add_player(tx, p)?;
-            }
-            for t in &tournaments {
-                app.add_tourn(tx, t)?;
-                app.begin_tourn(tx, t)?;
-            }
-            Ok(())
-        })
-        .expect("seed data");
-        // Indigo: tournament reservations start at their home region.
-        let regions = ctx.regions() as u16;
-        for (i, t) in self.tournaments.iter().enumerate() {
-            self.reservations.grant(
-                format!("tourn:{t}"),
-                (i % regions as usize) as u16,
-                LockMode::Shared,
-            );
+impl SoakApp for TournamentWorkload {
+    fn fresh(mode: SoakMode) -> Self {
+        Self::with_defaults(mode.app_mode())
+    }
+
+    fn oracle(&self) -> Oracle {
+        Oracle::tournament()
+    }
+
+    /// Capacity and match-phase are compensated by the `status` read.
+    fn sweep(&self, tx: &mut Transaction<'_>) -> Result<(), StoreError> {
+        for t in &self.tournaments {
+            self.app.status(tx, t)?;
         }
-    }
-}
-
-impl Workload for TournamentWorkload {
-    fn setup(&mut self, ctx: &mut SimCtx<'_>) {
-        self.setup_in(ctx);
-    }
-
-    fn op(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> OpOutcome {
-        let op = self.decide_op(ctx, client);
-        self.execute_op(ctx, client, &op)
-    }
-
-    fn decide(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> Option<AppOp> {
-        Some(AppOp::new(self.decide_op(ctx, client).to_string()))
-    }
-
-    fn execute(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo, op: &AppOp) -> OpOutcome {
-        let op: TournamentOp = op
-            .as_str()
-            .parse()
-            .unwrap_or_else(|e| panic!("op trace: {e}"));
-        self.execute_op(ctx, client, &op)
+        Ok(())
     }
 }
 

@@ -2,8 +2,11 @@
 //! occasional catalogue changes.
 
 use crate::common::Mode;
+use crate::oracle::Oracle;
+use crate::soak::{SoakApp, SoakMode};
 use crate::tpc::runtime::TpcApp;
-use ipa_sim::{AppOp, ClientInfo, OpCtx, OpOutcome, SimCtx, Workload};
+use ipa_sim::{AppWorkload, ClientInfo, OpCtx, OpOutcome};
+use ipa_store::{StoreError, Transaction};
 use rand::Rng;
 use std::fmt;
 use std::str::FromStr;
@@ -96,10 +99,10 @@ impl TpcWorkload {
     }
 }
 
-impl TpcWorkload {
-    /// Transport-agnostic setup body; [`Workload::setup`] and the
-    /// threaded harness both call it.
-    pub(crate) fn setup_in<C: OpCtx>(&mut self, ctx: &mut C) {
+impl AppWorkload for TpcWorkload {
+    type Op = TpcOp;
+
+    fn setup<C: OpCtx>(&mut self, ctx: &mut C) {
         let app = self.app;
         let products = self.products.clone();
         let stock = self.cfg.initial_stock;
@@ -111,34 +114,9 @@ impl TpcWorkload {
         })
         .expect("seed products");
     }
-}
 
-impl Workload for TpcWorkload {
-    fn setup(&mut self, ctx: &mut SimCtx<'_>) {
-        self.setup_in(ctx);
-    }
-
-    fn op(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> OpOutcome {
-        let op = self.decide_op(ctx);
-        self.execute_op(ctx, client, &op)
-    }
-
-    fn decide(&mut self, ctx: &mut SimCtx<'_>, _client: ClientInfo) -> Option<AppOp> {
-        Some(AppOp::new(self.decide_op(ctx).to_string()))
-    }
-
-    fn execute(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo, op: &AppOp) -> OpOutcome {
-        let op: TpcOp = op
-            .as_str()
-            .parse()
-            .unwrap_or_else(|e| panic!("op trace: {e}"));
-        self.execute_op(ctx, client, &op)
-    }
-}
-
-impl TpcWorkload {
     /// Draw the next op (product, then op-kind — the pre-split order).
-    pub(crate) fn decide_op<C: OpCtx>(&mut self, ctx: &mut C) -> TpcOp {
+    fn decide<C: OpCtx>(&mut self, ctx: &mut C, _client: ClientInfo) -> TpcOp {
         let p = self.products[ctx.rng().gen_range(0..self.products.len())].clone();
         let x = ctx.rng().gen::<f64>();
         if x < 0.45 {
@@ -156,12 +134,7 @@ impl TpcWorkload {
 
     /// Execute a decided (or replayed) op. Order ids are execute-time
     /// state, so replays regenerate the identical order stream.
-    pub(crate) fn execute_op<C: OpCtx>(
-        &mut self,
-        ctx: &mut C,
-        client: ClientInfo,
-        op: &TpcOp,
-    ) -> OpOutcome {
+    fn execute<C: OpCtx>(&mut self, ctx: &mut C, client: ClientInfo, op: &TpcOp) -> OpOutcome {
         let region = client.region;
         let app = self.app;
 
@@ -220,6 +193,24 @@ impl TpcWorkload {
             ok: true,
             violations,
         }
+    }
+}
+
+impl SoakApp for TpcWorkload {
+    fn fresh(mode: SoakMode) -> Self {
+        Self::with_defaults(mode.app_mode())
+    }
+
+    fn oracle(&self) -> Oracle {
+        Oracle::tpc(self.products.clone())
+    }
+
+    /// Negative stock is restocked by the `view` read.
+    fn sweep(&self, tx: &mut Transaction<'_>) -> Result<(), StoreError> {
+        for p in &self.products {
+            self.app.view(tx, p)?;
+        }
+        Ok(())
     }
 }
 

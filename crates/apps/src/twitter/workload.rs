@@ -1,8 +1,10 @@
 //! The Fig. 6 Twitter workload: per-operation latency under the three
 //! strategies.
 
+use crate::oracle::Oracle;
+use crate::soak::{SoakApp, SoakMode};
 use crate::twitter::runtime::{Strategy, Twitter};
-use ipa_sim::{AppOp, ClientInfo, OpCtx, OpOutcome, SimCtx, Workload};
+use ipa_sim::{AppWorkload, ClientInfo, OpCtx, OpOutcome};
 use rand::Rng;
 use std::fmt;
 use std::str::FromStr;
@@ -141,10 +143,10 @@ impl TwitterWorkload {
     }
 }
 
-impl TwitterWorkload {
-    /// Transport-agnostic setup body; [`Workload::setup`] and the
-    /// threaded harness both call it.
-    pub(crate) fn setup_in<C: OpCtx>(&mut self, ctx: &mut C) {
+impl AppWorkload for TwitterWorkload {
+    type Op = TwitterOp;
+
+    fn setup<C: OpCtx>(&mut self, ctx: &mut C) {
         let app = self.app;
         let users = self.users.clone();
         let fpu = self.cfg.follows_per_user;
@@ -163,36 +165,11 @@ impl TwitterWorkload {
         })
         .expect("seed twitter");
     }
-}
 
-impl Workload for TwitterWorkload {
-    fn setup(&mut self, ctx: &mut SimCtx<'_>) {
-        self.setup_in(ctx);
-    }
-
-    fn op(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> OpOutcome {
-        let op = self.decide_op(ctx);
-        self.execute_op(ctx, client, &op)
-    }
-
-    fn decide(&mut self, ctx: &mut SimCtx<'_>, _client: ClientInfo) -> Option<AppOp> {
-        Some(AppOp::new(self.decide_op(ctx).to_string()))
-    }
-
-    fn execute(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo, op: &AppOp) -> OpOutcome {
-        let op: TwitterOp = op
-            .as_str()
-            .parse()
-            .unwrap_or_else(|e| panic!("op trace: {e}"));
-        self.execute_op(ctx, client, &op)
-    }
-}
-
-impl TwitterWorkload {
     /// Draw the next op (actor, target user, op-kind, then per-branch
     /// target draws — the pre-split order, so probabilistic schedules
     /// are unchanged).
-    pub(crate) fn decide_op<C: OpCtx>(&mut self, ctx: &mut C) -> TwitterOp {
+    fn decide<C: OpCtx>(&mut self, ctx: &mut C, _client: ClientInfo) -> TwitterOp {
         let u = self.users[ctx.rng().gen_range(0..self.users.len())].clone();
         let v = self.users[ctx.rng().gen_range(0..self.users.len())].clone();
         let x = ctx.rng().gen::<f64>();
@@ -233,12 +210,7 @@ impl TwitterWorkload {
 
     /// Execute a decided (or replayed) op against the store. Pure: all
     /// ids come resolved in the op.
-    pub(crate) fn execute_op<C: OpCtx>(
-        &mut self,
-        ctx: &mut C,
-        client: ClientInfo,
-        op: &TwitterOp,
-    ) -> OpOutcome {
+    fn execute<C: OpCtx>(&mut self, ctx: &mut C, client: ClientInfo, op: &TwitterOp) -> OpOutcome {
         let region = client.region;
         let app = self.app;
         let label = op.label();
@@ -269,6 +241,23 @@ impl TwitterWorkload {
             ok: true,
             violations: 0,
         }
+    }
+}
+
+/// IPA mode runs the add-wins repair strategy, which preserves the
+/// invariants in-line (nothing to sweep); causal mode runs rem-wins,
+/// whose read-side repair intentionally leaves the continuous
+/// referential checks violated mid-run — the Twitter-shaped anomaly.
+impl SoakApp for TwitterWorkload {
+    fn fresh(mode: SoakMode) -> Self {
+        Self::with_defaults(match mode {
+            SoakMode::Ipa => Strategy::AddWins,
+            SoakMode::Causal => Strategy::RemWins,
+        })
+    }
+
+    fn oracle(&self) -> Oracle {
+        Oracle::twitter()
     }
 }
 

@@ -5,6 +5,13 @@
 //! cargo run -p ipa-bench --release --bin escrow [-- --quick]
 //! ```
 
+use ipa_bench::figures::escrow;
+
 fn main() {
-    ipa_bench::figures::escrow::regenerate(ipa_bench::quick_flag());
+    let report = escrow::regenerate(ipa_bench::quick_flag());
+    if let Err(broken) = escrow::check(&report) {
+        eprintln!("BENCH_escrow.json guardrail broken: {broken}");
+        std::process::exit(1);
+    }
+    println!("BENCH_escrow.json OK: every guardrail holds");
 }

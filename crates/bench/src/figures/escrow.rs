@@ -27,11 +27,13 @@
 //!   store layer (`ReplicaStats::rights_transfers_out`) plus the escrow
 //!   provisioner's own decision counters, guarded by a policy bound.
 //!
-//! Results land in `BENCH_escrow.json` at the repo root; CI's
-//! perf-smoke job re-validates the deterministic counters (zero
-//! oversell for escrow/strong, escrow goodput strictly above strong
-//! under the lossy plan, transfer volume within the bound).
+//! Results land in `BENCH_escrow.json` at the repo root; [`check`]
+//! holds the guardrails on the deterministic counters (zero oversell
+//! for escrow/strong, escrow goodput strictly above strong under the
+//! lossy plan, transfer volume within the bound) and `--bin escrow`
+//! — CI's perf-smoke job — exits non-zero when one is broken.
 
+use crate::runner::ensure;
 use ipa_apps::ticket::sale::{raw_oversell, SaleBackend, SaleConfig, SaleWorkload};
 use ipa_sim::{paper_topology, AppOp, FaultPlan, OpEvent, OpTrace, SimConfig, Simulation};
 use rand::rngs::StdRng;
@@ -47,7 +49,7 @@ const LOSSY_INTENSITY: f64 = 0.6;
 /// Policy bound on rights-transfer messages per cell: the provisioner
 /// may re-shard each event's rights at most this many times per
 /// (event, region) pair before the traffic itself becomes the anomaly.
-/// CI guards `transfers_issued` against it.
+/// [`check`] guards `transfers_issued` against it.
 pub const TRANSFERS_PER_EVENT_REGION_BOUND: u64 = 8;
 
 /// One (backend, plan) cell of the comparison grid.
@@ -97,10 +99,12 @@ pub struct Report {
 impl Report {
     /// The cell for one (backend, plan) pair.
     pub fn cell(&self, backend: SaleBackend, plan: &str) -> &Cell {
-        self.cells
-            .iter()
-            .find(|c| c.backend == backend && c.plan == plan)
-            .expect("grid is complete")
+        self.find(backend, plan).expect("grid is complete")
+    }
+
+    fn find(&self, backend: SaleBackend, plan: &str) -> Option<&Cell> {
+        let wanted = |c: &&Cell| c.backend == backend && c.plan == plan;
+        self.cells.iter().find(wanted)
     }
 }
 
@@ -394,12 +398,56 @@ pub fn json_path() -> std::path::PathBuf {
 }
 
 /// Run the grid, print the table, and (re)write the tracked JSON.
-pub fn regenerate(quick: bool) {
+pub fn regenerate(quick: bool) -> Report {
     let report = run(quick);
     print(&report);
     let path = json_path();
     std::fs::write(&path, to_json(&report)).expect("write BENCH_escrow.json");
     println!("\nwrote {}", path.display());
+    report
+}
+
+/// The guardrails on a regenerated report. Every one is on a
+/// deterministic counter of the seeded simulation (oversell, buy
+/// counts, transfer messages) — never on wall-clock time, so none can
+/// flake with runner speed; goodput divides buy counts by the
+/// *simulated* window, which is equally deterministic.
+pub fn check(report: &Report) -> Result<(), String> {
+    let cell = |backend: SaleBackend, plan: &str| {
+        let cell = report.find(backend, plan);
+        cell.ok_or_else(|| format!("missing cell: {backend}/{plan}"))
+    };
+    for plan in ["benign", "lossy"] {
+        for backend in backends() {
+            let c = cell(backend, plan)?;
+            ensure(c.buys > 0, || {
+                format!("{backend}/{plan}: empty measurement window")
+            })?;
+            // Safety: the coordinated backends must never oversell — not
+            // even one ticket, not even under the lossy fault plan.
+            ensure(backend == SaleBackend::IpaRepair || c.oversell == 0, || {
+                format!("{backend}/{plan} oversold {} tickets", c.oversell)
+            })?;
+        }
+        // Transfer traffic must stay within the provisioning-policy
+        // bound, or rights are ping-ponging instead of settling; and
+        // almost all decrements are local, borrows the rare slow path.
+        let esc = cell(SaleBackend::Escrow, plan)?;
+        ensure(esc.transfers_issued <= report.transfer_bound, || {
+            format!("escrow/{plan}: transfers exceed the policy bound: {esc:?}")
+        })?;
+        ensure(esc.local_decs > esc.borrows, || {
+            format!("escrow/{plan}: borrows dominate local decrements: {esc:?}")
+        })?;
+    }
+    // The headline claim: under the lossy WAN plan, escrow goodput must
+    // strictly beat strong (primary-forwarded) goodput — local rights
+    // keep selling while the primary is hard to reach.
+    let e = cell(SaleBackend::Escrow, "lossy")?.goodput_buys_s;
+    let s = cell(SaleBackend::Strong, "lossy")?.goodput_buys_s;
+    ensure(e > s, || {
+        format!("escrow lost its edge under loss: {e:.1} vs strong {s:.1} buys/s")
+    })
 }
 
 #[cfg(test)]
@@ -408,39 +456,9 @@ mod tests {
 
     #[test]
     fn quick_grid_upholds_the_guardrails() {
-        let report = run(true);
+        let mut report = run(true);
         assert_eq!(report.cells.len(), 6, "3 backends x 2 plans");
-        for plan in ["benign", "lossy"] {
-            let escrow = report.cell(SaleBackend::Escrow, plan);
-            let strong = report.cell(SaleBackend::Strong, plan);
-            // The safety column CI guards: rights are consumed before
-            // purchases commit, so neither bounded backend ever
-            // oversells — under loss and duplication included.
-            assert_eq!(escrow.oversell, 0, "escrow/{plan}");
-            assert_eq!(strong.oversell, 0, "strong/{plan}");
-            assert!(
-                escrow.transfers_issued <= report.transfer_bound,
-                "{plan}: transfer traffic {} over bound {}",
-                escrow.transfers_issued,
-                report.transfer_bound
-            );
-            assert!(escrow.buys > 0 && strong.buys > 0, "{plan}: the sale ran");
-        }
-        // The flagship claim: under the lossy plan local escrow rights
-        // keep selling while strong buys stall on the primary.
-        let e = report.cell(SaleBackend::Escrow, "lossy");
-        let s = report.cell(SaleBackend::Strong, "lossy");
-        assert!(
-            e.goodput_buys_s > s.goodput_buys_s,
-            "escrow {:.1}/s must beat strong {:.1}/s under loss",
-            e.goodput_buys_s,
-            s.goodput_buys_s
-        );
-        // Escrow purchases are mostly local even through the crowd.
-        assert!(
-            e.local_decs > e.borrows,
-            "pre-provisioned rights carry the crowd: {e:?}"
-        );
+        check(&report).expect("the quick grid is within every guardrail");
         // Strong pays the WAN on every purchase; escrow's median stays
         // on the local fast path.
         let eb = report.cell(SaleBackend::Escrow, "benign");
@@ -451,6 +469,17 @@ mod tests {
             sb.p50_ms,
             eb.p50_ms
         );
+
+        // A planted violation is refused: one oversold ticket in one
+        // coordinated cell.
+        let planted = report
+            .cells
+            .iter_mut()
+            .find(|c| c.backend == SaleBackend::Escrow && c.plan == "lossy")
+            .unwrap();
+        planted.oversell = 1;
+        let refused = check(&report).expect_err("an oversold escrow cell must be refused");
+        assert!(refused.contains("escrow/lossy oversold 1"), "{refused}");
     }
 
     #[test]

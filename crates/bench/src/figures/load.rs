@@ -26,8 +26,10 @@
 //!
 //! Alongside the wall-free latency model, the sweep reports the store's
 //! deterministic apply-path counters at the heaviest point: per-shard
-//! applied-update counts (the shard balance CI guards) and object-table
-//! lookups (the handle-cache bound: at most one lookup per update).
+//! applied-update counts (the shard balance [`check`] guards) and
+//! object-table lookups (the handle-cache bound: at most one lookup per
+//! update). `--bin load` — CI's perf-smoke job — exits non-zero when a
+//! guardrail is broken.
 //!
 //! `regenerate` additionally runs a **threaded wall-clock sweep**: the
 //! same Poisson/Zipf open-loop schedule fired against a real
@@ -40,6 +42,7 @@
 //! `run` path the tests replay. Results land in `BENCH_load.json` at
 //! the repo root.
 
+use crate::runner::ensure;
 use ipa_crdt::{ObjectKind, Val};
 use ipa_sim::{
     paper_topology, AppOp, ClientInfo, FaultPlan, OpEvent, OpOutcome, OpTrace, SimConfig, SimCtx,
@@ -603,7 +606,7 @@ pub fn json_path() -> std::path::PathBuf {
 /// Run the sweep, print the table, and (re)write the tracked JSON.
 /// Unlike [`run`], this also fires the wall-clock threaded sweep —
 /// regeneration is the one place wall-clock noise is acceptable.
-pub fn regenerate(quick: bool) {
+pub fn regenerate(quick: bool) -> Report {
     let mut report = run(quick);
     // Per-region offered rates bracketing the in-process service
     // capacity (the knee must sit strictly inside the swept range).
@@ -617,26 +620,99 @@ pub fn regenerate(quick: bool) {
     let path = json_path();
     std::fs::write(&path, to_json(&report)).expect("write BENCH_load.json");
     println!("\nwrote {}", path.display());
+    report
+}
+
+/// The guardrails on a regenerated report. The bars are on deterministic
+/// counters only — the generator's admission accounting and the store's
+/// per-shard applied-update and object-table-lookup counts — never on
+/// wall-clock throughput or latency, so none can flake with runner
+/// speed. The threaded sweep's magnitudes are real time on an unknown
+/// runner: it is checked for presence and non-emptiness only.
+pub fn check(report: &Report) -> Result<(), String> {
+    ensure(report.points.len() >= 2, || {
+        "need at least two offered rates".into()
+    })?;
+    for p in &report.points {
+        ensure(p.completed > 0, || {
+            format!("empty measurement window: {p:?}")
+        })?;
+        // The generator's per-region token budget makes this an
+        // invariant, not a wall-clock property.
+        ensure(p.admitted_ops_s <= p.offered_ops_s, || {
+            format!("admitted exceeds offered: {p:?}")
+        })?;
+    }
+    let ts = report.threaded.as_ref();
+    let ts = ts.ok_or("missing section: threaded_sweep")?;
+    ensure(ts.points.len() >= 2, || {
+        "need at least two threaded rates".into()
+    })?;
+    ensure(
+        ts.points.iter().all(|p| p.completed > 0) && ts.saturation_ops_s > 0.0,
+        || format!("the threaded sweep did no work: {ts:?}"),
+    )?;
+    ensure(report.shards >= 2, || {
+        format!("sharding disabled in the sweep: {}", report.shards)
+    })?;
+    ensure(report.per_replica.len() == REGIONS, || {
+        format!("{REGIONS} regions expected: {}", report.per_replica.len())
+    })?;
+    for r in &report.per_replica {
+        let (ups, region) = (&r.shard_updates, r.region);
+        let total: u64 = ups.iter().sum();
+        ensure(ups.len() == report.shards && !ups.contains(&0), || {
+            format!(
+                "region {region}: want {} busy shards: {ups:?}",
+                report.shards
+            )
+        })?;
+        // Balance bound: the busiest shard may hold at most 2x the mean
+        // — the FNV spread must keep absorbing the Zipf skew.
+        let busiest = ups.iter().max().copied().unwrap_or(0);
+        ensure(busiest * report.shards as u64 <= 2 * total, || {
+            format!("region {region}: shard imbalance {ups:?}")
+        })?;
+        // Handle-cache bound: at most one object-table lookup per
+        // applied update (plus one kind touch per created object).
+        let lookups: u64 = r.shard_lookups.iter().sum();
+        ensure(lookups <= total + 2 * report.keys as u64, || {
+            format!("region {region}: {lookups} lookups for {total} updates")
+        })?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A plausible wall-clock sweep, for tests that must stay
+    /// deterministic.
+    fn synthetic_threaded_sweep() -> ThreadedSweep {
+        let point = ThreadedPoint {
+            offered_ops_s: 1500.0,
+            completed_ops_s: 1480.3,
+            completed: 592,
+            p50_ms: 0.21,
+            p99_ms: 1.94,
+        };
+        ThreadedSweep {
+            duration_s: 0.4,
+            points: vec![point.clone(), point],
+            saturation_ops_s: 1480.3,
+            knee_ops_s: 1500.0,
+        }
+    }
+
     #[test]
     fn quick_sweep_saturates_and_balances() {
-        let report = run(true);
+        let mut report = run(true);
         assert_eq!(report.points.len(), 3);
         // Under capacity the cluster keeps up; the heaviest point
         // (440/region ≫ 357/region capacity) must fall behind.
         let light = &report.points[0];
         let heavy = report.points.last().unwrap();
-        for p in &report.points {
-            assert!(
-                p.admitted_ops_s <= p.offered_ops_s,
-                "the admission budget caps admitted at offered: {p:?}"
-            );
-        }
         assert!(
             light.admitted_ops_s >= 0.9 * light.offered_ops_s,
             "open loop admits the offered rate: {light:?}"
@@ -660,30 +736,21 @@ mod tests {
             "the heaviest point must sit past the knee"
         );
 
-        // Deterministic counters: every region applied work on every
-        // shard, lookups obey the handle-cache bound (≤ one per
-        // update), and the Zipfian skew stays within the balance bound
-        // the CI smoke guards (busiest shard ≤ 2× the mean).
-        assert_eq!(report.per_replica.len(), 3);
+        // Deterministic counters: every guardrail `--bin load` enforces
+        // (admission accounting, shard balance, handle-cache bound)
+        // holds, given a threaded sweep to look at — synthetic here, the
+        // real one is wall-clock.
+        report.threaded = Some(synthetic_threaded_sweep());
+        check(&report).expect("the quick sweep is within every guardrail");
         for rc in &report.per_replica {
-            assert_eq!(rc.shard_updates.len(), report.shards);
-            let total: u64 = rc.shard_updates.iter().sum();
-            let max = *rc.shard_updates.iter().max().unwrap();
-            assert!(total > 0, "region {} applied nothing", rc.region);
-            assert!(rc.shard_updates.iter().all(|&u| u > 0));
-            assert!(
-                (max as f64) <= 2.0 * (total as f64 / report.shards as f64),
-                "shard imbalance in region {}: {:?}",
-                rc.region,
-                rc.shard_updates
-            );
-            let lookups: u64 = rc.shard_lookups.iter().sum();
-            assert!(lookups > 0);
-            assert!(
-                lookups <= total + 2 * KEYS as u64,
-                "handle cache bound: {lookups} lookups for {total} updates"
-            );
+            assert!(rc.shard_lookups.iter().sum::<u64>() > 0);
         }
+
+        // A planted violation is refused: a point that admits more than
+        // was offered.
+        report.points[1].admitted_ops_s = report.points[1].offered_ops_s + 1.0;
+        let refused = check(&report).expect_err("admitted > offered must be refused");
+        assert!(refused.contains("admitted exceeds offered"), "{refused}");
     }
 
     #[test]
@@ -736,18 +803,7 @@ mod tests {
         // With the wall-clock sweep attached, the JSON grows the
         // `threaded_sweep` section CI validates for presence.
         let mut with_threaded = report.clone();
-        with_threaded.threaded = Some(ThreadedSweep {
-            duration_s: 0.4,
-            points: vec![ThreadedPoint {
-                offered_ops_s: 1500.0,
-                completed_ops_s: 1480.3,
-                completed: 592,
-                p50_ms: 0.21,
-                p99_ms: 1.94,
-            }],
-            saturation_ops_s: 1480.3,
-            knee_ops_s: 1500.0,
-        });
+        with_threaded.threaded = Some(synthetic_threaded_sweep());
         let json = to_json(&with_threaded);
         assert!(json.contains("\"threaded_sweep\": {"));
         assert!(json.contains("\"completed_ops_s\": 1480.3"));

@@ -142,6 +142,15 @@ pub fn rule(width: usize) -> String {
     "─".repeat(width)
 }
 
+/// One figure guardrail: `Err(broken())` unless `holds`.
+pub(crate) fn ensure(holds: bool, broken: impl FnOnce() -> String) -> Result<(), String> {
+    if holds {
+        Ok(())
+    } else {
+        Err(broken())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

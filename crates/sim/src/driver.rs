@@ -18,6 +18,8 @@ use rand::Rng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::fmt;
+use std::str::FromStr;
 use std::sync::Arc;
 
 /// Simulation parameters.
@@ -232,6 +234,108 @@ impl ExplicitNemesis {
         }
         ex
     }
+
+    /// The plan's verdict for one batch: every fault is a table lookup.
+    fn batch_faults(&self, key: (Region, Region, u64)) -> BatchFaults {
+        if self.drops.contains(&key) {
+            return BatchFaults {
+                drop: true,
+                ..BatchFaults::default()
+            };
+        }
+        let corrupt = if self.flips.contains(&key) {
+            Some(Corrupt::Flip)
+        } else if let Some(&keep) = self.truncs.get(&key) {
+            Some(Corrupt::Truncate(keep))
+        } else {
+            self.forges.get(&key).map(|&back| Corrupt::Forge(back))
+        };
+        BatchFaults {
+            drop: false,
+            delay_ms: self.delays.get(&key).copied(),
+            dup_delay_ms: self.dups.get(&key).copied(),
+            mutdup_delay_ms: self.mutdups.get(&key).copied(),
+            corrupt,
+        }
+    }
+}
+
+/// What the nemesis decided for one staged batch — drawn from the
+/// nemesis RNG or looked up in the [`ExplicitNemesis`] tables, then
+/// applied in one place (`Simulation::flush_staged`), so record and
+/// replay cannot drift.
+#[derive(Clone, Copy, Debug, Default)]
+struct BatchFaults {
+    /// The batch vanishes; nothing else applies.
+    drop: bool,
+    delay_ms: Option<f64>,
+    /// A second clean copy arrives this long after the first.
+    dup_delay_ms: Option<f64>,
+    /// A bit-flipped shadow copy arrives this long after the main one.
+    mutdup_delay_ms: Option<f64>,
+    /// The main delivery arrives corrupted.
+    corrupt: Option<Corrupt>,
+}
+
+/// How a corrupted main delivery was mutated in flight.
+#[derive(Clone, Copy, Debug)]
+enum Corrupt {
+    Flip,
+    /// Keep only the first `n` updates.
+    Truncate(u64),
+    /// Sequence number forged `n` steps stale.
+    Forge(u64),
+}
+
+impl BatchFaults {
+    /// Append this verdict to a recording fault trace as explicit
+    /// events, in application order.
+    fn record(&self, ev: &mut Vec<FaultEvent>, origin: Region, dest: Region, seq: u64) {
+        if self.drop {
+            ev.push(FaultEvent::Drop { origin, dest, seq });
+            return;
+        }
+        if let Some(extra_ms) = self.delay_ms {
+            ev.push(FaultEvent::Delay {
+                origin,
+                dest,
+                seq,
+                extra_ms,
+            });
+        }
+        if let Some(dup_delay_ms) = self.dup_delay_ms {
+            ev.push(FaultEvent::Duplicate {
+                origin,
+                dest,
+                seq,
+                dup_delay_ms,
+            });
+        }
+        if let Some(dup_delay_ms) = self.mutdup_delay_ms {
+            ev.push(FaultEvent::MutDup {
+                origin,
+                dest,
+                seq,
+                dup_delay_ms,
+            });
+        }
+        match self.corrupt {
+            Some(Corrupt::Flip) => ev.push(FaultEvent::Flip { origin, dest, seq }),
+            Some(Corrupt::Truncate(keep)) => ev.push(FaultEvent::Truncate {
+                origin,
+                dest,
+                seq,
+                keep,
+            }),
+            Some(Corrupt::Forge(back)) => ev.push(FaultEvent::Forge {
+                origin,
+                dest,
+                seq,
+                back,
+            }),
+            None => {}
+        }
+    }
 }
 
 /// A fault-induced causal gap under repair: replica `dest` is missing
@@ -378,6 +482,71 @@ pub trait Workload {
             "this workload is not replayable (no execute impl) — cannot run op {:?}",
             op.as_str()
         )
+    }
+}
+
+/// The typed, transport-agnostic workload contract: an application
+/// states its setup, decide and execute **once**, generic over any
+/// [`OpCtx`], and runs unchanged on the simulator, on a quiesce-stepped
+/// [`ipa_store::Transport`], or under real client threads. Every
+/// `AppWorkload` is a [`Workload`] (blanket impl below), so it drives
+/// [`Simulation::run`] directly and records/replays through its op's
+/// `Display`/`FromStr` text form.
+///
+/// The purity rule that makes traces replayable: **`decide` is the only
+/// place the workload RNG ([`OpCtx::rng`]) may be drawn**; `execute`
+/// must be a pure function of `(op, replica state, workload state)` —
+/// no RNG — so a recorded trace replays bit-identically and shrunk
+/// traces stay deterministic. State that a replay must regenerate
+/// (fresh ids, generation rolls) belongs to `execute`; state only the
+/// closed-loop draw needs (recent-entity pools) belongs to `decide`.
+pub trait AppWorkload {
+    /// One decided operation, fully resolved (entity names, not RNG
+    /// state). Its `Display` form is one [`AppOp`] trace line that
+    /// `FromStr` parses back.
+    type Op: fmt::Display + FromStr<Err: fmt::Display>;
+
+    /// One-time setup before clients start (seed data).
+    fn setup<C: OpCtx>(&mut self, _ctx: &mut C) {}
+
+    /// Draw the next operation for this client from the workload RNG
+    /// without executing it.
+    fn decide<C: OpCtx>(&mut self, ctx: &mut C, client: ClientInfo) -> Self::Op;
+
+    /// Execute a decided or replayed operation (see the purity rule
+    /// above): run transactions through [`OpCtx::commit`], pay
+    /// coordination delays, and report what happened.
+    fn execute<C: OpCtx>(&mut self, ctx: &mut C, client: ClientInfo, op: &Self::Op) -> OpOutcome;
+
+    /// The closed-loop composition: decide, then execute. No text round
+    /// trip — ops are serialized only when recording or replaying.
+    fn op<C: OpCtx>(&mut self, ctx: &mut C, client: ClientInfo) -> OpOutcome {
+        let op = self.decide(ctx, client);
+        self.execute(ctx, client, &op)
+    }
+}
+
+impl<W: AppWorkload> Workload for W {
+    fn op(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> OpOutcome {
+        AppWorkload::op(self, ctx, client)
+    }
+
+    fn setup(&mut self, ctx: &mut SimCtx<'_>) {
+        AppWorkload::setup(self, ctx);
+    }
+
+    fn decide(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> Option<AppOp> {
+        Some(AppOp::new(
+            AppWorkload::decide(self, ctx, client).to_string(),
+        ))
+    }
+
+    fn execute(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo, op: &AppOp) -> OpOutcome {
+        let op: W::Op = op
+            .as_str()
+            .parse()
+            .unwrap_or_else(|e| panic!("op trace: {e}"));
+        AppWorkload::execute(self, ctx, client, &op)
     }
 }
 
@@ -1018,175 +1187,111 @@ impl Simulation {
             } else {
                 (batch, at)
             };
-            if self.explicit.is_some() {
-                let key = (origin, dest, seq);
-                let ex = self.explicit.as_ref().expect("checked");
-                if ex.drops.contains(&key) {
-                    self.nemesis.batches_dropped += 1;
-                    self.note_gap(dest, origin, seq);
-                    continue;
+            let faults = match &self.explicit {
+                Some(ex) => ex.batch_faults((origin, dest, seq)),
+                None => {
+                    let faults = self.draw_batch_faults(origin, dest, &batch);
+                    if let Some(tr) = &mut self.trace {
+                        faults.record(&mut tr.events, origin, dest, seq);
+                    }
+                    faults
                 }
-                let delay = ex.delays.get(&key).copied();
-                let dup = ex.dups.get(&key).copied();
-                let flip = ex.flips.contains(&key);
-                let trunc = ex.truncs.get(&key).copied();
-                let forge = ex.forges.get(&key).copied();
-                let mutdup = ex.mutdups.get(&key).copied();
-                let mut at = at;
-                if let Some(extra) = delay {
-                    at += SimTime::from_ms(extra);
-                    self.nemesis.batches_delayed += 1;
-                }
-                if let Some(dup_delay) = dup {
-                    self.nemesis.batches_duplicated += 1;
-                    self.schedule(
-                        at + SimTime::from_ms(dup_delay),
-                        Event::BatchArrive {
-                            dest,
-                            batch: Arc::clone(&batch),
-                        },
-                    );
-                }
-                if let Some(dup_delay) = mutdup {
-                    // The clean delivery below keeps its promise; only
-                    // the mutated shadow copy is extra.
-                    self.deliver_corrupted(
-                        dest,
-                        at + SimTime::from_ms(dup_delay),
-                        Arc::new(Self::bitflip(&batch)),
-                    );
-                }
-                if flip || trunc.is_some() || forge.is_some() {
-                    let corrupted = if flip {
-                        Self::bitflip(&batch)
-                    } else if let Some(keep) = trunc {
-                        Self::truncate_updates(&batch, keep)
-                    } else {
-                        Self::forge_seq(&batch, forge.expect("checked"))
-                    };
-                    self.deliver_corrupted(dest, at, Arc::new(corrupted));
-                    self.note_gap(dest, origin, seq);
-                    continue;
-                }
-                if at < stall {
-                    self.nodes[dest as usize].note_inflight_single(
-                        batch.origin,
-                        seq,
-                        at.as_micros(),
-                    );
-                }
-                self.schedule(at, Event::BatchArrive { dest, batch });
+            };
+            if faults.drop {
+                self.nemesis.batches_dropped += 1;
+                self.note_gap(dest, origin, seq);
                 continue;
             }
-            let link = self.cfg.faults.link(origin, dest);
             let mut at = at;
-            if !link.is_none() {
-                if self.nemesis_rng.gen_bool(link.drop_p) {
-                    self.nemesis.batches_dropped += 1;
-                    if let Some(tr) = &mut self.trace {
-                        tr.events.push(FaultEvent::Drop { origin, dest, seq });
-                    }
-                    self.note_gap(dest, origin, seq);
-                    continue;
-                }
-                if self.nemesis_rng.gen_bool(link.delay_p) {
-                    let extra = self.nemesis_rng.gen_range(0.0..link.delay_ms.max(0.001));
-                    at += SimTime::from_ms(extra);
-                    self.nemesis.batches_delayed += 1;
-                    if let Some(tr) = &mut self.trace {
-                        tr.events.push(FaultEvent::Delay {
-                            origin,
-                            dest,
-                            seq,
-                            extra_ms: extra,
-                        });
-                    }
-                }
-                if self.nemesis_rng.gen_bool(link.dup_p) {
-                    self.nemesis.batches_duplicated += 1;
-                    if let Some(tr) = &mut self.trace {
-                        tr.events.push(FaultEvent::Duplicate {
-                            origin,
-                            dest,
-                            seq,
-                            dup_delay_ms: link.dup_delay_ms,
-                        });
-                    }
-                    self.schedule(
-                        at + SimTime::from_ms(link.dup_delay_ms),
-                        Event::BatchArrive {
-                            dest,
-                            batch: Arc::clone(&batch),
-                        },
-                    );
-                }
+            if let Some(extra) = faults.delay_ms {
+                at += SimTime::from_ms(extra);
+                self.nemesis.batches_delayed += 1;
             }
-            // Adversarial corruption draws: strictly gated behind
-            // `corruption_armed()` so benign plans never touch the
-            // nemesis RNG stream here (every digest pin depends on it).
-            if self.cfg.faults.corruption_armed() {
-                let c = self.cfg.faults.corruption;
-                let flip = self.nemesis_rng.gen_bool(c.flip_p);
-                let trunc = self.nemesis_rng.gen_bool(c.truncate_p);
-                let forge = self.nemesis_rng.gen_bool(c.forge_seq_p);
-                let mutdup = self.nemesis_rng.gen_bool(c.mutate_dup_p);
-                if mutdup {
-                    if let Some(tr) = &mut self.trace {
-                        tr.events.push(FaultEvent::MutDup {
-                            origin,
-                            dest,
-                            seq,
-                            dup_delay_ms: c.mutate_dup_delay_ms,
-                        });
-                    }
-                    self.deliver_corrupted(
+            if let Some(dup_delay) = faults.dup_delay_ms {
+                self.nemesis.batches_duplicated += 1;
+                self.schedule(
+                    at + SimTime::from_ms(dup_delay),
+                    Event::BatchArrive {
                         dest,
-                        at + SimTime::from_ms(c.mutate_dup_delay_ms),
-                        Arc::new(Self::bitflip(&batch)),
-                    );
-                }
-                if flip || trunc || forge {
-                    // First class drawn wins the main delivery; the true
-                    // payload is lost on this link (drop-equivalent for
-                    // promise + liveness accounting), anti-entropy repairs.
-                    let corrupted = if flip {
-                        if let Some(tr) = &mut self.trace {
-                            tr.events.push(FaultEvent::Flip { origin, dest, seq });
-                        }
-                        Self::bitflip(&batch)
-                    } else if trunc {
-                        let keep = (batch.updates.len() / 2) as u64;
-                        if let Some(tr) = &mut self.trace {
-                            tr.events.push(FaultEvent::Truncate {
-                                origin,
-                                dest,
-                                seq,
-                                keep,
-                            });
-                        }
-                        Self::truncate_updates(&batch, keep)
-                    } else {
-                        let back = self.nemesis_rng.gen_range(1..=4u64);
-                        if let Some(tr) = &mut self.trace {
-                            tr.events.push(FaultEvent::Forge {
-                                origin,
-                                dest,
-                                seq,
-                                back,
-                            });
-                        }
-                        Self::forge_seq(&batch, back)
-                    };
-                    self.deliver_corrupted(dest, at, Arc::new(corrupted));
-                    self.note_gap(dest, origin, seq);
-                    continue;
-                }
+                        batch: Arc::clone(&batch),
+                    },
+                );
+            }
+            if let Some(dup_delay) = faults.mutdup_delay_ms {
+                // The clean delivery below keeps its promise; only the
+                // mutated shadow copy is extra.
+                self.deliver_corrupted(
+                    dest,
+                    at + SimTime::from_ms(dup_delay),
+                    Arc::new(Self::bitflip(&batch)),
+                );
+            }
+            if let Some(corrupt) = faults.corrupt {
+                // The true payload is lost on this link (drop-equivalent
+                // for promise + liveness accounting); anti-entropy
+                // repairs.
+                let corrupted = match corrupt {
+                    Corrupt::Flip => Self::bitflip(&batch),
+                    Corrupt::Truncate(keep) => Self::truncate_updates(&batch, keep),
+                    Corrupt::Forge(back) => Self::forge_seq(&batch, back),
+                };
+                self.deliver_corrupted(dest, at, Arc::new(corrupted));
+                self.note_gap(dest, origin, seq);
+                continue;
             }
             if at < stall {
                 self.nodes[dest as usize].note_inflight_single(batch.origin, seq, at.as_micros());
             }
             self.schedule(at, Event::BatchArrive { dest, batch });
         }
+    }
+
+    /// Draw one batch's fault verdict from the nemesis RNG. Draw order
+    /// is pinned by every schedule digest: drop (short-circuit), delay
+    /// and its extra, duplicate; then — strictly gated behind
+    /// `corruption_armed()`, so benign plans never touch the stream here
+    /// — flip, truncate, forge, mutated duplicate (all four), and the
+    /// forge distance only when forge wins the main delivery (first
+    /// class drawn wins).
+    fn draw_batch_faults(
+        &mut self,
+        origin: Region,
+        dest: Region,
+        batch: &UpdateBatch,
+    ) -> BatchFaults {
+        let mut faults = BatchFaults::default();
+        let link = self.cfg.faults.link(origin, dest);
+        if !link.is_none() {
+            if self.nemesis_rng.gen_bool(link.drop_p) {
+                faults.drop = true;
+                return faults;
+            }
+            if self.nemesis_rng.gen_bool(link.delay_p) {
+                faults.delay_ms = Some(self.nemesis_rng.gen_range(0.0..link.delay_ms.max(0.001)));
+            }
+            if self.nemesis_rng.gen_bool(link.dup_p) {
+                faults.dup_delay_ms = Some(link.dup_delay_ms);
+            }
+        }
+        if self.cfg.faults.corruption_armed() {
+            let c = self.cfg.faults.corruption;
+            let flip = self.nemesis_rng.gen_bool(c.flip_p);
+            let trunc = self.nemesis_rng.gen_bool(c.truncate_p);
+            let forge = self.nemesis_rng.gen_bool(c.forge_seq_p);
+            if self.nemesis_rng.gen_bool(c.mutate_dup_p) {
+                faults.mutdup_delay_ms = Some(c.mutate_dup_delay_ms);
+            }
+            faults.corrupt = if flip {
+                Some(Corrupt::Flip)
+            } else if trunc {
+                Some(Corrupt::Truncate((batch.updates.len() / 2) as u64))
+            } else if forge {
+                Some(Corrupt::Forge(self.nemesis_rng.gen_range(1..=4u64)))
+            } else {
+                None
+            };
+        }
+        faults
     }
 
     /// Schedule a corrupted delivery: counted, folded into the digest as

@@ -12,10 +12,12 @@
 //! reproducible bit-for-bit, and "latency" numbers are in simulated
 //! milliseconds — directly comparable to the paper's figures.
 //!
-//! The simulator is a framework: applications implement [`Workload`] and
-//! use [`SimCtx`] to run transactions against regional replicas, pay WAN
-//! delays for whatever coordination their consistency mode requires, and
-//! count invariant violations. `ipa-coord` builds the Strong and Indigo
+//! The simulator is a framework: applications implement [`AppWorkload`]
+//! (typed decide/execute over any [`OpCtx`]; every one is a [`Workload`])
+//! or, for op-only test workloads, [`Workload`] directly over [`SimCtx`],
+//! to run transactions against regional replicas, pay WAN delays for
+//! whatever coordination their consistency mode requires, and count
+//! invariant violations. `ipa-coord` builds the Strong and Indigo
 //! baselines on top; `ipa-apps` provides the paper's four applications.
 
 pub mod driver;
@@ -29,8 +31,8 @@ pub mod time;
 pub mod trace;
 
 pub use driver::{
-    Auditor, ClientInfo, LivenessStats, NemesisStats, OpCtx, OpOutcome, SimConfig, SimCtx,
-    Simulation, Workload,
+    AppWorkload, Auditor, ClientInfo, LivenessStats, NemesisStats, OpCtx, OpOutcome, SimConfig,
+    SimCtx, Simulation, Workload,
 };
 pub use fault::{CorruptionFaults, CrashPlan, FaultPlan, FlapPlan, LinkFaults};
 pub use latency::{LatencyModel, Region};

@@ -9,27 +9,11 @@
 //! joins, lone client batches as contiguous per-origin advances), and
 //! AE only repairs genuine losses.
 
-use ipa_crdt::{ObjectKind, Val};
-use ipa_sim::{
-    paper_topology, ClientInfo, FaultPlan, OpOutcome, SimConfig, SimCtx, Simulation, Workload,
-};
+use ipa_sim::{paper_topology, FaultPlan, SimConfig, Simulation};
 
-struct Inserter {
-    n: u64,
-}
-
-impl Workload for Inserter {
-    fn op(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> OpOutcome {
-        self.n += 1;
-        let v = Val::str(format!("e{}", self.n));
-        ctx.commit(client.region, |tx| {
-            tx.ensure("set", ObjectKind::AWSet)?;
-            tx.aw_add("set", v)
-        })
-        .expect("commit at a live replica");
-        OpOutcome::ok("insert", 1, 1)
-    }
-}
+#[path = "common/inserter.rs"]
+mod inserter;
+use inserter::Inserter;
 
 fn cfg(seed: u64, faults: FaultPlan) -> SimConfig {
     SimConfig {
@@ -54,7 +38,7 @@ fn anti_entropy_sends_nothing_on_a_lossless_transport() {
         ..FaultPlan::none()
     };
     let mut sim = Simulation::new(paper_topology(), cfg(29, faults));
-    let mut w = Inserter { n: 0 };
+    let mut w = Inserter::default();
     sim.run(&mut w);
     assert!(sim.metrics.completed > 100, "the workload actually ran");
     assert_eq!(
@@ -81,7 +65,7 @@ fn anti_entropy_still_repairs_real_drops() {
     faults.flap = None; // isolate the drop/dup/delay path
     faults.anti_entropy_s = Some(0.1);
     let mut sim = Simulation::new(paper_topology(), cfg(31, faults));
-    let mut w = Inserter { n: 0 };
+    let mut w = Inserter::default();
     sim.run(&mut w);
     assert!(
         sim.nemesis.batches_dropped > 0,

@@ -7,31 +7,12 @@
 //! silent divergence: corruption is allowed to cost liveness (bounded,
 //! repaired by anti-entropy), but not safety and not silence.
 
-use ipa_crdt::{ObjectKind, Val};
-use ipa_sim::{
-    paper_topology, ClientInfo, CrashPlan, FaultPlan, OpOutcome, SimConfig, SimCtx, Simulation,
-    Workload,
-};
+use ipa_sim::{paper_topology, CrashPlan, FaultPlan, SimConfig, Simulation};
 use proptest::prelude::*;
 
-/// Inserts unique elements into one AWSet: converged ⇔ every replica's
-/// set has all `n` elements.
-struct Inserter {
-    n: u64,
-}
-
-impl Workload for Inserter {
-    fn op(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> OpOutcome {
-        self.n += 1;
-        let v = Val::str(format!("e{}", self.n));
-        ctx.commit(client.region, |tx| {
-            tx.ensure("set", ObjectKind::AWSet)?;
-            tx.aw_add("set", v)
-        })
-        .expect("commit");
-        OpOutcome::ok("insert", 1, 1)
-    }
-}
+#[path = "common/inserter.rs"]
+mod inserter;
+use inserter::Inserter;
 
 fn set_size(sim: &Simulation, region: u16) -> usize {
     sim.replica(region)
@@ -68,7 +49,7 @@ proptest! {
                 ..Default::default()
             },
         );
-        let mut w = Inserter { n: 0 };
+        let mut w = Inserter::default();
         sim.run(&mut w);
         sim.quiesce();
 

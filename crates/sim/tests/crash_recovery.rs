@@ -3,28 +3,12 @@
 //! restart rebuilds through anti-entropy — with no update lost, no batch
 //! double-applied, and causal stability (hence GC) still advancing.
 
-use ipa_crdt::{ObjectKind, Val};
-use ipa_sim::{
-    paper_topology, ClientInfo, CrashPlan, FaultPlan, OpOutcome, SimConfig, SimCtx, Simulation,
-    Workload,
-};
+use ipa_crdt::ObjectKind;
+use ipa_sim::{paper_topology, CrashPlan, FaultPlan, SimConfig, Simulation};
 
-struct Inserter {
-    n: u64,
-}
-
-impl Workload for Inserter {
-    fn op(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> OpOutcome {
-        self.n += 1;
-        let v = Val::str(format!("e{}", self.n));
-        ctx.commit(client.region, |tx| {
-            tx.ensure("set", ObjectKind::AWSet)?;
-            tx.aw_add("set", v)
-        })
-        .expect("commit at a live replica");
-        OpOutcome::ok("insert", 1, 1)
-    }
-}
+#[path = "common/inserter.rs"]
+mod inserter;
+use inserter::Inserter;
 
 fn crash_cfg(seed: u64) -> SimConfig {
     let mut faults = FaultPlan::none();
@@ -52,7 +36,7 @@ fn crash_cfg(seed: u64) -> SimConfig {
 #[test]
 fn crashed_replica_recovers_without_loss_or_double_apply() {
     let mut sim = Simulation::new(paper_topology(), crash_cfg(41));
-    let mut w = Inserter { n: 0 };
+    let mut w = Inserter::default();
     sim.run(&mut w);
 
     assert_eq!(sim.nemesis.crashes, 2, "both scheduled crashes fired");
@@ -95,7 +79,7 @@ fn crashed_replica_recovers_without_loss_or_double_apply() {
 #[test]
 fn stability_and_gc_still_advance_after_recovery() {
     let mut sim = Simulation::new(paper_topology(), crash_cfg(43));
-    let mut w = Inserter { n: 0 };
+    let mut w = Inserter::default();
     sim.run(&mut w);
     sim.quiesce();
     for r in 0..3u16 {
@@ -131,7 +115,7 @@ fn stability_and_gc_still_advance_after_recovery() {
 fn crash_runs_replay_from_seed() {
     let run = |seed| {
         let mut sim = Simulation::new(paper_topology(), crash_cfg(seed));
-        let mut w = Inserter { n: 0 };
+        let mut w = Inserter::default();
         sim.run(&mut w);
         sim.quiesce();
         (sim.schedule_digest(), sim.nemesis, sim.metrics.completed)

@@ -2,28 +2,11 @@
 //! every induced causal gap within N rounds of repair opportunity, and
 //! the quiesce fixpoint must converge within N productive rounds.
 
-use ipa_crdt::{ObjectKind, Val};
-use ipa_sim::{
-    paper_topology, ClientInfo, ExplicitPlan, FaultEvent, FaultPlan, OpOutcome, SimConfig, SimCtx,
-    Simulation, Workload,
-};
+use ipa_sim::{paper_topology, ExplicitPlan, FaultEvent, FaultPlan, SimConfig, Simulation};
 
-struct Inserter {
-    n: u64,
-}
-
-impl Workload for Inserter {
-    fn op(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> OpOutcome {
-        self.n += 1;
-        let v = Val::str(format!("e{}", self.n));
-        ctx.commit(client.region, |tx| {
-            tx.ensure("set", ObjectKind::AWSet)?;
-            tx.aw_add("set", v)
-        })
-        .expect("commit");
-        OpOutcome::ok("insert", 1, 1)
-    }
-}
+#[path = "common/inserter.rs"]
+mod inserter;
+use inserter::Inserter;
 
 fn cfg(seed: u64, faults: FaultPlan) -> SimConfig {
     SimConfig {
@@ -55,7 +38,7 @@ fn run(plan: &ExplicitPlan, bound: Option<u64>) -> Simulation {
     if let Some(b) = bound {
         sim.set_liveness_bound(b);
     }
-    let mut w = Inserter { n: 0 };
+    let mut w = Inserter::default();
     sim.run(&mut w);
     sim.quiesce();
     sim
@@ -121,7 +104,7 @@ fn liveness_accounting_never_perturbs_the_schedule() {
         if let Some(bnd) = bound {
             sim.set_liveness_bound(bnd);
         }
-        let mut w = Inserter { n: 0 };
+        let mut w = Inserter::default();
         sim.run(&mut w);
         sim.quiesce();
         sim.schedule_digest()

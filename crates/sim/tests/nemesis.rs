@@ -3,28 +3,11 @@
 //! batches, weak operations stay available, and every run replays
 //! bit-for-bit from its seeds.
 
-use ipa_crdt::{ObjectKind, Val};
-use ipa_sim::{
-    paper_topology, ClientInfo, FaultPlan, OpOutcome, SimConfig, SimCtx, Simulation, Workload,
-};
+use ipa_sim::{paper_topology, FaultPlan, SimConfig, Simulation};
 
-/// A workload that inserts unique elements into one add-wins set.
-struct Inserter {
-    n: u64,
-}
-
-impl Workload for Inserter {
-    fn op(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> OpOutcome {
-        self.n += 1;
-        let v = Val::str(format!("e{}", self.n));
-        ctx.commit(client.region, |tx| {
-            tx.ensure("set", ObjectKind::AWSet)?;
-            tx.aw_add("set", v)
-        })
-        .expect("weak op commits locally");
-        OpOutcome::ok("insert", 1, 1)
-    }
-}
+#[path = "common/inserter.rs"]
+mod inserter;
+use inserter::Inserter;
 
 fn cfg(seed: u64, faults: FaultPlan) -> SimConfig {
     SimConfig {
@@ -51,7 +34,7 @@ fn transport_faults_never_lose_or_double_apply_updates() {
     for intensity in [0.3, 0.7, 1.0] {
         let plan = FaultPlan::with_intensity(7, intensity);
         let mut sim = Simulation::new(paper_topology(), cfg(5, plan.clone()));
-        let mut w = Inserter { n: 0 };
+        let mut w = Inserter::default();
         sim.run(&mut w);
         assert!(
             sim.nemesis.batches_dropped > 0,
@@ -78,7 +61,7 @@ fn transport_faults_never_lose_or_double_apply_updates() {
 fn weak_ops_stay_available_under_full_nemesis() {
     let plan = FaultPlan::with_intensity(3, 1.0);
     let mut sim = Simulation::new(paper_topology(), cfg(11, plan));
-    let mut w = Inserter { n: 0 };
+    let mut w = Inserter::default();
     sim.run(&mut w);
     assert!(sim.nemesis.link_flaps > 0, "flapping nemesis was live");
     assert_eq!(
@@ -93,7 +76,7 @@ fn same_seeds_identical_schedule_different_seeds_diverge() {
     let run = |workload_seed: u64, nemesis_seed: u64| {
         let plan = FaultPlan::with_intensity(nemesis_seed, 0.8);
         let mut sim = Simulation::new(paper_topology(), cfg(workload_seed, plan));
-        let mut w = Inserter { n: 0 };
+        let mut w = Inserter::default();
         sim.run(&mut w);
         sim.quiesce();
         (
@@ -125,7 +108,7 @@ fn nemesis_leaves_workload_rng_stream_untouched() {
     // stream; only availability may change).
     let ops = |faults: FaultPlan| {
         let mut sim = Simulation::new(paper_topology(), cfg(13, faults));
-        let mut w = Inserter { n: 0 };
+        let mut w = Inserter::default();
         sim.run(&mut w);
         w.n
     };
@@ -156,7 +139,7 @@ fn auditor_runs_continuously() {
             u64::from(replica.object(&"set".into()).is_none() && replica.clock().total() > 0)
         }),
     );
-    let mut w = Inserter { n: 0 };
+    let mut w = Inserter::default();
     sim.run(&mut w);
     sim.quiesce();
     assert!(

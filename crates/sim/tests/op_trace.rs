@@ -11,57 +11,14 @@
 //! * joint shrinking over a real sealed runner isolates the op that
 //!   commits a dropped batch.
 
-use ipa_crdt::{ObjectKind, Val};
 use ipa_sim::{
-    paper_topology, shrink_joint, AppOp, ClientInfo, CrashPlan, ExplicitPlan, FaultEvent,
-    FaultPlan, OpOutcome, OpTrace, RunVerdict, ShrinkBudget, SimConfig, SimCtx, Simulation,
-    Workload,
+    paper_topology, shrink_joint, CrashPlan, ExplicitPlan, FaultEvent, FaultPlan, OpTrace,
+    RunVerdict, ShrinkBudget, SimConfig, Simulation,
 };
 
-/// A replayable unique-insert workload: `decide` draws a value index
-/// from the workload RNG (so replay genuinely proves RNG-freedom),
-/// `execute` inserts the decided element into a per-client add-wins set.
-#[derive(Default)]
-struct ReplayableInserter {
-    n: u64,
-}
-
-impl ReplayableInserter {
-    fn decide_op(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> String {
-        use rand::Rng;
-        self.n += 1;
-        let salt: u32 = ctx.rng().gen_range(0..1000);
-        format!("insert c{} e{}s{salt}", client.id, self.n)
-    }
-
-    fn execute_op(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo, op: &str) -> OpOutcome {
-        let mut tok = op.split_whitespace();
-        assert_eq!(tok.next(), Some("insert"), "bad op {op:?}");
-        let _who = tok.next().expect("client token");
-        let elem = tok.next().expect("element token").to_owned();
-        ctx.commit(client.region, |tx| {
-            tx.ensure("set", ObjectKind::AWSet)?;
-            tx.aw_add("set", Val::str(elem))
-        })
-        .expect("commit");
-        OpOutcome::ok("insert", 1, 1)
-    }
-}
-
-impl Workload for ReplayableInserter {
-    fn op(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> OpOutcome {
-        let op = self.decide_op(ctx, client);
-        self.execute_op(ctx, client, &op)
-    }
-
-    fn decide(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> Option<AppOp> {
-        Some(AppOp::new(self.decide_op(ctx, client)))
-    }
-
-    fn execute(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo, op: &AppOp) -> OpOutcome {
-        self.execute_op(ctx, client, op.as_str())
-    }
-}
+#[path = "common/replayable.rs"]
+mod replayable;
+use replayable::ReplayableInserter;
 
 fn cfg(seed: u64, faults: FaultPlan) -> SimConfig {
     SimConfig {

@@ -11,58 +11,13 @@
 //!   trace removes earlier commits, which mis-assigned one op's
 //!   recorded delays to a different op's batches.
 
-use ipa_crdt::{ObjectKind, Val};
 use ipa_sim::{
-    paper_topology, AppOp, ClientInfo, ExplicitPlan, FaultEvent, FaultPlan, OpOutcome, OpTrace,
-    SimConfig, SimCtx, Simulation, Workload,
+    paper_topology, ExplicitPlan, FaultEvent, FaultPlan, OpTrace, SimConfig, Simulation,
 };
 
-/// The replayable unique-insert workload (same shape as the op-trace
-/// suite): `decide` draws a salt from the workload RNG, `execute`
-/// inserts the decided element — every executed op adds one distinct
-/// element to a single add-wins set, so the converged set size counts
-/// exactly how many recorded ops actually ran.
-#[derive(Default)]
-struct ReplayableInserter {
-    n: u64,
-}
-
-impl ReplayableInserter {
-    fn decide_op(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> String {
-        use rand::Rng;
-        self.n += 1;
-        let salt: u32 = ctx.rng().gen_range(0..1000);
-        format!("insert c{} e{}s{salt}", client.id, self.n)
-    }
-
-    fn execute_op(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo, op: &str) -> OpOutcome {
-        let mut tok = op.split_whitespace();
-        assert_eq!(tok.next(), Some("insert"), "bad op {op:?}");
-        let _who = tok.next().expect("client token");
-        let elem = tok.next().expect("element token").to_owned();
-        ctx.commit(client.region, |tx| {
-            tx.ensure("set", ObjectKind::AWSet)?;
-            tx.aw_add("set", Val::str(elem))
-        })
-        .expect("commit");
-        OpOutcome::ok("insert", 1, 1)
-    }
-}
-
-impl Workload for ReplayableInserter {
-    fn op(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> OpOutcome {
-        let op = self.decide_op(ctx, client);
-        self.execute_op(ctx, client, &op)
-    }
-
-    fn decide(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> Option<AppOp> {
-        Some(AppOp::new(self.decide_op(ctx, client)))
-    }
-
-    fn execute(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo, op: &AppOp) -> OpOutcome {
-        self.execute_op(ctx, client, op.as_str())
-    }
-}
+#[path = "common/replayable.rs"]
+mod replayable;
+use replayable::ReplayableInserter;
 
 fn cfg(seed: u64) -> SimConfig {
     SimConfig {

@@ -9,31 +9,15 @@
 //! * shrinking is deterministic from the `(workload seed, fault seed)`
 //!   pair.
 
-use ipa_crdt::{ObjectKind, ReplicaId, Val};
+use ipa_crdt::ReplicaId;
 use ipa_sim::{
-    paper_topology, shrink_plan, ClientInfo, CrashPlan, ExplicitPlan, FaultEvent, FaultPlan,
-    OpOutcome, RunVerdict, ShrinkBudget, SimConfig, SimCtx, Simulation, Workload,
+    paper_topology, shrink_plan, CrashPlan, ExplicitPlan, FaultEvent, FaultPlan, RunVerdict,
+    ShrinkBudget, SimConfig, Simulation,
 };
 
-/// Deterministic unique-insert workload (independent of fault plans:
-/// every op succeeds locally, so the client schedule shape is fixed by
-/// the workload seed alone).
-struct Inserter {
-    n: u64,
-}
-
-impl Workload for Inserter {
-    fn op(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> OpOutcome {
-        self.n += 1;
-        let v = Val::str(format!("e{}", self.n));
-        ctx.commit(client.region, |tx| {
-            tx.ensure("set", ObjectKind::AWSet)?;
-            tx.aw_add("set", v)
-        })
-        .expect("commit");
-        OpOutcome::ok("insert", 1, 1)
-    }
-}
+#[path = "common/inserter.rs"]
+mod inserter;
+use inserter::Inserter;
 
 fn cfg(seed: u64, faults: FaultPlan) -> SimConfig {
     SimConfig {
@@ -51,7 +35,7 @@ fn cfg(seed: u64, faults: FaultPlan) -> SimConfig {
 fn run_explicit(workload_seed: u64, plan: &ExplicitPlan) -> Simulation {
     let mut sim = Simulation::new(paper_topology(), cfg(workload_seed, FaultPlan::none()));
     sim.set_explicit_faults(plan);
-    let mut w = Inserter { n: 0 };
+    let mut w = Inserter::default();
     sim.run(&mut w);
     sim
 }
@@ -71,7 +55,7 @@ fn recorded_trace_replays_bit_identically() {
         }
         let mut sim = Simulation::new(paper_topology(), cfg(workload_seed, plan));
         sim.record_fault_trace();
-        let mut w = Inserter { n: 0 };
+        let mut w = Inserter::default();
         sim.run(&mut w);
         sim.quiesce();
         let trace = sim.take_fault_trace();
@@ -235,7 +219,7 @@ fn shrinking_is_deterministic_from_the_seed_pair() {
         plan.anti_entropy_s = Some(3600.0);
         let mut sim = Simulation::new(paper_topology(), cfg(workload_seed, plan));
         sim.record_fault_trace();
-        let mut w = Inserter { n: 0 };
+        let mut w = Inserter::default();
         sim.run(&mut w);
         let trace = sim.take_fault_trace();
         // The failure to minimize: the last batch the nemesis dropped.
@@ -320,7 +304,7 @@ fn explicit_plan_digests_stay_pinned() {
         let plan = FaultPlan::with_intensity(fault_seed, intensity);
         let mut sim = Simulation::new(paper_topology(), cfg(workload_seed, plan));
         sim.record_fault_trace();
-        let mut w = Inserter { n: 0 };
+        let mut w = Inserter::default();
         sim.run(&mut w);
         sim.quiesce();
         let trace = sim.take_fault_trace();

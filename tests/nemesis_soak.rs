@@ -17,7 +17,8 @@
 //! ```
 //!
 //! Environment:
-//! * `IPA_NEMESIS_APP` — tournament (default) | ticket | tpc | twitter
+//! * `IPA_NEMESIS_APP` — tournament (default) | ticket | ticket-escrow |
+//!   tpc | twitter
 //! * `IPA_NEMESIS_MODE` — ipa (default) | causal. The causal axis runs
 //!   the *unrepaired* applications and inverts the expectation: every
 //!   seeded cell must exhibit a positively named anomaly (lost update,
@@ -51,7 +52,7 @@ use std::path::PathBuf;
 fn app() -> App {
     match std::env::var("IPA_NEMESIS_APP") {
         Ok(s) => App::parse(&s).unwrap_or_else(|| {
-            panic!("bad IPA_NEMESIS_APP {s:?}: want tournament|ticket|tpc|twitter")
+            panic!("bad IPA_NEMESIS_APP {s:?}: want tournament|ticket|ticket-escrow|tpc|twitter")
         }),
         Err(_) => App::Tournament,
     }

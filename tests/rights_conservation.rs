@@ -19,7 +19,7 @@
 //!   rights and then crashes recovers its *unspent* rights from its
 //!   durable log — nothing double-spends and nothing is forfeited.
 
-use ipa::apps::threaded_soak::TransportCtx;
+use ipa::apps::soak::TransportCtx;
 use ipa::apps::ticket::sale::{raw_oversell, SaleBackend, SaleWorkload};
 use ipa::coord::{rights_key, BoundedCounter, CoordConfig, CoordError};
 use ipa::crdt::ReplicaId;

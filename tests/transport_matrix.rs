@@ -10,11 +10,11 @@
 //! auditor's first-failure report, not a schedule digest.
 //!
 //! CI fans this out one cell per job via `IPA_THREADED_APP` /
-//! `IPA_THREADED_SEED`; locally (no env) it sweeps all four apps on one
-//! seed, time-bounded to stay inside a tier-1 budget.
+//! `IPA_THREADED_SEED`; locally (no env) it sweeps all five cells of
+//! `App::all()` (the four apps plus the escrow ticket sale) on one seed,
+//! time-bounded to stay inside a tier-1 budget.
 
-use ipa::apps::soak::App;
-use ipa::apps::threaded_soak::{run_threaded_soak, ThreadedSoakConfig};
+use ipa::apps::soak::{run_threaded_soak, App, ThreadedSoakConfig};
 use std::time::Duration;
 
 fn selected_apps() -> Vec<App> {
