@@ -3,7 +3,7 @@
 //! measurable form.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ipa_solver::{Problem, Universe};
+use ipa_solver::{Grounder, SolverSession, Universe};
 use ipa_spec::parser::parse_formula;
 use ipa_spec::{Constant, Formula, PredicateDecl, Sort, Symbol};
 use std::collections::BTreeMap;
@@ -49,18 +49,24 @@ fn invariants() -> Vec<Formula> {
 fn bench_sat_query(c: &mut Criterion) {
     let mut named = BTreeMap::new();
     named.insert(Symbol::new("Capacity"), 8i64);
+    let decls = decls();
     for per_sort in [2usize, 4] {
+        let universe = tournament_universe(per_sort);
         c.bench_function(format!("solver/violation_query_scope{per_sort}"), |b| {
             b.iter(|| {
-                let mut p = Problem::new(tournament_universe(per_sort), decls(), named.clone(), 12);
+                let grounder = Grounder::new(&universe, &decls, &named);
+                let mut s = SolverSession::new(12);
                 let invs = invariants();
                 for inv in &invs {
-                    p.assert(inv).unwrap();
+                    s.assert(&grounder.ground(inv).unwrap());
                 }
                 // Find any state violating referential integrity — the
                 // analysis' inner query shape.
-                p.assert(&Formula::not(invs[0].clone())).unwrap();
-                black_box(p.solve().is_sat())
+                s.push();
+                s.assert(&grounder.ground(&Formula::not(invs[0].clone())).unwrap());
+                let sat = s.solve().is_sat();
+                s.pop();
+                black_box(sat)
             })
         });
     }
@@ -69,12 +75,14 @@ fn bench_sat_query(c: &mut Criterion) {
 fn bench_grounding(c: &mut Criterion) {
     let mut named = BTreeMap::new();
     named.insert(Symbol::new("Capacity"), 8i64);
+    let decls = decls();
+    let universe = tournament_universe(4);
     c.bench_function("solver/ground_invariants_scope4", |b| {
         let invs = invariants();
         b.iter(|| {
-            let p = Problem::new(tournament_universe(4), decls(), named.clone(), 12);
+            let grounder = Grounder::new(&universe, &decls, &named);
             for inv in &invs {
-                black_box(p.ground(inv).unwrap());
+                black_box(grounder.ground(inv).unwrap());
             }
         })
     });

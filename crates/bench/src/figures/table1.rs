@@ -8,14 +8,20 @@
 //! invariant clauses has that shape. The identifier rows reflect the
 //! paper's out-of-band treatment (unique ids via pre-partitioned id
 //! spaces; sequential ids unimplementable without coordination).
+//!
+//! Beside it, [`analysis_costs`] reports what analysing each application
+//! costs: grounding / SAT / repair wall time and the analysis session's
+//! deterministic work counters (ROADMAP item 1, analysis-half timing).
 
 use ipa_apps::ticket::ticket_spec;
 use ipa_apps::tournament::tournament_spec;
 use ipa_apps::tpc::tpc_spec;
 use ipa_apps::twitter::twitter_spec;
 use ipa_core::classify::{classify, InvariantClass, Support};
+use ipa_core::{AnalysisReport, Analyzer};
 use ipa_spec::AppSpec;
 use std::collections::BTreeSet;
+use std::time::{Duration, Instant};
 
 /// One row of Table 1.
 #[derive(Clone, Debug)]
@@ -27,14 +33,19 @@ pub struct Row {
     pub apps: [bool; 4],
 }
 
-/// Classify the four applications' specifications.
-pub fn run() -> Vec<Row> {
-    let specs: [AppSpec; 4] = [
+/// The four applications, in the table's column order.
+fn specs() -> [AppSpec; 4] {
+    [
         tpc_spec(),
         tournament_spec(),
         ticket_spec(),
         twitter_spec(false),
-    ];
+    ]
+}
+
+/// Classify the four applications' specifications.
+pub fn run() -> Vec<Row> {
+    let specs = specs();
     let mut present: Vec<BTreeSet<InvariantClass>> = Vec::with_capacity(4);
     for spec in &specs {
         let mut classes: BTreeSet<InvariantClass> = spec.invariants.iter().map(classify).collect();
@@ -81,6 +92,68 @@ pub fn print(rows: &[Row]) {
             mark(r.apps[3]),
         );
     }
+}
+
+/// Analyse each application once: the report (which carries the phase
+/// times and work counters) and the wall time of the whole analysis.
+pub fn analysis_costs() -> Vec<(AnalysisReport, Duration)> {
+    specs()
+        .iter()
+        .map(|spec| {
+            let began = Instant::now();
+            let report = Analyzer::for_spec(spec)
+                .analyze(spec)
+                .expect("the shipped specs analyse");
+            (report, began.elapsed())
+        })
+        .collect()
+}
+
+/// Render the analysis-cost table. Times are wall-clock milliseconds of
+/// one run on this machine; everything right of them is deterministic.
+pub fn print_costs(costs: &[(AnalysisReport, Duration)]) {
+    println!("Analysis cost per application (one run; ms are wall clock, counts are exact).");
+    println!(
+        "{:<12} {:>8} {:>8} {:>8} {:>8} {:>6} {:>6} {:>8} {:>9} {:>8} {:>8} {:>10} {:>10} {:>13}",
+        "App",
+        "total",
+        "ground",
+        "SAT",
+        "repair",
+        "pairs",
+        "memo",
+        "queries",
+        "unsolved",
+        "clauses",
+        "solvers",
+        "decisions",
+        "conflicts",
+        "propagations"
+    );
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    for (r, total) in costs {
+        println!(
+            "{:<12} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>6} {:>6} {:>8} {:>9} {:>8} {:>8} {:>10} {:>10} {:>13}",
+            r.original.name.to_string(),
+            ms(*total),
+            ms(r.grounding_time),
+            ms(r.sat_time),
+            ms(r.repair_time),
+            r.pair_checks,
+            r.memo_hits,
+            r.queries,
+            r.queries - r.solver.solves,
+            r.solver.clauses,
+            r.solvers,
+            r.solver.decisions,
+            r.solver.conflicts,
+            r.solver.propagations,
+        );
+    }
+    println!(
+        "(pairs: detection pair checks run; memo: answered by the clean-pair memo; \
+         unsolved: queries decided without the solver; repair includes its SAT time)"
+    );
 }
 
 #[cfg(test)]

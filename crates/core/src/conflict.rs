@@ -3,15 +3,15 @@
 //! A pair of operations conflicts iff there exists an instantiation of
 //! their parameters and an `I`-valid state satisfying both operations'
 //! weakest preconditions from which the convergence-rule merge of their
-//! effects reaches an `I`-invalid state. The existential check is
-//! discharged by the SAT solver over the small-scope grounding.
+//! effects reaches an `I`-invalid state. The existential check is one
+//! query per instantiation and merge alternative on the
+//! [`AnalysisSession`]'s solver, which already holds `I`: the query adds
+//! only the invariant conjuncts the operations change.
 
 use crate::pipeline::AnalysisConfig;
-use crate::summary::EffectSummary;
-use crate::universe::{build_universe, instantiations};
-use crate::wp::apply_summary;
+use crate::session::{AnalysisSession, Image};
+use crate::universe::instantiations;
 use crate::AnalysisError;
-use ipa_solver::{GroundFormula, Grounder, Outcome, Problem, Universe};
 use ipa_spec::{AppSpec, Constant, Formula, GroundAtom, Interpretation, Operation};
 
 /// A concrete counter-example to `I`-confluence: the paper's Figure 2
@@ -55,73 +55,48 @@ fn join_args(args: &[Constant]) -> String {
 /// Decide whether `op1 ∥ op2` can violate the invariant, returning a
 /// counter-example if so.
 ///
-/// Every parameter instantiation over the small-scope universe is tested;
-/// within each, every deterministic merge alternative (more than one only
-/// under last-writer-wins rules) is checked.
+/// Builds an [`AnalysisSession`] for the one call; callers with more than
+/// one question about the same specification keep a session and use
+/// [`AnalysisSession::check_pair`].
 pub fn check_pair(
     spec: &AppSpec,
     cfg: &AnalysisConfig,
     op1: &Operation,
     op2: &Operation,
 ) -> Result<Option<ConflictWitness>, AnalysisError> {
-    let universe = build_universe(spec, cfg.universe_per_sort);
-    check_pair_in(spec, cfg, op1, op2, &universe)
+    AnalysisSession::new(spec, cfg)?.check_pair(op1, op2)
 }
 
-/// As [`check_pair`], with a caller-provided universe (used by the repair
-/// search to avoid rebuilding it).
-pub fn check_pair_in(
-    spec: &AppSpec,
-    cfg: &AnalysisConfig,
-    op1: &Operation,
-    op2: &Operation,
-    universe: &Universe,
-) -> Result<Option<ConflictWitness>, AnalysisError> {
-    let grounder = Grounder::new(universe, &spec.predicates, &spec.constants);
-    let ground_invs: Vec<GroundFormula> = spec
-        .invariants
-        .iter()
-        .map(|i| grounder.ground(i))
-        .collect::<Result<_, _>>()
-        .map_err(AnalysisError::from)?;
-
-    for (args1, args2) in instantiations(op1, op2, universe) {
-        let Some(ge1) = op1.ground(&args1) else {
-            continue;
-        };
-        let Some(ge2) = op2.ground(&args2) else {
-            continue;
-        };
-        let s1 = EffectSummary::from_effects(&ge1, &grounder).map_err(AnalysisError::from)?;
-        let s2 = EffectSummary::from_effects(&ge2, &grounder).map_err(AnalysisError::from)?;
-        if s1.is_empty() && s2.is_empty() {
-            continue;
-        }
-        let wp1: Vec<GroundFormula> = ground_invs.iter().map(|g| apply_summary(g, &s1)).collect();
-        let wp2: Vec<GroundFormula> = ground_invs.iter().map(|g| apply_summary(g, &s2)).collect();
-
-        for merged in s1.merge(&s2, &spec.rules) {
-            let post: Vec<GroundFormula> = ground_invs
-                .iter()
-                .map(|g| apply_summary(g, &merged))
-                .collect();
-
-            let mut problem = Problem::new(
-                universe.clone(),
-                spec.predicates.clone(),
-                spec.constants.clone(),
-                cfg.numeric_bound,
-            );
-            for g in &ground_invs {
-                problem.assert_ground(g);
+impl AnalysisSession<'_> {
+    /// Decide whether `op1 ∥ op2` can violate the invariant, returning a
+    /// counter-example if so.
+    ///
+    /// Every parameter instantiation over the small-scope universe is
+    /// tested; within each, every deterministic merge alternative (more
+    /// than one only under last-writer-wins rules) is one query: `I`, the
+    /// changed conjuncts of both weakest preconditions, and the negation
+    /// of the conjuncts the merged effects change.
+    pub fn check_pair(
+        &mut self,
+        op1: &Operation,
+        op2: &Operation,
+    ) -> Result<Option<ConflictWitness>, AnalysisError> {
+        for (args1, args2) in instantiations(op1, op2, &self.universe) {
+            let (Some(f1), Some(f2)) = (self.footprint(op1, &args1)?, self.footprint(op2, &args2)?)
+            else {
+                continue;
+            };
+            if f1.summary.is_empty() && f2.summary.is_empty() {
+                continue;
             }
-            for g in wp1.iter().chain(wp2.iter()) {
-                problem.assert_ground(g);
-            }
-            problem.assert_ground(&GroundFormula::not(GroundFormula::and(post)));
-
-            if let Outcome::Sat(model) = problem.solve() {
-                let pre = problem.interpretation(&model);
+            let wp: Vec<&Image> = f1.wp.iter().chain(&f2.wp).collect();
+            for merged in f1.summary.merge(&f2.summary, &self.spec.rules) {
+                let post = self.image(&merged);
+                let post: Vec<&Image> = post.iter().collect();
+                let Some(model) = self.query(&wp, &post) else {
+                    continue;
+                };
+                let pre = model.to_interpretation(&self.universe, &self.spec.constants);
                 let mut merged_interp = pre.clone();
                 for (a, &v) in &merged.assigns {
                     merged_interp.set_bool(a.clone(), v);
@@ -129,7 +104,8 @@ pub fn check_pair_in(
                 for (a, &d) in &merged.deltas {
                     merged_interp.add_num(a.clone(), d);
                 }
-                let violated: Vec<Formula> = spec
+                let violated: Vec<Formula> = self
+                    .spec
                     .invariants
                     .iter()
                     .filter(|inv| !merged_interp.eval(inv).unwrap_or(true))
@@ -143,75 +119,53 @@ pub fn check_pair_in(
                     pre,
                     merged: merged_interp,
                     violated,
-                    contested: s1.contested_atoms(&s2),
+                    contested: f1.summary.contested_atoms(&f2.summary),
                 }));
             }
         }
+        Ok(None)
     }
-    Ok(None)
-}
 
-/// Does the repaired pair preserve the executability of the original
-/// pair — i.e. `wp(orig1) ∧ wp(orig2) ⇒ wp(cand1) ∧ wp(cand2)` in every
-/// `I`-valid state, for every instantiation?
-///
-/// This is the semantic-preservation side condition of the paper's
-/// repairs ("the additional effect has no impact if there is no
-/// concurrent operation", §3.3): without it the search can "solve" a
-/// conflict degenerately, by adding effects that *narrow* an operation's
-/// weakest precondition until the conflicting pair can no longer legally
-/// co-execute (e.g. giving `enroll` an `inMatch(p,p,t)` effect whose
-/// precondition contradicts `rem_tourn`'s).
-pub fn preserves_executability(
-    spec: &AppSpec,
-    cfg: &AnalysisConfig,
-    orig1: &Operation,
-    orig2: &Operation,
-    cand1: &Operation,
-    cand2: &Operation,
-    universe: &Universe,
-) -> Result<bool, AnalysisError> {
-    let grounder = Grounder::new(universe, &spec.predicates, &spec.constants);
-    let ground_invs: Vec<GroundFormula> = spec
-        .invariants
-        .iter()
-        .map(|i| grounder.ground(i))
-        .collect::<Result<_, _>>()
-        .map_err(AnalysisError::from)?;
-
-    for (args1, args2) in instantiations(orig1, orig2, universe) {
-        let (Some(o1), Some(o2)) = (orig1.ground(&args1), orig2.ground(&args2)) else {
-            continue;
-        };
-        let (Some(c1), Some(c2)) = (cand1.ground(&args1), cand2.ground(&args2)) else {
-            continue;
-        };
-        let so1 = EffectSummary::from_effects(&o1, &grounder).map_err(AnalysisError::from)?;
-        let so2 = EffectSummary::from_effects(&o2, &grounder).map_err(AnalysisError::from)?;
-        let sc1 = EffectSummary::from_effects(&c1, &grounder).map_err(AnalysisError::from)?;
-        let sc2 = EffectSummary::from_effects(&c2, &grounder).map_err(AnalysisError::from)?;
-
-        let mut problem = Problem::new(
-            universe.clone(),
-            spec.predicates.clone(),
-            spec.constants.clone(),
-            cfg.numeric_bound,
-        );
-        let mut cand_wps: Vec<GroundFormula> = Vec::new();
-        for g in &ground_invs {
-            problem.assert_ground(g);
-            problem.assert_ground(&apply_summary(g, &so1));
-            problem.assert_ground(&apply_summary(g, &so2));
-            cand_wps.push(apply_summary(g, &sc1));
-            cand_wps.push(apply_summary(g, &sc2));
+    /// Does the repaired pair preserve the executability of the original
+    /// pair — i.e. `wp(orig1) ∧ wp(orig2) ⇒ wp(cand1) ∧ wp(cand2)` in every
+    /// `I`-valid state, for every instantiation?
+    ///
+    /// This is the semantic-preservation side condition of the paper's
+    /// repairs ("the additional effect has no impact if there is no
+    /// concurrent operation", §3.3): without it the search can "solve" a
+    /// conflict degenerately, by adding effects that *narrow* an operation's
+    /// weakest precondition until the conflicting pair can no longer legally
+    /// co-execute (e.g. giving `enroll` an `inMatch(p,p,t)` effect whose
+    /// precondition contradicts `rem_tourn`'s).
+    pub fn preserves_executability(
+        &mut self,
+        orig1: &Operation,
+        orig2: &Operation,
+        cand1: &Operation,
+        cand2: &Operation,
+    ) -> Result<bool, AnalysisError> {
+        for (args1, args2) in instantiations(orig1, orig2, &self.universe) {
+            let (Some(o1), Some(o2)) = (
+                self.footprint(orig1, &args1)?,
+                self.footprint(orig2, &args2)?,
+            ) else {
+                continue;
+            };
+            let (Some(c1), Some(c2)) = (
+                self.footprint(cand1, &args1)?,
+                self.footprint(cand2, &args2)?,
+            ) else {
+                continue;
+            };
+            // A state where the originals execute but a candidate would not.
+            let originals: Vec<&Image> = o1.wp.iter().chain(&o2.wp).collect();
+            let candidates: Vec<&Image> = c1.wp.iter().chain(&c2.wp).collect();
+            if self.query(&originals, &candidates).is_some() {
+                return Ok(false);
+            }
         }
-        // A state where the originals execute but a candidate would not.
-        problem.assert_ground(&GroundFormula::not(GroundFormula::and(cand_wps)));
-        if problem.solve().is_sat() {
-            return Ok(false);
-        }
+        Ok(true)
     }
-    Ok(true)
 }
 
 #[cfg(test)]

@@ -3,12 +3,17 @@
 //! Implements Algorithm 1 of Balegas et al., *IPA: Invariant-preserving
 //! Applications for Weakly-consistent Replicated Databases* (2018):
 //!
+//! * **The analysis session** ([`session`]): the invariant grounded once,
+//!   a solver that already holds it, a memo of clean pairs and a cache of
+//!   ground footprints, shared by every query of one analysis. Detection
+//!   and repair are methods over it; a query asserts only the invariant
+//!   conjuncts the operations under test change.
 //! * **Conflict detection** (`isConflicting`, §3.2): for every pair of
 //!   operations, instantiate their parameters over a small scope, compute
 //!   weakest preconditions w.r.t. the application invariant, merge the two
 //!   operations' effects under the programmer-supplied convergence rules,
-//!   and ask the SAT solver whether some `I`-valid initial state satisfying
-//!   both preconditions leads to an `I`-invalid merged state
+//!   and ask the session's solver whether some `I`-valid initial state
+//!   satisfying both preconditions leads to an `I`-invalid merged state
 //!   ([`conflict`]).
 //! * **Repair** (`repairConflicts` / `generate`, §3.2–§3.3): enumerate
 //!   minimal sets of additional effects — drawn from the invariant clauses
@@ -34,6 +39,7 @@ pub mod numeric;
 pub mod pipeline;
 pub mod repair;
 pub mod report;
+pub mod session;
 pub mod summary;
 pub mod universe;
 pub mod wp;
@@ -44,6 +50,7 @@ pub use conflict::{check_pair, ConflictWitness};
 pub use numeric::{numeric_conflicts, BoundKind, NumericConflict};
 pub use pipeline::{AnalysisConfig, AnalysisReport, Analyzer, AppliedResolution, FlaggedConflict};
 pub use repair::{repair_conflicts, Resolution, ResolutionPolicy};
+pub use session::AnalysisSession;
 pub use summary::EffectSummary;
 
 /// Errors surfaced by the analysis.

@@ -3,12 +3,14 @@
 //! pairs and routing numeric invariants to compensations.
 
 use crate::compensation::{compensation_for, Compensation};
-use crate::conflict::{check_pair_in, ConflictWitness};
+use crate::conflict::ConflictWitness;
 use crate::numeric::{numeric_conflicts, NumericConflict};
-use crate::repair::{pick_resolution, repair_conflicts, Resolution, ResolutionPolicy};
-use crate::universe::build_universe;
+use crate::repair::{pick_resolution, Resolution, ResolutionPolicy};
+use crate::session::AnalysisSession;
 use crate::AnalysisError;
+use ipa_solver::sat::Stats;
 use ipa_spec::{AppSpec, Formula, NumExpr, Symbol};
+use std::time::{Duration, Instant};
 
 /// Tuning knobs for the analysis.
 #[derive(Clone, Debug)]
@@ -121,6 +123,29 @@ pub struct AnalysisReport {
     pub converged: bool,
     /// Number of conflict-detection passes performed.
     pub iterations: usize,
+    /// Detection-pass pair checks actually run: one per distinct pair of
+    /// operation values the fixpoint met.
+    pub pair_checks: u64,
+    /// Detection-pass pairs answered by the session's clean-pair memo.
+    pub memo_hits: u64,
+    /// Satisfiability queries issued, detection and repair search
+    /// together; `queries - solver.solves` of them were decided by
+    /// construction, without the solver.
+    pub queries: u64,
+    /// Solvers loaded with the grounded invariant: one for detection, and
+    /// a fresh one for each repair search.
+    pub solvers: u64,
+    /// Solver counters summed over those, including the clauses they were
+    /// given. Deterministic, like the four counts above; the three times
+    /// below are wall clock and are not.
+    pub solver: Stats,
+    /// Building the session: grounding the invariant and loading it into
+    /// the first solver.
+    pub grounding_time: Duration,
+    /// Asserting into and running the solver, over all queries.
+    pub sat_time: Duration,
+    /// The repair searches, their share of `sat_time` included.
+    pub repair_time: Duration,
 }
 
 impl AnalysisReport {
@@ -153,6 +178,12 @@ impl Analyzer {
         spec.validate()?;
         let cfg = &self.config;
         let mut patched = spec.clone();
+        // Repairs only replace operations; everything the session keeps
+        // (invariants, rules, universe) is the same in `spec` and `patched`.
+        let began = Instant::now();
+        let mut session = AnalysisSession::new(spec, cfg)?;
+        let grounding_time = began.elapsed();
+        let mut repair_time = Duration::ZERO;
 
         // Numeric invariants: symbolic detection + compensation generation.
         let numeric = numeric_conflicts(&patched);
@@ -165,7 +196,6 @@ impl Analyzer {
 
         'fixpoint: while iterations < cfg.max_iterations {
             iterations += 1;
-            let universe = build_universe(&patched, cfg.universe_per_sort);
             // Find the first conflicting, unflagged pair (deterministic
             // order: operation declaration order, i <= j).
             let n = patched.operations.len();
@@ -177,7 +207,7 @@ impl Analyzer {
                     if flagged.iter().any(|f| f.op1 == o1.name && f.op2 == o2.name) {
                         continue;
                     }
-                    if let Some(w) = check_pair_in(&patched, cfg, o1, o2, &universe)? {
+                    if let Some(w) = session.detect(o1, o2)? {
                         found = Some((i, j, w));
                         break 'search;
                     }
@@ -189,7 +219,9 @@ impl Analyzer {
             };
             let op1 = patched.operations[i].clone();
             let op2 = patched.operations[j].clone();
-            let sols = repair_conflicts(&patched, cfg, &op1, &op2)?;
+            let began = Instant::now();
+            let sols = session.repair_conflicts(&op1, &op2)?;
+            repair_time += began.elapsed();
             match pick_resolution(sols, cfg.policy, &op1.name) {
                 None => {
                     flagged.push(FlaggedConflict {
@@ -218,6 +250,14 @@ impl Analyzer {
             compensations,
             converged,
             iterations,
+            pair_checks: session.pair_checks,
+            memo_hits: session.memo_hits,
+            queries: session.queries,
+            solvers: session.solvers,
+            solver: session.solver_stats(),
+            grounding_time,
+            sat_time: session.sat_time,
+            repair_time,
         })
     }
 }

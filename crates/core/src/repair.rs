@@ -1,9 +1,8 @@
 //! Conflict repair: the paper's `repairConflicts` (Alg. 1, lines 13–21).
 
-use crate::conflict::{check_pair_in, preserves_executability};
 use crate::generate::{generate, CandidatePair};
 use crate::pipeline::AnalysisConfig;
-use crate::universe::build_universe;
+use crate::session::AnalysisSession;
 use crate::AnalysisError;
 use ipa_spec::{AppSpec, Effect, Operation, Symbol};
 use std::fmt;
@@ -92,38 +91,59 @@ pub fn pick_resolution(
 
 /// Find all minimal verified repairs for a conflicting pair.
 ///
-/// Candidates are tested in increasing size; a candidate whose added set
-/// is a superset of an already-verified solution (for the same target
-/// operation) is skipped — the `isPairSubset` minimality pruning of
-/// Alg. 1 line 18.
+/// Builds an [`AnalysisSession`] for the one call; see
+/// [`AnalysisSession::repair_conflicts`].
 pub fn repair_conflicts(
     spec: &AppSpec,
     cfg: &AnalysisConfig,
     op1: &Operation,
     op2: &Operation,
 ) -> Result<Vec<Resolution>, AnalysisError> {
-    let universe = build_universe(spec, cfg.universe_per_sort);
-    let mut sols: Vec<Resolution> = Vec::new();
-    for cand in generate(spec, op1, op2, cfg.max_added_effects) {
-        if is_pair_subset(&cand, &sols) {
-            continue;
+    AnalysisSession::new(spec, cfg)?.repair_conflicts(op1, op2)
+}
+
+impl AnalysisSession<'_> {
+    /// Find all minimal verified repairs for a conflicting pair.
+    ///
+    /// Candidates are tested in increasing size; a candidate whose added set
+    /// is a superset of an already-verified solution (for the same target
+    /// operation) is skipped — the `isPairSubset` minimality pruning of
+    /// Alg. 1 line 18.
+    pub fn repair_conflicts(
+        &mut self,
+        op1: &Operation,
+        op2: &Operation,
+    ) -> Result<Vec<Resolution>, AnalysisError> {
+        self.renew_solver();
+        let mut sols: Vec<Resolution> = Vec::new();
+        for cand in generate(self.spec, op1, op2, self.cfg.max_added_effects) {
+            if is_pair_subset(&cand, &sols) {
+                continue;
+            }
+            // Reject degenerate repairs that narrow an operation's weakest
+            // precondition (the paper's repairs must preserve the original
+            // semantics when no conflict occurs, §3.3).
+            if self.preserves_executability(op1, op2, &cand.op1, &cand.op2)?
+                && self.check_pair(&cand.op1, &cand.op2)?.is_none()
+            {
+                sols.push(Resolution {
+                    op1: cand.op1,
+                    op2: cand.op2,
+                    added_to: cand.added_to,
+                    added: cand.added,
+                });
+            } else {
+                // A rejected candidate is never asked about again.
+                let extended = if cand.op1 == *op1 {
+                    &cand.op2
+                } else {
+                    &cand.op1
+                };
+                self.forget(extended);
+            }
         }
-        // Reject degenerate repairs that narrow an operation's weakest
-        // precondition (the paper's repairs must preserve the original
-        // semantics when no conflict occurs, §3.3).
-        if !preserves_executability(spec, cfg, op1, op2, &cand.op1, &cand.op2, &universe)? {
-            continue;
-        }
-        if check_pair_in(spec, cfg, &cand.op1, &cand.op2, &universe)?.is_none() {
-            sols.push(Resolution {
-                op1: cand.op1,
-                op2: cand.op2,
-                added_to: cand.added_to,
-                added: cand.added,
-            });
-        }
+        Ok(sols)
     }
-    Ok(sols)
 }
 
 /// Does the candidate's added-effect set extend some known solution on the

@@ -90,7 +90,20 @@ impl fmt::Display for AnalysisReport {
         for c in &self.compensations {
             writeln!(f, "  compensation: {c}")?;
         }
-        Ok(())
+        writeln!(
+            f,
+            "  work: {} pair checks (+{} memo hits), {} queries ({} without the solver), \
+             {} clauses in {} solvers, {} decisions, {} conflicts, {} propagations",
+            self.pair_checks,
+            self.memo_hits,
+            self.queries,
+            self.queries - self.solver.solves,
+            self.solver.clauses,
+            self.solvers,
+            self.solver.decisions,
+            self.solver.conflicts,
+            self.solver.propagations
+        )
     }
 }
 

@@ -86,11 +86,9 @@ mod tests {
         let mut s = EffectSummary::default();
         s.assigns.insert(a.clone(), true);
         let g = GroundFormula::and(vec![GroundFormula::Atom(a), GroundFormula::Atom(b.clone())]);
+        // `a := true` leaves `True ∧ b`, which the constructor folds.
         let out = apply_summary(&g, &s);
-        assert_eq!(
-            out,
-            GroundFormula::And(vec![GroundFormula::True, GroundFormula::Atom(b)])
-        );
+        assert_eq!(out, GroundFormula::Atom(b));
     }
 
     #[test]

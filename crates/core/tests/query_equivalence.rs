@@ -1,0 +1,552 @@
+//! Differential oracle for the analysis session.
+//!
+//! [`AnalysisSession`] answers each query by asserting only the invariant
+//! conjuncts an operation changes, on a solver that already holds `I` and
+//! is reused across queries, behind a memo of clean pairs. The code it
+//! replaced asserted the whole of `I`, both weakest preconditions and the
+//! negated post-state into a fresh encoder and a fresh solver for every
+//! query. That code lives on here as [`Reference`], and everything the
+//! session answers is compared against it: every pair × instantiation ×
+//! merge alternative, every repair candidate's executability verdict, and
+//! every repair solution list — for the four shipped specifications, for
+//! every intermediate specification their fixpoints pass through, and for
+//! small generated ones.
+//!
+//! The last section plants three bugs and checks the oracle turns red on
+//! each.
+
+use ipa_apps::ticket::ticket_spec;
+use ipa_apps::tournament::tournament_spec;
+use ipa_apps::tpc::tpc_spec;
+use ipa_apps::twitter::twitter_spec;
+use ipa_core::generate::{generate, CandidatePair};
+use ipa_core::repair::pick_resolution;
+use ipa_core::session::{Footprint, Image};
+use ipa_core::universe::{build_universe, instantiations};
+use ipa_core::wp::apply_summary;
+use ipa_core::{AnalysisConfig, AnalysisSession, Analyzer, EffectSummary};
+use ipa_solver::tseitin::Encoder;
+use ipa_solver::{GroundFormula, Grounder, Solver, Universe};
+use ipa_spec::{AppSpec, AppSpecBuilder, ConvergencePolicy, Effect, Operation, Symbol};
+use proptest::prelude::*;
+use std::collections::HashSet;
+
+// ---------------------------------------------------------------------
+// The reference: full assertion, fresh encoder, fresh solver, no memo.
+// ---------------------------------------------------------------------
+
+struct Reference<'a> {
+    spec: &'a AppSpec,
+    cfg: &'a AnalysisConfig,
+    universe: Universe,
+}
+
+/// A repair, reduced to what identifies it.
+type Repair = (Symbol, Vec<Effect>);
+
+impl<'a> Reference<'a> {
+    fn new(spec: &'a AppSpec, cfg: &'a AnalysisConfig) -> Self {
+        let universe = build_universe(spec, cfg.universe_per_sort);
+        Reference {
+            spec,
+            cfg,
+            universe,
+        }
+    }
+
+    fn grounder(&self) -> Grounder<'_> {
+        Grounder::new(&self.universe, &self.spec.predicates, &self.spec.constants)
+    }
+
+    fn ground_invariants(&self) -> Vec<GroundFormula> {
+        let grounder = self.grounder();
+        self.spec
+            .invariants
+            .iter()
+            .map(|i| grounder.ground(i).expect("invariant grounds"))
+            .collect()
+    }
+
+    fn summary(&self, op: &Operation, args: &[ipa_spec::Constant]) -> Option<EffectSummary> {
+        let effects = op.ground(args)?;
+        Some(EffectSummary::from_effects(&effects, &self.grounder()).expect("effects ground"))
+    }
+
+    fn satisfiable(&self, asserted: &[GroundFormula]) -> bool {
+        let mut encoder = Encoder::new(self.cfg.numeric_bound);
+        for g in asserted {
+            encoder.assert(g);
+        }
+        let mut solver = Solver::new();
+        for clause in &encoder.cnf.clauses {
+            solver.add_clause(&clause.lits);
+        }
+        solver.solve()
+    }
+
+    /// `I ∧ wp(s1) ∧ wp(s2) ∧ ¬merged(I)`, every conjunct spelled out.
+    fn violates(&self, s1: &EffectSummary, s2: &EffectSummary, merged: &EffectSummary) -> bool {
+        let invs = self.ground_invariants();
+        let mut asserted = invs.clone();
+        asserted.extend(invs.iter().map(|g| apply_summary(g, s1)));
+        asserted.extend(invs.iter().map(|g| apply_summary(g, s2)));
+        let post = invs.iter().map(|g| apply_summary(g, merged)).collect();
+        asserted.push(GroundFormula::not(GroundFormula::and(post)));
+        self.satisfiable(&asserted)
+    }
+
+    fn conflicts(&self, op1: &Operation, op2: &Operation) -> bool {
+        for (args1, args2) in instantiations(op1, op2, &self.universe) {
+            let (Some(s1), Some(s2)) = (self.summary(op1, &args1), self.summary(op2, &args2))
+            else {
+                continue;
+            };
+            if s1.is_empty() && s2.is_empty() {
+                continue;
+            }
+            for merged in s1.merge(&s2, &self.spec.rules) {
+                if self.violates(&s1, &s2, &merged) {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    fn preserves_executability(
+        &self,
+        orig1: &Operation,
+        orig2: &Operation,
+        cand1: &Operation,
+        cand2: &Operation,
+    ) -> bool {
+        let invs = self.ground_invariants();
+        for (args1, args2) in instantiations(orig1, orig2, &self.universe) {
+            let (Some(so1), Some(so2)) = (self.summary(orig1, &args1), self.summary(orig2, &args2))
+            else {
+                continue;
+            };
+            let (Some(sc1), Some(sc2)) = (self.summary(cand1, &args1), self.summary(cand2, &args2))
+            else {
+                continue;
+            };
+            let mut asserted = Vec::new();
+            let mut cand_wps = Vec::new();
+            for g in &invs {
+                asserted.push(g.clone());
+                asserted.push(apply_summary(g, &so1));
+                asserted.push(apply_summary(g, &so2));
+                cand_wps.push(apply_summary(g, &sc1));
+                cand_wps.push(apply_summary(g, &sc2));
+            }
+            asserted.push(GroundFormula::not(GroundFormula::and(cand_wps)));
+            if self.satisfiable(&asserted) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The repair search, given each candidate's executability verdict
+    /// (computed once by the caller, which compares them too).
+    fn repair_conflicts(&self, candidates: &[CandidatePair], preserves: &[bool]) -> Vec<Repair> {
+        let mut sols: Vec<Repair> = Vec::new();
+        for (cand, &preserves) in candidates.iter().zip(preserves) {
+            let extends_a_solution = sols.iter().any(|(to, added)| {
+                *to == cand.added_to && added.iter().all(|e| cand.added.contains(e))
+            });
+            if extends_a_solution || !preserves || self.conflicts(&cand.op1, &cand.op2) {
+                continue;
+            }
+            sols.push((cand.added_to.clone(), cand.added.clone()));
+        }
+        sols
+    }
+}
+
+// ---------------------------------------------------------------------
+// The comparison.
+// ---------------------------------------------------------------------
+
+/// How the subject answers one query; the planted bugs swap this out.
+type Query = fn(&mut AnalysisSession, &Footprint, &Footprint, &EffectSummary) -> bool;
+
+fn session_query(
+    s: &mut AnalysisSession,
+    f1: &Footprint,
+    f2: &Footprint,
+    merged: &EffectSummary,
+) -> bool {
+    let wp: Vec<&Image> = f1.wp.iter().chain(&f2.wp).collect();
+    let post = s.image(merged);
+    let post: Vec<&Image> = post.iter().collect();
+    s.query(&wp, &post).is_some()
+}
+
+/// Every pair × instantiation × merge alternative of `spec`'s operations:
+/// the subject's SAT/UNSAT against the reference's. Returns how many
+/// queries were compared, or the first disagreement.
+fn compare_queries(spec: &AppSpec, cfg: &AnalysisConfig, query: Query) -> Result<usize, String> {
+    let reference = Reference::new(spec, cfg);
+    let mut session = AnalysisSession::new(spec, cfg).expect("session");
+    let mut compared = 0;
+    for (i, op1) in spec.operations.iter().enumerate() {
+        for op2 in &spec.operations[i..] {
+            for (args1, args2) in instantiations(op1, op2, &reference.universe) {
+                let f1 = session.footprint(op1, &args1).expect("footprint");
+                let f2 = session.footprint(op2, &args2).expect("footprint");
+                let (Some(f1), Some(f2)) = (f1, f2) else {
+                    continue;
+                };
+                assert_eq!(Some(&f1.summary), reference.summary(op1, &args1).as_ref());
+                for merged in f1.summary.merge(&f2.summary, &spec.rules) {
+                    let expected = reference.violates(&f1.summary, &f2.summary, &merged);
+                    let got = query(&mut session, &f1, &f2, &merged);
+                    compared += 1;
+                    if got != expected {
+                        return Err(format!(
+                            "{}: {}({args1:?}) ∥ {}({args2:?}): reference says {expected}, session {got}",
+                            spec.name, op1.name, op2.name
+                        ));
+                    }
+                }
+            }
+            // The pair-level answer (first SAT wins) agrees as well.
+            let witness = session.check_pair(op1, op2).expect("check_pair");
+            if witness.is_some() != reference.conflicts(op1, op2) {
+                return Err(format!(
+                    "{}: {} ∥ {} verdict",
+                    spec.name, op1.name, op2.name
+                ));
+            }
+        }
+    }
+    Ok(compared)
+}
+
+/// Every candidate's executability verdict and the whole solution list of
+/// one repair search.
+fn compare_repair(
+    spec: &AppSpec,
+    cfg: &AnalysisConfig,
+    op1: &Operation,
+    op2: &Operation,
+) -> Result<usize, String> {
+    let reference = Reference::new(spec, cfg);
+    let mut session = AnalysisSession::new(spec, cfg).expect("session");
+    let candidates = generate(spec, op1, op2, cfg.max_added_effects);
+    let mut verdicts = Vec::with_capacity(candidates.len());
+    for cand in &candidates {
+        let expected = reference.preserves_executability(op1, op2, &cand.op1, &cand.op2);
+        let got = session
+            .preserves_executability(op1, op2, &cand.op1, &cand.op2)
+            .expect("preserves_executability");
+        if got != expected {
+            return Err(format!(
+                "{}: candidate {} += {:?}: reference says {expected}, session {got}",
+                spec.name, cand.added_to, cand.added
+            ));
+        }
+        verdicts.push(expected);
+    }
+    let expected = reference.repair_conflicts(&candidates, &verdicts);
+    let got: Vec<Repair> = session
+        .repair_conflicts(op1, op2)
+        .expect("repair_conflicts")
+        .into_iter()
+        .map(|r| (r.added_to, r.added))
+        .collect();
+    if got != expected {
+        return Err(format!(
+            "{}: {} ∥ {}: reference repairs {expected:?}, session {got:?}",
+            spec.name, op1.name, op2.name
+        ));
+    }
+    Ok(candidates.len())
+}
+
+/// The specifications the fixpoint of `spec` passes through, each with the
+/// pair it repairs next; the last entry is the patched specification.
+fn trajectory(spec: &AppSpec) -> Vec<(AppSpec, Option<(Operation, Operation)>)> {
+    let report = Analyzer::for_spec(spec).analyze(spec).expect("analysis");
+    let mut current = spec.clone();
+    let mut out = Vec::new();
+    for a in &report.applied {
+        let r = &a.resolution;
+        let pair = (
+            current.operation(r.op1.name.as_str()).unwrap().clone(),
+            current.operation(r.op2.name.as_str()).unwrap().clone(),
+        );
+        out.push((current.clone(), Some(pair)));
+        current.replace_operation(r.op1.clone());
+        current.replace_operation(r.op2.clone());
+    }
+    assert_eq!(current.operations, report.patched.operations);
+    out.push((current, None));
+    out
+}
+
+fn shipped_specs() -> [AppSpec; 4] {
+    [
+        tournament_spec(),
+        twitter_spec(false),
+        ticket_spec(),
+        tpc_spec(),
+    ]
+}
+
+#[test]
+fn every_query_of_every_intermediate_spec_matches_the_reference() {
+    for spec in shipped_specs() {
+        let cfg = AnalysisConfig::tuned_for(&spec);
+        let mut compared = 0;
+        for (step, _) in trajectory(&spec) {
+            compared +=
+                compare_queries(&step, &cfg, session_query).unwrap_or_else(|e| panic!("{e}"));
+        }
+        assert!(compared > 0, "{}: nothing compared", spec.name);
+    }
+}
+
+#[test]
+fn every_repair_search_matches_the_reference() {
+    for spec in shipped_specs() {
+        let cfg = AnalysisConfig::tuned_for(&spec);
+        let report = Analyzer::for_spec(&spec).analyze(&spec).expect("analysis");
+        for (step, pair) in trajectory(&spec) {
+            if let Some((op1, op2)) = pair {
+                compare_repair(&step, &cfg, &op1, &op2).unwrap_or_else(|e| panic!("{e}"));
+            } else {
+                // Flagged pairs have no repair; both sides must say so.
+                for f in &report.flagged {
+                    let op1 = step.operation(f.op1.as_str()).unwrap();
+                    let op2 = step.operation(f.op2.as_str()).unwrap();
+                    compare_repair(&step, &cfg, op1, op2).unwrap_or_else(|e| panic!("{e}"));
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Small generated specifications.
+// ---------------------------------------------------------------------
+
+/// Invariant shapes of the paper's Table 1 over a fixed vocabulary: two
+/// sorts, four boolean predicates, one numeric.
+const INVARIANTS: [&str; 7] = [
+    "forall(A: x, B: y) :- r(x,y) => a(x) and b(y)",
+    "forall(A: x, B: y) :- s(x,y) => r(x,y)",
+    "forall(A: x, B: y) :- not(r(x,y) and s(x,y))",
+    "forall(A: x, B: y) :- r(x,y) => a(x) or s(x,y)",
+    "forall(B: y) :- #r(*, y) <= Cap",
+    "forall(B: y) :- n(y) >= 0",
+    "forall(B: y) :- b(y) => n(y) >= 1",
+];
+
+const POLICIES: [ConvergencePolicy; 3] = [
+    ConvergencePolicy::AddWins,
+    ConvergencePolicy::RemWins,
+    ConvergencePolicy::LastWriterWins,
+];
+
+fn generated_spec(invariants: &[usize], operations: &[usize], policies: &[usize]) -> AppSpec {
+    let mut b = AppSpecBuilder::new("generated")
+        .sort("A")
+        .sort("B")
+        .predicate_bool("a", &["A"])
+        .predicate_bool("b", &["B"])
+        .predicate_bool("r", &["A", "B"])
+        .predicate_bool("s", &["A", "B"])
+        .predicate_num("n", &["B"])
+        .constant("Cap", 1);
+    for (pred, &p) in ["a", "b", "r", "s"].iter().zip(policies) {
+        b = b.rule(pred, POLICIES[p]);
+    }
+    let mut seen = HashSet::new();
+    for &i in invariants {
+        if seen.insert(i) {
+            b = b.invariant_str(INVARIANTS[i]);
+        }
+    }
+    let x = ("x", "A");
+    let y = ("y", "B");
+    let mut seen = HashSet::new();
+    for &o in operations {
+        if seen.len() == 4 || !seen.insert(o) {
+            continue;
+        }
+        b = match o {
+            0 => b.operation("add_a", &[x], |op| op.set_true("a", &["x"])),
+            1 => b.operation("rem_a", &[x], |op| op.set_false("a", &["x"])),
+            2 => b.operation("rem_b", &[y], |op| op.set_false("b", &["y"])),
+            3 => b.operation("link", &[x, y], |op| op.set_true("r", &["x", "y"])),
+            4 => b.operation("unlink", &[x, y], |op| op.set_false("r", &["x", "y"])),
+            5 => b.operation("mark", &[x, y], |op| op.set_true("s", &["x", "y"])),
+            6 => b.operation("clear_b", &[y], |op| {
+                op.set_false("b", &["y"]).set_false("r", &["*", "y"])
+            }),
+            7 => b.operation("swap", &[x, y], |op| {
+                op.set_true("s", &["x", "y"]).set_false("r", &["x", "y"])
+            }),
+            8 => b.operation("take", &[y], |op| op.dec("n", &["y"], 1)),
+            _ => b.operation("open_b", &[y], |op| {
+                op.set_true("b", &["y"]).inc("n", &["y"], 2)
+            }),
+        };
+    }
+    b.build().expect("generated spec is valid")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn generated_specs_match_the_reference(
+        invariants in prop::collection::vec(0usize..7, 2..=4),
+        operations in prop::collection::vec(0usize..10, 4..=7),
+        policies in prop::collection::vec(0usize..3, 4),
+    ) {
+        let spec = generated_spec(&invariants, &operations, &policies);
+        let cfg = AnalysisConfig::tuned_for(&spec);
+        if let Err(e) = compare_queries(&spec, &cfg, session_query) {
+            prop_assert!(false, "{}\n{:?}", e, spec);
+        }
+        // The repair search of the first conflicting pair, if any.
+        let reference = Reference::new(&spec, &cfg);
+        let conflicting = spec.operations.iter().enumerate().find_map(|(i, op1)| {
+            let op2 = spec.operations[i..].iter().find(|op2| reference.conflicts(op1, op2))?;
+            Some((op1, op2))
+        });
+        if let Some((op1, op2)) = conflicting {
+            if let Err(e) = compare_repair(&spec, &cfg, op1, op2) {
+                prop_assert!(false, "{}\n{:?}", e, spec);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The oracle can fail: three planted bugs, each caught.
+// ---------------------------------------------------------------------
+
+/// Rule 1 broken: one changed conjunct is left out of the negated
+/// post-state, as if it had been classified unchanged.
+fn query_dropping_a_changed_conjunct(
+    s: &mut AnalysisSession,
+    f1: &Footprint,
+    f2: &Footprint,
+    merged: &EffectSummary,
+) -> bool {
+    let wp: Vec<&Image> = f1.wp.iter().chain(&f2.wp).collect();
+    let post = s.image(merged);
+    let post: Vec<&Image> = post.iter().skip(1).collect();
+    s.query(&wp, &post).is_some()
+}
+
+/// Rule 2 broken: the query's scope is never popped, so its selector is
+/// never retired and its assertions stay in force for every later query.
+fn query_leaking_its_scope(
+    s: &mut AnalysisSession,
+    f1: &Footprint,
+    f2: &Footprint,
+    merged: &EffectSummary,
+) -> bool {
+    let negated = GroundFormula::or(
+        s.image(merged)
+            .into_iter()
+            .map(|i| GroundFormula::not(i.formula))
+            .collect(),
+    );
+    let solver = s.solver();
+    solver.push();
+    for i in f1.wp.iter().chain(&f2.wp) {
+        solver.assert(&i.formula);
+    }
+    solver.assert(&negated);
+    solver.solve().is_sat()
+}
+
+#[test]
+fn a_dropped_conjunct_or_a_leaked_scope_turns_the_oracle_red() {
+    let spec = tournament_spec();
+    let cfg = AnalysisConfig::tuned_for(&spec);
+    assert!(compare_queries(&spec, &cfg, session_query).is_ok());
+    let dropped = compare_queries(&spec, &cfg, query_dropping_a_changed_conjunct);
+    assert!(dropped.is_err(), "a dropped conjunct went unnoticed");
+    let leaked = compare_queries(&spec, &cfg, query_leaking_its_scope);
+    assert!(leaked.is_err(), "a leaked scope went unnoticed");
+}
+
+/// The fixpoint of `Analyzer::analyze`, with the clean-pair memo keyed as
+/// the caller says. Returns the applied repairs and the flagged pairs.
+fn fixpoint(spec: &AppSpec, key: fn(&Operation) -> String) -> (Vec<String>, Vec<(Symbol, Symbol)>) {
+    let cfg = AnalysisConfig::tuned_for(spec);
+    let mut session = AnalysisSession::new(spec, &cfg).expect("session");
+    let mut patched = spec.clone();
+    let mut clean: HashSet<(String, String)> = HashSet::new();
+    let mut applied = Vec::new();
+    let mut flagged: Vec<(Symbol, Symbol)> = Vec::new();
+    for _ in 0..cfg.max_iterations {
+        let mut found = None;
+        'search: for (i, o1) in patched.operations.iter().enumerate() {
+            for o2 in &patched.operations[i..] {
+                if flagged.contains(&(o1.name.clone(), o2.name.clone()))
+                    || clean.contains(&(key(o1), key(o2)))
+                {
+                    continue;
+                }
+                if session.check_pair(o1, o2).expect("check_pair").is_some() {
+                    found = Some((o1.clone(), o2.clone()));
+                    break 'search;
+                }
+                clean.insert((key(o1), key(o2)));
+            }
+        }
+        let Some((o1, o2)) = found else {
+            break;
+        };
+        let sols = session
+            .repair_conflicts(&o1, &o2)
+            .expect("repair_conflicts");
+        match pick_resolution(sols, cfg.policy, &o1.name) {
+            None => flagged.push((o1.name, o2.name)),
+            Some(r) => {
+                applied.push(r.to_string());
+                patched.replace_operation(r.op1);
+                patched.replace_operation(r.op2);
+            }
+        }
+    }
+    (applied, flagged)
+}
+
+#[test]
+fn a_memo_keyed_on_names_turns_the_oracle_red() {
+    let mut red = 0;
+    for spec in shipped_specs() {
+        let report = Analyzer::for_spec(&spec).analyze(&spec).expect("analysis");
+        let expected = (
+            report
+                .applied
+                .iter()
+                .map(|a| a.resolution.to_string())
+                .collect::<Vec<_>>(),
+            report
+                .flagged
+                .iter()
+                .map(|f| (f.op1.clone(), f.op2.clone()))
+                .collect::<Vec<_>>(),
+        );
+        // Keyed on operation values the memo changes nothing ...
+        assert_eq!(
+            fixpoint(&spec, |op| op.to_string()),
+            expected,
+            "{}",
+            spec.name
+        );
+        // ... keyed on names it hides the conflicts a repair introduces.
+        red += usize::from(fixpoint(&spec, |op| op.name.to_string()) != expected);
+    }
+    assert!(red > 0, "a name-keyed memo went unnoticed on every spec");
+}

@@ -100,26 +100,53 @@ pub enum GroundFormula {
 }
 
 impl GroundFormula {
+    /// `¬g`, with constants folded and double negation removed.
     // An AST constructor (used point-free, e.g. `prop_map(Self::not)`),
     // not a negation of `self`; `ops::Not` would take `self` by value.
     #[allow(clippy::should_implement_trait)]
     pub fn not(g: GroundFormula) -> GroundFormula {
-        GroundFormula::Not(Box::new(g))
-    }
-
-    pub fn and(gs: Vec<GroundFormula>) -> GroundFormula {
-        match gs.len() {
-            0 => GroundFormula::True,
-            1 => gs.into_iter().next().expect("len checked"),
-            _ => GroundFormula::And(gs),
+        match g {
+            GroundFormula::True => GroundFormula::False,
+            GroundFormula::False => GroundFormula::True,
+            GroundFormula::Not(inner) => *inner,
+            g => GroundFormula::Not(Box::new(g)),
         }
     }
 
+    /// `∧ gs`: `True` members dropped, `False` absorbing, nested
+    /// conjunctions flattened.
+    pub fn and(gs: Vec<GroundFormula>) -> GroundFormula {
+        let mut out = Vec::with_capacity(gs.len());
+        for g in gs {
+            match g {
+                GroundFormula::True => {}
+                GroundFormula::False => return GroundFormula::False,
+                GroundFormula::And(inner) => out.extend(inner),
+                g => out.push(g),
+            }
+        }
+        match out.len() {
+            0 => GroundFormula::True,
+            1 => out.pop().expect("len checked"),
+            _ => GroundFormula::And(out),
+        }
+    }
+
+    /// `∨ gs`: the dual of [`GroundFormula::and`].
     pub fn or(gs: Vec<GroundFormula>) -> GroundFormula {
-        match gs.len() {
+        let mut out = Vec::with_capacity(gs.len());
+        for g in gs {
+            match g {
+                GroundFormula::False => {}
+                GroundFormula::True => return GroundFormula::True,
+                GroundFormula::Or(inner) => out.extend(inner),
+                g => out.push(g),
+            }
+        }
+        match out.len() {
             0 => GroundFormula::False,
-            1 => gs.into_iter().next().expect("len checked"),
-            _ => GroundFormula::Or(gs),
+            1 => out.pop().expect("len checked"),
+            _ => GroundFormula::Or(out),
         }
     }
 

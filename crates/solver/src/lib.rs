@@ -13,11 +13,13 @@
 //!    with a sequential-counter encoding for counting atoms
 //!    (`#enrolled(*, t) <= K`) and an order encoding for bounded numeric
 //!    predicates ([`tseitin`]);
-//! 3. **solving** with a CDCL SAT solver (two-watched-literal propagation,
-//!    first-UIP clause learning, activity-based decisions) ([`sat`]);
-//! 4. **decoding** models back into [`ipa_spec::Interpretation`]s so the
-//!    analysis can show counter-example states like the paper's Figure 2
-//!    ([`query`]).
+//! 3. **solving** with an incremental CDCL SAT solver (two-watched-literal
+//!    propagation, first-UIP clause learning, activity-based decisions,
+//!    solving under assumptions) ([`sat`]);
+//! 4. **sessions**: one encoder and one solver kept across many related
+//!    queries, each in its own retractable scope, with models decoded
+//!    back into [`ipa_spec::Interpretation`]s so the analysis can show
+//!    counter-example states like the paper's Figure 2 ([`query`]).
 //!
 //! The [`brute`] module provides a brute-force model enumerator used by the
 //! property-test suite to cross-validate the CDCL solver on small instances.
@@ -33,5 +35,5 @@ pub mod tseitin;
 pub use cnf::{Clause, Cnf};
 pub use ground::{GroundError, GroundFormula, Grounder, NumTerm, Universe};
 pub use lit::{Lit, SatVar};
-pub use query::{Model, Outcome, Problem, SolverError};
+pub use query::{Model, Outcome, SolverError, SolverSession};
 pub use sat::Solver;

@@ -1,14 +1,15 @@
 //! High-level satisfiability queries: the interface `ipa-core` uses in
 //! place of Z3.
 
-use crate::ground::{GroundError, GroundFormula, Grounder, Universe};
-use crate::sat::Solver;
+use crate::ground::{GroundError, GroundFormula, Universe};
+use crate::lit::Lit;
+use crate::sat::{Solver, Stats};
 use crate::tseitin::Encoder;
-use ipa_spec::{Formula, GroundAtom, Interpretation, PredicateDecl, Symbol};
+use ipa_spec::{GroundAtom, Interpretation, Symbol};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Errors from problem construction.
+/// Errors from building a query.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SolverError {
     Ground(GroundError),
@@ -82,12 +83,25 @@ impl Outcome {
     }
 }
 
-/// A satisfiability problem: a universe, predicate declarations, named
-/// constants, and a conjunction of asserted formulas.
+/// An incremental satisfiability session: one [`Encoder`] and one
+/// [`Solver`] that live as long as the caller keeps asking related
+/// questions — the interface `ipa-core` discharges its proof obligations
+/// through.
+///
+/// Formulas asserted outside any scope hold for the rest of the session
+/// (the analysis asserts the grounded invariant this way, once). A query
+/// opens a scope with [`SolverSession::push`], asserts what is particular
+/// to it, solves, and [`SolverSession::pop`]s. Inside a scope a formula
+/// that encodes to one literal is simply *assumed* while the scope is
+/// open; a disjunction is stored as the clause `¬s ∨ …` under the scope's
+/// selector literal `s`, which `solve` assumes too and `pop` retires with
+/// the unit clause `¬s`. Tseitin definitions are full equivalences and
+/// learnt clauses are consequences of the database, so both outlive the
+/// scope that caused them.
 ///
 /// ```
-/// use ipa_solver::{Problem, Universe};
-/// use ipa_spec::{parser::parse_formula, Constant, PredicateDecl, Sort, Symbol};
+/// use ipa_solver::{Grounder, SolverSession, Universe};
+/// use ipa_spec::{parser::parse_formula, Constant, PredicateDecl, Sort};
 /// use std::collections::BTreeMap;
 ///
 /// let universe: Universe =
@@ -96,100 +110,147 @@ impl Outcome {
 /// let d = PredicateDecl::boolean("player", vec![Sort::new("Player")]);
 /// decls.insert(d.name.clone(), d);
 /// let named = BTreeMap::new();
+/// let grounder = Grounder::new(&universe, &decls, &named);
+/// let ground = |f: &str| grounder.ground(&parse_formula(f).unwrap()).unwrap();
 ///
-/// let mut p = Problem::new(universe, decls, named, 8);
-/// p.assert(&parse_formula("forall(Player: p) :- player(p)").unwrap()).unwrap();
-/// p.assert(&parse_formula("exists(Player: p) :- not(player(p))").unwrap()).unwrap();
-/// assert!(!p.solve().is_sat());
+/// let mut s = SolverSession::new(8);
+/// s.assert(&ground("forall(Player: p) :- player(p)"));
+/// s.push();
+/// s.assert(&ground("exists(Player: p) :- not(player(p))"));
+/// assert!(!s.solve().is_sat());
+/// s.pop();
+/// assert!(s.solve().is_sat()); // the scope's assertion is gone
 /// ```
-pub struct Problem {
-    universe: Universe,
-    decls: BTreeMap<Symbol, PredicateDecl>,
-    named: BTreeMap<Symbol, i64>,
+pub struct SolverSession {
     encoder: Encoder,
-    ground_err: Option<SolverError>,
+    solver: Solver,
+    /// The open scopes, outermost first.
+    scopes: Vec<Scope>,
 }
 
-impl Problem {
-    pub fn new(
-        universe: Universe,
-        decls: BTreeMap<Symbol, PredicateDecl>,
-        named: BTreeMap<Symbol, i64>,
-        numeric_bound: i64,
-    ) -> Self {
-        Problem {
-            universe,
-            decls,
-            named,
+#[derive(Default)]
+struct Scope {
+    /// Guards the scope's clauses; allocated by the first one.
+    selector: Option<Lit>,
+    /// Literals asserted in the scope.
+    assumed: Vec<Lit>,
+}
+
+impl SolverSession {
+    /// `numeric_bound` is the inclusive upper end of every numeric atom's
+    /// domain (see [`Encoder::new`]).
+    pub fn new(numeric_bound: i64) -> Self {
+        SolverSession {
             encoder: Encoder::new(numeric_bound),
-            ground_err: None,
+            solver: Solver::new(),
+            scopes: Vec::new(),
         }
     }
 
-    pub fn universe(&self) -> &Universe {
-        &self.universe
+    /// Open a scope: later assertions hold until the matching `pop`.
+    pub fn push(&mut self) {
+        self.scopes.push(Scope::default());
     }
 
-    /// Ground and assert a first-order formula.
-    pub fn assert(&mut self, f: &Formula) -> Result<(), SolverError> {
-        let g = {
-            let grounder = Grounder::new(&self.universe, &self.decls, &self.named);
-            grounder.ground(f)?
-        };
-        self.encoder.assert(&g);
-        Ok(())
+    /// Close the innermost scope, retiring everything asserted in it.
+    pub fn pop(&mut self) {
+        let scope = self.scopes.pop().expect("pop without a matching push");
+        if let Some(s) = scope.selector {
+            self.solver.add_clause(&[s.negated()]);
+        }
     }
 
-    /// Assert an already ground formula.
-    pub fn assert_ground(&mut self, g: &GroundFormula) {
-        self.encoder.assert(g);
+    /// Assert a formula in the innermost open scope (for the rest of the
+    /// session if none is open). Top-level conjunctions and disjunctions
+    /// become clauses directly, without a gate of their own.
+    pub fn assert(&mut self, g: &GroundFormula) {
+        match g {
+            GroundFormula::True => {}
+            GroundFormula::And(parts) => parts.iter().for_each(|p| self.assert(p)),
+            GroundFormula::Or(parts) => {
+                let clause: Vec<Lit> = parts.iter().map(|p| self.encoder.encode(p)).collect();
+                self.add_clause(clause);
+            }
+            g => {
+                let l = self.encoder.encode(g);
+                self.add_clause(vec![l]);
+            }
+        }
     }
 
-    /// Ground a formula without asserting it (for post-state construction).
-    pub fn ground(&self, f: &Formula) -> Result<GroundFormula, SolverError> {
-        let grounder = Grounder::new(&self.universe, &self.decls, &self.named);
-        Ok(grounder.ground(f)?)
+    fn add_clause(&mut self, mut lits: Vec<Lit>) {
+        self.load_definitions();
+        match self.scopes.last_mut() {
+            None => self.solver.add_clause(&lits),
+            Some(scope) if lits.len() == 1 => scope.assumed.push(lits[0]),
+            Some(scope) => {
+                let s = *scope
+                    .selector
+                    .get_or_insert_with(|| self.encoder.cnf.fresh_var().positive());
+                lits.push(s.negated());
+                self.solver.add_clause(&lits);
+            }
+        }
     }
 
-    /// Access the grounder for auxiliary expansions (count patterns etc.).
-    pub fn grounder(&self) -> Grounder<'_> {
-        Grounder::new(&self.universe, &self.decls, &self.named)
+    /// Move the encoder's pending definition clauses into the solver.
+    fn load_definitions(&mut self) {
+        for clause in self.encoder.cnf.clauses.drain(..) {
+            self.solver.add_clause(&clause.lits);
+        }
     }
 
-    /// Decide satisfiability of the asserted conjunction.
+    /// Decide satisfiability of everything asserted in the session and in
+    /// the open scopes.
     pub fn solve(&mut self) -> Outcome {
-        if self.ground_err.is_some() {
-            return Outcome::Unsat;
+        self.load_definitions();
+        while (self.solver.num_vars() as u32) < self.encoder.cnf.num_vars() {
+            self.solver.new_var();
         }
-        let mut solver = Solver::new();
-        for clause in &self.encoder.cnf.clauses {
-            solver.add_clause(&clause.lits);
-        }
-        while (solver.num_vars() as u32) < self.encoder.cnf.num_vars() {
-            solver.new_var();
-        }
-        if solver.solve() {
-            let (bools, nums) = self.encoder.decode(&solver.model());
+        let assumptions: Vec<Lit> = self
+            .scopes
+            .iter()
+            .flat_map(|s| s.selector.iter().chain(&s.assumed))
+            .copied()
+            .collect();
+        if self.solver.solve_under(&assumptions) {
+            let (bools, nums) = self.encoder.decode(&self.solver.model());
             Outcome::Sat(Model { bools, nums })
         } else {
             Outcome::Unsat
         }
     }
 
-    /// Decode helper: turn a model into an interpretation over this
-    /// problem's universe and constants.
-    pub fn interpretation(&self, m: &Model) -> Interpretation {
-        m.to_interpretation(&self.universe, &self.named)
+    /// The solver's counters, accumulated over the session.
+    pub fn stats(&self) -> Stats {
+        self.solver.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ground::Grounder;
     use ipa_spec::parser::parse_formula;
-    use ipa_spec::{Constant, Sort};
+    use ipa_spec::{Constant, Formula, PredicateDecl, Sort};
 
-    fn setup() -> Problem {
+    /// The fixed parts of a small tournament problem.
+    struct Setup {
+        universe: Universe,
+        decls: BTreeMap<Symbol, PredicateDecl>,
+        named: BTreeMap<Symbol, i64>,
+    }
+
+    impl Setup {
+        /// Ground and assert a first-order formula.
+        fn assert(&self, s: &mut SolverSession, f: &Formula) -> Result<(), SolverError> {
+            let grounder = Grounder::new(&self.universe, &self.decls, &self.named);
+            s.assert(&grounder.ground(f)?);
+            Ok(())
+        }
+    }
+
+    fn setup() -> (Setup, SolverSession) {
         let universe: Universe = [
             Constant::new("P1", Sort::new("Player")),
             Constant::new("P2", Sort::new("Player")),
@@ -210,19 +271,24 @@ mod tests {
         }
         let mut named = BTreeMap::new();
         named.insert(Symbol::new("Capacity"), 1i64);
-        Problem::new(universe, decls, named, 8)
+        let setup = Setup {
+            universe,
+            decls,
+            named,
+        };
+        (setup, SolverSession::new(8))
     }
 
     #[test]
     fn referential_integrity_violation_is_found() {
-        let mut p = setup();
+        let (p, mut s) = setup();
         let inv = parse_formula(
             "forall(Player: p, Tournament: t) :- enrolled(p,t) => player(p) and tournament(t)",
         )
         .unwrap();
         // Assert the NEGATION of the invariant: find a violating state.
-        p.assert(&Formula::not(inv)).unwrap();
-        let out = p.solve();
+        p.assert(&mut s, &Formula::not(inv)).unwrap();
+        let out = s.solve();
         let model = out.model().expect("violating state exists");
         // In the found state, someone is enrolled without player/tournament.
         let violated = model
@@ -234,25 +300,28 @@ mod tests {
 
     #[test]
     fn invariant_plus_negation_unsat() {
-        let mut p = setup();
+        let (p, mut s) = setup();
         let inv = parse_formula(
             "forall(Player: p, Tournament: t) :- enrolled(p,t) => player(p) and tournament(t)",
         )
         .unwrap();
-        p.assert(&inv).unwrap();
-        p.assert(&Formula::not(inv.clone())).unwrap();
-        assert_eq!(p.solve(), Outcome::Unsat);
+        p.assert(&mut s, &inv).unwrap();
+        p.assert(&mut s, &Formula::not(inv.clone())).unwrap();
+        assert_eq!(s.solve(), Outcome::Unsat);
     }
 
     #[test]
     fn capacity_constraint_with_named_constant() {
-        let mut p = setup();
+        let (p, mut s) = setup();
         // Capacity = 1; both players enrolled violates it.
         let cap = parse_formula("forall(Tournament: t) :- #enrolled(*, t) <= Capacity").unwrap();
-        p.assert(&cap).unwrap();
-        p.assert(&parse_formula("exists(Player: p, Tournament: t) :- enrolled(p, t)").unwrap())
-            .unwrap();
-        let out = p.solve();
+        p.assert(&mut s, &cap).unwrap();
+        p.assert(
+            &mut s,
+            &parse_formula("exists(Player: p, Tournament: t) :- enrolled(p, t)").unwrap(),
+        )
+        .unwrap();
+        let out = s.solve();
         assert!(out.is_sat());
         let m = out.model().unwrap();
         let enrolled_count = m
@@ -265,20 +334,59 @@ mod tests {
 
     #[test]
     fn model_roundtrips_to_interpretation() {
-        let mut p = setup();
-        p.assert(&parse_formula("exists(Player: p) :- player(p)").unwrap())
-            .unwrap();
-        let out = p.solve();
+        let (p, mut s) = setup();
+        p.assert(
+            &mut s,
+            &parse_formula("exists(Player: p) :- player(p)").unwrap(),
+        )
+        .unwrap();
+        let out = s.solve();
         let m = out.model().unwrap().clone();
-        let interp = p.interpretation(&m);
+        let interp = m.to_interpretation(&p.universe, &p.named);
         let f = parse_formula("exists(Player: p) :- player(p)").unwrap();
         assert!(interp.eval(&f).unwrap());
     }
 
     #[test]
     fn ground_error_surfaces() {
-        let mut p = setup();
+        let (p, mut s) = setup();
         let f = parse_formula("forall(Tournament: t) :- #enrolled(*, t) <= Missing").unwrap();
-        assert!(p.assert(&f).is_err());
+        assert!(p.assert(&mut s, &f).is_err());
+    }
+
+    #[test]
+    fn a_popped_scope_constrains_nothing() {
+        let (p, mut s) = setup();
+        let inv = parse_formula("forall(Player: p) :- player(p)").unwrap();
+        p.assert(&mut s, &inv).unwrap();
+        for _ in 0..3 {
+            s.push();
+            p.assert(&mut s, &Formula::not(inv.clone())).unwrap();
+            assert_eq!(s.solve(), Outcome::Unsat);
+            s.pop();
+            assert!(s.solve().is_sat());
+        }
+        // Nested scopes: the inner one alone is retired by the first pop.
+        s.push();
+        p.assert(
+            &mut s,
+            &parse_formula("exists(Tournament: t) :- tournament(t)").unwrap(),
+        )
+        .unwrap();
+        s.push();
+        p.assert(
+            &mut s,
+            &parse_formula("forall(Tournament: t) :- not(tournament(t))").unwrap(),
+        )
+        .unwrap();
+        assert_eq!(s.solve(), Outcome::Unsat);
+        s.pop();
+        let out = s.solve();
+        let m = out.model().expect("outer scope alone is satisfiable");
+        assert!(m
+            .bools
+            .iter()
+            .any(|(a, &v)| a.pred.as_str() == "tournament" && v));
+        s.pop();
     }
 }

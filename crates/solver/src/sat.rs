@@ -2,6 +2,14 @@
 //! analysis with clause learning, activity-driven decisions with phase
 //! saving, and geometric restarts.
 //!
+//! The solver is incremental in the MiniSat sense: clauses may be added
+//! between calls, and [`Solver::solve_under`] decides satisfiability under
+//! a set of assumption literals without committing to them. A caller
+//! guards the clauses of one query with a fresh selector literal `s`
+//! (`¬s ∨ clause`), solves with `s` assumed, and retires the query by
+//! adding the unit clause `¬s`; learnt clauses are consequences of the
+//! clause database alone, so they stay valid across queries.
+//!
 //! Instances produced by the IPA analysis are small (tens to a few thousand
 //! variables), so the implementation favours clarity over heroic
 //! optimization — but the algorithms are the real ones, and the solver is
@@ -38,17 +46,39 @@ pub struct Solver {
     qhead: usize,
     activity_inc: f64,
     unsat: bool,
+    /// The satisfying assignment of the last successful solve.
+    model: Vec<bool>,
+    /// Conflict-analysis scratch (one flag per variable, all clear between
+    /// conflicts).
+    seen: Vec<bool>,
     /// Statistics: total conflicts, decisions, propagations.
     pub stats: Stats,
 }
 
-/// Solver statistics (exposed for the benchmark harness).
+/// Solver statistics (exposed for the benchmark harness and, summed over
+/// an analysis, for `ipa-core`'s report).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Stats {
     pub conflicts: u64,
     pub decisions: u64,
     pub propagations: u64,
     pub restarts: u64,
+    /// Calls to [`Solver::solve_under`] (and [`Solver::solve`]).
+    pub solves: u64,
+    /// Clauses accepted by [`Solver::add_clause`] (stored, or enqueued as
+    /// a unit), learnt clauses not included.
+    pub clauses: u64,
+}
+
+impl std::ops::AddAssign for Stats {
+    fn add_assign(&mut self, other: Stats) {
+        self.conflicts += other.conflicts;
+        self.decisions += other.decisions;
+        self.propagations += other.propagations;
+        self.restarts += other.restarts;
+        self.solves += other.solves;
+        self.clauses += other.clauses;
+    }
 }
 
 impl Solver {
@@ -72,6 +102,7 @@ impl Solver {
         self.reasons.push(None);
         self.activity.push(0.0);
         self.phase.push(false);
+        self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         v
@@ -96,8 +127,8 @@ impl Solver {
         self.trail_lim.len() as u32
     }
 
-    /// Add a clause. Must be called before `solve` (no incremental solving
-    /// under assumptions is needed by the analysis).
+    /// Add a clause, before the first solve or between solves (the solver
+    /// is back at decision level 0 whenever a solve returns).
     pub fn add_clause(&mut self, lits: &[Lit]) {
         if self.unsat {
             return;
@@ -123,11 +154,13 @@ impl Solver {
         match c.len() {
             0 => self.unsat = true,
             1 => {
+                self.stats.clauses += 1;
                 if !self.enqueue(c[0], None) || self.propagate().is_some() {
                     self.unsat = true;
                 }
             }
             _ => {
+                self.stats.clauses += 1;
                 let idx = self.clauses.len() as u32;
                 self.watches[c[0].code()].push(Watcher { clause: idx });
                 self.watches[c[1].code()].push(Watcher { clause: idx });
@@ -253,7 +286,6 @@ impl Solver {
     /// asserting literal first) and the backjump level.
     fn analyze(&mut self, conflict: u32) -> (Vec<Lit>, u32) {
         let mut learnt: Vec<Lit> = vec![Lit::new(SatVar(0), true)]; // placeholder slot 0
-        let mut seen = vec![false; self.num_vars()];
         let mut counter = 0u32; // literals at current level pending
         let mut p: Option<Lit> = None;
         let mut clause_idx = conflict;
@@ -270,8 +302,8 @@ impl Solver {
             }
             for &q in &reason_lits {
                 let vi = q.var().index();
-                if !seen[vi] && self.levels[vi] > 0 {
-                    seen[vi] = true;
+                if !self.seen[vi] && self.levels[vi] > 0 {
+                    self.seen[vi] = true;
                     self.bump_activity(q.var());
                     if self.levels[vi] == current_level {
                         counter += 1;
@@ -284,13 +316,13 @@ impl Solver {
             loop {
                 trail_pos -= 1;
                 let l = self.trail[trail_pos];
-                if seen[l.var().index()] {
+                if self.seen[l.var().index()] {
                     p = Some(l);
                     break;
                 }
             }
             let pv = p.expect("found above").var();
-            seen[pv.index()] = false;
+            self.seen[pv.index()] = false;
             counter -= 1;
             if counter == 0 {
                 learnt[0] = p.expect("found above").negated();
@@ -299,10 +331,12 @@ impl Solver {
             clause_idx = self.reasons[pv.index()].expect("non-decision literal has a reason");
         }
 
-        // Backjump level: highest level among learnt[1..].
+        // Backjump level: highest level among learnt[1..]. Those are the
+        // only flags still set; clear them for the next conflict.
         let mut bj = 0;
         let mut max_i = 0;
         for (i, l) in learnt.iter().enumerate().skip(1) {
+            self.seen[l.var().index()] = false;
             let lvl = self.levels[l.var().index()];
             if lvl > bj {
                 bj = lvl;
@@ -344,11 +378,30 @@ impl Solver {
     /// Solve the formula. Returns `true` if satisfiable; the model is then
     /// available via [`Solver::model`].
     pub fn solve(&mut self) -> bool {
-        if self.unsat {
-            return false;
+        self.solve_under(&[])
+    }
+
+    /// Solve under assumptions: is the clause database satisfiable with
+    /// every literal of `assumptions` true? The assumptions are decided
+    /// first, one decision level each, and forgotten on return, so a
+    /// `false` here does not make later calls unsatisfiable unless the
+    /// database itself is.
+    pub fn solve_under(&mut self, assumptions: &[Lit]) -> bool {
+        self.stats.solves += 1;
+        for &a in assumptions {
+            self.ensure_var(a.var());
         }
-        if self.propagate().is_some() {
-            self.unsat = true;
+        let sat = self.search(assumptions);
+        if sat {
+            self.model.clear();
+            self.model.extend(self.values.iter().map(|&v| v == 1));
+        }
+        self.cancel_until(0);
+        sat
+    }
+
+    fn search(&mut self, assumptions: &[Lit]) -> bool {
+        if self.unsat {
             return false;
         }
         let mut conflicts_since_restart = 0u64;
@@ -392,30 +445,46 @@ impl Solver {
                         self.cancel_until(0);
                         continue;
                     }
-                    match self.pick_branch() {
-                        None => return true, // full assignment, no conflict
-                        Some(l) => {
-                            self.stats.decisions += 1;
-                            self.trail_lim.push(self.trail.len());
-                            let ok = self.enqueue(l, None);
-                            debug_assert!(ok, "decision variable was unassigned");
+                    // Assumptions occupy the first decision levels, in
+                    // order; one already implied true still takes its
+                    // (empty) level so the indexing holds.
+                    let mut next = None;
+                    while let Some(&a) = assumptions.get(self.decision_level() as usize) {
+                        match self.value_of(a) {
+                            1 => self.trail_lim.push(self.trail.len()),
+                            -1 => return false, // refuted by the database
+                            _ => {
+                                next = Some(a);
+                                break;
+                            }
                         }
                     }
+                    if next.is_none() {
+                        next = self.pick_branch();
+                        if next.is_none() {
+                            return true; // full assignment, no conflict
+                        }
+                        self.stats.decisions += 1;
+                    }
+                    self.trail_lim.push(self.trail.len());
+                    let ok = self.enqueue(next.expect("set above"), None);
+                    debug_assert!(ok, "decision variable was unassigned");
                 }
             }
         }
     }
 
-    /// The satisfying assignment after a successful [`Solver::solve`].
-    /// Unassigned variables (possible when a variable appears in no clause)
-    /// default to `false`.
+    /// The satisfying assignment found by the last successful solve.
+    /// Variables created since default to `false`.
     pub fn model(&self) -> Vec<bool> {
-        self.values.iter().map(|&v| v == 1).collect()
+        let mut m = self.model.clone();
+        m.resize(self.num_vars(), false);
+        m
     }
 
     /// The value assigned to a variable in the model.
     pub fn model_value(&self, v: SatVar) -> bool {
-        self.values.get(v.index()).is_some_and(|&x| x == 1)
+        self.model.get(v.index()).copied().unwrap_or(false)
     }
 }
 

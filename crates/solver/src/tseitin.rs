@@ -4,12 +4,18 @@
 //! counter (unary DP) network with full equivalences so both polarities are
 //! exact; numeric predicate instances use an order encoding over a bounded
 //! domain `[0, bound]` (`ge[j] ⇔ value ≥ j`).
+//!
+//! Gates are hash-consed: an AND over the same set of literals is defined
+//! once and its literal reused (an OR is the negation of the AND of the
+//! negated inputs), so a long-lived encoder pays for a sub-formula the
+//! first time it sees it and nothing afterwards. Every definition is a
+//! full equivalence, hence valid in any context and never retracted.
 
 use crate::cnf::Cnf;
 use crate::ground::GroundFormula;
 use crate::lit::{Lit, SatVar};
 use ipa_spec::{CmpOp, GroundAtom};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Encoder state: atom/variable maps plus the CNF under construction.
 #[derive(Debug, Default)]
@@ -21,6 +27,9 @@ pub struct Encoder {
     /// Domain bound for numeric atoms.
     num_bound: i64,
     true_lit: Option<Lit>,
+    /// AND gates defined so far, keyed on their sorted, deduplicated
+    /// inputs.
+    gates: HashMap<Vec<Lit>, Lit>,
 }
 
 impl Encoder {
@@ -81,40 +90,49 @@ impl Encoder {
         self.lit_true().negated()
     }
 
-    /// AND gate: returns `g` with `g ⇔ ∧ lits`.
+    /// AND gate: returns `g` with `g ⇔ ∧ lits`. Constant and duplicate
+    /// inputs are folded away first, so equal conjunctions share one gate.
     fn gate_and(&mut self, lits: &[Lit]) -> Lit {
-        match lits.len() {
+        let mut key: Vec<Lit> = Vec::with_capacity(lits.len());
+        for &l in lits {
+            if Some(l) == self.true_lit {
+                continue;
+            }
+            if Some(l.negated()) == self.true_lit {
+                return l;
+            }
+            key.push(l);
+        }
+        key.sort_unstable();
+        key.dedup();
+        if key.windows(2).any(|w| w[0].var() == w[1].var()) {
+            return self.lit_false(); // x ∧ ¬x
+        }
+        match key.len() {
             0 => self.lit_true(),
-            1 => lits[0],
+            1 => key[0],
             _ => {
+                if let Some(&g) = self.gates.get(&key) {
+                    return g;
+                }
                 let g = self.cnf.fresh_var().positive();
-                for &l in lits {
+                for &l in &key {
                     self.cnf.add_clause([g.negated(), l]);
                 }
-                let mut big: Vec<Lit> = lits.iter().map(|l| l.negated()).collect();
+                let mut big: Vec<Lit> = key.iter().map(|l| l.negated()).collect();
                 big.push(g);
                 self.cnf.add_clause(big);
+                self.gates.insert(key, g);
                 g
             }
         }
     }
 
-    /// OR gate: returns `g` with `g ⇔ ∨ lits`.
+    /// OR gate: returns `g` with `g ⇔ ∨ lits`, as `¬ ∧ ¬lits` so both
+    /// connectives share one gate table.
     fn gate_or(&mut self, lits: &[Lit]) -> Lit {
-        match lits.len() {
-            0 => self.lit_false(),
-            1 => lits[0],
-            _ => {
-                let g = self.cnf.fresh_var().positive();
-                for &l in lits {
-                    self.cnf.add_clause([l.negated(), g]);
-                }
-                let mut big: Vec<Lit> = lits.to_vec();
-                big.push(g.negated());
-                self.cnf.add_clause(big);
-                g
-            }
-        }
+        let negated: Vec<Lit> = lits.iter().map(|l| l.negated()).collect();
+        self.gate_and(&negated).negated()
     }
 
     /// Encode a ground formula, returning a literal equivalent to it.

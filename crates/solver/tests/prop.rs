@@ -7,6 +7,7 @@ use ipa_solver::ground::GroundFormula;
 use ipa_solver::lit::{Lit, SatVar};
 use ipa_solver::sat::Solver;
 use ipa_solver::tseitin::Encoder;
+use ipa_solver::SolverSession;
 use ipa_spec::{CmpOp, Constant, GroundAtom, Sort};
 use proptest::prelude::*;
 
@@ -24,13 +25,16 @@ fn build_cnf(clauses: &[Vec<i32>], nvars: u32) -> Cnf {
         cnf.fresh_var();
     }
     for c in clauses {
-        let lits: Vec<Lit> = c
-            .iter()
-            .map(|&x| Lit::new(SatVar(x.unsigned_abs() - 1), x > 0))
-            .collect();
-        cnf.add_clause(lits);
+        cnf.add_clause(to_lits(c));
     }
     cnf
+}
+
+fn to_lits(clause: &[i32]) -> Vec<Lit> {
+    clause
+        .iter()
+        .map(|&x| Lit::new(SatVar(x.unsigned_abs() - 1), x > 0))
+        .collect()
 }
 
 fn run_cdcl(cnf: &Cnf) -> Option<Vec<bool>> {
@@ -66,8 +70,76 @@ proptest! {
     }
 }
 
-/// Random ground formulas with counting and numeric atoms.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// One long-lived solver, a base CNF, and a sequence of clause groups
+    /// each guarded by its own selector: solving under the selector agrees,
+    /// query by query, with a fresh solve of base + group and with brute
+    /// force; models satisfy base + group; and once a selector is retired
+    /// its group constrains nothing.
+    #[test]
+    fn guarded_groups_agree_with_fresh_solves(
+        base in arb_cnf(8, 12),
+        groups in prop::collection::vec(arb_cnf(8, 8), 1..=6),
+    ) {
+        const NVARS: u32 = 8;
+        let base_sat = brute::cnf_satisfiable(&build_cnf(&base, NVARS)).is_some();
+        let mut inc = Solver::new();
+        for _ in 0..NVARS {
+            inc.new_var();
+        }
+        for c in &base {
+            inc.add_clause(&to_lits(c));
+        }
+        for group in &groups {
+            let selector = inc.new_var().positive();
+            for c in group {
+                let mut guarded = to_lits(c);
+                guarded.push(selector.negated());
+                inc.add_clause(&guarded);
+            }
+            let mut both = base.clone();
+            both.extend(group.iter().cloned());
+            let cnf = build_cnf(&both, NVARS);
+            let expected = brute::cnf_satisfiable(&cnf).is_some();
+            prop_assert_eq!(run_cdcl(&cnf).is_some(), expected);
+            let sat = inc.solve_under(&[selector]);
+            prop_assert_eq!(sat, expected, "base {:?} + group {:?}", base, group);
+            if sat {
+                prop_assert!(cnf.eval(&inc.model()[..NVARS as usize]),
+                    "non-model for base {:?} + group {:?}", base, group);
+            }
+            // Without the assumption the group may be switched off ...
+            prop_assert_eq!(inc.solve(), base_sat);
+            // ... and after retirement it is off for good.
+            inc.add_clause(&[selector.negated()]);
+            prop_assert_eq!(inc.solve(), base_sat, "retired group {:?} still binds", group);
+        }
+    }
+}
+
+/// Random ground formulas with counting and numeric atoms, built through
+/// the folding constructors.
 fn arb_ground_formula() -> impl Strategy<Value = GroundFormula> {
+    arb_formula(GroundFormula::not, GroundFormula::and, GroundFormula::or)
+}
+
+/// The same shapes as bare enum variants: constants stay where they are
+/// and nothing is flattened.
+fn arb_raw_formula() -> impl Strategy<Value = GroundFormula> {
+    arb_formula(
+        |g| GroundFormula::Not(Box::new(g)),
+        GroundFormula::And,
+        GroundFormula::Or,
+    )
+}
+
+fn arb_formula(
+    not: fn(GroundFormula) -> GroundFormula,
+    and: fn(Vec<GroundFormula>) -> GroundFormula,
+    or: fn(Vec<GroundFormula>) -> GroundFormula,
+) -> impl Strategy<Value = GroundFormula> {
     let atom = (0u8..5)
         .prop_map(|i| GroundAtom::new("p", vec![Constant::new(format!("c{i}"), Sort::new("S"))]));
     let num_atom = (0u8..2)
@@ -81,6 +153,10 @@ fn arb_ground_formula() -> impl Strategy<Value = GroundFormula> {
         Just(CmpOp::Ne)
     ];
     let leaf = prop_oneof![
+        Just(GroundFormula::True),
+        Just(GroundFormula::False),
+        atom.clone().prop_map(GroundFormula::Atom),
+        atom.clone().prop_map(GroundFormula::Atom),
         atom.clone().prop_map(GroundFormula::Atom),
         (prop::collection::vec(atom, 1..4), -1i64..6, cmp.clone()).prop_map(
             |(mut atoms, rhs, op)| {
@@ -101,13 +177,23 @@ fn arb_ground_formula() -> impl Strategy<Value = GroundFormula> {
             rhs
         }),
     ];
-    leaf.prop_recursive(3, 24, 4, |inner| {
+    leaf.prop_recursive(3, 24, 4, move |inner| {
         prop_oneof![
-            inner.clone().prop_map(GroundFormula::not),
-            prop::collection::vec(inner.clone(), 1..4).prop_map(GroundFormula::and),
-            prop::collection::vec(inner, 1..4).prop_map(GroundFormula::or),
+            inner.clone().prop_map(not),
+            prop::collection::vec(inner.clone(), 1..4).prop_map(and),
+            prop::collection::vec(inner, 1..4).prop_map(or),
         ]
     })
+}
+
+/// Rebuild a formula through the folding constructors.
+fn folded(f: &GroundFormula) -> GroundFormula {
+    match f {
+        GroundFormula::Not(g) => GroundFormula::not(folded(g)),
+        GroundFormula::And(gs) => GroundFormula::and(gs.iter().map(folded).collect()),
+        GroundFormula::Or(gs) => GroundFormula::or(gs.iter().map(folded).collect()),
+        leaf => leaf.clone(),
+    }
 }
 
 proptest! {
@@ -134,6 +220,65 @@ proptest! {
             let (bools, nums) = enc.decode(&s.model());
             prop_assert!(f.eval(&bools, &nums),
                 "decoded model does not satisfy formula {:?}: bools={:?} nums={:?}", f, bools, nums);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// One long-lived session encodes a sequence of formulas, each in its
+    /// own scope, sharing every hash-consed gate with its predecessors:
+    /// each answer still matches the reference semantics of that formula
+    /// alone, and each decoded model satisfies it.
+    #[test]
+    fn shared_gates_keep_every_formula_equisatisfiable(
+        formulas in prop::collection::vec(arb_ground_formula(), 1..=5),
+    ) {
+        const BOUND: i64 = 4;
+        let mut session = SolverSession::new(BOUND);
+        for f in &formulas {
+            let brute = brute::formula_satisfiable(f, BOUND);
+            session.push();
+            session.assert(f);
+            let outcome = session.solve();
+            session.pop();
+            prop_assert_eq!(brute.is_some(), outcome.is_sat(),
+                "disagreement on {:?} within {:?}", f, formulas);
+            if let Some(m) = outcome.model() {
+                prop_assert!(f.eval(&m.bools, &m.nums),
+                    "decoded model does not satisfy {:?}: {:?}", f, m);
+            }
+        }
+        // Nothing asserted outside a scope: the session itself stays
+        // satisfiable whatever the scopes held.
+        prop_assert!(session.solve().is_sat());
+    }
+
+    /// Folding constants and flattening in `GroundFormula::{not, and, or}`
+    /// never changes what a formula evaluates to.
+    #[test]
+    fn folding_preserves_eval(raw in arb_raw_formula()) {
+        const BOUND: i64 = 4;
+        let folded = folded(&raw);
+        let bool_atoms: Vec<GroundAtom> = raw.bool_atoms().into_iter().collect();
+        let num_atoms: Vec<GroundAtom> = raw.num_atoms().into_iter().collect();
+        let dom = (BOUND + 1) as usize;
+        for bits in 0u32..(1 << bool_atoms.len()) {
+            let bools = bool_atoms
+                .iter()
+                .enumerate()
+                .map(|(i, a)| (a.clone(), bits >> i & 1 == 1))
+                .collect();
+            for combo in 0..dom.pow(num_atoms.len() as u32) {
+                let nums = num_atoms
+                    .iter()
+                    .enumerate()
+                    .map(|(i, a)| (a.clone(), (combo / dom.pow(i as u32) % dom) as i64))
+                    .collect();
+                prop_assert_eq!(raw.eval(&bools, &nums), folded.eval(&bools, &nums),
+                    "{:?} folded to {:?}", raw, folded);
+            }
         }
     }
 }

@@ -98,3 +98,118 @@ fn flagged_pairs_get_coordination_plans() {
         assert_ne!(r1, r2, "different tournaments never contend");
     }
 }
+
+/// The analysis rendered as text: every applied resolution in order, the
+/// flagged pairs, and each patched operation with its full effect list.
+fn render(report: &ipa::analysis::AnalysisReport) -> String {
+    let mut out = String::new();
+    for a in &report.applied {
+        out.push_str(&format!("repair: {}\n", a.resolution));
+    }
+    for f in &report.flagged {
+        out.push_str(&format!("flagged: {} || {}\n", f.op1, f.op2));
+    }
+    for op in &report.patched.operations {
+        out.push_str(&format!("op: {op}\n"));
+    }
+    out
+}
+
+/// The analysis itself, not just its counts: captured from the commit
+/// before the analysis session (PR 15), which must not change an answer.
+#[test]
+fn analysis_results_match_their_goldens() {
+    let goldens = [
+        (
+            tournament_spec(),
+            "\
+repair: extend enroll with tournament(t) := true (enroll prevails)
+repair: extend rem_tourn with active(t) := false (rem_tourn prevails)
+repair: extend finish_tourn with tournament(t) := true (finish_tourn prevails)
+repair: extend do_match with enrolled(p, t) := true, enrolled(q, t) := true (do_match prevails)
+flagged: rem_tourn || do_match
+op: add_player(p: Player) { player(p) := true }
+op: add_tourn(t: Tournament) { tournament(t) := true }
+op: rem_tourn(t: Tournament) { tournament(t) := false; active(t) := false }
+op: enroll(p: Player, t: Tournament) { enrolled(p, t) := true; tournament(t) := true }
+op: disenroll(p: Player, t: Tournament) { enrolled(p, t) := false }
+op: begin_tourn(t: Tournament) { active(t) := true }
+op: finish_tourn(t: Tournament) { finished(t) := true; active(t) := false; tournament(t) := true }
+op: do_match(p: Player, q: Player, t: Tournament) { inMatch(p, q, t) := true; enrolled(p, t) := true; enrolled(q, t) := true }
+",
+        ),
+        (
+            twitter_spec(false),
+            "\
+repair: extend follow with user(a) := true, user(b) := true (follow prevails)
+repair: extend retweet with tweet(t) := true (retweet prevails)
+op: add_user(u: User) { user(u) := true }
+op: rem_user(u: User) { user(u) := false }
+op: post_tweet(t: Tweet, u: User) { tweet(t) := true; inTimeline(t, u) := true }
+op: retweet(t: Tweet, u: User) { inTimeline(t, u) := true; tweet(t) := true }
+op: del_tweet(t: Tweet) { tweet(t) := false }
+op: follow(a: User, b: User) { follows(a, b) := true; user(a) := true; user(b) := true }
+op: unfollow(a: User, b: User) { follows(a, b) := false }
+",
+        ),
+        (
+            ticket_spec(),
+            "\
+op: create_event(e: Event) { event(e) := true }
+op: buy_ticket(u: User, e: Event) { sold(u, e) := true }
+op: refund(u: User, e: Event) { sold(u, e) := false }
+",
+        ),
+        (
+            tpc_spec(),
+            "\
+repair: extend purchase with product(p) := true (purchase prevails)
+flagged: purchase || purchase
+op: add_product(p: Product) { product(p) := true }
+op: rem_product(p: Product) { product(p) := false }
+op: purchase(o: Order, p: Product) { ordered(o, p) := true; stock(p) -= 1; product(p) := true }
+op: restock(p: Product) { stock(p) += 10 }
+",
+        ),
+    ];
+    for (spec, golden) in goldens {
+        assert_eq!(render(&analyze(&spec)), golden, "{}", spec.name);
+    }
+}
+
+/// The analysis asks each question once (ROADMAP item 1, analysis-half
+/// attribution). These counters are deterministic; the numbers are the
+/// tournament's.
+#[test]
+fn tournament_analysis_asks_each_question_once() {
+    let spec = tournament_spec();
+    let report = analyze(&spec);
+    let repair_searches = (report.applied.len() + report.flagged.len()) as u64;
+    // The six detection passes visit 142 pairs; only 53 distinct pairs of
+    // operation values are among them, and only those are checked.
+    assert_eq!(report.pair_checks, 53);
+    assert_eq!(report.pair_checks + report.memo_hits, 142);
+    // The invariant is grounded once, when the session is built; what is
+    // renewed is the solver holding it: one for detection, one per repair
+    // search.
+    assert_eq!(report.solvers, repair_searches + 1);
+    // Before the session the same analysis issued 2,535 queries, each on
+    // its own solver; the memo avoids 600, and a third of the rest are
+    // decided by construction.
+    assert_eq!(report.queries, 1935);
+    assert_eq!(report.solver.solves, 1273);
+    // A query adds its residue to a loaded solver — a handful of clauses
+    // — instead of re-asserting the invariant (63 clauses) four times.
+    let cfg = ipa::analysis::AnalysisConfig::tuned_for(&spec);
+    let load = ipa::analysis::AnalysisSession::new(&spec, &cfg)
+        .expect("session")
+        .solver_stats()
+        .clauses;
+    assert_eq!(load, 63);
+    let per_query = (report.solver.clauses - report.solvers * load) / report.solver.solves;
+    assert!(per_query < 8, "{per_query} clauses per solved query");
+    // The counters are part of the report's rendering.
+    assert!(report
+        .to_string()
+        .contains("53 pair checks (+89 memo hits)"));
+}
