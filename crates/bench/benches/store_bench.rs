@@ -1,9 +1,11 @@
 //! Criterion benchmarks for the replicated store: local commit path,
-//! remote batch application, and stability GC.
+//! remote batch application, stability GC, and the threaded transport
+//! from commit to visible everywhere.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ipa_crdt::{ObjectKind, ReplicaId, Val};
-use ipa_store::Replica;
+use ipa_store::{Replica, ThreadedCluster, ThreadedConfig};
+use std::sync::atomic::Ordering;
 
 fn bench_commit_path(c: &mut Criterion) {
     c.bench_function("store/commit_100_updates", |b| {
@@ -79,9 +81,48 @@ fn bench_gc(c: &mut Criterion) {
     });
 }
 
+/// 100 narrow commits per committer, then `barrier()`: every batch is
+/// applied at every peer when the iteration ends. With one committer the
+/// peers' delivery threads sleep and the committer delivers; with two the
+/// peers are busy and batches go through their inboxes.
+fn bench_threaded_commit_to_visible(c: &mut Criterion) {
+    for (name, committers) in [("one_committer_idle_peers", 1u16), ("two_committers", 2)] {
+        c.bench_function(format!("threaded/commit_to_visible/{name}"), |b| {
+            let cluster = ThreadedCluster::start(ThreadedConfig {
+                ae_interval: None,
+                ..Default::default()
+            });
+            b.iter(|| {
+                std::thread::scope(|s| {
+                    for region in 0..committers {
+                        let cluster = &cluster;
+                        s.spawn(move || {
+                            for i in 0..100i64 {
+                                cluster
+                                    .commit_at(region, |tx| {
+                                        tx.ensure("set", ObjectKind::AWSet)?;
+                                        tx.aw_add("set", Val::int(i))
+                                    })
+                                    .unwrap();
+                            }
+                        });
+                    }
+                });
+                cluster.barrier();
+                let stats = cluster.stats();
+                black_box(
+                    stats.delivered_by_sender.load(Ordering::Relaxed)
+                        + stats.posted.load(Ordering::Relaxed),
+                )
+            })
+        });
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_commit_path, bench_replication, bench_gc
+    targets = bench_commit_path, bench_replication, bench_gc,
+        bench_threaded_commit_to_visible
 }
 criterion_main!(benches);

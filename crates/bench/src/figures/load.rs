@@ -51,6 +51,7 @@ use ipa_sim::{
 use ipa_store::{ThreadedCluster, ThreadedConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// Distinct hot keys the Zipfian distribution ranges over.
@@ -133,6 +134,14 @@ pub struct ThreadedPoint {
     /// arrival to commit completion (coordinated-omission-immune).
     pub p50_ms: f64,
     pub p99_ms: f64,
+    /// How the `completed × (REGIONS − 1)` shipped batches reached their
+    /// peers and what that cost ([`ipa_store::ThreadedStats`]): wake-ups
+    /// per batch is `unparks / (delivered_by_sender + posted)`, batches
+    /// per delivery-thread turn is `posted / delivery_turns`.
+    pub delivered_by_sender: u64,
+    pub posted: u64,
+    pub unparks: u64,
+    pub delivery_turns: u64,
 }
 
 /// The wall-clock saturation sweep `regenerate` appends to the JSON:
@@ -142,6 +151,8 @@ pub struct ThreadedPoint {
 pub struct ThreadedSweep {
     /// Measurement window each schedule spans (seconds).
     pub duration_s: f64,
+    /// The machine shape the wall-clock numbers were taken on.
+    pub note: String,
     pub points: Vec<ThreadedPoint>,
     /// Completed throughput at the knee (ops/s of wall time).
     pub saturation_ops_s: f64,
@@ -442,6 +453,14 @@ fn run_threaded_point(rate_per_region: f64, duration_s: f64, seed: u64) -> Threa
     // saturation the issuers overrun the window, so this deflates
     // toward service capacity instead of parroting the offered rate.
     let elapsed_s = base.elapsed().as_secs_f64().max(duration_s);
+    let stats = cluster.stats();
+    let [delivered_by_sender, posted, unparks, delivery_turns] = [
+        &stats.delivered_by_sender,
+        &stats.posted,
+        &stats.unparks,
+        &stats.delivery_turns,
+    ]
+    .map(|c| c.load(Ordering::Relaxed));
     drop(cluster);
     latencies.sort_unstable();
     ThreadedPoint {
@@ -450,6 +469,10 @@ fn run_threaded_point(rate_per_region: f64, duration_s: f64, seed: u64) -> Threa
         completed: latencies.len() as u64,
         p50_ms: percentile_ms(&latencies, 0.50),
         p99_ms: percentile_ms(&latencies, 0.99),
+        delivered_by_sender,
+        posted,
+        unparks,
+        delivery_turns,
     }
 }
 
@@ -465,8 +488,13 @@ pub fn run_threaded_sweep(rates_per_region: &[f64], duration_s: f64, seed: u64) 
         .iter()
         .filter(|p| p.p50_ms <= SATURATION_X * base_p50)
         .max_by(|a, b| a.offered_ops_s.total_cmp(&b.offered_ops_s));
+    let cpus = std::thread::available_parallelism().map_or(0, usize::from);
     ThreadedSweep {
         duration_s,
+        note: format!(
+            "wall clock on {cpus} logical CPUs shared by {REGIONS} issuer, {REGIONS} delivery \
+             and the shard-pool threads; no anti-entropy ticker"
+        ),
         saturation_ops_s: knee.map_or(0.0, |p| p.completed_ops_s),
         knee_ops_s: knee.map_or(0.0, |p| p.offered_ops_s),
         points,
@@ -505,13 +533,29 @@ pub fn print(report: &Report) {
             REGIONS, t.duration_s
         );
         println!(
-            "{:>12} {:>13} {:>10} {:>10} {:>10}",
-            "offered/s", "completed/s", "completed", "p50 [ms]", "p99 [ms]"
+            "{:>12} {:>13} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8}",
+            "offered/s",
+            "completed/s",
+            "completed",
+            "p50 [ms]",
+            "p99 [ms]",
+            "by sender",
+            "posted",
+            "unparks",
+            "turns"
         );
         for p in &t.points {
             println!(
-                "{:>12.0} {:>13.1} {:>10} {:>10.2} {:>10.2}",
-                p.offered_ops_s, p.completed_ops_s, p.completed, p.p50_ms, p.p99_ms
+                "{:>12.0} {:>13.1} {:>10} {:>10.2} {:>10.2} {:>10} {:>8} {:>8} {:>8}",
+                p.offered_ops_s,
+                p.completed_ops_s,
+                p.completed,
+                p.p50_ms,
+                p.p99_ms,
+                p.delivered_by_sender,
+                p.posted,
+                p.unparks,
+                p.delivery_turns
             );
         }
         println!(
@@ -574,16 +618,23 @@ pub fn to_json(report: &Report) -> String {
             "    \"regions\": {}, \"duration_s\": {},\n",
             REGIONS, t.duration_s
         ));
+        s.push_str(&format!("    \"note\": \"{}\",\n", t.note));
         s.push_str("    \"points\": [\n");
         for (i, p) in t.points.iter().enumerate() {
             s.push_str(&format!(
                 "      {{\"offered_ops_s\": {:.0}, \"completed_ops_s\": {:.1}, \
-                 \"completed\": {}, \"p50_ms\": {:.2}, \"p99_ms\": {:.2}}}{}\n",
+                 \"completed\": {}, \"p50_ms\": {:.2}, \"p99_ms\": {:.2}, \
+                 \"delivered_by_sender\": {}, \"posted\": {}, \"unparks\": {}, \
+                 \"delivery_turns\": {}}}{}\n",
                 p.offered_ops_s,
                 p.completed_ops_s,
                 p.completed,
                 p.p50_ms,
                 p.p99_ms,
+                p.delivered_by_sender,
+                p.posted,
+                p.unparks,
+                p.delivery_turns,
                 if i + 1 < t.points.len() { "," } else { "" }
             ));
         }
@@ -628,7 +679,8 @@ pub fn regenerate(quick: bool) -> Report {
 /// per-shard applied-update and object-table-lookup counts — never on
 /// wall-clock throughput or latency, so none can flake with runner
 /// speed. The threaded sweep's magnitudes are real time on an unknown
-/// runner: it is checked for presence and non-emptiness only.
+/// runner: it is checked for presence, non-emptiness, and that its
+/// delivery counters account for every shipped batch.
 pub fn check(report: &Report) -> Result<(), String> {
     ensure(report.points.len() >= 2, || {
         "need at least two offered rates".into()
@@ -652,6 +704,14 @@ pub fn check(report: &Report) -> Result<(), String> {
         ts.points.iter().all(|p| p.completed > 0) && ts.saturation_ops_s > 0.0,
         || format!("the threaded sweep did no work: {ts:?}"),
     )?;
+    // Lossless links, every commit writes: each batch reaches each peer
+    // through its sender or through the peer's inbox.
+    for p in &ts.points {
+        ensure(
+            p.delivered_by_sender + p.posted >= p.completed * (REGIONS as u64 - 1),
+            || format!("batches shipped but neither delivered nor posted: {p:?}"),
+        )?;
+    }
     ensure(report.shards >= 2, || {
         format!("sharding disabled in the sweep: {}", report.shards)
     })?;
@@ -696,9 +756,14 @@ mod tests {
             completed: 592,
             p50_ms: 0.21,
             p99_ms: 1.94,
+            delivered_by_sender: 1100,
+            posted: 84,
+            unparks: 60,
+            delivery_turns: 62,
         };
         ThreadedSweep {
             duration_s: 0.4,
+            note: "synthetic".into(),
             points: vec![point.clone(), point],
             saturation_ops_s: 1480.3,
             knee_ops_s: 1500.0,

@@ -151,7 +151,9 @@ pub const DEFAULT_SHARDS: usize = 4;
 /// (≈20 µs when all worker wakeups contend on one core) and inline apply
 /// ≈57 ns per counter update, so below ~64 updates a shard's run is
 /// shorter than the worker wakeup that delivers it and dispatch cannot
-/// win.
+/// win. The threaded transport draws the same line for the same reason:
+/// a batch below it is applied by its sender at a peer whose delivery
+/// thread sleeps, because the apply is cheaper than waking the thread.
 pub const PARALLEL_APPLY_MIN_UPDATES: usize = 64;
 
 /// How a replica applies the per-shard runs of a wide batch. Narrow
@@ -571,6 +573,13 @@ impl Replica {
         std::mem::take(&mut self.outbox)
     }
 
+    /// [`Replica::take_outbox`] in place: the outbox keeps its allocation,
+    /// so a transport that ships after every commit does not make each
+    /// commit allocate a fresh one.
+    pub(crate) fn drain_outbox(&mut self) -> std::vec::Drain<'_, Arc<UpdateBatch>> {
+        self.outbox.drain(..)
+    }
+
     /// Receive a remote batch: buffer it and apply everything that has
     /// become deliverable. Duplicates (including redeliveries after a
     /// crash or an anti-entropy re-send) are detected via the batch clock
@@ -583,10 +592,11 @@ impl Replica {
     }
 
     /// [`Replica::receive`] with the integrity gate's verdict computed by
-    /// the caller. The threaded transport's delivery thread runs the
-    /// exact same predicate (`integrity_ok() && well_formed()`) before
-    /// taking the node lock; passing the verdict here skips re-hashing
-    /// the payload under the lock. The caller must have evaluated that
+    /// the caller. Whoever delivers in the threaded transport (a sender,
+    /// the delivery thread, an anti-entropy round) runs the exact same
+    /// predicate (`integrity_ok() && well_formed()`) before taking the
+    /// node lock; passing the verdict here skips re-hashing the payload
+    /// under the lock. The caller must have evaluated that
     /// predicate on this very batch — a forged `valid` would bypass the
     /// quarantine ledger.
     pub fn receive_prevalidated(

@@ -18,9 +18,10 @@
 //! * `ipa_sim::Simulation` — the deterministic discrete-event
 //!   simulator: virtual time, seeded latency/jitter, a nemesis, and
 //!   bit-reproducible schedule digests.
-//! * [`crate::ThreadedCluster`] — real `std::thread` replicas and
-//!   channels: wall-clock races, no determinism, no digests; the
-//!   oracle suite is checked at quiescence instead.
+//! * [`crate::ThreadedCluster`] — real `std::thread` replicas, each
+//!   with an inbox its peers deliver into (or around, while its thread
+//!   sleeps): wall-clock races, no determinism, no digests; the oracle
+//!   suite is checked at quiescence instead.
 
 use crate::replica::{AeCursors, Replica};
 use ipa_crdt::{ReplicaId, VClock};
