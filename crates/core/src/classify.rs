@@ -169,15 +169,6 @@ fn count_terms(e: &NumExpr) -> usize {
     }
 }
 
-/// One row of Table 1 for a concrete application: the classes present in
-/// its invariants.
-pub fn classify_spec(spec: &ipa_spec::AppSpec) -> Vec<(InvariantClass, Formula)> {
-    spec.invariants
-        .iter()
-        .map(|inv| (classify(inv), inv.clone()))
-        .collect()
-}
-
 // Silence the unused-import lint for CmpOp, referenced in doc positions.
 const _: Option<CmpOp> = None;
 

@@ -2,7 +2,7 @@
 //! the convergence-rule merge of two concurrent footprints (§2.1, §3.2).
 
 use ipa_solver::{GroundError, Grounder};
-use ipa_spec::{ConvergencePolicy, ConvergenceRules, EffectKind, GroundAtom, GroundEffect};
+use ipa_spec::{ConvergenceRules, EffectKind, GroundAtom, GroundEffect};
 use std::collections::BTreeMap;
 
 /// The net effect of executing an operation with concrete arguments:
@@ -118,16 +118,11 @@ impl EffectSummary {
     }
 }
 
-/// Convenience: the policy-resolved value for one contested predicate.
-pub fn contest_winner(policy: ConvergencePolicy) -> Option<bool> {
-    policy.winner()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ipa_solver::Universe;
-    use ipa_spec::{Constant, PredicateDecl, Sort, Symbol};
+    use ipa_spec::{Constant, ConvergencePolicy, PredicateDecl, Sort, Symbol};
     use std::collections::BTreeMap as Map;
 
     fn tourn(n: &str) -> Constant {

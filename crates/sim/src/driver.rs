@@ -4,8 +4,9 @@
 use crate::fault::FaultPlan;
 use crate::latency::{LatencyModel, Region};
 use crate::metrics::Metrics;
+use crate::nemesis::{Nemesis, Window};
 use crate::server::{ServerQueue, ServiceCosts};
-use crate::shrink::{ExplicitPlan, FaultEvent};
+use crate::shrink::{BatchFault, ExplicitPlan};
 use crate::time::SimTime;
 use crate::trace::{AppOp, OpEvent, OpTrace, SendRec, SETUP_CLIENT};
 use ipa_crdt::ReplicaId;
@@ -17,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -86,24 +87,6 @@ pub struct NemesisStats {
     pub batches_corrupted: u64,
 }
 
-/// Captures every fault the nemesis RNG materializes, so a failing
-/// probabilistic run can be re-expressed as an [`ExplicitPlan`] and
-/// handed to the shrinker. Recording is pure observation: it draws no
-/// RNG and never perturbs the schedule.
-#[derive(Debug, Default)]
-struct TraceRecorder {
-    events: Vec<FaultEvent>,
-    /// Cut windows awaiting their heal: `(a, b, cut_at_s)`.
-    open_cuts: Vec<(Region, Region, f64)>,
-    /// Crashes awaiting their restart: `(region, at_s)`.
-    open_crashes: Vec<(Region, f64)>,
-    ae_latency_ms: Vec<(u64, Region, Region, f64)>,
-}
-
-/// Downtime recorded for a crash whose restart never fired inside the
-/// run window (effectively "down forever" — quiesce restarts everyone).
-const OPEN_ENDED_S: f64 = 1.0e6;
-
 /// Captures every executed client operation (and every staged send's
 /// latency draw), so a failing run's workload can be re-expressed as an
 /// [`OpTrace`] and shrunk alongside its fault plan. Pure observation:
@@ -123,219 +106,6 @@ struct OpRecorder {
 struct ExplicitOps {
     by_client: Vec<VecDeque<(u64, AppOp)>>,
     sends: HashMap<(u64, u64, u32), u64>,
-}
-
-/// Indexed form of an [`ExplicitPlan`]: when installed, every fault
-/// decision is a table lookup and the nemesis RNG is never drawn — the
-/// run is a pure function of `(workload seed, plan)`.
-#[derive(Debug)]
-struct ExplicitNemesis {
-    drops: HashSet<(Region, Region, u64)>,
-    delays: HashMap<(Region, Region, u64), f64>,
-    dups: HashMap<(Region, Region, u64), f64>,
-    /// Adversarial per-batch corruption: bit-flips, truncations, forged
-    /// sequence numbers, mutated duplicates.
-    flips: HashSet<(Region, Region, u64)>,
-    truncs: HashMap<(Region, Region, u64), u64>,
-    forges: HashMap<(Region, Region, u64), u64>,
-    mutdups: HashMap<(Region, Region, u64), f64>,
-    cuts: Vec<(Region, Region, f64, f64)>,
-    crashes: Vec<(Region, f64, f64)>,
-    ae_latency_ms: HashMap<(u64, Region, Region), f64>,
-    anti_entropy_s: Option<f64>,
-    /// Per-origin honest clock drift in milliseconds.
-    skew_ms: Vec<(Region, f64)>,
-}
-
-impl ExplicitNemesis {
-    fn index(plan: &ExplicitPlan) -> ExplicitNemesis {
-        let mut ex = ExplicitNemesis {
-            drops: HashSet::new(),
-            delays: HashMap::new(),
-            dups: HashMap::new(),
-            flips: HashSet::new(),
-            truncs: HashMap::new(),
-            forges: HashMap::new(),
-            mutdups: HashMap::new(),
-            cuts: Vec::new(),
-            crashes: Vec::new(),
-            ae_latency_ms: plan
-                .ae_latency_ms
-                .iter()
-                .map(|&(r, s, d, ms)| ((r, s, d), ms))
-                .collect(),
-            anti_entropy_s: plan.anti_entropy_s,
-            skew_ms: plan.skew_ms.clone(),
-        };
-        for e in &plan.events {
-            match *e {
-                FaultEvent::Drop { origin, dest, seq } => {
-                    ex.drops.insert((origin, dest, seq));
-                }
-                FaultEvent::Delay {
-                    origin,
-                    dest,
-                    seq,
-                    extra_ms,
-                } => {
-                    ex.delays.insert((origin, dest, seq), extra_ms);
-                }
-                FaultEvent::Duplicate {
-                    origin,
-                    dest,
-                    seq,
-                    dup_delay_ms,
-                } => {
-                    ex.dups.insert((origin, dest, seq), dup_delay_ms);
-                }
-                FaultEvent::Partition {
-                    a,
-                    b,
-                    at_s,
-                    outage_s,
-                } => {
-                    ex.cuts.push((a, b, at_s, outage_s));
-                }
-                FaultEvent::Crash {
-                    region,
-                    at_s,
-                    down_s,
-                } => {
-                    ex.crashes.push((region, at_s, down_s));
-                }
-                FaultEvent::Flip { origin, dest, seq } => {
-                    ex.flips.insert((origin, dest, seq));
-                }
-                FaultEvent::Truncate {
-                    origin,
-                    dest,
-                    seq,
-                    keep,
-                } => {
-                    ex.truncs.insert((origin, dest, seq), keep);
-                }
-                FaultEvent::Forge {
-                    origin,
-                    dest,
-                    seq,
-                    back,
-                } => {
-                    ex.forges.insert((origin, dest, seq), back);
-                }
-                FaultEvent::MutDup {
-                    origin,
-                    dest,
-                    seq,
-                    dup_delay_ms,
-                } => {
-                    ex.mutdups.insert((origin, dest, seq), dup_delay_ms);
-                }
-            }
-        }
-        ex
-    }
-
-    /// The plan's verdict for one batch: every fault is a table lookup.
-    fn batch_faults(&self, key: (Region, Region, u64)) -> BatchFaults {
-        if self.drops.contains(&key) {
-            return BatchFaults {
-                drop: true,
-                ..BatchFaults::default()
-            };
-        }
-        let corrupt = if self.flips.contains(&key) {
-            Some(Corrupt::Flip)
-        } else if let Some(&keep) = self.truncs.get(&key) {
-            Some(Corrupt::Truncate(keep))
-        } else {
-            self.forges.get(&key).map(|&back| Corrupt::Forge(back))
-        };
-        BatchFaults {
-            drop: false,
-            delay_ms: self.delays.get(&key).copied(),
-            dup_delay_ms: self.dups.get(&key).copied(),
-            mutdup_delay_ms: self.mutdups.get(&key).copied(),
-            corrupt,
-        }
-    }
-}
-
-/// What the nemesis decided for one staged batch — drawn from the
-/// nemesis RNG or looked up in the [`ExplicitNemesis`] tables, then
-/// applied in one place (`Simulation::flush_staged`), so record and
-/// replay cannot drift.
-#[derive(Clone, Copy, Debug, Default)]
-struct BatchFaults {
-    /// The batch vanishes; nothing else applies.
-    drop: bool,
-    delay_ms: Option<f64>,
-    /// A second clean copy arrives this long after the first.
-    dup_delay_ms: Option<f64>,
-    /// A bit-flipped shadow copy arrives this long after the main one.
-    mutdup_delay_ms: Option<f64>,
-    /// The main delivery arrives corrupted.
-    corrupt: Option<Corrupt>,
-}
-
-/// How a corrupted main delivery was mutated in flight.
-#[derive(Clone, Copy, Debug)]
-enum Corrupt {
-    Flip,
-    /// Keep only the first `n` updates.
-    Truncate(u64),
-    /// Sequence number forged `n` steps stale.
-    Forge(u64),
-}
-
-impl BatchFaults {
-    /// Append this verdict to a recording fault trace as explicit
-    /// events, in application order.
-    fn record(&self, ev: &mut Vec<FaultEvent>, origin: Region, dest: Region, seq: u64) {
-        if self.drop {
-            ev.push(FaultEvent::Drop { origin, dest, seq });
-            return;
-        }
-        if let Some(extra_ms) = self.delay_ms {
-            ev.push(FaultEvent::Delay {
-                origin,
-                dest,
-                seq,
-                extra_ms,
-            });
-        }
-        if let Some(dup_delay_ms) = self.dup_delay_ms {
-            ev.push(FaultEvent::Duplicate {
-                origin,
-                dest,
-                seq,
-                dup_delay_ms,
-            });
-        }
-        if let Some(dup_delay_ms) = self.mutdup_delay_ms {
-            ev.push(FaultEvent::MutDup {
-                origin,
-                dest,
-                seq,
-                dup_delay_ms,
-            });
-        }
-        match self.corrupt {
-            Some(Corrupt::Flip) => ev.push(FaultEvent::Flip { origin, dest, seq }),
-            Some(Corrupt::Truncate(keep)) => ev.push(FaultEvent::Truncate {
-                origin,
-                dest,
-                seq,
-                keep,
-            }),
-            Some(Corrupt::Forge(back)) => ev.push(FaultEvent::Forge {
-                origin,
-                dest,
-                seq,
-                back,
-            }),
-            None => {}
-        }
-    }
 }
 
 /// A fault-induced causal gap under repair: replica `dest` is missing
@@ -631,43 +401,31 @@ impl<'a> SimCtx<'a> {
                 if dest == region {
                     continue;
                 }
-                // Explicit-op replay: the send delay is the recorded one
-                // (exact µs — the seal) or the jitter-free base latency
-                // for sends a shrunk trace no longer records; the
-                // workload RNG is never drawn. The partition check stays
-                // first so candidate replays honor *their own* fault
-                // plan's cut windows; the seal is unaffected — a batch
+                // One delay per send. A cut link stalls it; that check
+                // stays first so candidate replays honor *their own* fault
+                // plan's cut windows (the seal is unaffected — a batch
                 // recorded while its link was down recorded this same
-                // heal delay.
-                if let Some(sends) = self.replay_sends {
+                // stall). Explicit-op replay then uses the recorded delay
+                // (exact µs — the seal), or the jitter-free base latency
+                // for sends a shrunk trace no longer records, and never
+                // draws the workload RNG.
+                let delay = if !self.latency.link_up(region, dest) {
+                    PARTITION_STALL
+                } else if let Some(sends) = self.replay_sends {
                     let key = (
                         self.replay_client,
                         self.now.as_micros(),
                         self.staged.len() as u32,
                     );
-                    let delay = if !self.latency.link_up(region, dest) {
-                        SimTime::from_secs(3600.0)
-                    } else {
-                        match sends.get(&key) {
-                            Some(&us) => SimTime(us),
-                            None => SimTime::from_ms(self.latency.base_rtt(region, dest) / 2.0),
-                        }
-                    };
-                    self.staged
-                        .push((dest, self.now + delay, Arc::clone(&batch)));
-                    continue;
-                }
-                if !self.latency.link_up(region, dest) {
-                    // Partitioned: deliver when the link heals — modeled
-                    // as a long delay re-checked by the driver.
-                    let delay = SimTime::from_secs(3600.0);
-                    self.staged
-                        .push((dest, self.now + delay, Arc::clone(&batch)));
-                    continue;
-                }
-                let ow = self.latency.one_way(region, dest, self.rng);
+                    match sends.get(&key) {
+                        Some(&us) => SimTime(us),
+                        None => SimTime::from_ms(self.latency.base_rtt(region, dest) / 2.0),
+                    }
+                } else {
+                    SimTime::from_ms(self.latency.one_way(region, dest, self.rng))
+                };
                 self.staged
-                    .push((dest, self.now + SimTime::from_ms(ow), Arc::clone(&batch)));
+                    .push((dest, self.now + delay, Arc::clone(&batch)));
             }
         }
         Ok((value, info))
@@ -764,9 +522,9 @@ enum Event {
         batch: Arc<UpdateBatch>,
     },
     Gc,
-    /// Nemesis: cut a random link (and schedule its heal).
+    /// Nemesis: one tick of the flap chain — cut a random link.
     Flap,
-    /// Explicit nemesis: cut this specific link for the given outage.
+    /// Nemesis: cut this specific link for the given outage.
     Cut(Region, Region, f64),
     /// Nemesis: heal the given link.
     FlapHeal(Region, Region),
@@ -784,14 +542,16 @@ enum Event {
 /// everything at `RANK_DEFAULT`, so their order is `(time, seq)` —
 /// byte-identical to the pre-rank event loop (the digest-stability pins
 /// prove it). Explicit-plan replays schedule their upfront nemesis
-/// windows (cuts, crashes, restarts) at `RANK_WINDOW`, in `(time,
-/// payload)`-sorted insertion order: a stable `(time, class, payload)`
-/// tie-break that mirrors where those events sat in the probabilistic
-/// run's seq order (windows are scheduled upfront or a full flap period
-/// ahead, so they carry the smallest seq at their timestamp) and — being
-/// a pure function of plan *content* — is immune to ddmin reordering.
-const RANK_WINDOW: u8 = 0;
-const RANK_DEFAULT: u8 = 1;
+/// windows (cuts, crashes, restarts) at `RANK_WINDOW`; the nemesis says
+/// which and why ([`crate::nemesis::Windows::rank`]).
+pub(crate) const RANK_WINDOW: u8 = 0;
+pub(crate) const RANK_DEFAULT: u8 = 1;
+
+/// How long a send staged on a cut link is held back: far past any run
+/// window, so the batch never lands on its own. Such a send is not
+/// promised to its destination (see [`Simulation::flush_staged`]);
+/// anti-entropy delivers it once the link heals.
+const PARTITION_STALL: SimTime = SimTime(3_600_000_000);
 
 #[derive(Clone, Debug)]
 struct Scheduled {
@@ -830,10 +590,10 @@ pub struct Simulation {
     seq: u64,
     now: SimTime,
     rng: StdRng,
-    /// Independent nemesis stream: fault decisions never perturb the
-    /// workload's RNG, so the same `cfg.seed` drives the same client
-    /// schedule under any fault plan.
-    nemesis_rng: StdRng,
+    /// Every fault decision and the optional fault-trace recorder:
+    /// `cfg.faults` drawn from an independent RNG stream until
+    /// [`Simulation::set_explicit_faults`] installs a plan.
+    adversary: Nemesis,
     /// Per-peer anti-entropy cursors carried across periodic rounds and
     /// the quiesce fixpoint: pairs whose last pull drained and whose
     /// inputs (peer clock, source log version) are unchanged skip the
@@ -844,12 +604,8 @@ pub struct Simulation {
     /// produce equal digests (the determinism oracle).
     digest: u64,
     auditor: Option<(Auditor, f64)>,
-    /// Fault-trace recorder (None unless enabled; pure observation).
-    trace: Option<TraceRecorder>,
     /// Op-trace recorder (None unless enabled; pure observation).
     op_rec: Option<OpRecorder>,
-    /// Explicit nemesis replay (None = probabilistic `cfg.faults`).
-    explicit: Option<ExplicitNemesis>,
     /// Explicit workload replay (None = RNG-driven closed-loop clients).
     explicit_ops: Option<ExplicitOps>,
     /// Anti-entropy round counter (periodic + restart recovery), keying
@@ -879,7 +635,7 @@ impl Simulation {
             }
         }
         let rng = StdRng::seed_from_u64(cfg.seed);
-        let nemesis_rng = StdRng::seed_from_u64(cfg.faults.seed ^ 0x6e65_6d65_7369_7321);
+        let adversary = Nemesis::drawn(&cfg.faults);
         let mut metrics = Metrics::new();
         metrics.set_window(cfg.warmup_s, cfg.warmup_s + cfg.duration_s);
         Simulation {
@@ -892,13 +648,11 @@ impl Simulation {
             seq: 0,
             now: SimTime::ZERO,
             rng,
-            nemesis_rng,
+            adversary,
             ae_cursors: AeCursors::new(),
             digest: 0xcbf2_9ce4_8422_2325,
             auditor: None,
-            trace: None,
             op_rec: None,
-            explicit: None,
             explicit_ops: None,
             ae_round: 0,
             gaps: Vec::new(),
@@ -912,7 +666,7 @@ impl Simulation {
     /// after the run via [`Simulation::take_fault_trace`]. Recording
     /// draws no RNG and cannot perturb the schedule.
     pub fn record_fault_trace(&mut self) {
-        self.trace = Some(TraceRecorder::default());
+        self.adversary.record();
     }
 
     /// The recorded fault trace as a replayable [`ExplicitPlan`]. Cut
@@ -920,29 +674,7 @@ impl Simulation {
     /// with an effectively-infinite duration (matching their observed
     /// behavior: never healed / restarted inside the window).
     pub fn take_fault_trace(&mut self) -> ExplicitPlan {
-        let tr = self.trace.take().expect("record_fault_trace was enabled");
-        let mut events = tr.events;
-        for (a, b, at_s) in tr.open_cuts {
-            events.push(FaultEvent::Partition {
-                a,
-                b,
-                at_s,
-                outage_s: OPEN_ENDED_S,
-            });
-        }
-        for (region, at_s) in tr.open_crashes {
-            events.push(FaultEvent::Crash {
-                region,
-                at_s,
-                down_s: OPEN_ENDED_S,
-            });
-        }
-        ExplicitPlan {
-            events,
-            anti_entropy_s: self.cfg.faults.effective_anti_entropy_s(),
-            ae_latency_ms: tr.ae_latency_ms,
-            skew_ms: self.cfg.faults.skew_ms.clone(),
-        }
+        self.adversary.take_trace()
     }
 
     /// Replay an explicit fault plan instead of the probabilistic
@@ -956,7 +688,7 @@ impl Simulation {
             self.cfg.faults.is_none(),
             "explicit replay ignores cfg.faults; configure FaultPlan::none()"
         );
-        self.explicit = Some(ExplicitNemesis::index(plan));
+        self.adversary.install(plan);
     }
 
     /// Record every executed client op (and every staged send's latency
@@ -1114,18 +846,6 @@ impl Simulation {
             anti_entropy_fixpoint_nodes(&mut self.nodes, &mut self.ae_cursors);
     }
 
-    /// The periodic anti-entropy interval for this run's nemesis mode.
-    fn ae_interval(&self) -> Option<f64> {
-        match &self.explicit {
-            Some(ex) => ex.anti_entropy_s,
-            None => self.cfg.faults.effective_anti_entropy_s(),
-        }
-    }
-
-    pub fn num_clients(&self) -> usize {
-        self.clients.len()
-    }
-
     fn schedule(&mut self, at: SimTime, ev: Event) {
         self.schedule_ranked(at, RANK_DEFAULT, ev);
     }
@@ -1145,8 +865,7 @@ impl Simulation {
     /// twice, delayed batches arrive out of order into the causal buffer,
     /// and — when the plan arms corruption — batches arrive bit-flipped,
     /// truncated, seq-forged, or shadowed by a mutated duplicate.
-    /// Under an explicit plan the same faults come from per-batch table
-    /// lookups instead of the nemesis RNG.
+    /// The nemesis says which; this is the one place they are applied.
     fn flush_staged(&mut self, staged: Vec<(Region, SimTime, Arc<UpdateBatch>)>) {
         // A send that survives the fault table is *promised* to its
         // destination until it lands: the destination's in-flight window
@@ -1156,7 +875,7 @@ impl Simulation {
         // anti-entropy must repair. A corrupted main delivery joins that
         // set: the bytes arrive but the receiver quarantines them, so
         // for promise and liveness accounting the send *is* a drop.
-        let stall = self.now + SimTime::from_secs(3600.0);
+        let stall = self.now + PARTITION_STALL;
         for (dest, at, batch) in staged {
             let origin = batch.origin.0;
             let seq = batch.seq;
@@ -1164,14 +883,7 @@ impl Simulation {
             // both its batch timestamp and the virtual send time, and
             // the origin reseals — a skewed batch is never quarantined.
             // Observation-free (no clone, no RNG) when no skew is armed.
-            let skew = match &self.explicit {
-                Some(ex) => ex
-                    .skew_ms
-                    .iter()
-                    .find(|&&(r, _)| r == origin)
-                    .map_or(0.0, |&(_, ms)| ms),
-                None => self.cfg.faults.skew_of(origin),
-            };
+            let skew = self.adversary.skew_of(origin);
             let (batch, at) = if skew != 0.0 {
                 let mut b = UpdateBatch::clone(&batch);
                 let shift_us = (skew * 1000.0) as i64;
@@ -1187,16 +899,7 @@ impl Simulation {
             } else {
                 (batch, at)
             };
-            let faults = match &self.explicit {
-                Some(ex) => ex.batch_faults((origin, dest, seq)),
-                None => {
-                    let faults = self.draw_batch_faults(origin, dest, &batch);
-                    if let Some(tr) = &mut self.trace {
-                        faults.record(&mut tr.events, origin, dest, seq);
-                    }
-                    faults
-                }
-            };
+            let faults = self.adversary.verdict(origin, dest, &batch);
             if faults.drop {
                 self.nemesis.batches_dropped += 1;
                 self.note_gap(dest, origin, seq);
@@ -1223,19 +926,14 @@ impl Simulation {
                 self.deliver_corrupted(
                     dest,
                     at + SimTime::from_ms(dup_delay),
-                    Arc::new(Self::bitflip(&batch)),
+                    Arc::new(BatchFault::Flip.mangle(&batch)),
                 );
             }
             if let Some(corrupt) = faults.corrupt {
                 // The true payload is lost on this link (drop-equivalent
                 // for promise + liveness accounting); anti-entropy
                 // repairs.
-                let corrupted = match corrupt {
-                    Corrupt::Flip => Self::bitflip(&batch),
-                    Corrupt::Truncate(keep) => Self::truncate_updates(&batch, keep),
-                    Corrupt::Forge(back) => Self::forge_seq(&batch, back),
-                };
-                self.deliver_corrupted(dest, at, Arc::new(corrupted));
+                self.deliver_corrupted(dest, at, Arc::new(corrupt.mangle(&batch)));
                 self.note_gap(dest, origin, seq);
                 continue;
             }
@@ -1246,54 +944,6 @@ impl Simulation {
         }
     }
 
-    /// Draw one batch's fault verdict from the nemesis RNG. Draw order
-    /// is pinned by every schedule digest: drop (short-circuit), delay
-    /// and its extra, duplicate; then — strictly gated behind
-    /// `corruption_armed()`, so benign plans never touch the stream here
-    /// — flip, truncate, forge, mutated duplicate (all four), and the
-    /// forge distance only when forge wins the main delivery (first
-    /// class drawn wins).
-    fn draw_batch_faults(
-        &mut self,
-        origin: Region,
-        dest: Region,
-        batch: &UpdateBatch,
-    ) -> BatchFaults {
-        let mut faults = BatchFaults::default();
-        let link = self.cfg.faults.link(origin, dest);
-        if !link.is_none() {
-            if self.nemesis_rng.gen_bool(link.drop_p) {
-                faults.drop = true;
-                return faults;
-            }
-            if self.nemesis_rng.gen_bool(link.delay_p) {
-                faults.delay_ms = Some(self.nemesis_rng.gen_range(0.0..link.delay_ms.max(0.001)));
-            }
-            if self.nemesis_rng.gen_bool(link.dup_p) {
-                faults.dup_delay_ms = Some(link.dup_delay_ms);
-            }
-        }
-        if self.cfg.faults.corruption_armed() {
-            let c = self.cfg.faults.corruption;
-            let flip = self.nemesis_rng.gen_bool(c.flip_p);
-            let trunc = self.nemesis_rng.gen_bool(c.truncate_p);
-            let forge = self.nemesis_rng.gen_bool(c.forge_seq_p);
-            if self.nemesis_rng.gen_bool(c.mutate_dup_p) {
-                faults.mutdup_delay_ms = Some(c.mutate_dup_delay_ms);
-            }
-            faults.corrupt = if flip {
-                Some(Corrupt::Flip)
-            } else if trunc {
-                Some(Corrupt::Truncate((batch.updates.len() / 2) as u64))
-            } else if forge {
-                Some(Corrupt::Forge(self.nemesis_rng.gen_range(1..=4u64)))
-            } else {
-                None
-            };
-        }
-        faults
-    }
-
     /// Schedule a corrupted delivery: counted, folded into the digest as
     /// its own event class (8), never promised to the destination's
     /// in-flight window. Only reachable when a plan arms corruption, so
@@ -1302,34 +952,6 @@ impl Simulation {
         self.nemesis.batches_corrupted += 1;
         self.fold_digest([8, at.as_micros(), u64::from(dest), batch.seq]);
         self.schedule(at, Event::BatchArrive { dest, batch });
-    }
-
-    /// Adversarial bit-flip: mutate a checksummed envelope field without
-    /// resealing, so the stored seal no longer matches and the receiver
-    /// quarantines on the integrity check.
-    fn bitflip(batch: &UpdateBatch) -> UpdateBatch {
-        let mut b = batch.clone();
-        b.lamport ^= 1;
-        b
-    }
-
-    /// Adversarial truncation: lose the tail of the update list without
-    /// resealing (the seal covers the update count and keys).
-    fn truncate_updates(batch: &UpdateBatch, keep: u64) -> UpdateBatch {
-        let mut b = batch.clone();
-        b.updates.truncate(keep as usize);
-        b
-    }
-
-    /// Forged (stale) sequence number. The forger reseals consistently —
-    /// a non-equivocating adversary — so the checksum passes and the
-    /// batch is caught by the structural well-formedness check instead
-    /// (its own clock still names the original commit number).
-    fn forge_seq(batch: &UpdateBatch, back: u64) -> UpdateBatch {
-        let mut b = batch.clone();
-        b.seq = b.seq.saturating_sub(back);
-        b.reseal();
-        b
     }
 
     /// Register a fault-induced causal gap for liveness accounting.
@@ -1435,6 +1057,46 @@ impl Simulation {
         }
     }
 
+    /// Cut link `a ↔ b` now and schedule its heal, unless it is already
+    /// down. A flap tick and an explicit cut window both land here: same
+    /// digest fold, heal allocated at the same point of the seq stream.
+    fn cut(&mut self, a: Region, b: Region, outage_s: f64) {
+        if !self.latency.link_up(a, b) {
+            return;
+        }
+        self.latency.set_link(a, b, false);
+        self.nemesis.link_flaps += 1;
+        self.fold_digest([2, self.now.as_micros(), u64::from(a), u64::from(b)]);
+        self.adversary.opened(Window::Cut(a, b), self.now.as_secs());
+        self.schedule(
+            self.now + SimTime::from_secs(outage_s),
+            Event::FlapHeal(a, b),
+        );
+    }
+
+    /// Node-level crash: wipes volatile replica state AND voids the
+    /// in-flight window (promised batches will be refused while down —
+    /// anti-entropy must re-earn them after the restart). Returns the
+    /// volatile batches lost.
+    fn crash_region(&mut self, region: Region) -> u64 {
+        let lost = self.nodes[region as usize].crash() as u64;
+        self.nemesis.crashes += 1;
+        self.nemesis.batches_lost_in_crash += lost;
+        // Gaps at a down replica cannot be repaired; restart
+        // re-registers everything it must catch up on.
+        self.gaps.retain(|g| g.dest != region);
+        lost
+    }
+
+    /// Bring a replica back. Liveness: it owes every batch its live
+    /// peers applied while it was down, and every gap gets a fresh
+    /// window.
+    fn restart_region(&mut self, region: Region) {
+        self.nodes[region as usize].restart();
+        self.note_restart_obligations(region);
+        self.reset_gap_windows();
+    }
+
     /// A restarted replica owes everything its live peers applied while
     /// it was down: one liveness gap per origin, up to the highest
     /// component any peer has durably logged.
@@ -1455,10 +1117,8 @@ impl Simulation {
 
     /// One pairwise anti-entropy round at simulated time `self.now`:
     /// every live replica pulls what it is missing from every live,
-    /// reachable peer's durable log, paying one-way link latency. Under
-    /// an explicit plan the latency is the recorded one (or jitter-free
-    /// base) instead of a nemesis-RNG draw. Returns the number of
-    /// batches put on the wire.
+    /// reachable peer's durable log, paying the one-way link latency the
+    /// nemesis names. Returns the number of batches put on the wire.
     ///
     /// The pull's `since` frontier is the destination's applied clock
     /// joined with its [`InFlightWindow`](ipa_store::InFlightWindow) —
@@ -1499,18 +1159,9 @@ impl Simulation {
                     continue;
                 }
                 let (src_r, dst_r) = (src as Region, dst as Region);
-                let ow = if let Some(ex) = &self.explicit {
-                    ex.ae_latency_ms
-                        .get(&(round, src_r, dst_r))
-                        .copied()
-                        .unwrap_or_else(|| self.latency.base_rtt(src_r, dst_r) / 2.0)
-                } else {
-                    let ow = self.latency.one_way(src_r, dst_r, &mut self.nemesis_rng);
-                    if let Some(tr) = &mut self.trace {
-                        tr.ae_latency_ms.push((round, src_r, dst_r, ow));
-                    }
-                    ow
-                };
+                let ow = self
+                    .adversary
+                    .ae_one_way(round, src_r, dst_r, &self.latency);
                 let at = self.now + SimTime::from_ms(ow);
                 // Promise this burst to the destination until it lands:
                 // later rounds pull relative to the promised frontier.
@@ -1586,60 +1237,33 @@ impl Simulation {
         if let Some(gc) = self.cfg.gc_interval_s {
             self.schedule(SimTime::from_secs(gc), Event::Gc);
         }
-        // Nemesis schedule: crashes/restarts are fixed points in virtual
-        // time; flapping and anti-entropy are periodic. An explicit plan
-        // replaces all three with its own fixed windows, scheduled in
-        // `(time, payload)`-sorted order at the window tie-break rank —
-        // the stable `(time, class, payload)` order that makes same-µs
-        // collisions independent of plan-line order and of where the
-        // probabilistic run's flap chain happened to sit in the seq
-        // stream.
-        if let Some(ex) = &self.explicit {
-            let mut crashes = ex.crashes.clone();
-            crashes.sort_by(|x, y| {
-                (x.1, x.0, x.2)
-                    .partial_cmp(&(y.1, y.0, y.2))
-                    .expect("finite times")
-            });
-            let mut cuts = ex.cuts.clone();
-            cuts.sort_by(|x, y| {
-                (x.2, x.0, x.1, x.3)
-                    .partial_cmp(&(y.2, y.0, y.1, y.3))
-                    .expect("finite times")
-            });
-            let ae = ex.anti_entropy_s;
-            for (region, at_s, down_s) in crashes {
-                self.schedule_ranked(SimTime::from_secs(at_s), RANK_WINDOW, Event::Crash(region));
-                self.schedule_ranked(
-                    SimTime::from_secs(at_s + down_s),
-                    RANK_WINDOW,
-                    Event::Restart(region),
-                );
-            }
-            for (a, b, at_s, outage_s) in cuts {
-                self.schedule_ranked(
-                    SimTime::from_secs(at_s),
-                    RANK_WINDOW,
-                    Event::Cut(a, b, outage_s),
-                );
-            }
-            if let Some(ae) = ae {
-                self.schedule(SimTime::from_secs(ae), Event::AntiEntropy);
-            }
-        } else {
-            for crash in self.cfg.faults.crashes.clone() {
-                self.schedule(SimTime::from_secs(crash.at_s), Event::Crash(crash.region));
-                self.schedule(
-                    SimTime::from_secs(crash.at_s + crash.down_s),
-                    Event::Restart(crash.region),
-                );
-            }
-            if let Some(flap) = self.cfg.faults.flap {
-                self.schedule(SimTime::from_secs(flap.period_s), Event::Flap);
-            }
-            if let Some(ae) = self.cfg.faults.effective_anti_entropy_s() {
-                self.schedule(SimTime::from_secs(ae), Event::AntiEntropy);
-            }
+        // Nemesis schedule: crashes/restarts and cuts are fixed points in
+        // virtual time; flapping and anti-entropy are periodic chains.
+        let windows = self.adversary.windows();
+        for crash in windows.crashes {
+            self.schedule_ranked(
+                SimTime::from_secs(crash.at_s),
+                windows.rank,
+                Event::Crash(crash.region),
+            );
+            self.schedule_ranked(
+                SimTime::from_secs(crash.at_s + crash.down_s),
+                windows.rank,
+                Event::Restart(crash.region),
+            );
+        }
+        for (a, b, at_s, outage_s) in windows.cuts {
+            self.schedule_ranked(
+                SimTime::from_secs(at_s),
+                windows.rank,
+                Event::Cut(a, b, outage_s),
+            );
+        }
+        if let Some(at_s) = windows.flap_at_s {
+            self.schedule(SimTime::from_secs(at_s), Event::Flap);
+        }
+        if let Some(ae) = self.adversary.ae_interval() {
+            self.schedule(SimTime::from_secs(ae), Event::AntiEntropy);
         }
         if let Some((_, interval)) = &self.auditor {
             self.schedule(SimTime::from_secs(*interval), Event::Audit);
@@ -1684,101 +1308,37 @@ impl Simulation {
                     }
                 }
                 Event::Flap => {
-                    let flap = self.cfg.faults.flap.expect("flap event without plan");
-                    let n = self.nodes.len() as u16;
-                    if n >= 2 {
-                        let a = self.nemesis_rng.gen_range(0..n);
-                        let mut b = self.nemesis_rng.gen_range(0..n - 1);
-                        if b >= a {
-                            b += 1;
-                        }
-                        if self.latency.link_up(a, b) {
-                            self.latency.set_link(a, b, false);
-                            self.nemesis.link_flaps += 1;
-                            self.fold_digest([2, next.at.as_micros(), u64::from(a), u64::from(b)]);
-                            if let Some(tr) = &mut self.trace {
-                                tr.open_cuts.push((a, b, self.now.as_secs()));
-                            }
-                            self.schedule(
-                                self.now + SimTime::from_secs(flap.outage_s),
-                                Event::FlapHeal(a, b),
-                            );
-                        }
+                    let (link, flap) = self.adversary.flap(self.nodes.len() as u16);
+                    if let Some((a, b)) = link {
+                        self.cut(a, b, flap.outage_s);
                     }
                     self.schedule(self.now + SimTime::from_secs(flap.period_s), Event::Flap);
                 }
-                Event::Cut(a, b, outage_s) => {
-                    // The explicit-plan analog of a materialized flap:
-                    // same digest fold, heal scheduled from here (exactly
-                    // when the probabilistic path allocated it).
-                    if self.latency.link_up(a, b) {
-                        self.latency.set_link(a, b, false);
-                        self.nemesis.link_flaps += 1;
-                        self.fold_digest([2, next.at.as_micros(), u64::from(a), u64::from(b)]);
-                        self.schedule(
-                            self.now + SimTime::from_secs(outage_s),
-                            Event::FlapHeal(a, b),
-                        );
-                    }
-                }
+                Event::Cut(a, b, outage_s) => self.cut(a, b, outage_s),
                 Event::FlapHeal(a, b) => {
                     self.latency.set_link(a, b, true);
                     self.fold_digest([3, next.at.as_micros(), u64::from(a), u64::from(b)]);
-                    if let Some(tr) = &mut self.trace {
-                        if let Some(pos) =
-                            tr.open_cuts.iter().position(|&(x, y, _)| (x, y) == (a, b))
-                        {
-                            let (_, _, at_s) = tr.open_cuts.remove(pos);
-                            tr.events.push(FaultEvent::Partition {
-                                a,
-                                b,
-                                at_s,
-                                outage_s: self.now.as_secs() - at_s,
-                            });
-                        }
-                    }
+                    self.adversary.closed(Window::Cut(a, b), self.now.as_secs());
                     self.reset_gap_windows();
                 }
                 Event::Crash(region) => {
-                    // Node-level crash: wipes volatile replica state AND
-                    // voids the in-flight window (promised batches will
-                    // be refused while down — anti-entropy must re-earn
-                    // them after the restart).
-                    let lost = self.nodes[region as usize].crash();
-                    self.nemesis.crashes += 1;
-                    self.nemesis.batches_lost_in_crash += lost as u64;
-                    self.fold_digest([4, next.at.as_micros(), u64::from(region), lost as u64]);
-                    if let Some(tr) = &mut self.trace {
-                        tr.open_crashes.push((region, self.now.as_secs()));
-                    }
-                    // Gaps at a down replica cannot be repaired; restart
-                    // re-registers everything it must catch up on.
-                    self.gaps.retain(|g| g.dest != region);
+                    let lost = self.crash_region(region);
+                    self.fold_digest([4, next.at.as_micros(), u64::from(region), lost]);
+                    self.adversary
+                        .opened(Window::Crash(region), self.now.as_secs());
                 }
                 Event::Restart(region) => {
-                    self.nodes[region as usize].restart();
+                    self.restart_region(region);
                     self.fold_digest([5, next.at.as_micros(), u64::from(region), 0]);
-                    if let Some(tr) = &mut self.trace {
-                        if let Some(pos) = tr.open_crashes.iter().position(|&(r, _)| r == region) {
-                            let (_, at_s) = tr.open_crashes.remove(pos);
-                            tr.events.push(FaultEvent::Crash {
-                                region,
-                                at_s,
-                                down_s: self.now.as_secs() - at_s,
-                            });
-                        }
-                    }
-                    // Liveness: the restarted replica owes every batch
-                    // its live peers applied while it was down.
-                    self.note_restart_obligations(region);
-                    self.reset_gap_windows();
+                    self.adversary
+                        .closed(Window::Crash(region), self.now.as_secs());
                     // Recovery: one immediate anti-entropy round pulls the
                     // gap from peers and pushes the survivor log back out.
                     self.anti_entropy_round();
                 }
                 Event::AntiEntropy => {
                     self.anti_entropy_round();
-                    if let Some(ae) = self.ae_interval() {
+                    if let Some(ae) = self.adversary.ae_interval() {
                         self.schedule(self.now + SimTime::from_secs(ae), Event::AntiEntropy);
                     }
                 }
@@ -2022,6 +1582,12 @@ impl Simulation {
 /// Sends made through this impl (ship, anti-entropy) use jitter-free
 /// base link latency so they stay off the workload and nemesis RNG
 /// streams; driving the sim through [`Simulation::run`] is unaffected.
+///
+/// Faults driven through this impl (`set_link`, `crash`, `restart`) exist
+/// for the transport matrix: they are deliberately not folded into the
+/// schedule digest and the fault-trace recorder never sees them. They do
+/// go through the same crash and restart functions as the event loop's
+/// arms, so stats and liveness obligations are accounted identically.
 impl Transport for Simulation {
     fn node_count(&self) -> usize {
         self.nodes.len()
@@ -2045,7 +1611,7 @@ impl Transport for Simulation {
                 let delay = if self.latency.link_up(origin, dest) {
                     SimTime::from_ms(self.latency.base_rtt(origin, dest) / 2.0)
                 } else {
-                    SimTime::from_secs(3600.0)
+                    PARTITION_STALL
                 };
                 staged.push((dest, now + delay, Arc::clone(&batch)));
             }
@@ -2058,16 +1624,11 @@ impl Transport for Simulation {
     }
 
     fn crash(&mut self, node: ReplicaId) {
-        let lost = self.nodes[node.0 as usize].crash();
-        self.nemesis.crashes += 1;
-        self.nemesis.batches_lost_in_crash += lost as u64;
-        self.gaps.retain(|g| g.dest != node.0);
+        self.crash_region(node.0);
     }
 
     fn restart(&mut self, node: ReplicaId) {
-        self.nodes[node.0 as usize].restart();
-        self.note_restart_obligations(node.0);
-        self.reset_gap_windows();
+        self.restart_region(node.0);
     }
 
     fn anti_entropy(&mut self) -> usize {
@@ -2092,6 +1653,7 @@ impl Transport for Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::CrashPlan;
     use crate::scenario::paper_topology;
     use ipa_crdt::{ObjectKind, Val};
 
@@ -2289,17 +1851,31 @@ mod tests {
 
     #[test]
     fn recorded_adversarial_trace_replays_with_identical_corruption() {
+        // Link faults, corruption, skew, flaps and periodic anti-entropy
+        // from the adversarial plan, plus a crash: every decision site
+        // and every recorder hook fires.
+        let mut faults = FaultPlan::adversarial(11, 1.0);
+        faults.crashes.push(CrashPlan {
+            region: 2,
+            at_s: 0.9,
+            down_s: 0.6,
+        });
         let cfg = SimConfig {
-            faults: FaultPlan::adversarial(11, 1.0),
+            faults,
             ..small_cfg(11)
         };
         let mut sim = Simulation::new(paper_topology(), cfg);
         sim.record_fault_trace();
         let mut w = Inserter { n: 0 };
         sim.run(&mut w);
+        sim.quiesce();
         let corrupted = sim.nemesis.batches_corrupted;
         assert!(corrupted > 0, "adversarial plan fired");
+        assert!(sim.nemesis.link_flaps > 0 && sim.nemesis.crashes == 1);
         let plan = sim.take_fault_trace();
+        for class in ["cut", "crash"] {
+            assert!(plan.events.iter().any(|e| e.class() == class), "{class}");
+        }
         assert!(!plan.skew_ms.is_empty(), "recorded plan carries the skew");
 
         // The v3 plan text round-trips the new event classes.
@@ -2313,8 +1889,15 @@ mod tests {
         replay.set_explicit_faults(&parsed);
         let mut w = Inserter { n: 0 };
         replay.run(&mut w);
+        replay.quiesce();
         assert_eq!(replay.nemesis.batches_corrupted, corrupted);
         assert_eq!(replay.nemesis.batches_dropped, sim.nemesis.batches_dropped);
+        // The seal: same schedule, same nemesis counters, same clocks.
+        assert_eq!(replay.schedule_digest(), sim.schedule_digest());
+        assert_eq!(replay.nemesis, sim.nemesis);
+        for r in 0..3u16 {
+            assert_eq!(replay.replica(r).clock(), sim.replica(r).clock(), "r{r}");
+        }
     }
 
     #[test]

@@ -123,6 +123,15 @@ pub struct CrashPlan {
     pub down_s: f64,
 }
 
+/// `region`'s offset in a `(region, offset_ms)` skew table (0 when
+/// unlisted).
+pub(crate) fn skew_of(table: &[(Region, f64)], region: Region) -> f64 {
+    table
+        .iter()
+        .find(|&&(r, _)| r == region)
+        .map_or(0.0, |&(_, ms)| ms)
+}
+
 /// The full nemesis schedule for one simulation run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
@@ -238,11 +247,7 @@ impl FaultPlan {
 
     /// The clock-skew offset for `region` (0 when unlisted).
     pub fn skew_of(&self, region: Region) -> f64 {
-        self.skew_ms
-            .iter()
-            .find(|&&(r, _)| r == region)
-            .map(|&(_, ms)| ms)
-            .unwrap_or(0.0)
+        skew_of(&self.skew_ms, region)
     }
 
     /// The faults on link `a → b` (symmetric; last matching override

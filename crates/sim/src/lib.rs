@@ -24,6 +24,7 @@ pub mod driver;
 pub mod fault;
 pub mod latency;
 pub mod metrics;
+mod nemesis;
 pub mod scenario;
 pub mod server;
 pub mod shrink;
@@ -40,8 +41,8 @@ pub use metrics::{LatencySummary, Metrics};
 pub use scenario::{paper_topology, two_region_topology};
 pub use server::ServerQueue;
 pub use shrink::{
-    shrink_joint, shrink_joint_with, shrink_plan, ExplicitPlan, FaultEvent, JointOutcome,
-    PlanParseError, RunVerdict, ShrinkBudget, ShrinkOutcome,
+    shrink_joint, shrink_joint_with, BatchFault, ExplicitPlan, FaultEvent, JointOutcome,
+    PlanParseError, RunVerdict, ShrinkBudget,
 };
 pub use time::SimTime;
 pub use trace::{AppOp, OpEvent, OpTrace, SendRec, OP_TRACE_HEADER, SETUP_CLIENT};

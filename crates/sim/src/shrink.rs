@@ -15,30 +15,65 @@
 //!    [`crate::Simulation::set_explicit_faults`]: the nemesis RNG is
 //!    never drawn, every fault comes from the trace, so the run is a
 //!    pure function of `(workload seed, ExplicitPlan)`.
-//! 3. **Shrink** — [`shrink_plan`] greedily removes fault events
-//!    (chunked ddmin, the vendored-proptest discipline applied to an
-//!    explicit plan instead of a generator tree), then shrinks the
-//!    surviving events' numeric fields (delays, outage windows,
-//!    downtimes), re-running the sealed simulation after each candidate
-//!    and keeping the smallest plan that still fails the *same* oracle
-//!    check.
+//! 3. **Shrink** — [`shrink_joint`] takes the fault trace together with
+//!    the recorded [`OpTrace`] and interleaves a chunked ddmin over op
+//!    events with one over fault events (the vendored-proptest discipline
+//!    applied to explicit traces instead of a generator tree) to a joint
+//!    fixpoint, then halves the surviving faults' numeric fields (delays,
+//!    outage windows, downtimes), re-running the sealed simulation after
+//!    each candidate and keeping the smallest pair that still fails the
+//!    *same* oracle check. The counterexample names the two or three
+//!    client operations that matter, not just the faults; with an empty
+//!    op trace the same loop is the fault-only shrinker.
 //!
 //! The minimized plan serializes to a line-oriented text format
 //! (`ExplicitPlan::to_string` via [`Display`](std::fmt::Display) /
 //! [`ExplicitPlan::from_str`]) that CI
 //! uploads as an artifact and `tests/nemesis_soak.rs` replays via
 //! `IPA_NEMESIS_REPLAY=<file>`.
-//!
-//! [`shrink_joint`] extends the same discipline to the *workload*: given
-//! a recorded [`OpTrace`] alongside the fault trace, it interleaves a
-//! chunked ddmin over op events with the fault-event ddmin, so the final
-//! counterexample names the two or three client operations that matter,
-//! not just the faults.
 
 use crate::latency::Region;
 use crate::trace::OpTrace;
 use std::fmt;
 use std::str::FromStr;
+
+/// One fault on one staged batch. This is the whole per-batch vocabulary:
+/// the nemesis draws it, a plan line spells it, the per-batch table folds
+/// it and the shrinker halves its argument.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum BatchFault {
+    /// The batch vanishes; nothing else on the same batch applies.
+    Drop,
+    /// The batch arrives this many ms later than its link latency.
+    Delay(f64),
+    /// A second clean copy arrives this many ms after the first.
+    Duplicate(f64),
+    /// The payload is bit-flipped in flight (lamport corrupted, seal not
+    /// recomputed) — the receiver quarantines it.
+    Flip,
+    /// The update vector is truncated to its first `n` updates in flight.
+    Truncate(u64),
+    /// The sequence number is forged `n` steps stale (and the forgery
+    /// resealed — caught structurally, not by checksum).
+    Forge(u64),
+    /// A *mutated* duplicate arrives this many ms after the clean copy.
+    MutDup(f64),
+}
+
+impl BatchFault {
+    /// The plan-line directive (also the summary label).
+    pub fn class(&self) -> &'static str {
+        match self {
+            BatchFault::Drop => "drop",
+            BatchFault::Delay(_) => "delay",
+            BatchFault::Duplicate(_) => "dup",
+            BatchFault::Flip => "flip",
+            BatchFault::Truncate(_) => "trunc",
+            BatchFault::Forge(_) => "forge",
+            BatchFault::MutDup(_) => "mutdup",
+        }
+    }
+}
 
 /// One concrete, materialized fault. Transport faults are keyed by the
 /// batch they hit — `(origin, dest, seq)` — which is stable across
@@ -46,25 +81,12 @@ use std::str::FromStr;
 /// nemesis.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultEvent {
-    /// The batch `origin → dest` with origin-sequence `seq` vanishes.
-    Drop {
+    /// `fault` hits the batch `origin → dest` with origin-sequence `seq`.
+    Batch {
         origin: Region,
         dest: Region,
         seq: u64,
-    },
-    /// The batch arrives `extra_ms` later than its link latency.
-    Delay {
-        origin: Region,
-        dest: Region,
-        seq: u64,
-        extra_ms: f64,
-    },
-    /// A second copy of the batch arrives `dup_delay_ms` after the first.
-    Duplicate {
-        origin: Region,
-        dest: Region,
-        seq: u64,
-        dup_delay_ms: f64,
+        fault: BatchFault,
     },
     /// Link `a ↔ b` is cut at `at_s` and heals `outage_s` later.
     Partition {
@@ -80,52 +102,15 @@ pub enum FaultEvent {
         at_s: f64,
         down_s: f64,
     },
-    /// The batch's payload is bit-flipped in flight (lamport corrupted,
-    /// seal not recomputed) — the receiver quarantines it.
-    Flip {
-        origin: Region,
-        dest: Region,
-        seq: u64,
-    },
-    /// The batch's update vector is truncated to its first `keep`
-    /// updates in flight.
-    Truncate {
-        origin: Region,
-        dest: Region,
-        seq: u64,
-        keep: u64,
-    },
-    /// The batch's sequence number is forged `back` steps stale (and the
-    /// forgery resealed — caught structurally, not by checksum).
-    Forge {
-        origin: Region,
-        dest: Region,
-        seq: u64,
-        back: u64,
-    },
-    /// A *mutated* duplicate of the batch arrives `dup_delay_ms` after
-    /// the clean copy.
-    MutDup {
-        origin: Region,
-        dest: Region,
-        seq: u64,
-        dup_delay_ms: f64,
-    },
 }
 
 impl FaultEvent {
     /// Event-class label (used for summaries and chunk ordering).
     pub fn class(&self) -> &'static str {
         match self {
-            FaultEvent::Drop { .. } => "drop",
-            FaultEvent::Delay { .. } => "delay",
-            FaultEvent::Duplicate { .. } => "dup",
+            FaultEvent::Batch { fault, .. } => fault.class(),
             FaultEvent::Partition { .. } => "cut",
             FaultEvent::Crash { .. } => "crash",
-            FaultEvent::Flip { .. } => "flip",
-            FaultEvent::Truncate { .. } => "trunc",
-            FaultEvent::Forge { .. } => "forge",
-            FaultEvent::MutDup { .. } => "mutdup",
         }
     }
 }
@@ -133,53 +118,32 @@ impl FaultEvent {
 impl fmt::Display for FaultEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            FaultEvent::Drop { origin, dest, seq } => write!(f, "drop {origin}->{dest} {seq}"),
-            FaultEvent::Delay {
+            FaultEvent::Batch {
                 origin,
                 dest,
                 seq,
-                extra_ms,
-            } => write!(f, "delay {origin}->{dest} {seq} {extra_ms}"),
-            FaultEvent::Duplicate {
-                origin,
-                dest,
-                seq,
-                dup_delay_ms,
-            } => write!(f, "dup {origin}->{dest} {seq} {dup_delay_ms}"),
+                fault,
+            } => {
+                write!(f, "{} {origin}->{dest} {seq}", fault.class())?;
+                match fault {
+                    BatchFault::Drop | BatchFault::Flip => Ok(()),
+                    BatchFault::Delay(ms) | BatchFault::Duplicate(ms) | BatchFault::MutDup(ms) => {
+                        write!(f, " {ms}")
+                    }
+                    BatchFault::Truncate(n) | BatchFault::Forge(n) => write!(f, " {n}"),
+                }
+            }
             FaultEvent::Partition {
                 a,
                 b,
                 at_s,
                 outage_s,
-            } => {
-                write!(f, "cut {a}-{b} {at_s} {outage_s}")
-            }
+            } => write!(f, "cut {a}-{b} {at_s} {outage_s}"),
             FaultEvent::Crash {
                 region,
                 at_s,
                 down_s,
-            } => {
-                write!(f, "crash {region} {at_s} {down_s}")
-            }
-            FaultEvent::Flip { origin, dest, seq } => write!(f, "flip {origin}->{dest} {seq}"),
-            FaultEvent::Truncate {
-                origin,
-                dest,
-                seq,
-                keep,
-            } => write!(f, "trunc {origin}->{dest} {seq} {keep}"),
-            FaultEvent::Forge {
-                origin,
-                dest,
-                seq,
-                back,
-            } => write!(f, "forge {origin}->{dest} {seq} {back}"),
-            FaultEvent::MutDup {
-                origin,
-                dest,
-                seq,
-                dup_delay_ms,
-            } => write!(f, "mutdup {origin}->{dest} {seq} {dup_delay_ms}"),
+            } => write!(f, "crash {region} {at_s} {down_s}"),
         }
     }
 }
@@ -212,29 +176,15 @@ impl ExplicitPlan {
 
     /// Events per class, for failure banners.
     pub fn summary(&self) -> String {
-        let mut counts: [(&str, usize); 9] = [
-            ("drop", 0),
-            ("delay", 0),
-            ("dup", 0),
-            ("cut", 0),
-            ("crash", 0),
-            ("flip", 0),
-            ("trunc", 0),
-            ("forge", 0),
-            ("mutdup", 0),
+        const CLASSES: [&str; 9] = [
+            "drop", "delay", "dup", "cut", "crash", "flip", "trunc", "forge", "mutdup",
         ];
-        for e in &self.events {
-            let c = e.class();
-            for slot in counts.iter_mut() {
-                if slot.0 == c {
-                    slot.1 += 1;
-                }
-            }
-        }
-        let parts: Vec<String> = counts
+        let parts: Vec<String> = CLASSES
             .iter()
-            .filter(|(_, n)| *n > 0)
-            .map(|(c, n)| format!("{n} {c}"))
+            .filter_map(|c| {
+                let n = self.events.iter().filter(|e| e.class() == *c).count();
+                (n > 0).then(|| format!("{n} {c}"))
+            })
             .collect();
         if parts.is_empty() {
             "no faults".to_owned()
@@ -279,11 +229,6 @@ impl fmt::Display for PlanParseError {
 
 impl std::error::Error for PlanParseError {}
 
-fn parse_link(tok: &str, sep: &str) -> Option<(Region, Region)> {
-    let (a, b) = tok.split_once(sep)?;
-    Some((a.parse().ok()?, b.parse().ok()?))
-}
-
 impl FromStr for ExplicitPlan {
     type Err = PlanParseError;
 
@@ -291,151 +236,89 @@ impl FromStr for ExplicitPlan {
         let mut plan = ExplicitPlan::default();
         for (i, raw) in s.lines().enumerate() {
             let line = raw.trim();
-            let err = |message: String| PlanParseError {
-                line: i + 1,
-                message,
-            };
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let mut tok = line.split_whitespace();
-            let kind = tok.next().unwrap_or_default();
-            let mut next = || tok.next().ok_or_else(|| err(format!("truncated {kind}")));
-            match kind {
-                "ae" => {
-                    let v = next()?;
-                    plan.anti_entropy_s = if v == "off" {
-                        None
-                    } else {
-                        Some(
-                            v.parse()
-                                .map_err(|_| err(format!("bad ae interval {v:?}")))?,
-                        )
-                    };
-                }
-                "drop" | "delay" | "dup" | "flip" | "trunc" | "forge" | "mutdup" => {
-                    let link = next()?;
-                    let (origin, dest) = parse_link(link, "->")
-                        .ok_or_else(|| err(format!("bad link {link:?} (want o->d)")))?;
-                    let seq = next()?;
-                    let seq = seq.parse().map_err(|_| err(format!("bad seq {seq:?}")))?;
-                    plan.events.push(match kind {
-                        "drop" => FaultEvent::Drop { origin, dest, seq },
-                        "flip" => FaultEvent::Flip { origin, dest, seq },
-                        "delay" => {
-                            let ms = next()?;
-                            FaultEvent::Delay {
-                                origin,
-                                dest,
-                                seq,
-                                extra_ms: ms.parse().map_err(|_| err(format!("bad ms {ms:?}")))?,
-                            }
-                        }
-                        "trunc" => {
-                            let keep = next()?;
-                            FaultEvent::Truncate {
-                                origin,
-                                dest,
-                                seq,
-                                keep: keep
-                                    .parse()
-                                    .map_err(|_| err(format!("bad keep {keep:?}")))?,
-                            }
-                        }
-                        "forge" => {
-                            let back = next()?;
-                            FaultEvent::Forge {
-                                origin,
-                                dest,
-                                seq,
-                                back: back
-                                    .parse()
-                                    .map_err(|_| err(format!("bad back {back:?}")))?,
-                            }
-                        }
-                        "mutdup" => {
-                            let ms = next()?;
-                            FaultEvent::MutDup {
-                                origin,
-                                dest,
-                                seq,
-                                dup_delay_ms: ms
-                                    .parse()
-                                    .map_err(|_| err(format!("bad ms {ms:?}")))?,
-                            }
-                        }
-                        _ => {
-                            let ms = next()?;
-                            FaultEvent::Duplicate {
-                                origin,
-                                dest,
-                                seq,
-                                dup_delay_ms: ms
-                                    .parse()
-                                    .map_err(|_| err(format!("bad ms {ms:?}")))?,
-                            }
-                        }
-                    });
-                }
-                "skew" => {
-                    let region = next()?;
-                    let ms = next()?;
-                    plan.skew_ms.push((
-                        region
-                            .parse()
-                            .map_err(|_| err(format!("bad region {region:?}")))?,
-                        ms.parse().map_err(|_| err(format!("bad ms {ms:?}")))?,
-                    ));
-                }
-                "cut" => {
-                    let link = next()?;
-                    let (a, b) = parse_link(link, "-")
-                        .ok_or_else(|| err(format!("bad link {link:?} (want a-b)")))?;
-                    let at = next()?;
-                    let outage = next()?;
-                    plan.events.push(FaultEvent::Partition {
-                        a,
-                        b,
-                        at_s: at.parse().map_err(|_| err(format!("bad time {at:?}")))?,
-                        outage_s: outage
-                            .parse()
-                            .map_err(|_| err(format!("bad outage {outage:?}")))?,
-                    });
-                }
-                "crash" => {
-                    let region = next()?;
-                    let at = next()?;
-                    let down = next()?;
-                    plan.events.push(FaultEvent::Crash {
-                        region: region
-                            .parse()
-                            .map_err(|_| err(format!("bad region {region:?}")))?,
-                        at_s: at.parse().map_err(|_| err(format!("bad time {at:?}")))?,
-                        down_s: down
-                            .parse()
-                            .map_err(|_| err(format!("bad down {down:?}")))?,
-                    });
-                }
-                "ael" => {
-                    let round = next()?;
-                    let link = next()?;
-                    let (src, dst) = parse_link(link, "->")
-                        .ok_or_else(|| err(format!("bad link {link:?} (want s->d)")))?;
-                    let ms = next()?;
-                    plan.ae_latency_ms.push((
-                        round
-                            .parse()
-                            .map_err(|_| err(format!("bad round {round:?}")))?,
-                        src,
-                        dst,
-                        ms.parse().map_err(|_| err(format!("bad ms {ms:?}")))?,
-                    ));
-                }
-                other => return Err(err(format!("unknown directive {other:?}"))),
-            }
+            parse_line(line, &mut plan).map_err(|message| PlanParseError {
+                line: i + 1,
+                message,
+            })?;
         }
         Ok(plan)
     }
+}
+
+/// `a<sep>b` as a region pair; the error names the directive `kind`.
+fn link(kind: &str, tok: &str, sep: &str) -> Result<(Region, Region), String> {
+    tok.split_once(sep)
+        .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
+        .ok_or_else(|| format!("{kind}: bad link {tok:?} (want a{sep}b)"))
+}
+
+/// One numeric field of directive `kind`.
+fn field<T: FromStr>(kind: &str, what: &str, tok: &str) -> Result<T, String> {
+    tok.parse()
+        .map_err(|_| format!("{kind}: bad {what} {tok:?}"))
+}
+
+/// Parse one non-comment plan line into `plan`.
+fn parse_line(line: &str, plan: &mut ExplicitPlan) -> Result<(), String> {
+    let mut tok = line.split_whitespace();
+    let kind = tok.next().unwrap_or_default();
+    let mut next = || tok.next().ok_or_else(|| format!("truncated {kind}"));
+    match kind {
+        "ae" => {
+            let v = next()?;
+            plan.anti_entropy_s = match v {
+                "off" => None,
+                _ => Some(field(kind, "ae interval", v)?),
+            };
+        }
+        "skew" => plan
+            .skew_ms
+            .push((field(kind, "region", next()?)?, field(kind, "ms", next()?)?)),
+        "drop" | "delay" | "dup" | "flip" | "trunc" | "forge" | "mutdup" => {
+            let (origin, dest) = link(kind, next()?, "->")?;
+            let seq = field(kind, "seq", next()?)?;
+            let fault = match kind {
+                "drop" => BatchFault::Drop,
+                "flip" => BatchFault::Flip,
+                "delay" => BatchFault::Delay(field(kind, "ms", next()?)?),
+                "dup" => BatchFault::Duplicate(field(kind, "ms", next()?)?),
+                "mutdup" => BatchFault::MutDup(field(kind, "ms", next()?)?),
+                "trunc" => BatchFault::Truncate(field(kind, "keep", next()?)?),
+                _ => BatchFault::Forge(field(kind, "back", next()?)?),
+            };
+            plan.events.push(FaultEvent::Batch {
+                origin,
+                dest,
+                seq,
+                fault,
+            });
+        }
+        "cut" => {
+            let (a, b) = link(kind, next()?, "-")?;
+            plan.events.push(FaultEvent::Partition {
+                a,
+                b,
+                at_s: field(kind, "time", next()?)?,
+                outage_s: field(kind, "outage", next()?)?,
+            });
+        }
+        "crash" => plan.events.push(FaultEvent::Crash {
+            region: field(kind, "region", next()?)?,
+            at_s: field(kind, "time", next()?)?,
+            down_s: field(kind, "down", next()?)?,
+        }),
+        "ael" => {
+            let round = field(kind, "round", next()?)?;
+            let (src, dst) = link(kind, next()?, "->")?;
+            plan.ae_latency_ms
+                .push((round, src, dst, field(kind, "ms", next()?)?));
+        }
+        other => return Err(format!("unknown directive {other:?}")),
+    }
+    Ok(())
 }
 
 /// What a single sealed run reported: the name of the oracle check that
@@ -444,28 +327,6 @@ impl FromStr for ExplicitPlan {
 pub struct RunVerdict {
     pub check: String,
     pub digest: u64,
-}
-
-/// The result of a shrink: the minimal plan found, the check it still
-/// fails, and the digest of its (deterministic) replay.
-#[derive(Clone, Debug)]
-pub struct ShrinkOutcome {
-    pub plan: ExplicitPlan,
-    /// The oracle check every kept candidate failed (identical to the
-    /// original failure's).
-    pub check: String,
-    /// Schedule digest of the minimized plan's replay — replaying the
-    /// plan must reproduce exactly this digest.
-    pub digest: u64,
-    /// Sealed simulations executed (the shrink budget spent).
-    pub runs: usize,
-    pub original_events: usize,
-}
-
-impl ShrinkOutcome {
-    pub fn shrunk_events(&self) -> usize {
-        self.plan.events.len()
-    }
 }
 
 /// Budget for one shrink session: a hard cap on sealed re-runs.
@@ -482,106 +343,15 @@ impl Default for ShrinkBudget {
     }
 }
 
-/// Delta-debug `initial` against the caller's sealed runner.
-///
-/// `run` executes one sealed simulation of a candidate plan and returns
-/// `Some(verdict)` when an oracle check fails (`None` = the candidate
-/// passes, so it is rejected). The shrinker only keeps candidates that
-/// fail the *same* check as the initial plan.
-///
-/// Returns `None` when the initial plan does not fail at all (nothing to
-/// shrink). The whole procedure is deterministic: same initial plan +
-/// same (deterministic) runner ⇒ same outcome.
-pub fn shrink_plan(
-    initial: &ExplicitPlan,
-    budget: ShrinkBudget,
-    mut run: impl FnMut(&ExplicitPlan) -> Option<RunVerdict>,
-) -> Option<ShrinkOutcome> {
-    let mut runs = 1usize;
-    let base = run(initial)?;
-    let target = base.check.clone();
-    let mut best = initial.clone();
-    let mut best_digest = base.digest;
-
-    let mut try_candidate = |candidate: &ExplicitPlan, runs: &mut usize| -> Option<u64> {
-        if *runs >= budget.max_runs {
-            return None;
-        }
-        *runs += 1;
-        match run(candidate) {
-            Some(v) if v.check == target => Some(v.digest),
-            _ => None,
-        }
-    };
-
-    // Phase 1 — chunked ddmin over whole events. Event order inside the
-    // plan is semantically irrelevant (transport faults key on batches,
-    // windows and crashes on virtual time), so removing any subsequence
-    // is a valid candidate.
-    {
-        let mut events = std::mem::take(&mut best.events);
-        let (ae, latencies) = (best.anti_entropy_s, best.ae_latency_ms.clone());
-        let skew = best.skew_ms.clone();
-        if let Some(digest) = ddmin_events(
-            &mut events,
-            &mut runs,
-            budget.max_runs,
-            |candidate, runs| {
-                let plan = ExplicitPlan {
-                    events: candidate.clone(),
-                    anti_entropy_s: ae,
-                    ae_latency_ms: latencies.clone(),
-                    skew_ms: skew.clone(),
-                };
-                try_candidate(&plan, runs)
-            },
-        ) {
-            best_digest = digest;
-        }
-        best.events = events;
-    }
-
-    // Phase 2 — per-event field shrinking.
-    shrink_fault_fields(
-        &mut best,
-        &mut best_digest,
-        &mut runs,
-        budget.max_runs,
-        &mut try_candidate,
-    );
-
-    // Phase 3 — drop the recorded anti-entropy latency table. Its round
-    // keys describe the *full* trace; once events are gone the rounds
-    // shift and stale entries would misdescribe the replay. If the
-    // failure survives on jitter-free base latencies (it almost always
-    // does), the minimized artifact stays honest and much smaller. The
-    // full-trace case keeps the table: it is what makes the seal
-    // bit-identical to the probabilistic original.
-    if best.events.len() < initial.events.len() && !best.ae_latency_ms.is_empty() {
-        let mut candidate = best.clone();
-        candidate.ae_latency_ms.clear();
-        if let Some(digest) = try_candidate(&candidate, &mut runs) {
-            best = candidate;
-            best_digest = digest;
-        }
-    }
-
-    Some(ShrinkOutcome {
-        plan: best,
-        check: target,
-        digest: best_digest,
-        runs,
-        original_events: initial.events.len(),
-    })
-}
-
 /// One chunked-ddmin pass to a fixpoint over `events`: try removing
 /// chunks (halving the chunk size down to 1, restarting from the top
 /// while whole passes make progress), keeping a removal whenever `fails`
 /// still reproduces the target failure on the remainder. Returns the
 /// digest of the last kept candidate, if any was kept. `fails` is
-/// expected to enforce the run budget (via the shared `runs` counter)
-/// exactly like [`shrink_plan`]'s `try_candidate`.
+/// expected to enforce the run budget (via the shared `runs` counter).
+/// Event order inside a trace is semantically irrelevant (transport
+/// faults key on batches, windows and crashes on virtual time), so
+/// removing any subsequence is a valid candidate.
 fn ddmin_events<T: Clone>(
     events: &mut Vec<T>,
     runs: &mut usize,
@@ -638,14 +408,16 @@ fn shrink_fault_fields(
             loop {
                 let mut candidate = best.clone();
                 let shrunk = match &mut candidate.events[i] {
-                    FaultEvent::Delay { extra_ms, .. } => halve(extra_ms, 1.0),
-                    FaultEvent::Duplicate { dup_delay_ms, .. } => halve(dup_delay_ms, 1.0),
+                    FaultEvent::Batch { fault, .. } => match fault {
+                        BatchFault::Delay(ms)
+                        | BatchFault::Duplicate(ms)
+                        | BatchFault::MutDup(ms) => halve(ms, 1.0),
+                        BatchFault::Truncate(keep) => halve_u64(keep, 0),
+                        BatchFault::Forge(back) => halve_u64(back, 1),
+                        BatchFault::Drop | BatchFault::Flip => false,
+                    },
                     FaultEvent::Partition { outage_s, .. } => halve(outage_s, 0.01),
                     FaultEvent::Crash { down_s, .. } => halve(down_s, 0.01),
-                    FaultEvent::Drop { .. } | FaultEvent::Flip { .. } => false,
-                    FaultEvent::Truncate { keep, .. } => halve_u64(keep, 0),
-                    FaultEvent::Forge { back, .. } => halve_u64(back, 1),
-                    FaultEvent::MutDup { dup_delay_ms, .. } => halve(dup_delay_ms, 1.0),
                 };
                 if !shrunk || *runs >= max_runs {
                     break;
@@ -692,11 +464,11 @@ impl JointOutcome {
 
 /// Jointly delta-debug a fault plan *and* the op trace that triggered it
 /// against the caller's sealed runner: a chunked ddmin over op events
-/// interleaved with the fault-event ddmin of [`shrink_plan`], iterated
-/// to a joint fixpoint, then the fault field shrinks and latency-table
-/// drops. Only candidates failing the *same* oracle check as the
-/// initial pair are kept, so the minimized artifact reproduces the
-/// original violation, not a different one.
+/// interleaved with one over fault events, iterated to a joint fixpoint,
+/// then the fault field shrinks and latency-table drops. Only candidates
+/// failing the *same* oracle check as the initial pair are kept, so the
+/// minimized artifact reproduces the original violation, not a different
+/// one.
 ///
 /// Op events go first in every round: each removed op makes all later
 /// sealed runs cheaper, and removing ops frequently unlocks fault
@@ -913,22 +685,23 @@ mod tests {
     fn sample_plan() -> ExplicitPlan {
         ExplicitPlan {
             events: vec![
-                FaultEvent::Drop {
+                FaultEvent::Batch {
                     origin: 0,
                     dest: 2,
                     seq: 17,
+                    fault: BatchFault::Drop,
                 },
-                FaultEvent::Delay {
+                FaultEvent::Batch {
                     origin: 1,
                     dest: 0,
                     seq: 23,
-                    extra_ms: 35.25,
+                    fault: BatchFault::Delay(35.25),
                 },
-                FaultEvent::Duplicate {
+                FaultEvent::Batch {
                     origin: 0,
                     dest: 1,
                     seq: 9,
-                    dup_delay_ms: 40.0,
+                    fault: BatchFault::Duplicate(40.0),
                 },
                 FaultEvent::Partition {
                     a: 0,
@@ -941,28 +714,29 @@ mod tests {
                     at_s: 0.9,
                     down_s: 0.8,
                 },
-                FaultEvent::Flip {
+                FaultEvent::Batch {
                     origin: 2,
                     dest: 0,
                     seq: 4,
+                    fault: BatchFault::Flip,
                 },
-                FaultEvent::Truncate {
+                FaultEvent::Batch {
                     origin: 1,
                     dest: 2,
                     seq: 6,
-                    keep: 3,
+                    fault: BatchFault::Truncate(3),
                 },
-                FaultEvent::Forge {
+                FaultEvent::Batch {
                     origin: 0,
                     dest: 1,
                     seq: 11,
-                    back: 4,
+                    fault: BatchFault::Forge(4),
                 },
-                FaultEvent::MutDup {
+                FaultEvent::Batch {
                     origin: 2,
                     dest: 1,
                     seq: 8,
-                    dup_delay_ms: 25.5,
+                    fault: BatchFault::MutDup(25.5),
                 },
             ],
             anti_entropy_s: Some(0.25),
@@ -996,6 +770,15 @@ mod tests {
         assert!(err.message.contains("warp"), "{err}");
         let err = "drop 0->x 4".parse::<ExplicitPlan>().unwrap_err();
         assert_eq!(err.line, 1);
+        // A missing or malformed argument names its directive.
+        for (text, line, directive) in [
+            ("ae 0.25\ndelay 0->1 4", 2, "delay"),
+            ("# c\n\ntrunc 0->1 4 x", 3, "trunc"),
+        ] {
+            let err = text.parse::<ExplicitPlan>().unwrap_err();
+            assert_eq!(err.line, line, "{err}");
+            assert!(err.message.contains(directive), "{err}");
+        }
     }
 
     #[test]
@@ -1014,41 +797,49 @@ mod tests {
         // failing values (keep 1, back 2).
         let plan = ExplicitPlan {
             events: vec![
-                FaultEvent::Truncate {
+                FaultEvent::Batch {
                     origin: 0,
                     dest: 1,
                     seq: 3,
-                    keep: 16,
+                    fault: BatchFault::Truncate(16),
                 },
-                FaultEvent::Forge {
+                FaultEvent::Batch {
                     origin: 1,
                     dest: 2,
                     seq: 9,
-                    back: 8,
+                    fault: BatchFault::Forge(8),
                 },
             ],
             ..Default::default()
         };
-        let out = shrink_plan(&plan, ShrinkBudget::default(), |p| {
+        let out = shrink_joint(&plan, &OpTrace::default(), ShrinkBudget::default(), |p, _| {
             let t = p
                 .events
                 .iter()
-                .any(|e| matches!(e, FaultEvent::Truncate { keep, .. } if *keep >= 1));
+                .any(|e| matches!(e, FaultEvent::Batch { fault: BatchFault::Truncate(keep), .. } if *keep >= 1));
             let g = p
                 .events
                 .iter()
-                .any(|e| matches!(e, FaultEvent::Forge { back, .. } if *back >= 2));
+                .any(|e| matches!(e, FaultEvent::Batch { fault: BatchFault::Forge(back), .. } if *back >= 2));
             (t && g).then(|| RunVerdict {
                 check: "corrupt".into(),
                 digest: 1,
             })
         })
         .expect("fails");
-        let FaultEvent::Truncate { keep, .. } = out.plan.events[0] else {
-            panic!("trunc survived: {}", out.plan);
+        let FaultEvent::Batch {
+            fault: BatchFault::Truncate(keep),
+            ..
+        } = out.faults.events[0]
+        else {
+            panic!("trunc survived: {}", out.faults);
         };
-        let FaultEvent::Forge { back, .. } = out.plan.events[1] else {
-            panic!("forge survived: {}", out.plan);
+        let FaultEvent::Batch {
+            fault: BatchFault::Forge(back),
+            ..
+        } = out.faults.events[1]
+        else {
+            panic!("forge survived: {}", out.faults);
         };
         assert_eq!(keep, 1, "16 → 8 → 4 → 2 → 1, then stuck");
         assert_eq!(back, 2, "8 → 4 → 2, then stuck");
@@ -1056,14 +847,15 @@ mod tests {
 
     /// A synthetic "oracle": fails iff the plan still contains the
     /// culprit drop; digest = number of events (detectably changing).
-    fn culprit_runner(plan: &ExplicitPlan) -> Option<RunVerdict> {
+    fn culprit_runner(plan: &ExplicitPlan, _: &OpTrace) -> Option<RunVerdict> {
         let has_culprit = plan.events.iter().any(|e| {
             matches!(
                 e,
-                FaultEvent::Drop {
+                FaultEvent::Batch {
                     origin: 0,
                     dest: 2,
-                    seq: 17
+                    seq: 17,
+                    fault: BatchFault::Drop
                 }
             )
         });
@@ -1080,33 +872,41 @@ mod tests {
             ..Default::default()
         };
         for seq in 0..60 {
-            plan.events.push(FaultEvent::Delay {
+            plan.events.push(FaultEvent::Batch {
                 origin: (seq % 3) as Region,
                 dest: ((seq + 1) % 3) as Region,
                 seq,
-                extra_ms: 20.0,
+                fault: BatchFault::Delay(20.0),
             });
         }
         plan.events.insert(
             37,
-            FaultEvent::Drop {
+            FaultEvent::Batch {
                 origin: 0,
                 dest: 2,
                 seq: 17,
+                fault: BatchFault::Drop,
             },
         );
-        let out = shrink_plan(&plan, ShrinkBudget::default(), culprit_runner).expect("fails");
-        assert_eq!(out.plan.events.len(), 1, "{}", out.plan);
+        let out = shrink_joint(
+            &plan,
+            &OpTrace::default(),
+            ShrinkBudget::default(),
+            culprit_runner,
+        )
+        .expect("fails");
+        assert_eq!(out.faults.events.len(), 1, "{}", out.faults);
         assert_eq!(
-            out.plan.events[0],
-            FaultEvent::Drop {
+            out.faults.events[0],
+            FaultEvent::Batch {
                 origin: 0,
                 dest: 2,
-                seq: 17
+                seq: 17,
+                fault: BatchFault::Drop
             }
         );
         assert_eq!(out.check, "culprit");
-        assert_eq!(out.original_events, 61);
+        assert_eq!(out.original_fault_events, 61);
         assert!(
             out.runs <= 60,
             "ddmin is logarithmic-ish: {} runs",
@@ -1117,7 +917,13 @@ mod tests {
     #[test]
     fn shrink_refuses_a_passing_plan() {
         let plan = sample_plan();
-        assert!(shrink_plan(&plan, ShrinkBudget::default(), |_| None).is_none());
+        assert!(shrink_joint(
+            &plan,
+            &OpTrace::default(),
+            ShrinkBudget::default(),
+            |_, _| None
+        )
+        .is_none());
     }
 
     #[test]
@@ -1125,27 +931,31 @@ mod tests {
         // Oracle: fails while the delay is ≥ 4 ms; the culprit event must
         // survive with its delay halved down to the smallest failing step.
         let plan = ExplicitPlan {
-            events: vec![FaultEvent::Delay {
+            events: vec![FaultEvent::Batch {
                 origin: 0,
                 dest: 1,
                 seq: 5,
-                extra_ms: 64.0,
+                fault: BatchFault::Delay(64.0),
             }],
             ..Default::default()
         };
-        let out = shrink_plan(&plan, ShrinkBudget::default(), |p| {
+        let out = shrink_joint(&plan, &OpTrace::default(), ShrinkBudget::default(), |p, _| {
             let failing = p
                 .events
                 .iter()
-                .any(|e| matches!(e, FaultEvent::Delay { extra_ms, .. } if *extra_ms >= 4.0));
+                .any(|e| matches!(e, FaultEvent::Batch { fault: BatchFault::Delay(extra_ms), .. } if *extra_ms >= 4.0));
             failing.then(|| RunVerdict {
                 check: "delay".into(),
                 digest: 1,
             })
         })
         .expect("fails");
-        let FaultEvent::Delay { extra_ms, .. } = out.plan.events[0] else {
-            panic!("delay survived: {}", out.plan);
+        let FaultEvent::Batch {
+            fault: BatchFault::Delay(extra_ms),
+            ..
+        } = out.faults.events[0]
+        else {
+            panic!("delay survived: {}", out.faults);
         };
         assert_eq!(extra_ms, 4.0, "halved 64 → 32 → 16 → 8 → 4, then stuck");
     }
@@ -1155,23 +965,36 @@ mod tests {
         let mut plan = ExplicitPlan::default();
         for seq in 0..40 {
             plan.events.push(if seq % 7 == 3 {
-                FaultEvent::Drop {
+                FaultEvent::Batch {
                     origin: 0,
                     dest: 2,
                     seq: 17,
+                    fault: BatchFault::Drop,
                 }
             } else {
-                FaultEvent::Duplicate {
+                FaultEvent::Batch {
                     origin: (seq % 3) as Region,
                     dest: ((seq + 2) % 3) as Region,
                     seq,
-                    dup_delay_ms: 40.0,
+                    fault: BatchFault::Duplicate(40.0),
                 }
             });
         }
-        let a = shrink_plan(&plan, ShrinkBudget::default(), culprit_runner).unwrap();
-        let b = shrink_plan(&plan, ShrinkBudget::default(), culprit_runner).unwrap();
-        assert_eq!(a.plan, b.plan);
+        let a = shrink_joint(
+            &plan,
+            &OpTrace::default(),
+            ShrinkBudget::default(),
+            culprit_runner,
+        )
+        .unwrap();
+        let b = shrink_joint(
+            &plan,
+            &OpTrace::default(),
+            ShrinkBudget::default(),
+            culprit_runner,
+        )
+        .unwrap();
+        assert_eq!(a.faults, b.faults);
         assert_eq!(a.runs, b.runs);
         assert_eq!(a.digest, b.digest);
     }
@@ -1184,10 +1007,11 @@ mod tests {
         let has_drop = faults.events.iter().any(|e| {
             matches!(
                 e,
-                FaultEvent::Drop {
+                FaultEvent::Batch {
                     origin: 0,
                     dest: 2,
-                    seq: 17
+                    seq: 17,
+                    fault: BatchFault::Drop
                 }
             )
         });
@@ -1209,17 +1033,18 @@ mod tests {
         };
         for seq in 0..50u64 {
             faults.events.push(if seq == 33 {
-                FaultEvent::Drop {
+                FaultEvent::Batch {
                     origin: 0,
                     dest: 2,
                     seq: 17,
+                    fault: BatchFault::Drop,
                 }
             } else {
-                FaultEvent::Delay {
+                FaultEvent::Batch {
                     origin: (seq % 3) as Region,
                     dest: ((seq + 1) % 3) as Region,
                     seq,
-                    extra_ms: 25.0,
+                    fault: BatchFault::Delay(25.0),
                 }
             });
         }
@@ -1357,19 +1182,29 @@ mod tests {
     fn budget_caps_the_run_count() {
         let mut plan = ExplicitPlan::default();
         for seq in 0..100 {
-            plan.events.push(FaultEvent::Drop {
+            plan.events.push(FaultEvent::Batch {
                 origin: 0,
                 dest: 2,
                 seq,
+                fault: BatchFault::Drop,
             });
         }
         // Every candidate containing seq 17 fails, so shrinking has many
         // live moves; the budget must still bound total work.
         let budget = ShrinkBudget { max_runs: 10 };
-        let out = shrink_plan(&plan, budget, |p| {
+        let out = shrink_joint(&plan, &OpTrace::default(), budget, |p, _| {
             p.events
                 .iter()
-                .any(|e| matches!(e, FaultEvent::Drop { seq: 17, .. }))
+                .any(|e| {
+                    matches!(
+                        e,
+                        FaultEvent::Batch {
+                            seq: 17,
+                            fault: BatchFault::Drop,
+                            ..
+                        }
+                    )
+                })
                 .then(|| RunVerdict {
                     check: "c".into(),
                     digest: p.events.len() as u64,
@@ -1377,6 +1212,6 @@ mod tests {
         })
         .unwrap();
         assert!(out.runs <= 10);
-        assert!(out.plan.events.len() < plan.events.len(), "some progress");
+        assert!(out.faults.events.len() < plan.events.len(), "some progress");
     }
 }

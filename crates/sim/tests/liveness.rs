@@ -2,7 +2,11 @@
 //! every induced causal gap within N rounds of repair opportunity, and
 //! the quiesce fixpoint must converge within N productive rounds.
 
-use ipa_sim::{paper_topology, ExplicitPlan, FaultEvent, FaultPlan, SimConfig, Simulation};
+use ipa_crdt::{ObjectKind, ReplicaId, Val};
+use ipa_sim::{
+    paper_topology, BatchFault, ExplicitPlan, FaultEvent, FaultPlan, SimConfig, Simulation,
+};
+use ipa_store::Transport;
 
 #[path = "common/inserter.rs"]
 mod inserter;
@@ -21,10 +25,11 @@ fn cfg(seed: u64, faults: FaultPlan) -> SimConfig {
 
 fn dropped_batch_plan(anti_entropy_s: Option<f64>) -> ExplicitPlan {
     ExplicitPlan {
-        events: vec![FaultEvent::Drop {
+        events: vec![FaultEvent::Batch {
             origin: 0,
             dest: 2,
             seq: 10,
+            fault: BatchFault::Drop,
         }],
         anti_entropy_s,
         ae_latency_ms: Vec::new(),
@@ -183,19 +188,20 @@ fn unreachable_gaps_still_pause_the_countdown() {
 #[test]
 fn corrupt_delivery_is_a_tracked_gap_and_anti_entropy_repairs_it() {
     for event in [
-        FaultEvent::Flip {
+        FaultEvent::Batch {
             origin: 0,
             dest: 2,
             seq: 10,
+            fault: BatchFault::Flip,
         },
         // keep: 0 guarantees the truncation mutates the batch (a
         // truncation to the batch's own length is byte-identical, so
         // the seal stays valid and nothing is quarantined).
-        FaultEvent::Truncate {
+        FaultEvent::Batch {
             origin: 0,
             dest: 2,
             seq: 10,
-            keep: 0,
+            fault: BatchFault::Truncate(0),
         },
     ] {
         let plan = ExplicitPlan {
@@ -241,4 +247,39 @@ fn crash_recovery_is_tracked_as_restart_obligations() {
         "recovery caught up within the bound: {l:?}"
     );
     assert_eq!(sim.liveness_violations(), 0);
+
+    // `Transport::{crash, restart}` go through the same two functions as
+    // the event arms, so the same state yields the same obligations:
+    // replica 1 is down while replicas 0 and 2 each ship one batch, then
+    // restarts — by the plan's crash window, or by the transport calls.
+    let missed_while_down = |by_event: bool| {
+        let idle = SimConfig {
+            clients_per_region: 0,
+            ..cfg(7, FaultPlan::none())
+        };
+        let mut sim = Simulation::new(paper_topology(), idle);
+        if by_event {
+            sim.set_explicit_faults(&"crash 1 0 0.5".parse().expect("parse"));
+        } else {
+            Transport::crash(&mut sim, ReplicaId(1));
+        }
+        for origin in [ReplicaId(0), ReplicaId(2)] {
+            sim.with_node(origin, |r| {
+                let mut tx = r.begin();
+                tx.ensure("set", ObjectKind::AWSet).expect("ensure");
+                tx.aw_add("set", Val::int(i64::from(origin.0)))
+                    .expect("add");
+                tx.commit();
+            });
+            sim.ship(origin);
+        }
+        sim.run(&mut Inserter::default());
+        if !by_event {
+            Transport::restart(&mut sim, ReplicaId(1));
+        }
+        sim.liveness().tracked_gaps
+    };
+    let by_event = missed_while_down(true);
+    assert_eq!(by_event, 2, "one obligation per origin");
+    assert_eq!(missed_while_down(false), by_event);
 }

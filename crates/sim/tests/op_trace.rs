@@ -12,8 +12,8 @@
 //!   commits a dropped batch.
 
 use ipa_sim::{
-    paper_topology, shrink_joint, CrashPlan, ExplicitPlan, FaultEvent, FaultPlan, OpTrace,
-    RunVerdict, ShrinkBudget, SimConfig, Simulation,
+    paper_topology, shrink_joint, BatchFault, CrashPlan, ExplicitPlan, FaultEvent, FaultPlan,
+    OpTrace, RunVerdict, ShrinkBudget, SimConfig, Simulation,
 };
 
 #[path = "common/replayable.rs"]
@@ -182,10 +182,11 @@ fn joint_shrink_isolates_the_dropped_batch_and_its_op() {
         "enough ops to make shrinking meaningful: {}",
         op_trace.events.len()
     );
-    let culprit = FaultEvent::Drop {
+    let culprit = FaultEvent::Batch {
         origin: 0,
         dest: 2,
         seq: 3,
+        fault: BatchFault::Drop,
     };
     let faults = ExplicitPlan {
         events: vec![culprit],

@@ -11,8 +11,8 @@
 
 use ipa_crdt::ReplicaId;
 use ipa_sim::{
-    paper_topology, shrink_plan, CrashPlan, ExplicitPlan, FaultEvent, FaultPlan, RunVerdict,
-    ShrinkBudget, SimConfig, Simulation,
+    paper_topology, shrink_joint, BatchFault, CrashPlan, ExplicitPlan, FaultEvent, FaultPlan,
+    OpTrace, RunVerdict, ShrinkBudget, SimConfig, Simulation,
 };
 
 #[path = "common/inserter.rs"]
@@ -92,10 +92,11 @@ fn single_culprit_shrinks_to_exactly_that_fault() {
     let workload_seed = 11;
     // A plan with one real culprit (the drop) buried in noise: 120
     // delay/duplicate events that never block causal delivery for long.
-    let culprit = FaultEvent::Drop {
+    let culprit = FaultEvent::Batch {
         origin: 0,
         dest: 2,
         seq: 40,
+        fault: BatchFault::Drop,
     };
     let mut plan = ExplicitPlan {
         // Anti-entropy never fires inside the window, so the dropped
@@ -109,18 +110,18 @@ fn single_culprit_shrinks_to_exactly_that_fault() {
             [1u16, 2, 0][(i % 3) as usize],
         );
         plan.events.push(if i % 2 == 0 {
-            FaultEvent::Delay {
+            FaultEvent::Batch {
                 origin,
                 dest,
                 seq: i / 3 + 1,
-                extra_ms: 25.0,
+                fault: BatchFault::Delay(25.0),
             }
         } else {
-            FaultEvent::Duplicate {
+            FaultEvent::Batch {
                 origin,
                 dest,
                 seq: i / 3 + 1,
-                dup_delay_ms: 40.0,
+                fault: BatchFault::Duplicate(40.0),
             }
         });
         if i == 60 {
@@ -129,28 +130,33 @@ fn single_culprit_shrinks_to_exactly_that_fault() {
     }
     let original_events = plan.events.len();
 
-    let outcome = shrink_plan(&plan, ShrinkBudget::default(), |candidate| {
-        let sim = run_explicit(workload_seed, candidate);
-        missing_batch_verdict(&sim, 0, 2, 40)
-    })
+    let outcome = shrink_joint(
+        &plan,
+        &OpTrace::default(),
+        ShrinkBudget::default(),
+        |candidate, _| {
+            let sim = run_explicit(workload_seed, candidate);
+            missing_batch_verdict(&sim, 0, 2, 40)
+        },
+    )
     .expect("the full plan fails: the culprit drop is in it");
 
     assert_eq!(
-        outcome.plan.events,
+        outcome.faults.events,
         vec![culprit],
         "ddmin must isolate the culprit:\n{}",
-        outcome.plan
+        outcome.faults
     );
     assert!(
-        outcome.shrunk_events() * 10 <= original_events,
+        outcome.fault_events() * 10 <= original_events,
         "{} of {} events is not ≤ 10%",
-        outcome.shrunk_events(),
+        outcome.fault_events(),
         original_events
     );
 
     // The printed repro replays the identical violation: parse the
     // minimized plan back from its text form and re-run it.
-    let reparsed: ExplicitPlan = outcome.plan.to_string().parse().expect("parse");
+    let reparsed: ExplicitPlan = outcome.faults.to_string().parse().expect("parse");
     let sim = run_explicit(workload_seed, &reparsed);
     let verdict = missing_batch_verdict(&sim, 0, 2, 40).expect("still violates");
     assert_eq!(verdict.check, outcome.check);
@@ -171,39 +177,46 @@ fn every_kept_candidate_fails_the_same_check() {
         ..Default::default()
     };
     for seq in [20u64, 30, 40] {
-        plan.events.push(FaultEvent::Drop {
+        plan.events.push(FaultEvent::Batch {
             origin: 0,
             dest: 2,
             seq,
+            fault: BatchFault::Drop,
         });
-        plan.events.push(FaultEvent::Drop {
+        plan.events.push(FaultEvent::Batch {
             origin: 1,
             dest: 0,
             seq,
+            fault: BatchFault::Drop,
         });
     }
     let workload_seed = 23;
     let mut kept_checks = Vec::new();
-    let outcome = shrink_plan(&plan, ShrinkBudget::default(), |candidate| {
-        let sim = run_explicit(workload_seed, candidate);
-        let verdict =
-            missing_batch_verdict(&sim, 0, 2, 20).or_else(|| missing_batch_verdict(&sim, 1, 0, 20));
-        if let Some(v) = &verdict {
-            kept_checks.push(v.check.clone());
-        }
-        verdict
-    })
+    let outcome = shrink_joint(
+        &plan,
+        &OpTrace::default(),
+        ShrinkBudget::default(),
+        |candidate, _| {
+            let sim = run_explicit(workload_seed, candidate);
+            let verdict = missing_batch_verdict(&sim, 0, 2, 20)
+                .or_else(|| missing_batch_verdict(&sim, 1, 0, 20));
+            if let Some(v) = &verdict {
+                kept_checks.push(v.check.clone());
+            }
+            verdict
+        },
+    )
     .expect("fails");
     assert_eq!(outcome.check, "missing-batch r0:20@r2");
     // Every failing verdict the shrinker accepted (kept) matches the
     // target check; verdicts for the other check were rejected, so the
     // minimized plan must still fail the original check.
-    let sim = run_explicit(workload_seed, &outcome.plan);
+    let sim = run_explicit(workload_seed, &outcome.faults);
     assert!(missing_batch_verdict(&sim, 0, 2, 20).is_some());
     assert!(
-        outcome.plan.events.len() <= 2,
+        outcome.faults.events.len() <= 2,
         "the unrelated 1→0 drops must be gone:\n{}",
-        outcome.plan
+        outcome.faults
     );
 }
 
@@ -223,21 +236,39 @@ fn shrinking_is_deterministic_from_the_seed_pair() {
         sim.run(&mut w);
         let trace = sim.take_fault_trace();
         // The failure to minimize: the last batch the nemesis dropped.
-        let &FaultEvent::Drop { origin, dest, seq } = trace
+        let &FaultEvent::Batch {
+            origin,
+            dest,
+            seq,
+            fault: BatchFault::Drop,
+        } = trace
             .events
             .iter()
             .rev()
-            .find(|e| matches!(e, FaultEvent::Drop { .. }))
+            .find(|e| {
+                matches!(
+                    e,
+                    FaultEvent::Batch {
+                        fault: BatchFault::Drop,
+                        ..
+                    }
+                )
+            })
             .expect("intensity 0.3 drops something")
         else {
             unreachable!()
         };
-        let outcome = shrink_plan(&trace, ShrinkBudget::default(), |candidate| {
-            let sim = run_explicit(workload_seed, candidate);
-            missing_batch_verdict(&sim, origin, dest, seq)
-        })
+        let outcome = shrink_joint(
+            &trace,
+            &OpTrace::default(),
+            ShrinkBudget::default(),
+            |candidate, _| {
+                let sim = run_explicit(workload_seed, candidate);
+                missing_batch_verdict(&sim, origin, dest, seq)
+            },
+        )
         .expect("the recorded trace contains the culprit drop");
-        (outcome.plan.to_string(), outcome.digest, outcome.runs)
+        (outcome.faults.to_string(), outcome.digest, outcome.runs)
     };
     let a = shrink_once();
     let b = shrink_once();
@@ -317,4 +348,50 @@ fn explicit_plan_digests_stay_pinned() {
              0x{got:016x} != 0x{want:016x}"
         );
     }
+}
+
+/// The plan text format did not move: every corpus plan and one line of
+/// each directive render back byte for byte (comments aside).
+#[test]
+fn plan_text_format_reproduces_every_directive_byte_for_byte() {
+    let every_directive = "ae 0.25\n\
+                           skew 1 15\n\
+                           skew 2 -10\n\
+                           drop 0->2 17\n\
+                           delay 1->0 23 35.25\n\
+                           dup 0->1 9 40\n\
+                           flip 2->0 4\n\
+                           trunc 1->2 6 3\n\
+                           forge 0->1 11 4\n\
+                           mutdup 2->1 8 25.5\n\
+                           cut 0-2 1 0.3\n\
+                           crash 1 0.9 0.8\n\
+                           ael 3 0->2 40.125\n";
+    let mut texts = vec![
+        every_directive.to_owned(),
+        "ae off\ndrop 1->0 4\n".to_owned(),
+    ];
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus");
+    for entry in std::fs::read_dir(corpus).expect("tests/corpus") {
+        let path = entry.expect("entry").path();
+        if path.to_string_lossy().ends_with(".plan.txt") {
+            texts.push(std::fs::read_to_string(&path).expect("read"));
+        }
+    }
+    assert!(texts.len() >= 6, "the four corpus plans were found");
+    let directives = |text: &str| -> String {
+        let kept = text.lines().filter(|l| !l.starts_with('#'));
+        kept.flat_map(|l| [l, "\n"]).collect()
+    };
+    for text in texts {
+        let plan: ExplicitPlan = text.parse().expect("parse");
+        assert_eq!(directives(&plan.to_string()), directives(&text));
+    }
+    assert_eq!(
+        every_directive
+            .parse::<ExplicitPlan>()
+            .expect("parse")
+            .summary(),
+        "9 events: 1 drop, 1 delay, 1 dup, 1 cut, 1 crash, 1 flip, 1 trunc, 1 forge, 1 mutdup"
+    );
 }

@@ -96,15 +96,6 @@ impl Effect {
             kind: self.kind,
         }
     }
-
-    /// The boolean value this effect writes, if it is a boolean effect.
-    pub fn boolean_value(&self) -> Option<bool> {
-        match self.kind {
-            EffectKind::SetTrue => Some(true),
-            EffectKind::SetFalse => Some(false),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Effect {

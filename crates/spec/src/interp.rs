@@ -8,7 +8,7 @@
 //! counter-example states (the `Sinit`/`S1`/`S2`/`Sfinal` diagrams of the
 //! paper's Figure 2).
 
-use crate::formula::{CmpOp, Formula, NumExpr, Substitution};
+use crate::formula::{Formula, NumExpr, Substitution};
 use crate::predicate::Atom;
 use crate::sorts::{Constant, Sort, Term, Var};
 use crate::symbol::Symbol;
@@ -266,11 +266,6 @@ impl Interpretation {
             NumExpr::Sub(l, r) => Ok(self.eval_num(l)? - self.eval_num(r)?),
         }
     }
-
-    /// Evaluate a comparison between two numeric expressions.
-    pub fn eval_cmp(&self, l: &NumExpr, op: CmpOp, r: &NumExpr) -> Result<bool, EvalError> {
-        Ok(op.eval(self.eval_num(l)?, self.eval_num(r)?))
-    }
 }
 
 /// Errors raised when evaluating formulas against an interpretation.
@@ -303,7 +298,7 @@ impl std::error::Error for EvalError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formula::Formula;
+    use crate::formula::CmpOp;
 
     fn player(n: &str) -> Constant {
         Constant::new(n, Sort::new("Player"))

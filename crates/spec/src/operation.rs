@@ -98,16 +98,6 @@ impl Operation {
         self.all_effects().any(|e| e.atom.pred == *pred)
     }
 
-    /// The effects of this operation restricted to boolean assignments.
-    pub fn boolean_effects(&self) -> impl Iterator<Item = &Effect> {
-        self.all_effects().filter(|e| e.kind.is_boolean())
-    }
-
-    /// The effects of this operation restricted to numeric updates.
-    pub fn numeric_effects(&self) -> impl Iterator<Item = &Effect> {
-        self.all_effects().filter(|e| !e.kind.is_boolean())
-    }
-
     /// The *naive precondition* of the operation implied by its own effects:
     /// an operation that sets `pred(args) := true` is intended to run in
     /// states where its arguments denote existing entities. The true

@@ -130,13 +130,6 @@ impl Term {
             _ => None,
         }
     }
-
-    pub fn as_const(&self) -> Option<&Constant> {
-        match self {
-            Term::Const(c) => Some(c),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Term {

@@ -533,11 +533,6 @@ impl<'a> Transaction<'a> {
         Ok(m.get(k).cloned())
     }
 
-    /// Number of buffered updates so far.
-    pub fn update_count(&self) -> usize {
-        self.updates.len()
-    }
-
     // ------------------------------------------------------------------
     // Commit
     // ------------------------------------------------------------------
