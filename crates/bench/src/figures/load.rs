@@ -91,7 +91,7 @@ pub struct ReplicaCounters {
     pub region: u16,
     /// Updates applied per shard, in shard order.
     pub shard_updates: Vec<u64>,
-    /// Object/kind-table lookups per shard.
+    /// Object-table lookups per shard.
     pub shard_lookups: Vec<u64>,
 }
 
@@ -734,9 +734,9 @@ pub fn check(report: &Report) -> Result<(), String> {
             format!("region {region}: shard imbalance {ups:?}")
         })?;
         // Handle-cache bound: at most one object-table lookup per
-        // applied update (plus one kind touch per created object).
+        // applied update, object creation included.
         let lookups: u64 = r.shard_lookups.iter().sum();
-        ensure(lookups <= total + 2 * report.keys as u64, || {
+        ensure(lookups <= total, || {
             format!("region {region}: {lookups} lookups for {total} updates")
         })?;
     }

@@ -10,14 +10,15 @@
 use crate::clock::VClock;
 use crate::lww::{LWWOp, LWWRegister};
 use crate::tag::Tag;
+use crate::tagset::TagSet;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Per-key entry: presence tags + payload + last-modification clock
 /// (for stability-based payload GC).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 struct Entry<V: Clone> {
-    tags: BTreeSet<Tag>,
+    tags: TagSet,
     payload: LWWRegister<V>,
     last_clock: VClock,
 }
@@ -25,7 +26,7 @@ struct Entry<V: Clone> {
 impl<V: Clone> Default for Entry<V> {
     fn default() -> Self {
         Entry {
-            tags: BTreeSet::new(),
+            tags: TagSet::default(),
             payload: LWWRegister::new(),
             last_clock: VClock::new(),
         }
@@ -59,7 +60,7 @@ pub enum AWMapOp<K, V> {
     /// Remove observed presence tags (payload is retained for touch).
     Remove {
         key: K,
-        observed: Vec<Tag>,
+        observed: TagSet,
         clock: VClock,
     },
 }
@@ -151,7 +152,7 @@ impl<K: Ord + Clone, V: Clone + PartialEq> AWMap<K, V> {
         }
         Some(AWMapOp::Remove {
             key: key.clone(),
-            observed: e.tags.iter().copied().collect(),
+            observed: e.tags.clone(),
             clock,
         })
     }
@@ -168,7 +169,11 @@ impl<K: Ord + Clone, V: Clone + PartialEq> AWMap<K, V> {
                 clock,
                 write,
             } => {
-                let e = self.entries.entry(key.clone()).or_default();
+                // Look up first: a put on a present key clones nothing.
+                let e = match self.entries.get_mut(key) {
+                    Some(e) => e,
+                    None => self.entries.entry(key.clone()).or_default(),
+                };
                 e.tags.insert(*tag);
                 e.last_clock.merge(clock);
                 if let Some(w) = write {
@@ -181,9 +186,7 @@ impl<K: Ord + Clone, V: Clone + PartialEq> AWMap<K, V> {
                 clock,
             } => {
                 if let Some(e) = self.entries.get_mut(key) {
-                    for t in observed {
-                        e.tags.remove(t);
-                    }
+                    observed.iter().for_each(|t| e.tags.remove(t));
                     e.last_clock.merge(clock);
                 }
             }
@@ -260,6 +263,30 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains(&"x"), "touch's fresh tag survives the remove");
         assert_eq!(a.get(&"x"), Some(&7));
+    }
+
+    #[test]
+    fn two_tags_shrinking_to_one_compare_equal_in_any_order() {
+        // A put, a concurrent touch, and a remove that observed only the
+        // put: every causal order must leave the same one-tag entry,
+        // whether it passed through two tags or through none.
+        let mut a: AWMap<&'static str, i64> = AWMap::new();
+        let put = a.prepare_put("x", tag(0, 1), clock(&[(0, 1)]), 1, 7);
+        a.apply(&put);
+        let rm = a.prepare_remove(&"x", clock(&[(0, 2)])).unwrap();
+        let touch = a.prepare_touch("x", tag(1, 1), clock(&[(1, 1)]));
+
+        let replay = |order: [&AWMapOp<&'static str, i64>; 3]| {
+            let mut m = AWMap::new();
+            order.into_iter().for_each(|op| m.apply(op));
+            m
+        };
+        let grew_then_shrank = replay([&put, &touch, &rm]);
+        let grew_the_other_way = replay([&touch, &put, &rm]);
+        let emptied_then_refilled = replay([&put, &rm, &touch]);
+        assert_eq!(grew_then_shrank, grew_the_other_way);
+        assert_eq!(grew_then_shrank, emptied_then_refilled);
+        assert_eq!(grew_then_shrank.get(&"x"), Some(&7));
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! No tombstones are kept: state is `O(live tags)`.
 
 use crate::tag::Tag;
+use crate::tagset::TagSet;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Operation-based add-wins set.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AWSet<E: Ord + Clone> {
-    live: BTreeMap<E, BTreeSet<Tag>>,
+    live: BTreeMap<E, TagSet>,
 }
 
 /// Effect operations (replicated under causal delivery).
@@ -26,7 +27,7 @@ pub enum AWSetOp<E> {
     /// Add an element with a fresh unique tag.
     Add { elem: E, tag: Tag },
     /// Remove the listed (element, observed-tags) pairs.
-    Remove { victims: Vec<(E, Vec<Tag>)> },
+    Remove { victims: Vec<(E, TagSet)> },
 }
 
 impl<E: Ord + Clone> AWSet<E> {
@@ -58,7 +59,7 @@ impl<E: Ord + Clone> AWSet<E> {
     /// The live tags of an element (used by the compensation set for its
     /// deterministic excess choice).
     pub fn tags_of(&self, e: &E) -> impl Iterator<Item = &Tag> {
-        self.live.get(e).into_iter().flatten()
+        self.live.get(e).into_iter().flat_map(TagSet::iter)
     }
 
     /// Copy `e`'s entry (its live tags) into `into`, a partial copy of
@@ -92,7 +93,7 @@ impl<E: Ord + Clone> AWSet<E> {
             return None;
         }
         Some(AWSetOp::Remove {
-            victims: vec![(elem.clone(), tags.iter().copied().collect())],
+            victims: vec![(elem.clone(), tags.clone())],
         })
     }
 
@@ -103,7 +104,7 @@ impl<E: Ord + Clone> AWSet<E> {
             .live
             .iter()
             .filter(|(e, tags)| !tags.is_empty() && pred(e))
-            .map(|(e, tags)| (e.clone(), tags.iter().copied().collect()))
+            .map(|(e, tags)| (e.clone(), tags.clone()))
             .collect();
         AWSetOp::Remove { victims }
     }
@@ -115,14 +116,17 @@ impl<E: Ord + Clone> AWSet<E> {
     pub fn apply(&mut self, op: &AWSetOp<E>) {
         match op {
             AWSetOp::Add { elem, tag } => {
-                self.live.entry(elem.clone()).or_default().insert(*tag);
+                // Look up first: re-adding a present element clones nothing.
+                let tags = match self.live.get_mut(elem) {
+                    Some(tags) => tags,
+                    None => self.live.entry(elem.clone()).or_default(),
+                };
+                tags.insert(*tag);
             }
             AWSetOp::Remove { victims } => {
                 for (e, tags) in victims {
                     if let Some(live) = self.live.get_mut(e) {
-                        for t in tags {
-                            live.remove(t);
-                        }
+                        tags.iter().for_each(|t| live.remove(t));
                         if live.is_empty() {
                             self.live.remove(e);
                         }
@@ -178,6 +182,36 @@ mod tests {
         b.apply(&rm);
         assert!(a.contains(&"x"), "add must win");
         assert_eq!(a, b, "replicas must converge");
+    }
+
+    #[test]
+    fn two_tags_shrinking_to_one_compare_equal_in_any_order() {
+        // x gains two concurrent tags and a remove that observed only the
+        // first. Every causal order must leave the same `{tag(1, 1)}`,
+        // whether the entry passed through two tags, none, or neither.
+        let add0 = AWSetOp::Add {
+            elem: "x",
+            tag: tag(0, 1),
+        };
+        let add1 = AWSetOp::Add {
+            elem: "x",
+            tag: tag(1, 1),
+        };
+        let mut observer: AWSet<&'static str> = AWSet::new();
+        observer.apply(&add0);
+        let rm = observer.prepare_remove(&"x").unwrap();
+
+        let replay = |order: [&AWSetOp<&'static str>; 3]| {
+            let mut s = AWSet::new();
+            order.into_iter().for_each(|op| s.apply(op));
+            s
+        };
+        let grew_then_shrank = replay([&add0, &add1, &rm]);
+        let grew_the_other_way = replay([&add1, &add0, &rm]);
+        let emptied_then_refilled = replay([&add0, &rm, &add1]);
+        assert_eq!(grew_then_shrank, grew_the_other_way);
+        assert_eq!(grew_then_shrank, emptied_then_refilled);
+        assert!(grew_then_shrank.tags_of(&"x").eq([&tag(1, 1)]));
     }
 
     #[test]

@@ -38,6 +38,7 @@ pub mod mvreg;
 pub mod object;
 pub mod rwset;
 pub mod tag;
+mod tagset;
 pub mod value;
 
 pub use awmap::{AWMap, AWMapOp};

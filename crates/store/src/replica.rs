@@ -11,7 +11,7 @@
 //!
 //! Object storage is **sharded**: the key space is partitioned by a
 //! stable hash ([`DEFAULT_SHARDS`] ways by default) and each shard owns
-//! its own object map, kind map, and apply counters. `apply_batch`
+//! its own object map and apply counters. `apply_batch`
 //! splits a batch into per-shard same-key runs; deterministic transports
 //! apply shards in fixed index order, the threaded transport hands wide
 //! batches to a **persistent shard-worker pool** — one long-lived thread
@@ -44,8 +44,7 @@ pub struct ReplicaStats {
     /// probes + returned batches).
     pub anti_entropy_scanned: u64,
     /// Object-table hash lookups performed by the apply path (one per
-    /// same-key run of a batch, plus one kind-map touch per object
-    /// creation).
+    /// same-key run of a batch, object creation included).
     pub apply_table_lookups: u64,
     /// Stability-frontier folds actually computed — by [`Replica::run_gc`]
     /// or [`Replica::stability_frontier_cached`]. The fold is
@@ -117,7 +116,7 @@ pub struct ShardStats {
     pub runs_applied: u64,
     /// Individual updates applied on this shard.
     pub updates_applied: u64,
-    /// Object/kind-map hash lookups on this shard.
+    /// Object-table hash lookups on this shard.
     pub table_lookups: u64,
     /// Most same-key runs a single batch ever queued on this shard — the
     /// per-batch apply-queue depth high-water mark.
@@ -129,16 +128,15 @@ pub struct ShardStats {
     pub pool_queued_hwm: u64,
 }
 
-/// One key-space partition: the object map, kind map, and apply counters
-/// owned exclusively by that shard. `apply_batch` splits every batch into
+/// One key-space partition: the object map and apply counters owned
+/// exclusively by that shard. `apply_batch` splits every batch into
 /// per-shard runs, so two shards are never touched by the same update and
 /// the pool's workers may apply them concurrently.
 #[derive(Debug, Default)]
 pub(crate) struct ShardTable {
-    objects: HashMap<Key, Object>,
-    /// The declared kind of each key (shipped with updates so receivers
-    /// can instantiate missing objects deterministically).
-    kinds: HashMap<Key, ObjectKind>,
+    /// Each key's object beside its declared kind (shipped with updates
+    /// so receivers can instantiate missing objects deterministically).
+    objects: HashMap<Key, (ObjectKind, Object)>,
     stats: ShardStats,
 }
 
@@ -184,8 +182,8 @@ fn shard_of(key: &Key, shards: usize) -> usize {
 }
 
 /// Apply one same-key run of `updates[start..start + len]` to its shard.
-/// Resolves the object once per run and touches the kind map only on
-/// creation (the handle-cache discipline the PR-5 benchmark pinned).
+/// Resolves the object once per run, creation included (the handle-cache
+/// discipline the PR-5 benchmark pinned).
 pub(crate) fn apply_run(
     table: &mut ShardTable,
     updates: &[(Key, ObjectKind, ipa_crdt::ObjectOp)],
@@ -195,14 +193,10 @@ pub(crate) fn apply_run(
     let (key, kind, _) = &updates[start];
     table.stats.runs_applied += 1;
     table.stats.table_lookups += 1;
-    let obj = match table.objects.entry(key.clone()) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(e) => {
-            table.stats.table_lookups += 1;
-            table.kinds.entry(key.clone()).or_insert(*kind);
-            e.insert(Object::new(*kind, creation_owner()))
-        }
-    };
+    let (_, obj) = table
+        .objects
+        .entry(key.clone())
+        .or_insert_with(|| (*kind, Object::new(*kind, creation_owner())));
     for u in &updates[start..start + len] {
         match obj.apply(&u.2) {
             Ok(()) => table.stats.updates_applied += 1,
@@ -497,30 +491,23 @@ impl Replica {
     /// object through this function for every key it has not written, and
     /// its own overlay for the keys it has.
     pub fn object(&self, key: &Key) -> Option<&Object> {
-        self.shards[shard_of(key, self.shards.len())]
-            .objects
-            .get(key)
+        self.object_and_kind(key).map(|(_, obj)| obj)
     }
 
     /// A stored object with its declared kind, from one shard lookup.
     pub(crate) fn object_and_kind(&self, key: &Key) -> Option<(ObjectKind, &Object)> {
         let shard = &self.shards[shard_of(key, self.shards.len())];
-        Some((*shard.kinds.get(key)?, shard.objects.get(key)?))
+        shard.objects.get(key).map(|(kind, obj)| (*kind, obj))
     }
 
     pub(crate) fn insert_object(&mut self, key: Key, kind: ObjectKind, obj: Object) {
         let s = shard_of(&key, self.shards.len());
-        let shard = &mut self.shards[s];
-        shard.kinds.insert(key.clone(), kind);
-        shard.objects.insert(key, obj);
+        self.shards[s].objects.insert(key, (kind, obj));
     }
 
     /// The declared kind of a key, if known.
     pub fn kind_of(&self, key: &Key) -> Option<ObjectKind> {
-        self.shards[shard_of(key, self.shards.len())]
-            .kinds
-            .get(key)
-            .copied()
+        self.object_and_kind(key).map(|(kind, _)| kind)
     }
 
     pub fn object_count(&self) -> usize {
@@ -742,9 +729,9 @@ impl Replica {
 
     fn apply_batch(&mut self, batch: &UpdateBatch) {
         // Split the batch into same-key *runs* (the per-batch
-        // object-handle cache: one object resolution per run, kind-map
-        // touch only on creation) and route each run to the shard that
-        // owns its key. A run's updates share one key, so a run never
+        // object-handle cache: one object resolution per run, creation
+        // included) and route each run to the shard that owns its key.
+        // A run's updates share one key, so a run never
         // straddles shards, and distinct keys are independent objects —
         // shards can therefore apply in any order (fixed index order
         // here; concurrently on the threaded transport) and produce the
@@ -1134,7 +1121,7 @@ impl Replica {
             return;
         }
         for shard in &mut self.shards {
-            for obj in shard.objects.values_mut() {
+            for (_, obj) in shard.objects.values_mut() {
                 obj.compact(&frontier);
             }
         }
@@ -1172,9 +1159,7 @@ impl Replica {
     /// Ensure an object of the given kind exists (no-op if present).
     /// Errors if the key exists with a different kind.
     pub fn ensure_object(&mut self, key: &Key, kind: ObjectKind) -> Result<(), StoreError> {
-        let s = shard_of(key, self.shards.len());
-        let shard = &mut self.shards[s];
-        match shard.objects.get(key) {
+        match self.object(key) {
             Some(existing) => {
                 let fresh = Object::new(kind, creation_owner());
                 if std::mem::discriminant(existing) != std::mem::discriminant(&fresh) {
@@ -1186,10 +1171,7 @@ impl Replica {
                 Ok(())
             }
             None => {
-                shard.kinds.insert(key.clone(), kind);
-                shard
-                    .objects
-                    .insert(key.clone(), Object::new(kind, creation_owner()));
+                self.insert_object(key.clone(), kind, Object::new(kind, creation_owner()));
                 Ok(())
             }
         }
@@ -1796,7 +1778,7 @@ mod tests {
     #[test]
     fn same_key_runs_coalesce_into_one_lookup() {
         // Two adds per object per batch: one table lookup per same-key
-        // run plus one kind touch per creation, not one per update.
+        // run, creation included, not one per update.
         let mut a = Replica::new(r(0));
         let mut b = Replica::new(r(1));
         for i in 0..10 {
@@ -1812,7 +1794,7 @@ mod tests {
             assert_eq!(b.receive(batch), 1);
         }
         assert_eq!(b.stats.updates_applied, 80);
-        assert_eq!(b.stats.apply_table_lookups, 40 + 4);
+        assert_eq!(b.stats.apply_table_lookups, 40);
     }
 
     #[test]
