@@ -448,7 +448,7 @@ mod tests {
             .unwrap();
         for i in 0..=tourn::CAPACITY {
             let p = format!("p{i}");
-            tx.map_put(tourn::PLAYERS, Val::str(&p), Val::str("x"))
+            tx.map_put(tourn::PLAYERS, Val::str(p.as_str()), Val::str("x"))
                 .unwrap();
             tx.aw_add(tourn::ENROLLED, Val::pair(p, "t")).unwrap();
         }

@@ -76,9 +76,8 @@ impl TicketApp {
         event: &str,
     ) -> Result<Option<OpCost>, StoreError> {
         let key = pool_key(event);
-        tx.ensure(key.clone(), self.pool_kind())?;
-        let sold = tx.set_elements(key.clone())?.len();
-        if sold >= self.capacity {
+        tx.ensure(key.as_str(), self.pool_kind())?;
+        if tx.set_len(&key)? >= self.capacity {
             return Ok(None); // correctly rejected locally
         }
         match self.mode {
@@ -96,7 +95,7 @@ impl TicketApp {
     /// violation.
     pub fn view(&self, tx: &mut Transaction<'_>, event: &str) -> Result<EventView, StoreError> {
         let key = pool_key(event);
-        tx.ensure(key.clone(), self.pool_kind())?;
+        tx.ensure(key.as_str(), self.pool_kind())?;
         match self.mode {
             Mode::Ipa => {
                 let read = tx.compset_read(key)?;
@@ -116,7 +115,7 @@ impl TicketApp {
                 })
             }
             _ => {
-                let sold = tx.set_elements(key)?.len();
+                let sold = tx.set_len(key)?;
                 Ok(EventView {
                     sold,
                     cancelled: Vec::new(),
@@ -190,7 +189,7 @@ mod tests {
         for r in 0..2 {
             let raw = cluster
                 .replica(ReplicaId(r))
-                .object(&pool_key("gig").into())
+                .object(&pool_key("gig"))
                 .unwrap()
                 .as_compset()
                 .unwrap()

@@ -242,7 +242,7 @@ impl AppWorkload for SaleWorkload {
                 _ => {
                     ctx.commit(region, |tx| {
                         tx.ensure(key.as_str(), kind)?;
-                        tx.set_elements(key.as_str()).map(|_| ())
+                        tx.set_len(key.as_str()).map(|_| ())
                     })
                     .expect("sale view");
                     0
@@ -263,13 +263,13 @@ impl AppWorkload for SaleWorkload {
                         // Local precondition only: concurrent remote buys
                         // can still oversell — that is the anomaly the
                         // escrow comparison measures.
-                        if tx.set_elements(key.as_str())?.len() >= cap {
+                        if tx.set_len(key.as_str())? >= cap {
                             return Ok(false);
                         }
                         if ipa {
-                            tx.compset_add(key.as_str(), Val::str(&user))?;
+                            tx.compset_add(key.as_str(), Val::str(user.as_str()))?;
                         } else {
-                            tx.aw_add(key.as_str(), Val::str(&user))?;
+                            tx.aw_add(key.as_str(), Val::str(user.as_str()))?;
                         }
                         Ok(true)
                     })
@@ -294,7 +294,7 @@ impl AppWorkload for SaleWorkload {
                     Ok(acq) => {
                         ctx.commit(commit_region, |tx| {
                             tx.ensure(key.as_str(), kind)?;
-                            tx.aw_add(key.as_str(), Val::str(&user))
+                            tx.aw_add(key.as_str(), Val::str(user.as_str()))
                         })
                         .expect("sale buy");
                         OpOutcome {
@@ -324,7 +324,7 @@ pub fn raw_oversell(sim: &ipa_sim::Simulation, workload: &SaleWorkload) -> u64 {
     let mut total = 0u64;
     for (e, cap) in workload.event_capacities() {
         let n = r
-            .object(&pool_key(&e).as_str().into())
+            .object(&pool_key(&e))
             .map(|o| match o {
                 ipa_crdt::Object::AWSet(s) => s.len(),
                 ipa_crdt::Object::CompSet(s) => s.raw_len(),

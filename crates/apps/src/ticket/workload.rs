@@ -264,7 +264,7 @@ pub fn final_oversell_count(sim: &ipa_sim::Simulation, workload: &TicketWorkload
     for e in &events {
         let key = pool_key(e);
         let n = r
-            .object(&key.as_str().into())
+            .object(&key)
             .map(|o| match o {
                 ipa_crdt::Object::AWSet(s) => s.len(),
                 ipa_crdt::Object::CompSet(s) => s.raw_len(),

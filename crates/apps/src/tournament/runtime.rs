@@ -188,11 +188,10 @@ impl Tournament {
         // origin state (§2.2). Concurrent enrollments elsewhere can still
         // overshoot — that residue is repaired by the read-side
         // compensation in `status` (§3.4).
-        let seats = tx
-            .set_elements(ENROLLED)?
-            .into_iter()
-            .filter(|e| e.snd().and_then(Val::as_str) == Some(t))
-            .count();
+        let mut seats = 0;
+        tx.for_each_element(ENROLLED, |e| {
+            seats += usize::from(e.snd().and_then(Val::as_str) == Some(t));
+        })?;
         if seats >= CAPACITY {
             return Ok(OpCost {
                 objects: 1,
@@ -333,19 +332,22 @@ impl Tournament {
             // branch's `active` add — stranding matches in a tournament
             // that is neither running nor finished. Restore the
             // finish-prevails outcome the resolution is built around.
-            let stranded = tx
-                .set_elements(MATCHES)?
-                .iter()
-                .any(|m| matches!(m, Val::Triple(_, _, mt) if mt.as_str() == Some(t)));
+            let mut stranded = false;
+            tx.for_each_element(MATCHES, |m| {
+                stranded |= m.thd().and_then(Val::as_str) == Some(t);
+            })?;
             if stranded {
                 tx.aw_add(FINISHED, Val::str(t))?;
             }
         }
-        let mut enrolled: Vec<Val> = tx
-            .set_elements(ENROLLED)?
-            .into_iter()
-            .filter(|e| e.snd().and_then(Val::as_str) == Some(t))
-            .collect();
+        // Kept, not only counted: the over-capacity tail is what the
+        // compensation below removes.
+        let mut enrolled: Vec<Val> = Vec::new();
+        tx.for_each_element(ENROLLED, |e| {
+            if e.snd().and_then(Val::as_str) == Some(t) {
+                enrolled.push(e.clone());
+            }
+        })?;
         if self.mode == Mode::Ipa && enrolled.len() > CAPACITY {
             // Deterministic choice: every replica observing the same
             // oversized state cancels the same (largest) elements, so the
@@ -454,10 +456,7 @@ mod tests {
                 let v = crate::violations::tournament_violations(cluster.replica(ReplicaId(r)));
                 assert_eq!(v, 0, "replica {r}: IPA must preserve the invariant");
                 // The Fig. 2b outcome: the tournament was restored.
-                let tourns = cluster
-                    .replica(ReplicaId(r))
-                    .object(&TOURNS.into())
-                    .unwrap();
+                let tourns = cluster.replica(ReplicaId(r)).object(TOURNS).unwrap();
                 assert_eq!(tourns.set_contains(&Val::str("t1")), Some(true));
             }
         });
@@ -474,7 +473,7 @@ mod tests {
             cluster.sync();
             let payload = cluster
                 .replica(ReplicaId(0))
-                .object(&TOURNS.into())
+                .object(TOURNS)
                 .unwrap()
                 .as_awmap()
                 .unwrap()
@@ -500,14 +499,8 @@ mod tests {
             cluster.sync();
             for r in 0..2 {
                 let rep = cluster.replica(ReplicaId(r));
-                let active = rep
-                    .object(&ACTIVE.into())
-                    .unwrap()
-                    .set_contains(&Val::str("t1"));
-                let finished = rep
-                    .object(&FINISHED.into())
-                    .unwrap()
-                    .set_contains(&Val::str("t1"));
+                let active = rep.object(ACTIVE).unwrap().set_contains(&Val::str("t1"));
+                let finished = rep.object(FINISHED).unwrap().set_contains(&Val::str("t1"));
                 assert_eq!(active, Some(false), "rem-wins: finish prevails");
                 assert_eq!(finished, Some(true));
                 assert_eq!(
@@ -528,14 +521,8 @@ mod tests {
             commit(cluster, 1, |tx| app.finish_tourn(tx, "t1"));
             cluster.sync();
             let rep = cluster.replica(ReplicaId(0));
-            let active = rep
-                .object(&ACTIVE.into())
-                .unwrap()
-                .set_contains(&Val::str("t1"));
-            let finished = rep
-                .object(&FINISHED.into())
-                .unwrap()
-                .set_contains(&Val::str("t1"));
+            let active = rep.object(ACTIVE).unwrap().set_contains(&Val::str("t1"));
+            let finished = rep.object(FINISHED).unwrap().set_contains(&Val::str("t1"));
             // Add-wins keeps `active` despite the concurrent clear.
             assert_eq!(active, Some(true));
             assert_eq!(finished, Some(true));

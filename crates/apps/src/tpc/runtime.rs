@@ -2,7 +2,7 @@
 
 use crate::common::Mode;
 use ipa_crdt::{ObjectKind, Val, ValPattern};
-use ipa_store::{Key, StoreError, Transaction};
+use ipa_store::{StoreError, Transaction};
 
 pub const PRODUCTS: &str = "tpc/products";
 pub const ORDERS: &str = "tpc/orders";
@@ -151,7 +151,7 @@ impl TpcApp {
     /// Current stock of a product at a replica (test helper).
     pub fn stock_at(replica: &ipa_store::Replica, p: &str) -> i64 {
         replica
-            .object(&Key::new(stock_key(p)))
+            .object(&stock_key(p))
             .and_then(|o| o.as_pncounter().map(|c| c.value()))
             .unwrap_or(0)
     }
@@ -228,7 +228,7 @@ mod tests {
                 crate::violations::tpc_violations(rep, &["book".to_owned()]),
                 0
             );
-            let products = rep.object(&PRODUCTS.into()).unwrap();
+            let products = rep.object(PRODUCTS).unwrap();
             assert_eq!(
                 products.set_contains(&Val::str("book")),
                 Some(true),

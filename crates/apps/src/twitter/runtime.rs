@@ -249,33 +249,28 @@ impl Twitter {
         user: &str,
     ) -> Result<(Vec<String>, OpCost), StoreError> {
         self.ensure_schema(tx)?;
-        let entries = tx.set_elements(ENTRIES)?;
         let mut ids: Vec<String> = Vec::new();
-        let mut hidden = 0usize;
-        for e in entries {
-            let Val::Triple(owner, id, _) = &e else {
-                continue;
-            };
-            if owner.as_str() != Some(user) {
-                continue;
+        tx.for_each_element(ENTRIES, |e| {
+            if e.fst().and_then(Val::as_str) == Some(user) {
+                ids.push(e.snd().and_then(Val::as_str).unwrap_or_default().to_owned());
             }
-            let id = id.as_str().unwrap_or_default().to_owned();
-            if self.strategy == Strategy::RemWins {
-                // Compensation: consult the tweets map and hide removed
-                // tweets.
-                if tx.map_get(TWEETS, &Val::str(&id))?.is_none() {
-                    hidden += 1;
-                    continue;
+        })?;
+        if self.strategy == Strategy::RemWins {
+            // Compensation: consult the tweets map and hide removed
+            // tweets.
+            let mut shown = Vec::with_capacity(ids.len());
+            for id in ids {
+                if tx.map_get(TWEETS, &Val::str(id.as_str()))?.is_some() {
+                    shown.push(id);
                 }
             }
-            ids.push(id);
+            ids = shown;
         }
         let objects = if self.strategy == Strategy::RemWins {
             2
         } else {
             1
         };
-        let _ = hidden;
         Ok((
             ids,
             OpCost {
@@ -290,14 +285,13 @@ impl Twitter {
         tx: &mut Transaction<'_>,
         user: &str,
     ) -> Result<Vec<String>, StoreError> {
-        Ok(tx
-            .set_elements(FOLLOWS)?
-            .into_iter()
-            .filter_map(|f| {
-                let (a, b) = (f.fst()?, f.snd()?);
-                (b.as_str() == Some(user)).then(|| a.as_str().map(str::to_owned))?
-            })
-            .collect())
+        let mut followers = Vec::new();
+        tx.for_each_element(FOLLOWS, |f| {
+            if f.snd().and_then(Val::as_str) == Some(user) {
+                followers.extend(f.fst().and_then(Val::as_str).map(str::to_owned));
+            }
+        })?;
+        Ok(followers)
     }
 }
 
@@ -368,7 +362,7 @@ mod tests {
             let rep = cluster.replica(ReplicaId(r));
             assert_eq!(crate::violations::twitter_violations(rep), 0, "replica {r}");
             // The tweet is back (touch), with its original payload.
-            let tweets = rep.object(&TWEETS.into()).unwrap().as_awmap().unwrap();
+            let tweets = rep.object(TWEETS).unwrap().as_awmap().unwrap();
             assert_eq!(tweets.get(&Val::str("tw1")), Some(&Val::str("alice")));
         }
     }
@@ -386,7 +380,7 @@ mod tests {
         for r in 0..2 {
             let rep = cluster.replica(ReplicaId(r));
             // The wildcard remove defeated the concurrent retweet.
-            let entries = rep.object(&ENTRIES.into()).unwrap().as_rwset().unwrap();
+            let entries = rep.object(ENTRIES).unwrap().as_rwset().unwrap();
             assert_eq!(entries.len(), 0, "replica {r}: all entries purged");
             assert_eq!(crate::violations::twitter_violations(rep), 0);
         }
@@ -429,10 +423,10 @@ mod tests {
         cluster.sync();
         for r in 0..2 {
             let rep = cluster.replica(ReplicaId(r));
-            let entries = rep.object(&ENTRIES.into()).unwrap().as_rwset().unwrap();
+            let entries = rep.object(ENTRIES).unwrap().as_rwset().unwrap();
             let alice_entries = entries
                 .elements()
-                .filter(|e| matches!(e, Val::Triple(_, _, a) if a.as_str() == Some("alice")))
+                .filter(|e| e.thd().and_then(Val::as_str) == Some("alice"))
                 .count();
             assert_eq!(alice_entries, 0, "replica {r}: alice's history purged");
         }

@@ -5,43 +5,35 @@
 //! ground truth for the integration tests (Causal violates, IPA does not).
 
 use crate::tournament::runtime as tourn;
-use ipa_crdt::Val;
-use ipa_store::{Key, Replica};
-use std::collections::{BTreeMap, BTreeSet};
+use ipa_crdt::{Object, Val};
+use ipa_store::Replica;
+use std::collections::BTreeMap;
 
-fn set_members(replica: &Replica, key: &str) -> Vec<Val> {
-    let Some(obj) = replica.object(&Key::new(key)) else {
-        return Vec::new();
-    };
-    match obj {
-        ipa_crdt::Object::AWSet(s) => s.elements().cloned().collect(),
-        ipa_crdt::Object::RWSet(s) => s.elements().cloned().collect(),
-        ipa_crdt::Object::CompSet(s) => {
+/// Call `f` on each member of a set-like object (the keys of a map),
+/// borrowed from the replica's state; nothing for a missing key.
+fn for_each_member(replica: &Replica, key: &str, f: impl FnMut(&Val)) {
+    match replica.object(key) {
+        Some(Object::AWSet(s)) => s.elements().for_each(f),
+        Some(Object::RWSet(s)) => s.elements().for_each(f),
+        Some(Object::AWMap(m)) => m.keys().for_each(f),
+        Some(Object::CompSet(s)) => {
             // Raw view: includes excess not yet compensated.
-            let mut out: Vec<Val> = Vec::new();
-            for e in sorted_compset_elements(s) {
-                out.push(e);
-            }
-            out
+            let read = s.read();
+            read.elements.iter().chain(&read.cancelled).for_each(f);
         }
-        ipa_crdt::Object::AWMap(m) => m.keys().cloned().collect(),
-        _ => Vec::new(),
+        _ => {}
     }
 }
 
-fn sorted_compset_elements(s: &ipa_crdt::CompensationSet<Val>) -> Vec<Val> {
-    // CompensationSet only exposes contains/read; reconstruct raw
-    // membership through its AWSet view helpers.
-    let mut out = Vec::new();
-    let read = s.read();
-    out.extend(read.elements);
-    out.extend(read.cancelled);
-    out
+fn member_count(replica: &Replica, key: &str) -> usize {
+    let mut n = 0;
+    for_each_member(replica, key, |_| n += 1);
+    n
 }
 
 fn contains(replica: &Replica, key: &str, v: &Val) -> bool {
     replica
-        .object(&Key::new(key))
+        .object(key)
         .and_then(|o| o.set_contains(v))
         .unwrap_or(false)
 }
@@ -50,14 +42,14 @@ fn contains(replica: &Replica, key: &str, v: &Val) -> bool {
 /// enrollments.
 pub fn tournament_enrollment_referential(replica: &Replica) -> u64 {
     let mut violations = 0u64;
-    for e in &set_members(replica, tourn::ENROLLED) {
+    for_each_member(replica, tourn::ENROLLED, |e| {
         let (Some(p), Some(t)) = (e.fst(), e.snd()) else {
-            continue;
+            return;
         };
         if !contains(replica, tourn::PLAYERS, p) || !contains(replica, tourn::TOURNS, t) {
             violations += 1;
         }
-    }
+    });
     violations
 }
 
@@ -66,14 +58,16 @@ pub fn tournament_enrollment_referential(replica: &Replica) -> u64 {
 /// part holds continuously).
 pub fn tournament_match_referential(replica: &Replica) -> u64 {
     let mut violations = 0u64;
-    for m in set_members(replica, tourn::MATCHES) {
-        let Val::Triple(p, q, t) = &m else { continue };
-        let ep = Val::Pair(p.clone(), t.clone());
-        let eq = Val::Pair(q.clone(), t.clone());
+    for_each_member(replica, tourn::MATCHES, |m| {
+        let (Some(p), Some(q), Some(t)) = (m.fst(), m.snd(), m.thd()) else {
+            return;
+        };
+        let ep = Val::pair(p.clone(), t.clone());
+        let eq = Val::pair(q.clone(), t.clone());
         if !contains(replica, tourn::ENROLLED, &ep) || !contains(replica, tourn::ENROLLED, &eq) {
             violations += 1;
         }
-    }
+    });
     violations
 }
 
@@ -87,23 +81,23 @@ pub fn tournament_match_referential(replica: &Replica) -> u64 {
 /// is a final-phase invariant like capacity.
 pub fn tournament_match_phase(replica: &Replica) -> u64 {
     let mut violations = 0u64;
-    for m in set_members(replica, tourn::MATCHES) {
-        let Val::Triple(_, _, t) = &m else { continue };
+    for_each_member(replica, tourn::MATCHES, |m| {
+        let Some(t) = m.thd() else { return };
         if !contains(replica, tourn::ACTIVE, t) && !contains(replica, tourn::FINISHED, t) {
             violations += 1;
         }
-    }
+    });
     violations
 }
 
 /// `#enrolled(*, t) ≤ Capacity` — count of over-capacity tournaments.
 pub fn tournament_capacity(replica: &Replica) -> u64 {
     let mut per_tourn: BTreeMap<Val, usize> = BTreeMap::new();
-    for e in &set_members(replica, tourn::ENROLLED) {
+    for_each_member(replica, tourn::ENROLLED, |e| {
         if let Some(t) = e.snd() {
             *per_tourn.entry(t.clone()).or_insert(0) += 1;
         }
-    }
+    });
     per_tourn.values().filter(|&&n| n > tourn::CAPACITY).count() as u64
 }
 
@@ -112,21 +106,19 @@ pub fn tournament_capacity(replica: &Replica) -> u64 {
 /// mutual exclusion.
 pub fn tournament_phase(replica: &Replica) -> u64 {
     let mut violations = 0u64;
-    let active: BTreeSet<Val> = set_members(replica, tourn::ACTIVE).into_iter().collect();
-    let finished: BTreeSet<Val> = set_members(replica, tourn::FINISHED).into_iter().collect();
-    for t in &active {
+    for_each_member(replica, tourn::ACTIVE, |t| {
         if !contains(replica, tourn::TOURNS, t) {
             violations += 1;
         }
-        if finished.contains(t) {
+        if contains(replica, tourn::FINISHED, t) {
             violations += 1;
         }
-    }
-    for t in &finished {
+    });
+    for_each_member(replica, tourn::FINISHED, |t| {
         if !contains(replica, tourn::TOURNS, t) {
             violations += 1;
         }
-    }
+    });
     violations
 }
 
@@ -146,8 +138,7 @@ pub fn ticket_violations(replica: &Replica, events: &[String], capacity: usize) 
     let mut v = 0;
     for e in events {
         let key = format!("ticket/sold/{e}");
-        let n = set_members(replica, &key).len();
-        if n > capacity {
+        if member_count(replica, &key) > capacity {
             v += 1;
         }
     }
@@ -163,7 +154,7 @@ pub fn sale_violations(replica: &Replica, events: &[(String, usize)]) -> u64 {
     let mut v = 0;
     for (e, cap) in events {
         let key = format!("ticket/sold/{e}");
-        if set_members(replica, &key).len() > *cap {
+        if member_count(replica, &key) > *cap {
             v += 1;
         }
     }
@@ -173,29 +164,30 @@ pub fn sale_violations(replica: &Replica, events: &[(String, usize)]) -> u64 {
 /// Timeline entries whose tweet no longer exists.
 pub fn twitter_timeline_referential(replica: &Replica) -> u64 {
     let mut v = 0;
-    for e in &set_members(replica, crate::twitter::runtime::ENTRIES) {
-        if let Val::Triple(_, tweet, _) = e {
-            if !contains(replica, crate::twitter::runtime::TWEETS, tweet) {
-                v += 1;
-            }
+    for_each_member(replica, crate::twitter::runtime::ENTRIES, |e| {
+        let (Some(tweet), Some(_author)) = (e.snd(), e.thd()) else {
+            return;
+        };
+        if !contains(replica, crate::twitter::runtime::TWEETS, tweet) {
+            v += 1;
         }
-    }
+    });
     v
 }
 
 /// Follow edges with missing users on either end.
 pub fn twitter_follow_referential(replica: &Replica) -> u64 {
     let mut v = 0;
-    for f in set_members(replica, crate::twitter::runtime::FOLLOWS) {
+    for_each_member(replica, crate::twitter::runtime::FOLLOWS, |f| {
         let (Some(a), Some(b)) = (f.fst(), f.snd()) else {
-            continue;
+            return;
         };
         if !contains(replica, crate::twitter::runtime::USERS, a)
             || !contains(replica, crate::twitter::runtime::USERS, b)
         {
             v += 1;
         }
-    }
+    });
     v
 }
 
@@ -209,8 +201,7 @@ pub fn twitter_violations(replica: &Replica) -> u64 {
 pub fn tpc_stock_nonnegative(replica: &Replica, items: &[String]) -> u64 {
     let mut v = 0;
     for i in items {
-        let key = Key::new(format!("tpc/stock/{i}"));
-        if let Some(obj) = replica.object(&key) {
+        if let Some(obj) = replica.object(&format!("tpc/stock/{i}")) {
             if let Some(c) = obj.as_pncounter() {
                 if c.value() < 0 {
                     v += 1;
@@ -224,13 +215,13 @@ pub fn tpc_stock_nonnegative(replica: &Replica, items: &[String]) -> u64 {
 /// Orders referencing missing products (TPC referential integrity).
 pub fn tpc_order_referential(replica: &Replica) -> u64 {
     let mut v = 0;
-    for o in set_members(replica, crate::tpc::runtime::ORDERS) {
+    for_each_member(replica, crate::tpc::runtime::ORDERS, |o| {
         if let Some(p) = o.snd() {
             if !contains(replica, crate::tpc::runtime::PRODUCTS, p) {
                 v += 1;
             }
         }
-    }
+    });
     v
 }
 
@@ -275,7 +266,7 @@ mod tests {
             .unwrap();
         for i in 0..=tourn::CAPACITY {
             let p = format!("p{i}");
-            tx.map_put(tourn::PLAYERS, Val::str(&p), Val::str("x"))
+            tx.map_put(tourn::PLAYERS, Val::str(p.as_str()), Val::str("x"))
                 .unwrap();
             tx.aw_add(tourn::ENROLLED, Val::pair(p, "t")).unwrap();
         }

@@ -366,6 +366,16 @@ mod tests {
     }
 
     #[test]
+    fn what_every_element_and_update_carries_stays_small() {
+        use std::mem::size_of;
+        // One add-wins slot and one logged effect; with a `String`/`Box`
+        // value they were 32, 56 and 128 bytes.
+        assert!(size_of::<Val>() <= 24, "{}", size_of::<Val>());
+        assert!(size_of::<(Val, crate::tagset::TagSet)>() <= 48);
+        assert!(size_of::<ObjectOp>() <= 112, "{}", size_of::<ObjectOp>());
+    }
+
+    #[test]
     fn bcounter_object_respects_rights() {
         let mut o = Object::new(
             ObjectKind::BCounter {

@@ -6,21 +6,32 @@
 //! `Val::pair("alice", "weekly-open")`. [`ValPattern`] is the wildcard
 //! language of §4.2.1: a remove can be scoped by a pattern
 //! (`("*", "weekly-open")`) and applies to every matching element.
+//!
+//! A `Val` is immutable and shared: a string is an `Arc<str>`, a tuple is
+//! one `Arc` holding its components, so a value is 24 bytes wherever it is
+//! stored and `clone` is a reference-count bump that never allocates. A
+//! stored element, the update that carried it, a transaction's copy and a
+//! read's result all point at the one allocation made when the value was
+//! built. Order, equality, hashing and printing go through the `Arc`s to
+//! the content. Read tuple components with [`Val::fst`], [`Val::snd`] and
+//! [`Val::thd`] rather than by matching on the representation.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A dynamic value: the element type used by store-resident CRDTs.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Val {
-    Str(String),
+    Str(Arc<str>),
     Int(i64),
-    Pair(Box<Val>, Box<Val>),
-    Triple(Box<Val>, Box<Val>, Box<Val>),
+    Pair(Arc<(Val, Val)>),
+    Triple(Arc<(Val, Val, Val)>),
 }
 
 impl Val {
-    pub fn str(s: impl Into<String>) -> Val {
+    /// One allocation: the shared string, copied from a `&str` or a `String`.
+    pub fn str(s: impl Into<Arc<str>>) -> Val {
         Val::Str(s.into())
     }
 
@@ -29,11 +40,11 @@ impl Val {
     }
 
     pub fn pair(a: impl Into<Val>, b: impl Into<Val>) -> Val {
-        Val::Pair(Box::new(a.into()), Box::new(b.into()))
+        Val::Pair(Arc::new((a.into(), b.into())))
     }
 
     pub fn triple(a: impl Into<Val>, b: impl Into<Val>, c: impl Into<Val>) -> Val {
-        Val::Triple(Box::new(a.into()), Box::new(b.into()), Box::new(c.into()))
+        Val::Triple(Arc::new((a.into(), b.into(), c.into())))
     }
 
     pub fn as_str(&self) -> Option<&str> {
@@ -53,7 +64,8 @@ impl Val {
     /// First component of a pair/triple.
     pub fn fst(&self) -> Option<&Val> {
         match self {
-            Val::Pair(a, _) | Val::Triple(a, _, _) => Some(a),
+            Val::Pair(t) => Some(&t.0),
+            Val::Triple(t) => Some(&t.0),
             _ => None,
         }
     }
@@ -61,7 +73,16 @@ impl Val {
     /// Second component of a pair/triple.
     pub fn snd(&self) -> Option<&Val> {
         match self {
-            Val::Pair(_, b) | Val::Triple(_, b, _) => Some(b),
+            Val::Pair(t) => Some(&t.1),
+            Val::Triple(t) => Some(&t.1),
+            _ => None,
+        }
+    }
+
+    /// Third component of a triple.
+    pub fn thd(&self) -> Option<&Val> {
+        match self {
+            Val::Triple(t) => Some(&t.2),
             _ => None,
         }
     }
@@ -69,13 +90,13 @@ impl Val {
 
 impl From<&str> for Val {
     fn from(s: &str) -> Val {
-        Val::Str(s.to_owned())
+        Val::str(s)
     }
 }
 
 impl From<String> for Val {
     fn from(s: String) -> Val {
-        Val::Str(s)
+        Val::str(s)
     }
 }
 
@@ -90,8 +111,8 @@ impl fmt::Display for Val {
         match self {
             Val::Str(s) => write!(f, "{s}"),
             Val::Int(i) => write!(f, "{i}"),
-            Val::Pair(a, b) => write!(f, "({a}, {b})"),
-            Val::Triple(a, b, c) => write!(f, "({a}, {b}, {c})"),
+            Val::Pair(t) => write!(f, "({}, {})", t.0, t.1),
+            Val::Triple(t) => write!(f, "({}, {}, {})", t.0, t.1, t.2),
         }
     }
 }
@@ -130,9 +151,9 @@ impl ValPattern {
         match (self, v) {
             (ValPattern::Any, _) => true,
             (ValPattern::Exact(p), v) => p == v,
-            (ValPattern::Pair(pa, pb), Val::Pair(a, b)) => pa.matches(a) && pb.matches(b),
-            (ValPattern::Triple(pa, pb, pc), Val::Triple(a, b, c)) => {
-                pa.matches(a) && pb.matches(b) && pc.matches(c)
+            (ValPattern::Pair(pa, pb), Val::Pair(t)) => pa.matches(&t.0) && pb.matches(&t.1),
+            (ValPattern::Triple(pa, pb, pc), Val::Triple(t)) => {
+                pa.matches(&t.0) && pb.matches(&t.1) && pc.matches(&t.2)
             }
             _ => false,
         }
@@ -185,10 +206,114 @@ mod tests {
     }
 
     #[test]
-    fn values_are_ordered_deterministically() {
-        let mut vs = [Val::str("b"), Val::str("a"), Val::int(3)];
-        vs.sort();
-        // Ord is derive-based: variant order then content.
-        assert_eq!(vs[0], Val::str("a"));
+    fn order_is_variant_then_content_with_tuples_lexicographic() {
+        // Str < Int < Pair < Triple; strings bytewise; tuples component by
+        // component, a nested tuple ordered like any other component.
+        let expected = [
+            Val::str(""),
+            Val::str("a"),
+            Val::str("ab"),
+            Val::str("b"),
+            Val::int(-7),
+            Val::int(3),
+            Val::pair("a", "z"),
+            Val::pair("a", 0),
+            Val::pair("b", "a"),
+            Val::pair(1, "a"),
+            Val::pair(Val::pair("a", "a"), "a"),
+            Val::triple("a", "b", "c"),
+            Val::triple("a", "b", 0),
+            Val::triple("a", 0, "a"),
+            Val::triple(0, "a", "a"),
+        ];
+        for (i, a) in expected.iter().enumerate() {
+            for (j, b) in expected.iter().enumerate() {
+                assert_eq!(a.cmp(b), i.cmp(&j), "{a} vs {b}");
+                assert_eq!(a == b, i == j, "{a} vs {b}");
+            }
+        }
+        let mut shuffled = expected.to_vec();
+        shuffled.reverse();
+        shuffled.rotate_left(4);
+        shuffled.sort();
+        assert_eq!(shuffled, expected);
+    }
+
+    #[test]
+    fn accessors_read_each_component() {
+        let t = Val::triple("p", 2, Val::pair("x", "y"));
+        assert_eq!(t.fst(), Some(&Val::str("p")));
+        assert_eq!(t.snd(), Some(&Val::int(2)));
+        assert_eq!(t.thd(), Some(&Val::pair("x", "y")));
+        assert_eq!(t.to_string(), "(p, 2, (x, y))");
+        assert_eq!(format!("{t:?}"), "(p, 2, (x, y))");
+        assert_eq!(Val::pair("a", "b").thd(), None);
+        assert_eq!(Val::str("a").fst(), None);
+    }
+
+    /// What `ValPattern::matches` means, written against the accessors
+    /// only.
+    fn matches_by_accessors(p: &ValPattern, v: &Val) -> bool {
+        match p {
+            ValPattern::Any => true,
+            ValPattern::Exact(e) => e == v,
+            ValPattern::Pair(a, b) => match (v.fst(), v.snd(), v.thd()) {
+                (Some(x), Some(y), None) => {
+                    matches_by_accessors(a, x) && matches_by_accessors(b, y)
+                }
+                _ => false,
+            },
+            ValPattern::Triple(a, b, c) => match (v.fst(), v.snd(), v.thd()) {
+                (Some(x), Some(y), Some(z)) => {
+                    matches_by_accessors(a, x)
+                        && matches_by_accessors(b, y)
+                        && matches_by_accessors(c, z)
+                }
+                _ => false,
+            },
+        }
+    }
+
+    #[test]
+    fn pattern_matching_agrees_with_the_accessor_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn leaf(rng: &mut StdRng) -> Val {
+            if rng.gen_bool(0.5) {
+                Val::str(["a", "b", "t1"][rng.gen_range(0..3usize)])
+            } else {
+                Val::int(rng.gen_range(0..3))
+            }
+        }
+        fn val(rng: &mut StdRng, depth: u32) -> Val {
+            match rng.gen_range(0..if depth == 0 { 1 } else { 3 }) {
+                0 => leaf(rng),
+                1 => Val::pair(val(rng, depth - 1), val(rng, depth - 1)),
+                _ => Val::triple(val(rng, depth - 1), val(rng, depth - 1), leaf(rng)),
+            }
+        }
+        fn pattern(rng: &mut StdRng, depth: u32) -> ValPattern {
+            match rng.gen_range(0..if depth == 0 { 2 } else { 4 }) {
+                0 => ValPattern::Any,
+                1 => ValPattern::Exact(val(rng, depth)),
+                2 => ValPattern::pair(pattern(rng, depth - 1), pattern(rng, depth - 1)),
+                _ => ValPattern::triple(
+                    pattern(rng, depth - 1),
+                    pattern(rng, depth - 1),
+                    pattern(rng, depth - 1),
+                ),
+            }
+        }
+
+        let mut rng = StdRng::seed_from_u64(0x1fa);
+        let mut matched = 0;
+        for _ in 0..20_000 {
+            let (p, v) = (pattern(&mut rng, 2), val(&mut rng, 2));
+            let got = p.matches(&v);
+            assert_eq!(got, matches_by_accessors(&p, &v), "{p} on {v}");
+            matched += usize::from(got && p != ValPattern::Any);
+        }
+        assert!(matched > 100, "only {matched} non-trivial matches drawn");
     }
 }

@@ -1700,7 +1700,7 @@ mod tests {
         let sizes: Vec<usize> = (0..3u16)
             .map(|r| {
                 sim.replica(r)
-                    .object(&"set".into())
+                    .object("set")
                     .unwrap()
                     .as_awset()
                     .unwrap()
@@ -1799,7 +1799,7 @@ mod tests {
         let sizes: Vec<usize> = (0..3u16)
             .map(|r| {
                 sim.replica(r)
-                    .object(&"set".into())
+                    .object("set")
                     .unwrap()
                     .as_awset()
                     .unwrap()
@@ -1837,7 +1837,7 @@ mod tests {
         let sizes: Vec<usize> = (0..3u16)
             .map(|r| {
                 sim.replica(r)
-                    .object(&"set".into())
+                    .object("set")
                     .unwrap()
                     .as_awset()
                     .unwrap()

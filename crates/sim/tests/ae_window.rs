@@ -81,7 +81,7 @@ fn anti_entropy_still_repairs_real_drops() {
     let sizes: Vec<usize> = (0..3u16)
         .map(|r| {
             sim.replica(r)
-                .object(&"set".into())
+                .object("set")
                 .unwrap()
                 .as_awset()
                 .unwrap()

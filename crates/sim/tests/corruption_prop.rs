@@ -16,7 +16,7 @@ use inserter::Inserter;
 
 fn set_size(sim: &Simulation, region: u16) -> usize {
     sim.replica(region)
-        .object(&"set".into())
+        .object("set")
         .and_then(|o| o.as_awset())
         .map_or(0, |s| s.len())
 }

@@ -57,7 +57,7 @@ fn crashed_replica_recovers_without_loss_or_double_apply() {
     let sizes: Vec<usize> = (0..3u16)
         .map(|r| {
             sim.replica(r)
-                .object(&"set".into())
+                .object("set")
                 .unwrap()
                 .as_awset()
                 .unwrap()

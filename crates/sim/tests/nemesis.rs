@@ -22,7 +22,7 @@ fn cfg(seed: u64, faults: FaultPlan) -> SimConfig {
 
 fn set_len(sim: &Simulation, region: u16) -> usize {
     sim.replica(region)
-        .object(&"set".into())
+        .object("set")
         .unwrap()
         .as_awset()
         .unwrap()
@@ -136,7 +136,7 @@ fn auditor_runs_continuously() {
             seen.set(seen.get() + 1);
             // Trivial oracle: an AWSet of unique inserts can never hold
             // more elements than were ever inserted; emptiness is fine.
-            u64::from(replica.object(&"set".into()).is_none() && replica.clock().total() > 0)
+            u64::from(replica.object("set").is_none() && replica.clock().total() > 0)
         }),
     );
     let mut w = Inserter::default();

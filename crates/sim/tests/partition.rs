@@ -60,7 +60,7 @@ fn weak_ops_available_during_partition_and_converge_after() {
         0.1,
         Box::new(move |_region, replica| {
             let len = replica
-                .object(&"set".into())
+                .object("set")
                 .map(|o| o.as_awset().unwrap().len() as u64)
                 .unwrap_or(0);
             len.saturating_sub(issued.get())
@@ -83,14 +83,14 @@ fn weak_ops_available_during_partition_and_converge_after() {
     );
     let n0 = sim
         .replica(0)
-        .object(&"set".into())
+        .object("set")
         .unwrap()
         .as_awset()
         .unwrap()
         .len();
     let n1 = sim
         .replica(1)
-        .object(&"set".into())
+        .object("set")
         .unwrap()
         .as_awset()
         .unwrap()

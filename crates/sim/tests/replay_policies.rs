@@ -42,7 +42,7 @@ fn record_trace(seed: u64) -> OpTrace {
 
 fn set_len(sim: &Simulation, region: u16) -> usize {
     sim.replica(region)
-        .object(&"set".into())
+        .object("set")
         .expect("set exists")
         .as_awset()
         .expect("is awset")

@@ -1,21 +1,24 @@
-//! Interned-style lightweight names used throughout the specification AST.
+//! Shared immutable names used throughout the specification AST.
 
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::fmt;
+use std::sync::Arc;
 
 /// A name: predicate, sort, variable or constant identifier.
 ///
-/// Symbols are cheap-to-clone owned strings. At static-analysis scale
-/// (dozens of operations, a handful of predicates) a full interner is
-/// unnecessary; keeping `Symbol` a plain newtype keeps serialization and
-/// hashing trivial.
+/// A symbol is an `Arc<str>`: the analysis clones names into every atom,
+/// substitution and grounded formula it builds, and each clone is a
+/// reference-count bump, never a copy of the string. Order, equality and
+/// hashing are the string's, so `Borrow<str>` lookups work. At
+/// static-analysis scale (dozens of operations, a handful of predicates) a
+/// global interner is unnecessary.
 #[derive(Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct Symbol(String);
+pub struct Symbol(Arc<str>);
 
 impl Symbol {
     /// Create a new symbol from anything string-like.
-    pub fn new(s: impl Into<String>) -> Self {
+    pub fn new(s: impl Into<Arc<str>>) -> Self {
         Symbol(s.into())
     }
 
@@ -39,13 +42,13 @@ impl fmt::Debug for Symbol {
 
 impl From<&str> for Symbol {
     fn from(s: &str) -> Self {
-        Symbol(s.to_owned())
+        Symbol(s.into())
     }
 }
 
 impl From<String> for Symbol {
     fn from(s: String) -> Self {
-        Symbol(s)
+        Symbol(s.into())
     }
 }
 
@@ -63,7 +66,7 @@ impl AsRef<str> for Symbol {
 
 impl PartialEq<&str> for Symbol {
     fn eq(&self, other: &&str) -> bool {
-        self.0 == *other
+        &*self.0 == *other
     }
 }
 

@@ -287,7 +287,7 @@ mod tests {
         cluster.sync();
         assert!(cluster.converged());
         for i in 0..3u16 {
-            let obj = cluster.replica(ReplicaId(i)).object(&"set".into()).unwrap();
+            let obj = cluster.replica(ReplicaId(i)).object("set").unwrap();
             assert_eq!(obj.as_awset().unwrap().len(), 3);
         }
     }
@@ -326,16 +326,12 @@ mod tests {
         for i in 0..2u16 {
             let rep = cluster.replica(ReplicaId(i));
             assert_eq!(
-                rep.object(&"aw".into())
-                    .unwrap()
-                    .set_contains(&Val::str("x")),
+                rep.object("aw").unwrap().set_contains(&Val::str("x")),
                 Some(true),
                 "add-wins keeps the element"
             );
             assert_eq!(
-                rep.object(&"rw".into())
-                    .unwrap()
-                    .set_contains(&Val::str("x")),
+                rep.object("rw").unwrap().set_contains(&Val::str("x")),
                 Some(false),
                 "rem-wins drops the element"
             );
@@ -368,7 +364,7 @@ mod tests {
         cluster.run_gc();
         let entries = cluster
             .replica(ReplicaId(0))
-            .object(&"rw".into())
+            .object("rw")
             .unwrap()
             .as_rwset()
             .unwrap()

@@ -172,9 +172,9 @@ pub enum ApplyDispatch {
 /// SipHash is randomly seeded per process, so it cannot place keys — the
 /// shard of a key must be a pure function of the key for the sim's
 /// schedule digests and the cross-transport equivalence tests to hold.
-fn shard_of(key: &Key, shards: usize) -> usize {
+fn shard_of(key: &str, shards: usize) -> usize {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_str().bytes() {
+    for b in key.bytes() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x100_0000_01b3);
     }
@@ -489,25 +489,29 @@ impl Replica {
 
     /// Read an object: committed state only. A transaction reads the same
     /// object through this function for every key it has not written, and
-    /// its own overlay for the keys it has.
-    pub fn object(&self, key: &Key) -> Option<&Object> {
-        self.object_and_kind(key).map(|(_, obj)| obj)
+    /// its own overlay for the keys it has. The key is looked up by name
+    /// (`&Key`, `&str`, `&String`): no `Key` is built to ask.
+    pub fn object<K: AsRef<str> + ?Sized>(&self, key: &K) -> Option<&Object> {
+        self.stored(key.as_ref()).map(|(_, _, obj)| obj)
     }
 
-    /// A stored object with its declared kind, from one shard lookup.
-    pub(crate) fn object_and_kind(&self, key: &Key) -> Option<(ObjectKind, &Object)> {
+    /// A stored object with the shard table's own key (the interned name
+    /// a caller clones instead of building one) and its declared kind,
+    /// from one shard lookup.
+    pub(crate) fn stored(&self, key: &str) -> Option<(&Key, ObjectKind, &Object)> {
         let shard = &self.shards[shard_of(key, self.shards.len())];
-        shard.objects.get(key).map(|(kind, obj)| (*kind, obj))
+        let (key, (kind, obj)) = shard.objects.get_key_value(key)?;
+        Some((key, *kind, obj))
     }
 
     pub(crate) fn insert_object(&mut self, key: Key, kind: ObjectKind, obj: Object) {
-        let s = shard_of(&key, self.shards.len());
+        let s = shard_of(key.as_str(), self.shards.len());
         self.shards[s].objects.insert(key, (kind, obj));
     }
 
     /// The declared kind of a key, if known.
-    pub fn kind_of(&self, key: &Key) -> Option<ObjectKind> {
-        self.object_and_kind(key).map(|(kind, _)| kind)
+    pub fn kind_of<K: AsRef<str> + ?Sized>(&self, key: &K) -> Option<ObjectKind> {
+        self.stored(key.as_ref()).map(|(_, kind, _)| kind)
     }
 
     pub fn object_count(&self) -> usize {
@@ -747,7 +751,7 @@ impl Replica {
             while j < updates.len() && updates[j].0 == *key {
                 j += 1;
             }
-            let shard = shard_of(key, nshards);
+            let shard = shard_of(key.as_str(), nshards);
             self.shard_run_counts[shard] += 1;
             self.run_scratch
                 .push((shard as u32, i as u32, (j - i) as u32));
@@ -1273,7 +1277,7 @@ mod tests {
         tx.commit();
         assert_eq!(a.stats.commits, 1);
         assert!(a
-            .object(&"set".into())
+            .object("set")
             .unwrap()
             .set_contains(&Val::str("x"))
             .unwrap());
@@ -1282,7 +1286,7 @@ mod tests {
             assert_eq!(b.receive(batch), 1);
         }
         assert!(b
-            .object(&"set".into())
+            .object("set")
             .unwrap()
             .set_contains(&Val::str("x"))
             .unwrap());
@@ -1309,7 +1313,7 @@ mod tests {
         assert_eq!(b.pending_count(), 1);
         assert_eq!(b.receive(first), 2);
         assert_eq!(b.pending_count(), 0);
-        let obj = b.object(&"set".into()).unwrap();
+        let obj = b.object("set").unwrap();
         assert!(obj.set_contains(&Val::str("x")).unwrap());
         assert!(obj.set_contains(&Val::str("y")).unwrap());
     }
@@ -1325,14 +1329,7 @@ mod tests {
         let batch = a.take_outbox().pop().unwrap();
         assert_eq!(b.receive(batch.clone()), 1);
         assert_eq!(b.receive(batch), 0, "duplicate must be dropped");
-        assert_eq!(
-            b.object(&"c".into())
-                .unwrap()
-                .as_pncounter()
-                .unwrap()
-                .value(),
-            5
-        );
+        assert_eq!(b.object("c").unwrap().as_pncounter().unwrap().value(), 5);
     }
 
     #[test]
@@ -1381,7 +1378,7 @@ mod tests {
         assert_eq!(c.pending_count(), 1);
         assert_eq!(c.receive(batch_a), 2);
         assert_eq!(
-            c.object(&"reg".into()).unwrap().as_lww().unwrap().get(),
+            c.object("reg").unwrap().as_lww().unwrap().get(),
             Some(&Val::int(2)),
             "the causally later write wins"
         );
@@ -1416,20 +1413,10 @@ mod tests {
             frontier.get(r(0)) >= 2,
             "A's two commits are stable: {frontier}"
         );
-        let before = a
-            .object(&"rw".into())
-            .unwrap()
-            .as_rwset()
-            .unwrap()
-            .entry_count();
+        let before = a.object("rw").unwrap().as_rwset().unwrap().entry_count();
         assert_eq!(before, 2);
         a.run_gc(&replicas);
-        let after = a
-            .object(&"rw".into())
-            .unwrap()
-            .as_rwset()
-            .unwrap()
-            .entry_count();
+        let after = a.object("rw").unwrap().as_rwset().unwrap().entry_count();
         assert_eq!(after, 0, "decided add/remove pair compacted away");
         assert_eq!(a.stats.gc_runs, 1);
     }

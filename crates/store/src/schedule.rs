@@ -329,7 +329,7 @@ mod tests {
         for i in 0..3u16 {
             let n = cluster
                 .replica(ReplicaId(i))
-                .object(&"set".into())
+                .object("set")
                 .unwrap()
                 .as_awset()
                 .unwrap()

@@ -665,7 +665,7 @@ mod tests {
         assert!(cluster.is_converged());
         for r in 0..3u16 {
             let len = cluster.with_replica(r, |rep| {
-                rep.object(&"set".into()).unwrap().as_awset().unwrap().len()
+                rep.object("set").unwrap().as_awset().unwrap().len()
             });
             assert_eq!(len, 60, "replica {r} sees every insert");
             assert!(
@@ -701,11 +701,7 @@ mod tests {
         cluster.quiesce();
         assert!(cluster.is_converged());
         let v = cluster.with_replica(1, |r| {
-            r.object(&"c".into())
-                .unwrap()
-                .as_pncounter()
-                .unwrap()
-                .value()
+            r.object("c").unwrap().as_pncounter().unwrap().value()
         });
         assert_eq!(v, 7);
     }
@@ -726,11 +722,7 @@ mod tests {
         cluster.quiesce();
         assert!(cluster.is_converged());
         let v = cluster.with_replica(1, |r| {
-            r.object(&"c".into())
-                .unwrap()
-                .as_pncounter()
-                .unwrap()
-                .value()
+            r.object("c").unwrap().as_pncounter().unwrap().value()
         });
         assert_eq!(v, 3);
     }
@@ -788,19 +780,10 @@ mod tests {
         for b in logged {
             sync.receive(b);
         }
-        let sync_v = sync
-            .object(&"c".into())
-            .unwrap()
-            .as_pncounter()
-            .unwrap()
-            .value();
+        let sync_v = sync.object("c").unwrap().as_pncounter().unwrap().value();
         let (v, clock) = cluster.with_replica(1, |r| {
             (
-                r.object(&"c".into())
-                    .unwrap()
-                    .as_pncounter()
-                    .unwrap()
-                    .value(),
+                r.object("c").unwrap().as_pncounter().unwrap().value(),
                 r.clock().clone(),
             )
         });

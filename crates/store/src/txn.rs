@@ -21,7 +21,8 @@
 //!    read or effect that names it, and the element is remembered as
 //!    covered even when the stored object had no entry. Reads, prepares
 //!    and the effect itself then run against the partial copy.
-//! 3. **Written key, whole-object access** (`set_elements`,
+//! 3. **Written key, whole-object access** (`for_each_element`, which
+//!    `set_elements` and `set_len` are built on, and
 //!    `aw_remove_matching`; `compset_read` and counter or register reads
 //!    ask the same way, and by rule 4 always find a whole copy): the copy
 //!    is made whole once, as the stored object's clone plus a replay of
@@ -40,6 +41,15 @@
 //! a key the transaction has already written.
 //! [`ReplicaStats::txn_objects_copied`](crate::ReplicaStats) and
 //! [`txn_entries_copied`](crate::ReplicaStats) count both kinds of copy.
+//!
+//! # Keys are looked up by name
+//!
+//! Every entry point takes its key as `impl AsRef<str>` (a `&str`, a
+//! `String`, a [`Key`]) and probes the overlay and the shard table with
+//! the borrowed name. The owned `Key` that an overlay entry and each
+//! buffered effect carry is a clone of the shard table's own; only
+//! `ensure` of a key stored nowhere needs a new one (`Into<Key>`: built
+//! from a name, taken as it is from a caller that holds a `Key`).
 
 use crate::batch::UpdateBatch;
 use crate::errors::StoreError;
@@ -47,7 +57,6 @@ use crate::key::Key;
 use crate::replica::{creation_owner, Replica};
 use ipa_crdt::compset::CompensatedRead;
 use ipa_crdt::{Object, ObjectKind, ObjectOp, VClock, Val, ValPattern};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Result of a successful commit.
@@ -67,6 +76,10 @@ type Update = (Key, ObjectKind, ObjectOp);
 
 /// The overlay's entry for one key the transaction created or has written.
 struct Shadow {
+    /// The key as the table that holds it spells it: the shard table's
+    /// own for a stored object, built once for a created one. Every
+    /// buffered effect on the key carries a clone of it.
+    key: Key,
     kind: ObjectKind,
     obj: Object,
     /// `Some` while `obj` is a partial copy of the stored object: the
@@ -81,7 +94,7 @@ struct Shadow {
 
 impl Shadow {
     /// Rule 2: bring `e`'s stored entry into a partial copy, once.
-    fn cover(&mut self, replica: &mut Replica, key: &Key, e: &Val) {
+    fn cover(&mut self, replica: &mut Replica, e: &Val) {
         let Some(covered) = &mut self.covered else {
             return;
         };
@@ -90,7 +103,7 @@ impl Shadow {
         };
         covered.insert(at, e.clone());
         let stored = replica
-            .object(key)
+            .object(&self.key)
             .expect("a partial copy is of a stored object");
         if stored.copy_entry(e, &mut self.obj) {
             replica.stats.txn_entries_copied += 1;
@@ -99,16 +112,16 @@ impl Shadow {
 
     /// Rule 3: turn a partial copy into the whole object, as this
     /// transaction sees it.
-    fn make_whole(&mut self, replica: &mut Replica, key: &Key, updates: &[Update]) {
+    fn make_whole(&mut self, replica: &mut Replica, updates: &[Update]) {
         if self.covered.take().is_none() {
             return;
         }
         self.obj = replica
-            .object(key)
+            .object(&self.key)
             .expect("a partial copy is of a stored object")
             .clone();
         replica.stats.txn_objects_copied += 1;
-        for (_, _, op) in updates.iter().filter(|(k, _, _)| k == key) {
+        for (_, _, op) in updates.iter().filter(|(k, _, _)| *k == self.key) {
             self.obj
                 .apply(op)
                 .expect("the partial copy took this effect");
@@ -155,16 +168,27 @@ impl<'a> Transaction<'a> {
         }
     }
 
-    /// Declare (and lazily create) an object of the given kind.
-    pub fn ensure(&mut self, key: impl Into<Key>, kind: ObjectKind) -> Result<(), StoreError> {
-        let key = key.into();
-        if self.replica.object(&key).is_none() {
-            self.overlay.entry(key).or_insert_with(|| Shadow {
-                kind,
-                obj: Object::new(kind, creation_owner()),
-                covered: None,
-                written: false,
-            });
+    /// Declare (and lazily create) an object of the given kind. Declaring
+    /// a stored object is a lookup; only the creation needs a [`Key`], and
+    /// a caller's own `Key` is taken as it is.
+    pub fn ensure(
+        &mut self,
+        key: impl AsRef<str> + Into<Key>,
+        kind: ObjectKind,
+    ) -> Result<(), StoreError> {
+        let name = key.as_ref();
+        if self.replica.object(name).is_none() && !self.overlay.contains_key(name) {
+            let key: Key = key.into();
+            self.overlay.insert(
+                key.clone(),
+                Shadow {
+                    key,
+                    kind,
+                    obj: Object::new(kind, creation_owner()),
+                    covered: None,
+                    written: false,
+                },
+            );
         }
         Ok(())
     }
@@ -172,34 +196,35 @@ impl<'a> Transaction<'a> {
     /// The object a read of `key` runs against: the stored object while
     /// the transaction has not written the key (rule 1), else its copy
     /// with what the read depends on brought in (rules 2 and 3).
-    fn view(&mut self, key: &Key, reads: Reads<'_>) -> Result<&Object, StoreError> {
+    fn view(&mut self, key: &str, reads: Reads<'_>) -> Result<&Object, StoreError> {
         match self.overlay.get_mut(key) {
             Some(shadow) => {
                 match reads {
                     Reads::Nothing => {}
-                    Reads::Element(e) => shadow.cover(self.replica, key, e),
-                    Reads::Whole => shadow.make_whole(self.replica, key, &self.updates),
+                    Reads::Element(e) => shadow.cover(self.replica, e),
+                    Reads::Whole => shadow.make_whole(self.replica, &self.updates),
                 }
                 Ok(&shadow.obj)
             }
             None => self
                 .replica
                 .object(key)
-                .ok_or_else(|| StoreError::NoSuchObject(key.clone())),
+                .ok_or_else(|| StoreError::NoSuchObject(Key::new(key))),
         }
     }
 
     /// Record an effect and apply it to the transaction's copy of the
     /// key, which the first write to a stored key starts: partial for the
     /// kinds keyed by element, whole for the rest (rule 4).
-    fn push(&mut self, key: Key, op: ObjectOp) -> Result<(), StoreError> {
-        let shadow = match self.overlay.entry(key.clone()) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let (kind, stored) = self
+    fn push(&mut self, key: &str, op: ObjectOp) -> Result<(), StoreError> {
+        let shadow = match self.overlay.get_mut(key) {
+            Some(shadow) => shadow,
+            None => {
+                let (key, kind, stored) = self
                     .replica
-                    .object_and_kind(&key)
-                    .ok_or_else(|| StoreError::NoSuchObject(key.clone()))?;
+                    .stored(key)
+                    .ok_or_else(|| StoreError::NoSuchObject(Key::new(key)))?;
+                let key = key.clone();
                 let (obj, covered) = match stored.partial_copy() {
                     Some(partial) => (partial, Some(Vec::new())),
                     None => {
@@ -208,7 +233,8 @@ impl<'a> Transaction<'a> {
                         (whole, None)
                     }
                 };
-                e.insert(Shadow {
+                self.overlay.entry(key.clone()).or_insert(Shadow {
+                    key,
                     kind,
                     obj,
                     covered,
@@ -217,13 +243,13 @@ impl<'a> Transaction<'a> {
             }
         };
         // The effect's own elements are covered before it is applied.
-        op.for_each_elem(|e| shadow.cover(self.replica, &key, e));
+        op.for_each_elem(|e| shadow.cover(self.replica, e));
         shadow.written = true;
         shadow.obj.apply(&op).map_err(|e| StoreError::WrongType {
-            key: key.clone(),
+            key: shadow.key.clone(),
             expected: e.expected,
         })?;
-        self.updates.push((key, shadow.kind, op));
+        self.updates.push((shadow.key.clone(), shadow.kind, op));
         Ok(())
     }
 
@@ -231,19 +257,19 @@ impl<'a> Transaction<'a> {
     // Add-wins set
     // ------------------------------------------------------------------
 
-    pub fn aw_add(&mut self, key: impl Into<Key>, v: Val) -> Result<(), StoreError> {
-        let key = key.into();
+    pub fn aw_add(&mut self, key: impl AsRef<str>, v: Val) -> Result<(), StoreError> {
+        let key = key.as_ref();
         let tag = self.replica.alloc_tag();
-        let obj = self.view(&key, Reads::Nothing)?;
-        let set = obj.as_awset().ok_or_else(|| wrong(&key, "aw-set"))?;
+        let obj = self.view(key, Reads::Nothing)?;
+        let set = obj.as_awset().ok_or_else(|| wrong(key, "aw-set"))?;
         let op = ObjectOp::AWSet(set.prepare_add(v, tag));
         self.push(key, op)
     }
 
-    pub fn aw_remove(&mut self, key: impl Into<Key>, v: &Val) -> Result<(), StoreError> {
-        let key = key.into();
-        let obj = self.view(&key, Reads::Element(v))?;
-        let set = obj.as_awset().ok_or_else(|| wrong(&key, "aw-set"))?;
+    pub fn aw_remove(&mut self, key: impl AsRef<str>, v: &Val) -> Result<(), StoreError> {
+        let key = key.as_ref();
+        let obj = self.view(key, Reads::Element(v))?;
+        let set = obj.as_awset().ok_or_else(|| wrong(key, "aw-set"))?;
         if let Some(op) = set.prepare_remove(v) {
             let op = ObjectOp::AWSet(op);
             self.push(key, op)?;
@@ -254,12 +280,12 @@ impl<'a> Transaction<'a> {
     /// Wildcard remove (add-wins): removes observed matching elements.
     pub fn aw_remove_matching(
         &mut self,
-        key: impl Into<Key>,
+        key: impl AsRef<str>,
         pattern: &ValPattern,
     ) -> Result<(), StoreError> {
-        let key = key.into();
-        let obj = self.view(&key, Reads::Whole)?;
-        let set = obj.as_awset().ok_or_else(|| wrong(&key, "aw-set"))?;
+        let key = key.as_ref();
+        let obj = self.view(key, Reads::Whole)?;
+        let set = obj.as_awset().ok_or_else(|| wrong(key, "aw-set"))?;
         let op = ObjectOp::AWSet(set.prepare_remove_matching(|e| pattern.matches(e)));
         self.push(key, op)
     }
@@ -268,22 +294,22 @@ impl<'a> Transaction<'a> {
     // Rem-wins set
     // ------------------------------------------------------------------
 
-    pub fn rw_add(&mut self, key: impl Into<Key>, v: Val) -> Result<(), StoreError> {
-        let key = key.into();
+    pub fn rw_add(&mut self, key: impl AsRef<str>, v: Val) -> Result<(), StoreError> {
+        let key = key.as_ref();
         let tag = self.replica.alloc_tag();
         let clock = self.commit_clock.clone();
-        let obj = self.view(&key, Reads::Nothing)?;
-        let set = obj.as_rwset().ok_or_else(|| wrong(&key, "rw-set"))?;
+        let obj = self.view(key, Reads::Nothing)?;
+        let set = obj.as_rwset().ok_or_else(|| wrong(key, "rw-set"))?;
         let op = ObjectOp::RWSet(set.prepare_add(v, tag, clock));
         self.push(key, op)
     }
 
-    pub fn rw_remove(&mut self, key: impl Into<Key>, v: Val) -> Result<(), StoreError> {
-        let key = key.into();
+    pub fn rw_remove(&mut self, key: impl AsRef<str>, v: Val) -> Result<(), StoreError> {
+        let key = key.as_ref();
         let tag = self.replica.alloc_tag();
         let clock = self.commit_clock.clone();
-        let obj = self.view(&key, Reads::Nothing)?;
-        let set = obj.as_rwset().ok_or_else(|| wrong(&key, "rw-set"))?;
+        let obj = self.view(key, Reads::Nothing)?;
+        let set = obj.as_rwset().ok_or_else(|| wrong(key, "rw-set"))?;
         let op = ObjectOp::RWSet(set.prepare_remove(v, tag, clock));
         self.push(key, op)
     }
@@ -292,14 +318,14 @@ impl<'a> Transaction<'a> {
     /// (§4.2.1 — the `enrolled(*, t) := false` effect).
     pub fn rw_remove_matching(
         &mut self,
-        key: impl Into<Key>,
+        key: impl AsRef<str>,
         pattern: ValPattern,
     ) -> Result<(), StoreError> {
-        let key = key.into();
+        let key = key.as_ref();
         let tag = self.replica.alloc_tag();
         let clock = self.commit_clock.clone();
-        let obj = self.view(&key, Reads::Nothing)?;
-        let set = obj.as_rwset().ok_or_else(|| wrong(&key, "rw-set"))?;
+        let obj = self.view(key, Reads::Nothing)?;
+        let set = obj.as_rwset().ok_or_else(|| wrong(key, "rw-set"))?;
         let op = ObjectOp::RWSet(set.prepare_remove_matching(pattern, tag, clock));
         self.push(key, op)
     }
@@ -308,33 +334,33 @@ impl<'a> Transaction<'a> {
     // Add-wins map (entities with payload; touch support)
     // ------------------------------------------------------------------
 
-    pub fn map_put(&mut self, key: impl Into<Key>, k: Val, v: Val) -> Result<(), StoreError> {
-        let key = key.into();
+    pub fn map_put(&mut self, key: impl AsRef<str>, k: Val, v: Val) -> Result<(), StoreError> {
+        let key = key.as_ref();
         let tag = self.replica.alloc_tag();
         let clock = self.commit_clock.clone();
         let ts = self.ts;
-        let obj = self.view(&key, Reads::Nothing)?;
-        let map = obj.as_awmap().ok_or_else(|| wrong(&key, "aw-map"))?;
+        let obj = self.view(key, Reads::Nothing)?;
+        let map = obj.as_awmap().ok_or_else(|| wrong(key, "aw-map"))?;
         let op = ObjectOp::AWMap(map.prepare_put(k, tag, clock, ts, v));
         self.push(key, op)
     }
 
     /// Touch: restore presence, preserve payload (§4.2.1).
-    pub fn map_touch(&mut self, key: impl Into<Key>, k: Val) -> Result<(), StoreError> {
-        let key = key.into();
+    pub fn map_touch(&mut self, key: impl AsRef<str>, k: Val) -> Result<(), StoreError> {
+        let key = key.as_ref();
         let tag = self.replica.alloc_tag();
         let clock = self.commit_clock.clone();
-        let obj = self.view(&key, Reads::Nothing)?;
-        let map = obj.as_awmap().ok_or_else(|| wrong(&key, "aw-map"))?;
+        let obj = self.view(key, Reads::Nothing)?;
+        let map = obj.as_awmap().ok_or_else(|| wrong(key, "aw-map"))?;
         let op = ObjectOp::AWMap(map.prepare_touch(k, tag, clock));
         self.push(key, op)
     }
 
-    pub fn map_remove(&mut self, key: impl Into<Key>, k: &Val) -> Result<(), StoreError> {
-        let key = key.into();
+    pub fn map_remove(&mut self, key: impl AsRef<str>, k: &Val) -> Result<(), StoreError> {
+        let key = key.as_ref();
         let clock = self.commit_clock.clone();
-        let obj = self.view(&key, Reads::Element(k))?;
-        let map = obj.as_awmap().ok_or_else(|| wrong(&key, "aw-map"))?;
+        let obj = self.view(key, Reads::Element(k))?;
+        let map = obj.as_awmap().ok_or_else(|| wrong(key, "aw-map"))?;
         if let Some(op) = map.prepare_remove(k, clock) {
             let op = ObjectOp::AWMap(op);
             self.push(key, op)?;
@@ -346,40 +372,38 @@ impl<'a> Transaction<'a> {
     // Counters and registers
     // ------------------------------------------------------------------
 
-    pub fn counter_add(&mut self, key: impl Into<Key>, delta: i64) -> Result<(), StoreError> {
-        let key = key.into();
+    pub fn counter_add(&mut self, key: impl AsRef<str>, delta: i64) -> Result<(), StoreError> {
+        let key = key.as_ref();
         let origin = self.replica.id();
-        let obj = self.view(&key, Reads::Nothing)?;
-        let c = obj
-            .as_pncounter()
-            .ok_or_else(|| wrong(&key, "pn-counter"))?;
+        let obj = self.view(key, Reads::Nothing)?;
+        let c = obj.as_pncounter().ok_or_else(|| wrong(key, "pn-counter"))?;
         let op = ObjectOp::PNCounter(c.prepare(origin, delta));
         self.push(key, op)
     }
 
-    pub fn bcounter_inc(&mut self, key: impl Into<Key>, n: u64) -> Result<(), StoreError> {
-        let key = key.into();
+    pub fn bcounter_inc(&mut self, key: impl AsRef<str>, n: u64) -> Result<(), StoreError> {
+        let key = key.as_ref();
         let origin = self.replica.id();
-        let obj = self.view(&key, Reads::Nothing)?;
+        let obj = self.view(key, Reads::Nothing)?;
         let c = obj
             .as_bcounter()
-            .ok_or_else(|| wrong(&key, "bounded-counter"))?;
+            .ok_or_else(|| wrong(key, "bounded-counter"))?;
         let op = ObjectOp::BCounter(c.prepare_inc(origin, n));
         self.push(key, op)
     }
 
     /// Escrow decrement: fails with [`StoreError::InsufficientRights`]
     /// when the replica lacks local rights.
-    pub fn bcounter_dec(&mut self, key: impl Into<Key>, n: u64) -> Result<(), StoreError> {
-        let key = key.into();
+    pub fn bcounter_dec(&mut self, key: impl AsRef<str>, n: u64) -> Result<(), StoreError> {
+        let key = key.as_ref();
         let origin = self.replica.id();
-        let obj = self.view(&key, Reads::Whole)?;
+        let obj = self.view(key, Reads::Whole)?;
         let c = obj
             .as_bcounter()
-            .ok_or_else(|| wrong(&key, "bounded-counter"))?;
+            .ok_or_else(|| wrong(key, "bounded-counter"))?;
         let Some(op) = c.prepare_dec(origin, n) else {
             self.replica.stats.escrow_dec_denied += 1;
-            return Err(StoreError::InsufficientRights { key });
+            return Err(StoreError::InsufficientRights { key: Key::new(key) });
         };
         let op = ObjectOp::BCounter(op);
         self.push(key, op)
@@ -387,19 +411,19 @@ impl<'a> Transaction<'a> {
 
     pub fn bcounter_transfer(
         &mut self,
-        key: impl Into<Key>,
+        key: impl AsRef<str>,
         to: ipa_crdt::ReplicaId,
         n: u64,
     ) -> Result<(), StoreError> {
-        let key = key.into();
+        let key = key.as_ref();
         let origin = self.replica.id();
-        let obj = self.view(&key, Reads::Whole)?;
+        let obj = self.view(key, Reads::Whole)?;
         let c = obj
             .as_bcounter()
-            .ok_or_else(|| wrong(&key, "bounded-counter"))?;
+            .ok_or_else(|| wrong(key, "bounded-counter"))?;
         let op = c
             .prepare_transfer(origin, to, n)
-            .ok_or_else(|| StoreError::InsufficientRights { key: key.clone() })?;
+            .ok_or_else(|| StoreError::InsufficientRights { key: Key::new(key) })?;
         let op = ObjectOp::BCounter(op);
         self.push(key, op)
     }
@@ -409,14 +433,14 @@ impl<'a> Transaction<'a> {
     /// transfers).
     pub fn bcounter_rights(
         &mut self,
-        key: impl Into<Key>,
+        key: impl AsRef<str>,
         holder: ipa_crdt::ReplicaId,
     ) -> Result<i64, StoreError> {
-        let key = key.into();
-        let obj = self.view(&key, Reads::Whole)?;
+        let key = key.as_ref();
+        let obj = self.view(key, Reads::Whole)?;
         let c = obj
             .as_bcounter()
-            .ok_or_else(|| wrong(&key, "bounded-counter"))?;
+            .ok_or_else(|| wrong(key, "bounded-counter"))?;
         Ok(c.local_rights(holder))
     }
 
@@ -429,21 +453,21 @@ impl<'a> Transaction<'a> {
         clock.le(&self.replica.stability_frontier_cached(replicas))
     }
 
-    pub fn lww_write(&mut self, key: impl Into<Key>, v: Val) -> Result<(), StoreError> {
-        let key = key.into();
+    pub fn lww_write(&mut self, key: impl AsRef<str>, v: Val) -> Result<(), StoreError> {
+        let key = key.as_ref();
         let tag = self.replica.alloc_tag();
         let ts = self.ts;
-        let obj = self.view(&key, Reads::Nothing)?;
-        let r = obj.as_lww().ok_or_else(|| wrong(&key, "lww-register"))?;
+        let obj = self.view(key, Reads::Nothing)?;
+        let r = obj.as_lww().ok_or_else(|| wrong(key, "lww-register"))?;
         let op = ObjectOp::LWW(r.prepare_write(ts, tag, v));
         self.push(key, op)
     }
 
-    pub fn mv_write(&mut self, key: impl Into<Key>, v: Val) -> Result<(), StoreError> {
-        let key = key.into();
+    pub fn mv_write(&mut self, key: impl AsRef<str>, v: Val) -> Result<(), StoreError> {
+        let key = key.as_ref();
         let clock = self.commit_clock.clone();
-        let obj = self.view(&key, Reads::Nothing)?;
-        let r = obj.as_mv().ok_or_else(|| wrong(&key, "mv-register"))?;
+        let obj = self.view(key, Reads::Nothing)?;
+        let r = obj.as_mv().ok_or_else(|| wrong(key, "mv-register"))?;
         let op = ObjectOp::MV(r.prepare_write(clock, v));
         self.push(key, op)
     }
@@ -452,13 +476,13 @@ impl<'a> Transaction<'a> {
     // Compensation set (§4.2.2)
     // ------------------------------------------------------------------
 
-    pub fn compset_add(&mut self, key: impl Into<Key>, v: Val) -> Result<(), StoreError> {
-        let key = key.into();
+    pub fn compset_add(&mut self, key: impl AsRef<str>, v: Val) -> Result<(), StoreError> {
+        let key = key.as_ref();
         let tag = self.replica.alloc_tag();
-        let obj = self.view(&key, Reads::Nothing)?;
+        let obj = self.view(key, Reads::Nothing)?;
         let s = obj
             .as_compset()
-            .ok_or_else(|| wrong(&key, "compensation-set"))?;
+            .ok_or_else(|| wrong(key, "compensation-set"))?;
         let op = ObjectOp::CompSet(s.prepare_add(v, tag));
         self.push(key, op)
     }
@@ -467,13 +491,13 @@ impl<'a> Transaction<'a> {
     /// compensation is committed alongside this transaction's effects.
     pub fn compset_read(
         &mut self,
-        key: impl Into<Key>,
+        key: impl AsRef<str>,
     ) -> Result<CompensatedRead<Val>, StoreError> {
-        let key = key.into();
+        let key = key.as_ref();
         let read = self
-            .view(&key, Reads::Whole)?
+            .view(key, Reads::Whole)?
             .as_compset()
-            .ok_or_else(|| wrong(&key, "compensation-set"))?
+            .ok_or_else(|| wrong(key, "compensation-set"))?
             .read();
         if let Some(comp) = &read.compensation {
             self.push(key, ObjectOp::CompSet(comp.clone()))?;
@@ -487,49 +511,68 @@ impl<'a> Transaction<'a> {
     // ------------------------------------------------------------------
 
     /// Membership across set-like objects (read-your-writes).
-    pub fn contains(&mut self, key: impl Into<Key>, v: &Val) -> Result<bool, StoreError> {
-        let key = key.into();
-        let obj = self.view(&key, Reads::Element(v))?;
-        obj.set_contains(v).ok_or_else(|| wrong(&key, "set-like"))
+    pub fn contains(&mut self, key: impl AsRef<str>, v: &Val) -> Result<bool, StoreError> {
+        let key = key.as_ref();
+        let obj = self.view(key, Reads::Element(v))?;
+        obj.set_contains(v).ok_or_else(|| wrong(key, "set-like"))
     }
 
-    /// Elements of a set-like object.
-    pub fn set_elements(&mut self, key: impl Into<Key>) -> Result<Vec<Val>, StoreError> {
-        let key = key.into();
-        let obj = self.view(&key, Reads::Whole)?;
-        match obj {
-            Object::AWSet(s) => Ok(s.elements().cloned().collect()),
-            Object::RWSet(s) => Ok(s.elements().cloned().collect()),
-            Object::CompSet(_) => {
-                let r = self.compset_read(key)?;
-                Ok(r.elements)
-            }
-            Object::AWMap(m) => Ok(m.keys().cloned().collect()),
-            _ => Err(wrong(&key, "set-like")),
+    /// The one whole-set read: call `f` on each element of a set-like
+    /// object (the keys of a map), in element order, borrowed from the
+    /// object the transaction sees. A read that filters or counts copies
+    /// nothing. On a compensation set this is the constrained read, with
+    /// its compensation co-committed ([`Transaction::compset_read`]).
+    pub fn for_each_element(
+        &mut self,
+        key: impl AsRef<str>,
+        f: impl FnMut(&Val),
+    ) -> Result<(), StoreError> {
+        let key = key.as_ref();
+        match self.view(key, Reads::Whole)? {
+            Object::AWSet(s) => s.elements().for_each(f),
+            Object::RWSet(s) => s.elements().for_each(f),
+            Object::AWMap(m) => m.keys().for_each(f),
+            Object::CompSet(_) => self.compset_read(key)?.elements.iter().for_each(f),
+            _ => return Err(wrong(key, "set-like")),
         }
+        Ok(())
     }
 
-    pub fn counter_value(&mut self, key: impl Into<Key>) -> Result<i64, StoreError> {
-        let key = key.into();
-        let obj = self.view(&key, Reads::Whole)?;
+    /// Elements of a set-like object, for a caller that keeps them.
+    pub fn set_elements(&mut self, key: impl AsRef<str>) -> Result<Vec<Val>, StoreError> {
+        let mut elements = Vec::new();
+        self.for_each_element(key, |e| elements.push(e.clone()))?;
+        Ok(elements)
+    }
+
+    /// Number of elements of a set-like object.
+    pub fn set_len(&mut self, key: impl AsRef<str>) -> Result<usize, StoreError> {
+        let mut n = 0;
+        self.for_each_element(key, |_| n += 1)?;
+        Ok(n)
+    }
+
+    pub fn counter_value(&mut self, key: impl AsRef<str>) -> Result<i64, StoreError> {
+        let key = key.as_ref();
+        let obj = self.view(key, Reads::Whole)?;
         match obj {
             Object::PNCounter(c) => Ok(c.value()),
             Object::BCounter(c) => Ok(c.value()),
-            _ => Err(wrong(&key, "counter")),
+            _ => Err(wrong(key, "counter")),
         }
     }
 
-    pub fn lww_get(&mut self, key: impl Into<Key>) -> Result<Option<Val>, StoreError> {
-        let key = key.into();
-        let obj = self.view(&key, Reads::Whole)?;
-        let r = obj.as_lww().ok_or_else(|| wrong(&key, "lww-register"))?;
+    pub fn lww_get(&mut self, key: impl AsRef<str>) -> Result<Option<Val>, StoreError> {
+        let key = key.as_ref();
+        let obj = self.view(key, Reads::Whole)?;
+        let r = obj.as_lww().ok_or_else(|| wrong(key, "lww-register"))?;
         Ok(r.get().cloned())
     }
 
-    pub fn map_get(&mut self, key: impl Into<Key>, k: &Val) -> Result<Option<Val>, StoreError> {
-        let key = key.into();
-        let obj = self.view(&key, Reads::Element(k))?;
-        let m = obj.as_awmap().ok_or_else(|| wrong(&key, "aw-map"))?;
+    pub fn map_get(&mut self, key: impl AsRef<str>, k: &Val) -> Result<Option<Val>, StoreError> {
+        let key = key.as_ref();
+        let obj = self.view(key, Reads::Element(k))?;
+        let m = obj.as_awmap().ok_or_else(|| wrong(key, "aw-map"))?;
         Ok(m.get(k).cloned())
     }
 
@@ -582,9 +625,9 @@ impl<'a> Transaction<'a> {
     }
 }
 
-fn wrong(key: &Key, expected: &'static str) -> StoreError {
+fn wrong(key: &str, expected: &'static str) -> StoreError {
     StoreError::WrongType {
-        key: key.clone(),
+        key: Key::new(key),
         expected,
     }
 }
@@ -610,11 +653,7 @@ mod tests {
             "read-your-writes"
         );
         tx.commit();
-        assert!(r
-            .object(&"s".into())
-            .unwrap()
-            .set_contains(&Val::str("x"))
-            .unwrap());
+        assert!(r.object("s").unwrap().set_contains(&Val::str("x")).unwrap());
     }
 
     #[test]
@@ -626,10 +665,7 @@ mod tests {
             tx.aw_add("s", Val::str("x")).unwrap();
             // dropped without commit
         }
-        assert!(
-            r.object(&"s".into()).is_none(),
-            "aborted txn leaves no trace"
-        );
+        assert!(r.object("s").is_none(), "aborted txn leaves no trace");
         assert!(r.take_outbox().is_empty());
     }
 
@@ -645,7 +681,7 @@ mod tests {
         assert_eq!(r.clock(), &before);
         assert!(r.take_outbox().is_empty());
         // The ensured object persists locally.
-        assert!(r.object(&"s".into()).is_some());
+        assert!(r.object("s").is_some());
     }
 
     #[test]
@@ -662,19 +698,8 @@ mod tests {
         let batch = a.take_outbox().pop().unwrap();
         assert_eq!(batch.updates.len(), 2);
         b.receive(batch);
-        assert!(b
-            .object(&"x".into())
-            .unwrap()
-            .set_contains(&Val::str("e"))
-            .unwrap());
-        assert_eq!(
-            b.object(&"y".into())
-                .unwrap()
-                .as_pncounter()
-                .unwrap()
-                .value(),
-            7
-        );
+        assert!(b.object("x").unwrap().set_contains(&Val::str("e")).unwrap());
+        assert_eq!(b.object("y").unwrap().as_pncounter().unwrap().value(), 7);
     }
 
     #[test]
@@ -734,11 +759,7 @@ mod tests {
             b.receive(batch);
         }
         assert_eq!(
-            b.object(&"tickets".into())
-                .unwrap()
-                .as_compset()
-                .unwrap()
-                .raw_len(),
+            b.object("tickets").unwrap().as_compset().unwrap().raw_len(),
             1
         );
     }
@@ -762,7 +783,7 @@ mod tests {
             a.receive(batch);
         }
         assert_eq!(
-            a.object(&"reg".into()).unwrap().as_lww().unwrap().get(),
+            a.object("reg").unwrap().as_lww().unwrap().get(),
             Some(&Val::int(2))
         );
     }

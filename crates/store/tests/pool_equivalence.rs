@@ -149,9 +149,9 @@ proptest! {
         prop_assert!(pooled.applied_consistent());
         for key in 0..NUM_KEYS {
             let name = key_name(key);
-            let k = name.as_str().into();
-            prop_assert_eq!(pooled.object(&k), oracle.object(&k), "object {}", name);
-            prop_assert_eq!(pooled.kind_of(&k), oracle.kind_of(&k), "kind {}", name);
+            let k = name.as_str();
+            prop_assert_eq!(pooled.object(k), oracle.object(k), "object {}", name);
+            prop_assert_eq!(pooled.kind_of(k), oracle.kind_of(k), "kind {}", name);
         }
         // Durable logs are batch-for-batch identical.
         let (a, b) = (oracle.log_snapshot(), pooled.log_snapshot());
@@ -216,8 +216,8 @@ fn pool_shutdown_and_restart_mid_stream() {
     assert_eq!(pooled.stats.updates_applied, oracle.stats.updates_applied);
     for key in 0..NUM_KEYS {
         let name = key_name(key);
-        let k = name.as_str().into();
-        assert_eq!(pooled.object(&k), oracle.object(&k), "object {name}");
+        let k = name.as_str();
+        assert_eq!(pooled.object(k), oracle.object(k), "object {name}");
     }
 }
 

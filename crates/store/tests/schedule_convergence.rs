@@ -106,7 +106,7 @@ fn observe(cluster: &Cluster, kind: ObjectKind, r: u16) -> String {
     let key = kind_name(kind);
     let obj = cluster
         .replica(ReplicaId(r))
-        .object(&key.into())
+        .object(key)
         .unwrap_or_else(|| panic!("replica {r} never materialized {key}"));
     match kind {
         ObjectKind::AWSet => {

@@ -137,10 +137,10 @@ proptest! {
             prop_assert!(got.applied_consistent());
             for key in 0..NUM_KEYS {
                 let name = key_name(key);
-                let k = name.as_str().into();
-                prop_assert_eq!(got.object(&k), oracle.object(&k),
+                let k = name.as_str();
+                prop_assert_eq!(got.object(k), oracle.object(k),
                     "object {} ({} shards, {:?})", name, shards, dispatch);
-                prop_assert_eq!(got.kind_of(&k), oracle.kind_of(&k),
+                prop_assert_eq!(got.kind_of(k), oracle.kind_of(k),
                     "kind {} ({} shards)", name, shards);
             }
             // Durable logs are batch-for-batch identical.

@@ -136,7 +136,7 @@ proptest! {
         // empty one (objects ensured but never written replicate lazily).
         for key in ["aw", "rw"] {
             let read = |r: &Replica| -> Vec<Val> {
-                r.object(&key.into())
+                r.object(key)
                     .map(|o| match key {
                         "aw" => o.as_awset().unwrap().elements().cloned().collect(),
                         _ => o.as_rwset().unwrap().elements().cloned().collect(),
@@ -149,7 +149,7 @@ proptest! {
             }
         }
         let cnt = |r: &Replica| -> i64 {
-            r.object(&"cnt".into()).map(|o| o.as_pncounter().unwrap().value()).unwrap_or(0)
+            r.object("cnt").map(|o| o.as_pncounter().unwrap().value()).unwrap_or(0)
         };
         let cnt0 = cnt(&net.replicas[0]);
         for r in &net.replicas[1..] {
@@ -168,13 +168,13 @@ proptest! {
         net.flush();
         let ids: Vec<ReplicaId> = net.replicas.iter().map(|r| r.id()).collect();
         let before: Option<Vec<Val>> = net.replicas[0]
-            .object(&"rw".into())
+            .object("rw")
             .map(|o| o.as_rwset().unwrap().elements().cloned().collect());
         for r in &mut net.replicas {
             r.run_gc(&ids);
         }
         let after: Option<Vec<Val>> = net.replicas[0]
-            .object(&"rw".into())
+            .object("rw")
             .map(|o| o.as_rwset().unwrap().elements().cloned().collect());
         prop_assert_eq!(before, after, "GC must not change observable membership");
     }

@@ -516,7 +516,7 @@ fn a_slide_on_a_large_set_copies_its_two_elements() {
     assert_eq!(tx.commit().updates, 2);
     assert_eq!(r.stats.txn_objects_copied, 0);
     assert!(r.stats.txn_entries_copied <= 2);
-    let set = r.object(&"timeline".into()).unwrap().as_awset().unwrap();
+    let set = r.object("timeline").unwrap().as_awset().unwrap();
     assert_eq!(set.len(), 4096);
 }
 

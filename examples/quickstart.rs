@@ -93,12 +93,12 @@ fn main() {
     for id in cluster.replica_ids() {
         let rep = cluster.replica(id);
         let enrolled = rep
-            .object(&"enrolled".into())
+            .object("enrolled")
             .unwrap()
             .set_contains(&Val::pair("alice", "open"))
             .unwrap();
         let tourn_alive = rep
-            .object(&"tournaments".into())
+            .object("tournaments")
             .unwrap()
             .set_contains(&Val::str("open"))
             .unwrap();

@@ -33,12 +33,12 @@ use proptest::prelude::*;
 fn assert_conserved(sim: &Simulation, event: &str, capacity: i64, replica: u16) {
     let r = sim.replica(replica);
     let counter = r
-        .object(&rights_key(event).as_str().into())
+        .object(&rights_key(event))
         .and_then(|o| o.as_bcounter())
         .unwrap_or_else(|| panic!("bcounter for {event} at replica {replica}"))
         .clone();
     let sold = r
-        .object(&format!("ticket/sold/{event}").as_str().into())
+        .object(&format!("ticket/sold/{event}"))
         .and_then(|o| o.as_awset())
         .map_or(0, |s| s.len()) as i64;
     let value = counter.value();

@@ -1,13 +1,23 @@
 //! What replicated state costs in heap, counted exactly: bytes per live
-//! add-wins element, and allocations per slide commit. `peak_rss_mb` can
-//! only show these on a quiet runner; this pins them on any.
+//! add-wins element, allocations per slide commit, per simulated
+//! application op, per value clone and per lookup by name. `peak_rss_mb`
+//! and ops per wall second can only show these on a quiet runner; this
+//! pins them on any.
 //!
 //! TEST-ONLY `unsafe`: the counting `GlobalAlloc` below forwards every
 //! call unchanged to `System` and exists only in this test binary; it
 //! counts per thread, so the harness's own threads do not disturb it.
 //! Outside it, `crates/store/src/pool.rs` stays the repo's only `unsafe`.
 
+use ipa::apps::ticket::sale::{SaleBackend, SaleConfig, SaleWorkload};
+use ipa::apps::tournament::workload::TournamentConfig;
+use ipa::apps::tournament::TournamentWorkload;
+use ipa::apps::tpc::TpcWorkload;
+use ipa::apps::twitter::runtime::Strategy;
+use ipa::apps::twitter::TwitterWorkload;
+use ipa::apps::Mode;
 use ipa::crdt::{AWSetOp, Object, ObjectKind, ObjectOp, ReplicaId, Tag, Val};
+use ipa::sim::{paper_topology, FaultPlan, SimConfig, Simulation, Workload};
 use ipa::store::{Key, Replica};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -68,7 +78,8 @@ fn state_costs_what_it_holds() {
     // Resident state: 64 sets of 4,096 single-tag integers, inserted in
     // ascending order (the B-tree's emptiest leaves). A nested
     // `BTreeSet<Tag>` per element cost 299 B here; the inline tag set
-    // leaves only the outer map's 56-byte slots and their slack (107 B).
+    // left only the outer map's slots and their slack (107 B); with a
+    // 24-byte `Val` the slot is 48 bytes (92 B).
     let before = live_bytes();
     let sets: Vec<Object> = (0..SETS)
         .map(|_| {
@@ -111,5 +122,149 @@ fn state_costs_what_it_holds() {
     assert!(
         slide < PARENT_SLIDE_ALLOCATIONS,
         "a slide commit made {slide} allocations, the parent {PARENT_SLIDE_ALLOCATIONS}"
+    );
+}
+
+#[test]
+fn cloning_a_value_never_allocates() {
+    let values = [
+        Val::str("alice"),
+        Val::int(7),
+        Val::pair("alice", "weekly-open"),
+        Val::triple("alice", "bob", "weekly-open"),
+        Val::triple(Val::pair("a", Val::pair("b", 1)), "c", Val::triple(1, 2, 3)),
+    ];
+    let before = allocations();
+    let clones = values.clone();
+    let made = allocations() - before;
+    assert_eq!(clones, values);
+    assert_eq!(made, 0, "cloning {values:?}");
+}
+
+#[test]
+fn naming_a_stored_object_allocates_no_key() {
+    let mut replica = Replica::new(ReplicaId(0));
+    let mut tx = replica.begin();
+    tx.ensure("k", ObjectKind::AWSet).expect("a new key");
+    tx.aw_add("k", Val::Int(1)).expect("an add");
+    tx.commit();
+
+    // A read of a stored set by name: a lookup and nothing else.
+    let mut tx = replica.begin();
+    let before = allocations();
+    let held = tx.contains("k", &Val::Int(1)).expect("a set");
+    let read = allocations() - before;
+    drop(tx);
+    assert!(held);
+    assert_eq!(read, 0, "contains by &str");
+
+    // A write by name costs what the same write costs a caller who
+    // already holds the `Key`: the overlay entry and the buffered effect,
+    // both carrying clones of the shard table's own key.
+    let add = |replica: &mut Replica, by_name: bool| {
+        let key = Key::new("k");
+        let mut tx = replica.begin();
+        let before = allocations();
+        if by_name {
+            tx.aw_add("k", Val::Int(2)).expect("an add");
+        } else {
+            tx.aw_add(key, Val::Int(2)).expect("an add");
+        }
+        allocations() - before
+    };
+    let by_key = add(&mut replica, false);
+    let by_name = add(&mut replica, true);
+    assert_eq!(by_name, by_key, "aw_add by &str against by Key");
+
+    // Creating an object takes a caller's `Key` as it is, and every later
+    // effect on the object, named by `&str`, carries that same key.
+    let fresh = Key::new("fresh");
+    replica.take_outbox();
+    for _ in 0..2 {
+        let mut tx = replica.begin();
+        tx.ensure(fresh.clone(), ObjectKind::AWSet)
+            .expect("a new key");
+        tx.aw_add("fresh", Val::Int(1)).expect("an add");
+        tx.commit();
+    }
+    for batch in replica.take_outbox() {
+        let carried = batch.updates[0].0.as_str();
+        assert!(std::ptr::eq(carried, fresh.as_str()), "a copied key");
+    }
+}
+
+/// One of the benchmark's `sim_apps` cells (its topology, clients, warm-up,
+/// fault plan and seed 1; no auditor), `run` then `quiesce`: allocations
+/// per completed op stay within `at_most` and the schedule is the parent's.
+fn simulated_cell(
+    name: &str,
+    workload: &mut dyn Workload,
+    virtual_s: f64,
+    at_most: usize,
+    parent_digest: u64,
+) {
+    let cfg = SimConfig {
+        clients_per_region: 8,
+        warmup_s: 0.5,
+        duration_s: virtual_s,
+        seed: 1,
+        faults: FaultPlan::with_intensity(1, 0.3),
+        ..Default::default()
+    };
+    let mut sim = Simulation::new(paper_topology(), cfg);
+    let before = allocations();
+    sim.run(workload);
+    sim.quiesce();
+    let per_op = (allocations() - before) / sim.metrics.completed as usize;
+    assert!(
+        per_op <= at_most,
+        "{name}: {per_op} allocations per simulated op, pinned at {at_most}"
+    );
+    assert_eq!(
+        sim.schedule_digest(),
+        parent_digest,
+        "{name}: the schedule moved"
+    );
+}
+
+#[test]
+fn a_simulated_op_costs_its_own_work_not_the_allocators() {
+    // With `Val::Str(String)`, boxed tuples, a cloned set per whole-set
+    // read and a `Key` built per lookup (4623ee4) the four cells counted
+    // 577 / 3,324 / 199 / 41 allocations per op; they count 95 / 60 / 26 /
+    // 19. The digests are that commit's: sharing values moves no schedule.
+    simulated_cell(
+        "tournament",
+        &mut TournamentWorkload::new(Mode::Ipa, TournamentConfig::default()),
+        5.0,
+        135,
+        0x2854_3b09_146f_d9b6,
+    );
+    simulated_cell(
+        "twitter",
+        &mut TwitterWorkload::with_defaults(Strategy::AddWins),
+        0.8,
+        100,
+        0xe3b3_cd96_2014_2f5a,
+    );
+    let sale = SaleConfig {
+        num_events: 8,
+        hot_capacity: 4_000,
+        tail_capacity: 20_000,
+        ..SaleConfig::default()
+    };
+    simulated_cell(
+        "ticket",
+        &mut SaleWorkload::new(SaleBackend::Escrow, sale),
+        6.0,
+        40,
+        0x377c_4f4e_aed5_c9d7,
+    );
+    simulated_cell(
+        "tpc",
+        &mut TpcWorkload::with_defaults(Mode::Ipa),
+        6.0,
+        32,
+        0x1803_83b8_8392_7e41,
     );
 }
