@@ -866,8 +866,9 @@ fn threaded_cell<W: SoakApp + Send>(cfg: ThreadedSoakConfig) -> ThreadedSoakRun 
 mod tests {
     use super::*;
     use ipa_crdt::{Object, ObjectKind, ObjectOp, VClock};
-    use ipa_store::{Cluster, Key, UpdateBatch};
+    use ipa_store::{Cluster, Key, Replica, UpdateBatch};
     use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     #[test]
     fn app_names_roundtrip() {
@@ -1211,6 +1212,51 @@ mod tests {
         for app in App::all() {
             with_app!(app, cell(app));
         }
+    }
+
+    /// [`Transport::converged`] is "equal clocks, nothing buffered". Hand
+    /// every node the second batch of a replica outside the node set: its
+    /// predecessor is in no log, so it sits in every causal buffer
+    /// forever while every clock stays equal — and no transport may call
+    /// that converged.
+    #[test]
+    fn a_buffered_batch_is_not_converged_on_any_transport() {
+        fn cell(name: &str, transport: &mut impl Transport) {
+            let mut outsider = Replica::new(ReplicaId(9));
+            for v in ["first", "second"] {
+                let mut tx = outsider.begin();
+                tx.ensure("k", ObjectKind::AWSet).unwrap();
+                tx.aw_add("k", ipa_crdt::Val::str(v)).unwrap();
+                tx.commit();
+            }
+            let orphan = outsider.take_outbox().pop().expect("two batches");
+            assert_eq!(orphan.seq, 2);
+            assert!(orphan.integrity_ok() && orphan.well_formed());
+            assert!(transport.converged(), "{name}: converged before");
+            for node in 0..transport.node_count() as u16 {
+                let orphan = Arc::clone(&orphan);
+                let (applied, buffered) = transport
+                    .with_node(ReplicaId(node), |r| (r.receive(orphan), r.pending_count()));
+                assert_eq!((applied, buffered), (0, 1), "{name}: node {node}");
+            }
+            assert!(
+                !transport.converged(),
+                "{name}: one batch buffered per node"
+            );
+        }
+        cell(
+            "sim",
+            &mut Simulation::new(paper_topology(), SimConfig::default()),
+        );
+        cell("cluster", &mut Cluster::new(3));
+        cell(
+            "threaded",
+            &mut ThreadedCluster::start(ThreadedConfig {
+                nodes: 3,
+                ae_interval: None,
+                ..Default::default()
+            }),
+        );
     }
 
     /// The classifier's fixed order, over a plain [`Cluster`]: a supplied

@@ -1,9 +1,9 @@
 //! The [`BoundedCounter`] trait — the one surface every coordination
-//! backend answers to — plus the reservation-table and primary-forwarding
-//! implementations and the [`CounterBackend`] dispatch enum.
+//! backend answers to — plus the primary-forwarding implementation and
+//! the [`CounterBackend`] dispatch enum.
 //!
 //! A bounded counter guards a numeric invariant (`value >= floor`,
-//! classically "never sell more tickets than capacity"). The three
+//! classically "never sell more tickets than capacity"). The two
 //! backends enforce it with very different machinery and very different
 //! costs:
 //!
@@ -11,20 +11,16 @@
 //!   *in the store* as a `BCounter` CRDT, transfers ride ordinary update
 //!   batches (droppable, delayable, repairable by anti-entropy), and a
 //!   decrement with resident rights is a purely local commit.
-//! * [`ReservationCounter`] — the coordinator-level escrow oracle
-//!   ([`EscrowTable`]): rights bookkeeping is a shared table whose
-//!   *latencies* are charged to operations. Cheaper to run, blind to
-//!   transport faults on the rights themselves — the baseline the paper
-//!   compares against.
 //! * [`StrongCounter`] — all rights at one primary; every decrement pays
 //!   a WAN round trip (or is unavailable when the primary is cut off).
 //!
-//! All three return [`Acquired`] on success and
+//! (The Indigo-style baseline, rights bookkeeping in a shared table whose
+//! *latencies* are charged to operations, is [`crate::EscrowTable`], used
+//! directly.) Both return [`Acquired`] on success and
 //! [`CoordError`] on failure, so application code is
 //! backend-agnostic.
 
 use crate::error::CoordError;
-use crate::escrow::{EscrowOutcome, EscrowTable};
 use crate::escrow_shard::EscrowShard;
 use crate::strong::StrongCoordinator;
 use ipa_crdt::{ObjectKind, ReplicaId};
@@ -56,8 +52,8 @@ impl Acquired {
 }
 
 /// A replicated numeric bound with per-replica decrement rights — the
-/// redesigned coordination surface. One trait, three backends (escrow,
-/// reservation, strong); all methods are generic over [`OpCtx`], so the
+/// redesigned coordination surface. One trait, two backends (escrow,
+/// strong); all methods are generic over [`OpCtx`], so the
 /// same application code runs under the deterministic simulator and the
 /// threaded transport.
 ///
@@ -103,119 +99,6 @@ pub trait BoundedCounter {
 
     /// Decrement rights currently visible at `region`.
     fn rights<C: OpCtx>(&mut self, ctx: &mut C, res: &str, region: Region) -> i64;
-}
-
-// ---------------------------------------------------------------------
-// Reservation backend (coordinator-level escrow oracle)
-// ---------------------------------------------------------------------
-
-/// [`BoundedCounter`] over the coordinator-level [`EscrowTable`]: the
-/// Indigo-style baseline where rights bookkeeping is an oracle shared by
-/// all replicas and only the exchange *latencies* are modeled. Compare
-/// with [`EscrowShard`], where rights are themselves
-/// replicated state exposed to transport faults.
-#[derive(Clone, Debug)]
-pub struct ReservationCounter {
-    table: EscrowTable,
-    regions: u16,
-}
-
-impl ReservationCounter {
-    pub fn new(regions: u16) -> ReservationCounter {
-        ReservationCounter {
-            table: EscrowTable::new(),
-            regions,
-        }
-    }
-
-    /// The underlying escrow table (counters, direct grants).
-    pub fn table(&self) -> &EscrowTable {
-        &self.table
-    }
-
-    /// The richest remote holder visible to `region`, for the
-    /// `PeerUnreachable` report.
-    fn richest_other(&self, res: &str, region: Region) -> Region {
-        (0..self.regions)
-            .filter(|&r| r != region)
-            .max_by_key(|&r| self.table.local_rights(res, r))
-            .unwrap_or(region)
-    }
-}
-
-impl BoundedCounter for ReservationCounter {
-    fn create<C: OpCtx>(
-        &mut self,
-        _ctx: &mut C,
-        res: &str,
-        capacity: u64,
-    ) -> Result<(), CoordError> {
-        self.table.grant_evenly(res, self.regions, capacity as i64);
-        Ok(())
-    }
-
-    fn acquire<C: OpCtx>(
-        &mut self,
-        ctx: &mut C,
-        res: &str,
-        region: Region,
-        n: u64,
-    ) -> Result<Acquired, CoordError> {
-        // Acquire-then-regrant: `EscrowTable::acquire` both fetches and
-        // spends, so handing the spent units straight back leaves the
-        // fetched rights resident without consuming the bound.
-        let got = self.decrement(ctx, res, region, n)?;
-        self.table.grant(res, region, n as i64);
-        Ok(got)
-    }
-
-    fn decrement<C: OpCtx>(
-        &mut self,
-        ctx: &mut C,
-        res: &str,
-        region: Region,
-        n: u64,
-    ) -> Result<Acquired, CoordError> {
-        match self.table.acquire(ctx, res, region, n as i64) {
-            EscrowOutcome::Local => Ok(Acquired::local()),
-            EscrowOutcome::Fetched(wan_ms) => Ok(Acquired {
-                wan_ms,
-                transfers: 1,
-            }),
-            EscrowOutcome::Exhausted => Err(CoordError::WouldOversell {
-                resource: res.to_owned(),
-            }),
-            EscrowOutcome::Unavailable => Err(CoordError::PeerUnreachable {
-                from: region,
-                to: self.richest_other(res, region),
-            }),
-        }
-    }
-
-    fn transfer<C: OpCtx>(
-        &mut self,
-        _ctx: &mut C,
-        res: &str,
-        from: Region,
-        to: Region,
-        n: u64,
-    ) -> Result<Acquired, CoordError> {
-        if self.table.local_rights(res, from) < n as i64 {
-            return Err(CoordError::InsufficientRights {
-                resource: res.to_owned(),
-            });
-        }
-        self.table.grant(res, from, -(n as i64));
-        self.table.grant(res, to, n as i64);
-        Ok(Acquired {
-            wan_ms: 0.0,
-            transfers: 1,
-        })
-    }
-
-    fn rights<C: OpCtx>(&mut self, _ctx: &mut C, res: &str, region: Region) -> i64 {
-        self.table.local_rights(res, region)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -383,10 +266,12 @@ impl BoundedCounter for StrongCounter {
 /// Runtime-selected [`BoundedCounter`] backend, built by
 /// [`CoordConfig::build`](crate::CoordConfig::build). Lets applications
 /// hold "whatever the plan chose" in one field.
+// One per application, built once and held in place: the size gap
+// between the variants costs nothing, a `Box` would cost every call.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub enum CounterBackend {
     Escrow(EscrowShard),
-    Reservation(ReservationCounter),
     Strong(StrongCounter),
 }
 
@@ -394,7 +279,6 @@ macro_rules! dispatch {
     ($self:ident, $inner:ident => $e:expr) => {
         match $self {
             CounterBackend::Escrow($inner) => $e,
-            CounterBackend::Reservation($inner) => $e,
             CounterBackend::Strong($inner) => $e,
         }
     };
@@ -481,60 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn reservation_counter_local_fetch_exhaust() {
-        drive(|ctx| {
-            let mut c = ReservationCounter::new(2);
-            c.create(ctx, "show", 4).unwrap();
-            assert_eq!(c.rights(ctx, "show", 0), 2);
-            // Resident rights: free.
-            assert_eq!(c.decrement(ctx, "show", 0, 1).unwrap(), Acquired::local());
-            assert_eq!(c.decrement(ctx, "show", 0, 1).unwrap(), Acquired::local());
-            // Dry: fetch from the peer, one transfer, real WAN cost.
-            let got = c.decrement(ctx, "show", 0, 1).unwrap();
-            assert_eq!(got.transfers, 1);
-            assert!(got.wan_ms > 0.0);
-            // Bound gone: correct rejection.
-            c.decrement(ctx, "show", 0, 1).unwrap();
-            assert_eq!(
-                c.decrement(ctx, "show", 0, 1),
-                Err(CoordError::WouldOversell {
-                    resource: "show".into()
-                })
-            );
-        });
-    }
-
-    #[test]
-    fn reservation_acquire_prefetches_without_spending() {
-        drive(|ctx| {
-            let mut c = ReservationCounter::new(2);
-            c.create(ctx, "expo", 2).unwrap();
-            c.acquire(ctx, "expo", 0, 1).unwrap();
-            // Acquire provisions; it must not consume the bound: region
-            // 0's share (1 of 2) is intact and the full bound still sells.
-            assert_eq!(c.rights(ctx, "expo", 0), 1);
-            assert!(c.decrement(ctx, "expo", 0, 2).is_ok());
-        });
-    }
-
-    #[test]
-    fn reservation_transfer_checks_balance() {
-        drive(|ctx| {
-            let mut c = ReservationCounter::new(2);
-            c.create(ctx, "cup", 4).unwrap();
-            assert_eq!(c.transfer(ctx, "cup", 0, 1, 2).unwrap().transfers, 1);
-            assert_eq!(c.rights(ctx, "cup", 0), 0);
-            assert_eq!(c.rights(ctx, "cup", 1), 4);
-            assert_eq!(
-                c.transfer(ctx, "cup", 0, 1, 1),
-                Err(CoordError::InsufficientRights {
-                    resource: "cup".into()
-                })
-            );
-        });
-    }
-
-    #[test]
     fn strong_counter_forwards_every_decrement_to_the_primary() {
         drive(|ctx| {
             let mut c = StrongCounter::new(0);
@@ -580,16 +410,14 @@ mod tests {
     fn dispatch_enum_reaches_every_backend() {
         drive(|ctx| {
             let cfg = crate::CoordConfig::new(2);
-            for policy in [
-                crate::CoordBackend::Escrow,
-                crate::CoordBackend::Reservation(crate::LockMode::Exclusive),
-                crate::CoordBackend::Strong,
-            ] {
+            for policy in [crate::CoordBackend::Escrow, crate::CoordBackend::Strong] {
                 let res = format!("d:{policy}");
                 let mut b = cfg.build(policy).unwrap();
                 b.create(ctx, &res, 2).unwrap();
                 assert!(b.decrement(ctx, &res, 0, 1).is_ok(), "{policy}");
             }
+            let lock = crate::CoordBackend::Reservation(crate::LockMode::Exclusive);
+            assert!(cfg.build(lock).is_none(), "locks are not counters");
             assert!(cfg.build(crate::CoordBackend::None).is_none());
         });
     }

@@ -4,17 +4,17 @@
 //! enough (§3 Step 3, §5.2.1), behind one typed surface:
 //!
 //! * [`BoundedCounter`] — the numeric-invariant trait (acquire /
-//!   decrement / transfer / rights), implemented by three backends:
+//!   decrement / transfer / rights), implemented by two backends:
 //!   * [`EscrowShard`]: escrow-sharded bounded counters whose rights are
 //!     **replicated store state** — local decrements while rights last,
 //!     asynchronous rights transfers riding ordinary update batches
 //!     (droppable/delayable/corruptible by the nemesis, repaired by
 //!     anti-entropy), pluggable [`ProvisioningPolicy`].
-//!   * [`ReservationCounter`]: the Indigo-style coordinator-level escrow
-//!     oracle ([`EscrowTable`]) — rights bookkeeping as a shared table
-//!     whose exchange latencies are charged to operations.
 //!   * [`StrongCounter`]: every right at one primary; each decrement
 //!     pays the WAN round trip [`StrongCoordinator`] models.
+//! * [`EscrowTable`] — the Indigo-style coordinator-level escrow oracle:
+//!   rights bookkeeping as a shared table whose exchange latencies are
+//!   charged to operations (the baseline, used directly).
 //! * [`CoordConfig`] — the builder turning a deployment shape and a
 //!   [`CoordBackend`] policy choice into a running backend.
 //! * [`CoordError`] — the shared failure vocabulary
@@ -32,9 +32,7 @@ pub mod policy;
 pub mod reservation;
 pub mod strong;
 
-pub use counter::{
-    rights_key, Acquired, BoundedCounter, CounterBackend, ReservationCounter, StrongCounter,
-};
+pub use counter::{rights_key, Acquired, BoundedCounter, CounterBackend, StrongCounter};
 pub use error::CoordError;
 pub use escrow::{EscrowOutcome, EscrowTable};
 pub use escrow_shard::{EscrowShard, EscrowShardStats};

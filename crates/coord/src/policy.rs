@@ -9,7 +9,7 @@
 //! per-operation acquisition, so a plan entry maps 1:1 onto the
 //! mechanism that enforces it.
 
-use crate::counter::{CounterBackend, ReservationCounter, StrongCounter};
+use crate::counter::{CounterBackend, StrongCounter};
 use crate::escrow_shard::EscrowShard;
 use ipa_sim::Region;
 use std::fmt;
@@ -45,7 +45,7 @@ pub enum CoordBackend {
     /// decrements, asynchronous rights transfers ([`EscrowShard`]).
     Escrow,
     /// Lock-style reservation in the given mode
-    /// ([`crate::ReservationTable`] / [`ReservationCounter`]).
+    /// ([`crate::ReservationTable`]).
     Reservation(LockMode),
     /// Primary forwarding: serialize at a single replica
     /// ([`crate::StrongCoordinator`] / [`StrongCounter`]).
@@ -151,28 +151,19 @@ impl CoordConfig {
         EscrowShard::new(self.policy)
     }
 
-    /// A reservation-table-backed counter backend.
-    pub fn build_reservation(&self) -> ReservationCounter {
-        ReservationCounter::new(self.regions)
-    }
-
     /// A primary-forwarding counter backend.
     pub fn build_strong(&self) -> StrongCounter {
         StrongCounter::new(self.primary)
     }
 
-    /// The backend a [`CoordBackend`] policy selects; `None` for
-    /// [`CoordBackend::None`] (no coordination to build). Reservation
-    /// counters ignore the lock mode — numeric rights are always
-    /// partitioned, the mode only matters for lock-style reservations
-    /// acquired through [`crate::ReservationTable`].
+    /// The counter backend a [`CoordBackend`] policy selects; `None` for
+    /// [`CoordBackend::None`] (no coordination to build) and for
+    /// [`CoordBackend::Reservation`]: lock-style reservations guard no
+    /// counter and are acquired through [`crate::ReservationTable`].
     pub fn build(&self, backend: CoordBackend) -> Option<CounterBackend> {
         match backend {
-            CoordBackend::None => None,
+            CoordBackend::None | CoordBackend::Reservation(_) => None,
             CoordBackend::Escrow => Some(CounterBackend::Escrow(self.build_escrow())),
-            CoordBackend::Reservation(_) => {
-                Some(CounterBackend::Reservation(self.build_reservation()))
-            }
             CoordBackend::Strong => Some(CounterBackend::Strong(self.build_strong())),
         }
     }
@@ -217,10 +208,9 @@ mod tests {
             cfg.build(CoordBackend::Escrow),
             Some(CounterBackend::Escrow(_))
         ));
-        assert!(matches!(
-            cfg.build(CoordBackend::Reservation(LockMode::Shared)),
-            Some(CounterBackend::Reservation(_))
-        ));
+        assert!(cfg
+            .build(CoordBackend::Reservation(LockMode::Shared))
+            .is_none());
         assert!(matches!(
             cfg.build(CoordBackend::Strong),
             Some(CounterBackend::Strong(_))

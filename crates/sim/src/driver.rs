@@ -1,24 +1,26 @@
-//! The simulation driver: event loop, clients, and the workload
-//! interface.
+//! The simulation driver: the event loop and the workload interface. What
+//! goes wrong, who fires when, and whether repair is on time are asked of
+//! (or told to) the private `nemesis`, `clients` and `liveness` modules.
 
+use crate::clients::{Clients, Work};
 use crate::fault::FaultPlan;
 use crate::latency::{LatencyModel, Region};
+use crate::liveness::Ledger;
+pub use crate::liveness::LivenessStats;
 use crate::metrics::Metrics;
 use crate::nemesis::{Nemesis, Window};
 use crate::server::{ServerQueue, ServiceCosts};
 use crate::shrink::{BatchFault, ExplicitPlan};
 use crate::time::SimTime;
-use crate::trace::{AppOp, OpEvent, OpTrace, SendRec, SETUP_CLIENT};
-use ipa_crdt::ReplicaId;
+use crate::trace::{AppOp, SETUP_CLIENT};
+use ipa_crdt::{ReplicaId, VClock};
 use ipa_store::{
-    anti_entropy_fixpoint_nodes, AeCursors, CommitInfo, Node, Replica, StoreError, Transaction,
-    Transport, UpdateBatch,
+    anti_entropy_fixpoint_nodes, anti_entropy_pull_round, nodes_converged, AeCursors, CommitInfo,
+    Node, Replica, StoreError, Transaction, Transport, UpdateBatch,
 };
 use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -87,74 +89,6 @@ pub struct NemesisStats {
     pub batches_corrupted: u64,
 }
 
-/// Captures every executed client operation (and every staged send's
-/// latency draw), so a failing run's workload can be re-expressed as an
-/// [`OpTrace`] and shrunk alongside its fault plan. Pure observation:
-/// recording draws no RNG and never perturbs the schedule.
-#[derive(Debug, Default)]
-struct OpRecorder {
-    events: Vec<OpEvent>,
-    sends: Vec<SendRec>,
-}
-
-/// Indexed form of an [`OpTrace`]: per-client FIFO queues of `(fire
-/// time, op)` plus the recorded send-delay table keyed by staging op
-/// event (`(client, fire µs, ordinal)`). When installed, every client
-/// fires at its recorded times and executes its recorded ops — the
-/// workload RNG is never drawn.
-#[derive(Debug)]
-struct ExplicitOps {
-    by_client: Vec<VecDeque<(u64, AppOp)>>,
-    sends: HashMap<(u64, u64, u32), u64>,
-}
-
-/// A fault-induced causal gap under repair: replica `dest` is missing
-/// `origin`'s batch `seq` (it was dropped, refused while down, or lost
-/// in a crash). The bounded-liveness oracle requires anti-entropy to
-/// close every gap within N rounds of repair opportunity.
-#[derive(Clone, Copy, Debug)]
-struct Gap {
-    dest: Region,
-    origin: Region,
-    seq: u64,
-    /// Anti-entropy rounds elapsed while repair was possible (the
-    /// direct link up, the replica alive). Reset by heals and restarts:
-    /// each network transition grants a fresh window.
-    rounds: u64,
-}
-
-/// Bounded-liveness accounting: "after the last injected fault, every
-/// replica converges within N anti-entropy rounds — not just at
-/// quiesce". Tracked per fault-induced gap during the run, plus the
-/// number of productive repair rounds the quiesce fixpoint needed.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LivenessStats {
-    /// Gaps ever tracked (drops, refused-while-down, restart catch-up).
-    pub tracked_gaps: u64,
-    /// Gaps repaired by anti-entropy (clock caught up).
-    pub repaired_gaps: u64,
-    /// Most repair-eligible rounds any gap stayed open.
-    pub max_gap_rounds: u64,
-    /// Gaps that outlived the bound mid-run (counted once per gap).
-    pub run_breaches: u64,
-    /// Productive anti-entropy rounds the quiesce fixpoint executed.
-    pub quiesce_rounds: u64,
-    /// The configured bound (None = accounting only, never a violation).
-    pub bound: Option<u64>,
-}
-
-impl LivenessStats {
-    /// Violations of the bounded-liveness oracle: mid-run gaps that
-    /// outlived the bound, plus one if quiescence itself needed more
-    /// than N repair rounds. Always zero when no bound is configured.
-    pub fn violations(&self) -> u64 {
-        let Some(bound) = self.bound else {
-            return 0;
-        };
-        self.run_breaches + u64::from(self.quiesce_rounds > bound)
-    }
-}
-
 /// Continuous invariant oracle: called for every live replica at each
 /// audit point; returns the number of violated invariant instances
 /// observed in that replica's materialized state.
@@ -220,10 +154,10 @@ impl OpOutcome {
 /// operation from the workload RNG as serialized text, `execute` runs a
 /// decided (or replayed) operation deterministically. Workloads that
 /// implement the pair are *replayable*: the driver can record every
-/// executed op as an [`OpTrace`] event and later replay the trace with
-/// [`Simulation::set_explicit_ops`] without drawing the workload RNG at
-/// all. `op` is the closed-loop composition; simple test workloads may
-/// implement only `op` and remain non-replayable.
+/// executed op as an [`OpTrace`](crate::OpTrace) event and later replay
+/// the trace without drawing the workload RNG at all (see
+/// [`crate::trace`]). `op` is the closed-loop composition; simple test
+/// workloads may implement only `op` and remain non-replayable.
 pub trait Workload {
     /// Execute one client operation: run transactions through
     /// [`SimCtx::commit`], pay coordination delays via
@@ -322,61 +256,71 @@ impl<W: AppWorkload> Workload for W {
 
 /// The workload's view of the simulation during one operation.
 pub struct SimCtx<'a> {
-    now: SimTime,
-    latency: &'a mut LatencyModel,
-    nodes: &'a mut [Node],
-    rng: &'a mut StdRng,
-    /// Replication staged by commits in this op: (dest, arrival, batch).
-    /// The payload is `Arc`-shared across destinations.
-    staged: Vec<(Region, SimTime, Arc<UpdateBatch>)>,
-    /// Recorded send delays, installed during explicit-op replay:
-    /// staged deliveries use the recorded `(client, fire µs, ordinal)`
-    /// delay (base latency fallback) instead of drawing the workload
-    /// RNG. Keying by staging op — not by the batch's `(origin, dest,
-    /// seq)` — keeps delays glued to their op when a shrunk trace
-    /// re-packs batch sequences.
-    replay_sends: Option<&'a HashMap<(u64, u64, u32), u64>>,
+    sim: &'a mut Simulation,
+    /// Replication staged by commits in this op.
+    staged: Vec<Staged>,
     /// The executing client ([`SETUP_CLIENT`] during `Workload::setup`);
-    /// with `self.now`, the send-table key prefix for this op.
-    replay_client: u64,
+    /// with `sim.now`, it names this op to `sim.clients`.
+    client: u64,
+}
+
+/// One staged delivery: `(dest, arrival, batch)`. The payload is
+/// `Arc`-shared across destinations.
+type Staged = (Region, SimTime, Arc<UpdateBatch>);
+
+/// The one way out of a node: drain `origin`'s outbox and stage one
+/// delivery per batch and peer, `delay(peer, ordinal)` after `now`, where
+/// `ordinal` is the send's index in `staged`.
+fn fan_out(
+    nodes: &mut [Node],
+    origin: Region,
+    now: SimTime,
+    staged: &mut Vec<Staged>,
+    mut delay: impl FnMut(Region, u32) -> SimTime,
+) {
+    let peers = nodes.len() as Region;
+    for batch in nodes[origin as usize].replica_mut().take_outbox() {
+        for dest in (0..peers).filter(|&dest| dest != origin) {
+            let at = now + delay(dest, staged.len() as u32);
+            staged.push((dest, at, Arc::clone(&batch)));
+        }
+    }
 }
 
 impl<'a> SimCtx<'a> {
+    fn new(sim: &'a mut Simulation, client: u64) -> SimCtx<'a> {
+        let staged = Vec::new();
+        SimCtx {
+            sim,
+            staged,
+            client,
+        }
+    }
+
     pub fn now(&self) -> SimTime {
-        self.now
+        self.sim.now
     }
 
     pub fn regions(&self) -> usize {
-        self.nodes.len()
+        self.sim.nodes.len()
     }
 
     pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
-    }
-
-    pub fn replica(&mut self, region: Region) -> &mut Replica {
-        self.nodes[region as usize].replica_mut()
+        self.sim.clients.rng()
     }
 
     /// Sampled round trip between regions (jitter-free base during
     /// explicit-op replay, which never draws the workload RNG).
     pub fn rtt(&mut self, a: Region, b: Region) -> f64 {
-        if self.replay_sends.is_some() {
-            return self.latency.base_rtt(a, b);
-        }
-        self.latency.rtt(a, b, self.rng)
-    }
-
-    pub fn base_rtt(&self, a: Region, b: Region) -> f64 {
-        self.latency.base_rtt(a, b)
+        self.sim.clients.rtt(a, b, &self.sim.latency)
     }
 
     pub fn link_up(&self, a: Region, b: Region) -> bool {
-        self.latency.link_up(a, b)
+        self.sim.latency.link_up(a, b)
     }
 
     pub fn set_link(&mut self, a: Region, b: Region, up: bool) {
-        self.latency.set_link(a, b, up);
+        self.sim.latency.set_link(a, b, up);
     }
 
     /// Run a transaction on a region's replica and stage its batch for
@@ -388,46 +332,21 @@ impl<'a> SimCtx<'a> {
         f: impl FnOnce(&mut Transaction<'_>) -> Result<T, StoreError>,
     ) -> Result<(T, CommitInfo), StoreError> {
         let (value, info) = {
-            let replica = self.nodes[region as usize].replica_mut();
+            let replica = self.sim.nodes[region as usize].replica_mut();
             let mut tx = replica.begin();
             let value = f(&mut tx)?;
             (value, tx.commit())
         };
         // Stage replication of everything committed at this replica.
-        let batches = self.nodes[region as usize].replica_mut().take_outbox();
-        let n = self.nodes.len() as u16;
-        for batch in batches {
-            for dest in 0..n {
-                if dest == region {
-                    continue;
-                }
-                // One delay per send. A cut link stalls it; that check
-                // stays first so candidate replays honor *their own* fault
-                // plan's cut windows (the seal is unaffected — a batch
-                // recorded while its link was down recorded this same
-                // stall). Explicit-op replay then uses the recorded delay
-                // (exact µs — the seal), or the jitter-free base latency
-                // for sends a shrunk trace no longer records, and never
-                // draws the workload RNG.
-                let delay = if !self.latency.link_up(region, dest) {
-                    PARTITION_STALL
-                } else if let Some(sends) = self.replay_sends {
-                    let key = (
-                        self.replay_client,
-                        self.now.as_micros(),
-                        self.staged.len() as u32,
-                    );
-                    match sends.get(&key) {
-                        Some(&us) => SimTime(us),
-                        None => SimTime::from_ms(self.latency.base_rtt(region, dest) / 2.0),
-                    }
-                } else {
-                    SimTime::from_ms(self.latency.one_way(region, dest, self.rng))
-                };
-                self.staged
-                    .push((dest, self.now + delay, Arc::clone(&batch)));
-            }
-        }
+        let (sim, client) = (&mut *self.sim, self.client);
+        let (clients, links, now) = (&mut sim.clients, &sim.latency, sim.now);
+        fan_out(
+            &mut sim.nodes,
+            region,
+            now,
+            &mut self.staged,
+            |dest, nth| clients.send_delay(client, now, nth, region, dest, links),
+        );
         Ok((value, info))
     }
 }
@@ -498,11 +417,11 @@ impl OpCtx for SimCtx<'_> {
     }
 
     fn node_up(&self, region: Region) -> bool {
-        !self.nodes[region as usize].is_down()
+        !self.sim.nodes[region as usize].is_down()
     }
 
     fn now_us(&self) -> u64 {
-        self.now.as_micros()
+        self.sim.now.as_micros()
     }
 
     fn commit<T>(
@@ -551,7 +470,7 @@ pub(crate) const RANK_DEFAULT: u8 = 1;
 /// window, so the batch never lands on its own. Such a send is not
 /// promised to its destination (see [`Simulation::flush_staged`]);
 /// anti-entropy delivers it once the link heals.
-const PARTITION_STALL: SimTime = SimTime(3_600_000_000);
+pub(crate) const PARTITION_STALL: SimTime = SimTime(3_600_000_000);
 
 #[derive(Clone, Debug)]
 struct Scheduled {
@@ -579,17 +498,29 @@ impl Ord for Scheduled {
     }
 }
 
+/// The earliest pending restart of `region` in the event queue (None
+/// when the region stays down for the rest of the run).
+fn next_restart(queue: &BinaryHeap<Reverse<Scheduled>>, region: Region) -> Option<SimTime> {
+    let restarts = queue.iter().filter_map(|Reverse(s)| match s.ev {
+        Event::Restart(r) if r == region => Some(s.at),
+        _ => None,
+    });
+    restarts.min()
+}
+
 /// The discrete-event simulation: regional replicas + servers + clients.
 pub struct Simulation {
     cfg: SimConfig,
     latency: LatencyModel,
     nodes: Vec<Node>,
     servers: Vec<ServerQueue>,
-    clients: Vec<ClientInfo>,
+    /// Who fires when, what they run and how long their sends take:
+    /// closed-loop clients on the workload RNG until an op trace is
+    /// installed; also the optional op-trace recorder.
+    pub(crate) clients: Clients,
     queue: BinaryHeap<Reverse<Scheduled>>,
     seq: u64,
     now: SimTime,
-    rng: StdRng,
     /// Every fault decision and the optional fault-trace recorder:
     /// `cfg.faults` drawn from an independent RNG stream until
     /// [`Simulation::set_explicit_faults`] installs a plan.
@@ -604,16 +535,12 @@ pub struct Simulation {
     /// produce equal digests (the determinism oracle).
     digest: u64,
     auditor: Option<(Auditor, f64)>,
-    /// Op-trace recorder (None unless enabled; pure observation).
-    op_rec: Option<OpRecorder>,
-    /// Explicit workload replay (None = RNG-driven closed-loop clients).
-    explicit_ops: Option<ExplicitOps>,
     /// Anti-entropy round counter (periodic + restart recovery), keying
-    /// recorded send latencies and the liveness gap accounting.
+    /// recorded send latencies.
     ae_round: u64,
-    /// Open fault-induced gaps the liveness oracle is timing.
-    gaps: Vec<Gap>,
-    liveness: LivenessStats,
+    /// The bounded-liveness ledger: told of every loss, crash, restart,
+    /// heal and anti-entropy round.
+    pub(crate) liveness: Ledger,
     pub nemesis: NemesisStats,
     pub metrics: Metrics,
 }
@@ -625,16 +552,7 @@ impl Simulation {
             .map(|r| Node::with_shards(ReplicaId(r), cfg.shards))
             .collect();
         let servers = (0..regions).map(|_| ServerQueue::new()).collect();
-        let mut clients = Vec::with_capacity(cfg.clients_per_region * regions as usize);
-        for region in 0..regions {
-            for _ in 0..cfg.clients_per_region {
-                clients.push(ClientInfo {
-                    id: clients.len(),
-                    region,
-                });
-            }
-        }
-        let rng = StdRng::seed_from_u64(cfg.seed);
+        let clients = Clients::closed(regions, &cfg);
         let adversary = Nemesis::drawn(&cfg.faults);
         let mut metrics = Metrics::new();
         metrics.set_window(cfg.warmup_s, cfg.warmup_s + cfg.duration_s);
@@ -647,16 +565,12 @@ impl Simulation {
             queue: BinaryHeap::new(),
             seq: 0,
             now: SimTime::ZERO,
-            rng,
             adversary,
             ae_cursors: AeCursors::new(),
             digest: 0xcbf2_9ce4_8422_2325,
             auditor: None,
-            op_rec: None,
-            explicit_ops: None,
             ae_round: 0,
-            gaps: Vec::new(),
-            liveness: LivenessStats::default(),
+            liveness: Ledger::default(),
             nemesis: NemesisStats::default(),
             metrics,
         }
@@ -689,70 +603,6 @@ impl Simulation {
             "explicit replay ignores cfg.faults; configure FaultPlan::none()"
         );
         self.adversary.install(plan);
-    }
-
-    /// Record every executed client op (and every staged send's latency
-    /// draw) as an explicit event, retrievable after the run via
-    /// [`Simulation::take_op_trace`]. Recording draws no RNG and cannot
-    /// perturb the schedule; it requires a replayable workload
-    /// ([`Workload::decide`] returning `Some`).
-    pub fn record_op_trace(&mut self) {
-        self.op_rec = Some(OpRecorder::default());
-    }
-
-    /// The recorded workload as a replayable [`OpTrace`].
-    pub fn take_op_trace(&mut self) -> OpTrace {
-        let rec = self.op_rec.take().expect("record_op_trace was enabled");
-        OpTrace {
-            events: rec.events,
-            sends: rec.sends,
-        }
-    }
-
-    /// Replay a recorded op trace instead of the RNG-driven closed-loop
-    /// clients: every client fires at its recorded virtual times and
-    /// executes its recorded ops through [`Workload::execute`], staged
-    /// sends use recorded (or jitter-free base) latencies, and the
-    /// workload RNG is never drawn — the run is a pure function of
-    /// `(trace, fault schedule)`. Call before [`Simulation::run`].
-    pub fn set_explicit_ops(&mut self, trace: &OpTrace) {
-        let mut by_client: Vec<VecDeque<(u64, AppOp)>> =
-            (0..self.clients.len()).map(|_| VecDeque::new()).collect();
-        for e in &trace.events {
-            assert!(
-                e.client < by_client.len(),
-                "op trace client {} out of range (config has {} clients)",
-                e.client,
-                by_client.len()
-            );
-            by_client[e.client].push_back((e.at_us, e.op.clone()));
-        }
-        self.explicit_ops = Some(ExplicitOps {
-            by_client,
-            sends: trace
-                .sends
-                .iter()
-                .map(|s| ((s.client, s.at_us, s.ordinal), s.delay_us))
-                .collect(),
-        });
-    }
-
-    /// Arm the bounded-liveness oracle: every fault-induced causal gap
-    /// must be repaired within `rounds` anti-entropy rounds of repair
-    /// opportunity, and the quiesce fixpoint must converge within
-    /// `rounds` productive rounds. Violations are reported by
-    /// [`Simulation::liveness_violations`].
-    pub fn set_liveness_bound(&mut self, rounds: u64) {
-        self.liveness.bound = Some(rounds);
-    }
-
-    pub fn liveness(&self) -> &LivenessStats {
-        &self.liveness
-    }
-
-    /// Bounded-liveness violations so far (0 when no bound is armed).
-    pub fn liveness_violations(&self) -> u64 {
-        self.liveness.violations()
     }
 
     /// Install a continuous invariant oracle, audited for every live
@@ -798,10 +648,6 @@ impl Simulation {
         }
     }
 
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     pub fn replica(&self, region: Region) -> &Replica {
         self.nodes[region as usize].replica()
     }
@@ -819,35 +665,27 @@ impl Simulation {
     /// Drain every outbox and deliver all batches instantly (post-run
     /// helper; ignores link latency like [`Simulation::quiesce`]).
     pub fn sync_all(&mut self) {
-        loop {
-            let mut moved = false;
-            for i in 0..self.nodes.len() {
-                let batches = self.nodes[i].replica_mut().take_outbox();
-                for batch in batches {
-                    for d in 0..self.nodes.len() {
-                        if d != i {
-                            self.nodes[d].replica_mut().receive(Arc::clone(&batch));
-                            moved = true;
-                        }
-                    }
-                }
-            }
-            if !moved {
-                break;
-            }
+        let mut staged = Vec::new();
+        for origin in 0..self.nodes.len() as Region {
+            fan_out(&mut self.nodes, origin, self.now, &mut staged, |_, _| {
+                SimTime::ZERO
+            });
         }
-    }
-
-    /// Instant pairwise anti-entropy to a fixpoint: re-delivers every
-    /// logged batch some replica is missing (drop and crash repair).
-    /// Records the productive round count for the liveness oracle.
-    fn anti_entropy_fixpoint(&mut self) {
-        self.liveness.quiesce_rounds =
-            anti_entropy_fixpoint_nodes(&mut self.nodes, &mut self.ae_cursors);
+        for (dest, _, batch) in staged {
+            self.nodes[dest as usize].replica_mut().receive(batch);
+        }
     }
 
     fn schedule(&mut self, at: SimTime, ev: Event) {
         self.schedule_ranked(at, RANK_DEFAULT, ev);
+    }
+
+    /// Schedule the next tick of a periodic chain, one period from now
+    /// (nothing when the chain is off).
+    fn tick(&mut self, period_s: Option<f64>, ev: Event) {
+        if let Some(period_s) = period_s {
+            self.schedule(self.now + SimTime::from_secs(period_s), ev);
+        }
     }
 
     fn schedule_ranked(&mut self, at: SimTime, rank: u8, ev: Event) {
@@ -866,7 +704,7 @@ impl Simulation {
     /// and — when the plan arms corruption — batches arrive bit-flipped,
     /// truncated, seq-forged, or shadowed by a mutated duplicate.
     /// The nemesis says which; this is the one place they are applied.
-    fn flush_staged(&mut self, staged: Vec<(Region, SimTime, Arc<UpdateBatch>)>) {
+    fn flush_staged(&mut self, staged: Vec<Staged>) {
         // A send that survives the fault table is *promised* to its
         // destination until it lands: the destination's in-flight window
         // keeps anti-entropy from re-shipping it meanwhile. Dropped
@@ -902,7 +740,7 @@ impl Simulation {
             let faults = self.adversary.verdict(origin, dest, &batch);
             if faults.drop {
                 self.nemesis.batches_dropped += 1;
-                self.note_gap(dest, origin, seq);
+                self.liveness.gap(dest, origin, seq);
                 continue;
             }
             let mut at = at;
@@ -934,7 +772,7 @@ impl Simulation {
                 // for promise + liveness accounting); anti-entropy
                 // repairs.
                 self.deliver_corrupted(dest, at, Arc::new(corrupt.mangle(&batch)));
-                self.note_gap(dest, origin, seq);
+                self.liveness.gap(dest, origin, seq);
                 continue;
             }
             if at < stall {
@@ -952,109 +790,6 @@ impl Simulation {
         self.nemesis.batches_corrupted += 1;
         self.fold_digest([8, at.as_micros(), u64::from(dest), batch.seq]);
         self.schedule(at, Event::BatchArrive { dest, batch });
-    }
-
-    /// Register a fault-induced causal gap for liveness accounting.
-    fn note_gap(&mut self, dest: Region, origin: Region, seq: u64) {
-        self.liveness.tracked_gaps += 1;
-        self.gaps.push(Gap {
-            dest,
-            origin,
-            seq,
-            rounds: 0,
-        });
-    }
-
-    /// One liveness probe after an anti-entropy round: close repaired
-    /// gaps, advance the round count of gaps that had a repair
-    /// opportunity, and convert bound-exceeding gaps into breaches.
-    fn liveness_probe(&mut self) {
-        let mut i = 0;
-        while i < self.gaps.len() {
-            let g = self.gaps[i];
-            if self.nodes[g.dest as usize]
-                .replica()
-                .clock()
-                .get(ReplicaId(g.origin))
-                >= g.seq
-            {
-                self.liveness.repaired_gaps += 1;
-                self.liveness.max_gap_rounds = self.liveness.max_gap_rounds.max(g.rounds);
-                self.gaps.swap_remove(i);
-                continue;
-            }
-            // No repair opportunity this round: the countdown only
-            // pauses when *no* up-path from any live holder of the
-            // batch reaches the destination. Pausing on the direct
-            // link alone let relay-reachable gaps (origin—dest cut,
-            // but origin→relay→dest fully up) idle forever without
-            // tripping the bound — anti-entropy is pairwise, so a
-            // two-hop repair is exactly what the oracle must time.
-            if !self.repair_opportunity(&g) {
-                i += 1;
-                continue;
-            }
-            let g = &mut self.gaps[i];
-            g.rounds += 1;
-            self.liveness.max_gap_rounds = self.liveness.max_gap_rounds.max(g.rounds);
-            if let Some(bound) = self.liveness.bound {
-                if g.rounds > bound {
-                    self.liveness.run_breaches += 1;
-                    self.gaps.swap_remove(i);
-                    continue;
-                }
-            }
-            i += 1;
-        }
-    }
-
-    /// Does `g.dest` have any usable repair path this round? True when
-    /// some live replica whose applied clock durably covers the missing
-    /// batch (`clock[origin] >= seq`) can reach `dest` transitively
-    /// through up links and live relays — pairwise anti-entropy moves
-    /// the batch one hop per round along exactly such a path. False
-    /// when the destination is down, no live replica holds the batch,
-    /// or every path is severed (then the countdown pauses: repair is
-    /// genuinely impossible, not merely slow).
-    fn repair_opportunity(&self, g: &Gap) -> bool {
-        let dest = g.dest as usize;
-        if self.nodes[dest].is_down() {
-            return false;
-        }
-        let n = self.nodes.len();
-        // Multi-source BFS from every live holder of the batch.
-        let mut reached = vec![false; n];
-        let mut frontier: VecDeque<usize> = VecDeque::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if i != dest
-                && !node.is_down()
-                && node.replica().clock().get(ReplicaId(g.origin)) >= g.seq
-            {
-                reached[i] = true;
-                frontier.push_back(i);
-            }
-        }
-        while let Some(i) = frontier.pop_front() {
-            for (j, node) in self.nodes.iter().enumerate() {
-                if reached[j] || node.is_down() || !self.latency.link_up(i as Region, j as Region) {
-                    continue;
-                }
-                if j == dest {
-                    return true;
-                }
-                reached[j] = true;
-                frontier.push_back(j);
-            }
-        }
-        false
-    }
-
-    /// Every gap gets a fresh repair window when the network transitions
-    /// (a heal or a restart changes which pulls are possible).
-    fn reset_gap_windows(&mut self) {
-        for g in &mut self.gaps {
-            g.rounds = 0;
-        }
     }
 
     /// Cut link `a ↔ b` now and schedule its heal, unless it is already
@@ -1082,161 +817,71 @@ impl Simulation {
         let lost = self.nodes[region as usize].crash() as u64;
         self.nemesis.crashes += 1;
         self.nemesis.batches_lost_in_crash += lost;
-        // Gaps at a down replica cannot be repaired; restart
-        // re-registers everything it must catch up on.
-        self.gaps.retain(|g| g.dest != region);
+        self.liveness.crashed(region);
         lost
     }
 
-    /// Bring a replica back. Liveness: it owes every batch its live
-    /// peers applied while it was down, and every gap gets a fresh
-    /// window.
+    /// Bring a replica back; the ledger registers what it owes.
     fn restart_region(&mut self, region: Region) {
         self.nodes[region as usize].restart();
-        self.note_restart_obligations(region);
-        self.reset_gap_windows();
+        self.liveness.restarted(region, &self.nodes);
     }
 
-    /// A restarted replica owes everything its live peers applied while
-    /// it was down: one liveness gap per origin, up to the highest
-    /// component any peer has durably logged.
-    fn note_restart_obligations(&mut self, region: Region) {
-        let own = self.nodes[region as usize].replica().clock().clone();
-        let mut target = ipa_crdt::VClock::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if i != region as usize && !node.is_down() {
-                target.merge(node.replica().clock());
-            }
-        }
-        for (origin, seq) in target.iter() {
-            if seq > own.get(origin) {
-                self.note_gap(region, origin.0, seq);
-            }
-        }
-    }
-
-    /// One pairwise anti-entropy round at simulated time `self.now`:
-    /// every live replica pulls what it is missing from every live,
-    /// reachable peer's durable log, paying the one-way link latency the
-    /// nemesis names. Returns the number of batches put on the wire.
-    ///
-    /// The pull's `since` frontier is the destination's applied clock
-    /// joined with its [`InFlightWindow`](ipa_store::InFlightWindow) —
-    /// batches already on the wire toward it (from client replication or
-    /// an earlier round) are *promised* and not re-sent. Without the
-    /// window, any round firing while sends were still in flight
-    /// (AE interval < one-way latency) re-shipped the same batches every
-    /// tick; the receiver deduplicated them, so the bug was invisible to
-    /// every state oracle and only showed up as inflated
-    /// `anti_entropy_batches` counts and wasted simulated bandwidth.
+    /// One pairwise anti-entropy round at simulated time `self.now`
+    /// (the pull plan is [`anti_entropy_pull_round`]): what a replica is
+    /// missing arrives after the one-way link latency the nemesis names.
+    /// Returns the number of batches put on the wire. Batches already on
+    /// the wire toward a replica are *promised* and not re-sent: see
+    /// [`InFlightWindow`](ipa_store::InFlightWindow).
     fn anti_entropy_round(&mut self) -> usize {
         self.ae_round += 1;
-        let round = self.ae_round;
-        let now_us = self.now.as_micros();
-        let mut sent = 0;
-        let n = self.nodes.len();
-        for dst in 0..n {
-            if self.nodes[dst].is_down() {
-                continue;
-            }
-            for src in 0..n {
-                if src == dst || self.nodes[src].is_down() {
-                    continue;
-                }
-                if !self.latency.link_up(src as Region, dst as Region) {
-                    continue;
-                }
-                let since = self.nodes[dst].ae_since(now_us);
-                let version = self.nodes[src].replica().log_version();
-                let (d, s) = (self.nodes[dst].id(), self.nodes[src].id());
-                if !self.ae_cursors.should_pull(d, s, &since, version) {
-                    continue;
-                }
-                let missing = self.nodes[src].replica_mut().batches_since(&since);
-                self.ae_cursors
-                    .record(d, s, since, version, missing.is_empty());
-                if missing.is_empty() {
-                    continue;
-                }
-                let (src_r, dst_r) = (src as Region, dst as Region);
-                let ow = self
-                    .adversary
-                    .ae_one_way(round, src_r, dst_r, &self.latency);
-                let at = self.now + SimTime::from_ms(ow);
+        let (round, now) = (self.ae_round, self.now);
+        let (links, adversary) = (&self.latency, &mut self.adversary);
+        let mut arrivals = Vec::new();
+        let sent = anti_entropy_pull_round(
+            &mut self.nodes,
+            &mut self.ae_cursors,
+            |src, dst| links.link_up(src.0, dst.0),
+            |dst| dst.ae_since(now.as_micros()),
+            |dst, src, missing| {
+                let ow = adversary.ae_one_way(round, src.0, dst.id().0, links);
+                let at = now + SimTime::from_ms(ow);
                 // Promise this burst to the destination until it lands:
-                // later rounds pull relative to the promised frontier.
+                // later pulls are relative to the promised frontier.
                 // (Joining full batch clocks is sound for a *burst* —
                 // every causal predecessor of a logged batch is either
                 // already applied at dst, in this same burst, or promised
                 // earlier.)
-                let mut promised = ipa_crdt::VClock::new();
+                let mut promised = VClock::new();
                 for batch in &missing {
                     promised.merge(&batch.clock);
                 }
-                self.nodes[dst].note_inflight_burst(promised, at.as_micros());
-                for batch in missing {
-                    self.nemesis.anti_entropy_batches += 1;
-                    sent += 1;
-                    self.schedule(
-                        at,
-                        Event::BatchArrive {
-                            dest: dst as Region,
-                            batch,
-                        },
-                    );
-                }
-            }
+                dst.note_inflight_burst(promised, at.as_micros());
+                let sent = missing.len();
+                arrivals.extend(missing.into_iter().map(|batch| (dst.id().0, at, batch)));
+                sent
+            },
+        );
+        self.nemesis.anti_entropy_batches += sent as u64;
+        for (dest, at, batch) in arrivals {
+            self.schedule(at, Event::BatchArrive { dest, batch });
         }
-        self.liveness_probe();
+        self.liveness.probe(&self.nodes, &self.latency);
         sent
     }
 
     /// Run the workload to completion of the configured window.
     pub fn run(&mut self, workload: &mut dyn Workload) {
         // Setup phase (outside measurements, at t=0).
-        let staged = {
-            let mut ctx = SimCtx {
-                now: self.now,
-                latency: &mut self.latency,
-                nodes: &mut self.nodes,
-                rng: &mut self.rng,
-                staged: Vec::new(),
-                replay_sends: self.explicit_ops.as_ref().map(|x| &x.sends),
-                replay_client: SETUP_CLIENT,
-            };
-            workload.setup(&mut ctx);
-            std::mem::take(&mut ctx.staged)
-        };
-        self.record_staged_sends(&staged, SETUP_CLIENT);
+        let mut ctx = SimCtx::new(self, SETUP_CLIENT);
+        workload.setup(&mut ctx);
+        let staged = ctx.staged;
         self.flush_staged(staged);
 
-        if self.explicit_ops.is_some() {
-            // Explicit-op replay: each client fires at its first
-            // recorded op time (in a full trace those are exactly the
-            // stagger times below; in a shrunk trace, the earliest
-            // surviving op).
-            let firsts: Vec<(usize, u64)> = self
-                .explicit_ops
-                .as_ref()
-                .expect("checked")
-                .by_client
-                .iter()
-                .enumerate()
-                .filter_map(|(c, q)| q.front().map(|&(at_us, _)| (c, at_us)))
-                .collect();
-            for (c, at_us) in firsts {
-                self.schedule(SimTime(at_us), Event::ClientReady(c));
-            }
-        } else {
-            // Stagger client starts to avoid a synchronized burst.
-            for c in 0..self.clients.len() {
-                let at = SimTime::from_ms(0.1 * c as f64 + 1.0);
-                self.schedule(at, Event::ClientReady(c));
-            }
+        for (c, at) in self.clients.first_fires() {
+            self.schedule(at, Event::ClientReady(c));
         }
-        if let Some(gc) = self.cfg.gc_interval_s {
-            self.schedule(SimTime::from_secs(gc), Event::Gc);
-        }
+        self.tick(self.cfg.gc_interval_s, Event::Gc);
         // Nemesis schedule: crashes/restarts and cuts are fixed points in
         // virtual time; flapping and anti-entropy are periodic chains.
         let windows = self.adversary.windows();
@@ -1259,15 +904,9 @@ impl Simulation {
                 Event::Cut(a, b, outage_s),
             );
         }
-        if let Some(at_s) = windows.flap_at_s {
-            self.schedule(SimTime::from_secs(at_s), Event::Flap);
-        }
-        if let Some(ae) = self.adversary.ae_interval() {
-            self.schedule(SimTime::from_secs(ae), Event::AntiEntropy);
-        }
-        if let Some((_, interval)) = &self.auditor {
-            self.schedule(SimTime::from_secs(*interval), Event::Audit);
-        }
+        self.tick(windows.flap_at_s, Event::Flap);
+        self.tick(self.adversary.ae_interval(), Event::AntiEntropy);
+        self.tick(self.auditor.as_ref().map(|a| a.1), Event::Audit);
 
         let warmup_end = SimTime::from_secs(self.cfg.warmup_s);
         let end = SimTime::from_secs(self.cfg.warmup_s + self.cfg.duration_s);
@@ -1302,24 +941,21 @@ impl Simulation {
                             node.replica_mut().run_gc(&ids);
                         }
                     }
-                    if let Some(gc) = self.cfg.gc_interval_s {
-                        let at = self.now + SimTime::from_secs(gc);
-                        self.schedule(at, Event::Gc);
-                    }
+                    self.tick(self.cfg.gc_interval_s, Event::Gc);
                 }
                 Event::Flap => {
                     let (link, flap) = self.adversary.flap(self.nodes.len() as u16);
                     if let Some((a, b)) = link {
                         self.cut(a, b, flap.outage_s);
                     }
-                    self.schedule(self.now + SimTime::from_secs(flap.period_s), Event::Flap);
+                    self.tick(Some(flap.period_s), Event::Flap);
                 }
                 Event::Cut(a, b, outage_s) => self.cut(a, b, outage_s),
                 Event::FlapHeal(a, b) => {
                     self.latency.set_link(a, b, true);
                     self.fold_digest([3, next.at.as_micros(), u64::from(a), u64::from(b)]);
                     self.adversary.closed(Window::Cut(a, b), self.now.as_secs());
-                    self.reset_gap_windows();
+                    self.liveness.healed();
                 }
                 Event::Crash(region) => {
                     let lost = self.crash_region(region);
@@ -1338,109 +974,49 @@ impl Simulation {
                 }
                 Event::AntiEntropy => {
                     self.anti_entropy_round();
-                    if let Some(ae) = self.adversary.ae_interval() {
-                        self.schedule(self.now + SimTime::from_secs(ae), Event::AntiEntropy);
-                    }
+                    self.tick(self.adversary.ae_interval(), Event::AntiEntropy);
                 }
                 Event::Audit => {
                     let violations = self.audit_now();
                     self.fold_digest([6, next.at.as_micros(), violations, 0]);
-                    if let Some((_, interval)) = &self.auditor {
-                        let at = self.now + SimTime::from_secs(*interval);
-                        self.schedule(at, Event::Audit);
-                    }
+                    self.tick(self.auditor.as_ref().map(|a| a.1), Event::Audit);
                 }
                 Event::ClientReady(c) => {
-                    let client = self.clients[c];
-                    // Explicit-op replay: take this client's next
-                    // recorded op off its queue (the chain fires at
-                    // exactly the recorded virtual times).
-                    let replay_op: Option<AppOp> = match &mut self.explicit_ops {
-                        Some(ops) => {
-                            let Some((at_us, op)) = ops.by_client[c].pop_front() else {
-                                continue;
-                            };
-                            debug_assert_eq!(
-                                at_us,
-                                next.at.as_micros(),
-                                "replayed op fired off its recorded schedule"
-                            );
-                            Some(op)
-                        }
-                        None => None,
-                    };
+                    let client = self.clients.info(c);
                     if self.nodes[client.region as usize].is_down() {
                         // Home replica is down: the op fails fast and the
-                        // client retries after a think-time backoff. In
-                        // replay (this only happens under a *modified*
-                        // fault plan — at record time the op executed, so
-                        // the region was up) the recorded op *defers to
-                        // the restart* when the crash window closes
-                        // inside the run: dropping it silently deleted
-                        // writes from shrink candidates, so ddmin kept
-                        // "minimal" plans that only failed because the
-                        // workload lost ops, not because of the fault
-                        // under test. With no restart scheduled the op is
-                        // skipped as before (the region never comes back).
+                        // client comes back when its source says.
                         if self.now >= warmup_end {
                             self.metrics.record_failure();
                         }
-                        if self.explicit_ops.is_some() {
-                            if let (Some(op), Some(restart_at)) =
-                                (replay_op, self.next_restart_after(client.region))
-                            {
-                                let ops = self.explicit_ops.as_mut().expect("checked");
-                                ops.by_client[c].push_front((restart_at.as_micros(), op));
-                                self.schedule(restart_at, Event::ClientReady(c));
-                            } else {
-                                self.schedule_next_replay_op(c);
-                            }
-                        } else {
-                            let think = self.think_time();
-                            let at = self.now + SimTime::from_ms(self.cfg.think_time_ms) + think;
+                        let queue = &self.queue;
+                        let restart = || next_restart(queue, client.region);
+                        let again = self.clients.after_down(c, self.now, restart);
+                        if let Some(at) = again {
                             self.schedule(at, Event::ClientReady(c));
                         }
                         continue;
                     }
-                    let (outcome, decided, staged) = {
-                        let mut ctx = SimCtx {
-                            now: self.now,
-                            latency: &mut self.latency,
-                            nodes: &mut self.nodes,
-                            rng: &mut self.rng,
-                            staged: Vec::new(),
-                            replay_sends: self.explicit_ops.as_ref().map(|x| &x.sends),
-                            replay_client: c as u64,
-                        };
-                        let (outcome, decided) = match &replay_op {
-                            // Replay: execute the recorded op; no RNG.
-                            Some(op) => (workload.execute(&mut ctx, client, op), None),
-                            // Record: decide (the only RNG draws), then
-                            // execute — same stream as the fused op().
-                            None if self.op_rec.is_some() => {
-                                let op = workload.decide(&mut ctx, client).expect(
-                                    "record_op_trace requires a replayable workload \
-                                     (Workload::decide returning Some)",
-                                );
-                                (workload.execute(&mut ctx, client, &op), Some(op))
-                            }
-                            None => (workload.op(&mut ctx, client), None),
-                        };
-                        let staged = std::mem::take(&mut ctx.staged);
-                        (outcome, decided, staged)
+                    let work = self.clients.work(c, self.now);
+                    let mut ctx = SimCtx::new(self, c as u64);
+                    // The one place an answer becomes an outcome.
+                    let outcome = match work {
+                        // Replay: execute the recorded op; no RNG.
+                        Work::Run(op) => workload.execute(&mut ctx, client, &op),
+                        // Record: decide (the only RNG draws), then
+                        // execute — same stream as the fused op().
+                        Work::Decide => {
+                            let op = workload.decide(&mut ctx, client).expect(
+                                "record_op_trace requires a replayable workload \
+                                 (Workload::decide returning Some)",
+                            );
+                            let outcome = workload.execute(&mut ctx, client, &op);
+                            ctx.sim.clients.ran(c, next.at, op);
+                            outcome
+                        }
+                        Work::Draw => workload.op(&mut ctx, client),
                     };
-                    if let Some(op) = decided {
-                        self.op_rec
-                            .as_mut()
-                            .expect("recording is on")
-                            .events
-                            .push(OpEvent {
-                                client: c,
-                                at_us: next.at.as_micros(),
-                                op,
-                            });
-                    }
-                    self.record_staged_sends(&staged, c as u64);
+                    let staged = ctx.staged;
                     self.flush_staged(staged);
                     self.fold_digest([7, next.at.as_micros(), c as u64, u64::from(outcome.ok)]);
                     let region = client.region as usize;
@@ -1468,78 +1044,13 @@ impl Simulation {
                         }
                         self.metrics.record_violations(outcome.violations);
                     }
-                    if self.explicit_ops.is_some() {
-                        // The next recorded op already knows its time;
-                        // the workload RNG is not consulted for think
-                        // times (or anything else) during replay.
-                        self.schedule_next_replay_op(c);
-                    } else {
-                        let think = self.think_time();
-                        self.schedule(completion + think, Event::ClientReady(c));
+                    if let Some(at) = self.clients.after_op(c, self.now, completion) {
+                        self.schedule(at, Event::ClientReady(c));
                     }
                 }
             }
         }
         self.now = end;
-    }
-
-    /// Chain a replayed client to its next recorded op, if any. A
-    /// deferred op can leave the client past later recorded times; the
-    /// serial client then fires them as soon as it is free (never
-    /// scheduling into the past). Sealed full-trace replays never
-    /// defer, so there the recorded times are used verbatim.
-    fn schedule_next_replay_op(&mut self, c: usize) {
-        let now = self.now;
-        let Some(ops) = &mut self.explicit_ops else {
-            return;
-        };
-        if let Some(front) = ops.by_client[c].front_mut() {
-            if SimTime(front.0) < now {
-                front.0 = now.as_micros();
-            }
-            let at = SimTime(front.0);
-            self.schedule(at, Event::ClientReady(c));
-        }
-    }
-
-    /// The earliest pending restart of `region` in the event queue
-    /// (None when the region stays down for the rest of the run).
-    fn next_restart_after(&self, region: Region) -> Option<SimTime> {
-        self.queue
-            .iter()
-            .filter_map(|Reverse(s)| match s.ev {
-                Event::Restart(r) if r == region => Some(s.at),
-                _ => None,
-            })
-            .min()
-    }
-
-    /// Record every staged delivery's send latency, keyed by the op
-    /// that staged it (op-trace recording; pure observation). The
-    /// ordinal is the send's index within this op's staged vector —
-    /// replay stages the same sends in the same order, so the key is
-    /// reconstructed exactly.
-    fn record_staged_sends(&mut self, staged: &[(Region, SimTime, Arc<UpdateBatch>)], client: u64) {
-        let Some(rec) = &mut self.op_rec else { return };
-        let now_us = self.now.as_micros();
-        for (ordinal, (_dest, at, _batch)) in staged.iter().enumerate() {
-            rec.sends.push(SendRec {
-                client,
-                at_us: now_us,
-                ordinal: ordinal as u32,
-                delay_us: at.as_micros() - now_us,
-            });
-        }
-    }
-
-    fn think_time(&mut self) -> SimTime {
-        let base = self.cfg.think_time_ms;
-        if base <= 0.0 {
-            return SimTime::ZERO;
-        }
-        // Uniform jitter in [0.5, 1.5] × base keeps clients desynchronized.
-        let f = self.rng.gen_range(0.5..1.5);
-        SimTime::from_ms(base * f)
     }
 
     /// Let in-flight replication drain after the run: restarts any
@@ -1557,7 +1068,8 @@ impl Simulation {
                 self.nodes[dest as usize].replica_mut().receive(batch);
             }
         }
-        self.anti_entropy_fixpoint();
+        let rounds = anti_entropy_fixpoint_nodes(&mut self.nodes, &mut self.ae_cursors);
+        self.liveness.quiesced(rounds);
         self.audit_now();
     }
 
@@ -1598,24 +1110,15 @@ impl Transport for Simulation {
     }
 
     fn ship(&mut self, node: ReplicaId) {
-        let origin = node.0;
-        let batches = self.nodes[origin as usize].replica_mut().take_outbox();
-        let n = self.nodes.len() as u16;
-        let now = self.now;
+        let (origin, links) = (node.0, &self.latency);
         let mut staged = Vec::new();
-        for batch in batches {
-            for dest in 0..n {
-                if dest == origin {
-                    continue;
-                }
-                let delay = if self.latency.link_up(origin, dest) {
-                    SimTime::from_ms(self.latency.base_rtt(origin, dest) / 2.0)
-                } else {
-                    PARTITION_STALL
-                };
-                staged.push((dest, now + delay, Arc::clone(&batch)));
+        fan_out(&mut self.nodes, origin, self.now, &mut staged, |dest, _| {
+            if links.link_up(origin, dest) {
+                SimTime::from_ms(links.base_rtt(origin, dest) / 2.0)
+            } else {
+                PARTITION_STALL
             }
-        }
+        });
         self.flush_staged(staged);
     }
 
@@ -1637,7 +1140,7 @@ impl Transport for Simulation {
 
     fn quiesce_transport(&mut self) -> u64 {
         self.quiesce();
-        self.liveness.quiesce_rounds
+        self.liveness.stats.quiesce_rounds
     }
 
     fn converged(&mut self) -> bool {
@@ -1645,8 +1148,7 @@ impl Transport for Simulation {
             .queue
             .iter()
             .any(|Reverse(s)| matches!(s.ev, Event::BatchArrive { .. }));
-        let first = self.nodes[0].replica().clock();
-        !in_flight && self.nodes.iter().all(|n| n.replica().clock() == first)
+        !in_flight && nodes_converged(&self.nodes)
     }
 }
 

@@ -20,9 +20,11 @@
 //! invariant violations. `ipa-coord` builds the Strong and Indigo
 //! baselines on top; `ipa-apps` provides the paper's four applications.
 
+mod clients;
 pub mod driver;
 pub mod fault;
 pub mod latency;
+mod liveness;
 pub mod metrics;
 mod nemesis;
 pub mod scenario;

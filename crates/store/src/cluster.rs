@@ -4,7 +4,7 @@
 
 use crate::batch::UpdateBatch;
 use crate::replica::{AeCursors, Replica};
-use crate::transport::{Node, Transport};
+use crate::transport::{nodes_converged, Node, Transport};
 use ipa_crdt::ReplicaId;
 use std::sync::Arc;
 
@@ -184,10 +184,10 @@ impl Cluster {
         }
     }
 
-    /// Are all replica clocks equal (converged)?
+    /// Are all replicas converged: equal clocks, nothing buffered at a
+    /// node, nothing in flight?
     pub fn converged(&self) -> bool {
-        let first = self.nodes[0].replica().clock();
-        self.nodes.iter().all(|n| n.replica().clock() == first) && self.in_flight.is_empty()
+        nodes_converged(&self.nodes) && self.in_flight.is_empty()
     }
 
     /// Is the node currently down (crashed by fault injection)?

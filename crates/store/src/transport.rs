@@ -23,8 +23,10 @@
 //!   sleeps): wall-clock races, no determinism, no digests; the oracle
 //!   suite is checked at quiescence instead.
 
+use crate::batch::UpdateBatch;
 use crate::replica::{AeCursors, Replica};
 use ipa_crdt::{ReplicaId, VClock};
+use std::sync::Arc;
 
 /// Per-peer **in-flight send window**: the causal frontier already
 /// promised to a destination by sends that have not yet arrived.
@@ -325,10 +327,57 @@ pub trait Transport {
     fn converged(&mut self) -> bool;
 }
 
-/// One pairwise anti-entropy round over a node set: every live node
-/// pulls the batches it is missing from every live peer's durable log
-/// (down nodes neither pull nor serve). Returns the number of batches
-/// applied.
+/// The one pull plan of pairwise anti-entropy: every live node `dst`
+/// asks every live peer `src` with `link_up(src, dst)` for what its
+/// durable log holds past `since(dst)`, unless the pair's cursor says the
+/// last pull drained and nothing changed. Each non-empty answer goes to
+/// `deliver(dst, src, missing)`, which says how many batches it counts
+/// for; the sum is returned. `since` is re-read per pair, so what one
+/// delivery does to `dst` (apply it, promise it) is seen by the next.
+///
+/// Two things vary per transport and are the two closures: the frontier
+/// (the applied clock, or [`Node::ae_since`] where sends take time) and
+/// what a delivery is ([`Replica::receive`] now, or an arrival scheduled
+/// at a latency).
+pub fn anti_entropy_pull_round(
+    nodes: &mut [Node],
+    cursors: &mut AeCursors,
+    link_up: impl Fn(ReplicaId, ReplicaId) -> bool,
+    mut since: impl FnMut(&mut Node) -> VClock,
+    mut deliver: impl FnMut(&mut Node, ReplicaId, Vec<Arc<UpdateBatch>>) -> usize,
+) -> usize {
+    let mut delivered = 0;
+    let n = nodes.len();
+    for dst in 0..n {
+        if nodes[dst].is_down() {
+            continue;
+        }
+        for src in 0..n {
+            if src == dst || nodes[src].is_down() {
+                continue;
+            }
+            let (d, s) = (nodes[dst].id(), nodes[src].id());
+            if !link_up(s, d) {
+                continue;
+            }
+            let since = since(&mut nodes[dst]);
+            let version = nodes[src].replica().log_version();
+            if !cursors.should_pull(d, s, &since, version) {
+                continue;
+            }
+            let missing = nodes[src].replica_mut().batches_since(&since);
+            cursors.record(d, s, since, version, missing.is_empty());
+            if !missing.is_empty() {
+                delivered += deliver(&mut nodes[dst], s, missing);
+            }
+        }
+    }
+    delivered
+}
+
+/// One instant anti-entropy round over a node set: every live node
+/// pulls from its applied clock and applies what it gets at once (down
+/// nodes neither pull nor serve). Returns the number of batches applied.
 pub fn anti_entropy_round_nodes(nodes: &mut [Node], cursors: &mut AeCursors) -> usize {
     anti_entropy_round_nodes_with_links(nodes, cursors, |_, _| true)
 }
@@ -341,33 +390,16 @@ pub fn anti_entropy_round_nodes_with_links(
     cursors: &mut AeCursors,
     link_up: impl Fn(ReplicaId, ReplicaId) -> bool,
 ) -> usize {
-    let mut applied = 0;
-    let n = nodes.len();
-    for dst in 0..n {
-        if nodes[dst].is_down() {
-            continue;
-        }
-        for src in 0..n {
-            if src == dst || nodes[src].is_down() {
-                continue;
-            }
-            if !link_up(nodes[src].id(), nodes[dst].id()) {
-                continue;
-            }
-            let (d, s) = (nodes[dst].id(), nodes[src].id());
-            let version = nodes[src].replica().log_version();
-            let since = nodes[dst].replica().clock().clone();
-            if !cursors.should_pull(d, s, &since, version) {
-                continue;
-            }
-            let missing = nodes[src].replica_mut().batches_since(&since);
-            cursors.record(d, s, since, version, missing.is_empty());
-            for b in missing {
-                applied += nodes[dst].replica_mut().receive(b);
-            }
-        }
-    }
-    applied
+    anti_entropy_pull_round(
+        nodes,
+        cursors,
+        link_up,
+        |dst| dst.replica().clock().clone(),
+        |dst, _, missing| {
+            let dst = dst.replica_mut();
+            missing.into_iter().map(|b| dst.receive(b)).sum()
+        },
+    )
 }
 
 /// Run [`anti_entropy_round_nodes`] to a fixpoint; returns the number
@@ -378,6 +410,15 @@ pub fn anti_entropy_fixpoint_nodes(nodes: &mut [Node], cursors: &mut AeCursors) 
         rounds += 1;
     }
     rounds
+}
+
+/// The node half of [`Transport::converged`]: equal applied clocks and
+/// empty causal buffers. A transport adds its own in-flight check.
+pub fn nodes_converged(nodes: &[Node]) -> bool {
+    let first = nodes[0].replica().clock();
+    nodes
+        .iter()
+        .all(|n| n.replica().clock() == first && n.replica().pending_count() == 0)
 }
 
 #[cfg(test)]
