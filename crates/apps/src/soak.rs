@@ -9,10 +9,11 @@
 //!   shrinkable to a minimal replayable counterexample
 //!   ([`shrink_soak_failure`], [`shrink_missing_anomaly`]).
 //! * [`run_threaded_soak`] — real `std::thread` replicas, wall-clock
-//!   races, a live fault injector and a live auditor thread. Nothing
-//!   about its interleaving is reproducible, so it is judged entirely
-//!   at (and after) quiescence; a red cell is a real concurrency bug the
-//!   deterministic schedule space missed.
+//!   races, a fault plan drawn from the seed and applied on the wall
+//!   clock, and a live auditor thread. Nothing about its interleaving is
+//!   reproducible, so it is judged entirely at (and after) quiescence; a
+//!   red cell is a real concurrency bug the deterministic schedule space
+//!   missed.
 //!
 //! Everything after the run is written once: the §3.4 read-repair sweep
 //! (`repair`) and the fixed-order failure classifier (`classify`) use
@@ -35,8 +36,9 @@ use crate::twitter::workload::TwitterWorkload;
 use crate::Mode;
 use ipa_crdt::ReplicaId;
 use ipa_sim::{
-    paper_topology, shrink_joint_with, AppWorkload, ClientInfo, ExplicitPlan, FaultPlan,
-    JointOutcome, OpCtx, OpTrace, Region, RunVerdict, ShrinkBudget, SimConfig, Simulation,
+    paper_topology, shrink_joint_with, AppWorkload, ClientInfo, ExplicitPlan, FaultEvent,
+    FaultPlan, JointOutcome, OpCtx, OpTrace, Region, RunVerdict, ShrinkBudget, SimConfig,
+    Simulation, Window,
 };
 use ipa_store::{CommitInfo, StoreError, ThreadedCluster, ThreadedConfig, Transaction, Transport};
 use rand::rngs::StdRng;
@@ -536,65 +538,12 @@ pub fn shrink_missing_anomaly(
     })
 }
 
-/// An [`OpCtx`] over a shared [`ThreadedCluster`]: many client threads
-/// hold one of these each (it is only a borrow plus a private RNG) and
-/// race their commits for real. WAN latency is not modeled — `rtt`
-/// reports zero — and link state comes live from the cluster's matrix,
-/// so partitioned coordination fails fast exactly as it does in the
-/// simulator.
-pub struct ThreadedCtx<'a> {
-    cluster: &'a ThreadedCluster,
-    rng: StdRng,
-}
-
-impl<'a> ThreadedCtx<'a> {
-    /// A context over `cluster` whose decide-path RNG is seeded with
-    /// `seed` (give every client thread a distinct seed).
-    pub fn new(cluster: &'a ThreadedCluster, seed: u64) -> ThreadedCtx<'a> {
-        ThreadedCtx {
-            cluster,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl OpCtx for ThreadedCtx<'_> {
-    fn regions(&self) -> usize {
-        self.cluster.len()
-    }
-
-    fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
-    fn rtt(&mut self, _a: Region, _b: Region) -> f64 {
-        0.0
-    }
-
-    fn link_up(&self, a: Region, b: Region) -> bool {
-        self.cluster.link_is_up(a, b)
-    }
-
-    fn node_up(&self, region: Region) -> bool {
-        !self.cluster.is_node_down(region)
-    }
-
-    fn commit<T>(
-        &mut self,
-        region: Region,
-        f: impl FnOnce(&mut Transaction<'_>) -> Result<T, StoreError>,
-    ) -> Result<(T, CommitInfo), StoreError> {
-        self.cluster.commit_at(region, f)
-    }
-}
-
-/// An [`OpCtx`] over *any* [`Transport`]: commits run on the region's
-/// replica via [`Transport::with_node`] and ship immediately. This is
-/// the bridge that lets one workload driver run unchanged against the
-/// deterministic simulator, the synchronous cluster, and the threaded
-/// cluster — the transport-equivalence tests are built on it. Links are
-/// reported as always up and `rtt` as zero (drive benign runs through
-/// it; fault-aware harnesses use richer contexts).
+/// The one [`OpCtx`] outside the simulator, over *any* [`Transport`]:
+/// commits run on the region's replica via [`Transport::with_node`] and
+/// ship immediately (a down region is [`StoreError::Unavailable`]), link
+/// and node state are the transport's own, and `rtt` is zero. The
+/// transport-equivalence tests and every threaded soak client (over a
+/// shared `&ThreadedCluster`) run through it.
 pub struct TransportCtx<'a, T: Transport> {
     transport: &'a mut T,
     rng: StdRng,
@@ -628,8 +577,12 @@ impl<T: Transport> OpCtx for TransportCtx<'_, T> {
         0.0
     }
 
-    fn link_up(&self, _a: Region, _b: Region) -> bool {
-        true
+    fn link_up(&self, a: Region, b: Region) -> bool {
+        self.transport.link_up(ReplicaId(a), ReplicaId(b))
+    }
+
+    fn node_up(&self, region: Region) -> bool {
+        self.transport.node_up(ReplicaId(region))
     }
 
     fn commit<T2>(
@@ -638,6 +591,9 @@ impl<T: Transport> OpCtx for TransportCtx<'_, T> {
         f: impl FnOnce(&mut Transaction<'_>) -> Result<T2, StoreError>,
     ) -> Result<(T2, CommitInfo), StoreError> {
         let node = ReplicaId(region);
+        if !self.transport.node_up(node) {
+            return Err(StoreError::Unavailable(node));
+        }
         let (value, info) = self.transport.with_node(node, |replica| {
             let mut tx = replica.begin();
             let value = f(&mut tx)?;
@@ -652,26 +608,15 @@ impl<T: Transport> OpCtx for TransportCtx<'_, T> {
 /// Configuration of one threaded soak cell.
 #[derive(Clone, Copy, Debug)]
 pub struct ThreadedSoakConfig {
-    /// Seeds the per-client decide RNGs and the fault injector.
+    /// Seeds the per-client decide RNGs and the fault plan.
     pub seed: u64,
     /// Wall-clock time the client threads run.
     pub duration: Duration,
     /// Client threads per replica (threads, not simulated clients).
     pub clients_per_region: usize,
-    /// Run the live fault injector (crashes + link cuts) alongside the
-    /// clients. Off = benign concurrency soak.
+    /// Apply a fault plan (crashes + link cuts) alongside the clients.
+    /// Off = benign concurrency soak.
     pub faults: bool,
-}
-
-impl Default for ThreadedSoakConfig {
-    fn default() -> Self {
-        ThreadedSoakConfig {
-            seed: 1,
-            duration: Duration::from_millis(400),
-            clients_per_region: 2,
-            faults: true,
-        }
-    }
 }
 
 /// Outcome of one threaded soak cell.
@@ -686,15 +631,18 @@ pub struct ThreadedSoakRun {
     /// Productive anti-entropy rounds the recovery quiesce needed (the
     /// bounded-liveness oracle's input).
     pub quiesce_rounds: u64,
+    /// The fault windows the run applied (none when `faults` is off), in
+    /// plan text when printed.
+    pub plan: ExplicitPlan,
 }
 
 /// Run one app on the threaded transport under concurrent clients (and
-/// optionally a live fault injector), then quiesce, repair, and audit
-/// the full oracle suite.
+/// optionally a fault plan), then quiesce, repair, and audit the full
+/// oracle suite.
 ///
-/// Concurrency structure: client threads race `commit_at` calls against
-/// the delivery threads and the background anti-entropy ticker; a
-/// fault-injector thread crashes nodes and cuts links on live wall
+/// Concurrency structure: client threads race their commits against
+/// the delivery threads and the background anti-entropy ticker; the
+/// calling thread applies the plan's crash and cut windows on the wall
 /// clock; an auditor thread samples continuous invariants on live
 /// replicas. Workload state (op mix counters, escrow/reservation
 /// tables) is one shared [`Mutex`], so the *decide/execute* path is
@@ -707,15 +655,50 @@ pub fn run_threaded_soak(app: App, cfg: ThreadedSoakConfig) -> ThreadedSoakRun {
     with_app!(app, threaded_cell(cfg))
 }
 
+/// The threaded soak's faults in the simulator's vocabulary, drawn up
+/// front from the seed: one window after another, 3–9 ms apart, each a
+/// crash of a random node (40 %) or a cut of a random link lasting 2–7 ms,
+/// until `cfg.duration` runs out. No per-batch faults, no overlaps.
+fn threaded_fault_plan(cfg: &ThreadedSoakConfig, nodes: u16, ae: Duration) -> ExplicitPlan {
+    // Same tag as the simulator's nemesis stream.
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x6e65_6d65_7369_7321);
+    let (mut events, mut ms) = (Vec::new(), 0u64);
+    let secs = |ms: u64| ms as f64 / 1000.0;
+    loop {
+        ms += rng.gen_range(3..9u64);
+        if !cfg.faults || ms >= cfg.duration.as_millis() as u64 {
+            break;
+        }
+        let window = if rng.gen_bool(0.4) {
+            Window::Crash(rng.gen_range(0..nodes))
+        } else {
+            let (a, b) = (rng.gen_range(0..nodes), rng.gen_range(0..nodes));
+            if a == b {
+                continue;
+            }
+            Window::Cut(a, b)
+        };
+        let lasted_ms = rng.gen_range(2..7);
+        events.push(window.event(secs(ms), secs(lasted_ms)));
+        ms += lasted_ms;
+    }
+    ExplicitPlan {
+        events,
+        anti_entropy_s: Some(ae.as_secs_f64()),
+        ..ExplicitPlan::default()
+    }
+}
+
 /// The threaded run phase, then the shared repair and classifier.
 fn threaded_cell<W: SoakApp + Send>(cfg: ThreadedSoakConfig) -> ThreadedSoakRun {
-    let mut cluster = ThreadedCluster::start(ThreadedConfig {
+    let ae_interval = Duration::from_millis(2);
+    let cluster = ThreadedCluster::start(ThreadedConfig {
         nodes: 3,
-        ae_interval: Some(Duration::from_millis(2)),
-        ..Default::default()
+        ae_interval: Some(ae_interval),
     });
+    let plan = threaded_fault_plan(&cfg, cluster.len() as u16, ae_interval);
     let mut workload = W::fresh(SoakMode::Ipa);
-    workload.setup(&mut ThreadedCtx::new(&cluster, cfg.seed));
+    workload.setup(&mut TransportCtx::new(&mut &cluster, cfg.seed));
     // Spread the seed data everywhere before clients start, like the
     // simulator's warmup phase does.
     cluster.quiesce();
@@ -733,13 +716,10 @@ fn threaded_cell<W: SoakApp + Send>(cfg: ThreadedSoakConfig) -> ThreadedSoakRun 
     let n = cluster.len() as u16;
 
     std::thread::scope(|s| {
+        let (cluster, workload, crash_gate) = (&cluster, &workload, &crash_gate);
+        let (stop, completed, continuous_failure) = (&stop, &completed, &continuous_failure);
         for region in 0..n {
             for c in 0..cfg.clients_per_region {
-                let cluster = &cluster;
-                let workload = &workload;
-                let crash_gate = &crash_gate;
-                let stop = &stop;
-                let completed = &completed;
                 let client = ClientInfo {
                     id: region as usize * cfg.clients_per_region + c,
                     region,
@@ -749,7 +729,8 @@ fn threaded_cell<W: SoakApp + Send>(cfg: ThreadedSoakConfig) -> ThreadedSoakRun 
                     .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                     .wrapping_add(client.id as u64);
                 s.spawn(move || {
-                    let mut ctx = ThreadedCtx::new(cluster, seed);
+                    let mut transport = cluster;
+                    let mut ctx = TransportCtx::new(&mut transport, seed);
                     while !stop.load(Ordering::Relaxed) {
                         let gate = crash_gate.read().unwrap();
                         if cluster.is_node_down(region) {
@@ -773,85 +754,64 @@ fn threaded_cell<W: SoakApp + Send>(cfg: ThreadedSoakConfig) -> ThreadedSoakRun 
             }
         }
 
-        if cfg.faults {
-            let cluster = &cluster;
-            let crash_gate = &crash_gate;
-            let stop = &stop;
-            let seed = cfg.seed ^ 0x6e65_6d65_7369_7321; // same tag as the sim nemesis stream
-            s.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(seed);
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_millis(rng.gen_range(3..9)));
-                    if rng.gen_bool(0.4) {
-                        // Crash one node briefly. The write gate waits
-                        // out in-flight ops; clients then see the down
-                        // flag and sit out the outage.
-                        let node = rng.gen_range(0..cluster.len()) as u16;
-                        {
-                            let _g = crash_gate.write().unwrap();
-                            cluster.crash_node(node);
-                        }
-                        std::thread::sleep(Duration::from_millis(rng.gen_range(2..7)));
-                        cluster.restart_node(node);
-                    } else {
-                        // Cut a random link; heal after an outage
-                        // window. Ops run through cuts (coordination
-                        // fails fast, commits stay local).
-                        let a = rng.gen_range(0..cluster.len()) as u16;
-                        let b = rng.gen_range(0..cluster.len()) as u16;
-                        if a == b {
-                            continue;
-                        }
-                        cluster.set_link_up(a, b, false);
-                        std::thread::sleep(Duration::from_millis(rng.gen_range(2..7)));
-                        cluster.set_link_up(a, b, true);
+        let oracle = &auditor_oracle;
+        s.spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                std::thread::sleep(Duration::from_millis(2));
+                for r in 0..cluster.len() as u16 {
+                    if cluster.is_node_down(r) {
+                        continue;
                     }
-                }
-            });
-        }
-
-        {
-            let cluster = &cluster;
-            let stop = &stop;
-            let continuous_failure = &continuous_failure;
-            let oracle = &auditor_oracle;
-            s.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_millis(2));
-                    for r in 0..cluster.len() as u16 {
-                        if cluster.is_node_down(r) {
-                            continue;
-                        }
-                        let report =
-                            cluster.with_replica(r, |rep| oracle.audit(rep, Phase::Continuous));
-                        if report.total() > 0 {
-                            let mut slot = continuous_failure.lock().unwrap();
-                            if slot.is_none() {
-                                let check = format!("continuous:{}", report.violated()[0]);
-                                *slot = Some(Failure::new(check, report.total()));
-                            }
+                    let report =
+                        cluster.with_replica(r, |rep| oracle.audit(rep, Phase::Continuous));
+                    if report.total() > 0 {
+                        let mut slot = continuous_failure.lock().unwrap();
+                        if slot.is_none() {
+                            let check = format!("continuous:{}", report.violated()[0]);
+                            *slot = Some(Failure::new(check, report.total()));
                         }
                     }
                 }
-            });
-        }
+            }
+        });
 
-        let deadline = Instant::now() + cfg.duration;
-        while Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
+        // This thread applies the plan on the wall clock, then ends the run.
+        let start = Instant::now();
+        let wait_until = |at_s: f64| {
+            std::thread::sleep(Duration::from_secs_f64(at_s).saturating_sub(start.elapsed()));
+        };
+        for (window, at_s, lasted_s) in plan.events.iter().filter_map(FaultEvent::window) {
+            wait_until(at_s);
+            match window {
+                // The write gate waits out in-flight ops; clients then see
+                // the node down and sit out the outage.
+                Window::Crash(r) => {
+                    let _gate = crash_gate.write().unwrap();
+                    cluster.crash_node(r);
+                }
+                // Ops run through cuts (coordination fails fast, commits
+                // stay local).
+                Window::Cut(a, b) => cluster.set_link_up(a, b, false),
+            }
+            wait_until(at_s + lasted_s);
+            match window {
+                Window::Crash(r) => cluster.restart_node(r),
+                Window::Cut(a, b) => cluster.set_link_up(a, b, true),
+            }
         }
+        wait_until(cfg.duration.as_secs_f64());
         stop.store(true, Ordering::Relaxed);
     });
 
     let quiesce_rounds = cluster.quiesce();
     let workload = workload.into_inner().unwrap();
-    repair(&workload, &mut cluster, ship_and_quiesce);
+    repair(&workload, &mut &cluster, ship_and_quiesce);
 
     let liveness =
         (quiesce_rounds > bound).then(|| Failure::new("bounded-liveness", quiesce_rounds - bound));
     let failure = classify(
         &workload.oracle(),
-        &mut cluster,
+        &mut &cluster,
         continuous_failure.into_inner().unwrap(),
         liveness,
     );
@@ -859,6 +819,7 @@ fn threaded_cell<W: SoakApp + Send>(cfg: ThreadedSoakConfig) -> ThreadedSoakRun 
         failure,
         completed: completed.load(Ordering::Relaxed),
         quiesce_rounds,
+        plan,
     }
 }
 
@@ -1191,17 +1152,16 @@ mod tests {
                 },
             );
             let mut cluster = Cluster::new(3);
-            let mut threaded = ThreadedCluster::start(ThreadedConfig {
+            let threaded = ThreadedCluster::start(ThreadedConfig {
                 nodes: 3,
                 ae_interval: None,
-                ..Default::default()
             });
             let (fp_sim, sim_verdict) =
                 drive_and_judge::<W, _>(seed, nops, &mut sim, Simulation::sync_all);
             let (fp_cluster, cluster_verdict) =
                 drive_and_judge::<W, _>(seed, nops, &mut cluster, ship_and_quiesce);
             let (fp_threaded, threaded_verdict) =
-                drive_and_judge::<W, _>(seed, nops, &mut threaded, ship_and_quiesce);
+                drive_and_judge::<W, _>(seed, nops, &mut &threaded, ship_and_quiesce);
 
             assert_eq!(fp_sim, fp_cluster, "{app}: sim vs cluster state");
             assert_eq!(fp_sim, fp_threaded, "{app}: sim vs threaded state");
@@ -1231,7 +1191,7 @@ mod tests {
             }
             let orphan = outsider.take_outbox().pop().expect("two batches");
             assert_eq!(orphan.seq, 2);
-            assert!(orphan.integrity_ok() && orphan.well_formed());
+            assert!(orphan.passes_gate());
             assert!(transport.converged(), "{name}: converged before");
             for node in 0..transport.node_count() as u16 {
                 let orphan = Arc::clone(&orphan);
@@ -1251,10 +1211,9 @@ mod tests {
         cell("cluster", &mut Cluster::new(3));
         cell(
             "threaded",
-            &mut ThreadedCluster::start(ThreadedConfig {
+            &mut &ThreadedCluster::start(ThreadedConfig {
                 nodes: 3,
                 ae_interval: None,
-                ..Default::default()
             }),
         );
     }
@@ -1298,6 +1257,43 @@ mod tests {
         }
         let verdict = classify(&oracle, &mut cluster, None, slow);
         assert_eq!(verdict, Some(Failure::new("double-apply", 2)));
+    }
+
+    /// The threaded soak's faults are a plan drawn from the seed: the same
+    /// seed gives the same plan text, which parses back, and the plan is
+    /// crash and cut windows only, one after another.
+    #[test]
+    fn threaded_fault_plan_is_seeded_windows_that_never_overlap() {
+        let cfg = ThreadedSoakConfig {
+            seed: 17,
+            duration: Duration::from_millis(400),
+            clients_per_region: 2,
+            faults: true,
+        };
+        let ae = Duration::from_millis(2);
+        let plan = threaded_fault_plan(&cfg, 3, ae);
+        let text = plan.to_string();
+        assert_eq!(threaded_fault_plan(&cfg, 3, ae).to_string(), text);
+        let other = ThreadedSoakConfig { seed: 18, ..cfg };
+        assert_ne!(threaded_fault_plan(&other, 3, ae).to_string(), text);
+        assert_eq!(
+            text.parse::<ExplicitPlan>().expect("plan text parses"),
+            plan
+        );
+        let windows: Vec<_> = plan.events.iter().filter_map(FaultEvent::window).collect();
+        assert_eq!(windows.len(), plan.events.len(), "no per-batch event");
+        for class in ["crash", "cut"] {
+            assert!(plan.events.iter().any(|e| e.class() == class), "{class}");
+        }
+        for pair in windows.windows(2) {
+            let ((_, at_s, lasted_s), (_, next_s, _)) = (pair[0], pair[1]);
+            assert!(at_s + lasted_s < next_s, "{text}");
+        }
+        let benign = ThreadedSoakConfig {
+            faults: false,
+            ..cfg
+        };
+        assert!(threaded_fault_plan(&benign, 3, ae).is_empty());
     }
 
     #[test]

@@ -405,7 +405,6 @@ fn run_threaded_point(rate_per_region: f64, duration_s: f64, seed: u64) -> Threa
     let cluster = ThreadedCluster::start(ThreadedConfig {
         nodes: REGIONS as u16,
         ae_interval: None,
-        ..Default::default()
     });
     let base = Instant::now();
     let mut latencies: Vec<u64> = Vec::new();

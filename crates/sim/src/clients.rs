@@ -16,6 +16,7 @@ use crate::driver::{ClientInfo, SimConfig, Simulation, PARTITION_STALL};
 use crate::latency::{LatencyModel, Region};
 use crate::time::SimTime;
 use crate::trace::{AppOp, OpEvent, OpTrace, SendRec};
+use ipa_store::Links;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
@@ -206,18 +207,18 @@ impl Clients {
         client: u64,
         now: SimTime,
         ordinal: u32,
-        from: Region,
-        to: Region,
-        links: &LatencyModel,
+        (from, to): (Region, Region),
+        latency: &LatencyModel,
+        links: &Links,
     ) -> SimTime {
-        let delay = if !links.link_up(from, to) {
+        let delay = if !links.is_up(from, to) {
             PARTITION_STALL
         } else {
             match &self.source {
-                Source::Closed { .. } => SimTime::from_ms(links.one_way(from, to, &mut self.rng)),
+                Source::Closed { .. } => SimTime::from_ms(latency.one_way(from, to, &mut self.rng)),
                 Source::Replay(replay) => {
                     let recorded = replay.sends.get(&(client, now.as_micros(), ordinal));
-                    let base = || SimTime::from_ms(links.base_rtt(from, to) / 2.0);
+                    let base = || SimTime::from_ms(latency.base_rtt(from, to) / 2.0);
                     recorded.map_or_else(base, |&us| SimTime(us))
                 }
             }

@@ -8,15 +8,15 @@ use crate::latency::{LatencyModel, Region};
 use crate::liveness::Ledger;
 pub use crate::liveness::LivenessStats;
 use crate::metrics::Metrics;
-use crate::nemesis::{Nemesis, Window};
+use crate::nemesis::Nemesis;
 use crate::server::{ServerQueue, ServiceCosts};
-use crate::shrink::{BatchFault, ExplicitPlan};
+use crate::shrink::{BatchFault, ExplicitPlan, Window};
 use crate::time::SimTime;
 use crate::trace::{AppOp, SETUP_CLIENT};
 use ipa_crdt::{ReplicaId, VClock};
 use ipa_store::{
     anti_entropy_fixpoint_nodes, anti_entropy_pull_round, nodes_converged, AeCursors, CommitInfo,
-    Node, Replica, StoreError, Transaction, Transport, UpdateBatch,
+    Links, Node, Replica, StoreError, Transaction, Transport, UpdateBatch,
 };
 use rand::rngs::StdRng;
 use std::cmp::Reverse;
@@ -316,11 +316,13 @@ impl<'a> SimCtx<'a> {
     }
 
     pub fn link_up(&self, a: Region, b: Region) -> bool {
-        self.sim.latency.link_up(a, b)
+        self.sim.links.is_up(a, b)
     }
 
+    /// Cut or heal a link from inside an operation (the workload-driven
+    /// cut coordination tests use; the nemesis cuts through its plan).
     pub fn set_link(&mut self, a: Region, b: Region, up: bool) {
-        self.sim.latency.set_link(a, b, up);
+        self.sim.links.set(a, b, up);
     }
 
     /// Run a transaction on a region's replica and stage its batch for
@@ -339,13 +341,13 @@ impl<'a> SimCtx<'a> {
         };
         // Stage replication of everything committed at this replica.
         let (sim, client) = (&mut *self.sim, self.client);
-        let (clients, links, now) = (&mut sim.clients, &sim.latency, sim.now);
+        let (clients, latency, links, now) = (&mut sim.clients, &sim.latency, &sim.links, sim.now);
         fan_out(
             &mut sim.nodes,
             region,
             now,
             &mut self.staged,
-            |dest, nth| clients.send_delay(client, now, nth, region, dest, links),
+            |dest, nth| clients.send_delay(client, now, nth, (region, dest), latency, links),
         );
         Ok((value, info))
     }
@@ -376,11 +378,8 @@ pub trait OpCtx {
     /// Is the region's replica accepting transactions? Crashed replicas
     /// must be skipped by remote coordination (escrow donor selection,
     /// strong forwarding) — committing "at" a crashed replica would leak
-    /// state into its downtime. Transports without a fault injector keep
-    /// the default (always up).
-    fn node_up(&self, _region: Region) -> bool {
-        true
-    }
+    /// state into its downtime.
+    fn node_up(&self, region: Region) -> bool;
 
     /// Simulated time of the executing operation in microseconds (zero
     /// on transports without a virtual clock). Provisioning policies key
@@ -512,6 +511,9 @@ fn next_restart(queue: &BinaryHeap<Reverse<Scheduled>>, region: Region) -> Optio
 pub struct Simulation {
     cfg: SimConfig,
     latency: LatencyModel,
+    /// Which links are cut: by the nemesis's windows and flaps, or by an
+    /// operation through [`SimCtx::set_link`].
+    links: Links,
     nodes: Vec<Node>,
     servers: Vec<ServerQueue>,
     /// Who fires when, what they run and how long their sends take:
@@ -559,6 +561,7 @@ impl Simulation {
         Simulation {
             cfg,
             latency,
+            links: Links::new(regions as usize),
             nodes,
             servers,
             clients,
@@ -796,10 +799,10 @@ impl Simulation {
     /// down. A flap tick and an explicit cut window both land here: same
     /// digest fold, heal allocated at the same point of the seq stream.
     fn cut(&mut self, a: Region, b: Region, outage_s: f64) {
-        if !self.latency.link_up(a, b) {
+        if !self.links.is_up(a, b) {
             return;
         }
-        self.latency.set_link(a, b, false);
+        self.links.set(a, b, false);
         self.nemesis.link_flaps += 1;
         self.fold_digest([2, self.now.as_micros(), u64::from(a), u64::from(b)]);
         self.adversary.opened(Window::Cut(a, b), self.now.as_secs());
@@ -836,15 +839,15 @@ impl Simulation {
     fn anti_entropy_round(&mut self) -> usize {
         self.ae_round += 1;
         let (round, now) = (self.ae_round, self.now);
-        let (links, adversary) = (&self.latency, &mut self.adversary);
+        let (latency, links, adversary) = (&self.latency, &self.links, &mut self.adversary);
         let mut arrivals = Vec::new();
         let sent = anti_entropy_pull_round(
             &mut self.nodes,
             &mut self.ae_cursors,
-            |src, dst| links.link_up(src.0, dst.0),
+            |src, dst| links.is_up(src.0, dst.0),
             |dst| dst.ae_since(now.as_micros()),
             |dst, src, missing| {
-                let ow = adversary.ae_one_way(round, src.0, dst.id().0, links);
+                let ow = adversary.ae_one_way(round, src.0, dst.id().0, latency);
                 let at = now + SimTime::from_ms(ow);
                 // Promise this burst to the destination until it lands:
                 // later pulls are relative to the promised frontier.
@@ -866,7 +869,7 @@ impl Simulation {
         for (dest, at, batch) in arrivals {
             self.schedule(at, Event::BatchArrive { dest, batch });
         }
-        self.liveness.probe(&self.nodes, &self.latency);
+        self.liveness.probe(&self.nodes, &self.links);
         sent
     }
 
@@ -923,15 +926,12 @@ impl Simulation {
             match next.ev {
                 Event::BatchArrive { dest, batch } => {
                     self.fold_digest([1, next.at.as_micros(), u64::from(dest), batch.seq]);
-                    let node = &mut self.nodes[dest as usize];
-                    if node.is_down() {
-                        // A down replica refuses traffic; anti-entropy
-                        // re-sends after the restart. (No gap is noted
-                        // here: the restart registers one obligation per
-                        // origin covering everything missed while down.)
+                    if self.nodes[dest as usize].receive(batch).is_none() {
+                        // A down replica refused it; anti-entropy re-sends
+                        // after the restart. (No gap is noted here: the
+                        // restart registers one obligation per origin
+                        // covering everything missed while down.)
                         self.nemesis.batches_refused_down += 1;
-                    } else {
-                        node.replica_mut().receive(batch);
                     }
                 }
                 Event::Gc => {
@@ -952,7 +952,7 @@ impl Simulation {
                 }
                 Event::Cut(a, b, outage_s) => self.cut(a, b, outage_s),
                 Event::FlapHeal(a, b) => {
-                    self.latency.set_link(a, b, true);
+                    self.links.set(a, b, true);
                     self.fold_digest([3, next.at.as_micros(), u64::from(a), u64::from(b)]);
                     self.adversary.closed(Window::Cut(a, b), self.now.as_secs());
                     self.liveness.healed();
@@ -1091,15 +1091,10 @@ impl Simulation {
 /// additionally guarantees what the contract does not require:
 /// bit-identical schedules per seed ([`Simulation::schedule_digest`]).
 ///
-/// Sends made through this impl (ship, anti-entropy) use jitter-free
-/// base link latency so they stay off the workload and nemesis RNG
-/// streams; driving the sim through [`Simulation::run`] is unaffected.
-///
-/// Faults driven through this impl (`set_link`, `crash`, `restart`) exist
-/// for the transport matrix: they are deliberately not folded into the
-/// schedule digest and the fault-trace recorder never sees them. They do
-/// go through the same crash and restart functions as the event loop's
-/// arms, so stats and liveness obligations are accounted identically.
+/// Sends made through this impl (`ship`) use jitter-free base link
+/// latency so they stay off the workload and nemesis RNG streams; driving
+/// the sim through [`Simulation::run`] is unaffected. Faults come only
+/// from the plan and the nemesis.
 impl Transport for Simulation {
     fn node_count(&self) -> usize {
         self.nodes.len()
@@ -1110,32 +1105,16 @@ impl Transport for Simulation {
     }
 
     fn ship(&mut self, node: ReplicaId) {
-        let (origin, links) = (node.0, &self.latency);
+        let (origin, latency, links) = (node.0, &self.latency, &self.links);
         let mut staged = Vec::new();
         fan_out(&mut self.nodes, origin, self.now, &mut staged, |dest, _| {
-            if links.link_up(origin, dest) {
-                SimTime::from_ms(links.base_rtt(origin, dest) / 2.0)
+            if links.is_up(origin, dest) {
+                SimTime::from_ms(latency.base_rtt(origin, dest) / 2.0)
             } else {
                 PARTITION_STALL
             }
         });
         self.flush_staged(staged);
-    }
-
-    fn set_link(&mut self, a: ReplicaId, b: ReplicaId, up: bool) {
-        self.latency.set_link(a.0, b.0, up);
-    }
-
-    fn crash(&mut self, node: ReplicaId) {
-        self.crash_region(node.0);
-    }
-
-    fn restart(&mut self, node: ReplicaId) {
-        self.restart_region(node.0);
-    }
-
-    fn anti_entropy(&mut self) -> usize {
-        self.anti_entropy_round()
     }
 
     fn quiesce_transport(&mut self) -> u64 {
@@ -1149,6 +1128,14 @@ impl Transport for Simulation {
             .iter()
             .any(|Reverse(s)| matches!(s.ev, Event::BatchArrive { .. }));
         !in_flight && nodes_converged(&self.nodes)
+    }
+
+    fn link_up(&self, a: ReplicaId, b: ReplicaId) -> bool {
+        self.links.is_up(a.0, b.0)
+    }
+
+    fn node_up(&self, node: ReplicaId) -> bool {
+        !self.is_down(node.0)
     }
 }
 

@@ -5,16 +5,15 @@ use rand::Rng;
 /// A region (data center) index; doubles as the store's replica id.
 pub type Region = u16;
 
-/// Pairwise network latency: a base RTT matrix plus multiplicative jitter,
-/// and per-link partition switches (for availability experiments).
+/// Pairwise network latency: a base RTT matrix plus multiplicative
+/// jitter. Which links are cut is not latency: the simulation keeps it in
+/// an `ipa_store::Links`, like every other transport.
 #[derive(Clone, Debug)]
 pub struct LatencyModel {
     /// Round-trip times in milliseconds, `rtt[a][b]`.
     rtt_ms: Vec<Vec<f64>>,
     /// Uniform jitter fraction (e.g. 0.1 → ±10 %).
     jitter: f64,
-    /// `true` when the link is cut.
-    down: Vec<Vec<bool>>,
 }
 
 impl LatencyModel {
@@ -24,11 +23,7 @@ impl LatencyModel {
         for row in &rtt_ms {
             assert_eq!(row.len(), n, "latency matrix must be square");
         }
-        LatencyModel {
-            rtt_ms,
-            jitter,
-            down: vec![vec![false; n]; n],
-        }
+        LatencyModel { rtt_ms, jitter }
     }
 
     pub fn regions(&self) -> usize {
@@ -48,17 +43,6 @@ impl LatencyModel {
     /// Sampled one-way delay with jitter (half the RTT).
     pub fn one_way(&self, a: Region, b: Region, rng: &mut impl Rng) -> f64 {
         jittered(self.base_rtt(a, b) / 2.0, self.jitter, rng)
-    }
-
-    /// Is the link currently usable?
-    pub fn link_up(&self, a: Region, b: Region) -> bool {
-        !self.down[a as usize][b as usize]
-    }
-
-    /// Cut or heal a link (both directions).
-    pub fn set_link(&mut self, a: Region, b: Region, up: bool) {
-        self.down[a as usize][b as usize] = !up;
-        self.down[b as usize][a as usize] = !up;
     }
 }
 
@@ -113,17 +97,5 @@ mod tests {
             (0..10).map(|_| m.rtt(0, 2, &mut rng)).collect()
         };
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn partitions() {
-        let mut m = model();
-        assert!(m.link_up(0, 1));
-        m.set_link(0, 1, false);
-        assert!(!m.link_up(0, 1));
-        assert!(!m.link_up(1, 0));
-        assert!(m.link_up(0, 2));
-        m.set_link(0, 1, true);
-        assert!(m.link_up(0, 1));
     }
 }

@@ -44,7 +44,7 @@ pub use scenario::{paper_topology, two_region_topology};
 pub use server::ServerQueue;
 pub use shrink::{
     shrink_joint, shrink_joint_with, BatchFault, ExplicitPlan, FaultEvent, JointOutcome,
-    PlanParseError, RunVerdict, ShrinkBudget,
+    PlanParseError, RunVerdict, ShrinkBudget, Window,
 };
 pub use time::SimTime;
 pub use trace::{AppOp, OpEvent, OpTrace, SendRec, OP_TRACE_HEADER, SETUP_CLIENT};

@@ -11,9 +11,9 @@
 //! so arming it cannot perturb a schedule.
 
 use crate::driver::Simulation;
-use crate::latency::{LatencyModel, Region};
+use crate::latency::Region;
 use ipa_crdt::{ReplicaId, VClock};
-use ipa_store::Node;
+use ipa_store::{Links, Node};
 use std::collections::VecDeque;
 
 /// A fault-induced causal gap under repair: replica `dest` is missing
@@ -121,7 +121,7 @@ impl Ledger {
     /// One probe after an anti-entropy round: close repaired gaps,
     /// advance the round count of gaps that had a repair opportunity,
     /// and convert bound-exceeding gaps into breaches.
-    pub fn probe(&mut self, nodes: &[Node], links: &LatencyModel) {
+    pub fn probe(&mut self, nodes: &[Node], links: &Links) {
         let stats = &mut self.stats;
         self.gaps.retain_mut(|g| {
             if g.held_by(&nodes[g.dest as usize]) {
@@ -156,7 +156,7 @@ impl Ledger {
 /// down, no live replica holds the batch, or every path is severed: then
 /// repair is genuinely impossible, not merely slow, and the countdown
 /// pauses.
-fn repair_opportunity(g: &Gap, nodes: &[Node], links: &LatencyModel) -> bool {
+fn repair_opportunity(g: &Gap, nodes: &[Node], links: &Links) -> bool {
     let dest = g.dest as usize;
     if nodes[dest].is_down() {
         return false;
@@ -172,7 +172,7 @@ fn repair_opportunity(g: &Gap, nodes: &[Node], links: &LatencyModel) -> bool {
     }
     while let Some(i) = frontier.pop_front() {
         for (j, node) in nodes.iter().enumerate() {
-            if reached[j] || node.is_down() || !links.link_up(i as Region, j as Region) {
+            if reached[j] || node.is_down() || !links.is_up(i as Region, j as Region) {
                 continue;
             }
             if j == dest {
@@ -208,7 +208,6 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::paper_topology;
     use ipa_crdt::{ObjectKind, Val};
 
     /// Three nodes; `commits[i]` batches committed at node `i` and
@@ -235,20 +234,20 @@ mod tests {
     #[test]
     fn the_countdown_pauses_only_when_no_holder_reaches_the_destination() {
         let (mut nodes, _) = nodes([1, 0, 0]);
-        let mut links = paper_topology();
+        let links = Links::new(3);
         let mut ledger = Ledger::default();
         ledger.gap(2, 0, 1);
         let rounds = |ledger: &Ledger| ledger.gaps[0].rounds;
 
         ledger.probe(&nodes, &links);
         assert_eq!(rounds(&ledger), 1, "direct link up");
-        links.set_link(0, 2, false);
+        links.set(0, 2, false);
         ledger.probe(&nodes, &links);
         assert_eq!(rounds(&ledger), 2, "direct link cut, relay 0-1-2 up");
-        links.set_link(1, 2, false);
+        links.set(1, 2, false);
         ledger.probe(&nodes, &links);
         assert_eq!(rounds(&ledger), 2, "destination cut off: paused");
-        links.set_link(1, 2, true);
+        links.set(1, 2, true);
         nodes[1].crash();
         ledger.probe(&nodes, &links);
         assert_eq!(rounds(&ledger), 2, "the only relay is down: paused");
@@ -268,7 +267,7 @@ mod tests {
     #[test]
     fn a_heal_or_a_restart_resets_every_open_window() {
         let (nodes, _) = nodes([1, 1, 0]);
-        let links = paper_topology();
+        let links = Links::new(3);
         let mut ledger = Ledger::default();
         ledger.stats.bound = Some(2);
         ledger.gap(2, 0, 1);
@@ -297,7 +296,7 @@ mod tests {
     #[test]
     fn a_crash_drops_gaps_and_the_restart_registers_one_per_origin() {
         let (mut nodes, outboxes) = nodes([2, 1, 0]);
-        let links = paper_topology();
+        let links = Links::new(3);
         let mut ledger = Ledger::default();
         ledger.gap(2, 0, 1);
         ledger.gap(2, 0, 2);

@@ -13,7 +13,7 @@
 use crate::driver::{RANK_DEFAULT, RANK_WINDOW};
 use crate::fault::{skew_of, CrashPlan, FaultPlan, FlapPlan};
 use crate::latency::{LatencyModel, Region};
-use crate::shrink::{BatchFault, ExplicitPlan, FaultEvent};
+use crate::shrink::{BatchFault, ExplicitPlan, FaultEvent, Window};
 use ipa_store::UpdateBatch;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -139,32 +139,6 @@ enum Source {
         batches: HashMap<(Region, Region, u64), Verdict>,
         ae_latency_ms: HashMap<(u64, Region, Region), f64>,
     },
-}
-
-/// A cut link or a crashed replica: what the event loop opens, and closes
-/// with the heal or the restart.
-#[derive(Clone, Copy, PartialEq)]
-pub(crate) enum Window {
-    Cut(Region, Region),
-    Crash(Region),
-}
-
-impl Window {
-    fn event(self, at_s: f64, lasted_s: f64) -> FaultEvent {
-        match self {
-            Window::Cut(a, b) => FaultEvent::Partition {
-                a,
-                b,
-                at_s,
-                outage_s: lasted_s,
-            },
-            Window::Crash(region) => FaultEvent::Crash {
-                region,
-                at_s,
-                down_s: lasted_s,
-            },
-        }
-    }
 }
 
 /// Every fault the nemesis materializes, as it happens.

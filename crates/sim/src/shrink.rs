@@ -113,6 +113,52 @@ impl FaultEvent {
             FaultEvent::Crash { .. } => "crash",
         }
     }
+
+    /// A cut or a crash as `(window, at_s, lasted_s)`; `None` for a
+    /// per-batch fault.
+    pub fn window(&self) -> Option<(Window, f64, f64)> {
+        match *self {
+            FaultEvent::Batch { .. } => None,
+            FaultEvent::Partition {
+                a,
+                b,
+                at_s,
+                outage_s,
+            } => Some((Window::Cut(a, b), at_s, outage_s)),
+            FaultEvent::Crash {
+                region,
+                at_s,
+                down_s,
+            } => Some((Window::Crash(region), at_s, down_s)),
+        }
+    }
+}
+
+/// A cut link or a crashed replica: what a nemesis opens, and closes with
+/// the heal or the restart.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Window {
+    Cut(Region, Region),
+    Crash(Region),
+}
+
+impl Window {
+    /// The plan event of this window, opened at `at_s` for `lasted_s`.
+    pub fn event(self, at_s: f64, lasted_s: f64) -> FaultEvent {
+        match self {
+            Window::Cut(a, b) => FaultEvent::Partition {
+                a,
+                b,
+                at_s,
+                outage_s: lasted_s,
+            },
+            Window::Crash(region) => FaultEvent::Crash {
+                region,
+                at_s,
+                down_s: lasted_s,
+            },
+        }
+    }
 }
 
 impl fmt::Display for FaultEvent {

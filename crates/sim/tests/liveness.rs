@@ -248,38 +248,25 @@ fn crash_recovery_is_tracked_as_restart_obligations() {
     );
     assert_eq!(sim.liveness_violations(), 0);
 
-    // `Transport::{crash, restart}` go through the same two functions as
-    // the event arms, so the same state yields the same obligations:
-    // replica 1 is down while replicas 0 and 2 each ship one batch, then
-    // restarts — by the plan's crash window, or by the transport calls.
-    let missed_while_down = |by_event: bool| {
-        let idle = SimConfig {
-            clients_per_region: 0,
-            ..cfg(7, FaultPlan::none())
-        };
-        let mut sim = Simulation::new(paper_topology(), idle);
-        if by_event {
-            sim.set_explicit_faults(&"crash 1 0 0.5".parse().expect("parse"));
-        } else {
-            Transport::crash(&mut sim, ReplicaId(1));
-        }
-        for origin in [ReplicaId(0), ReplicaId(2)] {
-            sim.with_node(origin, |r| {
-                let mut tx = r.begin();
-                tx.ensure("set", ObjectKind::AWSet).expect("ensure");
-                tx.aw_add("set", Val::int(i64::from(origin.0)))
-                    .expect("add");
-                tx.commit();
-            });
-            sim.ship(origin);
-        }
-        sim.run(&mut Inserter::default());
-        if !by_event {
-            Transport::restart(&mut sim, ReplicaId(1));
-        }
-        sim.liveness().tracked_gaps
+    // The same obligations from a bare crash window: replica 1 is down
+    // while replicas 0 and 2 each ship one batch, then restarts owing one
+    // batch per origin.
+    let idle = SimConfig {
+        clients_per_region: 0,
+        ..cfg(7, FaultPlan::none())
     };
-    let by_event = missed_while_down(true);
-    assert_eq!(by_event, 2, "one obligation per origin");
-    assert_eq!(missed_while_down(false), by_event);
+    let mut sim = Simulation::new(paper_topology(), idle);
+    sim.set_explicit_faults(&"crash 1 0 0.5".parse().expect("parse"));
+    for origin in [ReplicaId(0), ReplicaId(2)] {
+        sim.with_node(origin, |r| {
+            let mut tx = r.begin();
+            tx.ensure("set", ObjectKind::AWSet).expect("ensure");
+            tx.aw_add("set", Val::int(i64::from(origin.0)))
+                .expect("add");
+            tx.commit();
+        });
+        sim.ship(origin);
+    }
+    sim.run(&mut Inserter::default());
+    assert_eq!(sim.liveness().tracked_gaps, 2, "one obligation per origin");
 }

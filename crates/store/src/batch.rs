@@ -127,6 +127,12 @@ impl UpdateBatch {
         self.seq >= 1 && self.clock.get(self.origin) == self.seq
     }
 
+    /// The integrity gate every receiver runs: the seal matches and the
+    /// envelope is well-formed. A batch that fails it is quarantined.
+    pub fn passes_gate(&self) -> bool {
+        self.integrity_ok() && self.well_formed()
+    }
+
     /// Is this batch deliverable at a replica whose applied-clock is
     /// `at`? Standard causal-delivery condition (one dense scan).
     pub fn deliverable_at(&self, at: &VClock) -> bool {

@@ -4,14 +4,15 @@
 
 use crate::batch::UpdateBatch;
 use crate::replica::{AeCursors, Replica};
-use crate::transport::{nodes_converged, Node, Transport};
+use crate::transport::{nodes_converged, Links, Node, Transport};
 use ipa_crdt::ReplicaId;
 use std::sync::Arc;
 
 /// A set of replica [`Node`]s plus an in-memory transport. Implements
-/// [`Transport`] (synchronous, zero-latency): sends toward a cut link
-/// or a crashed node are dropped at pickup — anti-entropy repairs them,
-/// exactly like the latency-accurate transports.
+/// [`Transport`] (synchronous, zero-latency): sends toward a cut link are
+/// dropped at pickup and sends toward a crashed node are refused at
+/// delivery — anti-entropy repairs both, exactly like the
+/// latency-accurate transports.
 #[derive(Debug)]
 pub struct Cluster {
     nodes: Vec<Node>,
@@ -22,8 +23,7 @@ pub struct Cluster {
     /// Per-peer anti-entropy cursors carried across rounds: converged
     /// pairs are skipped without probing the source log.
     ae_cursors: AeCursors,
-    /// `true` when the (symmetric) link is cut; indexed `a * n + b`.
-    link_down: Vec<bool>,
+    links: Links,
 }
 
 impl Cluster {
@@ -33,7 +33,7 @@ impl Cluster {
             nodes: (0..n).map(|i| Node::new(ReplicaId(i))).collect(),
             in_flight: Vec::new(),
             ae_cursors: AeCursors::new(),
-            link_down: vec![false; n as usize * n as usize],
+            links: Links::new(n as usize),
         }
     }
 
@@ -57,28 +57,16 @@ impl Cluster {
         self.nodes[id.0 as usize].replica_mut()
     }
 
-    /// Is the pair's link currently usable?
-    pub fn link_is_up(&self, a: ReplicaId, b: ReplicaId) -> bool {
-        !self.link_down[a.0 as usize * self.nodes.len() + b.0 as usize]
-    }
-
     /// Move committed batches from every outbox into the in-flight queue
     /// (fan-out to all other replicas; `Arc` clones only). Sends toward
-    /// a cut link or a down node are dropped (anti-entropy repairs).
+    /// a cut link are dropped (anti-entropy repairs).
     pub fn collect_outboxes(&mut self) {
         let n = self.nodes.len() as u16;
         let mut staged = Vec::new();
         for i in 0..self.nodes.len() {
             for batch in self.nodes[i].replica_mut().take_outbox() {
-                for dest in 0..n {
-                    if ReplicaId(dest) == batch.origin {
-                        continue;
-                    }
-                    if !self.link_is_up(batch.origin, ReplicaId(dest))
-                        || self.nodes[dest as usize].is_down()
-                    {
-                        continue;
-                    }
+                let origin = batch.origin.0;
+                for dest in (0..n).filter(|&d| d != origin && self.links.is_up(origin, d)) {
                     staged.push((ReplicaId(dest), Arc::clone(&batch)));
                 }
             }
@@ -118,11 +106,7 @@ impl Cluster {
     /// deduplicated, or refused while down).
     pub fn deliver_in_flight(&mut self, idx: usize) -> usize {
         let (dest, batch) = self.in_flight.swap_remove(idx);
-        let node = &mut self.nodes[dest.0 as usize];
-        if node.is_down() {
-            return 0;
-        }
-        node.replica_mut().receive(batch)
+        self.nodes[dest.0 as usize].receive(batch).unwrap_or(0)
     }
 
     /// Destination, origin, and origin-sequence of the in-flight batch
@@ -136,12 +120,8 @@ impl Cluster {
     /// Deliver every in-flight batch (in queue order); down nodes
     /// refuse theirs.
     pub fn deliver_all(&mut self) {
-        let batches = std::mem::take(&mut self.in_flight);
-        for (dest, batch) in batches {
-            let node = &mut self.nodes[dest.0 as usize];
-            if !node.is_down() {
-                node.replica_mut().receive(batch);
-            }
+        for (dest, batch) in std::mem::take(&mut self.in_flight) {
+            self.nodes[dest.0 as usize].receive(batch);
         }
     }
 
@@ -162,12 +142,11 @@ impl Cluster {
     /// (and crash-lost outboxes) as long as some replica still logs the
     /// batch. Returns the number of batches applied cluster-wide.
     pub fn anti_entropy(&mut self) -> usize {
-        let n = self.nodes.len();
-        let link_down = &self.link_down;
+        let links = &self.links;
         crate::transport::anti_entropy_round_nodes_with_links(
             &mut self.nodes,
             &mut self.ae_cursors,
-            |src, dst| !link_down[src.0 as usize * n + dst.0 as usize],
+            |src, dst| links.is_up(src.0, dst.0),
         )
     }
 
@@ -190,22 +169,14 @@ impl Cluster {
         nodes_converged(&self.nodes) && self.in_flight.is_empty()
     }
 
-    /// Is the node currently down (crashed by fault injection)?
-    pub fn is_node_down(&self, id: ReplicaId) -> bool {
-        self.nodes[id.0 as usize].is_down()
-    }
-
     /// Cut or heal the (symmetric) link between `a` and `b`.
-    pub fn set_link_up(&mut self, a: ReplicaId, b: ReplicaId, up: bool) {
-        let n = self.nodes.len();
-        self.link_down[a.0 as usize * n + b.0 as usize] = !up;
-        self.link_down[b.0 as usize * n + a.0 as usize] = !up;
+    pub fn set_link_up(&self, a: ReplicaId, b: ReplicaId, up: bool) {
+        self.links.set(a.0, b.0, up);
     }
 
     /// Crash the node: it loses its outbox and receive buffer, and
-    /// refuses sends/pulls until restarted. Returns the number of
-    /// batches lost. In-flight batches already addressed to it are
-    /// refused at delivery.
+    /// refuses deliveries and pulls until restarted. Returns the number
+    /// of batches lost.
     pub fn crash_node(&mut self, id: ReplicaId) -> usize {
         self.nodes[id.0 as usize].crash()
     }
@@ -232,29 +203,13 @@ impl Transport for Cluster {
         self.deliver_all();
     }
 
-    fn set_link(&mut self, a: ReplicaId, b: ReplicaId, up: bool) {
-        self.set_link_up(a, b, up);
-    }
-
-    fn crash(&mut self, node: ReplicaId) {
-        self.crash_node(node);
-    }
-
-    fn restart(&mut self, node: ReplicaId) {
-        self.restart_node(node);
-    }
-
-    fn anti_entropy(&mut self) -> usize {
-        Cluster::anti_entropy(self)
-    }
-
     fn quiesce_transport(&mut self) -> u64 {
-        // Heal every fault signal, flush the network, then pump
-        // anti-entropy to fixpoint, counting productive rounds.
-        for i in 0..self.nodes.len() {
-            self.nodes[i].restart();
+        // Heal every fault, flush the network, then pump anti-entropy to
+        // fixpoint, counting productive rounds.
+        for node in &mut self.nodes {
+            node.restart();
         }
-        self.link_down.fill(false);
+        self.links.heal_all();
         self.collect_outboxes();
         self.deliver_all();
         let mut rounds = 0;
@@ -266,6 +221,14 @@ impl Transport for Cluster {
 
     fn converged(&mut self) -> bool {
         Cluster::converged(self)
+    }
+
+    fn link_up(&self, a: ReplicaId, b: ReplicaId) -> bool {
+        self.links.is_up(a.0, b.0)
+    }
+
+    fn node_up(&self, node: ReplicaId) -> bool {
+        !self.nodes[node.0 as usize].is_down()
     }
 }
 

@@ -43,6 +43,6 @@ pub use schedule::{CausalItem, DeliveryFaults, Schedule, ScheduleReport};
 pub use threaded::{ThreadedCluster, ThreadedConfig, ThreadedStats};
 pub use transport::{
     anti_entropy_fixpoint_nodes, anti_entropy_pull_round, anti_entropy_round_nodes,
-    anti_entropy_round_nodes_with_links, nodes_converged, InFlightWindow, Node, Transport,
+    anti_entropy_round_nodes_with_links, nodes_converged, InFlightWindow, Links, Node, Transport,
 };
 pub use txn::{CommitInfo, Transaction};

@@ -578,18 +578,17 @@ impl Replica {
     /// idempotent. Returns the number of batches applied.
     pub fn receive(&mut self, batch: impl Into<Arc<UpdateBatch>>) -> usize {
         let batch = batch.into();
-        let valid = batch.integrity_ok() && batch.well_formed();
+        let valid = batch.passes_gate();
         self.receive_prevalidated(batch, valid)
     }
 
     /// [`Replica::receive`] with the integrity gate's verdict computed by
     /// the caller. Whoever delivers in the threaded transport (a sender,
-    /// the delivery thread, an anti-entropy round) runs the exact same
-    /// predicate (`integrity_ok() && well_formed()`) before taking the
-    /// node lock; passing the verdict here skips re-hashing the payload
-    /// under the lock. The caller must have evaluated that
-    /// predicate on this very batch — a forged `valid` would bypass the
-    /// quarantine ledger.
+    /// the delivery thread, an anti-entropy round) runs
+    /// [`UpdateBatch::passes_gate`] before taking the node lock; passing
+    /// the verdict here skips re-hashing the payload under the lock. The
+    /// caller must have evaluated that predicate on this very batch — a
+    /// forged `valid` would bypass the quarantine ledger.
     pub fn receive_prevalidated(
         &mut self,
         batch: impl Into<Arc<UpdateBatch>>,

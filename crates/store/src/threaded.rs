@@ -19,15 +19,15 @@
 //! Nothing here is deterministic; correctness is checked at quiescence
 //! (convergence, invariants, idempotence, bounded liveness) — see the
 //! [`Transport`] contract and `ARCHITECTURE.md`. Fault signals are live:
-//! [`ThreadedCluster::crash_node`] wipes a shard's volatile state and
-//! makes it refuse traffic, [`ThreadedCluster::set_link_up`] drops sends
-//! between a pair (repair flows through anti-entropy, as on a lossy
-//! network).
+//! [`ThreadedCluster::crash_node`] wipes a node's volatile state and its
+//! [`Node`] refuses traffic, [`ThreadedCluster::set_link_up`] cuts a pair
+//! in the shared [`Links`] table (repair flows through anti-entropy, as
+//! on a lossy network).
 
 use crate::batch::UpdateBatch;
 use crate::errors::StoreError;
 use crate::replica::{ApplyDispatch, Replica, PARALLEL_APPLY_MIN_UPDATES};
-use crate::transport::{Node, Transport};
+use crate::transport::{nodes_converged, Links, Node, Transport};
 use crate::txn::{CommitInfo, Transaction};
 use ipa_crdt::ReplicaId;
 use parking_lot::Mutex;
@@ -45,12 +45,10 @@ enum Msg {
     Stop,
 }
 
-/// One replica shard: the actor state, its crash flag and its inbox. The
-/// flag is atomic (not under the mutex) so fault injection and
-/// down-checks never wait on an in-progress transaction.
+/// One replica shard: the locked actor (whose crash flag every down-check
+/// reads under the lock) and its inbox.
 struct Shard {
     node: Mutex<Node>,
-    down: AtomicBool,
     inbox: Inbox,
 }
 
@@ -130,30 +128,6 @@ impl Inbox {
     }
 }
 
-/// Pairwise link state, symmetric, lock-free.
-struct LinkMatrix {
-    n: usize,
-    up: Vec<AtomicBool>,
-}
-
-impl LinkMatrix {
-    fn new(n: usize) -> LinkMatrix {
-        LinkMatrix {
-            n,
-            up: (0..n * n).map(|_| AtomicBool::new(true)).collect(),
-        }
-    }
-
-    fn is_up(&self, a: u16, b: u16) -> bool {
-        self.up[a as usize * self.n + b as usize].load(Ordering::Relaxed)
-    }
-
-    fn set(&self, a: u16, b: u16, up: bool) {
-        self.up[a as usize * self.n + b as usize].store(up, Ordering::Relaxed);
-        self.up[b as usize * self.n + a as usize].store(up, Ordering::Relaxed);
-    }
-}
-
 /// Observability counters for a threaded run (all monotonic).
 #[derive(Debug, Default)]
 pub struct ThreadedStats {
@@ -188,13 +162,8 @@ pub struct ThreadedConfig {
     /// Number of replica actors.
     pub nodes: u16,
     /// Background anti-entropy period (`None` = repair only happens at
-    /// explicit [`Transport::anti_entropy`] / quiesce calls).
+    /// explicit [`ThreadedCluster::anti_entropy_round`] / quiesce calls).
     pub ae_interval: Option<Duration>,
-    /// Key-space shards per replica. Wide batches (anti-entropy
-    /// catch-up bursts) dispatch their disjoint shards to the replica's
-    /// persistent shard-worker pool; shard count never changes
-    /// observable state.
-    pub shards: usize,
 }
 
 impl Default for ThreadedConfig {
@@ -202,7 +171,6 @@ impl Default for ThreadedConfig {
         ThreadedConfig {
             nodes: 3,
             ae_interval: Some(Duration::from_millis(5)),
-            shards: crate::replica::DEFAULT_SHARDS,
         }
     }
 }
@@ -214,7 +182,7 @@ impl Default for ThreadedConfig {
 /// (`std::thread::scope`) or an `Arc`.
 pub struct ThreadedCluster {
     shards: Vec<Arc<Shard>>,
-    links: Arc<LinkMatrix>,
+    links: Arc<Links>,
     stats: Arc<ThreadedStats>,
     threads: Vec<JoinHandle<()>>,
     ticker: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
@@ -228,18 +196,17 @@ const REPLY_TIMEOUT: Duration = Duration::from_secs(10);
 impl ThreadedCluster {
     /// Spawn the actors (and the anti-entropy ticker, if configured).
     pub fn start(cfg: ThreadedConfig) -> ThreadedCluster {
-        let links = Arc::new(LinkMatrix::new(cfg.nodes as usize));
+        let links = Arc::new(Links::new(cfg.nodes as usize));
         let stats = Arc::new(ThreadedStats::default());
         let (mut shards, mut threads) = (Vec::new(), Vec::new());
         for i in 0..cfg.nodes {
             // The threaded transport is the one place parallel apply is
             // on: real threads, no schedule digests, large anti-entropy
             // bursts worth splitting across shards.
-            let mut node = Node::with_shards(ReplicaId(i), cfg.shards);
+            let mut node = Node::new(ReplicaId(i));
             node.replica_mut().set_apply_dispatch(ApplyDispatch::Pool);
             let shard = Arc::new(Shard {
                 node: Mutex::new(node),
-                down: AtomicBool::new(false),
                 inbox: Inbox::default(),
             });
             let (served, stats) = (Arc::clone(&shard), Arc::clone(&stats));
@@ -288,12 +255,7 @@ impl ThreadedCluster {
 
     /// Is the node currently crashed?
     pub fn is_node_down(&self, node: u16) -> bool {
-        self.shards[node as usize].down.load(Ordering::Relaxed)
-    }
-
-    /// Is the pair's link currently usable?
-    pub fn link_is_up(&self, a: u16, b: u16) -> bool {
-        self.links.is_up(a, b)
+        self.shards[node as usize].node.lock().is_down()
     }
 
     /// Cut or heal a pair's link (both directions). While cut, sends
@@ -303,21 +265,17 @@ impl ThreadedCluster {
         self.links.set(a, b, up);
     }
 
-    /// Crash a node on the caller's thread: refuse traffic, then wipe
-    /// volatile state under the shard lock (an in-progress transaction
-    /// finishes first — a crash never tears a commit).
+    /// Crash a node on the caller's thread, under its lock (an
+    /// in-progress transaction finishes first — a crash never tears a
+    /// commit): volatile state is wiped and traffic refused.
     pub fn crash_node(&self, node: u16) {
-        let shard = &self.shards[node as usize];
-        shard.down.store(true, Ordering::Relaxed);
-        let lost = shard.node.lock().crash() as u64;
+        let lost = self.shards[node as usize].node.lock().crash() as u64;
         self.stats.lost_in_crash.fetch_add(lost, Ordering::Relaxed);
     }
 
     /// Restart a crashed node; catch-up flows through anti-entropy.
     pub fn restart_node(&self, node: u16) {
-        let shard = &self.shards[node as usize];
-        shard.node.lock().restart();
-        shard.down.store(false, Ordering::Relaxed);
+        self.shards[node as usize].node.lock().restart();
     }
 
     /// Run `f` with the shard locked (reads, oracle audits, repairs).
@@ -338,7 +296,7 @@ impl ThreadedCluster {
         let shard = &self.shards[region as usize];
         let (value, info, newest, earlier) = {
             let mut node = shard.node.lock();
-            if shard.down.load(Ordering::Relaxed) {
+            if node.is_down() {
                 bump(&self.stats.commits_refused);
                 return Err(StoreError::Unavailable(ReplicaId(region)));
             }
@@ -388,11 +346,11 @@ impl ThreadedCluster {
         let shard = &self.shards[dest as usize];
         let narrow = batch.updates.len() < PARALLEL_APPLY_MIN_UPDATES;
         if narrow && shard.inbox.parked.load(Ordering::SeqCst) {
-            let valid = gate(&batch);
+            let valid = batch.passes_gate();
             for _ in 0..=TRY_LOCK_SPINS {
                 if let Some(mut node) = shard.node.try_lock() {
                     bump(&self.stats.delivered_by_sender);
-                    admit(shard, &self.stats, &mut node, batch, valid);
+                    admit(&self.stats, &mut node, batch, valid);
                     return;
                 }
                 if !shard.inbox.parked.load(Ordering::Relaxed) {
@@ -436,13 +394,10 @@ impl ThreadedCluster {
     /// bounded-liveness oracle's input (a healthy cluster converges
     /// within its configured bound).
     pub fn quiesce(&self) -> u64 {
-        let n = self.shards.len() as u16;
-        for i in 0..n {
+        for i in 0..self.shards.len() as u16 {
             self.restart_node(i);
-            for j in 0..n {
-                self.links.set(i, j, true);
-            }
         }
+        self.links.heal_all();
         let (mut rounds, mut idle) = (0, 0);
         while idle < 2 {
             self.barrier();
@@ -459,11 +414,7 @@ impl ThreadedCluster {
     /// Equal clocks and empty causal buffers everywhere? Meaningful
     /// after [`ThreadedCluster::quiesce`].
     pub fn is_converged(&self) -> bool {
-        let first = self.shards[0].node.lock().replica().clock().clone();
-        self.shards.iter().all(|s| {
-            let node = s.node.lock();
-            *node.replica().clock() == first && node.replica().pending_count() == 0
-        })
+        nodes_converged(self.shards.iter().map(|s| s.node.lock()))
     }
 }
 
@@ -482,7 +433,9 @@ impl Drop for ThreadedCluster {
     }
 }
 
-impl Transport for ThreadedCluster {
+/// Every method takes `&self`, so each client thread holds its own
+/// `&ThreadedCluster` as a transport.
+impl Transport for &ThreadedCluster {
     fn node_count(&self) -> usize {
         self.len()
     }
@@ -498,22 +451,6 @@ impl Transport for ThreadedCluster {
         }
     }
 
-    fn set_link(&mut self, a: ReplicaId, b: ReplicaId, up: bool) {
-        self.set_link_up(a.0, b.0, up);
-    }
-
-    fn crash(&mut self, node: ReplicaId) {
-        self.crash_node(node.0);
-    }
-
-    fn restart(&mut self, node: ReplicaId) {
-        self.restart_node(node.0);
-    }
-
-    fn anti_entropy(&mut self) -> usize {
-        self.anti_entropy_round()
-    }
-
     fn quiesce_transport(&mut self) -> u64 {
         self.quiesce()
     }
@@ -521,40 +458,35 @@ impl Transport for ThreadedCluster {
     fn converged(&mut self) -> bool {
         self.is_converged()
     }
-}
 
-/// The integrity gate: seal check + envelope well-formedness. Whoever
-/// delivers evaluates it *before* taking the node lock.
-fn gate(batch: &UpdateBatch) -> bool {
-    batch.integrity_ok() && batch.well_formed()
-}
-
-/// Feed one gated batch into causal delivery, under the node lock. The
-/// down-check happens here, at apply time — a batch still queued, or in
-/// its sender's hands, when its node crashes is refused exactly like one
-/// still in a dead process's socket buffer, and anti-entropy replays it
-/// from a peer's durable log after restart. Returns batches applied.
-fn admit(
-    shard: &Shard,
-    stats: &ThreadedStats,
-    node: &mut Node,
-    batch: Arc<UpdateBatch>,
-    valid: bool,
-) -> usize {
-    bump(&stats.pipeline_prevalidated);
-    if shard.down.load(Ordering::Relaxed) {
-        bump(&stats.refused_down);
-        return 0;
+    fn link_up(&self, a: ReplicaId, b: ReplicaId) -> bool {
+        self.links.is_up(a.0, b.0)
     }
-    node.replica_mut().receive_prevalidated(batch, valid)
+
+    fn node_up(&self, node: ReplicaId) -> bool {
+        !self.is_node_down(node.0)
+    }
 }
 
-/// Deliver one batch to a node: [`gate`] off the lock, [`admit`] under
-/// it. A sender runs the same pair around a `try_lock`, the delivery
-/// thread around one lock per run of batches.
+/// Feed one gated batch into causal delivery through [`Node`], under the
+/// node lock, at apply time: a batch still queued, or in its sender's
+/// hands, when its node crashes is refused (and counted) like any other.
+/// Returns batches applied.
+fn admit(stats: &ThreadedStats, node: &mut Node, batch: Arc<UpdateBatch>, valid: bool) -> usize {
+    bump(&stats.pipeline_prevalidated);
+    node.receive_prevalidated(batch, valid).unwrap_or_else(|| {
+        bump(&stats.refused_down);
+        0
+    })
+}
+
+/// Deliver one batch to a node: the integrity gate
+/// ([`UpdateBatch::passes_gate`]) off the lock, [`admit`] under it. A
+/// sender runs the same pair around a `try_lock`, the delivery thread
+/// around one lock per run of batches.
 fn deliver(shard: &Shard, stats: &ThreadedStats, batch: Arc<UpdateBatch>) -> usize {
-    let valid = gate(&batch);
-    admit(shard, stats, &mut shard.node.lock(), batch, valid)
+    let valid = batch.passes_gate();
+    admit(stats, &mut shard.node.lock(), batch, valid)
 }
 
 /// The delivery thread's body: take the whole inbox per turn and serve
@@ -569,14 +501,14 @@ fn delivery_loop(shard: &Shard, stats: &ThreadedStats) {
         bump(&stats.delivery_turns);
         let gated: Vec<bool> = turn
             .iter()
-            .map(|m| matches!(m, Msg::Deliver(b) if gate(b)))
+            .map(|m| matches!(m, Msg::Deliver(b) if b.passes_gate()))
             .collect();
         let mut node = None;
         for (msg, valid) in turn.drain(..).zip(gated) {
             match msg {
                 Msg::Deliver(batch) => {
                     let node = node.get_or_insert_with(|| shard.node.lock());
-                    admit(shard, stats, node, batch, valid);
+                    admit(stats, node, batch, valid);
                 }
                 Msg::Barrier(reply) => {
                     node = None;
@@ -589,9 +521,10 @@ fn delivery_loop(shard: &Shard, stats: &ThreadedStats) {
 }
 
 /// One anti-entropy round: every live node pulls what it is missing from
-/// every live, reachable peer — the peer's log is read under the peer's
-/// node lock on this thread, a down source serves nothing — and takes it
-/// in through [`deliver`]. Returns the number of batches applied.
+/// every live, reachable peer — each node is down-checked under its own
+/// lock, and the peer's log is read under the peer's lock on this
+/// thread — and takes it in through [`deliver`]. Returns the number of
+/// batches applied.
 ///
 /// A busy node's applied clock trails its inbox, and pulling against it
 /// re-sends what is merely queued. So the ticker (`settled_only`) pulls
@@ -599,29 +532,30 @@ fn delivery_loop(shard: &Shard, stats: &ThreadedStats) {
 /// (it holds a batch it cannot apply); explicit rounds pull for all.
 fn pull_round(
     shards: &[Arc<Shard>],
-    links: &LinkMatrix,
+    links: &Links,
     stats: &ThreadedStats,
     settled_only: bool,
 ) -> usize {
-    let is_down = |node: u16| shards[node as usize].down.load(Ordering::Relaxed);
     let mut applied = 0;
     let n = shards.len() as u16;
-    for dst in (0..n).filter(|&d| !is_down(d)) {
+    for dst in 0..n {
         let to = &shards[dst as usize];
-        for src in 0..n {
-            if src == dst || is_down(src) || !links.is_up(src, dst) {
-                continue;
-            }
+        for src in (0..n).filter(|&src| src != dst && links.is_up(src, dst)) {
             let since = {
                 let node = to.node.lock();
                 let gapped = node.replica().pending_count() > 0;
-                if settled_only && !gapped && !to.inbox.is_settled() {
+                if node.is_down() || settled_only && !gapped && !to.inbox.is_settled() {
                     continue;
                 }
                 node.replica().clock().clone()
             };
-            let from = &shards[src as usize];
-            let missing = from.node.lock().replica_mut().batches_since(&since);
+            let missing = {
+                let mut from = shards[src as usize].node.lock();
+                if from.is_down() {
+                    continue;
+                }
+                from.replica_mut().batches_since(&since)
+            };
             for batch in missing {
                 applied += deliver(to, stats, batch);
             }
@@ -635,11 +569,14 @@ mod tests {
     use super::*;
     use ipa_crdt::{ObjectKind, VClock, Val};
 
+    fn count(counter: &AtomicU64) -> u64 {
+        counter.load(Ordering::Relaxed)
+    }
+
     fn no_ticker(n: u16) -> ThreadedCluster {
         ThreadedCluster::start(ThreadedConfig {
             nodes: n,
             ae_interval: None,
-            ..Default::default()
         })
     }
 
@@ -717,7 +654,7 @@ mod tests {
             })
             .expect("commit");
         cluster.barrier();
-        assert!(cluster.stats().dropped_partitioned.load(Ordering::Relaxed) >= 1);
+        assert!(count(&cluster.stats().dropped_partitioned) >= 1);
         cluster.set_link_up(0, 1, true);
         cluster.quiesce();
         assert!(cluster.is_converged());
@@ -741,13 +678,7 @@ mod tests {
         cluster.barrier();
         // Every batch shipped toward node 1 crossed the integrity gate
         // off the node lock before being applied.
-        assert!(
-            cluster
-                .stats()
-                .pipeline_prevalidated
-                .load(Ordering::Relaxed)
-                >= 10
-        );
+        assert!(count(&cluster.stats().pipeline_prevalidated) >= 10);
         cluster.quiesce();
         assert!(cluster.is_converged());
     }
@@ -810,7 +741,7 @@ mod tests {
         for batch in pulled {
             assert_eq!(deliver(&cluster.shards[1], &cluster.stats, batch), 0);
         }
-        assert_eq!(cluster.stats().refused_down.load(Ordering::Relaxed), 1);
+        assert_eq!(count(&cluster.stats().refused_down), 1);
         assert_eq!(cluster.with_replica(1, |r| r.stats.batches_received), 0);
     }
 
@@ -819,7 +750,6 @@ mod tests {
         let cluster = ThreadedCluster::start(ThreadedConfig {
             nodes: 2,
             ae_interval: Some(Duration::from_millis(1)),
-            ..Default::default()
         });
         // Cut the only link: the commit's direct send drops, so only
         // the ticker can repair once healed.
@@ -909,20 +839,14 @@ mod tests {
             1,
             "delivered once the lock is free"
         );
-        assert_eq!(cluster.stats().posted.load(Ordering::Relaxed), 1);
-        assert_eq!(
-            cluster.stats().delivered_by_sender.load(Ordering::Relaxed),
-            0
-        );
+        assert_eq!(count(&cluster.stats().posted), 1);
+        assert_eq!(count(&cluster.stats().delivered_by_sender), 0);
     }
 
     #[test]
     fn commit_never_waits_for_a_peer_behind_a_cut_link() {
         let cluster = commit_while_peer_is_held(|c| c.set_link_up(0, 1, false));
-        assert_eq!(
-            cluster.stats().dropped_partitioned.load(Ordering::Relaxed),
-            1
-        );
+        assert_eq!(count(&cluster.stats().dropped_partitioned), 1);
         assert_eq!(seen_from(&cluster, 1, 0), 0);
         cluster.quiesce();
         assert_eq!(seen_from(&cluster, 1, 0), 1);
@@ -931,7 +855,7 @@ mod tests {
     #[test]
     fn commit_never_waits_for_a_peer_that_is_down() {
         let cluster = commit_while_peer_is_held(|c| c.crash_node(1));
-        assert_eq!(cluster.stats().refused_down.load(Ordering::Relaxed), 1);
+        assert_eq!(count(&cluster.stats().refused_down), 1);
         assert_eq!(seen_from(&cluster, 1, 0), 0);
         cluster.quiesce();
         assert_eq!(seen_from(&cluster, 1, 0), 1);
@@ -978,8 +902,7 @@ mod tests {
                 assert!(cluster.with_replica(node, |r| r.applied_consistent()));
             }
             let stats = cluster.stats();
-            let handed = stats.delivered_by_sender.load(Ordering::Relaxed)
-                + stats.posted.load(Ordering::Relaxed);
+            let handed = count(&stats.delivered_by_sender) + count(&stats.posted);
             assert_eq!(
                 handed,
                 4 * 500 * 2,
@@ -1010,7 +933,7 @@ mod tests {
         cluster.shards[0]
             .inbox
             .post(Msg::Barrier(tx), &cluster.stats);
-        assert_eq!(cluster.stats().unparks.load(Ordering::Relaxed), 1);
+        assert_eq!(count(&cluster.stats().unparks), 1);
         posted_tx.send(()).expect("thread waits");
         rx.recv_timeout(REPLY_TIMEOUT)
             .expect("a message posted just before the park is lost");
@@ -1026,9 +949,9 @@ mod tests {
         cluster.crash_node(1);
         add(&cluster, 0, "x".into());
         let stats = cluster.stats();
-        assert_eq!(stats.delivered_by_sender.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.posted.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.refused_down.load(Ordering::Relaxed), 1);
+        assert_eq!(count(&stats.delivered_by_sender), 1);
+        assert_eq!(count(&stats.posted), 0);
+        assert_eq!(count(&stats.refused_down), 1);
         assert_eq!(cluster.with_replica(1, |r| r.stats.batches_received), 0);
         cluster.quiesce();
         assert_eq!(seen_from(&cluster, 1, 0), 1);
@@ -1055,9 +978,9 @@ mod tests {
         }
         cluster.barrier();
         let stats = cluster.stats();
-        assert_eq!(stats.delivered_by_sender.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.posted.load(Ordering::Relaxed), 16);
-        assert_eq!(stats.refused_down.load(Ordering::Relaxed), 8);
+        assert_eq!(count(&stats.delivered_by_sender), 0);
+        assert_eq!(count(&stats.posted), 16);
+        assert_eq!(count(&stats.refused_down), 8);
         cluster.quiesce();
         assert!(cluster.is_converged());
     }
@@ -1065,10 +988,9 @@ mod tests {
     /// Shards with no delivery threads, so `parked` and the inboxes are
     /// whatever the test says: node 0 has committed `ahead` batches that
     /// nobody shipped.
-    fn bare_shards(ahead: usize) -> (Vec<Arc<Shard>>, LinkMatrix, ThreadedStats) {
+    fn bare_shards(ahead: usize) -> (Vec<Arc<Shard>>, Links, ThreadedStats) {
         let bare = |i| Shard {
             node: Mutex::new(Node::new(ReplicaId(i))),
-            down: AtomicBool::new(false),
             inbox: Inbox::default(),
         };
         let shards: Vec<_> = (0..2).map(|i| Arc::new(bare(i))).collect();
@@ -1080,7 +1002,7 @@ mod tests {
             tx.commit();
         }
         drop(node);
-        (shards, LinkMatrix::new(2), ThreadedStats::default())
+        (shards, Links::new(2), ThreadedStats::default())
     }
 
     #[test]

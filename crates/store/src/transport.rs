@@ -4,12 +4,12 @@
 //! Everything above this module (CRDT semantics, causal delivery,
 //! anti-entropy repair, the oracle suite) is a pure function of *which
 //! batches reach which replica in which order*. This module names that
-//! boundary: a [`Node`] is a replica actor that owns its store shard,
+//! boundary: a [`Node`] is a replica actor that owns its store shard and
+//! refuses traffic while down, [`Links`] is the one table of cut links,
 //! and a [`Transport`] moves committed [`crate::UpdateBatch`]es between
-//! nodes, injects partitions and crashes, and drives anti-entropy
-//! repair. See `ARCHITECTURE.md` for the full layer map and the
-//! determinism guarantees each implementation must (and need not)
-//! provide.
+//! nodes and drives anti-entropy repair. See `ARCHITECTURE.md` for the
+//! full layer map and the determinism guarantees each implementation must
+//! (and need not) provide.
 //!
 //! Three implementations exist:
 //!
@@ -26,7 +26,48 @@
 use crate::batch::UpdateBatch;
 use crate::replica::{AeCursors, Replica};
 use ipa_crdt::{ReplicaId, VClock};
+use std::ops::Deref;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// Every link's state, one table for every transport. Symmetric: cutting
+/// `a ↔ b` cuts both directions. Setters take `&self`, so the threaded
+/// transport's senders read it while an injector writes it. A cut link
+/// carries nothing: sends over it are dropped (or stalled until the
+/// heal) and anti-entropy skips the pair.
+#[derive(Debug)]
+pub struct Links {
+    n: usize,
+    /// `up[a * n + b]`; `Relaxed` throughout, a link's state publishes
+    /// no other data.
+    up: Vec<AtomicBool>,
+}
+
+impl Links {
+    /// `n` nodes, every link up.
+    pub fn new(n: usize) -> Links {
+        let up = (0..n * n).map(|_| AtomicBool::new(true)).collect();
+        Links { n, up }
+    }
+
+    /// Can `a` and `b` reach each other?
+    pub fn is_up(&self, a: u16, b: u16) -> bool {
+        self.up[a as usize * self.n + b as usize].load(Ordering::Relaxed)
+    }
+
+    /// Cut (`up = false`) or heal the link `a ↔ b`, both directions.
+    pub fn set(&self, a: u16, b: u16, up: bool) {
+        self.up[a as usize * self.n + b as usize].store(up, Ordering::Relaxed);
+        self.up[b as usize * self.n + a as usize].store(up, Ordering::Relaxed);
+    }
+
+    /// Heal every link.
+    pub fn heal_all(&self) {
+        for link in &self.up {
+            link.store(true, Ordering::Relaxed);
+        }
+    }
+}
 
 /// Per-peer **in-flight send window**: the causal frontier already
 /// promised to a destination by sends that have not yet arrived.
@@ -161,7 +202,7 @@ impl InFlightWindow {
 /// every implementation needs — the crash flag and the in-flight
 /// anti-entropy window. Transports own a `Vec<Node>` (or a sharded,
 /// locked equivalent) and route every delivery through
-/// [`Replica::receive`]; nothing else touches the shard.
+/// [`Node::receive`], the one place a down node refuses traffic.
 #[derive(Debug)]
 pub struct Node {
     replica: Replica,
@@ -223,6 +264,25 @@ impl Node {
         self.down = false;
     }
 
+    /// Deliver `batch` through the integrity gate into causal delivery
+    /// ([`Replica::receive`]): the number of batches applied, or `None`
+    /// while the node is down — the batch is refused untouched, like one
+    /// still in a dead process's socket buffer, and anti-entropy replays
+    /// it from a peer's durable log after the restart.
+    pub fn receive(&mut self, batch: Arc<UpdateBatch>) -> Option<usize> {
+        let valid = batch.passes_gate();
+        self.receive_prevalidated(batch, valid)
+    }
+
+    /// [`Node::receive`] with the gate's verdict computed by the caller
+    /// (see [`Replica::receive_prevalidated`]).
+    pub fn receive_prevalidated(&mut self, batch: Arc<UpdateBatch>, valid: bool) -> Option<usize> {
+        if self.down {
+            return None;
+        }
+        Some(self.replica.receive_prevalidated(batch, valid))
+    }
+
     /// The anti-entropy `since` frontier at transport time `now_us`:
     /// the applied clock joined with every unexpired in-flight promise
     /// (see [`InFlightWindow`]).
@@ -253,27 +313,28 @@ impl Node {
     }
 }
 
-/// The pluggable replication substrate: batch fan-out, anti-entropy
-/// pull, and partition/crash fault signals over a fixed set of
-/// [`Node`]s.
+/// The pluggable replication substrate over a fixed set of [`Node`]s:
+/// what generic code (the soak judge, [`Transport`]-generic contexts)
+/// calls, and nothing else. Injecting faults is each transport's own
+/// API.
 ///
 /// ## Contract
 ///
 /// Every implementation must provide:
 ///
 /// * **Causal delivery feed** — every batch handed to a node goes
-///   through [`Replica::receive`], which buffers until causal
-///   predecessors arrive and deduplicates redeliveries. The transport
-///   may therefore drop, duplicate, delay, and reorder freely.
-/// * **Durable-log repair** — [`Transport::anti_entropy`] moves batches
-///   a node is missing from some peer's durable log, and repeated
-///   rounds converge the cluster as long as every batch survives in at
-///   least one log ([`Transport::quiesce_transport`] runs them to the
-///   fixpoint).
-/// * **Fault signals** — [`Transport::set_link`] makes a pair
-///   unreachable in both directions until healed;
-///   [`Transport::crash`]/[`Transport::restart`] lose a node's volatile
-///   state and refuse its traffic while down.
+///   through [`Node::receive`], which buffers until causal predecessors
+///   arrive and deduplicates redeliveries. The transport may therefore
+///   drop, duplicate, delay, and reorder freely.
+/// * **Durable-log repair** — anti-entropy ([`anti_entropy_pull_round`])
+///   moves batches a node is missing from some peer's durable log, and
+///   repeated rounds converge the cluster as long as every batch
+///   survives in at least one log ([`Transport::quiesce_transport`] runs
+///   them to the fixpoint).
+/// * **Fault state, each rule decided once** — a cut link is a [`Links`]
+///   entry (symmetric; nothing crosses it), a down node is
+///   [`Node::is_down`] (its `receive` admits nothing); a crash loses the
+///   node's volatile state ([`Node::crash`]).
 ///
 /// Implementations explicitly need **not** provide determinism: the
 /// discrete-event sim guarantees bit-reproducible schedules (and pins
@@ -298,24 +359,6 @@ pub trait Transport {
     /// model. Call after commits made through [`Transport::with_node`].
     fn ship(&mut self, node: ReplicaId);
 
-    /// Cut (`up = false`) or heal (`up = true`) the pair's link in both
-    /// directions. While cut, sends between the pair are lost or
-    /// stalled (implementation-specific) and anti-entropy skips the
-    /// pair; repair flows through third parties or after the heal.
-    fn set_link(&mut self, a: ReplicaId, b: ReplicaId, up: bool);
-
-    /// Crash a node (see [`Node::crash`]): volatile state lost, traffic
-    /// refused until [`Transport::restart`].
-    fn crash(&mut self, node: ReplicaId);
-
-    /// Restart a crashed node; catch-up happens through anti-entropy.
-    fn restart(&mut self, node: ReplicaId);
-
-    /// One synchronous anti-entropy round: every live node pulls what
-    /// it is missing from every live, reachable peer's durable log.
-    /// Returns the number of batches applied cluster-wide.
-    fn anti_entropy(&mut self) -> usize;
-
     /// Drive replication to quiescence: restart every crashed node,
     /// deliver or void everything outstanding, and run anti-entropy to
     /// its fixpoint. Returns the number of *productive* rounds the
@@ -325,6 +368,14 @@ pub trait Transport {
     /// Are all nodes converged (equal clocks, nothing buffered)?
     /// Meaningful after [`Transport::quiesce_transport`].
     fn converged(&mut self) -> bool;
+
+    /// Is the link `a ↔ b` up ([`Links::is_up`])? Coordination across a
+    /// cut link must fail fast rather than block.
+    fn link_up(&self, a: ReplicaId, b: ReplicaId) -> bool;
+
+    /// Is `node` up ([`Node::is_down`])? Nothing may commit at a down
+    /// node: that would leak state into its downtime.
+    fn node_up(&self, node: ReplicaId) -> bool;
 }
 
 /// The one pull plan of pairwise anti-entropy: every live node `dst`
@@ -337,7 +388,7 @@ pub trait Transport {
 ///
 /// Two things vary per transport and are the two closures: the frontier
 /// (the applied clock, or [`Node::ae_since`] where sends take time) and
-/// what a delivery is ([`Replica::receive`] now, or an arrival scheduled
+/// what a delivery is ([`Node::receive`] now, or an arrival scheduled
 /// at a latency).
 pub fn anti_entropy_pull_round(
     nodes: &mut [Node],
@@ -383,8 +434,8 @@ pub fn anti_entropy_round_nodes(nodes: &mut [Node], cursors: &mut AeCursors) -> 
 }
 
 /// [`anti_entropy_round_nodes`] restricted to reachable pairs:
-/// `link_up(src, dst)` gates each pull (partition-aware transports pass
-/// their link matrix).
+/// `link_up(src, dst)` gates each pull (partition-aware transports ask
+/// their [`Links`]).
 pub fn anti_entropy_round_nodes_with_links(
     nodes: &mut [Node],
     cursors: &mut AeCursors,
@@ -395,10 +446,7 @@ pub fn anti_entropy_round_nodes_with_links(
         cursors,
         link_up,
         |dst| dst.replica().clock().clone(),
-        |dst, _, missing| {
-            let dst = dst.replica_mut();
-            missing.into_iter().map(|b| dst.receive(b)).sum()
-        },
+        |dst, _, missing| missing.into_iter().filter_map(|b| dst.receive(b)).sum(),
     )
 }
 
@@ -413,12 +461,16 @@ pub fn anti_entropy_fixpoint_nodes(nodes: &mut [Node], cursors: &mut AeCursors) 
 }
 
 /// The node half of [`Transport::converged`]: equal applied clocks and
-/// empty causal buffers. A transport adds its own in-flight check.
-pub fn nodes_converged(nodes: &[Node]) -> bool {
-    let first = nodes[0].replica().clock();
-    nodes
-        .iter()
-        .all(|n| n.replica().clock() == first && n.replica().pending_count() == 0)
+/// empty causal buffers. A transport adds its own in-flight check. Nodes
+/// are looked at one at a time (`&Node`s, or lock guards taken and
+/// released in turn).
+pub fn nodes_converged(nodes: impl IntoIterator<Item = impl Deref<Target = Node>>) -> bool {
+    let mut first = None;
+    nodes.into_iter().all(|node| {
+        let replica = node.replica();
+        let clock = first.get_or_insert_with(|| replica.clock().clone());
+        replica.clock() == clock && replica.pending_count() == 0
+    })
 }
 
 #[cfg(test)]
@@ -478,6 +530,40 @@ mod tests {
         assert_eq!(node.ae_since(0), VClock::new());
         node.restart();
         assert!(!node.is_down());
+    }
+
+    #[test]
+    fn a_down_node_refuses_a_valid_in_order_batch_untouched() {
+        let mut origin = Replica::new(ReplicaId(1));
+        let mut tx = origin.begin();
+        tx.ensure("c", ObjectKind::PNCounter).unwrap();
+        tx.counter_add("c", 1).unwrap();
+        tx.commit();
+        let batch = origin.take_outbox().pop().expect("one batch");
+        assert!(batch.passes_gate());
+        let mut node = Node::new(ReplicaId(0));
+        node.crash();
+        assert_eq!(node.receive(Arc::clone(&batch)), None);
+        assert_eq!(node.replica().stats.batches_received, 0);
+        assert_eq!(node.replica().clock().get(ReplicaId(1)), 0);
+        node.restart();
+        assert_eq!(node.receive(batch), Some(1), "the same batch, admitted");
+    }
+
+    #[test]
+    fn links_are_symmetric_and_heal_all_heals_every_link() {
+        let links = Links::new(3);
+        assert!((0..3).all(|a| (0..3).all(|b| links.is_up(a, b))));
+        links.set(0, 2, false);
+        links.set(2, 1, false);
+        for (a, b) in [(0, 2), (2, 0), (1, 2), (2, 1)] {
+            assert!(!links.is_up(a, b), "{a}-{b} is cut both ways");
+        }
+        assert!(links.is_up(0, 1) && links.is_up(1, 0));
+        links.set(2, 0, true);
+        assert!(links.is_up(0, 2) && !links.is_up(1, 2));
+        links.heal_all();
+        assert!((0..3).all(|a| (0..3).all(|b| links.is_up(a, b))));
     }
 
     #[test]

@@ -163,3 +163,34 @@ fn crashed_replica_recovers_unspent_rights_from_its_durable_log() {
         "the 91st ticket of 90 must be refused: {denied:?}"
     );
 }
+
+/// Coordination over a plain `Cluster` sees the cluster's faults: with
+/// node 1 crashed and link 0–2 cut, region 0 has no donor left once its
+/// own rights are spent, so the borrow is refused — and nothing commits
+/// into the crashed node's downtime.
+#[test]
+fn escrow_borrows_from_no_crashed_or_cut_off_donor() {
+    let mut cluster = Cluster::new(3);
+    let mut shard = CoordConfig::new(3).build_escrow();
+    let mut ctx = TransportCtx::new(&mut cluster, 8);
+    shard.create(&mut ctx, "gold", 90).expect("create");
+    ctx.transport().quiesce_transport();
+    for _ in 0..30 {
+        shard
+            .decrement(&mut ctx, "gold", 0, 1)
+            .expect("region 0 spends its own 30 rights");
+    }
+    ctx.transport().crash_node(ReplicaId(1));
+    ctx.transport()
+        .set_link_up(ReplicaId(0), ReplicaId(2), false);
+    let before = ctx.transport().replica(ReplicaId(1)).clock().clone();
+    let denied = shard.decrement(&mut ctx, "gold", 0, 1);
+    // `to: 0`: no donor was even asked (a donor tried and struck would
+    // be named).
+    assert!(
+        matches!(denied, Err(CoordError::PeerUnreachable { from: 0, to: 0 })),
+        "donor 1 is down and donor 2 is cut off: {denied:?}"
+    );
+    let after = ctx.transport().replica(ReplicaId(1)).clock();
+    assert_eq!(after, &before, "nothing committed at the crashed node");
+}

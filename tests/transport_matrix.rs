@@ -1,13 +1,13 @@
 //! The threaded-transport soak matrix: every application runs on real
-//! `std::thread` replicas under a live fault injector (crashes + link
-//! cuts on wall clock), and the full oracle suite — continuous
-//! invariants, double-apply, final invariants, convergence, bounded
-//! liveness — must come back green at quiescence.
+//! `std::thread` replicas under a fault plan drawn from the seed (crash
+//! and cut windows applied on the wall clock), and the full oracle suite
+//! — continuous invariants, double-apply, final invariants, convergence,
+//! bounded liveness — must come back green at quiescence.
 //!
 //! Unlike the deterministic nemesis soaks (`tests/nemesis_soak.rs`),
 //! nothing here is replayable: a red cell is a genuine concurrency bug
-//! and must be chased with the stats counters and the continuous
-//! auditor's first-failure report, not a schedule digest.
+//! and must be chased with the stats counters, the continuous auditor's
+//! first-failure report and the printed fault plan, not a schedule digest.
 //!
 //! CI fans this out one cell per job via `IPA_THREADED_APP` /
 //! `IPA_THREADED_SEED`; locally (no env) it sweeps all five cells of
@@ -51,8 +51,8 @@ fn threaded_soak_matrix_is_green() {
             assert_eq!(
                 run.failure, None,
                 "{app} seed {seed}: threaded soak failed: {:?} \
-                 (completed {} ops, quiesce took {} rounds)",
-                run.failure, run.completed, run.quiesce_rounds
+                 (completed {} ops, quiesce took {} rounds) under this plan:\n{}",
+                run.failure, run.completed, run.quiesce_rounds, run.plan
             );
             assert!(
                 run.completed > 50,
