@@ -10,8 +10,9 @@
 
 use crate::pipeline::AnalysisConfig;
 use crate::session::{AnalysisSession, Image};
-use crate::universe::instantiations;
+use crate::summary::EffectSummary;
 use crate::AnalysisError;
+use ipa_solver::Model;
 use ipa_spec::{AppSpec, Constant, Formula, GroundAtom, Interpretation, Operation};
 
 /// A concrete counter-example to `I`-confluence: the paper's Figure 2
@@ -67,22 +68,80 @@ pub fn check_pair(
     AnalysisSession::new(spec, cfg)?.check_pair(op1, op2)
 }
 
+/// The first conflict of a pair, as the loop of
+/// [`AnalysisSession::first_conflict`] finds it: enough to decode a
+/// [`ConflictWitness`], and no more.
+struct Conflict {
+    args1: Vec<Constant>,
+    args2: Vec<Constant>,
+    contested: Vec<GroundAtom>,
+    merged: EffectSummary,
+    model: Model,
+}
+
 impl AnalysisSession<'_> {
     /// Decide whether `op1 ∥ op2` can violate the invariant, returning a
     /// counter-example if so.
     ///
-    /// Every parameter instantiation over the small-scope universe is
-    /// tested; within each, every deterministic merge alternative (more
-    /// than one only under last-writer-wins rules) is one query: `I`, the
-    /// changed conjuncts of both weakest preconditions, and the negation
-    /// of the conjuncts the merged effects change.
+    /// One instantiation per orbit over the small-scope universe is tested
+    /// (rule 5 of the [session](crate::session)); within each, every
+    /// deterministic merge alternative (more than one only under
+    /// last-writer-wins rules) is one query: `I`, the changed conjuncts of
+    /// both weakest preconditions, and the negation of the conjuncts the
+    /// merged effects change.
     pub fn check_pair(
         &mut self,
         op1: &Operation,
         op2: &Operation,
     ) -> Result<Option<ConflictWitness>, AnalysisError> {
-        for (args1, args2) in instantiations(op1, op2, &self.universe) {
-            let (Some(f1), Some(f2)) = (self.footprint(op1, &args1)?, self.footprint(op2, &args2)?)
+        let Some(c) = self.first_conflict(op1, op2)? else {
+            return Ok(None);
+        };
+        let pre = c
+            .model
+            .to_interpretation(&self.universe, &self.spec.constants);
+        let mut merged = pre.clone();
+        for (a, &v) in &c.merged.assigns {
+            merged.set_bool(a.clone(), v);
+        }
+        for (a, &d) in &c.merged.deltas {
+            merged.add_num(a.clone(), d);
+        }
+        let violated: Vec<Formula> = self
+            .spec
+            .invariants
+            .iter()
+            .filter(|inv| !merged.eval(inv).unwrap_or(true))
+            .cloned()
+            .collect();
+        Ok(Some(ConflictWitness {
+            op1: op1.name.clone(),
+            args1: c.args1,
+            op2: op2.name.clone(),
+            args2: c.args2,
+            pre,
+            merged,
+            violated,
+            contested: c.contested,
+        }))
+    }
+
+    /// Can `op1 ∥ op2` violate the invariant? [`AnalysisSession::check_pair`]
+    /// without decoding the witness: what the repair search asks of every
+    /// candidate it rejects.
+    pub fn conflicts(&mut self, op1: &Operation, op2: &Operation) -> Result<bool, AnalysisError> {
+        Ok(self.first_conflict(op1, op2)?.is_some())
+    }
+
+    /// The loop behind both questions: the first instantiation and merge
+    /// alternative whose query is satisfiable.
+    fn first_conflict(
+        &mut self,
+        op1: &Operation,
+        op2: &Operation,
+    ) -> Result<Option<Conflict>, AnalysisError> {
+        for (args1, args2) in self.instantiations(op1, op2).iter() {
+            let (Some(f1), Some(f2)) = (self.footprint(op1, args1)?, self.footprint(op2, args2)?)
             else {
                 continue;
             };
@@ -93,34 +152,15 @@ impl AnalysisSession<'_> {
             for merged in f1.summary.merge(&f2.summary, &self.spec.rules) {
                 let post = self.image(&merged);
                 let post: Vec<&Image> = post.iter().collect();
-                let Some(model) = self.query(&wp, &post) else {
-                    continue;
-                };
-                let pre = model.to_interpretation(&self.universe, &self.spec.constants);
-                let mut merged_interp = pre.clone();
-                for (a, &v) in &merged.assigns {
-                    merged_interp.set_bool(a.clone(), v);
+                if let Some(model) = self.query(&wp, &post) {
+                    return Ok(Some(Conflict {
+                        args1: args1.clone(),
+                        args2: args2.clone(),
+                        contested: f1.summary.contested_atoms(&f2.summary),
+                        merged,
+                        model,
+                    }));
                 }
-                for (a, &d) in &merged.deltas {
-                    merged_interp.add_num(a.clone(), d);
-                }
-                let violated: Vec<Formula> = self
-                    .spec
-                    .invariants
-                    .iter()
-                    .filter(|inv| !merged_interp.eval(inv).unwrap_or(true))
-                    .cloned()
-                    .collect();
-                return Ok(Some(ConflictWitness {
-                    op1: op1.name.clone(),
-                    args1,
-                    op2: op2.name.clone(),
-                    args2,
-                    pre,
-                    merged: merged_interp,
-                    violated,
-                    contested: f1.summary.contested_atoms(&f2.summary),
-                }));
             }
         }
         Ok(None)
@@ -128,7 +168,8 @@ impl AnalysisSession<'_> {
 
     /// Does the repaired pair preserve the executability of the original
     /// pair — i.e. `wp(orig1) ∧ wp(orig2) ⇒ wp(cand1) ∧ wp(cand2)` in every
-    /// `I`-valid state, for every instantiation?
+    /// `I`-valid state, for every instantiation? One instantiation per
+    /// orbit is asked, as in [`AnalysisSession::check_pair`].
     ///
     /// This is the semantic-preservation side condition of the paper's
     /// repairs ("the additional effect has no impact if there is no
@@ -144,17 +185,16 @@ impl AnalysisSession<'_> {
         cand1: &Operation,
         cand2: &Operation,
     ) -> Result<bool, AnalysisError> {
-        for (args1, args2) in instantiations(orig1, orig2, &self.universe) {
-            let (Some(o1), Some(o2)) = (
-                self.footprint(orig1, &args1)?,
-                self.footprint(orig2, &args2)?,
-            ) else {
+        self.pin(&[cand1, cand2]);
+        for (args1, args2) in self.instantiations(orig1, orig2).iter() {
+            let (Some(o1), Some(o2)) =
+                (self.footprint(orig1, args1)?, self.footprint(orig2, args2)?)
+            else {
                 continue;
             };
-            let (Some(c1), Some(c2)) = (
-                self.footprint(cand1, &args1)?,
-                self.footprint(cand2, &args2)?,
-            ) else {
+            let (Some(c1), Some(c2)) =
+                (self.footprint(cand1, args1)?, self.footprint(cand2, args2)?)
+            else {
                 continue;
             };
             // A state where the originals execute but a candidate would not.

@@ -124,7 +124,7 @@ impl AnalysisSession<'_> {
             // precondition (the paper's repairs must preserve the original
             // semantics when no conflict occurs, §3.3).
             if self.preserves_executability(op1, op2, &cand.op1, &cand.op2)?
-                && self.check_pair(&cand.op1, &cand.op2)?.is_none()
+                && !self.conflicts(&cand.op1, &cand.op2)?
             {
                 sols.push(Resolution {
                     op1: cand.op1,

@@ -11,7 +11,7 @@
 //! `I = ∧ cᵢ` asserted once. Conflict detection
 //! ([`AnalysisSession::check_pair`]), the executability side condition
 //! ([`AnalysisSession::preserves_executability`]) and the repair search
-//! ([`AnalysisSession::repair_conflicts`]) are methods over it. Four
+//! ([`AnalysisSession::repair_conflicts`]) are methods over it. Five
 //! rules, each sound on its own:
 //!
 //! 1. **Assert only what changed.** For an effect summary `S`, the
@@ -39,24 +39,36 @@
 //!    detection pass re-checks only pairs involving a repaired operation.
 //!    Ground footprints are cached per `(Operation, arguments)` the same
 //!    way.
-//! 4. **Same answers.** Pair order, instantiation order, candidate order,
-//!    minimality pruning and resolution policy are untouched, and every
-//!    query is equisatisfiable with asserting `I`, both preconditions and
-//!    the negated post-state in full (`tests/query_equivalence.rs` keeps
-//!    that reference). A witness may be a different model of the same
-//!    query; it is still an `I`-valid state satisfying both preconditions
-//!    whose merge violates `I`.
+//! 4. **Same answers.** Pair order, candidate order, minimality pruning
+//!    and resolution policy are untouched, the instantiations asked are a
+//!    subsequence of the full order (rule 5), and every query is
+//!    equisatisfiable with asserting `I`, both preconditions and the
+//!    negated post-state in full (`tests/query_equivalence.rs` keeps that
+//!    reference, over the full product). A witness may be a different
+//!    model of the same query; it is still an `I`-valid state satisfying
+//!    both preconditions whose merge violates `I`.
+//! 5. **One instantiation per orbit.** A per-sort renaming of the
+//!    universe's synthetic elements maps the grounded `I` and every ground
+//!    effect to themselves up to the renaming, so instantiations in one
+//!    orbit pose equisatisfiable queries. Only the orbit's least member in
+//!    lexicographic order is asked, its first-occurrence normal form
+//!    ([`crate::universe::canonical_instantiations`], enumerated once per
+//!    pair of parameter sort lists). The first conflicting instantiation
+//!    of the full product is the least of its orbit, so it is also the
+//!    first one asked, and witnesses carry the same arguments. A sort an
+//!    invariant or effect names an element of by a constant is not
+//!    renamed ([`crate::universe::named_sorts`]).
 
 use crate::conflict::ConflictWitness;
 use crate::pipeline::AnalysisConfig;
 use crate::summary::EffectSummary;
-use crate::universe::build_universe;
+use crate::universe::{build_universe, canonical_instantiations, named_sorts, Instantiation};
 use crate::wp::apply_summary;
 use crate::AnalysisError;
 use ipa_solver::sat::Stats;
 use ipa_solver::{GroundFormula, Grounder, Model, Outcome, SolverSession, Universe};
-use ipa_spec::{AppSpec, Constant, GroundAtom, Operation};
-use std::collections::{HashMap, HashSet};
+use ipa_spec::{AppSpec, Constant, GroundAtom, Operation, Sort};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -78,6 +90,9 @@ pub struct Footprint {
     pub wp: Vec<Image>,
 }
 
+/// The parameter sorts of a pair of operations, in order.
+type PairSorts = (Vec<Sort>, Vec<Sort>);
+
 /// See the [module documentation](self).
 pub struct AnalysisSession<'a> {
     /// Source of the fixed parts: invariants, predicates, constants, rules.
@@ -96,6 +111,11 @@ pub struct AnalysisSession<'a> {
     /// `None` records an instantiation the operation's sorts reject.
     footprints: HashMap<Operation, HashMap<Vec<Constant>, Option<Rc<Footprint>>>>,
     clean: HashMap<Operation, HashSet<Operation>>,
+    /// Sorts an invariant or an effect met so far names an element of:
+    /// rule 5 does not rename them.
+    pinned: BTreeSet<Sort>,
+    /// Rule 5's instantiations, per pair of parameter sort lists.
+    instantiations: HashMap<PairSorts, Rc<[Instantiation]>>,
     pub(crate) pair_checks: u64,
     pub(crate) memo_hits: u64,
     pub(crate) queries: u64,
@@ -145,6 +165,8 @@ impl<'a> AnalysisSession<'a> {
             mentions,
             footprints: HashMap::new(),
             clean: HashMap::new(),
+            pinned: named_sorts(&spec.invariants, &spec.operations),
+            instantiations: HashMap::new(),
             pair_checks: 0,
             memo_hits: 0,
             queries: 0,
@@ -222,6 +244,36 @@ impl<'a> AnalysisSession<'a> {
             .or_default()
             .insert(args.to_vec(), footprint.clone());
         Ok(footprint)
+    }
+
+    /// Rule 5: the instantiations of `op1 ∥ op2`, one per orbit, in the
+    /// order of the full product. Enumerated once per pair of parameter
+    /// sort lists.
+    pub(crate) fn instantiations(
+        &mut self,
+        op1: &Operation,
+        op2: &Operation,
+    ) -> Rc<[Instantiation]> {
+        self.pin(&[op1, op2]);
+        let sorts = |op: &Operation| op.params.iter().map(|p| p.sort.clone()).collect();
+        let (universe, pinned) = (&self.universe, &self.pinned);
+        self.instantiations
+            .entry((sorts(op1), sorts(op2)))
+            .or_insert_with_key(|(s1, s2)| {
+                canonical_instantiations(s1, s2, universe, pinned).into()
+            })
+            .clone()
+    }
+
+    /// Stop renaming the sorts the effects of `ops` name an element of.
+    /// The shipped specifications name none; an operation that does
+    /// invalidates the enumerations made without it.
+    pub(crate) fn pin(&mut self, ops: &[&Operation]) {
+        let named = named_sorts(&[], ops.iter().copied());
+        if !named.is_subset(&self.pinned) {
+            self.pinned.extend(named);
+            self.instantiations.clear();
+        }
     }
 
     /// Drop the cached footprints of an operation value that will not be

@@ -5,14 +5,16 @@
 //! is reused across queries, behind a memo of clean pairs. The code it
 //! replaced asserted the whole of `I`, both weakest preconditions and the
 //! negated post-state into a fresh encoder and a fresh solver for every
-//! query. That code lives on here as [`Reference`], and everything the
-//! session answers is compared against it: every pair × instantiation ×
-//! merge alternative, every repair candidate's executability verdict, and
-//! every repair solution list — for the four shipped specifications, for
-//! every intermediate specification their fixpoints pass through, and for
-//! small generated ones.
+//! query, over the full product of parameter instantiations where the
+//! session asks one instantiation per orbit of same-sort renamings. That
+//! code lives on here as [`Reference`], and everything the session answers
+//! is compared against it: every pair × instantiation × merge alternative,
+//! every pair's verdict and first conflicting instantiation, every repair
+//! candidate's executability verdict, and every repair solution list — for
+//! the four shipped specifications, for every intermediate specification
+//! their fixpoints pass through, and for small generated ones.
 //!
-//! The last section plants three bugs and checks the oracle turns red on
+//! The last section plants four bugs and checks the oracle turns red on
 //! each.
 
 use ipa_apps::ticket::ticket_spec;
@@ -22,18 +24,50 @@ use ipa_apps::twitter::twitter_spec;
 use ipa_core::generate::{generate, CandidatePair};
 use ipa_core::repair::pick_resolution;
 use ipa_core::session::{Footprint, Image};
-use ipa_core::universe::{build_universe, instantiations};
+use ipa_core::universe::{
+    build_universe, canonical_instantiations, element, named_sorts, Instantiation,
+};
 use ipa_core::wp::apply_summary;
 use ipa_core::{AnalysisConfig, AnalysisSession, Analyzer, EffectSummary};
 use ipa_solver::tseitin::Encoder;
 use ipa_solver::{GroundFormula, Grounder, Solver, Universe};
-use ipa_spec::{AppSpec, AppSpecBuilder, ConvergencePolicy, Effect, Operation, Symbol};
+use ipa_spec::{
+    AppSpec, AppSpecBuilder, Atom, Constant, ConvergencePolicy, Effect, Operation, Sort, Symbol,
+    Term,
+};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 // ---------------------------------------------------------------------
-// The reference: full assertion, fresh encoder, fresh solver, no memo.
+// The reference: full product, full assertion, fresh encoder, fresh
+// solver, no memo.
 // ---------------------------------------------------------------------
+
+/// Every instantiation of the two operations' parameters over the
+/// universe: the cartesian product of per-parameter element choices, in
+/// lexicographic order.
+fn instantiations(op1: &Operation, op2: &Operation, universe: &Universe) -> Vec<Instantiation> {
+    let mut combos: Vec<Vec<Constant>> = vec![Vec::new()];
+    for p in op1.params.iter().chain(&op2.params) {
+        let elems = universe.elements(&p.sort);
+        let mut next = Vec::with_capacity(combos.len() * elems.len().max(1));
+        for prefix in &combos {
+            for e in elems {
+                let mut p = prefix.clone();
+                p.push(e.clone());
+                next.push(p);
+            }
+        }
+        combos = next;
+    }
+    combos
+        .into_iter()
+        .map(|mut v| {
+            let rest = v.split_off(op1.params.len());
+            (v, rest)
+        })
+        .collect()
+}
 
 struct Reference<'a> {
     spec: &'a AppSpec,
@@ -95,22 +129,33 @@ impl<'a> Reference<'a> {
         self.satisfiable(&asserted)
     }
 
+    /// Can `op1(args1) ∥ op2(args2)` violate the invariant under some
+    /// merge alternative?
+    fn violated_at(
+        &self,
+        op1: &Operation,
+        op2: &Operation,
+        (args1, args2): &Instantiation,
+    ) -> bool {
+        let (Some(s1), Some(s2)) = (self.summary(op1, args1), self.summary(op2, args2)) else {
+            return false;
+        };
+        !(s1.is_empty() && s2.is_empty())
+            && s1
+                .merge(&s2, &self.spec.rules)
+                .iter()
+                .any(|merged| self.violates(&s1, &s2, merged))
+    }
+
+    /// The first conflicting instantiation of the full product.
+    fn first_conflict(&self, op1: &Operation, op2: &Operation) -> Option<Instantiation> {
+        instantiations(op1, op2, &self.universe)
+            .into_iter()
+            .find(|inst| self.violated_at(op1, op2, inst))
+    }
+
     fn conflicts(&self, op1: &Operation, op2: &Operation) -> bool {
-        for (args1, args2) in instantiations(op1, op2, &self.universe) {
-            let (Some(s1), Some(s2)) = (self.summary(op1, &args1), self.summary(op2, &args2))
-            else {
-                continue;
-            };
-            if s1.is_empty() && s2.is_empty() {
-                continue;
-            }
-            for merged in s1.merge(&s2, &self.spec.rules) {
-                if self.violates(&s1, &s2, &merged) {
-                    return true;
-                }
-            }
-        }
-        false
+        self.first_conflict(op1, op2).is_some()
     }
 
     fn preserves_executability(
@@ -211,11 +256,21 @@ fn compare_queries(spec: &AppSpec, cfg: &AnalysisConfig, query: Query) -> Result
                     }
                 }
             }
-            // The pair-level answer (first SAT wins) agrees as well.
+            // The pair-level answer (first SAT wins) agrees as well, down to
+            // the instantiation: the first conflict of the full product is
+            // the least of its orbit, so the session asks it too.
             let witness = session.check_pair(op1, op2).expect("check_pair");
-            if witness.is_some() != reference.conflicts(op1, op2) {
+            let got = witness.map(|w| (w.args1, w.args2));
+            let expected = reference.first_conflict(op1, op2);
+            if got != expected {
                 return Err(format!(
-                    "{}: {} ∥ {} verdict",
+                    "{}: {} ∥ {}: reference's first conflict {expected:?}, session's {got:?}",
+                    spec.name, op1.name, op2.name
+                ));
+            }
+            if session.conflicts(op1, op2).expect("conflicts") != expected.is_some() {
+                return Err(format!(
+                    "{}: {} ∥ {} yes/no verdict",
                     spec.name, op1.name, op2.name
                 ));
             }
@@ -263,6 +318,58 @@ fn compare_repair(
         ));
     }
     Ok(candidates.len())
+}
+
+/// How the instantiations of a pair are enumerated; the planted bugs swap
+/// this out.
+type Enumerate = fn(&AppSpec, &Operation, &Operation, &Universe) -> Vec<Instantiation>;
+
+fn param_sorts(op: &Operation) -> Vec<Sort> {
+    op.params.iter().map(|p| p.sort.clone()).collect()
+}
+
+/// The session's enumeration: one instantiation per orbit, the sorts the
+/// invariants and the two operations name left whole.
+fn canonical(spec: &AppSpec, op1: &Operation, op2: &Operation, u: &Universe) -> Vec<Instantiation> {
+    let pinned = named_sorts(&spec.invariants, [op1, op2]);
+    canonical_instantiations(&param_sorts(op1), &param_sorts(op2), u, &pinned)
+}
+
+/// Every pair of `spec`'s operations: the reference's first conflict among
+/// `enumerate`'s instantiations against its first conflict in the full
+/// product. Returns how many instantiations each side enumerated, or the
+/// first disagreement.
+fn compare_enumeration(
+    spec: &AppSpec,
+    cfg: &AnalysisConfig,
+    enumerate: Enumerate,
+) -> Result<(usize, usize), String> {
+    let reference = Reference::new(spec, cfg);
+    let (mut asked, mut full) = (0, 0);
+    for (i, op1) in spec.operations.iter().enumerate() {
+        for op2 in &spec.operations[i..] {
+            let all = instantiations(op1, op2, &reference.universe);
+            let violated: Vec<bool> = all
+                .iter()
+                .map(|inst| reference.violated_at(op1, op2, inst))
+                .collect();
+            let expected = all.iter().zip(&violated).find(|(_, &v)| v).map(|(i, _)| i);
+            let subset = enumerate(spec, op1, op2, &reference.universe);
+            let got = subset.iter().find(|inst| {
+                let k = all.iter().position(|a| a == *inst).expect("in the product");
+                violated[k]
+            });
+            if got != expected {
+                return Err(format!(
+                    "{}: {} ∥ {}: first conflict of the product {expected:?}, enumerated {got:?}",
+                    spec.name, op1.name, op2.name
+                ));
+            }
+            asked += subset.len();
+            full += all.len();
+        }
+    }
+    Ok((asked, full))
 }
 
 /// The specifications the fixpoint of `spec` passes through, each with the
@@ -372,6 +479,8 @@ fn generated_spec(invariants: &[usize], operations: &[usize], policies: &[usize]
     let x = ("x", "A");
     let y = ("y", "B");
     let mut seen = HashSet::new();
+    // The one effect naming an element: its sort is not renamed.
+    let b2 = || Term::Const(element(&Sort::new("B"), 2));
     for &o in operations {
         if seen.len() == 4 || !seen.insert(o) {
             continue;
@@ -390,8 +499,12 @@ fn generated_spec(invariants: &[usize], operations: &[usize], policies: &[usize]
                 op.set_true("s", &["x", "y"]).set_false("r", &["x", "y"])
             }),
             8 => b.operation("take", &[y], |op| op.dec("n", &["y"], 1)),
-            _ => b.operation("open_b", &[y], |op| {
+            9 => b.operation("open_b", &[y], |op| {
                 op.set_true("b", &["y"]).inc("n", &["y"], 2)
+            }),
+            _ => b.operation("close_second", &[x], |op| {
+                op.set_true("a", &["x"])
+                    .effect(Effect::set_false(Atom::new("b", vec![b2()])))
             }),
         };
     }
@@ -404,7 +517,7 @@ proptest! {
     #[test]
     fn generated_specs_match_the_reference(
         invariants in prop::collection::vec(0usize..7, 2..=4),
-        operations in prop::collection::vec(0usize..10, 4..=7),
+        operations in prop::collection::vec(0usize..11, 4..=7),
         policies in prop::collection::vec(0usize..3, 4),
     ) {
         let spec = generated_spec(&invariants, &operations, &policies);
@@ -412,6 +525,7 @@ proptest! {
         if let Err(e) = compare_queries(&spec, &cfg, session_query) {
             prop_assert!(false, "{}\n{:?}", e, spec);
         }
+
         // The repair search of the first conflicting pair, if any.
         let reference = Reference::new(&spec, &cfg);
         let conflicting = spec.operations.iter().enumerate().find_map(|(i, op1)| {
@@ -549,4 +663,45 @@ fn a_memo_keyed_on_names_turns_the_oracle_red() {
         red += usize::from(fixpoint(&spec, |op| op.name.to_string()) != expected);
     }
     assert!(red > 0, "a name-keyed memo went unnoticed on every spec");
+}
+
+/// One orbit kept of each pair's: every parameter is its sort's first
+/// element, as if the fully aliased instantiation stood for all.
+fn all_first(_: &AppSpec, op1: &Operation, op2: &Operation, u: &Universe) -> Vec<Instantiation> {
+    let first = |op: &Operation| {
+        op.params
+            .iter()
+            .map(|p| u.elements(&p.sort)[0].clone())
+            .collect()
+    };
+    vec![(first(op1), first(op2))]
+}
+
+/// The per-sort fallback left out: a sort named by a constant is renamed
+/// anyway, so the orbits that put a parameter on the named element merge
+/// with those that do not.
+fn renaming_named_sorts(
+    _: &AppSpec,
+    op1: &Operation,
+    op2: &Operation,
+    u: &Universe,
+) -> Vec<Instantiation> {
+    canonical_instantiations(&param_sorts(op1), &param_sorts(op2), u, &BTreeSet::new())
+}
+
+#[test]
+fn a_dropped_orbit_turns_the_oracle_red() {
+    // Under `#r(*, y) <= 1`, `link(x, y) ∥ link(x', y)` conflicts only at
+    // `x != x'`; `link(x, y) ∥ close_second(x')` conflicts only at
+    // `y = B#2`, the element `close_second` names, so `B` keeps both.
+    let spec = generated_spec(&[0, 4], &[3, 10], &[0, 0, 0, 0]);
+    let cfg = AnalysisConfig::tuned_for(&spec);
+    let (asked, full) =
+        compare_enumeration(&spec, &cfg, canonical).unwrap_or_else(|e| panic!("{e}"));
+    assert!(asked < full, "{asked} of {full}: nothing reduced");
+    compare_queries(&spec, &cfg, session_query).unwrap_or_else(|e| panic!("{e}"));
+    let dropped = compare_enumeration(&spec, &cfg, all_first);
+    assert!(dropped.is_err(), "a dropped orbit went unnoticed");
+    let renamed = compare_enumeration(&spec, &cfg, renaming_named_sorts);
+    assert!(renamed.is_err(), "a renamed named sort went unnoticed");
 }

@@ -1,7 +1,7 @@
 //! Integration: the full specification → analysis → patched-spec pipeline
 //! across all four applications.
 
-use ipa::analysis::{Analyzer, Support};
+use ipa::analysis::{AnalysisConfig, Analyzer, Support};
 use ipa::apps::ticket::ticket_spec;
 use ipa::apps::tournament::tournament_spec;
 use ipa::apps::tpc::tpc_spec;
@@ -177,6 +177,32 @@ op: restock(p: Product) { stock(p) += 10 }
     }
 }
 
+/// The small scope is large enough: a third or a fourth element per sort
+/// changes no repair, no flagged pair and no patched operation (ROADMAP
+/// item 6). The default stays at two.
+#[test]
+fn verdicts_are_stable_at_scope_2_3_and_4() {
+    for spec in [
+        tournament_spec(),
+        twitter_spec(false),
+        ticket_spec(),
+        tpc_spec(),
+    ] {
+        let at_scope = |universe_per_sort| {
+            let config = AnalysisConfig {
+                universe_per_sort,
+                ..AnalysisConfig::tuned_for(&spec)
+            };
+            render(&Analyzer::new(config).analyze(&spec).expect("analysis"))
+        };
+        let two = at_scope(2);
+        assert_eq!(two, render(&analyze(&spec)), "{}: default scope", spec.name);
+        for scope in [3, 4] {
+            assert_eq!(at_scope(scope), two, "{}: scope {scope}", spec.name);
+        }
+    }
+}
+
 /// The analysis asks each question once (ROADMAP item 1, analysis-half
 /// attribution). These counters are deterministic; the numbers are the
 /// tournament's.
@@ -194,10 +220,12 @@ fn tournament_analysis_asks_each_question_once() {
     // search.
     assert_eq!(report.solvers, repair_searches + 1);
     // Before the session the same analysis issued 2,535 queries, each on
-    // its own solver; the memo avoids 600, and a third of the rest are
-    // decided by construction.
-    assert_eq!(report.queries, 1935);
-    assert_eq!(report.solver.solves, 1273);
+    // its own solver; the memo avoided 600 (1,935 left), and a third of the
+    // rest were decided by construction (1,273 solves). Asking one
+    // instantiation per orbit of same-sort renamings halves both: the
+    // other instantiations of an orbit pose equisatisfiable queries.
+    assert_eq!(report.queries, 909);
+    assert_eq!(report.solver.solves, 710);
     // A query adds its residue to a loaded solver — a handful of clauses
     // — instead of re-asserting the invariant (63 clauses) four times.
     let cfg = ipa::analysis::AnalysisConfig::tuned_for(&spec);
