@@ -15,8 +15,8 @@ use crate::time::SimTime;
 use crate::trace::{AppOp, SETUP_CLIENT};
 use ipa_crdt::{ReplicaId, VClock};
 use ipa_store::{
-    anti_entropy_fixpoint_nodes, anti_entropy_pull_round, nodes_converged, AeCursors, CommitInfo,
-    Links, Node, Replica, StoreError, Transaction, Transport, UpdateBatch,
+    anti_entropy_fixpoint_nodes, anti_entropy_pull_round, gc_round, nodes_converged, AeCursors,
+    CommitInfo, Links, Node, Replica, StoreError, Transaction, Transport, UpdateBatch,
 };
 use rand::rngs::StdRng;
 use std::cmp::Reverse;
@@ -935,12 +935,7 @@ impl Simulation {
                     }
                 }
                 Event::Gc => {
-                    let ids: Vec<ReplicaId> = self.nodes.iter().map(Node::id).collect();
-                    for node in &mut self.nodes {
-                        if !node.is_down() {
-                            node.replica_mut().run_gc(&ids);
-                        }
-                    }
+                    gc_round(&mut self.nodes);
                     self.tick(self.cfg.gc_interval_s, Event::Gc);
                 }
                 Event::Flap => {

@@ -3,8 +3,8 @@
 //! (the latency-accurate transport lives in `ipa-sim`).
 
 use crate::batch::UpdateBatch;
-use crate::replica::{AeCursors, Replica};
-use crate::transport::{nodes_converged, Links, Node, Transport};
+use crate::replica::Replica;
+use crate::transport::{gc_round, nodes_converged, AeCursors, Links, Node, Transport};
 use ipa_crdt::ReplicaId;
 use std::sync::Arc;
 
@@ -155,12 +155,9 @@ impl Cluster {
         while self.anti_entropy() > 0 {}
     }
 
-    /// Run stability GC on every replica.
+    /// Run stability GC on every live replica ([`gc_round`]).
     pub fn run_gc(&mut self) {
-        let ids = self.replica_ids();
-        for node in &mut self.nodes {
-            node.replica_mut().run_gc(&ids);
-        }
+        gc_round(&mut self.nodes);
     }
 
     /// Are all replicas converged: equal clocks, nothing buffered at a

@@ -9,8 +9,6 @@ use std::fmt;
 pub enum StoreError {
     /// The key does not exist (and the operation cannot create it).
     NoSuchObject(Key),
-    /// The key exists with a different object kind.
-    KindMismatch { key: Key, existing: &'static str },
     /// The key's object is not of the type the accessor expects.
     WrongType { key: Key, expected: &'static str },
     /// An escrow decrement exceeded the replica's local rights
@@ -25,9 +23,6 @@ impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::NoSuchObject(k) => write!(f, "no such object: {k}"),
-            StoreError::KindMismatch { key, existing } => {
-                write!(f, "key {key} already holds a {existing}")
-            }
             StoreError::WrongType { key, expected } => {
                 write!(f, "key {key} is not a {expected}")
             }

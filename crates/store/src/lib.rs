@@ -21,12 +21,15 @@
 //! drives the CRDTs' tombstone garbage collection ([`Replica::run_gc`]).
 
 pub mod batch;
+mod causal;
 pub mod cluster;
 pub mod errors;
 pub mod key;
+mod origin_log;
 mod pool;
 pub mod replica;
 pub mod schedule;
+mod stability;
 pub mod threaded;
 pub mod transport;
 pub mod txn;
@@ -36,13 +39,13 @@ pub use cluster::Cluster;
 pub use errors::StoreError;
 pub use key::Key;
 pub use replica::{
-    AeCursors, ApplyDispatch, Replica, ReplicaStats, ShardStats, DEFAULT_SHARDS,
-    PARALLEL_APPLY_MIN_UPDATES,
+    ApplyDispatch, Replica, ReplicaStats, ShardStats, DEFAULT_SHARDS, PARALLEL_APPLY_MIN_UPDATES,
 };
 pub use schedule::{CausalItem, DeliveryFaults, Schedule, ScheduleReport};
 pub use threaded::{ThreadedCluster, ThreadedConfig, ThreadedStats};
 pub use transport::{
     anti_entropy_fixpoint_nodes, anti_entropy_pull_round, anti_entropy_round_nodes,
-    anti_entropy_round_nodes_with_links, nodes_converged, InFlightWindow, Links, Node, Transport,
+    anti_entropy_round_nodes_with_links, gc_round, nodes_converged, AeCursors, InFlightWindow,
+    Links, Node, Transport,
 };
 pub use txn::{CommitInfo, Transaction};

@@ -24,8 +24,9 @@
 //!   suite is checked at quiescence instead.
 
 use crate::batch::UpdateBatch;
-use crate::replica::{AeCursors, Replica};
+use crate::replica::Replica;
 use ipa_crdt::{ReplicaId, VClock};
+use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -378,6 +379,75 @@ pub trait Transport {
     fn node_up(&self, node: ReplicaId) -> bool;
 }
 
+/// Per-peer anti-entropy cursors, held by whoever drives repeated rounds
+/// (a [`crate::Cluster`], the simulator). For each `(puller, source)`
+/// pair the cursor caches the puller's applied clock and the source's log
+/// version as of the last pull; when neither has moved and that pull came
+/// back empty, the next round skips the pair outright — a pull is a pure
+/// function of exactly those two inputs. In a converged cluster this
+/// makes a round O(pairs) instead of O(pairs × log).
+///
+/// The cursor never changes *what* a pull returns: the batch set is
+/// always derived from the puller's authoritative clock, so dropped or
+/// refused deliveries are re-sent exactly as without cursors (schedule
+/// digests are bit-identical), and GC compaction — which only discards
+/// causally stable prefixes every possible puller already covers — just
+/// bumps the log version and forces one fresh (still cheap, seek-based)
+/// pull.
+#[derive(Debug, Default)]
+pub struct AeCursors {
+    map: HashMap<(ReplicaId, ReplicaId), AeCursor>,
+}
+
+#[derive(Debug)]
+struct AeCursor {
+    peer_clock: VClock,
+    log_version: u64,
+    drained: bool,
+}
+
+impl AeCursors {
+    pub fn new() -> AeCursors {
+        AeCursors::default()
+    }
+
+    /// Would a pull by `dst` (applied clock `clock`) from `src` (log
+    /// version `version`) return anything it did not already return last
+    /// time? False only when the last pull was empty and both inputs are
+    /// unchanged.
+    pub fn should_pull(
+        &self,
+        dst: ReplicaId,
+        src: ReplicaId,
+        clock: &VClock,
+        version: u64,
+    ) -> bool {
+        match self.map.get(&(dst, src)) {
+            Some(c) => !(c.drained && c.log_version == version && c.peer_clock == *clock),
+            None => true,
+        }
+    }
+
+    /// Record the inputs and outcome of a pull that actually ran.
+    pub fn record(
+        &mut self,
+        dst: ReplicaId,
+        src: ReplicaId,
+        clock: VClock,
+        version: u64,
+        drained: bool,
+    ) {
+        self.map.insert(
+            (dst, src),
+            AeCursor {
+                peer_clock: clock,
+                log_version: version,
+                drained,
+            },
+        );
+    }
+}
+
 /// The one pull plan of pairwise anti-entropy: every live node `dst`
 /// asks every live peer `src` with `link_up(src, dst)` for what its
 /// durable log holds past `since(dst)`, unless the pair's cursor says the
@@ -460,6 +530,16 @@ pub fn anti_entropy_fixpoint_nodes(nodes: &mut [Node], cursors: &mut AeCursors) 
     rounds
 }
 
+/// One stability-GC round over a node set: the frontier is taken over
+/// every node id, so a down node still pins it, and only live nodes
+/// compact ([`Replica::run_gc`]).
+pub fn gc_round(nodes: &mut [Node]) {
+    let ids: Vec<ReplicaId> = nodes.iter().map(Node::id).collect();
+    for node in nodes.iter_mut().filter(|n| !n.is_down()) {
+        node.replica_mut().run_gc(&ids);
+    }
+}
+
 /// The node half of [`Transport::converged`]: equal applied clocks and
 /// empty causal buffers. A transport adds its own in-flight check. Nodes
 /// are looked at one at a time (`&Node`s, or lock guards taken and
@@ -477,6 +557,10 @@ pub fn nodes_converged(nodes: impl IntoIterator<Item = impl Deref<Target = Node>
 mod tests {
     use super::*;
     use ipa_crdt::{ObjectKind, Val};
+
+    fn r(i: u16) -> ReplicaId {
+        ReplicaId(i)
+    }
 
     fn clock(entries: &[(u16, u64)]) -> VClock {
         let mut c = VClock::new();
@@ -564,6 +648,39 @@ mod tests {
         assert!(links.is_up(0, 2) && !links.is_up(1, 2));
         links.heal_all();
         assert!((0..3).all(|a| (0..3).all(|b| links.is_up(a, b))));
+    }
+
+    #[test]
+    fn cursors_skip_drained_pairs_without_changing_results() {
+        let mut nodes = vec![Node::new(r(0)), Node::new(r(1))];
+        let mut tx = nodes[0].replica_mut().begin();
+        tx.ensure("c", ObjectKind::PNCounter).unwrap();
+        tx.counter_add("c", 1).unwrap();
+        tx.commit();
+        let scanned = |nodes: &[Node]| -> u64 {
+            nodes
+                .iter()
+                .map(|n| n.replica().stats.anti_entropy_scanned)
+                .sum()
+        };
+        let mut cursors = AeCursors::new();
+        assert_eq!(anti_entropy_round_nodes(&mut nodes, &mut cursors), 1);
+        // Second round: nothing to pull; third round after cursors have
+        // seen the drained state: the source log is not even probed.
+        assert_eq!(anti_entropy_round_nodes(&mut nodes, &mut cursors), 0);
+        let probes = scanned(&nodes);
+        assert_eq!(anti_entropy_round_nodes(&mut nodes, &mut cursors), 0);
+        assert_eq!(
+            scanned(&nodes),
+            probes,
+            "drained pairs are skipped without a pull"
+        );
+        // A new commit invalidates the cursor and the pull resumes.
+        let mut tx = nodes[1].replica_mut().begin();
+        tx.ensure("c", ObjectKind::PNCounter).unwrap();
+        tx.counter_add("c", 1).unwrap();
+        tx.commit();
+        assert_eq!(anti_entropy_round_nodes(&mut nodes, &mut cursors), 1);
     }
 
     #[test]
