@@ -64,8 +64,12 @@ pub struct ReplicaStats {
     /// the transaction had already written. Never an element-level access.
     pub txn_objects_copied: u64,
     /// Per-element entries transactions copied out of stored sets and
-    /// maps they were writing. With `txn_objects_copied`: "a commit costs
-    /// what it touches", pinned without a wall clock.
+    /// maps they had written, only once read back: a read of an element
+    /// the transaction's effects on the key name (or after an effect that
+    /// names none, such as a rem-wins wildcard), and from then on each
+    /// element the key's reads or effects name. A write alone copies
+    /// nothing. With `txn_objects_copied`: "a write costs its effect",
+    /// pinned without a wall clock.
     pub txn_entries_copied: u64,
     /// Stability-frontier reads served by the cached fold.
     pub frontier_cache_hits: u64,

@@ -6,21 +6,28 @@
 //! atomically and stages one [`UpdateBatch`] for asynchronous replication.
 //! Dropping the transaction without committing aborts it.
 //!
-//! # The overlay: a transaction copies what it changes
+//! # The overlay: a transaction copies what it reads back
 //!
 //! The overlay holds only the keys this transaction created or has
-//! written, and of a written set or map only the elements it has touched:
+//! written, and of a written set or map only the elements it has read
+//! back:
 //!
 //! 1. **Unwritten, stored key**: never copied. Reads and prepares borrow
-//!    the object from [`Replica::object`].
+//!    the object from the replica's shard table.
 //! 2. **Written key, element-level access** (`aw_add`, `aw_remove`,
-//!    `rw_*`, `map_put`/`touch`/`remove`/`get`, `contains`): the first
-//!    write to a stored add-wins set, rem-wins set or add-wins map starts
-//!    a *partial copy* ([`Object::partial_copy`]); an element's entry is
-//!    pulled from the stored object ([`Object::copy_entry`]) on the first
-//!    read or effect that names it, and the element is remembered as
-//!    covered even when the stored object had no entry. Reads, prepares
-//!    and the effect itself then run against the partial copy.
+//!    `rw_*`, `map_put`/`touch`/`remove`/`get`, `contains`): *copy on
+//!    read-back*. A write to a stored add-wins set, rem-wins set or
+//!    add-wins map only buffers its effect, linked to the key's earlier
+//!    ones. An element read takes the stored entry in place unless one of
+//!    the key's effects names that element ([`ObjectOp::for_each_elem`])
+//!    or names none at all (*opaque*: a rem-wins wildcard). Such a read
+//!    materializes a *partial copy* ([`Object::partial_copy`]) by
+//!    replaying the key's own effects, each after the entries of the
+//!    elements it names are copied in ([`Object::copy_entry`]). From then
+//!    on an element's entry is copied on the first read or effect that
+//!    names it, and the element is remembered as covered even when the
+//!    stored object had no entry; reads, prepares and effects run against
+//!    the partial copy.
 //! 3. **Written key, whole-object access** (`for_each_element`, which
 //!    `set_elements` and `set_len` are built on, and
 //!    `aw_remove_matching`; `compset_read` and counter or register reads
@@ -36,20 +43,22 @@
 //!    installed; created-but-unwritten objects install locally; dropping
 //!    the transaction leaves the replica's objects untouched.
 //!
-//! Cost: O(entries touched) per transaction, whatever the size of the
-//! objects it looks at; O(object) only for a whole-object question about
-//! a key the transaction has already written.
+//! Cost: O(entries read back) per transaction, whatever the size of the
+//! objects it looks at or writes; O(object) only for a whole-object
+//! question about a key the transaction has already written. A replay
+//! walks the key's own effects, never the whole buffer.
 //! [`ReplicaStats::txn_objects_copied`](crate::ReplicaStats) and
 //! [`txn_entries_copied`](crate::ReplicaStats) count both kinds of copy.
 //!
-//! # Keys are looked up by name
+//! # Keys are looked up by name, once
 //!
 //! Every entry point takes its key as `impl AsRef<str>` (a `&str`, a
-//! `String`, a [`Key`]) and probes the overlay and the shard table with
-//! the borrowed name. The owned `Key` that an overlay entry and each
-//! buffered effect carry is a clone of the shard table's own; only
-//! `ensure` of a key stored nowhere needs a new one (`Into<Key>`: built
-//! from a name, taken as it is from a caller that holds a `Key`).
+//! `String`, a [`Key`]) and resolves it once: one overlay probe and at
+//! most one shard-table lookup, both with the borrowed name. The owned
+//! `Key` that an overlay entry and each buffered effect carry is a clone
+//! of the shard table's own; only `ensure` of a key stored nowhere needs a
+//! new one (`Into<Key>`: built from a name, taken as it is from a caller
+//! that holds a `Key`).
 
 use crate::batch::UpdateBatch;
 use crate::errors::StoreError;
@@ -74,6 +83,63 @@ pub struct CommitInfo {
 /// A buffered effect: the key, its declared kind, the operation.
 type Update = (Key, ObjectKind, ObjectOp);
 
+/// The buffered effects, in execution order, each linked to the next
+/// effect on the same key so that a key's own effects replay without a
+/// walk of the rest.
+#[derive(Default)]
+struct Buffer {
+    updates: Vec<Update>,
+    /// `next[i]`: the position of the next effect on `updates[i]`'s key.
+    next: Vec<Option<usize>>,
+}
+
+/// The first and last positions of one key's effects in the [`Buffer`].
+type Ends = Option<(usize, usize)>;
+
+impl Buffer {
+    fn push(&mut self, ends: &mut Ends, update: Update) {
+        let at = self.updates.len();
+        self.updates.push(update);
+        self.next.push(None);
+        match ends {
+            Some((_, last)) => self.next[std::mem::replace(last, at)] = Some(at),
+            None => *ends = Some((at, at)),
+        }
+    }
+
+    /// One key's effects, in execution order.
+    fn of(&self, ends: Ends) -> impl Iterator<Item = &ObjectOp> {
+        std::iter::successors(ends.map(|(first, _)| first), |&at| self.next[at])
+            .map(|at| &self.updates[at].2)
+    }
+}
+
+/// Copies made while resolving one access, added to the replica's
+/// counters once the stored object is no longer borrowed.
+#[derive(Default)]
+struct Copied {
+    objects: u64,
+    entries: u64,
+}
+
+/// What the overlay holds of one key's object.
+enum Held {
+    /// Rule 2 before any read-back: no copy; the stored object answers
+    /// every element its effects do not name.
+    Deferred,
+    /// Rule 2 after a read-back.
+    Partial(PartialCopy),
+    /// Rules 3 and 4: the whole object as this transaction sees it.
+    Whole(Object),
+}
+
+/// A partial copy of a stored object, and the elements, sorted, whose
+/// stored entry (or lack of one) it already reflects.
+struct PartialCopy {
+    obj: Object,
+    covered: Vec<Val>,
+}
+
 /// The overlay's entry for one key the transaction created or has written.
 struct Shadow {
     /// The key as the table that holds it spells it: the shard table's
@@ -81,56 +147,126 @@ struct Shadow {
     /// buffered effect on the key carries a clone of it.
     key: Key,
     kind: ObjectKind,
-    obj: Object,
-    /// `Some` while `obj` is a partial copy of the stored object: the
-    /// elements, sorted, whose stored entry (or lack of one) `obj`
-    /// already reflects. `None` once `obj` is whole.
-    covered: Option<Vec<Val>>,
-    /// An effect on this key is buffered, so commit rebuilds the object
-    /// from the batch. Unset only on a created object nothing was written
-    /// to, which commit installs as it is.
-    written: bool,
+    held: Held,
+    /// Where the key's effects sit in the buffer. `None` only on a created
+    /// object nothing was written to, which commit installs as it is.
+    effects: Ends,
 }
 
-impl Shadow {
-    /// Rule 2: bring `e`'s stored entry into a partial copy, once.
-    fn cover(&mut self, replica: &mut Replica, e: &Val) {
-        let Some(covered) = &mut self.covered else {
+/// The kinds whose state is keyed by element, so that a write to a stored
+/// one defers its copy (rule 2); the rest are copied whole (rule 4).
+fn keyed_by_element(kind: ObjectKind) -> bool {
+    matches!(
+        kind,
+        ObjectKind::AWSet | ObjectKind::RWSet | ObjectKind::AWMap
+    )
+}
+
+impl PartialCopy {
+    /// Bring `e`'s stored entry in, once.
+    fn cover(&mut self, stored: &Object, e: &Val, copied: &mut Copied) {
+        let Err(at) = self.covered.binary_search(e) else {
             return;
         };
-        let Err(at) = covered.binary_search(e) else {
-            return;
-        };
-        covered.insert(at, e.clone());
-        let stored = replica
-            .object(&self.key)
-            .expect("a partial copy is of a stored object");
+        self.covered.insert(at, e.clone());
         if stored.copy_entry(e, &mut self.obj) {
-            replica.stats.txn_entries_copied += 1;
+            copied.entries += 1;
         }
     }
 
-    /// Rule 3: turn a partial copy into the whole object, as this
-    /// transaction sees it.
-    fn make_whole(&mut self, replica: &mut Replica, updates: &[Update]) {
-        if self.covered.take().is_none() {
-            return;
+    /// Apply an effect, the elements it names covered first: an entry
+    /// copied in afterwards would overwrite the effect.
+    fn apply(&mut self, stored: &Object, op: &ObjectOp, copied: &mut Copied) {
+        op.for_each_elem(|e| self.cover(stored, e, copied));
+        self.obj
+            .apply(op)
+            .expect("prepared against this object's kind");
+    }
+}
+
+impl Shadow {
+    /// Whether a read of `e` must see this transaction's effects: one of
+    /// them names `e`, or one is opaque (names no element).
+    fn read_back(&self, e: &Val, buffer: &Buffer) -> bool {
+        buffer.of(self.effects).any(|op| {
+            let (mut names_none, mut names_e) = (true, false);
+            op.for_each_elem(|x| {
+                names_none = false;
+                names_e |= x == e;
+            });
+            names_none || names_e
+        })
+    }
+
+    /// The object a read runs against, with what the read depends on
+    /// brought in (rules 2 and 3). `stored` is `None` only for a whole
+    /// copy, which needs nothing from it.
+    fn view<'s>(
+        &'s mut self,
+        stored: Option<&'s Object>,
+        reads: Reads<'_>,
+        buffer: &Buffer,
+        copied: &mut Copied,
+    ) -> &'s Object {
+        if let Some(stored) = stored {
+            match reads {
+                Reads::Nothing => {}
+                Reads::Element(e) => {
+                    if matches!(self.held, Held::Deferred) && self.read_back(e, buffer) {
+                        let mut copy = PartialCopy {
+                            obj: stored
+                                .partial_copy()
+                                .expect("a deferred key is keyed by element"),
+                            covered: Vec::new(),
+                        };
+                        for op in buffer.of(self.effects) {
+                            copy.apply(stored, op, copied);
+                        }
+                        self.held = Held::Partial(copy);
+                    }
+                    if let Held::Partial(copy) = &mut self.held {
+                        copy.cover(stored, e, copied);
+                    }
+                }
+                Reads::Whole => {
+                    let mut obj = stored.clone();
+                    copied.objects += 1;
+                    for op in buffer.of(self.effects) {
+                        obj.apply(op).expect("prepared against this object's kind");
+                    }
+                    self.held = Held::Whole(obj);
+                }
+            }
         }
-        self.obj = replica
-            .object(&self.key)
-            .expect("a partial copy is of a stored object")
-            .clone();
-        replica.stats.txn_objects_copied += 1;
-        for (_, _, op) in updates.iter().filter(|(k, _, _)| *k == self.key) {
-            self.obj
-                .apply(op)
-                .expect("the partial copy took this effect");
+        match &self.held {
+            Held::Deferred => stored.expect("a deferred key is stored"),
+            Held::Partial(PartialCopy { obj, .. }) | Held::Whole(obj) => obj,
         }
+    }
+
+    /// Buffer an effect on this key and apply it to whatever copy the
+    /// overlay holds (none while deferred).
+    fn record(
+        &mut self,
+        op: ObjectOp,
+        stored: Option<&Object>,
+        buffer: &mut Buffer,
+        copied: &mut Copied,
+    ) {
+        match &mut self.held {
+            Held::Deferred => {}
+            Held::Partial(copy) => {
+                let stored = stored.expect("a partial copy is of a stored object");
+                copy.apply(stored, &op, copied);
+            }
+            Held::Whole(obj) => obj.apply(&op).expect("prepared against this object's kind"),
+        }
+        buffer.push(&mut self.effects, (self.key.clone(), self.kind, op));
     }
 }
 
 /// How much of a key's object a read depends on: what has to be in a
-/// partial copy before the read may run against it.
+/// copy before the read may run against it.
 enum Reads<'e> {
     /// Only the object's type (a prepare that captures no state).
     Nothing,
@@ -145,8 +281,7 @@ pub struct Transaction<'a> {
     replica: &'a mut Replica,
     /// Copy-on-write view of the keys created or written (module docs).
     overlay: HashMap<Key, Shadow>,
-    /// Buffered effects, in execution order.
-    updates: Vec<Update>,
+    buffer: Buffer,
     /// The clock this commit will carry (replica clock + own tick).
     commit_clock: VClock,
     /// Lamport timestamp for LWW writes.
@@ -161,7 +296,7 @@ impl<'a> Transaction<'a> {
         Transaction {
             replica,
             overlay: HashMap::new(),
-            updates: Vec::new(),
+            buffer: Buffer::default(),
             commit_clock,
             ts,
             compensations: 0,
@@ -184,73 +319,87 @@ impl<'a> Transaction<'a> {
                 Shadow {
                     key,
                     kind,
-                    obj: Object::new(kind, creation_owner()),
-                    covered: None,
-                    written: false,
+                    held: Held::Whole(Object::new(kind, creation_owner())),
+                    effects: None,
                 },
             );
         }
         Ok(())
     }
 
-    /// The object a read of `key` runs against: the stored object while
-    /// the transaction has not written the key (rule 1), else its copy
-    /// with what the read depends on brought in (rules 2 and 3).
-    fn view(&mut self, key: &str, reads: Reads<'_>) -> Result<&Object, StoreError> {
-        match self.overlay.get_mut(key) {
+    /// The one path every entry point takes: run `prepare` against the
+    /// object a read of `key` sees, then buffer the effect it returns, if
+    /// any. The stored object is read in place until the key is written
+    /// (rule 1); the first write to a stored key defers its copy or, for
+    /// a kind not keyed by element, copies it whole (rules 2 and 4).
+    fn access<R>(
+        &mut self,
+        key: &str,
+        reads: Reads<'_>,
+        prepare: impl FnOnce(&Object) -> Result<(R, Option<ObjectOp>), StoreError>,
+    ) -> Result<R, StoreError> {
+        let (replica, buffer) = (&*self.replica, &mut self.buffer);
+        let mut copied = Copied::default();
+        let out = match self.overlay.get_mut(key) {
             Some(shadow) => {
-                match reads {
-                    Reads::Nothing => {}
-                    Reads::Element(e) => shadow.cover(self.replica, e),
-                    Reads::Whole => shadow.make_whole(self.replica, &self.updates),
-                }
-                Ok(&shadow.obj)
-            }
-            None => self
-                .replica
-                .object(key)
-                .ok_or_else(|| StoreError::NoSuchObject(Key::new(key))),
-        }
-    }
-
-    /// Record an effect and apply it to the transaction's copy of the
-    /// key, which the first write to a stored key starts: partial for the
-    /// kinds keyed by element, whole for the rest (rule 4).
-    fn push(&mut self, key: &str, op: ObjectOp) -> Result<(), StoreError> {
-        let shadow = match self.overlay.get_mut(key) {
-            Some(shadow) => shadow,
-            None => {
-                let (key, kind, stored) = self
-                    .replica
-                    .stored(key)
-                    .ok_or_else(|| StoreError::NoSuchObject(Key::new(key)))?;
-                let key = key.clone();
-                let (obj, covered) = match stored.partial_copy() {
-                    Some(partial) => (partial, Some(Vec::new())),
-                    None => {
-                        let whole = stored.clone();
-                        self.replica.stats.txn_objects_copied += 1;
-                        (whole, None)
-                    }
+                let stored = match shadow.held {
+                    Held::Whole(_) => None,
+                    _ => replica.object(key),
                 };
-                self.overlay.entry(key.clone()).or_insert(Shadow {
-                    key,
-                    kind,
-                    obj,
-                    covered,
-                    written: false,
+                let obj = shadow.view(stored, reads, buffer, &mut copied);
+                prepare(obj).map(|(out, op)| {
+                    if let Some(op) = op {
+                        shadow.record(op, stored, buffer, &mut copied);
+                    }
+                    out
                 })
             }
+            None => match replica.stored(key) {
+                None => Err(StoreError::NoSuchObject(Key::new(key))),
+                Some((table_key, kind, stored)) => prepare(stored).map(|(out, op)| {
+                    if let Some(op) = op {
+                        let held = if keyed_by_element(kind) {
+                            Held::Deferred
+                        } else {
+                            copied.objects += 1;
+                            Held::Whole(stored.clone())
+                        };
+                        let mut shadow = Shadow {
+                            key: table_key.clone(),
+                            kind,
+                            held,
+                            effects: None,
+                        };
+                        shadow.record(op, Some(stored), buffer, &mut copied);
+                        self.overlay.insert(table_key.clone(), shadow);
+                    }
+                    out
+                }),
+            },
         };
-        // The effect's own elements are covered before it is applied.
-        op.for_each_elem(|e| shadow.cover(self.replica, e));
-        shadow.written = true;
-        shadow.obj.apply(&op).map_err(|e| StoreError::WrongType {
-            key: shadow.key.clone(),
-            expected: e.expected,
-        })?;
-        self.updates.push((shadow.key.clone(), shadow.kind, op));
-        Ok(())
+        self.replica.stats.txn_objects_copied += copied.objects;
+        self.replica.stats.txn_entries_copied += copied.entries;
+        out
+    }
+
+    /// A read: `f` against the object the transaction sees.
+    fn read<R>(
+        &mut self,
+        key: &str,
+        reads: Reads<'_>,
+        f: impl FnOnce(&Object) -> Result<R, StoreError>,
+    ) -> Result<R, StoreError> {
+        self.access(key, reads, |obj| Ok((f(obj)?, None)))
+    }
+
+    /// A write: the effect `prepare` returns, if any, is buffered.
+    fn write(
+        &mut self,
+        key: &str,
+        reads: Reads<'_>,
+        prepare: impl FnOnce(&Object) -> Result<Option<ObjectOp>, StoreError>,
+    ) -> Result<(), StoreError> {
+        self.access(key, reads, |obj| Ok(((), prepare(obj)?)))
     }
 
     // ------------------------------------------------------------------
@@ -260,21 +409,18 @@ impl<'a> Transaction<'a> {
     pub fn aw_add(&mut self, key: impl AsRef<str>, v: Val) -> Result<(), StoreError> {
         let key = key.as_ref();
         let tag = self.replica.alloc_tag();
-        let obj = self.view(key, Reads::Nothing)?;
-        let set = obj.as_awset().ok_or_else(|| wrong(key, "aw-set"))?;
-        let op = ObjectOp::AWSet(set.prepare_add(v, tag));
-        self.push(key, op)
+        self.write(key, Reads::Nothing, |obj| {
+            let set = obj.as_awset().ok_or_else(|| wrong(key, "aw-set"))?;
+            Ok(Some(ObjectOp::AWSet(set.prepare_add(v, tag))))
+        })
     }
 
     pub fn aw_remove(&mut self, key: impl AsRef<str>, v: &Val) -> Result<(), StoreError> {
         let key = key.as_ref();
-        let obj = self.view(key, Reads::Element(v))?;
-        let set = obj.as_awset().ok_or_else(|| wrong(key, "aw-set"))?;
-        if let Some(op) = set.prepare_remove(v) {
-            let op = ObjectOp::AWSet(op);
-            self.push(key, op)?;
-        }
-        Ok(())
+        self.write(key, Reads::Element(v), |obj| {
+            let set = obj.as_awset().ok_or_else(|| wrong(key, "aw-set"))?;
+            Ok(set.prepare_remove(v).map(ObjectOp::AWSet))
+        })
     }
 
     /// Wildcard remove (add-wins): removes observed matching elements.
@@ -284,10 +430,11 @@ impl<'a> Transaction<'a> {
         pattern: &ValPattern,
     ) -> Result<(), StoreError> {
         let key = key.as_ref();
-        let obj = self.view(key, Reads::Whole)?;
-        let set = obj.as_awset().ok_or_else(|| wrong(key, "aw-set"))?;
-        let op = ObjectOp::AWSet(set.prepare_remove_matching(|e| pattern.matches(e)));
-        self.push(key, op)
+        self.write(key, Reads::Whole, |obj| {
+            let set = obj.as_awset().ok_or_else(|| wrong(key, "aw-set"))?;
+            let op = set.prepare_remove_matching(|e| pattern.matches(e));
+            Ok(Some(ObjectOp::AWSet(op)))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -298,20 +445,20 @@ impl<'a> Transaction<'a> {
         let key = key.as_ref();
         let tag = self.replica.alloc_tag();
         let clock = self.commit_clock.clone();
-        let obj = self.view(key, Reads::Nothing)?;
-        let set = obj.as_rwset().ok_or_else(|| wrong(key, "rw-set"))?;
-        let op = ObjectOp::RWSet(set.prepare_add(v, tag, clock));
-        self.push(key, op)
+        self.write(key, Reads::Nothing, |obj| {
+            let set = obj.as_rwset().ok_or_else(|| wrong(key, "rw-set"))?;
+            Ok(Some(ObjectOp::RWSet(set.prepare_add(v, tag, clock))))
+        })
     }
 
     pub fn rw_remove(&mut self, key: impl AsRef<str>, v: Val) -> Result<(), StoreError> {
         let key = key.as_ref();
         let tag = self.replica.alloc_tag();
         let clock = self.commit_clock.clone();
-        let obj = self.view(key, Reads::Nothing)?;
-        let set = obj.as_rwset().ok_or_else(|| wrong(key, "rw-set"))?;
-        let op = ObjectOp::RWSet(set.prepare_remove(v, tag, clock));
-        self.push(key, op)
+        self.write(key, Reads::Nothing, |obj| {
+            let set = obj.as_rwset().ok_or_else(|| wrong(key, "rw-set"))?;
+            Ok(Some(ObjectOp::RWSet(set.prepare_remove(v, tag, clock))))
+        })
     }
 
     /// Wildcard remove (rem-wins): defeats even concurrent matching adds
@@ -324,10 +471,11 @@ impl<'a> Transaction<'a> {
         let key = key.as_ref();
         let tag = self.replica.alloc_tag();
         let clock = self.commit_clock.clone();
-        let obj = self.view(key, Reads::Nothing)?;
-        let set = obj.as_rwset().ok_or_else(|| wrong(key, "rw-set"))?;
-        let op = ObjectOp::RWSet(set.prepare_remove_matching(pattern, tag, clock));
-        self.push(key, op)
+        self.write(key, Reads::Nothing, |obj| {
+            let set = obj.as_rwset().ok_or_else(|| wrong(key, "rw-set"))?;
+            let op = set.prepare_remove_matching(pattern, tag, clock);
+            Ok(Some(ObjectOp::RWSet(op)))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -339,10 +487,10 @@ impl<'a> Transaction<'a> {
         let tag = self.replica.alloc_tag();
         let clock = self.commit_clock.clone();
         let ts = self.ts;
-        let obj = self.view(key, Reads::Nothing)?;
-        let map = obj.as_awmap().ok_or_else(|| wrong(key, "aw-map"))?;
-        let op = ObjectOp::AWMap(map.prepare_put(k, tag, clock, ts, v));
-        self.push(key, op)
+        self.write(key, Reads::Nothing, |obj| {
+            let map = obj.as_awmap().ok_or_else(|| wrong(key, "aw-map"))?;
+            Ok(Some(ObjectOp::AWMap(map.prepare_put(k, tag, clock, ts, v))))
+        })
     }
 
     /// Touch: restore presence, preserve payload (§4.2.1).
@@ -350,22 +498,19 @@ impl<'a> Transaction<'a> {
         let key = key.as_ref();
         let tag = self.replica.alloc_tag();
         let clock = self.commit_clock.clone();
-        let obj = self.view(key, Reads::Nothing)?;
-        let map = obj.as_awmap().ok_or_else(|| wrong(key, "aw-map"))?;
-        let op = ObjectOp::AWMap(map.prepare_touch(k, tag, clock));
-        self.push(key, op)
+        self.write(key, Reads::Nothing, |obj| {
+            let map = obj.as_awmap().ok_or_else(|| wrong(key, "aw-map"))?;
+            Ok(Some(ObjectOp::AWMap(map.prepare_touch(k, tag, clock))))
+        })
     }
 
     pub fn map_remove(&mut self, key: impl AsRef<str>, k: &Val) -> Result<(), StoreError> {
         let key = key.as_ref();
         let clock = self.commit_clock.clone();
-        let obj = self.view(key, Reads::Element(k))?;
-        let map = obj.as_awmap().ok_or_else(|| wrong(key, "aw-map"))?;
-        if let Some(op) = map.prepare_remove(k, clock) {
-            let op = ObjectOp::AWMap(op);
-            self.push(key, op)?;
-        }
-        Ok(())
+        self.write(key, Reads::Element(k), |obj| {
+            let map = obj.as_awmap().ok_or_else(|| wrong(key, "aw-map"))?;
+            Ok(map.prepare_remove(k, clock).map(ObjectOp::AWMap))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -375,21 +520,21 @@ impl<'a> Transaction<'a> {
     pub fn counter_add(&mut self, key: impl AsRef<str>, delta: i64) -> Result<(), StoreError> {
         let key = key.as_ref();
         let origin = self.replica.id();
-        let obj = self.view(key, Reads::Nothing)?;
-        let c = obj.as_pncounter().ok_or_else(|| wrong(key, "pn-counter"))?;
-        let op = ObjectOp::PNCounter(c.prepare(origin, delta));
-        self.push(key, op)
+        self.write(key, Reads::Nothing, |obj| {
+            let c = obj.as_pncounter().ok_or_else(|| wrong(key, "pn-counter"))?;
+            Ok(Some(ObjectOp::PNCounter(c.prepare(origin, delta))))
+        })
     }
 
     pub fn bcounter_inc(&mut self, key: impl AsRef<str>, n: u64) -> Result<(), StoreError> {
         let key = key.as_ref();
         let origin = self.replica.id();
-        let obj = self.view(key, Reads::Nothing)?;
-        let c = obj
-            .as_bcounter()
-            .ok_or_else(|| wrong(key, "bounded-counter"))?;
-        let op = ObjectOp::BCounter(c.prepare_inc(origin, n));
-        self.push(key, op)
+        self.write(key, Reads::Nothing, |obj| {
+            let c = obj
+                .as_bcounter()
+                .ok_or_else(|| wrong(key, "bounded-counter"))?;
+            Ok(Some(ObjectOp::BCounter(c.prepare_inc(origin, n))))
+        })
     }
 
     /// Escrow decrement: fails with [`StoreError::InsufficientRights`]
@@ -397,16 +542,19 @@ impl<'a> Transaction<'a> {
     pub fn bcounter_dec(&mut self, key: impl AsRef<str>, n: u64) -> Result<(), StoreError> {
         let key = key.as_ref();
         let origin = self.replica.id();
-        let obj = self.view(key, Reads::Whole)?;
-        let c = obj
-            .as_bcounter()
-            .ok_or_else(|| wrong(key, "bounded-counter"))?;
-        let Some(op) = c.prepare_dec(origin, n) else {
+        let out = self.write(key, Reads::Whole, |obj| {
+            let c = obj
+                .as_bcounter()
+                .ok_or_else(|| wrong(key, "bounded-counter"))?;
+            let op = c
+                .prepare_dec(origin, n)
+                .ok_or_else(|| StoreError::InsufficientRights { key: Key::new(key) })?;
+            Ok(Some(ObjectOp::BCounter(op)))
+        });
+        if let Err(StoreError::InsufficientRights { .. }) = out {
             self.replica.stats.escrow_dec_denied += 1;
-            return Err(StoreError::InsufficientRights { key: Key::new(key) });
-        };
-        let op = ObjectOp::BCounter(op);
-        self.push(key, op)
+        }
+        out
     }
 
     pub fn bcounter_transfer(
@@ -417,15 +565,15 @@ impl<'a> Transaction<'a> {
     ) -> Result<(), StoreError> {
         let key = key.as_ref();
         let origin = self.replica.id();
-        let obj = self.view(key, Reads::Whole)?;
-        let c = obj
-            .as_bcounter()
-            .ok_or_else(|| wrong(key, "bounded-counter"))?;
-        let op = c
-            .prepare_transfer(origin, to, n)
-            .ok_or_else(|| StoreError::InsufficientRights { key: Key::new(key) })?;
-        let op = ObjectOp::BCounter(op);
-        self.push(key, op)
+        self.write(key, Reads::Whole, |obj| {
+            let c = obj
+                .as_bcounter()
+                .ok_or_else(|| wrong(key, "bounded-counter"))?;
+            let op = c
+                .prepare_transfer(origin, to, n)
+                .ok_or_else(|| StoreError::InsufficientRights { key: Key::new(key) })?;
+            Ok(Some(ObjectOp::BCounter(op)))
+        })
     }
 
     /// Locally-visible escrow rights of `holder` on a bounded counter
@@ -437,11 +585,12 @@ impl<'a> Transaction<'a> {
         holder: ipa_crdt::ReplicaId,
     ) -> Result<i64, StoreError> {
         let key = key.as_ref();
-        let obj = self.view(key, Reads::Whole)?;
-        let c = obj
-            .as_bcounter()
-            .ok_or_else(|| wrong(key, "bounded-counter"))?;
-        Ok(c.local_rights(holder))
+        self.read(key, Reads::Whole, |obj| {
+            let c = obj
+                .as_bcounter()
+                .ok_or_else(|| wrong(key, "bounded-counter"))?;
+            Ok(c.local_rights(holder))
+        })
     }
 
     /// Is `clock` at or below this replica's causal-stability frontier
@@ -457,19 +606,19 @@ impl<'a> Transaction<'a> {
         let key = key.as_ref();
         let tag = self.replica.alloc_tag();
         let ts = self.ts;
-        let obj = self.view(key, Reads::Nothing)?;
-        let r = obj.as_lww().ok_or_else(|| wrong(key, "lww-register"))?;
-        let op = ObjectOp::LWW(r.prepare_write(ts, tag, v));
-        self.push(key, op)
+        self.write(key, Reads::Nothing, |obj| {
+            let r = obj.as_lww().ok_or_else(|| wrong(key, "lww-register"))?;
+            Ok(Some(ObjectOp::LWW(r.prepare_write(ts, tag, v))))
+        })
     }
 
     pub fn mv_write(&mut self, key: impl AsRef<str>, v: Val) -> Result<(), StoreError> {
         let key = key.as_ref();
         let clock = self.commit_clock.clone();
-        let obj = self.view(key, Reads::Nothing)?;
-        let r = obj.as_mv().ok_or_else(|| wrong(key, "mv-register"))?;
-        let op = ObjectOp::MV(r.prepare_write(clock, v));
-        self.push(key, op)
+        self.write(key, Reads::Nothing, |obj| {
+            let r = obj.as_mv().ok_or_else(|| wrong(key, "mv-register"))?;
+            Ok(Some(ObjectOp::MV(r.prepare_write(clock, v))))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -479,12 +628,12 @@ impl<'a> Transaction<'a> {
     pub fn compset_add(&mut self, key: impl AsRef<str>, v: Val) -> Result<(), StoreError> {
         let key = key.as_ref();
         let tag = self.replica.alloc_tag();
-        let obj = self.view(key, Reads::Nothing)?;
-        let s = obj
-            .as_compset()
-            .ok_or_else(|| wrong(key, "compensation-set"))?;
-        let op = ObjectOp::CompSet(s.prepare_add(v, tag));
-        self.push(key, op)
+        self.write(key, Reads::Nothing, |obj| {
+            let s = obj
+                .as_compset()
+                .ok_or_else(|| wrong(key, "compensation-set"))?;
+            Ok(Some(ObjectOp::CompSet(s.prepare_add(v, tag))))
+        })
     }
 
     /// Constrained read: any violation observed is compensated and the
@@ -494,15 +643,15 @@ impl<'a> Transaction<'a> {
         key: impl AsRef<str>,
     ) -> Result<CompensatedRead<Val>, StoreError> {
         let key = key.as_ref();
-        let read = self
-            .view(key, Reads::Whole)?
-            .as_compset()
-            .ok_or_else(|| wrong(key, "compensation-set"))?
-            .read();
-        if let Some(comp) = &read.compensation {
-            self.push(key, ObjectOp::CompSet(comp.clone()))?;
-            self.compensations += 1;
-        }
+        let read = self.access(key, Reads::Whole, |obj| {
+            let read = obj
+                .as_compset()
+                .ok_or_else(|| wrong(key, "compensation-set"))?
+                .read();
+            let comp = read.compensation.clone().map(ObjectOp::CompSet);
+            Ok((read, comp))
+        })?;
+        self.compensations += usize::from(read.compensation.is_some());
         Ok(read)
     }
 
@@ -513,8 +662,9 @@ impl<'a> Transaction<'a> {
     /// Membership across set-like objects (read-your-writes).
     pub fn contains(&mut self, key: impl AsRef<str>, v: &Val) -> Result<bool, StoreError> {
         let key = key.as_ref();
-        let obj = self.view(key, Reads::Element(v))?;
-        obj.set_contains(v).ok_or_else(|| wrong(key, "set-like"))
+        self.read(key, Reads::Element(v), |obj| {
+            obj.set_contains(v).ok_or_else(|| wrong(key, "set-like"))
+        })
     }
 
     /// The one whole-set read: call `f` on each element of a set-like
@@ -528,13 +678,22 @@ impl<'a> Transaction<'a> {
         f: impl FnMut(&Val),
     ) -> Result<(), StoreError> {
         let key = key.as_ref();
-        match self.view(key, Reads::Whole)? {
-            Object::AWSet(s) => s.elements().for_each(f),
-            Object::RWSet(s) => s.elements().for_each(f),
-            Object::AWMap(m) => m.keys().for_each(f),
-            Object::CompSet(_) => self.compset_read(key)?.elements.iter().for_each(f),
-            _ => return Err(wrong(key, "set-like")),
-        }
+        let compensated = self.access(key, Reads::Whole, |obj| {
+            match obj {
+                Object::AWSet(s) => s.elements().for_each(f),
+                Object::RWSet(s) => s.elements().for_each(f),
+                Object::AWMap(m) => m.keys().for_each(f),
+                Object::CompSet(s) => {
+                    let read = s.read();
+                    read.elements.iter().for_each(f);
+                    let comp = read.compensation.map(ObjectOp::CompSet);
+                    return Ok((comp.is_some(), comp));
+                }
+                _ => return Err(wrong(key, "set-like")),
+            }
+            Ok((false, None))
+        })?;
+        self.compensations += usize::from(compensated);
         Ok(())
     }
 
@@ -554,26 +713,27 @@ impl<'a> Transaction<'a> {
 
     pub fn counter_value(&mut self, key: impl AsRef<str>) -> Result<i64, StoreError> {
         let key = key.as_ref();
-        let obj = self.view(key, Reads::Whole)?;
-        match obj {
+        self.read(key, Reads::Whole, |obj| match obj {
             Object::PNCounter(c) => Ok(c.value()),
             Object::BCounter(c) => Ok(c.value()),
             _ => Err(wrong(key, "counter")),
-        }
+        })
     }
 
     pub fn lww_get(&mut self, key: impl AsRef<str>) -> Result<Option<Val>, StoreError> {
         let key = key.as_ref();
-        let obj = self.view(key, Reads::Whole)?;
-        let r = obj.as_lww().ok_or_else(|| wrong(key, "lww-register"))?;
-        Ok(r.get().cloned())
+        self.read(key, Reads::Whole, |obj| {
+            let r = obj.as_lww().ok_or_else(|| wrong(key, "lww-register"))?;
+            Ok(r.get().cloned())
+        })
     }
 
     pub fn map_get(&mut self, key: impl AsRef<str>, k: &Val) -> Result<Option<Val>, StoreError> {
         let key = key.as_ref();
-        let obj = self.view(key, Reads::Element(k))?;
-        let m = obj.as_awmap().ok_or_else(|| wrong(key, "aw-map"))?;
-        Ok(m.get(k).cloned())
+        self.read(key, Reads::Element(k), |obj| {
+            let m = obj.as_awmap().ok_or_else(|| wrong(key, "aw-map"))?;
+            Ok(m.get(k).cloned())
+        })
     }
 
     // ------------------------------------------------------------------
@@ -586,7 +746,7 @@ impl<'a> Transaction<'a> {
         let Transaction {
             replica,
             overlay,
-            updates,
+            buffer,
             commit_clock,
             ts,
             compensations,
@@ -596,10 +756,11 @@ impl<'a> Transaction<'a> {
         // key is rebuilt from its effects by the batch application below,
         // and installing both would apply every effect twice.
         for (key, shadow) in overlay {
-            if !shadow.written {
-                replica.insert_object(key, shadow.kind, shadow.obj);
+            if let (None, Held::Whole(obj)) = (shadow.effects, shadow.held) {
+                replica.insert_object(key, shadow.kind, obj);
             }
         }
+        let updates = buffer.updates;
         if updates.is_empty() {
             // Read-only: nothing replicates.
             return CommitInfo {

@@ -1,4 +1,4 @@
-//! The transaction overlay copies only what a transaction changes
+//! The transaction overlay copies only what a transaction reads back
 //! (`ipa_store::txn` module docs, rules 1–5). That is a cost model, never
 //! a semantic one: random scripts over all eight object kinds run through
 //! [`Transaction`] and through a reference that clones the whole object
@@ -32,6 +32,19 @@ const KINDS: [ObjectKind; 8] = [
 /// Keys `0..8` are preloaded (stored before the scripts run), `8..16`
 /// start absent; the kind cycles with the key number.
 const NUM_KEYS: u8 = 16;
+
+/// The wide transaction's keys, numbered past [`NUM_KEYS`]: stored
+/// add-wins sets, rem-wins sets and add-wins maps, eleven of each.
+const WIDE_KEYS: u8 = 33;
+
+fn wide_key(w: u8) -> u8 {
+    NUM_KEYS + 8 * (w / 3) + w % 3
+}
+
+/// Every key a script may name.
+fn all_keys() -> impl Iterator<Item = u8> {
+    (0..NUM_KEYS).chain((0..WIDE_KEYS).map(wide_key))
+}
 
 fn key(k: u8) -> Key {
     Key::new(format!("k{k}"))
@@ -382,7 +395,7 @@ fn run_ref(tx: &mut RefTxn<'_>, k: u8, op: Op, e: u8) -> Res {
 type Snapshot = (Vec<Option<(ObjectKind, Object)>>, VClock, u64, usize);
 
 fn snapshot(r: &Replica) -> Snapshot {
-    let objects = (0..NUM_KEYS)
+    let objects = all_keys()
         .map(|k| {
             let key = key(k);
             r.object(&key)
@@ -426,7 +439,7 @@ fn run_txn(
     let got = real.take_outbox();
     prop_assert_eq!(got.len(), usize::from(want.is_some()));
     prop_assert_eq!(got.first().map(|b| &**b), want.as_ref(), "sealed batch");
-    for k in 0..NUM_KEYS {
+    for k in all_keys() {
         let key = key(k);
         let got = real.object(&key).map(|o| (real.kind_of(&key).unwrap(), o));
         let want = model.objects.get(&key).map(|(kind, o)| (*kind, o));
@@ -439,11 +452,14 @@ fn run_txn(
 
 /// Keys `0..8` stored with a few elements each, on both sides.
 fn preloaded() -> (Replica, RefStore) {
+    preload(0..8)
+}
+
+/// `keys` stored with elements `0..5` each, on both sides.
+fn preload(keys: impl Iterator<Item = u8> + Clone) -> (Replica, RefStore) {
     let (mut real, mut model) = (Replica::new(ME), RefStore::default());
-    let ensure: Vec<Step> = (0..8).map(|k| (0, k, 0)).collect();
-    let fill: Vec<Step> = (0..8)
-        .flat_map(|k| (0..5).map(move |e| (1, k, e)))
-        .collect();
+    let ensure: Vec<Step> = keys.clone().map(|k| (0, k, 0)).collect();
+    let fill: Vec<Step> = keys.flat_map(|k| (0..5).map(move |e| (1, k, e))).collect();
     for script in [ensure, fill] {
         run_txn(&mut real, &mut model, &script, true).expect("preload agrees");
     }
@@ -484,6 +500,72 @@ proptest! {
         for (script, abort) in &txns {
             run_txn(&mut real, &mut model, script, *abort != 0)?;
         }
+    }
+}
+
+/// The first steps on wide key `w`, `(op number, element)`: one of the
+/// shapes a deferred write has to answer like a copy, by `w`'s group.
+fn probe(w: u8, e: u8, other: u8) -> Vec<(u8, u8)> {
+    let other = if other == e { (e + 1) % 8 } else { other };
+    match w / 3 % 4 {
+        // A write, then a read of another element.
+        0 => vec![(1, e), (6, other)],
+        // A write, then reads of the same element.
+        1 => vec![(1, e), (6, e), (8, e)],
+        // A wildcard (on a rem-wins set: opaque), then an element read.
+        2 => vec![(4, e), (6, other)],
+        // Writes, then a whole read.
+        _ => vec![(1, e), (3, other), (9, e)],
+    }
+}
+
+/// One transaction over every wide key: each key's probe, then its tail,
+/// the keys' steps interleaved as `picks` choose.
+fn wide_script(probes: &[(u8, u8)], tails: &[Vec<(u8, u8)>], picks: &[u8]) -> Vec<Step> {
+    let mut stories: Vec<(u8, Vec<(u8, u8)>)> = (0..WIDE_KEYS)
+        .map(|w| {
+            let (e, other) = probes[usize::from(w)];
+            let mut story = probe(w, e, other);
+            story.extend(&tails[usize::from(w)]);
+            story.reverse();
+            (wide_key(w), story)
+        })
+        .collect();
+    let mut picks = picks.iter();
+    let mut script = Vec::new();
+    while !stories.is_empty() {
+        let at = picks.next().map_or(0, |&p| usize::from(p) % stories.len());
+        let (k, story) = &mut stories[at];
+        let (op, e) = story.pop().expect("a story is dropped once told");
+        script.push((op, *k, e));
+        if story.is_empty() {
+            stories.swap_remove(at);
+        }
+    }
+    script
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One wide transaction over 33 stored sets and maps, steps interleaved
+    /// across keys, so that many keys are deferred at once and read back
+    /// in every shape: a write then a read of another element or of the
+    /// same one, a rem-wins wildcard then an element read, a whole read
+    /// after writes.
+    #[test]
+    fn a_wide_transaction_matches_the_reference(
+        probes in prop::collection::vec((0u8..8, 0u8..8), usize::from(WIDE_KEYS)),
+        tails in prop::collection::vec(
+            prop::collection::vec((0u8..10, 0u8..8), 0..4),
+            usize::from(WIDE_KEYS),
+        ),
+        picks in prop::collection::vec(0u8..=255, 0..200),
+        abort in 0u8..4,
+    ) {
+        let (mut real, mut model) = preload((0..WIDE_KEYS).map(wide_key));
+        let script = wide_script(&probes, &tails, &picks);
+        run_txn(&mut real, &mut model, &script, abort != 0)?;
     }
 }
 
@@ -569,11 +651,69 @@ fn a_whole_question_about_a_written_key_copies_it_once() {
     assert_eq!(r.stats.txn_objects_copied, 1);
 
     // The wildcard first: it reads the stored object in place, and its
-    // victims are the entries the transaction then copies.
+    // victims are recorded with the effect, not copied: nothing reads them
+    // back.
     let mut r = replica_with_set("enrolled", 64);
     let mut tx = r.begin();
     tx.aw_remove_matching("enrolled", &ValPattern::exact(7i64))
         .unwrap();
+    tx.commit();
+    assert_eq!(r.stats.txn_objects_copied, 0);
+    assert_eq!(r.stats.txn_entries_copied, 0);
+}
+
+#[test]
+fn blind_writes_copy_nothing() {
+    let (x, y) = (Val::str("x"), Val::str("y"));
+    let mut r = Replica::new(ME);
+    let mut tx = r.begin();
+    tx.ensure("aw", ObjectKind::AWSet).unwrap();
+    tx.ensure("rw", ObjectKind::RWSet).unwrap();
+    tx.ensure("map", ObjectKind::AWMap).unwrap();
+    tx.aw_add("aw", x.clone()).unwrap();
+    tx.rw_add("rw", x.clone()).unwrap();
+    tx.rw_add("rw", y.clone()).unwrap();
+    tx.map_put("map", x.clone(), Val::int(1)).unwrap();
+    tx.map_put("map", y.clone(), Val::int(1)).unwrap();
+    tx.commit();
+
+    // Each a write to a present element of a stored object, none read back.
+    let mut tx = r.begin();
+    tx.aw_add("aw", x.clone()).unwrap();
+    tx.rw_add("rw", x.clone()).unwrap();
+    tx.rw_remove("rw", y.clone()).unwrap();
+    tx.map_put("map", x.clone(), Val::int(2)).unwrap();
+    tx.map_touch("map", y.clone()).unwrap();
+    assert_eq!(tx.commit().updates, 5);
+    assert_eq!(r.stats.txn_objects_copied, 0);
+    assert_eq!(r.stats.txn_entries_copied, 0);
+
+    let map = r.object("map").unwrap().as_awmap().unwrap();
+    assert_eq!(map.get(&x), Some(&Val::int(2)));
+    assert_eq!(map.get(&y), Some(&Val::int(1)), "a touch keeps the payload");
+    let rw = r.object("rw").unwrap();
+    assert_eq!(rw.set_contains(&x), Some(true));
+    assert_eq!(rw.set_contains(&y), Some(false));
+}
+
+#[test]
+fn a_read_back_copies_only_what_it_reads() {
+    let (e1, e2) = (Val::int(1), Val::int(2));
+    let mut r = replica_with_set("s", 8);
+    // Write `e1`, read `e2`: no effect names `e2`, so its stored entry
+    // answers in place.
+    let mut tx = r.begin();
+    tx.aw_add("s", e1.clone()).unwrap();
+    assert!(tx.contains("s", &e2).unwrap());
+    tx.commit();
+    assert_eq!(r.stats.txn_objects_copied, 0);
+    assert_eq!(r.stats.txn_entries_copied, 0);
+
+    // Then read `e1` back: its stored entry is copied, and only it.
+    let mut tx = r.begin();
+    tx.aw_add("s", e1.clone()).unwrap();
+    assert!(tx.contains("s", &e2).unwrap());
+    assert!(tx.contains("s", &e1).unwrap());
     tx.commit();
     assert_eq!(r.stats.txn_objects_copied, 0);
     assert_eq!(r.stats.txn_entries_copied, 1);

@@ -99,10 +99,12 @@ fn state_costs_what_it_holds() {
     drop(sets);
 
     // The write path: one slide (add the next element, remove the oldest)
-    // on a stored 4,096-element set, begin to sealed batch. At the parent
-    // commit (eececc3, nested `BTreeSet<Tag>` entries and two `Vec`s per
-    // remove) this counted PARENT_SLIDE_ALLOCATIONS.
-    const PARENT_SLIDE_ALLOCATIONS: usize = 13;
+    // on a stored 4,096-element set, begin to sealed batch. It counted 13
+    // with nested `BTreeSet<Tag>` entries and two `Vec`s per remove
+    // (eececc3), then PARENT_SLIDE_ALLOCATIONS while the first write to
+    // the set started a partial copy (8a92d08); it counts 7 now that a
+    // write the transaction never reads back copies nothing.
+    const PARENT_SLIDE_ALLOCATIONS: usize = 8;
     let key = Key::new("hot");
     let mut replica = Replica::new(ReplicaId(0));
     let mut tx = replica.begin();
@@ -231,8 +233,10 @@ fn simulated_cell(
 fn a_simulated_op_costs_its_own_work_not_the_allocators() {
     // With `Val::Str(String)`, boxed tuples, a cloned set per whole-set
     // read and a `Key` built per lookup (4623ee4) the four cells counted
-    // 577 / 3,324 / 199 / 41 allocations per op; they count 95 / 60 / 26 /
-    // 19. The digests are that commit's: sharing values moves no schedule.
+    // 577 / 3,324 / 199 / 41 allocations per op; while a first write to a
+    // stored set or map started a partial copy (8a92d08) 94 / 59 / 24 /
+    // 18; now that a write is copied only when read back, 31 / 54 / 24 /
+    // 15. The digests are 4623ee4's: neither change moves a schedule.
     simulated_cell(
         "tournament",
         &mut TournamentWorkload::new(Mode::Ipa, TournamentConfig::default()),
