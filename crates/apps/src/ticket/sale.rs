@@ -1,5 +1,5 @@
 //! The flagship escrow scenario: a high-contention ticket sale over the
-//! redesigned [`BoundedCounter`] coordination surface.
+//! [`BoundedCounter`] coordination surface.
 //!
 //! One hot event (a flash crowd chasing a small capacity) plus a cheap
 //! tail, sold through one of four disciplines:
@@ -9,7 +9,7 @@
 //!   the causal soak axis).
 //! * [`SaleBackend::IpaRepair`] — the paper's compensation sets: raw
 //!   overshoot is allowed and repaired on read (§3.4).
-//! * [`SaleBackend::Escrow`] — [`EscrowShard`](ipa_coord::EscrowShard):
+//! * [`SaleBackend::Escrow`] — [`EscrowShard`]:
 //!   per-replica rights as *replicated store state*, local decrements
 //!   while rights last, asynchronous rights-transfer messages riding
 //!   ordinary update batches. Overselling is prevented outright, so the
@@ -26,7 +26,9 @@ use crate::oracle::Oracle;
 use crate::soak::{SoakApp, SoakMode};
 use crate::ticket::runtime::pool_key;
 use crate::ticket::workload::TicketOp;
-use ipa_coord::{BoundedCounter, CoordConfig, CoordError, CounterBackend, EscrowShardStats};
+use ipa_coord::{
+    BoundedCounter, CoordError, CounterBackend, EscrowShard, EscrowShardStats, StrongCounter,
+};
 use ipa_crdt::{ObjectKind, Val};
 use ipa_sim::{AppWorkload, ClientInfo, OpCtx, OpOutcome};
 use ipa_store::{StoreError, Transaction};
@@ -102,7 +104,7 @@ pub struct SaleWorkload {
     pub backend: SaleBackend,
     cfg: SaleConfig,
     /// The bounded-counter backend (escrow / strong modes only), built
-    /// against the deployment shape at setup time.
+    /// at setup time.
     counter: Option<CounterBackend>,
     next_user: u64,
 }
@@ -180,10 +182,8 @@ impl AppWorkload for SaleWorkload {
             .expect("seed sale pools");
         }
         let mut counter = match self.backend {
-            SaleBackend::Escrow => CounterBackend::Escrow(CoordConfig::new(regions).build_escrow()),
-            SaleBackend::Strong => {
-                CounterBackend::Strong(CoordConfig::new(regions).primary(PRIMARY).build_strong())
-            }
+            SaleBackend::Escrow => CounterBackend::Escrow(EscrowShard::default()),
+            SaleBackend::Strong => CounterBackend::Strong(StrongCounter::new(PRIMARY)),
             _ => return,
         };
         for slot in 0..self.cfg.num_events {
@@ -309,8 +309,7 @@ impl AppWorkload for SaleWorkload {
                     // Correctly sold out everywhere: a completed (and
                     // correct) rejection, not an error.
                     Err(CoordError::WouldOversell { .. }) => OpOutcome::ok("SoldOut", 1, 0),
-                    Err(CoordError::PeerUnreachable { .. })
-                    | Err(CoordError::InsufficientRights { .. }) => OpOutcome::unavailable("Buy"),
+                    Err(CoordError::PeerUnreachable { .. }) => OpOutcome::unavailable("Buy"),
                 }
             }
         }

@@ -5,8 +5,6 @@ use crate::common::Mode;
 use crate::oracle::Oracle;
 use crate::soak::{SoakApp, SoakMode};
 use crate::ticket::runtime::{pool_key, TicketApp};
-use ipa_coord::escrow::EscrowOutcome;
-use ipa_coord::EscrowTable;
 use ipa_sim::{AppWorkload, ClientInfo, OpCtx, OpOutcome};
 use ipa_store::{StoreError, Transaction};
 use rand::Rng;
@@ -72,13 +70,10 @@ impl Default for TicketConfig {
     }
 }
 
-/// Simulator workload for one mode.
-///
-/// [`Mode::Indigo`] runs the escrow alternative the paper cites for
-/// numeric invariants (§5.1.1, refs \[11\]/\[27\]/\[35\]): ticket rights are
-/// split across regions and a purchase must consume a local right, so
-/// overselling is *prevented* rather than compensated — at the cost of a
-/// WAN fetch when local rights run out.
+/// Simulator workload for [`Mode::Causal`] or [`Mode::Ipa`]. The escrow
+/// alternative the paper cites for numeric invariants (§5.1.1, refs
+/// \[11\]/\[27\]/\[35\]) and the strong baseline are
+/// [`SaleWorkload`](crate::ticket::sale::SaleWorkload)'s backends.
 pub struct TicketWorkload {
     pub app: TicketApp,
     cfg: TicketConfig,
@@ -88,19 +83,24 @@ pub struct TicketWorkload {
     /// Events whose violation we already counted (count each once).
     counted: HashSet<String>,
     next_user: u64,
-    /// Escrow rights (Indigo mode only).
-    escrow: EscrowTable,
 }
 
 impl TicketWorkload {
+    /// # Panics
+    ///
+    /// On any mode but `Causal` or `Ipa`.
     pub fn new(mode: Mode, cfg: TicketConfig) -> Self {
+        assert!(
+            matches!(mode, Mode::Causal | Mode::Ipa),
+            "TicketWorkload runs Causal or IPA, not {mode}: coordinated ticket \
+             sales are SaleWorkload (SaleBackend::Escrow or SaleBackend::Strong)"
+        );
         TicketWorkload {
             app: TicketApp::new(mode, cfg.capacity),
             generations: vec![0; cfg.num_events],
             cfg,
             counted: HashSet::new(),
             next_user: 0,
-            escrow: EscrowTable::new(),
         }
     }
 
@@ -138,13 +138,6 @@ impl AppWorkload for TicketWorkload {
             Ok(())
         })
         .expect("seed events");
-        if app.mode == Mode::Indigo {
-            let regions = ctx.regions() as u16;
-            for e in &events {
-                self.escrow
-                    .grant_evenly(e.clone(), regions, self.cfg.capacity as i64);
-            }
-        }
     }
 
     /// Draw the next op (slot, then buy-vs-view — the pre-split order,
@@ -180,36 +173,6 @@ impl AppWorkload for TicketWorkload {
             self.next_user += 1;
             let user = format!("u{}", self.next_user);
             let ev = event.clone();
-            // Escrow (Indigo) mode: a right must be consumed first.
-            let mut extra_wan = 0.0;
-            if app.mode == Mode::Indigo {
-                match self.escrow.acquire(ctx, &ev, region, 1) {
-                    EscrowOutcome::Local => {}
-                    EscrowOutcome::Fetched(c) => extra_wan = c,
-                    EscrowOutcome::Exhausted => {
-                        // Correctly sold out everywhere: roll the slot.
-                        self.generations[slot] += 1;
-                        let fresh = self.event_name(slot);
-                        let regions = ctx.regions() as u16;
-                        self.escrow
-                            .grant_evenly(fresh.clone(), regions, self.cfg.capacity as i64);
-                        ctx.commit(region, |tx| app.create_event(tx, &fresh).map(|_| ()))
-                            .expect("roll event");
-                        return OpOutcome::ok("Buy", 1, 1);
-                    }
-                    EscrowOutcome::Unavailable => return OpOutcome::unavailable("Buy"),
-                }
-                ctx.commit(region, |tx| app.buy(tx, &user, &ev).map(|_| ()))
-                    .expect("escrow buy");
-                return OpOutcome {
-                    label: "Buy",
-                    objects: 1,
-                    updates: 1,
-                    extra_wan_ms: extra_wan,
-                    ok: true,
-                    violations: 0,
-                };
-            }
             let (bought, _info) = ctx
                 .commit(region, |tx| app.buy(tx, &user, &ev))
                 .expect("buy");
@@ -352,17 +315,8 @@ mod tests {
     }
 
     #[test]
-    fn escrow_mode_never_oversells_even_transiently() {
-        // The escrow alternative (§5.1.1): rights are consumed before the
-        // purchase commits, so no pool ever exceeds its capacity — unlike
-        // IPA, which can overshoot transiently and repair on read.
-        let (sim, w) = run(Mode::Indigo, 6, 41);
-        assert_eq!(sim.metrics.violations, 0);
-        assert_eq!(
-            final_oversell_count(&sim, &w),
-            0,
-            "escrow prevents overselling outright"
-        );
-        assert!(sim.metrics.completed > 100);
+    #[should_panic(expected = "SaleWorkload")]
+    fn coordinated_modes_are_sale_workloads() {
+        TicketWorkload::with_defaults(Mode::Strong);
     }
 }

@@ -25,7 +25,7 @@
 //! * **latency** — p50/p99/p999 of successful purchases;
 //! * **transfer traffic** — rights-transfer messages observed at the
 //!   store layer (`ReplicaStats::rights_transfers_out`) plus the escrow
-//!   provisioner's own decision counters, guarded by a policy bound.
+//!   shard's own decision counters, guarded by a fixed ceiling.
 //!
 //! Results land in `BENCH_escrow.json` at the repo root; [`check`]
 //! holds the guardrails on the deterministic counters (zero oversell
@@ -46,8 +46,8 @@ const REGIONS: usize = 3;
 const SEED: u64 = 9;
 /// Lossy-plan nemesis intensity.
 const LOSSY_INTENSITY: f64 = 0.6;
-/// Policy bound on rights-transfer messages per cell: the provisioner
-/// may re-shard each event's rights at most this many times per
+/// Fixed ceiling on rights-transfer messages per cell: the shard may
+/// re-shard each event's rights at most this many times per
 /// (event, region) pair before the traffic itself becomes the anomaly.
 /// [`check`] guards `transfers_issued` against it.
 pub const TRANSFERS_PER_EVENT_REGION_BOUND: u64 = 8;
@@ -429,12 +429,12 @@ pub fn check(report: &Report) -> Result<(), String> {
                 format!("{backend}/{plan} oversold {} tickets", c.oversell)
             })?;
         }
-        // Transfer traffic must stay within the provisioning-policy
-        // bound, or rights are ping-ponging instead of settling; and
+        // Transfer traffic must stay within the fixed ceiling, or
+        // rights are ping-ponging instead of settling; and
         // almost all decrements are local, borrows the rare slow path.
         let esc = cell(SaleBackend::Escrow, plan)?;
         ensure(esc.transfers_issued <= report.transfer_bound, || {
-            format!("escrow/{plan}: transfers exceed the policy bound: {esc:?}")
+            format!("escrow/{plan}: transfers exceed the bound: {esc:?}")
         })?;
         ensure(esc.local_decs > esc.borrows, || {
             format!("escrow/{plan}: borrows dominate local decrements: {esc:?}")

@@ -1,6 +1,6 @@
-//! The [`BoundedCounter`] trait — the one surface every coordination
-//! backend answers to — plus the primary-forwarding implementation and
-//! the [`CounterBackend`] dispatch enum.
+//! The [`BoundedCounter`] trait — the one surface both numeric
+//! coordination backends answer to — plus the primary-forwarding
+//! implementation and the [`CounterBackend`] dispatch enum.
 //!
 //! A bounded counter guards a numeric invariant (`value >= floor`,
 //! classically "never sell more tickets than capacity"). The two
@@ -12,13 +12,11 @@
 //!   batches (droppable, delayable, repairable by anti-entropy), and a
 //!   decrement with resident rights is a purely local commit.
 //! * [`StrongCounter`] — all rights at one primary; every decrement pays
-//!   a WAN round trip (or is unavailable when the primary is cut off).
+//!   a WAN round trip (or is unavailable when the primary is cut off or
+//!   down).
 //!
-//! (The Indigo-style baseline, rights bookkeeping in a shared table whose
-//! *latencies* are charged to operations, is [`crate::EscrowTable`], used
-//! directly.) Both return [`Acquired`] on success and
-//! [`CoordError`] on failure, so application code is
-//! backend-agnostic.
+//! Both return [`Acquired`] on success and [`CoordError`] on failure, so
+//! application code is backend-agnostic.
 
 use crate::error::CoordError;
 use crate::escrow_shard::EscrowShard;
@@ -51,32 +49,19 @@ impl Acquired {
     }
 }
 
-/// A replicated numeric bound with per-replica decrement rights — the
-/// redesigned coordination surface. One trait, two backends (escrow,
-/// strong); all methods are generic over [`OpCtx`], so the
-/// same application code runs under the deterministic simulator and the
-/// threaded transport.
+/// A replicated numeric bound with per-replica decrement rights. One
+/// trait, two backends (escrow, strong); both methods are generic over
+/// [`OpCtx`], so the same application code runs under the deterministic
+/// simulator and the threaded transport.
 ///
-/// Provisioning (`create`, `acquire`, `transfer`) is asynchronous where
-/// the backend is: an escrow transfer is *issued* synchronously but its
-/// rights land at the recipient only when the carrying batch delivers.
+/// Rights are read where they live: the `BCounter` at
+/// [`rights_key`]`(res)` in any replica's store.
 pub trait BoundedCounter {
     /// Install the resource with `capacity` total decrement rights,
     /// partitioned per the backend's placement (evenly for escrow, all
     /// at the primary for strong).
     fn create<C: OpCtx>(&mut self, ctx: &mut C, res: &str, capacity: u64)
         -> Result<(), CoordError>;
-
-    /// Provision without spending: ensure `n` rights are headed to
-    /// `region` (borrowing from peers if needed), so an imminent
-    /// [`BoundedCounter::decrement`] can run locally.
-    fn acquire<C: OpCtx>(
-        &mut self,
-        ctx: &mut C,
-        res: &str,
-        region: Region,
-        n: u64,
-    ) -> Result<Acquired, CoordError>;
 
     /// Spend `n` units of the bound on behalf of `region`.
     fn decrement<C: OpCtx>(
@@ -86,19 +71,6 @@ pub trait BoundedCounter {
         region: Region,
         n: u64,
     ) -> Result<Acquired, CoordError>;
-
-    /// Move `n` rights from `from` to `to` (explicit rebalance).
-    fn transfer<C: OpCtx>(
-        &mut self,
-        ctx: &mut C,
-        res: &str,
-        from: Region,
-        to: Region,
-        n: u64,
-    ) -> Result<Acquired, CoordError>;
-
-    /// Decrement rights currently visible at `region`.
-    fn rights<C: OpCtx>(&mut self, ctx: &mut C, res: &str, region: Region) -> i64;
 }
 
 // ---------------------------------------------------------------------
@@ -189,23 +161,6 @@ impl BoundedCounter for StrongCounter {
         })
     }
 
-    fn acquire<C: OpCtx>(
-        &mut self,
-        ctx: &mut C,
-        res: &str,
-        region: Region,
-        _n: u64,
-    ) -> Result<Acquired, CoordError> {
-        // Rights never leave the primary; "acquiring" is just the
-        // reachability check plus the round trip a decrement will pay.
-        let wan_ms = self.forward_cost(ctx, region)?;
-        let _ = res;
-        Ok(Acquired {
-            wan_ms,
-            transfers: 0,
-        })
-    }
-
     fn decrement<C: OpCtx>(
         &mut self,
         ctx: &mut C,
@@ -232,43 +187,14 @@ impl BoundedCounter for StrongCounter {
             Err(other) => panic!("strong decrement on `{res}`: {other}"),
         }
     }
-
-    fn transfer<C: OpCtx>(
-        &mut self,
-        _ctx: &mut C,
-        _res: &str,
-        _from: Region,
-        _to: Region,
-        _n: u64,
-    ) -> Result<Acquired, CoordError> {
-        // Rights are pinned to the primary by construction; a transfer
-        // is a no-op that costs nothing and moves nothing.
-        Ok(Acquired::local())
-    }
-
-    fn rights<C: OpCtx>(&mut self, ctx: &mut C, res: &str, region: Region) -> i64 {
-        if region != self.primary() || !ctx.node_up(region) {
-            return 0;
-        }
-        let key = rights_key(res);
-        ctx.commit(region, |tx| {
-            tx.bcounter_rights(key.as_str(), ReplicaId(region))
-        })
-        .map(|(r, _)| r)
-        .unwrap_or(0)
-    }
 }
 
 // ---------------------------------------------------------------------
 // Dispatch enum
 // ---------------------------------------------------------------------
 
-/// Runtime-selected [`BoundedCounter`] backend, built by
-/// [`CoordConfig::build`](crate::CoordConfig::build). Lets applications
-/// hold "whatever the plan chose" in one field.
-// One per application, built once and held in place: the size gap
-// between the variants costs nothing, a `Box` would cost every call.
-#[allow(clippy::large_enum_variant)]
+/// Runtime-selected [`BoundedCounter`] backend: lets an application hold
+/// either counter in one field.
 #[derive(Clone, Debug)]
 pub enum CounterBackend {
     Escrow(EscrowShard),
@@ -294,16 +220,6 @@ impl BoundedCounter for CounterBackend {
         dispatch!(self, b => b.create(ctx, res, capacity))
     }
 
-    fn acquire<C: OpCtx>(
-        &mut self,
-        ctx: &mut C,
-        res: &str,
-        region: Region,
-        n: u64,
-    ) -> Result<Acquired, CoordError> {
-        dispatch!(self, b => b.acquire(ctx, res, region, n))
-    }
-
     fn decrement<C: OpCtx>(
         &mut self,
         ctx: &mut C,
@@ -313,21 +229,15 @@ impl BoundedCounter for CounterBackend {
     ) -> Result<Acquired, CoordError> {
         dispatch!(self, b => b.decrement(ctx, res, region, n))
     }
+}
 
-    fn transfer<C: OpCtx>(
-        &mut self,
-        ctx: &mut C,
-        res: &str,
-        from: Region,
-        to: Region,
-        n: u64,
-    ) -> Result<Acquired, CoordError> {
-        dispatch!(self, b => b.transfer(ctx, res, from, to, n))
-    }
-
-    fn rights<C: OpCtx>(&mut self, ctx: &mut C, res: &str, region: Region) -> i64 {
-        dispatch!(self, b => b.rights(ctx, res, region))
-    }
+/// The rights `holder` has on `res` as seen at replica `at`.
+#[cfg(test)]
+pub(crate) fn rights_at<C: OpCtx>(ctx: &mut C, res: &str, at: Region, holder: Region) -> i64 {
+    let key = rights_key(res);
+    ctx.commit(at, |tx| tx.bcounter_rights(key.as_str(), ReplicaId(holder)))
+        .expect("read the rights counter")
+        .0
 }
 
 #[cfg(test)]
@@ -369,9 +279,9 @@ mod tests {
         drive(|ctx| {
             let mut c = StrongCounter::new(0);
             c.create(ctx, "gala", 2).unwrap();
-            assert_eq!(c.rights(ctx, "gala", 0), 2);
+            assert_eq!(rights_at(ctx, "gala", 0, 0), 2);
             assert_eq!(
-                c.rights(ctx, "gala", 1),
+                rights_at(ctx, "gala", 0, 1),
                 0,
                 "rights never leave the primary"
             );
@@ -409,16 +319,15 @@ mod tests {
     #[test]
     fn dispatch_enum_reaches_every_backend() {
         drive(|ctx| {
-            let cfg = crate::CoordConfig::new(2);
-            for policy in [crate::CoordBackend::Escrow, crate::CoordBackend::Strong] {
-                let res = format!("d:{policy}");
-                let mut b = cfg.build(policy).unwrap();
+            let backends = [
+                CounterBackend::Escrow(EscrowShard::default()),
+                CounterBackend::Strong(StrongCounter::new(0)),
+            ];
+            for (i, mut b) in backends.into_iter().enumerate() {
+                let res = format!("d:{i}");
                 b.create(ctx, &res, 2).unwrap();
-                assert!(b.decrement(ctx, &res, 0, 1).is_ok(), "{policy}");
+                assert!(b.decrement(ctx, &res, 0, 1).is_ok(), "{b:?}");
             }
-            let lock = crate::CoordBackend::Reservation(crate::LockMode::Exclusive);
-            assert!(cfg.build(lock).is_none(), "locks are not counters");
-            assert!(cfg.build(crate::CoordBackend::None).is_none());
         });
     }
 }

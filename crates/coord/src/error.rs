@@ -1,12 +1,9 @@
 //! Typed errors of the coordination API.
 //!
-//! The pre-redesign surface signalled failure with bare `Option`s and
-//! ad-hoc outcome enums per backend; callers had to know which backend
-//! they were talking to in order to interpret a `None`. Every
-//! [`BoundedCounter`](crate::BoundedCounter) backend now reports the
-//! same three failure shapes, so application code can branch on *what
-//! went wrong* (retry later? reject the sale? report unavailability?)
-//! without caring *which* coordination mechanism is underneath.
+//! Every [`BoundedCounter`](crate::BoundedCounter) backend reports the
+//! same two failure shapes, so application code can branch on *what went
+//! wrong* (reject the sale? report unavailability?) without caring
+//! *which* coordination mechanism is underneath.
 
 use ipa_sim::Region;
 use std::fmt;
@@ -14,13 +11,6 @@ use std::fmt;
 /// Why a coordination request could not be satisfied.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CoordError {
-    /// The replica lacks local escrow rights and the backend was not
-    /// able (or not asked) to borrow more. Rights may exist elsewhere —
-    /// retrying after provisioning can succeed.
-    InsufficientRights {
-        /// The contended resource.
-        resource: String,
-    },
     /// Granting the request would exceed the global bound: the quantity
     /// is truly exhausted everywhere the replica can see. This is the
     /// *correct* rejection the invariant demands (a sold-out sale), not
@@ -29,13 +19,16 @@ pub enum CoordError {
         /// The exhausted resource.
         resource: String,
     },
-    /// Rights (or the primary) exist but cannot be reached: the peer is
-    /// partitioned away or crashed. The operation is unavailable until
-    /// connectivity returns — the price coordination pays under faults.
+    /// The rights the request needs cannot be reached: the primary or
+    /// every donor is partitioned away or crashed, or no reachable donor
+    /// holds rights in the requester's view (a transfer still in
+    /// flight). The operation is unavailable for now — the price
+    /// coordination pays under faults and replication lag.
     PeerUnreachable {
         /// The requesting region.
         from: Region,
-        /// The unreachable rights holder / primary.
+        /// The unreachable rights holder / primary (the requester itself
+        /// when no donor was asked).
         to: Region,
     },
 }
@@ -43,9 +36,6 @@ pub enum CoordError {
 impl fmt::Display for CoordError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CoordError::InsufficientRights { resource } => {
-                write!(f, "insufficient local rights on `{resource}`")
-            }
             CoordError::WouldOversell { resource } => {
                 write!(f, "bound exhausted on `{resource}` (would oversell)")
             }

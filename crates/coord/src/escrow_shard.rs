@@ -1,13 +1,10 @@
-//! Escrow-sharded bounded counters over the replicated store — the
-//! first-class implementation of the escrow method (O'Neil \[35\];
-//! Balegas et al.'s bounded counters) this crate previously only
-//! modeled as a coordinator-level oracle.
+//! Escrow-sharded bounded counters over the replicated store: the
+//! escrow method (O'Neil \[35\]; Balegas et al.'s bounded counters).
 //!
 //! Rights are **replicated state**: each resource is a `BCounter` CRDT
 //! object in every replica's store, and a replica's share of the bound
-//! is exactly what the CRDT's `local_rights` says it is. That buys the
-//! three properties the oracle-level [`EscrowTable`](crate::EscrowTable)
-//! cannot offer:
+//! is exactly what the CRDT's `local_rights` says it is. That buys three
+//! properties:
 //!
 //! * **Local decrements.** While rights last, a decrement is one local
 //!   commit — no WAN, no coordination, full availability.
@@ -22,88 +19,46 @@
 //!   account for exactly the initial bound (the property
 //!   `tests/rights_conservation.rs` fuzzes under hostile schedules).
 //!
-//! Provisioning is pluggable ([`ProvisioningPolicy`]): borrow from the
-//! richest reachable donor on exhaustion, or proactively rebalance
-//! toward demand on a stability-gated cadence.
+//! After `create` splits the bound evenly, rights move only when a
+//! decrement runs dry: the richest reachable donor serves the request
+//! and tops the borrower up with half of what it has left.
 
 use crate::counter::{rights_key, Acquired, BoundedCounter};
 use crate::error::CoordError;
-use crate::policy::ProvisioningPolicy;
-use ipa_crdt::{ObjectKind, ReplicaId, VClock};
+use ipa_crdt::{ObjectKind, ReplicaId};
 use ipa_sim::{OpCtx, Region};
 use ipa_store::StoreError;
-use std::collections::HashMap;
 
 /// Shard-level accounting (per workload instance, across resources).
 /// Store-level truth — transfers applied, units moved, local denials —
 /// lives in `ReplicaStats`; these counters describe the *decisions* the
-/// provisioning policy took.
+/// shard took.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EscrowShardStats {
     /// Decrements served by a purely local commit.
     pub local_decs: u64,
     /// Decrements served by a donor after local rights ran dry.
     pub borrows: u64,
-    /// Rights-transfer messages issued (donor top-ups + proactive
-    /// rebalances).
+    /// Rights-transfer messages issued (creation carve-outs + donor
+    /// top-ups).
     pub transfers_issued: u64,
     /// Requests correctly rejected because the bound was exhausted.
     pub rejected_exhausted: u64,
-    /// Requests that failed because every useful donor was unreachable.
+    /// Requests refused because no reachable donor could serve them:
+    /// none held rights in the requester's view, or each one asked
+    /// turned out to hold none.
     pub rejected_unreachable: u64,
-    /// Proactive-policy wakeups that inspected demand.
-    pub rebalance_checks: u64,
-    /// Proactive transfers actually issued.
-    pub proactive_transfers: u64,
-    /// Rebalances skipped because the previous transfer was not yet
-    /// causally stable.
-    pub rebalance_deferred: u64,
-}
-
-/// Per-resource proactive-rebalance bookkeeping.
-#[derive(Clone, Debug, Default)]
-struct RebalanceState {
-    /// Operation time of the last rebalance decision.
-    last_us: u64,
-    /// Commit clock of the last issued proactive transfer; the next one
-    /// waits until this is causally stable.
-    pending: Option<VClock>,
 }
 
 /// An escrow-sharded [`BoundedCounter`]: per-replica rights in
-/// replicated `BCounter` objects, local decrements, donor-assisted
-/// borrowing, and policy-driven rebalancing. See the module docs for the
-/// model.
+/// replicated `BCounter` objects, local decrements, and donor-assisted
+/// borrowing when they run dry. See the module docs for the model.
 #[derive(Clone, Debug, Default)]
 pub struct EscrowShard {
-    policy: ProvisioningPolicy,
-    /// Capacity each resource was created with.
-    capacities: HashMap<String, u64>,
-    /// Per-resource, per-region decrement demand since the last
-    /// proactive rebalance (the "demand-weighted" input).
-    demand: HashMap<String, Vec<u64>>,
-    rebalance: HashMap<String, RebalanceState>,
     pub stats: EscrowShardStats,
 }
 
 impl EscrowShard {
-    pub fn new(policy: ProvisioningPolicy) -> EscrowShard {
-        EscrowShard {
-            policy,
-            ..EscrowShard::default()
-        }
-    }
-
-    /// The configured provisioning policy.
-    pub fn policy(&self) -> ProvisioningPolicy {
-        self.policy
-    }
-
-    /// Capacity `res` was created with (None before `create`).
-    pub fn capacity(&self, res: &str) -> Option<u64> {
-        self.capacities.get(res).copied()
-    }
-
     /// Locally-visible `(counter value, per-replica rights)` read at
     /// `region`'s replica.
     fn view<C: OpCtx>(
@@ -143,86 +98,6 @@ impl EscrowShard {
         ds.sort_by_key(|&r| (-rights[r as usize], r));
         ds
     }
-
-    /// Record demand and, under the proactive policy, maybe issue a
-    /// demand-weighted rebalance transfer. Runs at the top of every
-    /// decrement; the WAN cost of proactive transfers is *not* charged
-    /// to the triggering operation (they are background traffic).
-    fn note_demand_and_rebalance<C: OpCtx>(&mut self, ctx: &mut C, res: &str, region: Region) {
-        let regions = ctx.regions();
-        self.demand
-            .entry(res.to_owned())
-            .or_insert_with(|| vec![0; regions])[region as usize] += 1;
-        let ProvisioningPolicy::Proactive { interval_us } = self.policy else {
-            return;
-        };
-        let now = ctx.now_us();
-        let state = self.rebalance.entry(res.to_owned()).or_default();
-        if now < state.last_us.saturating_add(interval_us) && state.last_us != 0 {
-            return;
-        }
-        self.stats.rebalance_checks += 1;
-        // Stability gate (the event-driven frontier fold): never stack a
-        // second proactive transfer on one that is still in flight —
-        // granting against an unstable view could over-move rights.
-        if let Some(clock) = self.rebalance.get(res).and_then(|s| s.pending.clone()) {
-            let replicas: Vec<ReplicaId> = (0..regions as u16).map(ReplicaId).collect();
-            let stable = ctx
-                .commit(region, |tx| Ok(tx.clock_stable(&clock, &replicas)))
-                .map(|(s, _)| s)
-                .unwrap_or(false);
-            let state = self.rebalance.entry(res.to_owned()).or_default();
-            if !stable {
-                self.stats.rebalance_deferred += 1;
-                state.last_us = now;
-                return;
-            }
-            state.pending = None;
-        }
-        let Ok((_, rights)) = self.view(ctx, res, region) else {
-            return;
-        };
-        let demand = self
-            .demand
-            .get(res)
-            .cloned()
-            .unwrap_or_else(|| vec![0; regions]);
-        // Starved: highest demand-over-rights pressure with real demand.
-        // Donor: most visible rights. Integer pressure comparison
-        // (demand * donor_rights ordering) avoids floats.
-        let starved = (0..regions as u16)
-            .filter(|&r| demand[r as usize] > 0)
-            .max_by_key(|&r| (demand[r as usize] as i64 - rights[r as usize], u16::MAX - r));
-        let Some(starved) = starved else {
-            return;
-        };
-        let donors = Self::donors(&rights, starved, ctx);
-        let Some(&donor) = donors.first() else {
-            return;
-        };
-        let shortfall = demand[starved as usize] as i64 - rights[starved as usize];
-        if donor == starved || shortfall <= 0 {
-            return;
-        }
-        let amount = (rights[donor as usize] / 2).min(shortfall).max(0) as u64;
-        if amount == 0 {
-            return;
-        }
-        let key = rights_key(res);
-        let committed = ctx.commit(donor, |tx| {
-            tx.bcounter_transfer(key.as_str(), ReplicaId(starved), amount)
-        });
-        let state = self.rebalance.entry(res.to_owned()).or_default();
-        state.last_us = now;
-        if let Ok((_, info)) = committed {
-            state.pending = Some(info.clock);
-            self.stats.proactive_transfers += 1;
-            self.stats.transfers_issued += 1;
-            if let Some(d) = self.demand.get_mut(res) {
-                d.fill(0);
-            }
-        }
-    }
 }
 
 impl BoundedCounter for EscrowShard {
@@ -233,9 +108,6 @@ impl BoundedCounter for EscrowShard {
         capacity: u64,
     ) -> Result<(), CoordError> {
         let regions = ctx.regions() as u16;
-        self.capacities.insert(res.to_owned(), capacity);
-        self.demand
-            .insert(res.to_owned(), vec![0; regions as usize]);
         let key = rights_key(res);
         let kind = ObjectKind::BCounter {
             floor: 0,
@@ -257,7 +129,7 @@ impl BoundedCounter for EscrowShard {
         // The creation owner (replica 0) holds the full initial rights;
         // the same commit carves out every other region's share, so the
         // even split replicates as one batch. Low regions take the
-        // remainder, mirroring `EscrowTable::grant_evenly`.
+        // remainder.
         let per = capacity / u64::from(regions.max(1));
         let rem = capacity % u64::from(regions.max(1));
         ctx.commit(0, |tx| {
@@ -281,63 +153,6 @@ impl BoundedCounter for EscrowShard {
         Ok(())
     }
 
-    fn acquire<C: OpCtx>(
-        &mut self,
-        ctx: &mut C,
-        res: &str,
-        region: Region,
-        n: u64,
-    ) -> Result<Acquired, CoordError> {
-        let key = rights_key(res);
-        let (value, rights) = self.view(ctx, res, region)?;
-        if rights[region as usize] >= n as i64 {
-            return Ok(Acquired::local());
-        }
-        if value < n as i64 {
-            self.stats.rejected_exhausted += 1;
-            return Err(CoordError::WouldOversell {
-                resource: res.to_owned(),
-            });
-        }
-        // Ask donors (richest first) to send rights our way. The
-        // transfer lands asynchronously — `rights` here only reflects it
-        // once the batch delivers.
-        let mut wan_ms = 0.0;
-        let mut needed = n as i64 - rights[region as usize];
-        let mut transfers = 0u32;
-        for donor in Self::donors(&rights, region, ctx) {
-            if needed <= 0 {
-                break;
-            }
-            wan_ms += ctx.rtt(region, donor);
-            let want = needed.min(rights[donor as usize]) as u64;
-            let sent = ctx.commit(donor, |tx| {
-                let have = tx.bcounter_rights(key.as_str(), ReplicaId(donor))?;
-                let amount = (want as i64).min(have).max(0) as u64;
-                if amount > 0 {
-                    tx.bcounter_transfer(key.as_str(), ReplicaId(region), amount)?;
-                }
-                Ok(amount)
-            });
-            if let Ok((amount, _)) = sent {
-                if amount > 0 {
-                    transfers += 1;
-                    needed -= amount as i64;
-                }
-            }
-        }
-        if needed > 0 {
-            self.stats.rejected_unreachable += 1;
-            let to = Self::donors(&rights, region, ctx)
-                .first()
-                .copied()
-                .unwrap_or(region);
-            return Err(CoordError::PeerUnreachable { from: region, to });
-        }
-        self.stats.transfers_issued += u64::from(transfers);
-        Ok(Acquired { wan_ms, transfers })
-    }
-
     fn decrement<C: OpCtx>(
         &mut self,
         ctx: &mut C,
@@ -345,7 +160,6 @@ impl BoundedCounter for EscrowShard {
         region: Region,
         n: u64,
     ) -> Result<Acquired, CoordError> {
-        self.note_demand_and_rebalance(ctx, res, region);
         let key = rights_key(res);
         // Fast path: resident rights, one local commit, zero WAN.
         match ctx.commit(region, |tx| tx.bcounter_dec(key.as_str(), n)) {
@@ -415,59 +229,12 @@ impl BoundedCounter for EscrowShard {
             to: best.unwrap_or(region),
         })
     }
-
-    fn transfer<C: OpCtx>(
-        &mut self,
-        ctx: &mut C,
-        res: &str,
-        from: Region,
-        to: Region,
-        n: u64,
-    ) -> Result<Acquired, CoordError> {
-        if from == to || n == 0 {
-            return Ok(Acquired::local());
-        }
-        if !ctx.node_up(from) || !ctx.link_up(to, from) {
-            return Err(CoordError::PeerUnreachable { from: to, to: from });
-        }
-        let key = rights_key(res);
-        // Transfers must commit at the donor — only `from`'s replica can
-        // spend `from`'s rights.
-        let wan_ms = ctx.rtt(to, from);
-        match ctx.commit(from, |tx| {
-            tx.bcounter_transfer(key.as_str(), ReplicaId(to), n)
-        }) {
-            Ok(_) => {
-                self.stats.transfers_issued += 1;
-                Ok(Acquired {
-                    wan_ms,
-                    transfers: 1,
-                })
-            }
-            Err(StoreError::InsufficientRights { .. }) => Err(CoordError::InsufficientRights {
-                resource: res.to_owned(),
-            }),
-            Err(StoreError::Unavailable(_)) => {
-                Err(CoordError::PeerUnreachable { from: to, to: from })
-            }
-            Err(other) => panic!("escrow transfer of `{res}`: {other}"),
-        }
-    }
-
-    fn rights<C: OpCtx>(&mut self, ctx: &mut C, res: &str, region: Region) -> i64 {
-        let key = rights_key(res);
-        ctx.commit(region, |tx| {
-            tx.bcounter_rights(key.as_str(), ReplicaId(region))
-        })
-        .map(|(r, _)| r)
-        .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::ProvisioningPolicy;
+    use crate::counter::rights_at;
     use ipa_sim::{
         two_region_topology, ClientInfo, OpOutcome, SimConfig, SimCtx, Simulation, Workload,
     };
@@ -512,14 +279,13 @@ mod tests {
         drive_at(&[0.0, 0.4], |ctx, step| match step {
             0 => {
                 shard.create(ctx, "gala", 10).unwrap();
-                assert_eq!(shard.capacity("gala"), Some(10));
                 // The creation commit carves region 1's share out
                 // immediately in replica 0's view...
-                assert_eq!(shard.rights(ctx, "gala", 0), 5);
+                assert_eq!(rights_at(ctx, "gala", 0, 0), 5);
             }
             _ => {
                 // ...and it lands at replica 1 once the batch delivers.
-                assert_eq!(shard.rights(ctx, "gala", 1), 5);
+                assert_eq!(rights_at(ctx, "gala", 1, 1), 5);
             }
         });
         assert_eq!(shard.stats.transfers_issued, 1);
@@ -588,78 +354,5 @@ mod tests {
         });
         assert_eq!(shard.stats.rejected_unreachable, 1);
         assert_eq!(shard.stats.borrows, 1);
-    }
-
-    #[test]
-    fn acquire_prefetches_rights_without_spending() {
-        let mut shard = EscrowShard::default();
-        drive_at(&[0.0, 0.4, 0.8], |ctx, step| match step {
-            0 => {
-                shard.create(ctx, "fair", 6).unwrap();
-            }
-            1 => {
-                // Region 0 holds 3; asking for 5 borrows the shortfall.
-                let got = shard.acquire(ctx, "fair", 0, 5).unwrap();
-                assert_eq!(got.transfers, 1);
-                assert!(got.wan_ms > 0.0);
-                // Nothing spent: the full bound is still sellable.
-                assert_eq!(
-                    shard.acquire(ctx, "fair", 0, 7),
-                    Err(CoordError::WouldOversell {
-                        resource: "fair".into()
-                    })
-                );
-            }
-            _ => {
-                // The transfer landed: 5 rights now resident at region 0.
-                assert!(shard.rights(ctx, "fair", 0) >= 5);
-                assert_eq!(shard.acquire(ctx, "fair", 0, 5).unwrap(), Acquired::local());
-            }
-        });
-    }
-
-    #[test]
-    fn explicit_transfer_moves_rights_and_checks_balance() {
-        let mut shard = EscrowShard::default();
-        drive_at(&[0.0], |ctx, _| {
-            shard.create(ctx, "expo", 6).unwrap();
-            let got = shard.transfer(ctx, "expo", 0, 1, 2).unwrap();
-            assert_eq!(got.transfers, 1);
-            assert_eq!(shard.rights(ctx, "expo", 0), 1);
-            assert_eq!(
-                shard.transfer(ctx, "expo", 0, 1, 5),
-                Err(CoordError::InsufficientRights {
-                    resource: "expo".into()
-                })
-            );
-            // Self-moves and zero moves are free no-ops.
-            assert_eq!(
-                shard.transfer(ctx, "expo", 0, 0, 3).unwrap(),
-                Acquired::local()
-            );
-            assert_eq!(
-                shard.transfer(ctx, "expo", 0, 1, 0).unwrap(),
-                Acquired::local()
-            );
-        });
-    }
-
-    #[test]
-    fn proactive_policy_rebalances_toward_demand() {
-        let mut shard = EscrowShard::new(ProvisioningPolicy::Proactive { interval_us: 1 });
-        let at: Vec<f64> = std::iter::once(0.0)
-            .chain((0..6).map(|i| 0.4 + 0.05 * i as f64))
-            .collect();
-        drive_at(&at, |ctx, step| {
-            if step == 0 {
-                shard.create(ctx, "derby", 8).unwrap();
-            } else {
-                // All demand at region 0: once its share runs dry the
-                // rebalancer must move donor rights toward it.
-                let _ = shard.decrement(ctx, "derby", 0, 1);
-            }
-        });
-        assert!(shard.stats.rebalance_checks >= 5, "{:?}", shard.stats);
-        assert!(shard.stats.proactive_transfers >= 1, "{:?}", shard.stats);
     }
 }

@@ -23,10 +23,10 @@ pub struct PlanEntry {
     pub shared_sorts: Vec<Sort>,
     /// Resource-name prefix (`prefix:arg1:arg2` at runtime).
     pub resource_prefix: String,
-    /// The typed mechanism that enforces this entry — what the runtime
-    /// hands to [`CoordConfig::build`](crate::CoordConfig::build) or
-    /// [`crate::ReservationTable::acquire`]. The analysis flags pairs it
-    /// cannot repair, so the default is an exclusive reservation.
+    /// The typed mechanism that enforces this entry — for a reservation,
+    /// what the runtime hands to [`crate::ReservationTable::acquire`].
+    /// The analysis flags pairs it cannot repair, so the default is an
+    /// exclusive reservation.
     pub backend: CoordBackend,
 }
 

@@ -381,14 +381,6 @@ pub trait OpCtx {
     /// state into its downtime.
     fn node_up(&self, region: Region) -> bool;
 
-    /// Simulated time of the executing operation in microseconds (zero
-    /// on transports without a virtual clock). Provisioning policies key
-    /// their proactive-rebalance windows off this, which keeps them
-    /// deterministic under the simulator.
-    fn now_us(&self) -> u64 {
-        0
-    }
-
     /// Run a transaction on a region's replica and hand its batch to the
     /// transport for asynchronous replication.
     fn commit<T>(
@@ -417,10 +409,6 @@ impl OpCtx for SimCtx<'_> {
 
     fn node_up(&self, region: Region) -> bool {
         !self.sim.nodes[region as usize].is_down()
-    }
-
-    fn now_us(&self) -> u64 {
-        self.sim.now.as_micros()
     }
 
     fn commit<T>(

@@ -558,8 +558,8 @@ impl Replica {
     }
 
     /// [`Replica::stability_frontier`], re-folded only when a clock
-    /// advanced or the replica set changed. Provisioning policies poll it
-    /// per operation; [`Replica::run_gc`] reads the same cached fold.
+    /// advanced or the replica set changed: the same cached fold
+    /// [`Replica::run_gc`] reads.
     pub fn stability_frontier_cached(&mut self, replicas: &[ReplicaId]) -> VClock {
         self.stability
             .frontier_cached(replicas, &mut self.stats)

@@ -1,8 +1,8 @@
 //! Causal stability: the latest clock received from each origin, and the
 //! frontier every future delivery dominates. CRDT metadata and log
 //! entries at or below the frontier can be compacted. One cached fold of
-//! it serves both the escrow path (`Replica::stability_frontier_cached`)
-//! and GC (`Replica::run_gc`).
+//! it serves GC (`Replica::run_gc`) and the public cached read
+//! (`Replica::stability_frontier_cached`).
 //!
 //! Invariants enforced here, each with the test that checks it:
 //!
@@ -16,8 +16,8 @@
 //!    same `(epoch, set)` (`cached_frontier_refolds_only_on_clock_advance`,
 //!    `gc_frontier_fold_is_event_driven`, `one_fold_serves_escrow_and_gc`).
 //!    GC's own marker says whether it already compacted at that
-//!    `(epoch, set)`, so a fold the escrow path made never stands in for
-//!    a compaction (`gc_after_an_escrow_fold_still_compacts`).
+//!    `(epoch, set)`, so a fold a cached read made never stands in for a
+//!    compaction (`gc_after_an_escrow_fold_still_compacts`).
 
 use crate::replica::ReplicaStats;
 use ipa_crdt::{ReplicaId, VClock};
@@ -307,7 +307,7 @@ mod tests {
         let after = a.stability_frontier_cached(&replicas);
         assert_eq!(after, a.stability_frontier(&replicas));
         assert_eq!(a.stats.frontier_folds, folds0 + 3);
-        // GC reads the same cache: the escrow path's fold serves it.
+        // GC reads the same cache: the cached read's fold serves it.
         let gc_folds = a.stats.frontier_folds;
         a.run_gc(&replicas);
         assert_eq!(a.stats.frontier_folds, gc_folds);
@@ -392,7 +392,7 @@ mod tests {
         assert_eq!(a.stats.frontier_cache_hits, 3);
         assert_eq!(a.stats.gc_runs, 2);
         // A clock advance invalidates it for both: GC re-folds, and the
-        // escrow path's next poll is served by GC's fold.
+        // next cached read is served by GC's fold.
         let mut tx = a.begin();
         tx.counter_add("ack", 1).unwrap();
         tx.commit();
@@ -411,7 +411,7 @@ mod tests {
         let replicas = [r(0), r(1)];
         let mut a = stable_tombstone();
         let log_len = a.log_len();
-        // The escrow path folds first, at the epoch GC is about to see.
+        // A cached read folds first, at the epoch GC is about to see.
         let frontier = a.stability_frontier_cached(&replicas);
         assert!(frontier.get(r(0)) >= 2, "the remove is stable: {frontier}");
         a.run_gc(&replicas);

@@ -593,15 +593,6 @@ impl<'a> Transaction<'a> {
         })
     }
 
-    /// Is `clock` at or below this replica's causal-stability frontier
-    /// over `replicas`? Provisioning policies use this to wait for an
-    /// earlier rights-transfer to stabilize before re-granting; the
-    /// underlying fold is cached and only recomputed on clock advance
-    /// ([`Replica::stability_frontier_cached`]).
-    pub fn clock_stable(&mut self, clock: &VClock, replicas: &[ipa_crdt::ReplicaId]) -> bool {
-        clock.le(&self.replica.stability_frontier_cached(replicas))
-    }
-
     pub fn lww_write(&mut self, key: impl AsRef<str>, v: Val) -> Result<(), StoreError> {
         let key = key.as_ref();
         let tag = self.replica.alloc_tag();

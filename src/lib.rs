@@ -17,10 +17,10 @@
 //!   highly-available transactions (SwiftCloud substitute, §4.1).
 //! * [`sim`] — a deterministic discrete-event geo-replication simulator
 //!   (EC2 testbed substitute, §5.2.1).
-//! * [`coord`] — the coordination layer: escrow-sharded bounded
-//!   counters with asynchronous rights transfer, Indigo-style
-//!   reservations, and strong (primary-forwarded) coordination behind
-//!   one [`BoundedCounter`] surface (§5.2.1).
+//! * [`coord`] — the coordination layer: two [`BoundedCounter`]
+//!   backends, escrow-sharded counters with asynchronous rights transfer
+//!   and strong (primary-forwarded) counters, plus Indigo-style
+//!   reservations (§5.2.1).
 //! * [`apps`] — the evaluation applications: Tournament, Twitter, Ticket
 //!   and a TPC-W/TPC-C subset (§5.1.2).
 //!
@@ -33,12 +33,11 @@
 pub use ipa_apps as apps;
 pub use ipa_coord as coord;
 
-// The redesigned coordination surface, foregrounded: one trait over the
-// escrow, reservation, and strong backends, a deployment-shape builder,
-// and the typed error/policy vocabulary the planner emits.
+// The coordination surface, foregrounded: one trait over the escrow and
+// strong counters, and the typed error/policy vocabulary the planner
+// emits.
 pub use ipa_coord::{
-    BoundedCounter, CoordBackend, CoordConfig, CoordError, CounterBackend, EscrowShard, LockMode,
-    ProvisioningPolicy, StrongCounter,
+    BoundedCounter, CoordBackend, CoordError, CounterBackend, EscrowShard, LockMode, StrongCounter,
 };
 pub use ipa_core as analysis;
 pub use ipa_crdt as crdt;

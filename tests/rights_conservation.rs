@@ -21,7 +21,7 @@
 
 use ipa::apps::soak::TransportCtx;
 use ipa::apps::ticket::sale::{raw_oversell, SaleBackend, SaleWorkload};
-use ipa::coord::{rights_key, BoundedCounter, CoordConfig, CoordError};
+use ipa::coord::{rights_key, BoundedCounter, CoordError, EscrowShard, StrongCounter};
 use ipa::crdt::ReplicaId;
 use ipa::sim::{paper_topology, CrashPlan, FaultPlan, SimConfig, Simulation};
 use ipa::store::{Cluster, Transport};
@@ -106,7 +106,7 @@ proptest! {
 #[test]
 fn crashed_replica_recovers_unspent_rights_from_its_durable_log() {
     let mut cluster = Cluster::new(3);
-    let mut shard = CoordConfig::new(3).build_escrow();
+    let mut shard = EscrowShard::default();
     {
         let mut ctx = TransportCtx::new(&mut cluster, 5);
         shard.create(&mut ctx, "gold", 90).expect("create");
@@ -171,7 +171,7 @@ fn crashed_replica_recovers_unspent_rights_from_its_durable_log() {
 #[test]
 fn escrow_borrows_from_no_crashed_or_cut_off_donor() {
     let mut cluster = Cluster::new(3);
-    let mut shard = CoordConfig::new(3).build_escrow();
+    let mut shard = EscrowShard::default();
     let mut ctx = TransportCtx::new(&mut cluster, 8);
     shard.create(&mut ctx, "gold", 90).expect("create");
     ctx.transport().quiesce_transport();
@@ -193,4 +193,30 @@ fn escrow_borrows_from_no_crashed_or_cut_off_donor() {
     );
     let after = ctx.transport().replica(ReplicaId(1)).clock();
     assert_eq!(after, &before, "nothing committed at the crashed node");
+}
+
+/// Strong coordination over a plain `Cluster` sees a crashed primary:
+/// with node 0 down, a decrement from region 1 is refused, and nothing
+/// commits anywhere.
+#[test]
+fn strong_counter_refuses_while_its_primary_is_down() {
+    let mut cluster = Cluster::new(3);
+    let mut strong = StrongCounter::new(0);
+    let mut ctx = TransportCtx::new(&mut cluster, 9);
+    strong.create(&mut ctx, "gold", 90).expect("create");
+    ctx.transport().quiesce_transport();
+    ctx.transport().crash_node(ReplicaId(0));
+    let clocks = |ctx: &mut TransportCtx<'_, Cluster>| -> Vec<_> {
+        (0..3)
+            .map(|r| ctx.transport().replica(ReplicaId(r)).clock().clone())
+            .collect()
+    };
+    let before = clocks(&mut ctx);
+    let denied = strong.decrement(&mut ctx, "gold", 1, 1);
+    assert_eq!(
+        denied,
+        Err(CoordError::PeerUnreachable { from: 1, to: 0 }),
+        "the primary is down"
+    );
+    assert_eq!(clocks(&mut ctx), before, "no node's clock moved");
 }

@@ -235,8 +235,10 @@ fn a_simulated_op_costs_its_own_work_not_the_allocators() {
     // read and a `Key` built per lookup (4623ee4) the four cells counted
     // 577 / 3,324 / 199 / 41 allocations per op; while a first write to a
     // stored set or map started a partial copy (8a92d08) 94 / 59 / 24 /
-    // 18; now that a write is copied only when read back, 31 / 54 / 24 /
-    // 15. The digests are 4623ee4's: neither change moves a schedule.
+    // 18; once a write was copied only when read back, 31 / 54 / 24 /
+    // 15; now that an escrow decrement records no per-resource demand,
+    // 31 / 54 / 23 / 15. The digests are 4623ee4's: no change moves a
+    // schedule.
     simulated_cell(
         "tournament",
         &mut TournamentWorkload::new(Mode::Ipa, TournamentConfig::default()),
