@@ -10,15 +10,16 @@
 //! spaces; sequential ids unimplementable without coordination).
 //!
 //! Beside it, [`analysis_costs`] reports what analysing each application
-//! costs: grounding / SAT / repair wall time and the analysis session's
-//! deterministic work counters (ROADMAP item 1, analysis-half timing).
+//! costs: grounding / SAT / repair wall time, the analysis session's
+//! deterministic work counters (ROADMAP item 1, analysis-half timing), and
+//! the wall time of the same analysis at 3 and 4 elements per sort.
 
 use ipa_apps::ticket::ticket_spec;
 use ipa_apps::tournament::tournament_spec;
 use ipa_apps::tpc::tpc_spec;
 use ipa_apps::twitter::twitter_spec;
 use ipa_core::classify::{classify, InvariantClass, Support};
-use ipa_core::{AnalysisReport, Analyzer};
+use ipa_core::{AnalysisConfig, AnalysisReport, Analyzer};
 use ipa_spec::AppSpec;
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -94,29 +95,58 @@ pub fn print(rows: &[Row]) {
     }
 }
 
-/// Analyse each application once: the report (which carries the phase
-/// times and work counters) and the wall time of the whole analysis.
-pub fn analysis_costs() -> Vec<(AnalysisReport, Duration)> {
+/// The scopes beside the default one that [`analysis_costs`] times.
+pub const LARGER_SCOPES: [usize; 2] = [3, 4];
+
+/// What analysing one application costs.
+pub struct Cost {
+    /// The analysis at the default scope; it carries the phase times and
+    /// work counters.
+    pub report: AnalysisReport,
+    /// Wall time of that analysis.
+    pub total: Duration,
+    /// Wall time of the same analysis at each of [`LARGER_SCOPES`].
+    pub larger_scopes: [Duration; 2],
+}
+
+/// Analyse each application once at the default scope and once at each
+/// of [`LARGER_SCOPES`].
+pub fn analysis_costs() -> Vec<Cost> {
+    let timed = |analyzer: Analyzer, spec: &AppSpec| {
+        let began = Instant::now();
+        let report = analyzer.analyze(spec).expect("the shipped specs analyse");
+        (report, began.elapsed())
+    };
     specs()
         .iter()
         .map(|spec| {
-            let began = Instant::now();
-            let report = Analyzer::for_spec(spec)
-                .analyze(spec)
-                .expect("the shipped specs analyse");
-            (report, began.elapsed())
+            let (report, total) = timed(Analyzer::for_spec(spec), spec);
+            let larger_scopes = LARGER_SCOPES.map(|universe_per_sort| {
+                let config = AnalysisConfig {
+                    universe_per_sort,
+                    ..AnalysisConfig::tuned_for(spec)
+                };
+                timed(Analyzer::new(config), spec).1
+            });
+            Cost {
+                report,
+                total,
+                larger_scopes,
+            }
         })
         .collect()
 }
 
 /// Render the analysis-cost table. Times are wall-clock milliseconds of
 /// one run on this machine; everything right of them is deterministic.
-pub fn print_costs(costs: &[(AnalysisReport, Duration)]) {
+pub fn print_costs(costs: &[Cost]) {
     println!("Analysis cost per application (one run; ms are wall clock, counts are exact).");
     println!(
-        "{:<12} {:>8} {:>8} {:>8} {:>8} {:>6} {:>6} {:>8} {:>9} {:>8} {:>8} {:>10} {:>10} {:>13}",
+        "{:<12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>6} {:>8} {:>9} {:>8} {:>8} {:>10} {:>10} {:>13}",
         "App",
         "total",
+        "scope 3",
+        "scope 4",
         "ground",
         "SAT",
         "repair",
@@ -131,11 +161,14 @@ pub fn print_costs(costs: &[(AnalysisReport, Duration)]) {
         "propagations"
     );
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    for (r, total) in costs {
+    for c in costs {
+        let r = &c.report;
         println!(
-            "{:<12} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>6} {:>6} {:>8} {:>9} {:>8} {:>8} {:>10} {:>10} {:>13}",
+            "{:<12} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>6} {:>6} {:>8} {:>9} {:>8} {:>8} {:>10} {:>10} {:>13}",
             r.original.name.to_string(),
-            ms(*total),
+            ms(c.total),
+            ms(c.larger_scopes[0]),
+            ms(c.larger_scopes[1]),
             ms(r.grounding_time),
             ms(r.sat_time),
             ms(r.repair_time),
@@ -151,8 +184,10 @@ pub fn print_costs(costs: &[(AnalysisReport, Duration)]) {
         );
     }
     println!(
-        "(pairs: detection pair checks run; memo: answered by the clean-pair memo; \
-         unsolved: queries decided without the solver; repair includes its SAT time)"
+        "(total: the analysis at 2 elements per sort, the default; scope 3 / 4: the same \
+         analysis at 3 / 4; pairs: detection pair checks run; memo: answered by the \
+         clean-pair memo; unsolved: queries decided without the solver; repair includes \
+         its SAT time)"
     );
 }
 

@@ -12,7 +12,7 @@ use crate::pipeline::AnalysisConfig;
 use crate::session::{AnalysisSession, Image};
 use crate::summary::EffectSummary;
 use crate::AnalysisError;
-use ipa_solver::Model;
+use ipa_solver::AtomId;
 use ipa_spec::{AppSpec, Constant, Formula, GroundAtom, Interpretation, Operation};
 
 /// A concrete counter-example to `I`-confluence: the paper's Figure 2
@@ -69,14 +69,14 @@ pub fn check_pair(
 }
 
 /// The first conflict of a pair, as the loop of
-/// [`AnalysisSession::first_conflict`] finds it: enough to decode a
-/// [`ConflictWitness`], and no more.
+/// [`AnalysisSession::first_conflict`] finds it. With the model the
+/// session's solver found for it, enough to decode a [`ConflictWitness`],
+/// and no more.
 struct Conflict {
     args1: Vec<Constant>,
     args2: Vec<Constant>,
-    contested: Vec<GroundAtom>,
+    contested: Vec<AtomId>,
     merged: EffectSummary,
-    model: Model,
 }
 
 impl AnalysisSession<'_> {
@@ -97,15 +97,16 @@ impl AnalysisSession<'_> {
         let Some(c) = self.first_conflict(op1, op2)? else {
             return Ok(None);
         };
-        let pre = c
-            .model
-            .to_interpretation(&self.universe, &self.spec.constants);
+        // The last satisfiable query was the conflict's.
+        let model = self.solver().model();
+        let atoms = &self.atoms;
+        let pre = model.to_interpretation(atoms, &self.spec.constants);
         let mut merged = pre.clone();
-        for (a, &v) in &c.merged.assigns {
-            merged.set_bool(a.clone(), v);
+        for (&a, &v) in &c.merged.assigns {
+            merged.set_bool(atoms.atom(a), v);
         }
-        for (a, &d) in &c.merged.deltas {
-            merged.add_num(a.clone(), d);
+        for (&a, &d) in &c.merged.deltas {
+            merged.add_num(atoms.atom(a), d);
         }
         let violated: Vec<Formula> = self
             .spec
@@ -122,13 +123,13 @@ impl AnalysisSession<'_> {
             pre,
             merged,
             violated,
-            contested: c.contested,
+            contested: c.contested.iter().map(|&a| atoms.atom(a)).collect(),
         }))
     }
 
     /// Can `op1 ∥ op2` violate the invariant? [`AnalysisSession::check_pair`]
-    /// without decoding the witness: what the repair search asks of every
-    /// candidate it rejects.
+    /// without decoding a witness: what the repair search asks of every
+    /// candidate.
     pub fn conflicts(&mut self, op1: &Operation, op2: &Operation) -> Result<bool, AnalysisError> {
         Ok(self.first_conflict(op1, op2)?.is_some())
     }
@@ -149,16 +150,23 @@ impl AnalysisSession<'_> {
                 continue;
             }
             let wp: Vec<&Image> = f1.wp.iter().chain(&f2.wp).collect();
-            for merged in f1.summary.merge(&f2.summary, &self.spec.rules) {
+            let alternatives = f1
+                .summary
+                .merge(&f2.summary, &self.spec.rules, &self.atoms)
+                .map_err(|atoms| AnalysisError::TooManyContested {
+                    op1: op1.name.clone(),
+                    op2: op2.name.clone(),
+                    atoms,
+                })?;
+            for merged in alternatives {
                 let post = self.image(&merged);
                 let post: Vec<&Image> = post.iter().collect();
-                if let Some(model) = self.query(&wp, &post) {
+                if self.query(&wp, &post) {
                     return Ok(Some(Conflict {
                         args1: args1.clone(),
                         args2: args2.clone(),
                         contested: f1.summary.contested_atoms(&f2.summary),
                         merged,
-                        model,
                     }));
                 }
             }
@@ -200,7 +208,7 @@ impl AnalysisSession<'_> {
             // A state where the originals execute but a candidate would not.
             let originals: Vec<&Image> = o1.wp.iter().chain(&o2.wp).collect();
             let candidates: Vec<&Image> = c1.wp.iter().chain(&c2.wp).collect();
-            if self.query(&originals, &candidates).is_some() {
+            if self.query(&originals, &candidates) {
                 return Ok(false);
             }
         }

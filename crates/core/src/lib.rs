@@ -58,6 +58,14 @@ pub use summary::EffectSummary;
 pub enum AnalysisError {
     Solver(ipa_solver::SolverError),
     Spec(ipa_spec::SpecError),
+    /// The two operations write opposing values to more last-writer-wins
+    /// atoms than the merge enumerates the outcomes of
+    /// ([`summary::MAX_LWW_CONTESTED`]).
+    TooManyContested {
+        op1: ipa_spec::Symbol,
+        op2: ipa_spec::Symbol,
+        atoms: usize,
+    },
 }
 
 impl std::fmt::Display for AnalysisError {
@@ -65,6 +73,12 @@ impl std::fmt::Display for AnalysisError {
         match self {
             AnalysisError::Solver(e) => write!(f, "solver error: {e}"),
             AnalysisError::Spec(e) => write!(f, "spec error: {e}"),
+            AnalysisError::TooManyContested { op1, op2, atoms } => write!(
+                f,
+                "{op1} ∥ {op2} contest {atoms} last-writer-wins atoms; \
+                 the analysis enumerates merge outcomes for at most {}",
+                summary::MAX_LWW_CONTESTED
+            ),
         }
     }
 }

@@ -389,6 +389,37 @@ mod tests {
     }
 
     #[test]
+    fn too_many_lww_contested_atoms_is_an_error_not_a_panic() {
+        // 2 × 2 × 2 atoms at the default scope, each written both ways.
+        let spec = AppSpecBuilder::new("marks")
+            .sort("A")
+            .sort("B")
+            .sort("C")
+            .predicate_bool("mark", &["A", "B", "C"])
+            .rule("mark", ConvergencePolicy::LastWriterWins)
+            .operation("set_all", &[], |op| op.set_true("mark", &["*", "*", "*"]))
+            .operation("clear_all", &[], |op| {
+                op.set_false("mark", &["*", "*", "*"])
+            })
+            .build()
+            .unwrap();
+        let err = Analyzer::default().analyze(&spec).unwrap_err();
+        assert_eq!(
+            err,
+            AnalysisError::TooManyContested {
+                op1: Symbol::new("set_all"),
+                op2: Symbol::new("clear_all"),
+                atoms: 8,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "set_all ∥ clear_all contest 8 last-writer-wins atoms; \
+             the analysis enumerates merge outcomes for at most 6"
+        );
+    }
+
+    #[test]
     fn tuned_config_covers_constants() {
         let spec = AppSpecBuilder::new("c")
             .sort("T")

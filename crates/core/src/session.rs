@@ -6,12 +6,12 @@
 //! [`crate::repair_conflicts`] call) the invariants, convergence rules,
 //! universe and configuration never change — only the two operations under
 //! test do. An [`AnalysisSession`] is built once for that span and owns the
-//! universe, the invariant grounded **once** and flattened to its
-//! top-level conjuncts `c₁ … cₙ`, and a [`SolverSession`] with
-//! `I = ∧ cᵢ` asserted once. Conflict detection
+//! universe with its atoms numbered (rule 6), the invariant grounded
+//! **once** and flattened to its top-level conjuncts `c₁ … cₙ`, and a
+//! [`SolverSession`] with `I = ∧ cᵢ` asserted once. Conflict detection
 //! ([`AnalysisSession::check_pair`]), the executability side condition
 //! ([`AnalysisSession::preserves_executability`]) and the repair search
-//! ([`AnalysisSession::repair_conflicts`]) are methods over it. Five
+//! ([`AnalysisSession::repair_conflicts`]) are methods over it. Six
 //! rules, each sound on its own:
 //!
 //! 1. **Assert only what changed.** For an effect summary `S`, the
@@ -58,6 +58,22 @@
 //!    first one asked, and witnesses carry the same arguments. A sort an
 //!    invariant or effect names an element of by a constant is not
 //!    renamed ([`crate::universe::named_sorts`]).
+//! 6. **Atoms are numbers.** The session numbers the ground atoms of its
+//!    universe once, in an [`AtomTable`]. A
+//!    [`GroundAtom`](ipa_spec::GroundAtom) enters only at grounding,
+//!    which computes an atom's [`ipa_solver::AtomId`] from its predicate
+//!    and constants, and leaves only when [`AnalysisSession::check_pair`]
+//!    decodes a witness. In between, conjuncts, effect summaries, images,
+//!    the conjunct index and the encoder's variable tables hold ids. The
+//!    CNF is clause for clause the one naming atoms by value built: id
+//!    order is `GroundAtom` order, so every map iterated by id (an effect
+//!    summary, the merge's last-writer-wins alternatives, the contested
+//!    atoms) iterates as before, and the encoder allocates an atom's
+//!    variables when it first meets the atom, not by id. Only a witness
+//!    decodes a model: the repair search's two questions,
+//!    [`AnalysisSession::conflicts`] and
+//!    [`AnalysisSession::preserves_executability`], ask for
+//!    satisfiability alone.
 
 use crate::conflict::ConflictWitness;
 use crate::pipeline::AnalysisConfig;
@@ -66,8 +82,8 @@ use crate::universe::{build_universe, canonical_instantiations, named_sorts, Ins
 use crate::wp::apply_summary;
 use crate::AnalysisError;
 use ipa_solver::sat::Stats;
-use ipa_solver::{GroundFormula, Grounder, Model, Outcome, SolverSession, Universe};
-use ipa_spec::{AppSpec, Constant, GroundAtom, Operation, Sort};
+use ipa_solver::{AtomTable, GroundFormula, Grounder, SolverSession};
+use ipa_spec::{AppSpec, Constant, Operation, Sort};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
@@ -99,10 +115,11 @@ pub struct AnalysisSession<'a> {
     /// Its operation list is not consulted — operations are arguments.
     pub(crate) spec: &'a AppSpec,
     pub(crate) cfg: &'a AnalysisConfig,
-    pub(crate) universe: Universe,
+    /// The small-scope universe's ground atoms, numbered (rule 6).
+    pub(crate) atoms: AtomTable,
     conjuncts: Vec<GroundFormula>,
-    /// Ground atom → indices of the conjuncts it occurs in.
-    mentions: HashMap<GroundAtom, Vec<usize>>,
+    /// Indices of the conjuncts each atom occurs in, by atom id.
+    mentions: Vec<Vec<usize>>,
     solver: SolverSession,
     /// Counters of the solvers `renew_solver` dropped.
     retired: Stats,
@@ -137,7 +154,8 @@ impl<'a> AnalysisSession<'a> {
     /// them into a fresh solver. The only place either happens.
     pub fn new(spec: &'a AppSpec, cfg: &'a AnalysisConfig) -> Result<Self, AnalysisError> {
         let universe = build_universe(spec, cfg.universe_per_sort);
-        let grounder = Grounder::new(&universe, &spec.predicates, &spec.constants);
+        let atoms = AtomTable::new(&universe, &spec.predicates);
+        let grounder = Grounder::with_atoms(&atoms, &spec.constants);
         let mut conjuncts = Vec::new();
         for inv in &spec.invariants {
             // Grounding builds with the flattening constructors, so a
@@ -148,16 +166,16 @@ impl<'a> AnalysisSession<'a> {
                 g => conjuncts.push(g),
             }
         }
-        let mut mentions: HashMap<GroundAtom, Vec<usize>> = HashMap::new();
+        let mut mentions = vec![Vec::new(); atoms.len()];
         for (i, c) in conjuncts.iter().enumerate() {
             for a in c.bool_atoms().into_iter().chain(c.num_atoms()) {
-                mentions.entry(a).or_default().push(i);
+                mentions[a.index()].push(i);
             }
         }
         Ok(AnalysisSession {
             spec,
             cfg,
-            universe,
+            atoms,
             solver: load_solver(cfg, &conjuncts),
             retired: Stats::default(),
             solvers: 1,
@@ -204,7 +222,7 @@ impl<'a> AnalysisSession<'a> {
             .assigns
             .keys()
             .chain(s.deltas.keys())
-            .filter_map(|a| self.mentions.get(a))
+            .filter_map(|a| self.mentions.get(a.index()))
             .flatten()
             .copied()
             .collect();
@@ -232,8 +250,7 @@ impl<'a> AnalysisSession<'a> {
         let footprint = match op.ground(args) {
             None => None,
             Some(effects) => {
-                let grounder =
-                    Grounder::new(&self.universe, &self.spec.predicates, &self.spec.constants);
+                let grounder = Grounder::with_atoms(&self.atoms, &self.spec.constants);
                 let summary = EffectSummary::from_effects(&effects, &grounder)?;
                 let wp = self.image(&summary);
                 Some(Rc::new(Footprint { summary, wp }))
@@ -256,7 +273,7 @@ impl<'a> AnalysisSession<'a> {
     ) -> Rc<[Instantiation]> {
         self.pin(&[op1, op2]);
         let sorts = |op: &Operation| op.params.iter().map(|p| p.sort.clone()).collect();
-        let (universe, pinned) = (&self.universe, &self.pinned);
+        let (universe, pinned) = (self.atoms.universe(), &self.pinned);
         self.instantiations
             .entry((sorts(op1), sorts(op2)))
             .or_insert_with_key(|(s1, s2)| {
@@ -286,8 +303,9 @@ impl<'a> AnalysisSession<'a> {
     /// `holds` is true and some image of `fails` is false? Both lists are
     /// images (rule 1): a conjunct not listed is unchanged, hence asserted
     /// already on the `holds` side and impossible to falsify on the
-    /// `fails` side — as is an image that `holds` asserts.
-    pub fn query(&mut self, holds: &[&Image], fails: &[&Image]) -> Option<Model> {
+    /// `fails` side — as is an image that `holds` asserts. When the answer
+    /// is yes, the solver's [`SolverSession::model`] is such a state.
+    pub fn query(&mut self, holds: &[&Image], fails: &[&Image]) -> bool {
         self.queries += 1;
         let negated = GroundFormula::or(
             fails
@@ -299,7 +317,7 @@ impl<'a> AnalysisSession<'a> {
         if negated == GroundFormula::False
             || holds.iter().any(|i| i.formula == GroundFormula::False)
         {
-            return None; // UNSAT by construction
+            return false; // UNSAT by construction
         }
         let began = Instant::now();
         self.solver.push();
@@ -307,13 +325,10 @@ impl<'a> AnalysisSession<'a> {
             self.solver.assert(&i.formula);
         }
         self.solver.assert(&negated);
-        let outcome = self.solver.solve();
+        let sat = self.solver.satisfiable();
         self.solver.pop();
         self.sat_time += began.elapsed();
-        match outcome {
-            Outcome::Sat(model) => Some(model),
-            Outcome::Unsat => None,
-        }
+        sat
     }
 
     /// Rule 3: [`AnalysisSession::check_pair`] behind the clean-pair memo.

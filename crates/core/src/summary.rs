@@ -1,17 +1,21 @@
 //! Effect summaries: the ground footprint of an operation execution, and
 //! the convergence-rule merge of two concurrent footprints (§2.1, §3.2).
 
-use ipa_solver::{GroundError, Grounder};
-use ipa_spec::{ConvergenceRules, EffectKind, GroundAtom, GroundEffect};
+use ipa_solver::{AtomId, AtomTable, GroundError, Grounder};
+use ipa_spec::{ConvergenceRules, EffectKind, GroundEffect};
 use std::collections::BTreeMap;
+
+/// The most last-writer-wins contested atoms [`EffectSummary::merge`]
+/// enumerates the `2^n` outcomes of.
+pub const MAX_LWW_CONTESTED: usize = 6;
 
 /// The net effect of executing an operation with concrete arguments:
 /// boolean assignments (wildcards expanded over the universe) and numeric
-/// deltas.
+/// deltas, keyed on the grounder's atom ids.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EffectSummary {
-    pub assigns: BTreeMap<GroundAtom, bool>,
-    pub deltas: BTreeMap<GroundAtom, i64>,
+    pub assigns: BTreeMap<AtomId, bool>,
+    pub deltas: BTreeMap<AtomId, i64>,
 }
 
 impl EffectSummary {
@@ -43,73 +47,84 @@ impl EffectSummary {
 
     /// Atoms on which the two summaries write opposing boolean values —
     /// the trigger for consulting convergence rules (Alg. 1, line 8).
-    pub fn contested_atoms(&self, other: &EffectSummary) -> Vec<GroundAtom> {
+    pub fn contested_atoms(&self, other: &EffectSummary) -> Vec<AtomId> {
         self.assigns
             .iter()
-            .filter_map(|(a, &v)| match other.assigns.get(a) {
-                Some(&w) if w != v => Some(a.clone()),
+            .filter_map(|(&a, &v)| match other.assigns.get(&a) {
+                Some(&w) if w != v => Some(a),
                 _ => None,
             })
             .collect()
     }
 
-    /// Merge two concurrent summaries under the given convergence rules.
+    /// Merge two concurrent summaries under the given convergence rules;
+    /// `atoms` names each atom's predicate.
     ///
     /// Returns one merged summary per possible outcome: a single summary
     /// when every contested atom's predicate has a deterministic policy
     /// (add-wins / rem-wins), and `2^n` alternatives when `n` contested
     /// atoms resolve by last-writer-wins (either value may survive
-    /// depending on timestamps).
-    pub fn merge(&self, other: &EffectSummary, rules: &ConvergenceRules) -> Vec<EffectSummary> {
+    /// depending on timestamps). `Err(n)` when `n` exceeds
+    /// [`MAX_LWW_CONTESTED`].
+    pub fn merge(
+        &self,
+        other: &EffectSummary,
+        rules: &ConvergenceRules,
+        atoms: &AtomTable,
+    ) -> Result<Vec<EffectSummary>, usize> {
         let mut base = EffectSummary::default();
-        let mut lww_contested: Vec<GroundAtom> = Vec::new();
+        let mut lww_contested: Vec<AtomId> = Vec::new();
 
-        let mut atoms: Vec<&GroundAtom> = self.assigns.keys().collect();
-        atoms.extend(other.assigns.keys());
-        atoms.sort();
-        atoms.dedup();
-        for a in atoms {
-            let v = match (self.assigns.get(a), other.assigns.get(a)) {
-                (Some(&x), Some(&y)) if x != y => match rules.policy(&a.pred).winner() {
-                    Some(w) => Some(w),
-                    None => {
-                        lww_contested.push(a.clone());
-                        None
+        let mut ids: Vec<AtomId> = self
+            .assigns
+            .keys()
+            .chain(other.assigns.keys())
+            .copied()
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        for a in ids {
+            let v = match (self.assigns.get(&a), other.assigns.get(&a)) {
+                (Some(&x), Some(&y)) if x != y => {
+                    match rules.policy(&atoms.predicate(a)).winner() {
+                        Some(w) => Some(w),
+                        None => {
+                            lww_contested.push(a);
+                            None
+                        }
                     }
-                },
+                }
                 (Some(&x), _) => Some(x),
                 (_, Some(&y)) => Some(y),
                 (None, None) => unreachable!("atom came from one of the maps"),
             };
             if let Some(v) = v {
-                base.assigns.insert(a.clone(), v);
+                base.assigns.insert(a, v);
             }
         }
 
         // Numeric deltas commute: sum them.
-        for (a, &d) in self.deltas.iter().chain(other.deltas.iter()) {
-            *base.deltas.entry(a.clone()).or_insert(0) += d;
+        for (&a, &d) in self.deltas.iter().chain(other.deltas.iter()) {
+            *base.deltas.entry(a).or_insert(0) += d;
         }
         // (chain visits self then other; the fold above double-counts
         // nothing because each map's entries are distinct iterations)
 
         if lww_contested.is_empty() {
-            return vec![base];
+            return Ok(vec![base]);
         }
-        assert!(
-            lww_contested.len() <= 6,
-            "too many LWW-contested atoms ({}) for enumeration",
-            lww_contested.len()
-        );
+        if lww_contested.len() > MAX_LWW_CONTESTED {
+            return Err(lww_contested.len());
+        }
         let mut out = Vec::with_capacity(1 << lww_contested.len());
         for bits in 0u32..(1 << lww_contested.len()) {
             let mut alt = base.clone();
-            for (i, a) in lww_contested.iter().enumerate() {
-                alt.assigns.insert(a.clone(), bits >> i & 1 == 1);
+            for (i, &a) in lww_contested.iter().enumerate() {
+                alt.assigns.insert(a, bits >> i & 1 == 1);
             }
             out.push(alt);
         }
-        out
+        Ok(out)
     }
 
     /// True when the summary writes nothing.
@@ -123,6 +138,10 @@ mod tests {
     use super::*;
     use ipa_solver::Universe;
     use ipa_spec::{Constant, ConvergencePolicy, PredicateDecl, Sort, Symbol};
+
+    fn id(g: &Grounder<'_>, pred: &str, args: &[Constant]) -> AtomId {
+        g.atoms().id(&Symbol::new(pred), args)
+    }
     use std::collections::BTreeMap as Map;
 
     fn tourn(n: &str) -> Constant {
@@ -188,13 +207,13 @@ mod tests {
         )
         .unwrap();
         let rules = ConvergenceRules::new().with("tournament", ConvergencePolicy::AddWins);
-        let merged = s1.merge(&s2, &rules);
+        let merged = s1.merge(&s2, &rules, g.atoms()).unwrap();
         assert_eq!(merged.len(), 1);
-        let ga = GroundAtom::new("tournament", vec![tourn("T1")]);
+        let ga = id(&g, "tournament", &[tourn("T1")]);
         assert_eq!(merged[0].assigns.get(&ga), Some(&true));
 
         let rules = ConvergenceRules::new().with("tournament", ConvergencePolicy::RemWins);
-        let merged = s1.merge(&s2, &rules);
+        let merged = s1.merge(&s2, &rules, g.atoms()).unwrap();
         assert_eq!(merged[0].assigns.get(&ga), Some(&false));
     }
 
@@ -220,9 +239,9 @@ mod tests {
         )
         .unwrap();
         let rules = ConvergenceRules::new().with("tournament", ConvergencePolicy::LastWriterWins);
-        let merged = s1.merge(&s2, &rules);
+        let merged = s1.merge(&s2, &rules, g.atoms()).unwrap();
         assert_eq!(merged.len(), 2);
-        let ga = GroundAtom::new("tournament", vec![tourn("T1")]);
+        let ga = id(&g, "tournament", &[tourn("T1")]);
         let values: Vec<bool> = merged
             .iter()
             .map(|m| *m.assigns.get(&ga).unwrap())
@@ -251,19 +270,42 @@ mod tests {
             &g,
         )
         .unwrap();
-        let merged = s1.merge(&s2, &ConvergenceRules::new());
-        let ga = GroundAtom::new("stock", vec![tourn("T1")]);
+        let merged = s1.merge(&s2, &ConvergenceRules::new(), g.atoms()).unwrap();
+        let ga = id(&g, "stock", &[tourn("T1")]);
         assert_eq!(merged[0].deltas.get(&ga), Some(&-3));
     }
 
     #[test]
+    fn merge_refuses_more_lww_alternatives_than_it_enumerates() {
+        let mut u: Universe = [tourn("T1")].into_iter().collect();
+        for i in 1..=7 {
+            u.add(player(&format!("P{i}")));
+        }
+        let (_, d, n) = setup();
+        let g = Grounder::new(&u, &d, &n);
+        let all = |kind| GroundEffect {
+            atom: ipa_spec::Atom::new(
+                "enrolled",
+                vec![ipa_spec::Term::Wildcard, ipa_spec::Term::Const(tourn("T1"))],
+            ),
+            kind,
+        };
+        let s1 = EffectSummary::from_effects(&[all(EffectKind::SetTrue)], &g).unwrap();
+        let s2 = EffectSummary::from_effects(&[all(EffectKind::SetFalse)], &g).unwrap();
+        let lww = ConvergenceRules::new().with("enrolled", ConvergencePolicy::LastWriterWins);
+        assert_eq!(s1.merge(&s2, &lww, g.atoms()), Err(7));
+        let aw = ConvergenceRules::new().with("enrolled", ConvergencePolicy::AddWins);
+        assert_eq!(s1.merge(&s2, &aw, g.atoms()).unwrap().len(), 1);
+    }
+
+    #[test]
     fn contested_atoms_detection() {
-        let ga = GroundAtom::new("tournament", vec![tourn("T1")]);
+        let ga = AtomId(0);
         let mut s1 = EffectSummary::default();
-        s1.assigns.insert(ga.clone(), true);
+        s1.assigns.insert(ga, true);
         let mut s2 = EffectSummary::default();
-        s2.assigns.insert(ga.clone(), false);
-        assert_eq!(s1.contested_atoms(&s2), vec![ga.clone()]);
+        s2.assigns.insert(ga, false);
+        assert_eq!(s1.contested_atoms(&s2), vec![ga]);
         assert_eq!(s2.contested_atoms(&s1), vec![ga]);
         assert!(s1.contested_atoms(&s1).is_empty());
     }
@@ -288,7 +330,7 @@ mod tests {
             &g,
         )
         .unwrap();
-        let ga = GroundAtom::new("tournament", vec![tourn("T1")]);
+        let ga = id(&g, "tournament", &[tourn("T1")]);
         assert_eq!(s.assigns.get(&ga), Some(&true));
     }
 }

@@ -19,7 +19,7 @@ pub fn apply_summary(g: &GroundFormula, s: &EffectSummary) -> GroundFormula {
         GroundFormula::Atom(a) => match s.assigns.get(a) {
             Some(true) => GroundFormula::True,
             Some(false) => GroundFormula::False,
-            None => GroundFormula::Atom(a.clone()),
+            None => GroundFormula::Atom(*a),
         },
         GroundFormula::Not(inner) => GroundFormula::not(apply_summary(inner, s)),
         GroundFormula::And(gs) => {
@@ -42,7 +42,7 @@ pub fn apply_summary(g: &GroundFormula, s: &EffectSummary) -> GroundFormula {
                 match s.assigns.get(a) {
                     Some(true) => fixed += 1,
                     Some(false) => {}
-                    None => remaining.push(a.clone()),
+                    None => remaining.push(*a),
                 }
             }
             GroundFormula::CountCmp {
@@ -60,7 +60,7 @@ pub fn apply_summary(g: &GroundFormula, s: &EffectSummary) -> GroundFormula {
         } => {
             let delta = s.deltas.get(atom).copied().unwrap_or(0);
             GroundFormula::ValueCmp {
-                atom: atom.clone(),
+                atom: *atom,
                 offset: offset + delta,
                 op: *op,
                 rhs: *rhs,
@@ -72,20 +72,17 @@ pub fn apply_summary(g: &GroundFormula, s: &EffectSummary) -> GroundFormula {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipa_spec::{CmpOp, Constant, GroundAtom, Sort};
+    use ipa_solver::AtomId;
+    use ipa_spec::CmpOp;
     use std::collections::BTreeMap;
-
-    fn c(n: &str) -> Constant {
-        Constant::new(n, Sort::new("S"))
-    }
 
     #[test]
     fn assigned_atoms_become_constants() {
-        let a = GroundAtom::new("p", vec![c("1")]);
-        let b = GroundAtom::new("p", vec![c("2")]);
+        let a = AtomId(0);
+        let b = AtomId(1);
         let mut s = EffectSummary::default();
-        s.assigns.insert(a.clone(), true);
-        let g = GroundFormula::and(vec![GroundFormula::Atom(a), GroundFormula::Atom(b.clone())]);
+        s.assigns.insert(a, true);
+        let g = GroundFormula::and(vec![GroundFormula::Atom(a), GroundFormula::Atom(b)]);
         // `a := true` leaves `True ∧ b`, which the constructor folds.
         let out = apply_summary(&g, &s);
         assert_eq!(out, GroundFormula::Atom(b));
@@ -93,10 +90,10 @@ mod tests {
 
     #[test]
     fn count_atoms_fold_into_offset() {
-        let a = GroundAtom::new("e", vec![c("1")]);
-        let b = GroundAtom::new("e", vec![c("2")]);
+        let a = AtomId(0);
+        let b = AtomId(1);
         let g = GroundFormula::CountCmp {
-            atoms: vec![a.clone(), b.clone()],
+            atoms: vec![a, b],
             offset: 0,
             op: CmpOp::Le,
             rhs: 1,
@@ -113,9 +110,9 @@ mod tests {
         }
 
         // Setting the atom false removes it without changing the offset.
-        let a = GroundAtom::new("e", vec![c("1")]);
+        let a = AtomId(0);
         let g = GroundFormula::CountCmp {
-            atoms: vec![a.clone()],
+            atoms: vec![a],
             offset: 0,
             op: CmpOp::Le,
             rhs: 1,
@@ -133,15 +130,15 @@ mod tests {
 
     #[test]
     fn value_atoms_shift_by_delta() {
-        let v = GroundAtom::new("stock", vec![c("i")]);
+        let v = AtomId(2);
         let g = GroundFormula::ValueCmp {
-            atom: v.clone(),
+            atom: v,
             offset: 0,
             op: CmpOp::Ge,
             rhs: 0,
         };
         let mut s = EffectSummary::default();
-        s.deltas.insert(v.clone(), -2);
+        s.deltas.insert(v, -2);
         match apply_summary(&g, &s) {
             GroundFormula::ValueCmp { offset, .. } => assert_eq!(offset, -2),
             other => panic!("unexpected {other:?}"),
@@ -151,42 +148,39 @@ mod tests {
     #[test]
     fn post_state_semantics_matches_direct_application() {
         // Reference check: eval(apply_summary(g, s), pre) == eval(g, post)
-        let a = GroundAtom::new("p", vec![c("1")]);
-        let b = GroundAtom::new("p", vec![c("2")]);
-        let v = GroundAtom::new("n", vec![c("1")]);
+        let a = AtomId(0);
+        let b = AtomId(1);
+        let v = AtomId(2);
         let g = GroundFormula::and(vec![
-            GroundFormula::Or(vec![
-                GroundFormula::Atom(a.clone()),
-                GroundFormula::Atom(b.clone()),
-            ]),
+            GroundFormula::Or(vec![GroundFormula::Atom(a), GroundFormula::Atom(b)]),
             GroundFormula::CountCmp {
-                atoms: vec![a.clone(), b.clone()],
+                atoms: vec![a, b],
                 offset: 0,
                 op: CmpOp::Le,
                 rhs: 1,
             },
             GroundFormula::ValueCmp {
-                atom: v.clone(),
+                atom: v,
                 offset: 0,
                 op: CmpOp::Ge,
                 rhs: 1,
             },
         ]);
         let mut s = EffectSummary::default();
-        s.assigns.insert(a.clone(), true);
-        s.deltas.insert(v.clone(), 1);
+        s.assigns.insert(a, true);
+        s.deltas.insert(v, 1);
 
         for bits in 0..4u8 {
             for nv in 0..3i64 {
                 let mut pre_b = BTreeMap::new();
-                pre_b.insert(a.clone(), bits & 1 == 1);
-                pre_b.insert(b.clone(), bits & 2 == 2);
+                pre_b.insert(a, bits & 1 == 1);
+                pre_b.insert(b, bits & 2 == 2);
                 let mut pre_n = BTreeMap::new();
-                pre_n.insert(v.clone(), nv);
+                pre_n.insert(v, nv);
 
                 // post state
                 let mut post_b = pre_b.clone();
-                post_b.insert(a.clone(), true);
+                post_b.insert(a, true);
                 let mut post_n = pre_n.clone();
                 *post_n.get_mut(&v).unwrap() += 1;
 

@@ -2,8 +2,7 @@
 //! and the Tseitin encoding in tests and property tests.
 
 use crate::cnf::Cnf;
-use crate::ground::GroundFormula;
-use ipa_spec::GroundAtom;
+use crate::ground::{AtomId, GroundFormula};
 use std::collections::BTreeMap;
 
 /// Exhaustively decide satisfiability of a CNF (≤ ~24 variables).
@@ -24,9 +23,9 @@ pub fn cnf_satisfiable(cnf: &Cnf) -> Option<Vec<bool>> {
 pub fn formula_satisfiable(
     f: &GroundFormula,
     num_bound: i64,
-) -> Option<(BTreeMap<GroundAtom, bool>, BTreeMap<GroundAtom, i64>)> {
-    let bool_atoms: Vec<GroundAtom> = f.bool_atoms().into_iter().collect();
-    let num_atoms: Vec<GroundAtom> = f.num_atoms().into_iter().collect();
+) -> Option<(BTreeMap<AtomId, bool>, BTreeMap<AtomId, i64>)> {
+    let bool_atoms: Vec<AtomId> = f.bool_atoms().into_iter().collect();
+    let num_atoms: Vec<AtomId> = f.num_atoms().into_iter().collect();
     let nb = bool_atoms.len();
     assert!(
         nb <= 16,
@@ -40,16 +39,16 @@ pub fn formula_satisfiable(
     let num_combos = dom.pow(num_atoms.len() as u32);
 
     for bits in 0u64..(1u64 << nb) {
-        let bools: BTreeMap<GroundAtom, bool> = bool_atoms
+        let bools: BTreeMap<AtomId, bool> = bool_atoms
             .iter()
             .enumerate()
-            .map(|(i, a)| (a.clone(), bits >> i & 1 == 1))
+            .map(|(i, &a)| (a, bits >> i & 1 == 1))
             .collect();
         for combo in 0..num_combos {
             let mut rem = combo;
             let mut nums = BTreeMap::new();
-            for a in &num_atoms {
-                nums.insert(a.clone(), (rem % dom) as i64);
+            for &a in &num_atoms {
+                nums.insert(a, (rem % dom) as i64);
                 rem /= dom;
             }
             if f.eval(&bools, &nums) {
@@ -85,16 +84,16 @@ mod tests {
 
     #[test]
     fn brute_formula_finds_numeric_models() {
-        let stock = GroundAtom::new("stock", vec![]);
+        let stock = AtomId(0);
         let f = GroundFormula::and(vec![
             GroundFormula::ValueCmp {
-                atom: stock.clone(),
+                atom: stock,
                 offset: 0,
                 op: ipa_spec::CmpOp::Ge,
                 rhs: 2,
             },
             GroundFormula::ValueCmp {
-                atom: stock.clone(),
+                atom: stock,
                 offset: 0,
                 op: ipa_spec::CmpOp::Le,
                 rhs: 2,

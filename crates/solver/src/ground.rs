@@ -7,13 +7,20 @@
 //! (`#enrolled(*, t)`) are expanded into explicit ground-atom lists;
 //! numeric predicate atoms stay symbolic and are encoded with a bounded
 //! order encoding downstream.
+//!
+//! A ground atom is named by its [`AtomId`] in an [`AtomTable`], the one
+//! numbering of the universe's atoms: grounding computes ids, formulas,
+//! effect summaries and the encoder hold them, and [`AtomTable::atom`]
+//! turns one back into a [`GroundAtom`] for display.
 
 use ipa_spec::Symbol;
 use ipa_spec::{
     Atom, CmpOp, Constant, Formula, GroundAtom, NumExpr, PredicateDecl, Sort, Substitution, Term,
     Var,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 /// Re-export: substitutions come from `ipa-spec`.
@@ -74,25 +81,269 @@ impl FromIterator<Constant> for Universe {
     }
 }
 
+/// A ground atom's number in an [`AtomTable`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct AtomId(pub u32);
+
+impl AtomId {
+    /// The id as an index into a table over atoms.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// The numbering of the ground atoms over a universe.
+///
+/// Each declared predicate, in declaration-map order, owns a block of ids;
+/// within it an atom's arguments count in mixed radix over each parameter
+/// sort's elements, sorted by [`Constant`]'s order. So id order is
+/// [`GroundAtom`] order, and an id is computed from the predicate and its
+/// arguments without building the atom. An atom the blocks do not cover
+/// (it names a constant outside the universe, or an undeclared predicate)
+/// is numbered after all of them, when first met.
+#[derive(Clone, Debug)]
+pub struct AtomTable {
+    universe: Universe,
+    /// The declared predicates, in declaration-map order.
+    preds: Vec<Block>,
+    by_name: HashMap<Symbol, usize>,
+    /// Per sort slot: the sort's elements, sorted.
+    slots: Vec<Vec<Constant>>,
+    /// Ids below this number a block's atoms.
+    covered: u32,
+    /// Atoms outside every block, from `covered` on.
+    extra: RefCell<Extra>,
+}
+
+#[derive(Clone, Debug)]
+struct Block {
+    pred: Symbol,
+    base: u32,
+    /// Per parameter: its sort's slot.
+    params: Vec<usize>,
+}
+
+#[derive(Clone, Debug, Default)]
+struct Extra {
+    ids: HashMap<GroundAtom, AtomId>,
+    atoms: Vec<GroundAtom>,
+}
+
+impl AtomTable {
+    pub fn new(universe: &Universe, decls: &BTreeMap<Symbol, PredicateDecl>) -> Self {
+        let mut sorts: Vec<&Sort> = Vec::new();
+        let mut slots: Vec<Vec<Constant>> = Vec::new();
+        let mut preds = Vec::with_capacity(decls.len());
+        let mut base = 0u32;
+        for (pred, decl) in decls {
+            let params: Vec<usize> = decl
+                .params
+                .iter()
+                .map(|sort| match sorts.iter().position(|s| *s == sort) {
+                    Some(slot) => slot,
+                    None => {
+                        let mut elems = universe.elements(sort).to_vec();
+                        elems.sort();
+                        sorts.push(sort);
+                        slots.push(elems);
+                        slots.len() - 1
+                    }
+                })
+                .collect();
+            let size = params
+                .iter()
+                .try_fold(1u32, |n, &slot| n.checked_mul(slots[slot].len() as u32));
+            preds.push(Block {
+                pred: pred.clone(),
+                base,
+                params,
+            });
+            base = size
+                .and_then(|size| base.checked_add(size))
+                .expect("ground atoms outnumber u32");
+        }
+        AtomTable {
+            universe: universe.clone(),
+            by_name: preds
+                .iter()
+                .enumerate()
+                .map(|(i, b)| (b.pred.clone(), i))
+                .collect(),
+            preds,
+            slots,
+            covered: base,
+            extra: RefCell::default(),
+        }
+    }
+
+    /// The universe the atoms range over.
+    pub fn universe(&self) -> &Universe {
+        &self.universe
+    }
+
+    /// How many ids are in use: every id is below this.
+    pub fn len(&self) -> usize {
+        self.covered as usize + self.extra.borrow().atoms.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The id of `pred(args)`, numbering it first if no block covers it.
+    pub fn id(&self, pred: &Symbol, args: &[Constant]) -> AtomId {
+        self.covered_id(pred, args.iter())
+            .unwrap_or_else(|| self.extra_id(GroundAtom::new(pred.clone(), args.to_vec())))
+    }
+
+    /// The id `pred(args)` has in its block, if one covers it.
+    fn covered_id<'c>(
+        &self,
+        pred: &Symbol,
+        args: impl ExactSizeIterator<Item = &'c Constant>,
+    ) -> Option<AtomId> {
+        let block = &self.preds[*self.by_name.get(pred)?];
+        if args.len() != block.params.len() {
+            return None;
+        }
+        let mut offset = 0u32;
+        for (c, &slot) in args.zip(&block.params) {
+            let elems = &self.slots[slot];
+            offset = offset * elems.len() as u32 + elems.iter().position(|e| e == c)? as u32;
+        }
+        Some(AtomId(block.base + offset))
+    }
+
+    fn extra_id(&self, atom: GroundAtom) -> AtomId {
+        let mut extra = self.extra.borrow_mut();
+        if let Some(&id) = extra.ids.get(&atom) {
+            return id;
+        }
+        let id = AtomId(self.covered + extra.atoms.len() as u32);
+        extra.atoms.push(atom.clone());
+        extra.ids.insert(atom, id);
+        id
+    }
+
+    /// The block numbering `id`, if one does.
+    fn block(&self, id: AtomId) -> Option<&Block> {
+        if id.0 >= self.covered {
+            return None;
+        }
+        // A block with no atoms shares its base with the next one.
+        let i = self.preds.partition_point(|b| b.base <= id.0);
+        Some(&self.preds[i - 1])
+    }
+
+    /// The ground atom `id` numbers.
+    pub fn atom(&self, id: AtomId) -> GroundAtom {
+        let Some(block) = self.block(id) else {
+            return self.extra.borrow().atoms[(id.0 - self.covered) as usize].clone();
+        };
+        let mut offset = id.0 - block.base;
+        let mut args = Vec::with_capacity(block.params.len());
+        for &slot in block.params.iter().rev() {
+            let elems = &self.slots[slot];
+            args.push(elems[(offset % elems.len() as u32) as usize].clone());
+            offset /= elems.len() as u32;
+        }
+        args.reverse();
+        GroundAtom::new(block.pred.clone(), args)
+    }
+
+    /// The predicate of the atom `id` numbers.
+    pub fn predicate(&self, id: AtomId) -> Symbol {
+        match self.block(id) {
+            Some(block) => block.pred.clone(),
+            None => self.extra.borrow().atoms[(id.0 - self.covered) as usize]
+                .pred
+                .clone(),
+        }
+    }
+
+    /// The ids of the atoms a pattern of constants and wildcards ranges
+    /// over, in id order; a wildcard position ranges over the declared
+    /// sort's elements.
+    fn expand(&self, pattern: &Atom) -> Result<Vec<AtomId>, GroundError> {
+        let block = self
+            .by_name
+            .get(&pattern.pred)
+            .map(|&i| &self.preds[i])
+            .ok_or_else(|| GroundError::UnknownPredicate(pattern.pred.to_string()))?;
+        if pattern.args.iter().any(|t| matches!(t, Term::Var(_))) {
+            return Err(GroundError::OpenAtom(pattern.to_string()));
+        }
+        if pattern.args.len() != block.params.len() {
+            return Ok(self.expand_outside(pattern, block));
+        }
+        let mut offsets = vec![0u32];
+        for (i, t) in pattern.args.iter().enumerate() {
+            let elems = &self.slots[block.params[i]];
+            let radix = elems.len() as u32;
+            let digits = match t {
+                Term::Const(c) => match elems.iter().position(|e| e == c) {
+                    Some(k) => k as u32..k as u32 + 1,
+                    None => return Ok(self.expand_outside(pattern, block)),
+                },
+                _ => 0..radix, // a wildcard
+            };
+            offsets = offsets
+                .iter()
+                .flat_map(|o| digits.clone().map(move |d| o * radix + d))
+                .collect();
+        }
+        Ok(offsets
+            .into_iter()
+            .map(|o| AtomId(block.base + o))
+            .collect())
+    }
+
+    /// [`AtomTable::expand`] for a pattern of constants and wildcards that
+    /// names a constant outside the universe: its atoms are built and
+    /// numbered one by one.
+    fn expand_outside(&self, pattern: &Atom, block: &Block) -> Vec<AtomId> {
+        let mut acc: Vec<Vec<Constant>> = vec![Vec::new()];
+        for (i, t) in pattern.args.iter().enumerate() {
+            let choices: &[Constant] = match t {
+                Term::Const(c) => std::slice::from_ref(c),
+                _ => &self.slots[block.params[i]], // a wildcard
+            };
+            acc = acc
+                .iter()
+                .flat_map(|prefix| {
+                    choices.iter().map(move |c| {
+                        let mut p = prefix.clone();
+                        p.push(c.clone());
+                        p
+                    })
+                })
+                .collect();
+        }
+        acc.iter()
+            .map(|args| self.id(&pattern.pred, args))
+            .collect()
+    }
+}
+
 /// Quantifier-free ground formula: the encoder's input language.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GroundFormula {
     True,
     False,
-    Atom(GroundAtom),
+    Atom(AtomId),
     Not(Box<GroundFormula>),
     And(Vec<GroundFormula>),
     Or(Vec<GroundFormula>),
     /// `|{a ∈ atoms : a true}| + offset  op  rhs`
     CountCmp {
-        atoms: Vec<GroundAtom>,
+        atoms: Vec<AtomId>,
         offset: i64,
         op: CmpOp,
         rhs: i64,
     },
     /// `value(atom) + offset  op  rhs` for a numeric predicate instance.
     ValueCmp {
-        atom: GroundAtom,
+        atom: AtomId,
         offset: i64,
         op: CmpOp,
         rhs: i64,
@@ -151,24 +402,24 @@ impl GroundFormula {
     }
 
     /// All boolean ground atoms mentioned (including inside counts).
-    pub fn bool_atoms(&self) -> BTreeSet<GroundAtom> {
+    pub fn bool_atoms(&self) -> BTreeSet<AtomId> {
         let mut out = BTreeSet::new();
         self.visit(&mut |g| match g {
             GroundFormula::Atom(a) => {
-                out.insert(a.clone());
+                out.insert(*a);
             }
-            GroundFormula::CountCmp { atoms, .. } => out.extend(atoms.iter().cloned()),
+            GroundFormula::CountCmp { atoms, .. } => out.extend(atoms),
             _ => {}
         });
         out
     }
 
     /// All numeric ground atoms mentioned.
-    pub fn num_atoms(&self) -> BTreeSet<GroundAtom> {
+    pub fn num_atoms(&self) -> BTreeSet<AtomId> {
         let mut out = BTreeSet::new();
         self.visit(&mut |g| {
             if let GroundFormula::ValueCmp { atom, .. } = g {
-                out.insert(atom.clone());
+                out.insert(*atom);
             }
         });
         out
@@ -188,11 +439,7 @@ impl GroundFormula {
     }
 
     /// Evaluate under explicit valuations (reference semantics for tests).
-    pub fn eval(
-        &self,
-        bools: &BTreeMap<GroundAtom, bool>,
-        nums: &BTreeMap<GroundAtom, i64>,
-    ) -> bool {
+    pub fn eval(&self, bools: &BTreeMap<AtomId, bool>, nums: &BTreeMap<AtomId, i64>) -> bool {
         match self {
             GroundFormula::True => true,
             GroundFormula::False => false,
@@ -253,52 +500,65 @@ impl fmt::Display for GroundError {
 
 impl std::error::Error for GroundError {}
 
-/// Grounds formulas over a [`Universe`], resolving wildcard sorts via the
-/// predicate declarations and named constants via the constant table.
+/// Grounds formulas over a [`Universe`], naming atoms by their ids in an
+/// [`AtomTable`], resolving wildcard sorts via the predicate declarations
+/// and named constants via the constant table.
 pub struct Grounder<'a> {
-    pub universe: &'a Universe,
-    pub decls: &'a BTreeMap<Symbol, PredicateDecl>,
-    pub named: &'a BTreeMap<Symbol, i64>,
+    atoms: Cow<'a, AtomTable>,
+    named: &'a BTreeMap<Symbol, i64>,
 }
 
 impl<'a> Grounder<'a> {
+    /// A grounder with its own [`AtomTable`] over `universe` and `decls`.
     pub fn new(
         universe: &'a Universe,
         decls: &'a BTreeMap<Symbol, PredicateDecl>,
         named: &'a BTreeMap<Symbol, i64>,
     ) -> Self {
         Grounder {
-            universe,
-            decls,
+            atoms: Cow::Owned(AtomTable::new(universe, decls)),
             named,
         }
     }
 
-    /// Ground a closed formula (its quantifiers expand over the universe).
-    pub fn ground(&self, f: &Formula) -> Result<GroundFormula, GroundError> {
-        self.ground_inner(f)
+    /// A grounder numbering atoms in a table built once for many.
+    pub fn with_atoms(atoms: &'a AtomTable, named: &'a BTreeMap<Symbol, i64>) -> Self {
+        Grounder {
+            atoms: Cow::Borrowed(atoms),
+            named,
+        }
     }
 
-    fn ground_inner(&self, f: &Formula) -> Result<GroundFormula, GroundError> {
+    /// The numbering the ground formulas' ids refer to.
+    pub fn atoms(&self) -> &AtomTable {
+        &self.atoms
+    }
+
+    /// Ground a closed formula (its quantifiers expand over the universe).
+    pub fn ground(&self, f: &Formula) -> Result<GroundFormula, GroundError> {
         Ok(match f {
             Formula::True => GroundFormula::True,
             Formula::False => GroundFormula::False,
-            Formula::Atom(a) => GroundFormula::Atom(self.ground_bool_atom(a)?),
-            Formula::Not(g) => GroundFormula::not(self.ground_inner(g)?),
+            Formula::Atom(a) => {
+                if a.has_wildcard() {
+                    return Err(GroundError::WildcardInBooleanAtom(a.to_string()));
+                }
+                GroundFormula::Atom(self.ground_atom(a)?)
+            }
+            Formula::Not(g) => GroundFormula::not(self.ground(g)?),
             Formula::And(gs) => GroundFormula::and(
                 gs.iter()
-                    .map(|g| self.ground_inner(g))
+                    .map(|g| self.ground(g))
                     .collect::<Result<_, _>>()?,
             ),
             Formula::Or(gs) => GroundFormula::or(
                 gs.iter()
-                    .map(|g| self.ground_inner(g))
+                    .map(|g| self.ground(g))
                     .collect::<Result<_, _>>()?,
             ),
-            Formula::Implies(l, r) => GroundFormula::or(vec![
-                GroundFormula::not(self.ground_inner(l)?),
-                self.ground_inner(r)?,
-            ]),
+            Formula::Implies(l, r) => {
+                GroundFormula::or(vec![GroundFormula::not(self.ground(l)?), self.ground(r)?])
+            }
             Formula::Cmp(l, op, r) => self.ground_cmp(l, *op, r)?,
             Formula::Forall(vars, body) => {
                 let mut parts = Vec::new();
@@ -322,13 +582,11 @@ impl<'a> Grounder<'a> {
         out: &mut Vec<GroundFormula>,
     ) -> Result<(), GroundError> {
         if idx == vars.len() {
-            out.push(self.ground_inner(&body.substitute(subst))?);
+            out.push(self.ground(&body.substitute(subst))?);
             return Ok(());
         }
         let var = &vars[idx];
-        // NOTE: elements() clones to avoid borrowing issues are unnecessary:
-        // universe is shared immutably.
-        for c in self.universe.elements(&var.sort) {
+        for c in self.atoms.universe().elements(&var.sort) {
             subst.insert(var.clone(), Term::Const(c.clone()));
             self.expand_quant(vars, body, subst, idx + 1, out)?;
         }
@@ -336,42 +594,28 @@ impl<'a> Grounder<'a> {
         Ok(())
     }
 
-    fn ground_bool_atom(&self, a: &Atom) -> Result<GroundAtom, GroundError> {
-        if a.has_wildcard() {
-            return Err(GroundError::WildcardInBooleanAtom(a.to_string()));
+    /// The id of an atom whose arguments are all constants.
+    fn ground_atom(&self, a: &Atom) -> Result<AtomId, GroundError> {
+        if !a.args.iter().all(|t| matches!(t, Term::Const(_))) {
+            return Err(GroundError::OpenAtom(a.to_string()));
         }
-        GroundAtom::from_atom(a).ok_or_else(|| GroundError::OpenAtom(a.to_string()))
+        let args = a.args.iter().map(|t| match t {
+            Term::Const(c) => c,
+            _ => unreachable!("checked above"),
+        });
+        Ok(match self.atoms.covered_id(&a.pred, args.clone()) {
+            Some(id) => id,
+            None => self
+                .atoms
+                .extra_id(GroundAtom::new(a.pred.clone(), args.cloned().collect())),
+        })
     }
 
-    /// Expand a count pattern (constants + wildcards) into the ground atoms
-    /// it ranges over. Wildcard positions enumerate the universe of the
-    /// declared sort at that position.
-    pub fn expand_count_pattern(&self, pattern: &Atom) -> Result<Vec<GroundAtom>, GroundError> {
-        let decl = self
-            .decls
-            .get(&pattern.pred)
-            .ok_or_else(|| GroundError::UnknownPredicate(pattern.pred.to_string()))?;
-        let mut acc: Vec<Vec<Constant>> = vec![Vec::new()];
-        for (i, t) in pattern.args.iter().enumerate() {
-            let choices: Vec<Constant> = match t {
-                Term::Const(c) => vec![c.clone()],
-                Term::Wildcard => self.universe.elements(&decl.params[i]).to_vec(),
-                Term::Var(_) => return Err(GroundError::OpenAtom(pattern.to_string())),
-            };
-            let mut next = Vec::with_capacity(acc.len() * choices.len());
-            for prefix in &acc {
-                for c in &choices {
-                    let mut p = prefix.clone();
-                    p.push(c.clone());
-                    next.push(p);
-                }
-            }
-            acc = next;
-        }
-        Ok(acc
-            .into_iter()
-            .map(|args| GroundAtom::new(pattern.pred.clone(), args))
-            .collect())
+    /// Expand a count pattern (constants + wildcards) into the ids of the
+    /// ground atoms it ranges over, in id order. Wildcard positions
+    /// enumerate the universe of the declared sort at that position.
+    pub fn expand_count_pattern(&self, pattern: &Atom) -> Result<Vec<AtomId>, GroundError> {
+        self.atoms.expand(pattern)
     }
 
     fn ground_cmp(
@@ -449,9 +693,8 @@ impl<'a> Grounder<'a> {
                         "wildcard in numeric value atom {a}"
                     )));
                 }
-                let ga =
-                    GroundAtom::from_atom(a).ok_or_else(|| GroundError::OpenAtom(a.to_string()))?;
-                lin.terms.push((sign, TermRef::Value(ga)));
+                let atom = self.ground_atom(a)?;
+                lin.terms.push((sign, TermRef::Value(atom)));
                 Ok(())
             }
             NumExpr::Add(l, r) => {
@@ -466,14 +709,6 @@ impl<'a> Grounder<'a> {
     }
 }
 
-/// Alias kept public for the encoder: a count term expands to ground atoms,
-/// a value term is a single numeric ground atom.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum NumTerm {
-    Count(Vec<GroundAtom>),
-    Value(GroundAtom),
-}
-
 #[derive(Default)]
 struct Lin {
     terms: Vec<(i64, TermRef)>,
@@ -482,8 +717,8 @@ struct Lin {
 
 #[derive(Debug)]
 enum TermRef {
-    Count(Vec<GroundAtom>),
-    Value(GroundAtom),
+    Count(Vec<AtomId>),
+    Value(AtomId),
 }
 
 #[cfg(test)]
@@ -531,6 +766,69 @@ mod tests {
     }
 
     #[test]
+    fn ids_number_the_universe_in_ground_atom_order() {
+        // Elements added out of order: ids follow `Constant`'s order.
+        let u: Universe = [player("P2"), tourn("T2"), player("P1"), tourn("T1")]
+            .into_iter()
+            .collect();
+        let table = AtomTable::new(&u, &decls());
+        // 4 enrolled + 2 player + 2 stock + 2 tournament.
+        assert_eq!(table.len(), 10);
+        let atoms: Vec<GroundAtom> = (0..10).map(|i| table.atom(AtomId(i))).collect();
+        assert!(atoms.windows(2).all(|w| w[0] < w[1]), "{atoms:?}");
+        for (i, a) in atoms.iter().enumerate() {
+            assert_eq!(table.id(&a.pred, &a.args), AtomId(i as u32));
+            assert_eq!(table.predicate(AtomId(i as u32)), a.pred);
+        }
+        assert_eq!(atoms[0].to_string(), "enrolled(P1, T1)");
+        assert_eq!(atoms[9].to_string(), "tournament(T2)");
+    }
+
+    #[test]
+    fn an_atom_outside_the_universe_is_numbered_after_it() {
+        let u = small_universe();
+        let d = decls();
+        let named = BTreeMap::new();
+        let g = Grounder::new(&u, &d, &named);
+        let covered = g.atoms().len();
+        assert_eq!(covered, 2 + 2 + 1 + 1);
+        // `T9` is no element of the universe: the atom still grounds.
+        let t9 = || Term::Const(tourn("T9"));
+        let p = Var::new("p", "Player");
+        let f = Formula::forall(
+            vec![p.clone()],
+            Formula::implies(
+                Formula::atom("enrolled", vec![Term::Var(p), t9()]),
+                Formula::atom("tournament", vec![t9()]),
+            ),
+        );
+        let gf = g.ground(&f).unwrap();
+        let extra: Vec<AtomId> = gf
+            .bool_atoms()
+            .into_iter()
+            .filter(|a| a.index() >= covered)
+            .collect();
+        assert_eq!(extra.len(), 3, "{gf:?}");
+        let shown: Vec<String> = extra
+            .iter()
+            .map(|&a| g.atoms().atom(a).to_string())
+            .collect();
+        assert_eq!(
+            shown,
+            ["enrolled(P1, T9)", "tournament(T9)", "enrolled(P2, T9)"]
+        );
+        // Met again, such an atom keeps its id; a wildcard over the
+        // universe's players finds both.
+        let pattern = Atom::new("enrolled", vec![Term::Wildcard, t9()]);
+        assert_eq!(
+            g.expand_count_pattern(&pattern).unwrap(),
+            vec![extra[0], extra[2]]
+        );
+        assert_eq!(g.atoms().len(), covered + 3);
+        assert_eq!(g.atoms().predicate(extra[1]).as_str(), "tournament");
+    }
+
+    #[test]
     fn forall_expands_to_conjunction() {
         let u = small_universe();
         let d = decls();
@@ -573,7 +871,12 @@ mod tests {
         let pattern = Atom::new("enrolled", vec![Term::Wildcard, Term::Const(tourn("T1"))]);
         let atoms = g.expand_count_pattern(&pattern).unwrap();
         assert_eq!(atoms.len(), 2);
-        assert_eq!(atoms[0].to_string(), "enrolled(P1, T1)");
+        assert_eq!(g.atoms().atom(atoms[0]).to_string(), "enrolled(P1, T1)");
+        let ghost = Atom::new("ghost", vec![Term::Wildcard]);
+        assert!(matches!(
+            g.expand_count_pattern(&ghost),
+            Err(GroundError::UnknownPredicate(_))
+        ));
     }
 
     #[test]
@@ -611,7 +914,7 @@ mod tests {
         let gf = g.ground(&f).unwrap();
         match gf {
             GroundFormula::ValueCmp { atom, op, rhs, .. } => {
-                assert_eq!(atom.to_string(), "stock(T1)");
+                assert_eq!(g.atoms().atom(atom).to_string(), "stock(T1)");
                 assert_eq!(op, CmpOp::Ge);
                 assert_eq!(rhs, 0);
             }
@@ -660,10 +963,9 @@ mod tests {
 
     #[test]
     fn ground_formula_eval_reference_semantics() {
-        let a1 = GroundAtom::new("enrolled", vec![player("P1"), tourn("T1")]);
-        let a2 = GroundAtom::new("enrolled", vec![player("P2"), tourn("T1")]);
+        let (a1, a2) = (AtomId(0), AtomId(1));
         let gf = GroundFormula::CountCmp {
-            atoms: vec![a1.clone(), a2.clone()],
+            atoms: vec![a1, a2],
             offset: 1,
             op: CmpOp::Le,
             rhs: 2,

@@ -17,9 +17,14 @@
 //!    propagation, first-UIP clause learning, activity-based decisions,
 //!    solving under assumptions) ([`sat`]);
 //! 4. **sessions**: one encoder and one solver kept across many related
-//!    queries, each in its own retractable scope, with models decoded
-//!    back into [`ipa_spec::Interpretation`]s so the analysis can show
-//!    counter-example states like the paper's Figure 2 ([`query`]).
+//!    queries, each in its own retractable scope ([`query`]). A query
+//!    answers satisfiable or not; only when the caller asks is its model
+//!    decoded, and only [`query::Model::to_interpretation`] turns atom ids
+//!    back into an [`ipa_spec::Interpretation`], so the analysis can show
+//!    a counter-example state like the paper's Figure 2.
+//!
+//! Between grounding and that decoding a ground atom is an
+//! [`ground::AtomId`], its number in the universe's [`ground::AtomTable`].
 //!
 //! The [`brute`] module provides a brute-force model enumerator used by the
 //! property-test suite to cross-validate the CDCL solver on small instances.
@@ -33,7 +38,7 @@ pub mod sat;
 pub mod tseitin;
 
 pub use cnf::{Clause, Cnf};
-pub use ground::{GroundError, GroundFormula, Grounder, NumTerm, Universe};
+pub use ground::{AtomId, AtomTable, GroundError, GroundFormula, Grounder, Universe};
 pub use lit::{Lit, SatVar};
 pub use query::{Model, Outcome, SolverError, SolverSession};
 pub use sat::Solver;

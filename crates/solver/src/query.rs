@@ -1,11 +1,11 @@
 //! High-level satisfiability queries: the interface `ipa-core` uses in
 //! place of Z3.
 
-use crate::ground::{GroundError, GroundFormula, Universe};
+use crate::ground::{AtomId, AtomTable, GroundError, GroundFormula};
 use crate::lit::Lit;
 use crate::sat::{Solver, Stats};
 use crate::tseitin::Encoder;
-use ipa_spec::{GroundAtom, Interpretation, Symbol};
+use ipa_spec::{Interpretation, Symbol};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -31,30 +31,31 @@ impl From<GroundError> for SolverError {
     }
 }
 
-/// A satisfying assignment decoded back to ground atoms.
+/// A satisfying assignment: a value for every atom the encoder has met.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Model {
-    pub bools: BTreeMap<GroundAtom, bool>,
-    pub nums: BTreeMap<GroundAtom, i64>,
+    pub bools: BTreeMap<AtomId, bool>,
+    pub nums: BTreeMap<AtomId, i64>,
 }
 
 impl Model {
-    /// Convert to an [`Interpretation`] over the given universe (so
-    /// counter-example states can be evaluated and pretty-printed).
+    /// Convert to an [`Interpretation`] over the atoms' universe, each id
+    /// turned back into its ground atom (so counter-example states can be
+    /// evaluated and pretty-printed).
     pub fn to_interpretation(
         &self,
-        universe: &Universe,
+        atoms: &AtomTable,
         named: &BTreeMap<Symbol, i64>,
     ) -> Interpretation {
         let mut m = Interpretation::new();
-        for c in universe.iter() {
+        for c in atoms.universe().iter() {
             m.add_element(c.clone());
         }
-        for (a, &v) in &self.bools {
-            m.set_bool(a.clone(), v);
+        for (&a, &v) in &self.bools {
+            m.set_bool(atoms.atom(a), v);
         }
-        for (a, &v) in &self.nums {
-            m.set_num(a.clone(), v);
+        for (&a, &v) in &self.nums {
+            m.set_num(atoms.atom(a), v);
         }
         for (n, &v) in named {
             m.set_named(n.clone(), v);
@@ -201,8 +202,18 @@ impl SolverSession {
     }
 
     /// Decide satisfiability of everything asserted in the session and in
-    /// the open scopes.
+    /// the open scopes, and decode a model if there is one.
     pub fn solve(&mut self) -> Outcome {
+        if self.satisfiable() {
+            Outcome::Sat(self.model())
+        } else {
+            Outcome::Unsat
+        }
+    }
+
+    /// [`SolverSession::solve`] without decoding a model: the answer
+    /// alone.
+    pub fn satisfiable(&mut self) -> bool {
         self.load_definitions();
         while (self.solver.num_vars() as u32) < self.encoder.cnf.num_vars() {
             self.solver.new_var();
@@ -213,12 +224,15 @@ impl SolverSession {
             .flat_map(|s| s.selector.iter().chain(&s.assumed))
             .copied()
             .collect();
-        if self.solver.solve_under(&assumptions) {
-            let (bools, nums) = self.encoder.decode(&self.solver.model());
-            Outcome::Sat(Model { bools, nums })
-        } else {
-            Outcome::Unsat
-        }
+        self.solver.solve_under(&assumptions)
+    }
+
+    /// The model of the last [`SolverSession::satisfiable`] call that
+    /// answered yes, decoded now; a scope popped since does not change
+    /// it.
+    pub fn model(&self) -> Model {
+        let (bools, nums) = self.encoder.decode(&self.solver.model());
+        Model { bools, nums }
     }
 
     /// The solver's counters, accumulated over the session.
@@ -230,23 +244,29 @@ impl SolverSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ground::Grounder;
+    use crate::ground::{Grounder, Universe};
     use ipa_spec::parser::parse_formula;
     use ipa_spec::{Constant, Formula, PredicateDecl, Sort};
 
     /// The fixed parts of a small tournament problem.
     struct Setup {
-        universe: Universe,
-        decls: BTreeMap<Symbol, PredicateDecl>,
+        atoms: AtomTable,
         named: BTreeMap<Symbol, i64>,
     }
 
     impl Setup {
         /// Ground and assert a first-order formula.
         fn assert(&self, s: &mut SolverSession, f: &Formula) -> Result<(), SolverError> {
-            let grounder = Grounder::new(&self.universe, &self.decls, &self.named);
+            let grounder = Grounder::with_atoms(&self.atoms, &self.named);
             s.assert(&grounder.ground(f)?);
             Ok(())
+        }
+
+        /// Is some atom of predicate `pred` true in `m`?
+        fn any_true(&self, m: &Model, pred: &str) -> bool {
+            m.bools
+                .iter()
+                .any(|(&a, &v)| v && self.atoms.predicate(a).as_str() == pred)
         }
     }
 
@@ -272,8 +292,7 @@ mod tests {
         let mut named = BTreeMap::new();
         named.insert(Symbol::new("Capacity"), 1i64);
         let setup = Setup {
-            universe,
-            decls,
+            atoms: AtomTable::new(&universe, &decls),
             named,
         };
         (setup, SolverSession::new(8))
@@ -291,11 +310,7 @@ mod tests {
         let out = s.solve();
         let model = out.model().expect("violating state exists");
         // In the found state, someone is enrolled without player/tournament.
-        let violated = model
-            .bools
-            .iter()
-            .any(|(a, &v)| a.pred.as_str() == "enrolled" && v);
-        assert!(violated, "model: {model:?}");
+        assert!(p.any_true(model, "enrolled"), "model: {model:?}");
     }
 
     #[test]
@@ -327,7 +342,7 @@ mod tests {
         let enrolled_count = m
             .bools
             .iter()
-            .filter(|(a, &v)| a.pred.as_str() == "enrolled" && v)
+            .filter(|(&a, &v)| v && p.atoms.predicate(a).as_str() == "enrolled")
             .count();
         assert_eq!(enrolled_count, 1);
     }
@@ -342,7 +357,7 @@ mod tests {
         .unwrap();
         let out = s.solve();
         let m = out.model().unwrap().clone();
-        let interp = m.to_interpretation(&p.universe, &p.named);
+        let interp = m.to_interpretation(&p.atoms, &p.named);
         let f = parse_formula("exists(Player: p) :- player(p)").unwrap();
         assert!(interp.eval(&f).unwrap());
     }
@@ -383,10 +398,26 @@ mod tests {
         s.pop();
         let out = s.solve();
         let m = out.model().expect("outer scope alone is satisfiable");
-        assert!(m
-            .bools
-            .iter()
-            .any(|(a, &v)| a.pred.as_str() == "tournament" && v));
+        assert!(p.any_true(m, "tournament"));
         s.pop();
+    }
+
+    #[test]
+    fn a_query_decodes_its_model_after_its_scope_is_popped() {
+        let (p, mut s) = setup();
+        let everyone = parse_formula("forall(Player: p) :- player(p)").unwrap();
+        p.assert(&mut s, &everyone).unwrap();
+        s.push();
+        p.assert(
+            &mut s,
+            &parse_formula("exists(Tournament: t) :- tournament(t)").unwrap(),
+        )
+        .unwrap();
+        assert!(s.satisfiable());
+        s.pop();
+        // The model is the scoped query's, which needed a tournament.
+        let m = s.model();
+        assert!(p.any_true(&m, "tournament"));
+        assert!(p.any_true(&m, "player"));
     }
 }

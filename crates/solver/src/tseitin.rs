@@ -5,6 +5,11 @@
 //! exact; numeric predicate instances use an order encoding over a bounded
 //! domain `[0, bound]` (`ge[j] ⇔ value ≥ j`).
 //!
+//! Atoms are [`AtomId`]s, and the variables of an atom sit in tables
+//! indexed by its id. A variable is allocated when its atom is first
+//! encoded, so the CNF depends on the order atoms are met in, not on their
+//! ids.
+//!
 //! Gates are hash-consed: an AND over the same set of literals is defined
 //! once and its literal reused (an OR is the negation of the AND of the
 //! negated inputs), so a long-lived encoder pays for a sub-formula the
@@ -12,24 +17,34 @@
 //! full equivalence, hence valid in any context and never retracted.
 
 use crate::cnf::Cnf;
-use crate::ground::GroundFormula;
+use crate::ground::{AtomId, GroundFormula};
 use crate::lit::{Lit, SatVar};
-use ipa_spec::{CmpOp, GroundAtom};
+use ipa_spec::CmpOp;
 use std::collections::{BTreeMap, HashMap};
 
-/// Encoder state: atom/variable maps plus the CNF under construction.
+/// Encoder state: atom/variable tables plus the CNF under construction.
 #[derive(Debug, Default)]
 pub struct Encoder {
     pub cnf: Cnf,
-    bool_vars: BTreeMap<GroundAtom, SatVar>,
-    /// Order-encoding variables per numeric atom: `order[a][j-1] ⇔ a ≥ j`.
-    order_vars: BTreeMap<GroundAtom, Vec<SatVar>>,
+    /// The SAT variable of each boolean atom, by id.
+    bool_vars: Vec<Option<SatVar>>,
+    /// The first of each numeric atom's `num_bound` order-encoding
+    /// variables, by id: the `j`-th from it (1-based) is `a ≥ j`.
+    order_vars: Vec<Option<SatVar>>,
     /// Domain bound for numeric atoms.
     num_bound: i64,
     true_lit: Option<Lit>,
     /// AND gates defined so far, keyed on their sorted, deduplicated
     /// inputs.
     gates: HashMap<Vec<Lit>, Lit>,
+}
+
+/// The slot of `atom` in a table indexed by id, grown to hold it.
+fn slot<T: Default>(table: &mut Vec<T>, atom: AtomId) -> &mut T {
+    if table.len() <= atom.index() {
+        table.resize_with(atom.index() + 1, T::default);
+    }
+    &mut table[atom.index()]
 }
 
 impl Encoder {
@@ -47,30 +62,29 @@ impl Encoder {
     }
 
     /// The SAT variable of a boolean ground atom (allocated on first use).
-    pub fn bool_var(&mut self, atom: &GroundAtom) -> SatVar {
-        if let Some(&v) = self.bool_vars.get(atom) {
+    pub fn bool_var(&mut self, atom: AtomId) -> SatVar {
+        if let Some(v) = *slot(&mut self.bool_vars, atom) {
             return v;
         }
         let v = self.cnf.fresh_var();
-        self.bool_vars.insert(atom.clone(), v);
+        self.bool_vars[atom.index()] = Some(v);
         v
     }
 
-    /// The order-encoding variables of a numeric atom (allocated with the
-    /// chain constraints `a ≥ j → a ≥ j-1` on first use).
-    pub fn order_vars(&mut self, atom: &GroundAtom) -> &[SatVar] {
-        if !self.order_vars.contains_key(atom) {
-            let mut vars = Vec::with_capacity(self.num_bound as usize);
-            for _ in 0..self.num_bound {
-                vars.push(self.cnf.fresh_var());
-            }
-            for w in vars.windows(2) {
-                // ge[j+1] -> ge[j]
-                self.cnf.add_clause([w[1].negative(), w[0].positive()]);
-            }
-            self.order_vars.insert(atom.clone(), vars);
+    /// The first order-encoding variable of a numeric atom (all of them
+    /// allocated with the chain constraints `a ≥ j → a ≥ j-1` on first
+    /// use).
+    fn order_var(&mut self, atom: AtomId) -> SatVar {
+        if let Some(v) = *slot(&mut self.order_vars, atom) {
+            return v;
         }
-        self.order_vars.get(atom).expect("inserted above")
+        let vars: Vec<SatVar> = (0..self.num_bound).map(|_| self.cnf.fresh_var()).collect();
+        for w in vars.windows(2) {
+            // ge[j+1] -> ge[j]
+            self.cnf.add_clause([w[1].negative(), w[0].positive()]);
+        }
+        self.order_vars[atom.index()] = Some(vars[0]);
+        vars[0]
     }
 
     /// A literal that is always true.
@@ -140,7 +154,7 @@ impl Encoder {
         match f {
             GroundFormula::True => self.lit_true(),
             GroundFormula::False => self.lit_false(),
-            GroundFormula::Atom(a) => self.bool_var(a).positive(),
+            GroundFormula::Atom(a) => self.bool_var(*a).positive(),
             GroundFormula::Not(g) => self.encode(g).negated(),
             GroundFormula::And(gs) => {
                 let lits: Vec<Lit> = gs.iter().map(|g| self.encode(g)).collect();
@@ -156,7 +170,7 @@ impl Encoder {
                 op,
                 rhs,
             } => {
-                let lits: Vec<Lit> = atoms.iter().map(|a| self.bool_var(a).positive()).collect();
+                let lits: Vec<Lit> = atoms.iter().map(|&a| self.bool_var(a).positive()).collect();
                 self.encode_count_cmp(&lits, *rhs - *offset, *op)
             }
             GroundFormula::ValueCmp {
@@ -164,7 +178,7 @@ impl Encoder {
                 offset,
                 op,
                 rhs,
-            } => self.encode_value_cmp(atom, *rhs - *offset, *op),
+            } => self.encode_value_cmp(*atom, *rhs - *offset, *op),
         }
     }
 
@@ -235,7 +249,7 @@ impl Encoder {
     }
 
     /// Literal ⇔ (value(atom) op k), order encoding over `[0, num_bound]`.
-    fn encode_value_cmp(&mut self, atom: &GroundAtom, k: i64, op: CmpOp) -> Lit {
+    fn encode_value_cmp(&mut self, atom: AtomId, k: i64, op: CmpOp) -> Lit {
         match op {
             CmpOp::Ge => self.value_at_least(atom, k),
             CmpOp::Gt => self.value_at_least(atom, k + 1),
@@ -253,15 +267,15 @@ impl Encoder {
         }
     }
 
-    fn value_at_least(&mut self, atom: &GroundAtom, k: i64) -> Lit {
+    fn value_at_least(&mut self, atom: AtomId, k: i64) -> Lit {
         if k <= 0 {
             return self.lit_true();
         }
         if k > self.num_bound {
             return self.lit_false();
         }
-        let vars = self.order_vars(atom);
-        vars[(k - 1) as usize].positive()
+        let first = self.order_var(atom);
+        SatVar(first.0 + (k - 1) as u32).positive()
     }
 
     // ------------------------------------------------------------------
@@ -269,32 +283,22 @@ impl Encoder {
     // ------------------------------------------------------------------
 
     /// Decode a SAT model into atom valuations.
-    pub fn decode(
-        &self,
-        model: &[bool],
-    ) -> (BTreeMap<GroundAtom, bool>, BTreeMap<GroundAtom, i64>) {
-        let bools = self
-            .bool_vars
-            .iter()
-            .map(|(a, v)| (a.clone(), model.get(v.index()).copied().unwrap_or(false)))
-            .collect();
-        let nums = self
-            .order_vars
-            .iter()
-            .map(|(a, vars)| {
-                let value = vars
-                    .iter()
-                    .take_while(|v| model.get(v.index()).copied().unwrap_or(false))
-                    .count() as i64;
-                (a.clone(), value)
-            })
-            .collect();
+    pub fn decode(&self, model: &[bool]) -> (BTreeMap<AtomId, bool>, BTreeMap<AtomId, i64>) {
+        let value = |v: SatVar| model.get(v.index()).copied().unwrap_or(false);
+        let mut bools = BTreeMap::new();
+        for (i, v) in self.bool_vars.iter().enumerate() {
+            if let Some(v) = *v {
+                bools.insert(AtomId(i as u32), value(v));
+            }
+        }
+        let mut nums = BTreeMap::new();
+        for (i, first) in self.order_vars.iter().enumerate() {
+            if let Some(first) = *first {
+                let ge = (0..self.num_bound as u32).take_while(|j| value(SatVar(first.0 + j)));
+                nums.insert(AtomId(i as u32), ge.count() as i64);
+            }
+        }
         (bools, nums)
-    }
-
-    /// The boolean atoms registered so far.
-    pub fn bool_atoms(&self) -> impl Iterator<Item = &GroundAtom> {
-        self.bool_vars.keys()
     }
 }
 
@@ -302,14 +306,6 @@ impl Encoder {
 mod tests {
     use super::*;
     use crate::sat::Solver;
-    use ipa_spec::{Constant, Sort};
-
-    fn atom(n: &str) -> GroundAtom {
-        GroundAtom::new(n, vec![])
-    }
-    fn c(n: &str) -> Constant {
-        Constant::new(n, Sort::new("S"))
-    }
 
     fn solve(enc: Encoder) -> Option<Vec<bool>> {
         let mut s = Solver::new();
@@ -331,8 +327,8 @@ mod tests {
     fn encode_simple_and() {
         let mut e = Encoder::new(0);
         let f = GroundFormula::and(vec![
-            GroundFormula::Atom(atom("a")),
-            GroundFormula::Atom(atom("b")),
+            GroundFormula::Atom(AtomId(0)),
+            GroundFormula::Atom(AtomId(1)),
         ]);
         e.assert(&f);
         let model = solve(e).expect("sat");
@@ -342,7 +338,7 @@ mod tests {
     #[test]
     fn encode_contradiction() {
         let mut e = Encoder::new(0);
-        let a = GroundFormula::Atom(atom("a"));
+        let a = GroundFormula::Atom(AtomId(0));
         e.assert(&a);
         e.assert(&GroundFormula::not(a));
         assert!(solve(e).is_none());
@@ -351,11 +347,7 @@ mod tests {
     #[test]
     fn count_at_most_k() {
         // #true{a,b,c} <= 1 together with a ∧ b must be unsat.
-        let atoms = vec![
-            GroundAtom::new("p", vec![c("1")]),
-            GroundAtom::new("p", vec![c("2")]),
-            GroundAtom::new("p", vec![c("3")]),
-        ];
+        let atoms = vec![AtomId(0), AtomId(1), AtomId(2)];
         let mut e = Encoder::new(0);
         e.assert(&GroundFormula::CountCmp {
             atoms: atoms.clone(),
@@ -363,17 +355,14 @@ mod tests {
             op: CmpOp::Le,
             rhs: 1,
         });
-        e.assert(&GroundFormula::Atom(atoms[0].clone()));
-        e.assert(&GroundFormula::Atom(atoms[1].clone()));
+        e.assert(&GroundFormula::Atom(atoms[0]));
+        e.assert(&GroundFormula::Atom(atoms[1]));
         assert!(solve(e).is_none());
     }
 
     #[test]
     fn count_at_least_k_forces_atoms() {
-        let atoms = vec![
-            GroundAtom::new("p", vec![c("1")]),
-            GroundAtom::new("p", vec![c("2")]),
-        ];
+        let atoms = vec![AtomId(0), AtomId(1)];
         let mut e = Encoder::new(0);
         e.assert(&GroundFormula::CountCmp {
             atoms: atoms.clone(),
@@ -389,9 +378,7 @@ mod tests {
 
     #[test]
     fn count_eq_exact() {
-        let atoms: Vec<GroundAtom> = (0..4)
-            .map(|i| GroundAtom::new("p", vec![c(&i.to_string())]))
-            .collect();
+        let atoms: Vec<AtomId> = (0..4).map(AtomId).collect();
         let mut e = Encoder::new(0);
         e.assert(&GroundFormula::CountCmp {
             atoms: atoms.clone(),
@@ -402,7 +389,7 @@ mod tests {
         let model = solve(e).expect("sat");
         let mut enc2 = Encoder::new(0);
         // Rebuild variable mapping in the same order to decode.
-        for a in &atoms {
+        for &a in &atoms {
             enc2.bool_var(a);
         }
         let trues = atoms
@@ -415,17 +402,17 @@ mod tests {
 
     #[test]
     fn value_cmp_bounds() {
-        let a = atom("stock");
+        let a = AtomId(0);
         let mut e = Encoder::new(5);
         // stock >= 3 and stock <= 2 → unsat
         e.assert(&GroundFormula::ValueCmp {
-            atom: a.clone(),
+            atom: a,
             offset: 0,
             op: CmpOp::Ge,
             rhs: 3,
         });
         e.assert(&GroundFormula::ValueCmp {
-            atom: a.clone(),
+            atom: a,
             offset: 0,
             op: CmpOp::Le,
             rhs: 2,
@@ -435,17 +422,17 @@ mod tests {
 
     #[test]
     fn value_cmp_with_offset_shifts() {
-        let a = atom("stock");
+        let a = AtomId(0);
         let mut e = Encoder::new(5);
         // stock + 3 <= 5  (i.e. stock <= 2), stock >= 2 → stock == 2
         e.assert(&GroundFormula::ValueCmp {
-            atom: a.clone(),
+            atom: a,
             offset: 3,
             op: CmpOp::Le,
             rhs: 5,
         });
         e.assert(&GroundFormula::ValueCmp {
-            atom: a.clone(),
+            atom: a,
             offset: 0,
             op: CmpOp::Ge,
             rhs: 2,
@@ -461,7 +448,7 @@ mod tests {
 
     #[test]
     fn value_out_of_domain_is_false() {
-        let a = atom("stock");
+        let a = AtomId(0);
         let mut e = Encoder::new(3);
         e.assert(&GroundFormula::ValueCmp {
             atom: a,
@@ -474,12 +461,12 @@ mod tests {
 
     #[test]
     fn decode_maps_atoms_back() {
-        let a = atom("a");
-        let b = atom("stock");
+        let a = AtomId(0);
+        let b = AtomId(1);
         let mut e = Encoder::new(4);
-        e.assert(&GroundFormula::Atom(a.clone()));
+        e.assert(&GroundFormula::Atom(a));
         e.assert(&GroundFormula::ValueCmp {
-            atom: b.clone(),
+            atom: b,
             offset: 0,
             op: CmpOp::Eq,
             rhs: 3,
@@ -495,5 +482,19 @@ mod tests {
         let (bools, nums) = e.decode(&s.model());
         assert_eq!(bools.get(&a), Some(&true));
         assert_eq!(nums.get(&b), Some(&3));
+    }
+
+    #[test]
+    fn variables_follow_first_encounter_not_ids() {
+        let mut e = Encoder::new(2);
+        e.assert(&GroundFormula::or(vec![
+            GroundFormula::Atom(AtomId(7)),
+            GroundFormula::Atom(AtomId(2)),
+        ]));
+        assert_eq!(e.bool_var(AtomId(7)), SatVar(0));
+        assert_eq!(e.bool_var(AtomId(2)), SatVar(1));
+        // The numeric atom's two order variables follow, then the gate.
+        assert_eq!(e.order_var(AtomId(3)), SatVar(3));
+        assert_eq!(e.cnf.num_vars(), 5);
     }
 }

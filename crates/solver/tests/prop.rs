@@ -3,12 +3,12 @@
 
 use ipa_solver::brute;
 use ipa_solver::cnf::Cnf;
-use ipa_solver::ground::GroundFormula;
+use ipa_solver::ground::{AtomId, GroundFormula};
 use ipa_solver::lit::{Lit, SatVar};
 use ipa_solver::sat::Solver;
 use ipa_solver::tseitin::Encoder;
 use ipa_solver::SolverSession;
-use ipa_spec::{CmpOp, Constant, GroundAtom, Sort};
+use ipa_spec::CmpOp;
 use proptest::prelude::*;
 
 /// Random CNF over `nvars` variables with up to `nclauses` clauses of up to
@@ -140,10 +140,9 @@ fn arb_formula(
     and: fn(Vec<GroundFormula>) -> GroundFormula,
     or: fn(Vec<GroundFormula>) -> GroundFormula,
 ) -> impl Strategy<Value = GroundFormula> {
-    let atom = (0u8..5)
-        .prop_map(|i| GroundAtom::new("p", vec![Constant::new(format!("c{i}"), Sort::new("S"))]));
-    let num_atom = (0u8..2)
-        .prop_map(|i| GroundAtom::new("v", vec![Constant::new(format!("n{i}"), Sort::new("S"))]));
+    // Boolean atoms 0..5, numeric atoms 5 and 6.
+    let atom = (0u32..5).prop_map(AtomId);
+    let num_atom = (5u32..7).prop_map(AtomId);
     let cmp = prop_oneof![
         Just(CmpOp::Le),
         Just(CmpOp::Lt),
@@ -261,20 +260,20 @@ proptest! {
     fn folding_preserves_eval(raw in arb_raw_formula()) {
         const BOUND: i64 = 4;
         let folded = folded(&raw);
-        let bool_atoms: Vec<GroundAtom> = raw.bool_atoms().into_iter().collect();
-        let num_atoms: Vec<GroundAtom> = raw.num_atoms().into_iter().collect();
+        let bool_atoms: Vec<AtomId> = raw.bool_atoms().into_iter().collect();
+        let num_atoms: Vec<AtomId> = raw.num_atoms().into_iter().collect();
         let dom = (BOUND + 1) as usize;
         for bits in 0u32..(1 << bool_atoms.len()) {
             let bools = bool_atoms
                 .iter()
                 .enumerate()
-                .map(|(i, a)| (a.clone(), bits >> i & 1 == 1))
+                .map(|(i, &a)| (a, bits >> i & 1 == 1))
                 .collect();
             for combo in 0..dom.pow(num_atoms.len() as u32) {
                 let nums = num_atoms
                     .iter()
                     .enumerate()
-                    .map(|(i, a)| (a.clone(), (combo / dom.pow(i as u32) % dom) as i64))
+                    .map(|(i, &a)| (a, (combo / dom.pow(i as u32) % dom) as i64))
                     .collect();
                 prop_assert_eq!(raw.eval(&bools, &nums), folded.eval(&bools, &nums),
                     "{:?} folded to {:?}", raw, folded);
