@@ -68,8 +68,9 @@
 //!    CNF is clause for clause the one naming atoms by value built: id
 //!    order is `GroundAtom` order, so every map iterated by id (an effect
 //!    summary, the merge's last-writer-wins alternatives, the contested
-//!    atoms) iterates as before, and the encoder allocates an atom's
-//!    variables when it first meets the atom, not by id. Only a witness
+//!    atoms) iterates as before, the encoder allocates an atom's
+//!    variables when it first meets the atom, not by id, and a count
+//!    lists its atoms in the universe's order of elements. Only a witness
 //!    decodes a model: the repair search's two questions,
 //!    [`AnalysisSession::conflicts`] and
 //!    [`AnalysisSession::preserves_executability`], ask for

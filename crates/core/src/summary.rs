@@ -138,11 +138,11 @@ mod tests {
     use super::*;
     use ipa_solver::Universe;
     use ipa_spec::{Constant, ConvergencePolicy, PredicateDecl, Sort, Symbol};
+    use std::collections::BTreeMap as Map;
 
     fn id(g: &Grounder<'_>, pred: &str, args: &[Constant]) -> AtomId {
         g.atoms().id(&Symbol::new(pred), args)
     }
-    use std::collections::BTreeMap as Map;
 
     fn tourn(n: &str) -> Constant {
         Constant::new(n, Sort::new("Tournament"))

@@ -101,14 +101,18 @@ impl AtomId {
 /// arguments without building the atom. An atom the blocks do not cover
 /// (it names a constant outside the universe, or an undeclared predicate)
 /// is numbered after all of them, when first met.
+///
+/// A count pattern's atoms are listed in the order the universe holds the
+/// sort's elements, as quantifiers enumerate them, not in id order: the
+/// encoder sees the same count whatever the elements' names.
 #[derive(Clone, Debug)]
 pub struct AtomTable {
     universe: Universe,
     /// The declared predicates, in declaration-map order.
     preds: Vec<Block>,
     by_name: HashMap<Symbol, usize>,
-    /// Per sort slot: the sort's elements, sorted.
-    slots: Vec<Vec<Constant>>,
+    /// The parameter sorts, one slot each.
+    slots: Vec<Slot>,
     /// Ids below this number a block's atoms.
     covered: u32,
     /// Atoms outside every block, from `covered` on.
@@ -123,6 +127,21 @@ struct Block {
     params: Vec<usize>,
 }
 
+#[derive(Clone, Debug)]
+struct Slot {
+    sort: Sort,
+    /// The sort's elements, sorted: an argument's digit is its position.
+    sorted: Vec<Constant>,
+    /// The digits of the sort's elements in the universe's order.
+    walk: Vec<u32>,
+}
+
+impl Slot {
+    fn digit(&self, c: &Constant) -> Option<u32> {
+        self.sorted.iter().position(|e| e == c).map(|k| k as u32)
+    }
+}
+
 #[derive(Clone, Debug, Default)]
 struct Extra {
     ids: HashMap<GroundAtom, AtomId>,
@@ -131,28 +150,35 @@ struct Extra {
 
 impl AtomTable {
     pub fn new(universe: &Universe, decls: &BTreeMap<Symbol, PredicateDecl>) -> Self {
-        let mut sorts: Vec<&Sort> = Vec::new();
-        let mut slots: Vec<Vec<Constant>> = Vec::new();
+        let mut slots: Vec<Slot> = Vec::new();
         let mut preds = Vec::with_capacity(decls.len());
         let mut base = 0u32;
         for (pred, decl) in decls {
             let params: Vec<usize> = decl
                 .params
                 .iter()
-                .map(|sort| match sorts.iter().position(|s| *s == sort) {
+                .map(|sort| match slots.iter().position(|s| s.sort == *sort) {
                     Some(slot) => slot,
                     None => {
-                        let mut elems = universe.elements(sort).to_vec();
-                        elems.sort();
-                        sorts.push(sort);
-                        slots.push(elems);
+                        let elems = universe.elements(sort);
+                        let mut sorted = elems.to_vec();
+                        sorted.sort();
+                        let walk = elems
+                            .iter()
+                            .map(|c| sorted.binary_search(c).expect("an element") as u32)
+                            .collect();
+                        slots.push(Slot {
+                            sort: sort.clone(),
+                            sorted,
+                            walk,
+                        });
                         slots.len() - 1
                     }
                 })
                 .collect();
-            let size = params
-                .iter()
-                .try_fold(1u32, |n, &slot| n.checked_mul(slots[slot].len() as u32));
+            let size = params.iter().try_fold(1u32, |n, &slot| {
+                n.checked_mul(slots[slot].sorted.len() as u32)
+            });
             preds.push(Block {
                 pred: pred.clone(),
                 base,
@@ -208,8 +234,8 @@ impl AtomTable {
         }
         let mut offset = 0u32;
         for (c, &slot) in args.zip(&block.params) {
-            let elems = &self.slots[slot];
-            offset = offset * elems.len() as u32 + elems.iter().position(|e| e == c)? as u32;
+            let slot = &self.slots[slot];
+            offset = offset * slot.sorted.len() as u32 + slot.digit(c)?;
         }
         Some(AtomId(block.base + offset))
     }
@@ -243,7 +269,7 @@ impl AtomTable {
         let mut offset = id.0 - block.base;
         let mut args = Vec::with_capacity(block.params.len());
         for &slot in block.params.iter().rev() {
-            let elems = &self.slots[slot];
+            let elems = &self.slots[slot].sorted;
             args.push(elems[(offset % elems.len() as u32) as usize].clone());
             offset /= elems.len() as u32;
         }
@@ -262,8 +288,8 @@ impl AtomTable {
     }
 
     /// The ids of the atoms a pattern of constants and wildcards ranges
-    /// over, in id order; a wildcard position ranges over the declared
-    /// sort's elements.
+    /// over; a wildcard position ranges over the declared sort's elements,
+    /// in the universe's order.
     fn expand(&self, pattern: &Atom) -> Result<Vec<AtomId>, GroundError> {
         let block = self
             .by_name
@@ -278,18 +304,22 @@ impl AtomTable {
         }
         let mut offsets = vec![0u32];
         for (i, t) in pattern.args.iter().enumerate() {
-            let elems = &self.slots[block.params[i]];
-            let radix = elems.len() as u32;
-            let digits = match t {
-                Term::Const(c) => match elems.iter().position(|e| e == c) {
-                    Some(k) => k as u32..k as u32 + 1,
+            let slot = &self.slots[block.params[i]];
+            let radix = slot.sorted.len() as u32;
+            let one;
+            let digits: &[u32] = match t {
+                Term::Const(c) => match slot.digit(c) {
+                    Some(k) => {
+                        one = [k];
+                        &one
+                    }
                     None => return Ok(self.expand_outside(pattern, block)),
                 },
-                _ => 0..radix, // a wildcard
+                _ => &slot.walk, // a wildcard
             };
             offsets = offsets
                 .iter()
-                .flat_map(|o| digits.clone().map(move |d| o * radix + d))
+                .flat_map(|o| digits.iter().map(move |d| o * radix + d))
                 .collect();
         }
         Ok(offsets
@@ -306,7 +336,7 @@ impl AtomTable {
         for (i, t) in pattern.args.iter().enumerate() {
             let choices: &[Constant] = match t {
                 Term::Const(c) => std::slice::from_ref(c),
-                _ => &self.slots[block.params[i]], // a wildcard
+                _ => self.universe.elements(&self.slots[block.params[i]].sort), // a wildcard
             };
             acc = acc
                 .iter()
@@ -612,8 +642,8 @@ impl<'a> Grounder<'a> {
     }
 
     /// Expand a count pattern (constants + wildcards) into the ids of the
-    /// ground atoms it ranges over, in id order. Wildcard positions
-    /// enumerate the universe of the declared sort at that position.
+    /// ground atoms it ranges over. Wildcard positions enumerate the
+    /// universe of the declared sort at that position, in its order.
     pub fn expand_count_pattern(&self, pattern: &Atom) -> Result<Vec<AtomId>, GroundError> {
         self.atoms.expand(pattern)
     }
@@ -782,6 +812,17 @@ mod tests {
         }
         assert_eq!(atoms[0].to_string(), "enrolled(P1, T1)");
         assert_eq!(atoms[9].to_string(), "tournament(T2)");
+        // A count ranges over a sort in the universe's order, not by id.
+        let named = BTreeMap::new();
+        let g = Grounder::with_atoms(&table, &named);
+        let pattern = Atom::new("enrolled", vec![Term::Wildcard, Term::Const(tourn("T1"))]);
+        let shown: Vec<String> = g
+            .expand_count_pattern(&pattern)
+            .unwrap()
+            .into_iter()
+            .map(|a| table.atom(a).to_string())
+            .collect();
+        assert_eq!(shown, ["enrolled(P2, T1)", "enrolled(P1, T1)"]);
     }
 
     #[test]
