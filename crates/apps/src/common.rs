@@ -35,6 +35,20 @@ impl fmt::Display for Mode {
     }
 }
 
+/// Cost profile of an executed operation (drives the simulator's service
+/// model): distinct objects touched and total updates.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OpCost {
+    pub objects: usize,
+    pub updates: usize,
+}
+
+impl OpCost {
+    pub const fn new(objects: usize, updates: usize) -> OpCost {
+        OpCost { objects, updates }
+    }
+}
+
 /// Pick an index in `0..n`, preferring `home`-affine entities with the
 /// given probability (models the access locality that keeps Indigo's
 /// reservations mostly resident).

@@ -24,13 +24,13 @@
 //!   integrity) + stock (numeric invariant, compensation restock).
 
 pub mod common;
+pub mod layout;
 pub mod oracle;
 pub mod soak;
 pub mod ticket;
 pub mod tournament;
 pub mod tpc;
 pub mod twitter;
-pub mod violations;
 
 pub use common::Mode;
-pub use oracle::{AuditReport, Oracle, Phase, SimCheck, DEFAULT_LIVENESS_BOUND};
+pub use oracle::{AuditReport, Oracle, Phase, DEFAULT_LIVENESS_BOUND};

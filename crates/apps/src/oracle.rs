@@ -1,50 +1,45 @@
-//! The invariant oracle: an explicit, named registry of every invariant
-//! each application promises, auditable against any replica at any
-//! point of a simulation.
+//! The invariant oracle: one named check per invariant clause of an
+//! application's spec, auditable against any replica at any point of a
+//! simulation. No invariant is written here: [`derive_checks`] turns each clause
+//! into a check evaluated through the app's layout table
+//! ([`crate::layout`]); an app adds only what its workload sizes and its
+//! exceptions, each with its reason beside it.
 //!
-//! The paper distinguishes two repair disciplines, and the registry
-//! encodes them as audit phases:
-//!
-//! * [`Phase::Continuous`] — invariant-preserving effects (touches,
-//!   rem-wins resolutions) keep the invariant true in **every** causal
-//!   replica state, so these checks must pass at every audit point of an
-//!   IPA-mode run — including mid-run under drops, duplicates, reorders,
-//!   partitions, and crashes. Under Causal mode they are the anomaly
-//!   detectors.
-//! * [`Phase::Final`] — compensation-based invariants (§3.4: capacity /
-//!   numeric constraints repaired on read) may be transiently violated
-//!   by design; they are only required to hold after the compensations
-//!   have run to a fixpoint (quiescence + final repair sweep).
-//!
-//! The sim driver consumes an oracle through
-//! [`Oracle::into_continuous_auditor`], which plugs into
-//! [`ipa_sim::Simulation::set_auditor`] — so *any* simulation test gets
-//! continuous invariant checking for free.
+//! The paper's two repair disciplines are two phases. A clause the
+//! analysis routes to a compensation (`ipa_core::numeric_conflicts`, §3.4)
+//! is [`Phase::Final`]: it must hold once the compensations have run to a
+//! fixpoint. Every other clause is [`Phase::Continuous`]: it must hold in
+//! every causal replica state of an IPA run, faults included, and under
+//! Causal mode it is an anomaly detector. Where an exception gives one
+//! conjunct of a consequent another phase, each phase's conjuncts are one
+//! check. A check's [`Anomaly`] is `ipa_core::classify` of its clause.
 
-use crate::violations as v;
-use ipa_sim::{Auditor, Region, Simulation};
+use crate::layout::{Layout, Plan, Sizing};
+use crate::ticket::{runtime as ticket_rt, ticket_spec};
+use crate::tournament::{runtime as tourn, tournament_spec, CAPACITY};
+use crate::tpc::{runtime as tpc_rt, tpc_spec};
+use crate::twitter::{runtime as twitter_rt, twitter_spec};
+use ipa_core::classify::{classify, InvariantClass};
+use ipa_core::numeric_conflicts;
+use ipa_sim::{Auditor, Region};
+use ipa_spec::{AppSpec, Formula, Interpretation};
 use ipa_store::Replica;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
-/// A positively named consistency anomaly — what a violated check
-/// *means* in application terms, not just which predicate tripped. The
-/// causal (unrepaired) soak axis runs the unpatched applications and
-/// **expects** one of these; a hostile run that produces none is the
-/// failure there, and gets shrunk to the minimal run that stays
-/// anomaly-free.
+/// What a violated check *means* in application terms. The causal
+/// (unrepaired) soak axis **expects** one of these.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Anomaly {
-    /// A write observed, then silently unobserved (the default bucket
-    /// for transient audit violations that no named check still owns).
+    /// A write observed, then silently unobserved: the bucket for
+    /// failures no invariant check owns.
     LostUpdate,
-    /// A numeric cap exceeded: ticket oversell, tournament
-    /// over-capacity, negative TPC stock.
+    /// A numeric bound broken (oversell, over-capacity, negative stock).
     Oversell,
     /// A reference to an entity that no longer (or never) exists.
     ReferentialOrphan,
-    /// A match stranded against the tournament phase machine
-    /// (phase-exclusion or match-phase broken).
+    /// A disjunction broken, such as a match stranded against the
+    /// tournament phase machine.
     StrandedMatch,
 }
 
@@ -67,14 +62,14 @@ impl Anomaly {
         }
     }
 
-    /// Classify a violated check identifier (with or without its
-    /// `continuous:`/`final:` phase prefix) into a named anomaly.
-    pub fn classify(check: &str) -> Anomaly {
-        let base = check.rsplit(':').next().unwrap_or(check);
-        match base {
-            "capacity" | "oversell" | "stock-nonnegative" => Anomaly::Oversell,
-            "phase-exclusion" | "match-phase" => Anomaly::StrandedMatch,
-            n if n.ends_with("referential") => Anomaly::ReferentialOrphan,
+    /// The anomaly a broken clause of this Table 1 class exhibits.
+    pub fn of(class: InvariantClass) -> Anomaly {
+        match class {
+            InvariantClass::ReferentialIntegrity => Anomaly::ReferentialOrphan,
+            InvariantClass::AggregationConstraint | InvariantClass::NumericInvariant => {
+                Anomaly::Oversell
+            }
+            InvariantClass::Disjunction => Anomaly::StrandedMatch,
             _ => Anomaly::LostUpdate,
         }
     }
@@ -93,60 +88,136 @@ pub enum Phase {
     Continuous,
     /// Compensable: must hold after repair reaches a fixpoint.
     Final,
-    /// Whole-simulation liveness: audited against the run, not a single
-    /// replica's state (e.g. bounded anti-entropy convergence).
-    Liveness,
 }
 
-type CheckFn = Arc<dyn Fn(&Replica) -> u64 + Send + Sync>;
-type SimCheckFn = Arc<dyn Fn(&Simulation) -> u64 + Send + Sync>;
-
-/// One named whole-simulation check (the [`Phase::Liveness`] class):
-/// unlike state checks it sees the run itself — round counts, gap
-/// accounting, nemesis statistics.
-#[derive(Clone)]
-pub struct SimCheck {
-    pub name: &'static str,
-    f: SimCheckFn,
-}
-
-impl SimCheck {
-    pub fn count(&self, sim: &Simulation) -> u64 {
-        (self.f)(sim)
-    }
-}
-
-impl fmt::Debug for SimCheck {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SimCheck({} @ Liveness)", self.name)
-    }
-}
-
-/// One named invariant check.
-#[derive(Clone)]
+/// One named check: a clause of the spec, or the part of one whose
+/// conjuncts share a phase.
+#[derive(Clone, Debug)]
 pub struct Check {
-    pub name: &'static str,
+    /// The (sub-)clause in [`compact`] form.
+    pub name: String,
     pub phase: Phase,
-    f: CheckFn,
+    pub anomaly: Anomaly,
+    /// The (sub-)clause; `ipa_spec::interp` on
+    /// [`Oracle::interpretation`] is its reference reading.
+    pub clause: Formula,
+    plan: Plan,
 }
 
-impl Check {
-    pub fn count(&self, replica: &Replica) -> u64 {
-        (self.f)(replica)
+/// The checks derived from one spec and layout, and the clauses over a
+/// predicate the layout lists as unmapped, each with its reason.
+#[derive(Debug)]
+pub struct Derived {
+    pub checks: Vec<Check>,
+    pub unmapped: Vec<(String, &'static str)>,
+}
+
+/// A formula without its quantifiers and whitespace, so that it can name
+/// a check in a corpus header: `a(x)=>b(x)&(c(x)|d(x))`, `not(a(t)&b(t))`.
+pub fn compact(f: &Formula) -> String {
+    let join = |gs: &[Formula], sep: &str| {
+        let nested = |g: &Formula| matches!(g, Formula::And(_) | Formula::Or(_));
+        let parts: Vec<String> = (gs.iter())
+            .map(|g| match nested(g) {
+                true => format!("({})", compact(g)),
+                false => compact(g),
+            })
+            .collect();
+        parts.join(sep)
+    };
+    match f {
+        Formula::Forall(_, g) => compact(g),
+        Formula::Implies(l, r) => format!("{}=>{}", compact(l), compact(r)),
+        Formula::And(gs) => join(gs, "&"),
+        Formula::Or(gs) => join(gs, "|"),
+        Formula::Not(g) => format!("not({})", compact(g)),
+        other => other.to_string().replace(' ', ""),
     }
 }
 
-impl fmt::Debug for Check {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Check({} @ {:?})", self.name, self.phase)
+/// Derive one check per invariant clause of `spec` through `layout`.
+/// Each exception overrides the phase of the clause body, or of the
+/// consequent conjunct, whose [`compact`] form it names.
+pub fn derive_checks(
+    spec: &AppSpec,
+    layout: &Layout,
+    exceptions: &[(&str, Phase)],
+) -> Result<Derived, String> {
+    let compensated: Vec<usize> = numeric_conflicts(spec)
+        .iter()
+        .map(|c| c.clause_idx)
+        .collect();
+    let mut used = vec![false; exceptions.len()];
+    let mut phase_of = |f: &Formula, derived: Phase| {
+        let i = exceptions.iter().position(|(n, _)| *n == compact(f));
+        i.map_or(derived, |i| {
+            used[i] = true;
+            exceptions[i].1
+        })
+    };
+    let (mut checks, mut unmapped) = (Vec::new(), Vec::new());
+    for (idx, clause) in spec.invariants.iter().enumerate() {
+        let preds = clause.predicates();
+        let mut skip = layout
+            .unmapped
+            .iter()
+            .filter(|(p, _)| preds.iter().any(|q| q == p));
+        if let Some((_, why)) = skip.next() {
+            unmapped.push((compact(clause), *why));
+            continue;
+        }
+        let (vars, body) = match clause {
+            Formula::Forall(vs, b) => (vs.clone(), b.as_ref()),
+            other => (Vec::new(), other),
+        };
+        let phase = match compensated.contains(&idx) {
+            true => phase_of(body, Phase::Final),
+            false => phase_of(body, Phase::Continuous),
+        };
+        // A guarded clause is one part per phase among its conjuncts.
+        let mut parts = vec![(phase, body.clone())];
+        if let Formula::Implies(g, c) = body {
+            let conjuncts = match c.as_ref() {
+                Formula::And(cs) => cs.clone(),
+                c => vec![c.clone()],
+            };
+            let phased: Vec<Phase> = conjuncts.iter().map(|c| phase_of(c, phase)).collect();
+            parts.clear();
+            for p in [Phase::Continuous, Phase::Final] {
+                let cs = conjuncts.iter().zip(&phased).filter(|(_, q)| **q == p);
+                let cs: Vec<Formula> = cs.map(|(c, _)| c.clone()).collect();
+                if !cs.is_empty() {
+                    parts.push((p, Formula::implies((**g).clone(), Formula::and(cs))));
+                }
+            }
+        }
+        for (phase, part) in parts {
+            let sub = Formula::forall(vars.clone(), part);
+            let plan = Plan::compile(&sub, spec, layout)
+                .map_err(|why| format!("`{}`: {why}", compact(&sub)))?;
+            let (name, anomaly) = (compact(&sub), Anomaly::of(classify(&sub)));
+            checks.push(Check {
+                name,
+                phase,
+                anomaly,
+                clause: sub,
+                plan,
+            });
+        }
+    }
+    match used.iter().position(|u| !u) {
+        Some(i) => Err(format!(
+            "`{}`: names no clause or conjunct",
+            exceptions[i].0
+        )),
+        None => Ok(Derived { checks, unmapped }),
     }
 }
 
 /// Per-check audit outcome for one replica.
 #[derive(Clone, Debug)]
 pub struct AuditReport {
-    pub app: &'static str,
-    pub per_check: Vec<(&'static str, u64)>,
+    pub per_check: Vec<(&'static Check, u64)>,
 }
 
 impl AuditReport {
@@ -154,132 +225,100 @@ impl AuditReport {
         self.per_check.iter().map(|(_, n)| n).sum()
     }
 
-    /// Names of the checks that found violations.
-    pub fn violated(&self) -> Vec<&'static str> {
-        self.per_check
-            .iter()
-            .filter(|(_, n)| *n > 0)
-            .map(|(name, _)| *name)
-            .collect()
+    /// The checks that found violations, in the oracle's order.
+    pub fn violated(&self) -> Vec<&'static Check> {
+        let violated = self.per_check.iter().filter(|(_, n)| *n > 0);
+        violated.map(|(c, _)| *c).collect()
     }
 }
 
-/// Anti-entropy convergence bound every application registry ships
-/// with: after a fault, each induced causal gap must close within this
-/// many rounds of repair opportunity (and quiescence within as many
-/// productive rounds). Generous against delivery latency — one pull
-/// plus a WAN one-way fits in 2 — while still catching a repair path
-/// that loops or starves.
+/// Anti-entropy convergence bound the soak judge holds every run to:
+/// each fault-induced causal gap must close within this many rounds of
+/// repair opportunity (one pull plus a WAN one-way fits in 2).
 pub const DEFAULT_LIVENESS_BOUND: u64 = 12;
 
-/// The invariant registry of one application.
+/// The invariant oracle of one application.
 #[derive(Clone, Debug)]
 pub struct Oracle {
     pub app: &'static str,
-    checks: Vec<Check>,
-    sim_checks: Vec<SimCheck>,
-    liveness_bound: Option<u64>,
+    derived: &'static Derived,
+    layout: &'static Layout,
+    sizing: Sizing,
 }
 
+/// Where an oracle derives its checks from: `(name, spec, layout,
+/// exceptions)`; each app's checks are derived once per process.
+type Source = (
+    &'static str,
+    fn() -> AppSpec,
+    &'static Layout,
+    &'static [(&'static str, Phase)],
+);
+
 impl Oracle {
-    pub fn new(app: &'static str) -> Oracle {
+    fn derived(
+        cell: &'static OnceLock<Derived>,
+        (app, spec, layout, exceptions): Source,
+        sizing: Sizing,
+    ) -> Oracle {
+        let derive = || {
+            derive_checks(&spec(), layout, exceptions)
+                .unwrap_or_else(|e| panic!("{app} oracle: {e}"))
+        };
+        let derived = cell.get_or_init(derive);
         Oracle {
             app,
-            checks: Vec::new(),
-            sim_checks: Vec::new(),
-            liveness_bound: None,
+            derived,
+            layout,
+            sizing,
         }
     }
 
-    pub fn with_check(
-        mut self,
-        name: &'static str,
+    pub fn checks(&self) -> &'static [Check] {
+        &self.derived.checks
+    }
+
+    /// Clauses left unchecked, each with the reason.
+    pub fn unmapped(&self) -> &'static [(String, &'static str)] {
+        &self.derived.unmapped
+    }
+
+    /// The replica read back through the layout as an interpretation of
+    /// the spec the checks were derived from.
+    pub fn interpretation(&self, spec: &AppSpec, replica: &Replica) -> Interpretation {
+        self.layout.interpretation(spec, replica, &self.sizing)
+    }
+
+    /// Each check of `phase` (for `Final`, every check: a final state
+    /// must satisfy everything) with its violations on `replica`.
+    fn counts<'a>(
+        &'a self,
+        replica: &'a Replica,
         phase: Phase,
-        f: impl Fn(&Replica) -> u64 + Send + Sync + 'static,
-    ) -> Oracle {
-        assert!(
-            phase != Phase::Liveness,
-            "liveness checks audit the simulation; use with_sim_check"
-        );
-        self.checks.push(Check {
-            name,
-            phase,
-            f: Arc::new(f),
-        });
-        self
-    }
-
-    /// Register a whole-simulation ([`Phase::Liveness`]) check.
-    pub fn with_sim_check(
-        mut self,
-        name: &'static str,
-        f: impl Fn(&Simulation) -> u64 + Send + Sync + 'static,
-    ) -> Oracle {
-        self.sim_checks.push(SimCheck {
-            name,
-            f: Arc::new(f),
-        });
-        self
-    }
-
-    /// Arm the bounded-liveness oracle: registers the `bounded-liveness`
-    /// sim check (violations reported by the simulation's gap/round
-    /// accounting) and remembers the bound the harness must install via
-    /// [`ipa_sim::Simulation::set_liveness_bound`] before the run.
-    pub fn with_liveness(mut self, bound: u64) -> Oracle {
-        self.liveness_bound = Some(bound);
-        self.with_sim_check("bounded-liveness", Simulation::liveness_violations)
-    }
-
-    /// The convergence bound to install on the simulation (None when
-    /// [`Oracle::with_liveness`] was never called).
-    pub fn liveness_bound(&self) -> Option<u64> {
-        self.liveness_bound
-    }
-
-    pub fn checks(&self) -> &[Check] {
-        &self.checks
-    }
-
-    pub fn sim_checks(&self) -> &[SimCheck] {
-        &self.sim_checks
-    }
-
-    /// Audit the whole-simulation (liveness) checks.
-    pub fn audit_sim(&self, sim: &Simulation) -> AuditReport {
-        AuditReport {
-            app: self.app,
-            per_check: self
-                .sim_checks
-                .iter()
-                .map(|c| (c.name, c.count(sim)))
-                .collect(),
-        }
-    }
-
-    /// Audit every check of the given phase (plus, for `Final`, the
-    /// continuous ones — a final state must satisfy everything).
-    pub fn audit(&self, replica: &Replica, phase: Phase) -> AuditReport {
-        let per_check = self
-            .checks
+    ) -> impl Iterator<Item = (&'static Check, u64)> + 'a {
+        let objs = self.layout.resolve(replica);
+        let audited = self
+            .checks()
             .iter()
-            .filter(|c| c.phase == phase || (phase == Phase::Final && c.phase == Phase::Continuous))
-            .map(|c| (c.name, c.count(replica)))
-            .collect();
-        AuditReport {
-            app: self.app,
-            per_check,
-        }
+            .filter(move |c| c.phase == phase || phase == Phase::Final);
+        audited.map(move |c| (c, c.plan.count(self.layout, &objs, replica, &self.sizing)))
+    }
+
+    pub fn audit(&self, replica: &Replica, phase: Phase) -> AuditReport {
+        let per_check = self.counts(replica, phase).collect();
+        AuditReport { per_check }
     }
 
     /// Total violations over the continuous checks only.
     pub fn continuous_violations(&self, replica: &Replica) -> u64 {
-        self.audit(replica, Phase::Continuous).total()
+        self.counts(replica, Phase::Continuous)
+            .map(|(_, n)| n)
+            .sum()
     }
 
     /// Total violations over every check (final + continuous).
     pub fn final_violations(&self, replica: &Replica) -> u64 {
-        self.audit(replica, Phase::Final).total()
+        self.counts(replica, Phase::Final).map(|(_, n)| n).sum()
     }
 
     /// Adapt the continuous checks into the sim driver's auditor hook.
@@ -287,143 +326,85 @@ impl Oracle {
         Box::new(move |_region: Region, replica: &Replica| self.continuous_violations(replica))
     }
 
-    // ------------------------------------------------------------------
-    // The four applications' registries
-    // ------------------------------------------------------------------
-
-    /// Tournament (Fig. 1): referential integrity and phase exclusion
-    /// hold continuously under IPA; capacity is compensated on read.
+    /// Tournament (Fig. 1).
     pub fn tournament() -> Oracle {
-        Oracle::new("tournament")
-            .with_check("enrollment-referential", Phase::Continuous, |r| {
-                v::tournament_enrollment_referential(r)
-            })
-            .with_check("match-referential", Phase::Continuous, |r| {
-                v::tournament_match_referential(r)
-            })
-            .with_check("phase-exclusion", Phase::Continuous, |r| {
-                v::tournament_phase(r)
-            })
-            // Compensable disjunction: two concurrent finish→begin chains
-            // can annihilate both phase marks; the `status` read repair
-            // restores the finish-prevails outcome.
-            .with_check("match-phase", Phase::Final, |r| {
-                v::tournament_match_phase(r)
-            })
-            .with_check("capacity", Phase::Final, v::tournament_capacity)
-            .with_liveness(DEFAULT_LIVENESS_BOUND)
+        static DERIVED: OnceLock<Derived> = OnceLock::new();
+        // Final, though no compensation is derived for it: two concurrent
+        // finish→begin chains can annihilate both phase marks (each begin
+        // observed-removes its branch's `finished` tag, each rem-wins finish
+        // defeats the other's `active` add), and the runtime's `status` read
+        // compensation restores the finish-prevails outcome.
+        let exceptions = &[("active(t)|finished(t)", Phase::Final)];
+        let source: Source = ("tournament", tournament_spec, &tourn::LAYOUT, exceptions);
+        let named = vec![("Capacity", vec![CAPACITY as i64])];
+        Oracle::derived(&DERIVED, source, Sizing::new(Vec::new(), named))
     }
 
-    /// Twitter: pure referential integrity, all continuous.
+    /// Twitter, for either repair strategy: the layout is the same.
     pub fn twitter() -> Oracle {
-        Oracle::new("twitter")
-            .with_check("timeline-referential", Phase::Continuous, |r| {
-                v::twitter_timeline_referential(r)
-            })
-            .with_check("follow-referential", Phase::Continuous, |r| {
-                v::twitter_follow_referential(r)
-            })
-            .with_liveness(DEFAULT_LIVENESS_BOUND)
+        static DERIVED: OnceLock<Derived> = OnceLock::new();
+        let source: Source = ("twitter", || twitter_spec(false), &twitter_rt::LAYOUT, &[]);
+        Oracle::derived(&DERIVED, source, Sizing::default())
     }
 
-    /// Ticket: overselling is compensated on read (§3.4), so the
-    /// capacity check is final-phase. `events` and `capacity` come from
-    /// the workload configuration.
-    pub fn ticket(events: Vec<String>, capacity: usize) -> Oracle {
-        Oracle::new("ticket")
-            .with_check("oversell", Phase::Final, move |r| {
-                v::ticket_violations(r, &events, capacity)
-            })
-            .with_liveness(DEFAULT_LIVENESS_BOUND)
+    /// Ticket, whose events and capacity the workload sizes.
+    pub fn ticket(entities: Vec<String>, capacity: usize) -> Oracle {
+        static DERIVED: OnceLock<Derived> = OnceLock::new();
+        let source: Source = ("ticket", ticket_spec, &ticket_rt::LAYOUT, &[]);
+        let named = vec![("Capacity", vec![capacity as i64])];
+        Oracle::derived(&DERIVED, source, Sizing::new(entities, named))
     }
 
-    /// Escrow-sharded ticket sale: rights are consumed *before* a
-    /// purchase commits, so the per-event capacity bound holds in every
-    /// causal replica state — a continuous check, the strongest claim in
-    /// the registry (compare [`Oracle::ticket`], whose compensation-based
-    /// bound is final-phase only). On the causal axis the same check is
-    /// the oversell anomaly detector.
+    /// The escrow-sharded ticket sale: [`Oracle::ticket`]'s spec and
+    /// layout, with two exceptions.
     pub fn ticket_escrow(events: Vec<(String, usize)>) -> Oracle {
-        Oracle::new("ticket-escrow")
-            .with_check("oversell", Phase::Continuous, move |r| {
-                v::sale_violations(r, &events)
-            })
-            .with_liveness(DEFAULT_LIVENESS_BOUND)
+        static DERIVED: OnceLock<Derived> = OnceLock::new();
+        // Continuous, though compensable: rights are taken before a
+        // purchase commits, so no causal replica state may exceed a
+        // capacity. On the causal axis it is the oversell detector.
+        let exceptions = &[("#sold(*,e)<=Capacity", Phase::Continuous)];
+        let source: Source = ("ticket-escrow", ticket_spec, &ticket_rt::LAYOUT, exceptions);
+        // The sale gives `Capacity` per event: one contended hot event
+        // and a cheap tail.
+        let (entities, capacities) = events.into_iter().map(|(e, c)| (e, c as i64)).unzip();
+        let named = vec![("Capacity", capacities)];
+        Oracle::derived(&DERIVED, source, Sizing::new(entities, named))
     }
 
-    /// TPC subset: order referential integrity holds continuously;
-    /// stock non-negativity is restocked by compensation.
-    pub fn tpc(items: Vec<String>) -> Oracle {
-        Oracle::new("tpc")
-            .with_check("order-referential", Phase::Continuous, |r| {
-                v::tpc_order_referential(r)
-            })
-            .with_check("stock-nonnegative", Phase::Final, move |r| {
-                v::tpc_stock_nonnegative(r, &items)
-            })
-            .with_liveness(DEFAULT_LIVENESS_BOUND)
+    /// TPC subset; `items` are the products whose stock is audited.
+    pub fn tpc(entities: Vec<String>) -> Oracle {
+        static DERIVED: OnceLock<Derived> = OnceLock::new();
+        let source: Source = ("tpc", tpc_spec, &tpc_rt::LAYOUT, &[]);
+        Oracle::derived(&DERIVED, source, Sizing::new(entities, Vec::new()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tournament::runtime as tourn;
     use ipa_crdt::{ObjectKind, ReplicaId, Val};
 
-    #[test]
-    fn every_registered_check_classifies_to_a_named_anomaly() {
-        // Each registry check name maps to the anomaly the paper
-        // attributes to it; the mapping is total (no panic, no honest
-        // check silently landing in the default bucket unintentionally).
-        let expect = |check: &str, anomaly: Anomaly| {
-            assert_eq!(Anomaly::classify(check), anomaly, "{check}");
-            // Phase prefixes never change the classification.
-            assert_eq!(
-                Anomaly::classify(&format!("continuous:{check}")),
-                anomaly,
-                "continuous:{check}"
-            );
-            assert_eq!(
-                Anomaly::classify(&format!("final:{check}")),
-                anomaly,
-                "final:{check}"
-            );
-        };
-        expect("enrollment-referential", Anomaly::ReferentialOrphan);
-        expect("match-referential", Anomaly::ReferentialOrphan);
-        expect("timeline-referential", Anomaly::ReferentialOrphan);
-        expect("follow-referential", Anomaly::ReferentialOrphan);
-        expect("order-referential", Anomaly::ReferentialOrphan);
-        expect("phase-exclusion", Anomaly::StrandedMatch);
-        expect("match-phase", Anomaly::StrandedMatch);
-        expect("capacity", Anomaly::Oversell);
-        expect("oversell", Anomaly::Oversell);
-        expect("stock-nonnegative", Anomaly::Oversell);
-        expect("transient", Anomaly::LostUpdate);
-        assert_eq!(Anomaly::classify("convergence"), Anomaly::LostUpdate);
-        for a in Anomaly::all() {
-            assert!(!a.name().is_empty());
-        }
-    }
-
-    #[test]
-    fn clean_replica_passes_every_registry() {
-        let r = Replica::new(ReplicaId(0));
-        for oracle in [
+    fn all() -> [Oracle; 5] {
+        [
             Oracle::tournament(),
             Oracle::twitter(),
             Oracle::ticket(vec!["e0".into()], 10),
             Oracle::ticket_escrow(vec![("s0".into(), 10)]),
             Oracle::tpc(vec!["i0".into()]),
-        ] {
+        ]
+    }
+
+    #[test]
+    fn clean_replica_passes_every_oracle() {
+        let r = Replica::new(ReplicaId(0));
+        for oracle in all() {
             assert_eq!(oracle.final_violations(&r), 0, "{}", oracle.app);
             assert_eq!(oracle.continuous_violations(&r), 0, "{}", oracle.app);
         }
     }
 
     #[test]
-    fn orphan_enrollment_is_attributed_to_the_named_check() {
+    fn an_orphan_enrollment_missing_both_ends_counts_once() {
         let mut r = Replica::new(ReplicaId(0));
         let mut tx = r.begin();
         tx.ensure(tourn::ENROLLED, ObjectKind::AWSet).unwrap();
@@ -433,8 +414,10 @@ mod tests {
         let oracle = Oracle::tournament();
         let report = oracle.audit(&r, Phase::Continuous);
         assert_eq!(report.total(), 1);
-        assert_eq!(report.violated(), vec!["enrollment-referential"]);
-        assert_eq!(oracle.continuous_violations(&r), 1);
+        let check = report.violated()[0];
+        assert_eq!(check.name, "enrolled(p,t)=>player(p)&tournament(t)");
+        assert_eq!(check.anomaly, Anomaly::ReferentialOrphan);
+        assert_eq!(oracle.into_continuous_auditor()(0, &r), 1);
     }
 
     #[test]
@@ -460,48 +443,7 @@ mod tests {
             "over-capacity is compensable, not a continuous violation"
         );
         let report = oracle.audit(&r, Phase::Final);
-        assert_eq!(report.total(), 1);
-        assert!(report.violated().contains(&"capacity"));
-    }
-
-    #[test]
-    fn every_registry_arms_the_liveness_check() {
-        use ipa_sim::{paper_topology, FaultPlan, SimConfig, Simulation};
-        let sim = Simulation::new(
-            paper_topology(),
-            SimConfig {
-                faults: FaultPlan::none(),
-                ..Default::default()
-            },
-        );
-        for oracle in [
-            Oracle::tournament(),
-            Oracle::twitter(),
-            Oracle::ticket(vec!["e0".into()], 10),
-            Oracle::ticket_escrow(vec![("s0".into(), 10)]),
-            Oracle::tpc(vec!["i0".into()]),
-        ] {
-            assert_eq!(
-                oracle.liveness_bound(),
-                Some(DEFAULT_LIVENESS_BOUND),
-                "{}",
-                oracle.app
-            );
-            let report = oracle.audit_sim(&sim);
-            assert_eq!(report.per_check, vec![("bounded-liveness", 0)]);
-            // Liveness never leaks into the replica-state phases.
-            assert!(oracle.checks().iter().all(|c| c.phase != Phase::Liveness));
-        }
-    }
-
-    #[test]
-    fn auditor_adapter_counts_continuous_checks() {
-        let mut r = Replica::new(ReplicaId(0));
-        let mut tx = r.begin();
-        tx.ensure(tourn::ENROLLED, ObjectKind::AWSet).unwrap();
-        tx.aw_add(tourn::ENROLLED, Val::pair("p", "ghost")).unwrap();
-        tx.commit();
-        let auditor = Oracle::tournament().into_continuous_auditor();
-        assert_eq!(auditor(0, &r), 1);
+        assert_eq!(report.total(), 1, "one over-capacity tournament");
+        assert_eq!(report.violated()[0].name, "#enrolled(*,t)<=Capacity");
     }
 }

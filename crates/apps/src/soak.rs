@@ -27,7 +27,7 @@
 //! fans the product `application × seed` out one cell per job.
 //! `tests/transport_matrix.rs` does the same for the threaded phase.
 
-use crate::oracle::{Anomaly, Oracle, Phase, DEFAULT_LIVENESS_BOUND};
+use crate::oracle::{Anomaly, Check, Oracle, Phase, DEFAULT_LIVENESS_BOUND};
 use crate::ticket::sale::SaleWorkload;
 use crate::ticket::workload::TicketWorkload;
 use crate::tournament::workload::TournamentWorkload;
@@ -149,12 +149,12 @@ pub(crate) trait SoakApp: AppWorkload + Sized {
     /// unrepaired original.
     fn fresh(mode: SoakMode) -> Self;
 
-    /// The app's full invariant registry. Asked twice: before the run it
-    /// arms the mid-run auditor (event-dependent registries have no
-    /// continuous checks and the escrow sale's events are static, so the
-    /// pre-run registry already knows every continuous check), and after
-    /// the run — when ticket knows every event generation it opened — it
-    /// is the final judge.
+    /// The app's invariant oracle. Asked twice: before the run it arms
+    /// the mid-run auditor (event-dependent oracles have no continuous
+    /// checks and the escrow sale's events are static, so the pre-run
+    /// oracle already knows every continuous check), and after the run —
+    /// when ticket knows every event generation it opened — it is the
+    /// final judge.
     fn oracle(&self) -> Oracle;
 
     /// The repairing reads of the §3.4 sweep (reads repair): read every
@@ -181,23 +181,38 @@ macro_rules! with_app {
 /// The first oracle failure a soak run exhibited.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Failure {
-    /// Stable check identifier, e.g. `continuous:phase-exclusion`,
-    /// `final:capacity`, `double-apply`, `convergence`,
+    /// Stable check identifier, e.g. `continuous:not(active(t)&finished(t))`,
+    /// `final:#sold(*,e)<=Capacity`, `double-apply`, `convergence`,
     /// `bounded-liveness`. The shrinker minimizes against exactly this.
     pub check: String,
     pub count: u64,
+    anomaly: Anomaly,
 }
 
 impl Failure {
+    /// A failure no invariant check owns: the lost-update bucket.
     pub(crate) fn new(check: impl Into<String>, count: u64) -> Failure {
         let check = check.into();
-        Failure { check, count }
+        Failure {
+            check,
+            count,
+            anomaly: Anomaly::LostUpdate,
+        }
+    }
+
+    /// A violated invariant check, audited in `phase`.
+    fn of(phase: &str, check: &Check, count: u64) -> Failure {
+        Failure {
+            check: format!("{phase}:{}", check.name),
+            count,
+            anomaly: check.anomaly,
+        }
     }
 
     /// The named anomaly this failure exhibits (the causal axis'
     /// positive expectation).
     pub fn anomaly(&self) -> Anomaly {
-        Anomaly::classify(&self.check)
+        self.anomaly
     }
 }
 
@@ -309,8 +324,8 @@ fn classify<T: Transport>(
     }
     for n in 0..nodes {
         let report = t.with_node(ReplicaId(n), |r| oracle.audit(r, Phase::Final));
-        if let Some(name) = report.violated().first() {
-            return Some(Failure::new(format!("final:{name}"), report.total()));
+        if let Some(check) = report.violated().first() {
+            return Some(Failure::of("final", check, report.total()));
         }
     }
     if !t.converged() {
@@ -323,7 +338,7 @@ fn classify<T: Transport>(
 /// bound to force reproducible red cells; CI runs the defaults).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SoakTuning {
-    /// Override the registry's bounded-liveness rounds.
+    /// Override [`DEFAULT_LIVENESS_BOUND`].
     pub liveness_bound: Option<u64>,
     /// Which repair-discipline axis to run (default: IPA).
     pub mode: SoakMode,
@@ -350,9 +365,7 @@ fn sim_cell<W: SoakApp>(seed: u64, nemesis: Nemesis<'_>, tuning: SoakTuning) -> 
     let mut workload = W::fresh(tuning.mode);
     // Continuous checks audited every 250 ms of simulated time.
     let auditor = workload.oracle();
-    if let Some(bound) = tuning.liveness_bound.or(auditor.liveness_bound()) {
-        sim.set_liveness_bound(bound);
-    }
+    sim.set_liveness_bound(tuning.liveness_bound.unwrap_or(DEFAULT_LIVENESS_BOUND));
     sim.set_auditor(0.25, auditor.into_continuous_auditor());
     match nemesis {
         Nemesis::Plan { record: true, .. } => {
@@ -383,14 +396,13 @@ fn sim_cell<W: SoakApp>(seed: u64, nemesis: Nemesis<'_>, tuning: SoakTuning) -> 
             let report = oracle.audit(sim.replica(r), Phase::Continuous);
             report.violated().first().copied()
         });
-        let check = format!("continuous:{}", still.unwrap_or("transient"));
-        Failure::new(check, audit_violations)
+        match still {
+            Some(check) => Failure::of("continuous", check, audit_violations),
+            None => Failure::new("continuous:transient", audit_violations),
+        }
     });
-    let slow = oracle.audit_sim(&sim);
-    let liveness = slow
-        .violated()
-        .first()
-        .map(|&name| Failure::new(name, slow.total()));
+    let lagging = sim.liveness_violations();
+    let liveness = (lagging > 0).then(|| Failure::new("bounded-liveness", lagging));
     let failure = classify(&oracle, &mut sim, continuous, liveness);
 
     let digest = sim.schedule_digest();
@@ -704,9 +716,6 @@ fn threaded_cell<W: SoakApp + Send>(cfg: ThreadedSoakConfig) -> ThreadedSoakRun 
     cluster.quiesce();
 
     let auditor_oracle = workload.oracle();
-    let bound = auditor_oracle
-        .liveness_bound()
-        .unwrap_or(DEFAULT_LIVENESS_BOUND);
 
     let workload = Mutex::new(workload);
     let crash_gate = RwLock::new(());
@@ -767,8 +776,8 @@ fn threaded_cell<W: SoakApp + Send>(cfg: ThreadedSoakConfig) -> ThreadedSoakRun 
                     if report.total() > 0 {
                         let mut slot = continuous_failure.lock().unwrap();
                         if slot.is_none() {
-                            let check = format!("continuous:{}", report.violated()[0]);
-                            *slot = Some(Failure::new(check, report.total()));
+                            let check = report.violated()[0];
+                            *slot = Some(Failure::of("continuous", check, report.total()));
                         }
                     }
                 }
@@ -807,6 +816,7 @@ fn threaded_cell<W: SoakApp + Send>(cfg: ThreadedSoakConfig) -> ThreadedSoakRun 
     let workload = workload.into_inner().unwrap();
     repair(&workload, &mut &cluster, ship_and_quiesce);
 
+    let bound = DEFAULT_LIVENESS_BOUND;
     let liveness =
         (quiesce_rounds > bound).then(|| Failure::new("bounded-liveness", quiesce_rounds - bound));
     let failure = classify(
@@ -890,9 +900,7 @@ mod tests {
         let mut sim = Simulation::new(paper_topology(), soak_config(seed, plan.clone()));
         let mut workload = W::fresh(SoakMode::Ipa);
         let auditor = workload.oracle();
-        if let Some(bound) = auditor.liveness_bound() {
-            sim.set_liveness_bound(bound);
-        }
+        sim.set_liveness_bound(DEFAULT_LIVENESS_BOUND);
         sim.set_auditor(0.25, auditor.into_continuous_auditor());
         sim.set_explicit_ops(ops);
         sim.run(&mut workload);

@@ -8,15 +8,11 @@
 //! mechanism", modeled by the returned cancellation list).
 
 use crate::common::Mode;
+use crate::layout::{Layout, Place};
 use ipa_crdt::{ObjectKind, Val};
 use ipa_store::{StoreError, Transaction};
 
-/// Per-op cost.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OpCost {
-    pub objects: usize,
-    pub updates: usize,
-}
+pub use crate::common::OpCost;
 
 /// Result of a view: remaining capacity observed plus overselling info.
 #[derive(Clone, Debug)]
@@ -36,9 +32,22 @@ pub struct TicketApp {
     pub capacity: usize,
 }
 
+/// The prefix of each event's pool: `{POOLS}{event}`.
+pub const POOLS: &str = "ticket/sold/";
+
 pub fn pool_key(event: &str) -> String {
-    format!("ticket/sold/{event}")
+    format!("{POOLS}{event}")
 }
+
+/// Where each predicate of `ticket_spec()` lives in the store.
+pub const LAYOUT: Layout = Layout {
+    places: &[("sold", Place::PerEntity { prefix: POOLS })],
+    unmapped: &[(
+        "event",
+        "the runtime keeps no event entity apart from its pool, and a \
+         `sold(u, e)` member lives inside `e`'s pool",
+    )],
+};
 
 impl TicketApp {
     pub fn new(mode: Mode, capacity: usize) -> TicketApp {
@@ -60,10 +69,7 @@ impl TicketApp {
         event: &str,
     ) -> Result<OpCost, StoreError> {
         tx.ensure(pool_key(event), self.pool_kind())?;
-        Ok(OpCost {
-            objects: 1,
-            updates: 0,
-        })
+        Ok(OpCost::new(1, 0))
     }
 
     /// Buy a ticket. The local precondition (pool not full *as observed
@@ -84,10 +90,7 @@ impl TicketApp {
             Mode::Ipa => tx.compset_add(key, Val::str(user))?,
             _ => tx.aw_add(key, Val::str(user))?,
         }
-        Ok(Some(OpCost {
-            objects: 1,
-            updates: 1,
-        }))
+        Ok(Some(OpCost::new(1, 1)))
     }
 
     /// View an event's sales. Under IPA this is the constrained read that
@@ -108,10 +111,7 @@ impl TicketApp {
                         .filter_map(|v| v.as_str().map(str::to_owned))
                         .collect(),
                     oversold,
-                    cost: OpCost {
-                        objects: 1,
-                        updates: usize::from(oversold),
-                    },
+                    cost: OpCost::new(1, usize::from(oversold)),
                 })
             }
             _ => {
@@ -120,10 +120,7 @@ impl TicketApp {
                     sold,
                     cancelled: Vec::new(),
                     oversold: sold > self.capacity,
-                    cost: OpCost {
-                        objects: 1,
-                        updates: 0,
-                    },
+                    cost: OpCost::new(1, 0),
                 })
             }
         }
@@ -168,11 +165,8 @@ mod tests {
         assert!(view.oversold);
         assert_eq!(view.sold, 2, "both tickets visible: invariant broken");
         assert_eq!(
-            crate::violations::ticket_violations(
-                cluster.replica(ReplicaId(0)),
-                &["gig".to_owned()],
-                1
-            ),
+            crate::Oracle::ticket(vec!["gig".into()], 1)
+                .final_violations(cluster.replica(ReplicaId(0))),
             1
         );
     }

@@ -144,7 +144,7 @@ impl SaleWorkload {
         }
     }
 
-    /// Every event with its capacity (the oracle registry's input).
+    /// Every event with its capacity (the oracle's sizing).
     pub fn event_capacities(&self) -> Vec<(String, usize)> {
         (0..self.cfg.num_events)
             .map(|s| (self.event_name(s), self.capacity(s)))

@@ -4,7 +4,7 @@
 use crate::common::Mode;
 use crate::oracle::Oracle;
 use crate::soak::{SoakApp, SoakMode};
-use crate::ticket::runtime::{pool_key, TicketApp};
+use crate::ticket::runtime::TicketApp;
 use ipa_sim::{AppWorkload, ClientInfo, OpCtx, OpOutcome};
 use ipa_store::{StoreError, Transaction};
 use rand::Rng;
@@ -218,27 +218,10 @@ impl AppWorkload for TicketWorkload {
     }
 }
 
-/// Post-run raw oversell scan across every generation ever opened
-/// (Causal's ground truth).
+/// Post-run oversold events at replica 0, across every generation ever
+/// opened (Causal's ground truth): the capacity clause's violations.
 pub fn final_oversell_count(sim: &ipa_sim::Simulation, workload: &TicketWorkload) -> u64 {
-    let events = workload.all_event_names();
-    let mut total = 0;
-    let r = sim.replica(0);
-    for e in &events {
-        let key = pool_key(e);
-        let n = r
-            .object(&key)
-            .map(|o| match o {
-                ipa_crdt::Object::AWSet(s) => s.len(),
-                ipa_crdt::Object::CompSet(s) => s.raw_len(),
-                _ => 0,
-            })
-            .unwrap_or(0);
-        if n > workload.app.capacity {
-            total += 1;
-        }
-    }
-    total
+    workload.oracle().final_violations(sim.replica(0))
 }
 
 impl SoakApp for TicketWorkload {
@@ -248,7 +231,7 @@ impl SoakApp for TicketWorkload {
 
     /// The oversell check enumerates event generations, which only the
     /// finished workload knows; it is final-phase, so the pre-run
-    /// registry (generation 0 only) arms the same — empty — continuous
+    /// oracle (generation 0 only) arms the same — empty — continuous
     /// auditor.
     fn oracle(&self) -> Oracle {
         Oracle::ticket(self.all_event_names(), self.app.capacity)

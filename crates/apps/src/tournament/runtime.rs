@@ -7,12 +7,12 @@
 //! `finish_tourn` prevail).
 
 use crate::common::Mode;
+use crate::layout::{Layout, Place};
 use ipa_crdt::{ObjectKind, Val, ValPattern};
 use ipa_store::{StoreError, Transaction};
 
-/// Tournament capacity (the Fig. 1 aggregation constraint; enforced by
-/// compensation in the Ticket benchmark, checked by the violation scanner
-/// here).
+/// Tournament capacity: the value of the Fig. 1 aggregation
+/// constraint's `Capacity`.
 pub const CAPACITY: usize = 16;
 
 /// Object keys.
@@ -23,19 +23,26 @@ pub const ACTIVE: &str = "tournament/active";
 pub const FINISHED: &str = "tournament/finished";
 pub const MATCHES: &str = "tournament/matches";
 
+/// Where each predicate of `tournament_spec()` lives in the store.
+pub const LAYOUT: Layout = Layout {
+    places: &[
+        ("player", Place::set(PLAYERS)),
+        ("tournament", Place::set(TOURNS)),
+        ("enrolled", Place::tuple(ENROLLED, 2)),
+        ("active", Place::set(ACTIVE)),
+        ("finished", Place::set(FINISHED)),
+        ("inMatch", Place::tuple(MATCHES, 3)),
+    ],
+    unmapped: &[],
+};
+
 /// The Tournament application in one consistency mode.
 #[derive(Clone, Copy, Debug)]
 pub struct Tournament {
     pub mode: Mode,
 }
 
-/// Cost profile of an executed operation (drives the simulator's service
-/// model): distinct objects touched and total updates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OpCost {
-    pub objects: usize,
-    pub updates: usize,
-}
+pub use crate::common::OpCost;
 
 impl Tournament {
     pub fn new(mode: Mode) -> Tournament {
@@ -118,10 +125,7 @@ impl Tournament {
     pub fn add_player(&self, tx: &mut Transaction<'_>, p: &str) -> Result<OpCost, StoreError> {
         self.ensure_schema(tx)?;
         tx.map_put(PLAYERS, Val::str(p), Val::str(format!("profile:{p}")))?;
-        Ok(OpCost {
-            objects: 1,
-            updates: 1,
-        })
+        Ok(OpCost::new(1, 1))
     }
 
     pub fn rem_player(&self, tx: &mut Transaction<'_>, p: &str) -> Result<OpCost, StoreError> {
@@ -142,19 +146,13 @@ impl Tournament {
             ValPattern::triple(ValPattern::Any, ValPattern::exact(p), ValPattern::Any),
         )?;
         tx.map_remove(PLAYERS, &Val::str(p))?;
-        Ok(OpCost {
-            objects: 3,
-            updates: 4,
-        })
+        Ok(OpCost::new(3, 4))
     }
 
     pub fn add_tourn(&self, tx: &mut Transaction<'_>, t: &str) -> Result<OpCost, StoreError> {
         self.ensure_schema(tx)?;
         tx.map_put(TOURNS, Val::str(t), Val::str(format!("meta:{t}")))?;
-        Ok(OpCost {
-            objects: 1,
-            updates: 1,
-        })
+        Ok(OpCost::new(1, 1))
     }
 
     pub fn rem_tourn(&self, tx: &mut Transaction<'_>, t: &str) -> Result<OpCost, StoreError> {
@@ -176,10 +174,7 @@ impl Tournament {
         self.active_remove(tx, t)?;
         tx.aw_remove(FINISHED, &Val::str(t))?;
         tx.map_remove(TOURNS, &Val::str(t))?;
-        Ok(OpCost {
-            objects: 5,
-            updates: 5,
-        })
+        Ok(OpCost::new(5, 5))
     }
 
     pub fn enroll(&self, tx: &mut Transaction<'_>, p: &str, t: &str) -> Result<OpCost, StoreError> {
@@ -193,23 +188,14 @@ impl Tournament {
             seats += usize::from(e.snd().and_then(Val::as_str) == Some(t));
         })?;
         if seats >= CAPACITY {
-            return Ok(OpCost {
-                objects: 1,
-                updates: 0,
-            });
+            return Ok(OpCost::new(1, 0));
         }
         tx.aw_add(ENROLLED, Val::pair(p, t))?;
         if self.mode == Mode::Ipa {
             self.ensure_enroll(tx, p, t)?;
-            return Ok(OpCost {
-                objects: 3,
-                updates: 3,
-            });
+            return Ok(OpCost::new(3, 3));
         }
-        Ok(OpCost {
-            objects: 1,
-            updates: 1,
-        })
+        Ok(OpCost::new(1, 1))
     }
 
     pub fn disenroll(
@@ -229,10 +215,7 @@ impl Tournament {
             tx,
             ValPattern::triple(ValPattern::Any, ValPattern::exact(p), ValPattern::exact(t)),
         )?;
-        Ok(OpCost {
-            objects: 2,
-            updates: 3,
-        })
+        Ok(OpCost::new(2, 3))
     }
 
     pub fn begin_tourn(&self, tx: &mut Transaction<'_>, t: &str) -> Result<OpCost, StoreError> {
@@ -246,15 +229,9 @@ impl Tournament {
         tx.aw_remove(FINISHED, &Val::str(t))?;
         if self.mode == Mode::Ipa {
             self.ensure_begin(tx, t)?;
-            return Ok(OpCost {
-                objects: 3,
-                updates: 3,
-            });
+            return Ok(OpCost::new(3, 3));
         }
-        Ok(OpCost {
-            objects: 2,
-            updates: 2,
-        })
+        Ok(OpCost::new(2, 2))
     }
 
     pub fn finish_tourn(&self, tx: &mut Transaction<'_>, t: &str) -> Result<OpCost, StoreError> {
@@ -265,15 +242,9 @@ impl Tournament {
         self.active_remove(tx, t)?;
         if self.mode == Mode::Ipa {
             self.ensure_begin(tx, t)?; // ensureEnd touches the tournament
-            return Ok(OpCost {
-                objects: 3,
-                updates: 3,
-            });
+            return Ok(OpCost::new(3, 3));
         }
-        Ok(OpCost {
-            objects: 2,
-            updates: 2,
-        })
+        Ok(OpCost::new(2, 2))
     }
 
     /// Precondition (checked by the caller's transaction code): both
@@ -296,15 +267,9 @@ impl Tournament {
             tx.aw_add(ENROLLED, Val::pair(q, t))?;
             self.ensure_enroll(tx, p, t)?;
             self.ensure_enroll(tx, q, t)?;
-            return Ok(OpCost {
-                objects: 4,
-                updates: 7,
-            });
+            return Ok(OpCost::new(4, 7));
         }
-        Ok(OpCost {
-            objects: 1,
-            updates: 1,
-        })
+        Ok(OpCost::new(1, 1))
     }
 
     /// Is the tournament currently active (as observed locally)?
@@ -377,15 +342,9 @@ impl Tournament {
                     )?;
                 }
             }
-            return Ok(OpCost {
-                objects: 3,
-                updates: n,
-            });
+            return Ok(OpCost::new(3, n));
         }
-        Ok(OpCost {
-            objects: 3,
-            updates: 0,
-        })
+        Ok(OpCost::new(3, 0))
     }
 }
 
@@ -421,7 +380,7 @@ mod tests {
             commit(cluster, 0, |tx| app.enroll(tx, "alice", "open"));
             commit(cluster, 0, |tx| app.begin_tourn(tx, "open"));
             cluster.sync();
-            let v = crate::violations::tournament_violations(cluster.replica(ReplicaId(1)));
+            let v = crate::Oracle::tournament().final_violations(cluster.replica(ReplicaId(1)));
             assert_eq!(v, 0);
         });
     }
@@ -436,8 +395,8 @@ mod tests {
             commit(cluster, 0, |tx| app.rem_tourn(tx, "t1"));
             commit(cluster, 1, |tx| app.enroll(tx, "p1", "t1"));
             cluster.sync();
-            let v0 = crate::violations::tournament_violations(cluster.replica(ReplicaId(0)));
-            let v1 = crate::violations::tournament_violations(cluster.replica(ReplicaId(1)));
+            let v0 = crate::Oracle::tournament().final_violations(cluster.replica(ReplicaId(0)));
+            let v1 = crate::Oracle::tournament().final_violations(cluster.replica(ReplicaId(1)));
             assert!(v0 > 0, "the Fig. 2a anomaly must appear under Causal");
             assert_eq!(v0, v1, "replicas converge (to an invalid state)");
         });
@@ -453,7 +412,7 @@ mod tests {
             commit(cluster, 1, |tx| app.enroll(tx, "p1", "t1"));
             cluster.sync();
             for r in 0..2 {
-                let v = crate::violations::tournament_violations(cluster.replica(ReplicaId(r)));
+                let v = crate::Oracle::tournament().final_violations(cluster.replica(ReplicaId(r)));
                 assert_eq!(v, 0, "replica {r}: IPA must preserve the invariant");
                 // The Fig. 2b outcome: the tournament was restored.
                 let tourns = cluster.replica(ReplicaId(r)).object(TOURNS).unwrap();
@@ -504,7 +463,7 @@ mod tests {
                 assert_eq!(active, Some(false), "rem-wins: finish prevails");
                 assert_eq!(finished, Some(true));
                 assert_eq!(
-                    crate::violations::tournament_violations(rep),
+                    crate::Oracle::tournament().final_violations(rep),
                     0,
                     "not(active and finished) holds"
                 );
@@ -526,7 +485,7 @@ mod tests {
             // Add-wins keeps `active` despite the concurrent clear.
             assert_eq!(active, Some(true));
             assert_eq!(finished, Some(true));
-            assert!(crate::violations::tournament_violations(rep) > 0);
+            assert!(crate::Oracle::tournament().final_violations(rep) > 0);
         });
     }
 
@@ -534,23 +493,11 @@ mod tests {
     fn op_costs_reflect_ipa_overhead() {
         run(Mode::Ipa, |app, cluster| {
             let c = commit(cluster, 0, |tx| app.enroll(tx, "p", "t"));
-            assert_eq!(
-                c,
-                OpCost {
-                    objects: 3,
-                    updates: 3
-                }
-            );
+            assert_eq!(c, OpCost::new(3, 3));
         });
         run(Mode::Causal, |app, cluster| {
             let c = commit(cluster, 0, |tx| app.enroll(tx, "p", "t"));
-            assert_eq!(
-                c,
-                OpCost {
-                    objects: 1,
-                    updates: 1
-                }
-            );
+            assert_eq!(c, OpCost::new(1, 1));
         });
     }
 }

@@ -291,10 +291,7 @@ impl AppWorkload for TournamentWorkload {
                     // The transaction code establishes the operation's
                     // preconditions locally (§2.2): both players enrolled
                     // and the tournament running.
-                    let mut total = OpCost {
-                        objects: 0,
-                        updates: 0,
-                    };
+                    let mut total = OpCost::new(0, 0);
                     if !app.is_active(tx, t)? {
                         let c = app.begin_tourn(tx, t)?;
                         total.objects += c.objects;
@@ -311,10 +308,10 @@ impl AppWorkload for TournamentWorkload {
                         }
                     }
                     let c = app.do_match(tx, p, q, t)?;
-                    Ok(OpCost {
-                        objects: (total.objects + c.objects).min(6),
-                        updates: total.updates + c.updates,
-                    })
+                    Ok(OpCost::new(
+                        (total.objects + c.objects).min(6),
+                        total.updates + c.updates,
+                    ))
                 }
                 TournamentOp::Begin { t } => app.begin_tourn(tx, t),
                 TournamentOp::Finish { t } => app.finish_tourn(tx, t),
@@ -386,7 +383,7 @@ mod tests {
         let mean = sim.metrics.overall().unwrap().mean_ms;
         assert!(mean < 25.0, "causal ops are local: {mean}ms");
         let v: u64 = (0..3)
-            .map(|r| crate::violations::tournament_violations(sim.replica(r)))
+            .map(|r| crate::Oracle::tournament().final_violations(sim.replica(r)))
             .sum();
         assert!(v > 0, "contended causal run must violate invariants");
     }
@@ -411,7 +408,7 @@ mod tests {
         assert!(mean < 30.0, "IPA ops stay local: {mean}ms");
         for r in 0..3 {
             assert_eq!(
-                crate::violations::tournament_violations(sim.replica(r)),
+                crate::Oracle::tournament().final_violations(sim.replica(r)),
                 0,
                 "replica {r} must satisfy all invariants"
             );

@@ -1,22 +1,31 @@
 //! TPC runtime: catalogue, orders and per-product stock counters.
 
 use crate::common::Mode;
+use crate::layout::{Layout, Place};
 use ipa_crdt::{ObjectKind, Val, ValPattern};
 use ipa_store::{StoreError, Transaction};
 
 pub const PRODUCTS: &str = "tpc/products";
 pub const ORDERS: &str = "tpc/orders";
 
+/// The prefix of each product's stock counter: `{STOCK}{product}`.
+pub const STOCK: &str = "tpc/stock/";
+
 pub fn stock_key(product: &str) -> String {
-    format!("tpc/stock/{product}")
+    format!("{STOCK}{product}")
 }
 
-/// Per-op cost.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OpCost {
-    pub objects: usize,
-    pub updates: usize,
-}
+/// Where each predicate of `tpc_spec()` lives in the store.
+pub const LAYOUT: Layout = Layout {
+    places: &[
+        ("product", Place::set(PRODUCTS)),
+        ("ordered", Place::tuple(ORDERS, 2)),
+        ("stock", Place::PerEntity { prefix: STOCK }),
+    ],
+    unmapped: &[],
+};
+
+pub use crate::common::OpCost;
 
 /// The TPC application.
 #[derive(Clone, Copy, Debug)]
@@ -50,10 +59,7 @@ impl TpcApp {
         tx.map_put(PRODUCTS, Val::str(p), Val::str(format!("sku:{p}")))?;
         tx.ensure(stock_key(p), ObjectKind::PNCounter)?;
         tx.counter_add(stock_key(p), initial_stock)?;
-        Ok(OpCost {
-            objects: 2,
-            updates: 2,
-        })
+        Ok(OpCost::new(2, 2))
     }
 
     pub fn rem_product(&self, tx: &mut Transaction<'_>, p: &str) -> Result<OpCost, StoreError> {
@@ -69,10 +75,7 @@ impl TpcApp {
             &ValPattern::pair(ValPattern::Any, ValPattern::exact(p)),
         )?;
         tx.map_remove(PRODUCTS, &Val::str(p))?;
-        Ok(OpCost {
-            objects: 2,
-            updates: 2,
-        })
+        Ok(OpCost::new(2, 2))
     }
 
     /// Purchase one unit: records the order and decrements stock. The
@@ -95,24 +98,15 @@ impl TpcApp {
             // The analysis-added restore: a purchase keeps its product
             // alive against a concurrent rem_product (add-wins touch).
             tx.map_touch(PRODUCTS, Val::str(p))?;
-            return Ok(Some(OpCost {
-                objects: 3,
-                updates: 3,
-            }));
+            return Ok(Some(OpCost::new(3, 3)));
         }
-        Ok(Some(OpCost {
-            objects: 2,
-            updates: 2,
-        }))
+        Ok(Some(OpCost::new(2, 2)))
     }
 
     pub fn restock(&self, tx: &mut Transaction<'_>, p: &str) -> Result<OpCost, StoreError> {
         tx.ensure(stock_key(p), ObjectKind::PNCounter)?;
         tx.counter_add(stock_key(p), self.restock_units)?;
-        Ok(OpCost {
-            objects: 1,
-            updates: 1,
-        })
+        Ok(OpCost::new(1, 1))
     }
 
     /// Product view. Under IPA a negative observed stock triggers the
@@ -129,23 +123,9 @@ impl TpcApp {
         let negative = stock < 0;
         if negative && self.mode == Mode::Ipa {
             tx.counter_add(stock_key(p), -stock + self.restock_units)?;
-            return Ok((
-                self.restock_units,
-                true,
-                OpCost {
-                    objects: 2,
-                    updates: 1,
-                },
-            ));
+            return Ok((self.restock_units, true, OpCost::new(2, 1)));
         }
-        Ok((
-            stock,
-            negative,
-            OpCost {
-                objects: 2,
-                updates: 0,
-            },
-        ))
+        Ok((stock, negative, OpCost::new(2, 0)))
     }
 
     /// Current stock of a product at a replica (test helper).
@@ -187,7 +167,7 @@ mod tests {
         cluster.sync();
         assert_eq!(TpcApp::stock_at(cluster.replica(ReplicaId(0)), "book"), -1);
         assert_eq!(
-            crate::violations::tpc_violations(cluster.replica(ReplicaId(0)), &["book".to_owned()]),
+            crate::Oracle::tpc(vec!["book".into()]).final_violations(cluster.replica(ReplicaId(0))),
             1
         );
     }
@@ -225,7 +205,7 @@ mod tests {
         for r in 0..2 {
             let rep = cluster.replica(ReplicaId(r));
             assert_eq!(
-                crate::violations::tpc_violations(rep, &["book".to_owned()]),
+                crate::Oracle::tpc(vec!["book".into()]).final_violations(rep),
                 0
             );
             let products = rep.object(PRODUCTS).unwrap();
@@ -247,7 +227,7 @@ mod tests {
         assert!(commit(&mut cluster, 1, |tx| app.purchase(tx, "o1", "book")).is_some());
         cluster.sync();
         assert!(
-            crate::violations::tpc_violations(cluster.replica(ReplicaId(0)), &["book".to_owned()])
+            crate::Oracle::tpc(vec!["book".into()]).final_violations(cluster.replica(ReplicaId(0)))
                 > 0
         );
     }

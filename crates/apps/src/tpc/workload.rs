@@ -239,7 +239,7 @@ mod tests {
     fn causal_run_produces_anomalies() {
         let (sim, w) = run(Mode::Causal, 51);
         let v: u64 = (0..3)
-            .map(|r| crate::violations::tpc_violations(sim.replica(r), w.products()))
+            .map(|r| crate::Oracle::tpc(w.products().to_vec()).final_violations(sim.replica(r)))
             .sum();
         assert!(
             v + sim.metrics.violations > 0,
@@ -256,7 +256,7 @@ mod tests {
         // Referential integrity: the purchase-side touch keeps every
         // ordered product alive — no orphan orders on any replica.
         for r in 0..3 {
-            let orphans = crate::violations::tpc_violations(sim.replica(r), &[]);
+            let orphans = crate::Oracle::tpc(Vec::new()).final_violations(sim.replica(r));
             assert_eq!(orphans, 0, "replica {r}: no orphan orders");
         }
     }

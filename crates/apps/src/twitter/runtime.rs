@@ -2,6 +2,7 @@
 //! post time ("we opted for writing immediately to all followers
 //! timelines", §5.1.2).
 
+use crate::layout::{Layout, Place};
 use ipa_crdt::{ObjectKind, Val, ValPattern};
 use ipa_store::{StoreError, Transaction};
 
@@ -34,12 +35,26 @@ pub const TWEETS: &str = "twitter/tweets";
 pub const ENTRIES: &str = "twitter/entries";
 pub const FOLLOWS: &str = "twitter/follows";
 
-/// Per-op cost (objects touched, updates executed).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OpCost {
-    pub objects: usize,
-    pub updates: usize,
-}
+/// Where each predicate of `twitter_spec(_)` lives in the store: the
+/// entry `(owner, tweet, author)` is `inTimeline(tweet, owner)`.
+pub const LAYOUT: Layout = Layout {
+    places: &[
+        ("user", Place::set(USERS)),
+        ("tweet", Place::set(TWEETS)),
+        (
+            "inTimeline",
+            Place::Members {
+                key: ENTRIES,
+                arity: 3,
+                args: &[1, 0],
+            },
+        ),
+        ("follows", Place::tuple(FOLLOWS, 2)),
+    ],
+    unmapped: &[],
+};
+
+pub use crate::common::OpCost;
 
 /// The Twitter application under one strategy.
 #[derive(Clone, Copy, Debug)]
@@ -84,10 +99,7 @@ impl Twitter {
     pub fn add_user(&self, tx: &mut Transaction<'_>, u: &str) -> Result<OpCost, StoreError> {
         self.ensure_schema(tx)?;
         tx.map_put(USERS, Val::str(u), Val::str(format!("bio:{u}")))?;
-        Ok(OpCost {
-            objects: 1,
-            updates: 1,
-        })
+        Ok(OpCost::new(1, 1))
     }
 
     pub fn rem_user(&self, tx: &mut Transaction<'_>, u: &str) -> Result<OpCost, StoreError> {
@@ -109,15 +121,9 @@ impl Twitter {
                 ENTRIES,
                 ValPattern::triple(ValPattern::Any, ValPattern::Any, ValPattern::exact(u)),
             )?;
-            return Ok(OpCost {
-                objects: 3,
-                updates: 4,
-            });
+            return Ok(OpCost::new(3, 4));
         }
-        Ok(OpCost {
-            objects: 2,
-            updates: 3,
-        })
+        Ok(OpCost::new(2, 3))
     }
 
     /// Post a tweet: register it and write it to the author's and all
@@ -188,10 +194,7 @@ impl Twitter {
                     ENTRIES,
                     ValPattern::triple(ValPattern::Any, ValPattern::exact(id), ValPattern::Any),
                 )?;
-                Ok(OpCost {
-                    objects: 2,
-                    updates: 2,
-                })
+                Ok(OpCost::new(2, 2))
             }
             _ => {
                 // Remove the observed entries only (concurrent retweets
@@ -200,10 +203,7 @@ impl Twitter {
                     ENTRIES,
                     &ValPattern::triple(ValPattern::Any, ValPattern::exact(id), ValPattern::Any),
                 )?;
-                Ok(OpCost {
-                    objects: 2,
-                    updates: 2,
-                })
+                Ok(OpCost::new(2, 2))
             }
         }
     }
@@ -214,15 +214,9 @@ impl Twitter {
         if self.strategy == Strategy::AddWins {
             tx.map_touch(USERS, Val::str(a))?;
             tx.map_touch(USERS, Val::str(b))?;
-            return Ok(OpCost {
-                objects: 2,
-                updates: 3,
-            });
+            return Ok(OpCost::new(2, 3));
         }
-        Ok(OpCost {
-            objects: 1,
-            updates: 1,
-        })
+        Ok(OpCost::new(1, 1))
     }
 
     pub fn unfollow(
@@ -233,10 +227,7 @@ impl Twitter {
     ) -> Result<OpCost, StoreError> {
         self.ensure_schema(tx)?;
         tx.aw_remove(FOLLOWS, &Val::pair(a, b))?;
-        Ok(OpCost {
-            objects: 1,
-            updates: 1,
-        })
+        Ok(OpCost::new(1, 1))
     }
 
     /// Read a user's timeline. Under rem-wins, entries whose tweet was
@@ -344,7 +335,7 @@ mod tests {
         commit(&mut cluster, 0, |tx| app.del_tweet(tx, "tw1"));
         commit(&mut cluster, 1, |tx| app.retweet(tx, "bob", "tw1"));
         cluster.sync();
-        let v = crate::violations::twitter_violations(cluster.replica(ReplicaId(0)));
+        let v = crate::Oracle::twitter().final_violations(cluster.replica(ReplicaId(0)));
         assert!(v > 0, "dangling retweet entries under Causal");
     }
 
@@ -360,7 +351,11 @@ mod tests {
         cluster.sync();
         for r in 0..2 {
             let rep = cluster.replica(ReplicaId(r));
-            assert_eq!(crate::violations::twitter_violations(rep), 0, "replica {r}");
+            assert_eq!(
+                crate::Oracle::twitter().final_violations(rep),
+                0,
+                "replica {r}"
+            );
             // The tweet is back (touch), with its original payload.
             let tweets = rep.object(TWEETS).unwrap().as_awmap().unwrap();
             assert_eq!(tweets.get(&Val::str("tw1")), Some(&Val::str("alice")));
@@ -382,7 +377,7 @@ mod tests {
             // The wildcard remove defeated the concurrent retweet.
             let entries = rep.object(ENTRIES).unwrap().as_rwset().unwrap();
             assert_eq!(entries.len(), 0, "replica {r}: all entries purged");
-            assert_eq!(crate::violations::twitter_violations(rep), 0);
+            assert_eq!(crate::Oracle::twitter().final_violations(rep), 0);
         }
     }
 
@@ -400,10 +395,7 @@ mod tests {
         // `map_get == None` branch).
         commit(&mut cluster, 0, |tx| {
             tx.map_remove(TWEETS, &Val::str("tw1"))?;
-            Ok(OpCost {
-                objects: 1,
-                updates: 1,
-            })
+            Ok(OpCost::new(1, 1))
         });
         let (tl, cost) = commit(&mut cluster, 0, |tx| app.timeline(tx, "bob"));
         assert_eq!(tl, vec!["tw2"], "tw1 hidden by the read compensation");

@@ -18,11 +18,14 @@ use std::collections::BTreeSet;
 pub type Instantiation = (Vec<Constant>, Vec<Constant>);
 
 /// Build the analysis universe: `per_sort` distinguished elements for every
-/// sort of the specification. Two elements per sort suffice to exercise
-/// both the aliased (`t1 == t2`) and distinct (`t1 != t2`) cases of any
-/// pair of same-sorted parameters; on the four shipped applications a
-/// third or a fourth element changes no verdict
-/// (`tests/analysis_pipeline.rs::verdicts_are_stable_at_scope_2_3_and_4`).
+/// sort of the specification. No fixed `per_sort` is proven enough: a
+/// conflict's witness can need more elements than any one pair of
+/// parameters, and ROADMAP item 17 records a spec whose conflict needs
+/// three distinct elements, so that at two per sort the analysis certifies
+/// an application that breaks its invariant. On the four shipped
+/// applications a third or a fourth element changes no verdict
+/// (`tests/analysis_pipeline.rs::verdicts_are_stable_at_scope_2_3_and_4`);
+/// that is evidence about those specs, not a bound.
 pub fn build_universe(spec: &AppSpec, per_sort: usize) -> Universe {
     let mut u = Universe::new();
     for sort in &spec.sorts {

@@ -1,5 +1,5 @@
 //! Vector clocks: the causality metadata for remove-wins semantics,
-//! multi-value registers, causal delivery and stability tracking.
+//! causal delivery and stability tracking.
 //!
 //! Replica ids are small and contiguous everywhere in this codebase, so
 //! the clock is stored *densely*: a `Vec<u64>` indexed by [`ReplicaId`],

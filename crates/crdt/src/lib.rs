@@ -34,7 +34,6 @@ pub mod clock;
 pub mod compset;
 pub mod counter;
 pub mod lww;
-pub mod mvreg;
 pub mod object;
 pub mod rwset;
 pub mod tag;
@@ -48,7 +47,6 @@ pub use clock::VClock;
 pub use compset::{CompensationSet, CompensationSetOp};
 pub use counter::{PNCounter, PNCounterOp};
 pub use lww::{LWWOp, LWWRegister};
-pub use mvreg::{MVRegOp, MVRegister};
 pub use object::{Object, ObjectKind, ObjectOp};
 pub use rwset::{RWSet, RWSetOp};
 pub use tag::{ReplicaId, Tag};

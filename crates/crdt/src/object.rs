@@ -9,7 +9,6 @@ use crate::clock::VClock;
 use crate::compset::CompensationSet;
 use crate::counter::{PNCounter, PNCounterOp};
 use crate::lww::{LWWOp, LWWRegister};
-use crate::mvreg::{MVRegOp, MVRegister};
 use crate::rwset::{RWSet, RWSetOp};
 use crate::tag::ReplicaId;
 use crate::value::{Val, ValPattern};
@@ -26,7 +25,6 @@ pub enum ObjectKind {
     PNCounter,
     BCounter { floor: i64, initial: i64 },
     LWW,
-    MV,
     CompSet { capacity: usize },
 }
 
@@ -39,7 +37,6 @@ pub enum Object {
     PNCounter(PNCounter),
     BCounter(BCounter),
     LWW(LWWRegister<Val>),
-    MV(MVRegister<Val>),
     CompSet(CompensationSet<Val>),
 }
 
@@ -52,7 +49,6 @@ pub enum ObjectOp {
     PNCounter(PNCounterOp),
     BCounter(BCounterOp),
     LWW(LWWOp<Val>),
-    MV(MVRegOp<Val>),
     CompSet(AWSetOp<Val>),
 }
 
@@ -88,7 +84,6 @@ impl Object {
                 Object::BCounter(BCounter::new(floor, initial, owner))
             }
             ObjectKind::LWW => Object::LWW(LWWRegister::new()),
-            ObjectKind::MV => Object::MV(MVRegister::new()),
             ObjectKind::CompSet { capacity } => Object::CompSet(CompensationSet::new(capacity)),
         }
     }
@@ -101,7 +96,6 @@ impl Object {
             Object::PNCounter(_) => "pn-counter",
             Object::BCounter(_) => "bounded-counter",
             Object::LWW(_) => "lww-register",
-            Object::MV(_) => "mv-register",
             Object::CompSet(_) => "compensation-set",
         }
     }
@@ -114,7 +108,6 @@ impl Object {
             ObjectOp::PNCounter(_) => "pn-counter",
             ObjectOp::BCounter(_) => "bounded-counter",
             ObjectOp::LWW(_) => "lww-register",
-            ObjectOp::MV(_) => "mv-register",
             ObjectOp::CompSet(_) => "compensation-set",
         }
     }
@@ -143,10 +136,6 @@ impl Object {
                 Ok(())
             }
             (Object::LWW(r), ObjectOp::LWW(o)) => {
-                r.apply(o);
-                Ok(())
-            }
-            (Object::MV(r), ObjectOp::MV(o)) => {
                 r.apply(o);
                 Ok(())
             }
@@ -252,13 +241,6 @@ impl Object {
         }
     }
 
-    pub fn as_mv(&self) -> Option<&MVRegister<Val>> {
-        match self {
-            Object::MV(r) => Some(r),
-            _ => None,
-        }
-    }
-
     pub fn as_compset(&self) -> Option<&CompensationSet<Val>> {
         match self {
             Object::CompSet(s) => Some(s),
@@ -318,7 +300,6 @@ mod tests {
                 initial: 5,
             },
             ObjectKind::LWW,
-            ObjectKind::MV,
             ObjectKind::CompSet { capacity: 3 },
         ];
         for k in kinds {

@@ -322,8 +322,10 @@ impl Formula {
     }
 
     /// True iff the formula is a (possibly unquantified) universal clause:
-    /// a `Forall` prefix over a quantifier-free body. This is the fragment
-    /// the small-scope analysis is sound for.
+    /// a `Forall` prefix over a quantifier-free body. The analysis accepts
+    /// only this fragment, but that alone does not make its fixed small
+    /// scope sound: ROADMAP item 17 records a universal clause whose
+    /// conflict needs three elements of one sort, missed at two.
     pub fn is_universal_clause(&self) -> bool {
         match self {
             Formula::Forall(_, body) => body.is_quantifier_free(),

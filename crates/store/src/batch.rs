@@ -55,7 +55,6 @@ fn kind_fingerprint(kind: &ObjectKind) -> u64 {
             fnv_word(fnv_word(5, floor as u64), initial as u64)
         }
         ObjectKind::LWW => 6,
-        ObjectKind::MV => 7,
         ObjectKind::CompSet { capacity } => fnv_word(8, capacity as u64),
     }
 }

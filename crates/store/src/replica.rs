@@ -38,9 +38,9 @@ pub struct ReplicaStats {
     /// Object-table hash lookups performed by the apply path (one per
     /// same-key run of a batch, object creation included).
     pub apply_table_lookups: u64,
-    /// Stability-frontier folds computed for [`Replica::run_gc`] or
-    /// [`Replica::stability_frontier_cached`]: only when a clock advanced
-    /// or the replica set changed since the last fold.
+    /// Stability-frontier folds computed for [`Replica::run_gc`]: only
+    /// when a clock advanced or the replica set changed since the last
+    /// fold.
     pub frontier_folds: u64,
     /// Batches refused by the integrity gate in [`Replica::receive`]:
     /// never applied, never a panic. Zero on every benign run.
@@ -555,15 +555,6 @@ impl Replica {
     /// latest clocks received from each, dominated by every future delivery.
     pub fn stability_frontier(&self, replicas: &[ReplicaId]) -> VClock {
         self.stability.frontier(replicas)
-    }
-
-    /// [`Replica::stability_frontier`], re-folded only when a clock
-    /// advanced or the replica set changed: the same cached fold
-    /// [`Replica::run_gc`] reads.
-    pub fn stability_frontier_cached(&mut self, replicas: &[ReplicaId]) -> VClock {
-        self.stability
-            .frontier_cached(replicas, &mut self.stats)
-            .clone()
     }
 
     /// Compact every object's causal metadata and the durable log under

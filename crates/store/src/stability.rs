@@ -1,8 +1,7 @@
 //! Causal stability: the latest clock received from each origin, and the
 //! frontier every future delivery dominates. CRDT metadata and log
-//! entries at or below the frontier can be compacted. One cached fold of
-//! it serves GC (`Replica::run_gc`) and the public cached read
-//! (`Replica::stability_frontier_cached`).
+//! entries at or below the frontier can be compacted. GC
+//! (`Replica::run_gc`) reads one cached fold of it.
 //!
 //! Invariants enforced here, each with the test that checks it:
 //!
@@ -14,10 +13,11 @@
 //!    are unchanged**: [`Stability::observe`] is the only writer of
 //!    `last_from` and bumps the epoch, and a fold is reused only for the
 //!    same `(epoch, set)` (`cached_frontier_refolds_only_on_clock_advance`,
-//!    `gc_frontier_fold_is_event_driven`, `one_fold_serves_escrow_and_gc`).
+//!    `gc_frontier_fold_is_event_driven`, `one_fold_serves_repeated_gc`).
 //!    GC's own marker says whether it already compacted at that
-//!    `(epoch, set)`, so a fold a cached read made never stands in for a
-//!    compaction (`gc_after_an_escrow_fold_still_compacts`).
+//!    `(epoch, set)`, so a fold made before never stands in for a
+//!    compaction (`a_fold_never_stands_in_for_a_compaction`,
+//!    `gc_compacts_the_stable_tombstone`).
 
 use crate::replica::ReplicaStats;
 use ipa_crdt::{ReplicaId, VClock};
@@ -269,48 +269,40 @@ mod tests {
 
     #[test]
     fn cached_frontier_refolds_only_on_clock_advance() {
-        let mut a = Replica::new(r(0));
-        let mut b = Replica::new(r(1));
+        let (mut s, mut stats) = (Stability::default(), ReplicaStats::default());
         let replicas = [r(0), r(1)];
-        let mut tx = a.begin();
-        tx.ensure("c", ObjectKind::PNCounter).unwrap();
-        tx.counter_add("c", 1).unwrap();
-        tx.commit();
-        for batch in a.take_outbox() {
-            b.receive(batch);
-        }
-        let mut tx = b.begin();
-        tx.ensure("ack", ObjectKind::PNCounter).unwrap();
-        tx.counter_add("ack", 1).unwrap();
-        tx.commit();
-        for batch in b.take_outbox() {
-            a.receive(batch);
-        }
-        let folds0 = a.stats.frontier_folds;
-        let first = a.stability_frontier_cached(&replicas);
-        assert_eq!(first, a.stability_frontier(&replicas));
-        assert_eq!(a.stats.frontier_folds, folds0 + 1);
-        // Quiet replica: repeated polls hit the cache, no re-fold.
+        s.observe(r(0), &VClock::from_raw(vec![1]));
+        s.observe(r(1), &VClock::from_raw(vec![1, 1]));
+        let first = s.frontier_cached(&replicas, &mut stats).clone();
+        assert_eq!(first, s.frontier(&replicas));
+        assert_eq!(stats.frontier_folds, 1);
+        // No clock advanced: repeated reads hit the cache, no re-fold.
         for _ in 0..5 {
-            assert_eq!(a.stability_frontier_cached(&replicas), first);
+            assert_eq!(s.frontier_cached(&replicas, &mut stats), &first);
         }
-        assert_eq!(a.stats.frontier_folds, folds0 + 1);
-        assert_eq!(a.stats.frontier_cache_hits, 5);
+        assert_eq!((stats.frontier_folds, stats.frontier_cache_hits), (1, 5));
         // A changed replica set re-folds.
-        let solo = a.stability_frontier_cached(&[r(0)]);
-        assert_eq!(solo, a.stability_frontier(&[r(0)]));
-        assert_eq!(a.stats.frontier_folds, folds0 + 2);
-        // A clock advance (local commit) re-folds on the next poll.
-        let mut tx = a.begin();
-        tx.counter_add("c", 1).unwrap();
-        tx.commit();
-        let after = a.stability_frontier_cached(&replicas);
-        assert_eq!(after, a.stability_frontier(&replicas));
-        assert_eq!(a.stats.frontier_folds, folds0 + 3);
-        // GC reads the same cache: the cached read's fold serves it.
-        let gc_folds = a.stats.frontier_folds;
-        a.run_gc(&replicas);
-        assert_eq!(a.stats.frontier_folds, gc_folds);
+        let solo = s.frontier_cached(&[r(0)], &mut stats).clone();
+        assert_eq!(solo, s.frontier(&[r(0)]));
+        assert_eq!(stats.frontier_folds, 2);
+        // A clock advance re-folds on the next read.
+        s.observe(r(0), &VClock::from_raw(vec![2, 1]));
+        let after = s.frontier_cached(&replicas, &mut stats).clone();
+        assert_eq!(after, s.frontier(&replicas));
+        assert_eq!(stats.frontier_folds, 3);
+    }
+
+    #[test]
+    fn a_fold_never_stands_in_for_a_compaction() {
+        let (mut s, mut stats) = (Stability::default(), ReplicaStats::default());
+        let replicas = [r(0), r(1)];
+        s.observe(r(0), &VClock::from_raw(vec![1]));
+        // A fold at the epoch GC is about to see leaves GC due.
+        s.frontier_cached(&replicas, &mut stats);
+        assert!(s.gc_due(&replicas));
+        assert!(!s.gc_due(&replicas), "nothing applied since");
+        s.observe(r(1), &VClock::from_raw(vec![1, 1]));
+        assert!(s.gc_due(&replicas));
     }
 
     #[test]
@@ -381,38 +373,29 @@ mod tests {
     }
 
     #[test]
-    fn one_fold_serves_escrow_and_gc() {
+    fn one_fold_serves_repeated_gc() {
         let replicas = [r(0), r(1)];
         let mut a = stable_tombstone();
-        let polled = a.stability_frontier_cached(&replicas);
-        a.run_gc(&replicas);
-        a.run_gc(&replicas);
-        assert_eq!(a.stability_frontier_cached(&replicas), polled);
-        assert_eq!(a.stats.frontier_folds, 1, "one fold for both callers");
-        assert_eq!(a.stats.frontier_cache_hits, 3);
-        assert_eq!(a.stats.gc_runs, 2);
-        // A clock advance invalidates it for both: GC re-folds, and the
-        // next cached read is served by GC's fold.
+        for _ in 0..3 {
+            a.run_gc(&replicas);
+        }
+        assert_eq!(a.stats.frontier_folds, 1, "one fold for every round");
+        assert_eq!(a.stats.frontier_cache_hits, 2);
+        assert_eq!(a.stats.gc_runs, 3);
+        // A clock advance invalidates it: the next round re-folds.
         let mut tx = a.begin();
         tx.counter_add("ack", 1).unwrap();
         tx.commit();
         a.run_gc(&replicas);
         assert_eq!(a.stats.frontier_folds, 2);
-        assert_eq!(
-            a.stability_frontier_cached(&replicas),
-            a.stability_frontier(&replicas)
-        );
-        assert_eq!(a.stats.frontier_folds, 2);
-        assert_eq!(a.stats.frontier_cache_hits, 4);
     }
 
     #[test]
-    fn gc_after_an_escrow_fold_still_compacts() {
+    fn gc_compacts_the_stable_tombstone() {
         let replicas = [r(0), r(1)];
         let mut a = stable_tombstone();
         let log_len = a.log_len();
-        // A cached read folds first, at the epoch GC is about to see.
-        let frontier = a.stability_frontier_cached(&replicas);
+        let frontier = a.stability_frontier(&replicas);
         assert!(frontier.get(r(0)) >= 2, "the remove is stable: {frontier}");
         a.run_gc(&replicas);
         let tombstones = a.object("rw").unwrap().as_rwset().unwrap().entry_count();

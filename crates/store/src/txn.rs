@@ -603,15 +603,6 @@ impl<'a> Transaction<'a> {
         })
     }
 
-    pub fn mv_write(&mut self, key: impl AsRef<str>, v: Val) -> Result<(), StoreError> {
-        let key = key.as_ref();
-        let clock = self.commit_clock.clone();
-        self.write(key, Reads::Nothing, |obj| {
-            let r = obj.as_mv().ok_or_else(|| wrong(key, "mv-register"))?;
-            Ok(Some(ObjectOp::MV(r.prepare_write(clock, v))))
-        })
-    }
-
     // ------------------------------------------------------------------
     // Compensation set (§4.2.2)
     // ------------------------------------------------------------------

@@ -17,7 +17,6 @@ const KINDS: &[ObjectKind] = &[
         initial: 50,
     },
     ObjectKind::LWW,
-    ObjectKind::MV,
     ObjectKind::CompSet { capacity: 3 },
 ];
 
@@ -29,7 +28,6 @@ fn kind_name(kind: ObjectKind) -> &'static str {
         ObjectKind::PNCounter => "pncounter",
         ObjectKind::BCounter { .. } => "bcounter",
         ObjectKind::LWW => "lww",
-        ObjectKind::MV => "mv",
         ObjectKind::CompSet { .. } => "compset",
     }
 }
@@ -89,9 +87,6 @@ fn commit_round(cluster: &mut Cluster, kind: ObjectKind, r: u16, phase: usize) {
             (ObjectKind::LWW, _) => tx
                 .lww_write(key, Val::str(format!("w{phase}-{r}-{i}")))
                 .unwrap(),
-            (ObjectKind::MV, _) => tx
-                .mv_write(key, Val::str(format!("w{phase}-{r}-{i}")))
-                .unwrap(),
             (ObjectKind::CompSet { .. }, _) => tx
                 .compset_add(key, Val::str(format!("u{phase}-{r}-{i}")))
                 .unwrap(),
@@ -138,16 +133,6 @@ fn observe(cluster: &Cluster, kind: ObjectKind, r: u16) -> String {
         ObjectKind::PNCounter => obj.as_pncounter().unwrap().value().to_string(),
         ObjectKind::BCounter { .. } => obj.as_bcounter().unwrap().value().to_string(),
         ObjectKind::LWW => format!("{:?}", obj.as_lww().unwrap().get()),
-        ObjectKind::MV => {
-            let mut e: Vec<String> = obj
-                .as_mv()
-                .unwrap()
-                .values()
-                .map(|v| format!("{v:?}"))
-                .collect();
-            e.sort();
-            format!("{e:?}")
-        }
         ObjectKind::CompSet { .. } => {
             // `read` prepares the compensation, which must resolve
             // identically at every converged replica.

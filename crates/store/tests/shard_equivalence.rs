@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 /// Every object kind, cycled across the key space so each shard count
 /// splits a mixed population.
-const KINDS: [ObjectKind; 8] = [
+const KINDS: [ObjectKind; 7] = [
     ObjectKind::AWSet,
     ObjectKind::RWSet,
     ObjectKind::AWMap,
@@ -23,7 +23,6 @@ const KINDS: [ObjectKind; 8] = [
         initial: 10,
     },
     ObjectKind::LWW,
-    ObjectKind::MV,
     ObjectKind::CompSet { capacity: 6 },
 ];
 
@@ -34,7 +33,7 @@ fn key_name(key: u8) -> String {
 }
 
 fn kind_of_key(key: u8) -> ObjectKind {
-    KINDS[(key % 8) as usize]
+    KINDS[usize::from(key) % KINDS.len()]
 }
 
 /// One update against `key`'s kind; failures (bounded-counter floor,
@@ -81,9 +80,6 @@ fn apply_op(tx: &mut Transaction<'_>, key: u8, val: u8) {
         }
         ObjectKind::LWW => {
             tx.lww_write(name.as_str(), v).unwrap();
-        }
-        ObjectKind::MV => {
-            tx.mv_write(name.as_str(), v).unwrap();
         }
         ObjectKind::CompSet { .. } => {
             let _ = tx.compset_add(name.as_str(), v);

@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 const ME: ReplicaId = ReplicaId(0);
 
-const KINDS: [ObjectKind; 8] = [
+const KINDS: [ObjectKind; 7] = [
     ObjectKind::AWSet,
     ObjectKind::RWSet,
     ObjectKind::AWMap,
@@ -25,7 +25,6 @@ const KINDS: [ObjectKind; 8] = [
         initial: 6,
     },
     ObjectKind::LWW,
-    ObjectKind::MV,
     ObjectKind::CompSet { capacity: 2 },
 ];
 
@@ -33,12 +32,14 @@ const KINDS: [ObjectKind; 8] = [
 /// start absent; the kind cycles with the key number.
 const NUM_KEYS: u8 = 16;
 
-/// The wide transaction's keys, numbered past [`NUM_KEYS`]: stored
-/// add-wins sets, rem-wins sets and add-wins maps, eleven of each.
+/// The wide transaction's keys, numbered past [`NUM_KEYS`] from the
+/// start of a kind cycle: stored add-wins sets, rem-wins sets and add-wins
+/// maps, eleven of each.
 const WIDE_KEYS: u8 = 33;
 
 fn wide_key(w: u8) -> u8 {
-    NUM_KEYS + 8 * (w / 3) + w % 3
+    let cycle = KINDS.len() as u8;
+    NUM_KEYS.next_multiple_of(cycle) + cycle * (w / 3) + w % 3
 }
 
 /// Every key a script may name.
@@ -51,7 +52,7 @@ fn key(k: u8) -> Key {
 }
 
 fn kind_of(k: u8) -> ObjectKind {
-    KINDS[usize::from(k % 8)]
+    KINDS[usize::from(k) % KINDS.len()]
 }
 
 /// Eight elements `(a, b)`, `a` in `0..4` and `b` in `0..2`, so that the
@@ -151,7 +152,6 @@ fn run_real(tx: &mut Transaction<'_>, k: u8, op: Op, e: u8) -> Res {
         }
         (ObjectKind::LWW, Op::Add | Op::Touch) => tx.lww_write(key, v).map(|()| Out::Unit),
         (ObjectKind::LWW, _) => tx.lww_get(key).map(Out::Value),
-        (ObjectKind::MV, _) => tx.mv_write(key, v).map(|()| Out::Unit),
         (ObjectKind::CompSet { .. }, Op::Add | Op::Touch) => {
             tx.compset_add(key, v).map(|()| Out::Unit)
         }
@@ -355,10 +355,6 @@ fn run_ref(tx: &mut RefTxn<'_>, k: u8, op: Op, e: u8) -> Res {
         (ObjectKind::LWW, _) => {
             let r = tx.obj(key)?.as_lww().unwrap();
             return Ok(Out::Value(r.get().cloned()));
-        }
-        (ObjectKind::MV, _) => {
-            let r = tx.obj(key)?.as_mv().unwrap();
-            Some(ObjectOp::MV(r.prepare_write(clock, v)))
         }
         (ObjectKind::CompSet { .. }, Op::Add | Op::Touch) => {
             let tag = tx.tag();

@@ -8,7 +8,7 @@
 
 use ipa::apps::twitter::runtime::Strategy;
 use ipa::apps::twitter::TwitterWorkload;
-use ipa::apps::violations::twitter_violations;
+use ipa::apps::Oracle;
 use ipa::sim::{paper_topology, SimConfig, Simulation};
 
 fn main() {
@@ -29,7 +29,10 @@ fn main() {
         let overall = sim.metrics.overall().expect("ops ran");
         let tweet = sim.metrics.summary("Tweet");
         let timeline = sim.metrics.summary("Timeline");
-        let dangling: u64 = (0..3).map(|r| twitter_violations(sim.replica(r))).sum();
+        let oracle = Oracle::twitter();
+        let dangling: u64 = (0..3)
+            .map(|r| oracle.final_violations(sim.replica(r)))
+            .sum();
         println!("strategy {strategy}:");
         println!(
             "  {} ops, mean {:.2} ms (tweet {:.2} ms, timeline {:.2} ms)",

@@ -23,7 +23,10 @@ use ipa::apps::soak::TransportCtx;
 use ipa::apps::ticket::sale::{raw_oversell, SaleBackend, SaleWorkload};
 use ipa::coord::{rights_key, BoundedCounter, CoordError, EscrowShard, StrongCounter};
 use ipa::crdt::ReplicaId;
-use ipa::sim::{paper_topology, CrashPlan, FaultPlan, SimConfig, Simulation};
+use ipa::sim::{
+    paper_topology, ClientInfo, CrashPlan, FaultPlan, OpCtx, OpOutcome, SimConfig, SimCtx,
+    Simulation, Workload,
+};
 use ipa::store::{Cluster, Transport};
 use proptest::prelude::*;
 
@@ -219,4 +222,81 @@ fn strong_counter_refuses_while_its_primary_is_down() {
         "the primary is down"
     );
     assert_eq!(clocks(&mut ctx), before, "no node's clock moved");
+}
+
+/// The same refusal on the simulator, whose commit path has no down
+/// check of its own, so `StrongCounter`'s is the only guard: while the
+/// plan holds the primary down, every decrement forwarded to it is
+/// refused, and the counter loses exactly the decrements that succeeded.
+#[test]
+fn strong_counter_refuses_on_the_simulator_while_the_plan_crashes_its_primary() {
+    struct Sale {
+        strong: StrongCounter,
+        sold: i64,
+        refused_down: u64,
+    }
+    impl Workload for Sale {
+        fn setup(&mut self, ctx: &mut SimCtx<'_>) {
+            self.strong.create(ctx, "gold", 10_000).expect("create");
+        }
+        fn op(&mut self, ctx: &mut SimCtx<'_>, client: ClientInfo) -> OpOutcome {
+            let down = !ctx.node_up(0);
+            match self.strong.decrement(ctx, "gold", client.region, 1) {
+                Ok(_) => {
+                    assert!(!down, "a decrement committed at the crashed primary");
+                    self.sold += 1;
+                    OpOutcome::ok("Buy", 1, 1)
+                }
+                Err(e) => {
+                    assert!(down, "refused with the primary up: {e:?}");
+                    let to_primary = CoordError::PeerUnreachable {
+                        from: client.region,
+                        to: 0,
+                    };
+                    assert_eq!(e, to_primary);
+                    self.refused_down += 1;
+                    OpOutcome::unavailable("Buy")
+                }
+            }
+        }
+    }
+    let crash = CrashPlan {
+        region: 0,
+        at_s: 0.6,
+        down_s: 0.6,
+    };
+    let cfg = SimConfig {
+        clients_per_region: 2,
+        warmup_s: 0.2,
+        duration_s: 1.8,
+        seed: 5,
+        faults: FaultPlan {
+            crashes: vec![crash],
+            ..FaultPlan::none()
+        },
+        ..Default::default()
+    };
+    let mut sim = Simulation::new(paper_topology(), cfg);
+    let mut sale = Sale {
+        strong: StrongCounter::new(0),
+        sold: 0,
+        refused_down: 0,
+    };
+    sim.run(&mut sale);
+    sim.quiesce();
+    assert!(
+        sale.refused_down > 0,
+        "the plan's crash window saw decrements"
+    );
+    for r in 0..sim.regions() as u16 {
+        let counter = sim
+            .replica(r)
+            .object(&rights_key("gold"))
+            .and_then(|o| o.as_bcounter());
+        assert_eq!(
+            counter.map(|c| c.value()),
+            Some(10_000 - sale.sold),
+            "replica {r}"
+        );
+    }
 }
