@@ -205,12 +205,17 @@ fn render_witnesses(report: &ipa::analysis::AnalysisReport) -> String {
         }
         line(&mut out, "contested", w.contested.iter());
     }
+    out.push_str(&render_counters(report));
+    out
+}
+
+/// The deterministic solver counters of an analysis, one line.
+fn render_counters(report: &ipa::analysis::AnalysisReport) -> String {
     let s = &report.solver;
-    out.push_str(&format!(
+    format!(
         "queries {}, solves {}, decisions {}, conflicts {}, propagations {}, clauses {}\n",
         report.queries, s.solves, s.decisions, s.conflicts, s.propagations, s.clauses
-    ));
-    out
+    )
 }
 
 /// The witnesses and the solver's counters, not just the verdicts: a
@@ -310,6 +315,62 @@ queries 30, solves 6, decisions 16, conflicts 0, propagations 60, clauses 36
     for (spec, golden) in goldens {
         assert_eq!(render_witnesses(&analyze(&spec)), golden, "{}", spec.name);
     }
+}
+
+/// The solver counters at scopes 3 and 4, where the universe, the CNF and
+/// the search are larger than at the default scope: a change to the
+/// session's caches, the encoder or the solver's decisions that leaves
+/// scope 2 alone still shows here.
+#[test]
+fn solver_counters_match_their_goldens_at_scope_3_and_4() {
+    let goldens = [
+        (
+            tournament_spec(),
+            [
+                "queries 955, solves 740, decisions 7291, conflicts 318, propagations 101643, clauses 8953",
+                "queries 957, solves 741, decisions 16737, conflicts 463, propagations 205252, clauses 14792",
+            ],
+        ),
+        (
+            twitter_spec(false),
+            [
+                "queries 193, solves 34, decisions 143, conflicts 18, propagations 699, clauses 154",
+                "queries 196, solves 34, decisions 245, conflicts 25, propagations 1188, clauses 249",
+            ],
+        ),
+        (
+            ticket_spec(),
+            [
+                "queries 18, solves 3, decisions 0, conflicts 0, propagations 3, clauses 10",
+                "queries 18, solves 3, decisions 0, conflicts 0, propagations 3, clauses 17",
+            ],
+        ),
+        (
+            tpc_spec(),
+            [
+                "queries 30, solves 6, decisions 26, conflicts 0, propagations 84, clauses 51",
+                "queries 30, solves 6, decisions 36, conflicts 0, propagations 116, clauses 72",
+            ],
+        ),
+    ];
+    let mut got = String::new();
+    let mut want = String::new();
+    for (spec, golden) in goldens {
+        for (scope, golden) in [3, 4].into_iter().zip(golden) {
+            let config = AnalysisConfig {
+                universe_per_sort: scope,
+                ..AnalysisConfig::tuned_for(&spec)
+            };
+            let report = Analyzer::new(config).analyze(&spec).expect("analysis");
+            let label = format!("{} at scope {scope}: ", spec.name);
+            got.push_str(&label);
+            got.push_str(&render_counters(&report));
+            want.push_str(&label);
+            want.push_str(golden);
+            want.push('\n');
+        }
+    }
+    assert_eq!(got, want);
 }
 
 /// The small scope is large enough: a third or a fourth element per sort
