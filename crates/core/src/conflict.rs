@@ -9,7 +9,7 @@
 //! only the invariant conjuncts the operations change.
 
 use crate::pipeline::AnalysisConfig;
-use crate::session::{AnalysisSession, Image};
+use crate::session::{AnalysisSession, Image, OpId};
 use crate::summary::EffectSummary;
 use crate::AnalysisError;
 use ipa_solver::AtomId;
@@ -72,7 +72,7 @@ pub fn check_pair(
 /// [`AnalysisSession::first_conflict`] finds it. With the model the
 /// session's solver found for it, enough to decode a [`ConflictWitness`],
 /// and no more.
-struct Conflict {
+pub(crate) struct Conflict {
     args1: Vec<Constant>,
     args2: Vec<Constant>,
     contested: Vec<AtomId>,
@@ -93,6 +93,17 @@ impl AnalysisSession<'_> {
         &mut self,
         op1: &Operation,
         op2: &Operation,
+    ) -> Result<Option<ConflictWitness>, AnalysisError> {
+        let (op1, op2) = (self.intern(op1), self.intern(op2));
+        self.witness(op1, op2)
+    }
+
+    /// [`AnalysisSession::check_pair`] on operations the session has
+    /// named.
+    pub(crate) fn witness(
+        &mut self,
+        op1: OpId,
+        op2: OpId,
     ) -> Result<Option<ConflictWitness>, AnalysisError> {
         let Some(c) = self.first_conflict(op1, op2)? else {
             return Ok(None);
@@ -116,9 +127,9 @@ impl AnalysisSession<'_> {
             .cloned()
             .collect();
         Ok(Some(ConflictWitness {
-            op1: op1.name.clone(),
+            op1: self.op(op1).name.clone(),
             args1: c.args1,
-            op2: op2.name.clone(),
+            op2: self.op(op2).name.clone(),
             args2: c.args2,
             pre,
             merged,
@@ -131,19 +142,22 @@ impl AnalysisSession<'_> {
     /// without decoding a witness: what the repair search asks of every
     /// candidate.
     pub fn conflicts(&mut self, op1: &Operation, op2: &Operation) -> Result<bool, AnalysisError> {
+        let (op1, op2) = (self.intern(op1), self.intern(op2));
         Ok(self.first_conflict(op1, op2)?.is_some())
     }
 
     /// The loop behind both questions: the first instantiation and merge
     /// alternative whose query is satisfiable.
-    fn first_conflict(
+    pub(crate) fn first_conflict(
         &mut self,
-        op1: &Operation,
-        op2: &Operation,
+        op1: OpId,
+        op2: OpId,
     ) -> Result<Option<Conflict>, AnalysisError> {
-        for (args1, args2) in self.instantiations(op1, op2).iter() {
-            let (Some(f1), Some(f2)) = (self.footprint(op1, args1)?, self.footprint(op2, args2)?)
-            else {
+        for case in self.instantiations(op1, op2).iter() {
+            let (Some(f1), Some(f2)) = (
+                self.footprint_at(op1, case.slot1, &case.args1)?,
+                self.footprint_at(op2, case.slot2, &case.args2)?,
+            ) else {
                 continue;
             };
             if f1.summary.is_empty() && f2.summary.is_empty() {
@@ -154,8 +168,8 @@ impl AnalysisSession<'_> {
                 .summary
                 .merge(&f2.summary, &self.spec.rules, &self.atoms)
                 .map_err(|atoms| AnalysisError::TooManyContested {
-                    op1: op1.name.clone(),
-                    op2: op2.name.clone(),
+                    op1: self.op(op1).name.clone(),
+                    op2: self.op(op2).name.clone(),
                     atoms,
                 })?;
             for merged in alternatives {
@@ -163,8 +177,8 @@ impl AnalysisSession<'_> {
                 let post: Vec<&Image> = post.iter().collect();
                 if self.query(&wp, &post) {
                     return Ok(Some(Conflict {
-                        args1: args1.clone(),
-                        args2: args2.clone(),
+                        args1: case.args1.clone(),
+                        args2: case.args2.clone(),
                         contested: f1.summary.contested_atoms(&f2.summary),
                         merged,
                     }));
@@ -193,16 +207,32 @@ impl AnalysisSession<'_> {
         cand1: &Operation,
         cand2: &Operation,
     ) -> Result<bool, AnalysisError> {
-        self.pin(&[cand1, cand2]);
-        for (args1, args2) in self.instantiations(orig1, orig2).iter() {
-            let (Some(o1), Some(o2)) =
-                (self.footprint(orig1, args1)?, self.footprint(orig2, args2)?)
-            else {
+        let (cand1, cand2) = (self.intern(cand1), self.intern(cand2));
+        let (orig1, orig2) = (self.intern(orig1), self.intern(orig2));
+        self.executable(orig1, orig2, cand1, cand2)
+    }
+
+    /// [`AnalysisSession::preserves_executability`] on operations the
+    /// session has named. A candidate has its original's parameters, so
+    /// the two share instantiations and slots.
+    pub(crate) fn executable(
+        &mut self,
+        orig1: OpId,
+        orig2: OpId,
+        cand1: OpId,
+        cand2: OpId,
+    ) -> Result<bool, AnalysisError> {
+        for case in self.instantiations(orig1, orig2).iter() {
+            let (Some(o1), Some(o2)) = (
+                self.footprint_at(orig1, case.slot1, &case.args1)?,
+                self.footprint_at(orig2, case.slot2, &case.args2)?,
+            ) else {
                 continue;
             };
-            let (Some(c1), Some(c2)) =
-                (self.footprint(cand1, args1)?, self.footprint(cand2, args2)?)
-            else {
+            let (Some(c1), Some(c2)) = (
+                self.footprint_at(cand1, case.slot1, &case.args1)?,
+                self.footprint_at(cand2, case.slot2, &case.args2)?,
+            ) else {
                 continue;
             };
             // A state where the originals execute but a candidate would not.

@@ -135,8 +135,13 @@ pub struct AnalysisReport {
     /// Solvers loaded with the grounded invariant: one for detection, and
     /// a fresh one for each repair search.
     pub solvers: u64,
+    /// Ground footprints computed from an operation's effects.
+    pub footprints_built: u64,
+    /// Ground footprints of repair candidates computed from their
+    /// parent's, by applying the added effects (session rule 3).
+    pub footprints_extended: u64,
     /// Solver counters summed over those, including the clauses they were
-    /// given. Deterministic, like the four counts above; the three times
+    /// given. Deterministic, like the six counts above; the three times
     /// below are wall clock and are not.
     pub solver: Stats,
     /// Building the session: grounding the invariant and loading it into
@@ -254,6 +259,8 @@ impl Analyzer {
             memo_hits: session.memo_hits,
             queries: session.queries,
             solvers: session.solvers,
+            footprints_built: session.footprints_built,
+            footprints_extended: session.footprints_extended,
             solver: session.solver_stats(),
             grounding_time,
             sat_time: session.sat_time,

@@ -115,30 +115,34 @@ impl AnalysisSession<'_> {
         op2: &Operation,
     ) -> Result<Vec<Resolution>, AnalysisError> {
         self.renew_solver();
+        let (id1, id2) = (self.intern(op1), self.intern(op2));
         let mut sols: Vec<Resolution> = Vec::new();
         for cand in generate(self.spec, op1, op2, self.cfg.max_added_effects) {
             if is_pair_subset(&cand, &sols) {
                 continue;
             }
+            // `generate` extends the first operation under its name, and
+            // the second only when the names differ.
+            let (c1, c2, extended) = if cand.added_to == op1.name {
+                let c1 = self.extend(id1, cand.op1);
+                (c1, id2, c1)
+            } else {
+                let c2 = self.extend(id2, cand.op2);
+                (id1, c2, c2)
+            };
             // Reject degenerate repairs that narrow an operation's weakest
             // precondition (the paper's repairs must preserve the original
             // semantics when no conflict occurs, §3.3).
-            if self.preserves_executability(op1, op2, &cand.op1, &cand.op2)?
-                && !self.conflicts(&cand.op1, &cand.op2)?
-            {
+            if self.executable(id1, id2, c1, c2)? && self.first_conflict(c1, c2)?.is_none() {
+                self.keep(extended);
                 sols.push(Resolution {
-                    op1: cand.op1,
-                    op2: cand.op2,
+                    op1: self.op(c1).clone(),
+                    op2: self.op(c2).clone(),
                     added_to: cand.added_to,
                     added: cand.added,
                 });
             } else {
                 // A rejected candidate is never asked about again.
-                let extended = if cand.op1 == *op1 {
-                    &cand.op2
-                } else {
-                    &cand.op1
-                };
                 self.forget(extended);
             }
         }

@@ -92,10 +92,13 @@ impl fmt::Display for AnalysisReport {
         }
         writeln!(
             f,
-            "  work: {} pair checks (+{} memo hits), {} queries ({} without the solver), \
+            "  work: {} pair checks (+{} memo hits), {} footprints ({} extended), \
+             {} queries ({} without the solver), \
              {} clauses in {} solvers, {} decisions, {} conflicts, {} propagations",
             self.pair_checks,
             self.memo_hits,
+            self.footprints_built + self.footprints_extended,
+            self.footprints_extended,
             self.queries,
             self.queries - self.solver.solves,
             self.solver.clauses,

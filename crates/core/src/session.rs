@@ -33,12 +33,34 @@
 //!    the residues of some hundred candidates that are never asked about
 //!    again, so it starts on a fresh solver loaded with `I`
 //!    (`renew_solver`).
-//! 3. **Remember clean pairs.** A "no conflict" verdict depends only on the
-//!    session's fixed parts and the two [`Operation`] *values*, so
-//!    [`AnalysisSession::detect`] memoises it under those values: a later
-//!    detection pass re-checks only pairs involving a repaired operation.
-//!    Ground footprints are cached per `(Operation, arguments)` the same
-//!    way.
+//! 3. **Name operations, not values.** The session names each
+//!    operation value it meets by a small [`OpId`], once per entry point
+//!    (it compares the value with those of the same name it knows), and
+//!    an instantiation's arguments by their element numbers: the
+//!    arguments' positions within their sorts, read in mixed radix, are
+//!    the instantiation's *slot* in each operation's footprint table. A
+//!    "no conflict" verdict depends only on the session's fixed parts and
+//!    the two operation values, so [`AnalysisSession::detect`] memoises it
+//!    under the pair of ids: a later detection pass re-checks only pairs
+//!    involving a repaired operation. Ground footprints are cached per
+//!    `(OpId, slot)`. Nothing is hashed per instantiation.
+//!
+//!    A repair candidate is not looked up by value. It is its parent plus
+//!    the added effects, which `Operation::with_extra_effects` appends
+//!    after the parent's, and its footprint is *extended* from the
+//!    parent's at the same slot instead of being rebuilt. The two are
+//!    equal. A summary applies ground effects in order, an assignment
+//!    overwriting and a delta adding, so the candidate's summary `S'` is
+//!    the parent's `S` with the added effects' ground expansion applied
+//!    after it, and it differs from `S` only at atoms those effects write.
+//!    `apply_summary(cᵢ, S)` reads `S` only at the atoms of `cᵢ`. So for a
+//!    conjunct none of the written atoms occurs in, `S'(cᵢ) = S(cᵢ)`: it is
+//!    changed under `S'` exactly when it is under `S`, with the same
+//!    image, which is reused. Only the conjuncts the written atoms occur
+//!    in are recomputed under `S'`, and the two lists are merged in
+//!    conjunct order. The result is, image for image, what
+//!    [`AnalysisSession::image`] of `S'` returns, and so every query built
+//!    from it asserts the same clauses.
 //! 4. **Same answers.** Pair order, candidate order, minimality pruning
 //!    and resolution policy are untouched, the instantiations asked are a
 //!    subsequence of the full order (rule 5), and every query is
@@ -79,23 +101,24 @@
 use crate::conflict::ConflictWitness;
 use crate::pipeline::AnalysisConfig;
 use crate::summary::EffectSummary;
-use crate::universe::{build_universe, canonical_instantiations, named_sorts, Instantiation};
+use crate::universe::{build_universe, canonical_instantiations, named_sorts};
 use crate::wp::apply_summary;
 use crate::AnalysisError;
 use ipa_solver::sat::Stats;
 use ipa_solver::{AtomTable, GroundFormula, Grounder, SolverSession};
-use ipa_spec::{AppSpec, Constant, Operation, Sort};
+use ipa_spec::{AppSpec, Constant, GroundEffect, Operation, Sort, Symbol};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// A conjunct of the grounded invariant as an effect summary leaves it:
 /// `formula = apply_summary(conjuncts[conjunct], S)`, and differs from the
-/// conjunct itself.
+/// conjunct itself. The formula is shared: an extended footprint keeps
+/// its parent's images of the conjuncts the added effects leave alone.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Image {
     pub conjunct: usize,
-    pub formula: GroundFormula,
+    pub formula: Rc<GroundFormula>,
 }
 
 /// One ground execution `op(args)` as the analysis sees it.
@@ -107,8 +130,31 @@ pub struct Footprint {
     pub wp: Vec<Image>,
 }
 
-/// The parameter sorts of a pair of operations, in order.
-type PairSorts = (Vec<Sort>, Vec<Sort>);
+/// The session's name for an operation it has met (rule 3).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct OpId(u32);
+
+/// What the session knows of one operation.
+struct Known {
+    op: Operation,
+    /// Its parameter sorts, as an index into `AnalysisSession::sorts`.
+    sorts: usize,
+    /// For a repair candidate: the operation it extends, and where in
+    /// `op.added_effects` its own added effects start.
+    base: Option<(OpId, usize)>,
+    /// Footprints by slot, filled on first use. The inner `None` records
+    /// an instantiation the operation's sorts reject.
+    footprints: Vec<Option<Option<Rc<Footprint>>>>,
+}
+
+/// One instantiation of rule 5, with its slot in each operation's
+/// footprint table.
+pub(crate) struct Case {
+    pub args1: Vec<Constant>,
+    pub args2: Vec<Constant>,
+    pub slot1: usize,
+    pub slot2: usize,
+}
 
 /// See the [module documentation](self).
 pub struct AnalysisSession<'a> {
@@ -126,17 +172,28 @@ pub struct AnalysisSession<'a> {
     retired: Stats,
     /// Solvers loaded with `I` so far, the current one included.
     pub(crate) solvers: u64,
-    /// `None` records an instantiation the operation's sorts reject.
-    footprints: HashMap<Operation, HashMap<Vec<Constant>, Option<Rc<Footprint>>>>,
-    clean: HashMap<Operation, HashSet<Operation>>,
+    /// Every operation met, by id.
+    ops: Vec<Known>,
+    /// The ids of the operations that entry points look up by value, by
+    /// name. A rejected repair candidate is never among them.
+    by_name: HashMap<Symbol, Vec<OpId>>,
+    /// The distinct parameter sort lists met, each with the size of a
+    /// footprint table over it: the product of its sorts' sizes.
+    sorts: Vec<(Vec<Sort>, usize)>,
+    /// Pairs of operations found not to conflict.
+    clean: HashSet<(OpId, OpId)>,
     /// Sorts an invariant or an effect met so far names an element of:
     /// rule 5 does not rename them.
     pinned: BTreeSet<Sort>,
     /// Rule 5's instantiations, per pair of parameter sort lists.
-    instantiations: HashMap<PairSorts, Rc<[Instantiation]>>,
+    instantiations: HashMap<(usize, usize), Rc<[Case]>>,
     pub(crate) pair_checks: u64,
     pub(crate) memo_hits: u64,
     pub(crate) queries: u64,
+    /// Footprints computed from an operation's effects.
+    pub(crate) footprints_built: u64,
+    /// Footprints of repair candidates computed from their parent's.
+    pub(crate) footprints_extended: u64,
     /// Wall time spent asserting into and running the solver.
     pub(crate) sat_time: Duration,
 }
@@ -182,13 +239,17 @@ impl<'a> AnalysisSession<'a> {
             solvers: 1,
             conjuncts,
             mentions,
-            footprints: HashMap::new(),
-            clean: HashMap::new(),
+            ops: Vec::new(),
+            by_name: HashMap::new(),
+            sorts: Vec::new(),
+            clean: HashSet::new(),
             pinned: named_sorts(&spec.invariants, &spec.operations),
             instantiations: HashMap::new(),
             pair_checks: 0,
             memo_hits: 0,
             queries: 0,
+            footprints_built: 0,
+            footprints_extended: 0,
             sat_time: Duration::ZERO,
         })
     }
@@ -231,73 +292,251 @@ impl<'a> AnalysisSession<'a> {
         touched.dedup();
         touched
             .into_iter()
-            .filter_map(|conjunct| {
-                let formula = apply_summary(&self.conjuncts[conjunct], s);
-                (formula != self.conjuncts[conjunct]).then_some(Image { conjunct, formula })
-            })
+            .filter_map(|conjunct| self.image_of(conjunct, s))
             .collect()
     }
 
+    /// The image of one conjunct under `s`, if `s` changes it.
+    fn image_of(&self, conjunct: usize, s: &EffectSummary) -> Option<Image> {
+        let formula = apply_summary(&self.conjuncts[conjunct], s);
+        (formula != self.conjuncts[conjunct]).then(|| Image {
+            conjunct,
+            formula: Rc::new(formula),
+        })
+    }
+
     /// The footprint of `op(args)`, computed on first use and cached under
-    /// the operation's value. `None` when the arguments' sorts do not fit.
+    /// the operation's id. `None` when the arguments' sorts do not fit.
     pub fn footprint(
         &mut self,
         op: &Operation,
         args: &[Constant],
     ) -> Result<Option<Rc<Footprint>>, AnalysisError> {
-        if let Some(hit) = self.footprints.get(op).and_then(|m| m.get(args)) {
-            return Ok(hit.clone());
+        let id = self.intern(op);
+        match self.slot(&self.sorts[self.known(id).sorts].0, args) {
+            Some(slot) => self.footprint_at(id, slot, args),
+            // Arguments from outside the universe: nothing to cache under.
+            None => Ok(self.build(op, args)?.map(Rc::new)),
         }
-        let footprint = match op.ground(args) {
-            None => None,
-            Some(effects) => {
-                let grounder = Grounder::with_atoms(&self.atoms, &self.spec.constants);
-                let summary = EffectSummary::from_effects(&effects, &grounder)?;
-                let wp = self.image(&summary);
-                Some(Rc::new(Footprint { summary, wp }))
+    }
+
+    /// The id of `op`'s value, named on first sight.
+    pub(crate) fn intern(&mut self, op: &Operation) -> OpId {
+        self.lookup(op).unwrap_or_else(|| {
+            let id = self.register(op.clone(), None);
+            self.by_name.entry(op.name.clone()).or_default().push(id);
+            id
+        })
+    }
+
+    /// The id lookups by value find for `op`, if any.
+    fn lookup(&self, op: &Operation) -> Option<OpId> {
+        let ids = self.by_name.get(&op.name)?;
+        ids.iter().copied().find(|&id| self.known(id).op == *op)
+    }
+
+    /// A repair candidate: `base` extended with the effects `cand` adds
+    /// to it. Its id is fresh, and no lookup by value finds it unless
+    /// [`AnalysisSession::keep`] is called.
+    pub(crate) fn extend(&mut self, base: OpId, cand: Operation) -> OpId {
+        let parent = &self.known(base).op;
+        let from = parent.added_effects.len();
+        debug_assert!(
+            cand.name == parent.name
+                && cand.params == parent.params
+                && cand.effects == parent.effects
+                && cand.added_effects[..from] == parent.added_effects[..],
+            "{} is not an extension of {}",
+            cand.name,
+            parent.name
+        );
+        self.register(cand, Some((base, from)))
+    }
+
+    /// Let lookups by value find the candidate `id`: it was accepted as a
+    /// repair, and the detection passes will meet its value.
+    pub(crate) fn keep(&mut self, id: OpId) {
+        let op = &self.known(id).op;
+        if self.lookup(op).is_none() {
+            let name = op.name.clone();
+            self.by_name.entry(name).or_default().push(id);
+        }
+    }
+
+    /// Drop the cached footprints of a repair candidate that will not be
+    /// met again (a rejected one).
+    pub(crate) fn forget(&mut self, id: OpId) {
+        self.ops[id.0 as usize].footprints = Vec::new();
+    }
+
+    pub(crate) fn op(&self, id: OpId) -> &Operation {
+        &self.known(id).op
+    }
+
+    fn known(&self, id: OpId) -> &Known {
+        &self.ops[id.0 as usize]
+    }
+
+    fn register(&mut self, op: Operation, base: Option<(OpId, usize)>) -> OpId {
+        self.pin(&op);
+        let params: Vec<Sort> = op.params.iter().map(|p| p.sort.clone()).collect();
+        let sorts = match self.sorts.iter().position(|(s, _)| *s == params) {
+            Some(i) => i,
+            None => {
+                let universe = self.atoms.universe();
+                let table = params.iter().map(|s| universe.size(s)).product();
+                self.sorts.push((params, table));
+                self.sorts.len() - 1
             }
         };
-        self.footprints
-            .entry(op.clone())
-            .or_default()
-            .insert(args.to_vec(), footprint.clone());
+        self.ops.push(Known {
+            op,
+            sorts,
+            base,
+            footprints: Vec::new(),
+        });
+        OpId(self.ops.len() as u32 - 1)
+    }
+
+    /// The slot of `args` in a footprint table over `sorts`: each
+    /// argument's position among its sort's elements, in mixed radix.
+    /// `None` when an argument is not an element of the universe of its
+    /// parameter's sort.
+    fn slot(&self, sorts: &[Sort], args: &[Constant]) -> Option<usize> {
+        if args.len() != sorts.len() {
+            return None;
+        }
+        let universe = self.atoms.universe();
+        sorts.iter().zip(args).try_fold(0, |slot, (sort, arg)| {
+            let elements = universe.elements(sort);
+            let digit = elements.iter().position(|e| e == arg)?;
+            Some(slot * elements.len() + digit)
+        })
+    }
+
+    /// The footprint of operation `id` at `slot`, whose arguments are
+    /// `args`: cached, extended from its parent's (rule 3), or built.
+    pub(crate) fn footprint_at(
+        &mut self,
+        id: OpId,
+        slot: usize,
+        args: &[Constant],
+    ) -> Result<Option<Rc<Footprint>>, AnalysisError> {
+        if let Some(Some(hit)) = self.known(id).footprints.get(slot) {
+            return Ok(hit.clone());
+        }
+        let footprint = match self.known(id).base {
+            Some((base, from)) => match self.footprint_at(base, slot, args)? {
+                Some(parent) => {
+                    self.footprints_extended += 1;
+                    self.extended(&parent, &self.known(id).op, from, args)?
+                }
+                None => None,
+            },
+            None => {
+                self.footprints_built += 1;
+                self.build(&self.known(id).op, args)?
+            }
+        }
+        .map(Rc::new);
+        let table = self.sorts[self.known(id).sorts].1;
+        let footprints = &mut self.ops[id.0 as usize].footprints;
+        if footprints.is_empty() {
+            footprints.resize(table, None);
+        }
+        footprints[slot] = Some(footprint.clone());
         Ok(footprint)
+    }
+
+    /// The footprint of `op(args)` from its effects.
+    fn build(&self, op: &Operation, args: &[Constant]) -> Result<Option<Footprint>, AnalysisError> {
+        let Some(effects) = op.ground(args) else {
+            return Ok(None);
+        };
+        let grounder = Grounder::with_atoms(&self.atoms, &self.spec.constants);
+        let summary = EffectSummary::from_effects(&effects, &grounder)?;
+        let wp = self.image(&summary);
+        Ok(Some(Footprint { summary, wp }))
+    }
+
+    /// The footprint of `op(args)` from `parent`, the footprint of the
+    /// operation `op` extends with `op.added_effects[from..]`, at the same
+    /// arguments (rule 3).
+    fn extended(
+        &self,
+        parent: &Footprint,
+        op: &Operation,
+        from: usize,
+        args: &[Constant],
+    ) -> Result<Option<Footprint>, AnalysisError> {
+        let binding = op.binding(args);
+        let Some(added) = op.added_effects[from..]
+            .iter()
+            .map(|e| GroundEffect::from_effect(&e.substitute(&binding)))
+            .collect::<Option<Vec<_>>>()
+        else {
+            return Ok(None);
+        };
+        let grounder = Grounder::with_atoms(&self.atoms, &self.spec.constants);
+        let mut summary = parent.summary.clone();
+        let mut touched: Vec<usize> = Vec::new();
+        summary.apply(&added, &grounder, |a| {
+            touched.extend(self.mentions.get(a.index()).into_iter().flatten())
+        })?;
+        touched.sort_unstable();
+        touched.dedup();
+        let mut kept = parent
+            .wp
+            .iter()
+            .filter(|i| touched.binary_search(&i.conjunct).is_err())
+            .peekable();
+        let mut wp = Vec::with_capacity(parent.wp.len() + touched.len());
+        for &conjunct in &touched {
+            while let Some(i) = kept.next_if(|i| i.conjunct < conjunct) {
+                wp.push(i.clone());
+            }
+            wp.extend(self.image_of(conjunct, &summary));
+        }
+        wp.extend(kept.cloned());
+        Ok(Some(Footprint { summary, wp }))
     }
 
     /// Rule 5: the instantiations of `op1 ∥ op2`, one per orbit, in the
     /// order of the full product. Enumerated once per pair of parameter
     /// sort lists.
-    pub(crate) fn instantiations(
-        &mut self,
-        op1: &Operation,
-        op2: &Operation,
-    ) -> Rc<[Instantiation]> {
-        self.pin(&[op1, op2]);
-        let sorts = |op: &Operation| op.params.iter().map(|p| p.sort.clone()).collect();
-        let (universe, pinned) = (self.atoms.universe(), &self.pinned);
-        self.instantiations
-            .entry((sorts(op1), sorts(op2)))
-            .or_insert_with_key(|(s1, s2)| {
-                canonical_instantiations(s1, s2, universe, pinned).into()
-            })
-            .clone()
+    pub(crate) fn instantiations(&mut self, op1: OpId, op2: OpId) -> Rc<[Case]> {
+        let key = (self.known(op1).sorts, self.known(op2).sorts);
+        if let Some(cases) = self.instantiations.get(&key) {
+            return cases.clone();
+        }
+        let (s1, s2) = (&self.sorts[key.0].0, &self.sorts[key.1].0);
+        let cases: Rc<[Case]> =
+            canonical_instantiations(s1, s2, self.atoms.universe(), &self.pinned)
+                .into_iter()
+                .map(|(args1, args2)| Case {
+                    slot1: self
+                        .slot(s1, &args1)
+                        .expect("an instantiation over the universe"),
+                    slot2: self
+                        .slot(s2, &args2)
+                        .expect("an instantiation over the universe"),
+                    args1,
+                    args2,
+                })
+                .collect();
+        self.instantiations.insert(key, cases.clone());
+        cases
     }
 
-    /// Stop renaming the sorts the effects of `ops` name an element of.
+    /// Stop renaming the sorts the effects of `op` name an element of.
     /// The shipped specifications name none; an operation that does
     /// invalidates the enumerations made without it.
-    pub(crate) fn pin(&mut self, ops: &[&Operation]) {
-        let named = named_sorts(&[], ops.iter().copied());
+    fn pin(&mut self, op: &Operation) {
+        let named = named_sorts(&[], [op]);
         if !named.is_subset(&self.pinned) {
             self.pinned.extend(named);
             self.instantiations.clear();
         }
-    }
-
-    /// Drop the cached footprints of an operation value that will not be
-    /// met again (a rejected repair candidate).
-    pub(crate) fn forget(&mut self, op: &Operation) {
-        self.footprints.remove(op);
     }
 
     /// One query: is there an `I`-valid state in which every image of
@@ -312,11 +551,11 @@ impl<'a> AnalysisSession<'a> {
             fails
                 .iter()
                 .filter(|i| !holds.contains(i))
-                .map(|i| GroundFormula::not(i.formula.clone()))
+                .map(|i| GroundFormula::not((*i.formula).clone()))
                 .collect(),
         );
         if negated == GroundFormula::False
-            || holds.iter().any(|i| i.formula == GroundFormula::False)
+            || holds.iter().any(|i| *i.formula == GroundFormula::False)
         {
             return false; // UNSAT by construction
         }
@@ -340,17 +579,15 @@ impl<'a> AnalysisSession<'a> {
         op1: &Operation,
         op2: &Operation,
     ) -> Result<Option<ConflictWitness>, AnalysisError> {
-        if self.clean.get(op1).is_some_and(|s| s.contains(op2)) {
+        let pair = (self.intern(op1), self.intern(op2));
+        if self.clean.contains(&pair) {
             self.memo_hits += 1;
             return Ok(None);
         }
         self.pair_checks += 1;
-        let witness = self.check_pair(op1, op2)?;
+        let witness = self.witness(pair.0, pair.1)?;
         if witness.is_none() {
-            self.clean
-                .entry(op1.clone())
-                .or_default()
-                .insert(op2.clone());
+            self.clean.insert(pair);
         }
         Ok(witness)
     }

@@ -27,22 +27,36 @@ impl EffectSummary {
         grounder: &Grounder<'_>,
     ) -> Result<Self, GroundError> {
         let mut s = EffectSummary::default();
+        s.apply(effects, grounder, |_| {})?;
+        Ok(s)
+    }
+
+    /// Apply `effects` after the ones summarised already, as if they had
+    /// been listed after them in [`EffectSummary::from_effects`]; each atom
+    /// an effect writes is passed to `written`.
+    pub fn apply(
+        &mut self,
+        effects: &[GroundEffect],
+        grounder: &Grounder<'_>,
+        mut written: impl FnMut(AtomId),
+    ) -> Result<(), GroundError> {
         for e in effects {
             let targets = grounder.expand_count_pattern(&e.atom)?;
             for t in targets {
                 match e.kind {
                     EffectKind::SetTrue => {
-                        s.assigns.insert(t, true);
+                        self.assigns.insert(t, true);
                     }
                     EffectKind::SetFalse => {
-                        s.assigns.insert(t, false);
+                        self.assigns.insert(t, false);
                     }
-                    EffectKind::Inc(k) => *s.deltas.entry(t).or_insert(0) += k,
-                    EffectKind::Dec(k) => *s.deltas.entry(t).or_insert(0) -= k,
+                    EffectKind::Inc(k) => *self.deltas.entry(t).or_insert(0) += k,
+                    EffectKind::Dec(k) => *self.deltas.entry(t).or_insert(0) -= k,
                 }
+                written(t);
             }
         }
-        Ok(s)
+        Ok(())
     }
 
     /// Atoms on which the two summaries write opposing boolean values —

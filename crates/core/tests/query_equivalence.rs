@@ -625,7 +625,7 @@ fn query_leaking_its_scope(
     let negated = GroundFormula::or(
         s.image(merged)
             .into_iter()
-            .map(|i| GroundFormula::not(i.formula))
+            .map(|i| GroundFormula::not((*i.formula).clone()))
             .collect(),
     );
     let solver = s.solver();

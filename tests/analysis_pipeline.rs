@@ -432,8 +432,16 @@ fn tournament_analysis_asks_each_question_once() {
     assert_eq!(load, 63);
     let per_query = (report.solver.clauses - report.solvers * load) / report.solver.solves;
     assert!(per_query < 8, "{per_query} clauses per solved query");
+    // A repair candidate is its original plus the added effects, and its
+    // footprints are extended from the original's, not rebuilt. Before
+    // that, all 594 footprints the analysis computed were built from
+    // their operation's effects. One more is computed now: a candidate is
+    // not looked up by value, so one that repeats a value met earlier is
+    // extended again.
+    assert_eq!(report.footprints_built, 26);
+    assert_eq!(report.footprints_extended, 569);
     // The counters are part of the report's rendering.
-    assert!(report
-        .to_string()
-        .contains("53 pair checks (+89 memo hits)"));
+    let rendered = report.to_string();
+    assert!(rendered.contains("53 pair checks (+89 memo hits)"));
+    assert!(rendered.contains("595 footprints (569 extended)"));
 }
