@@ -1182,6 +1182,118 @@ mod tests {
         }
     }
 
+    /// One [`OpCtx::commit`] contract on every transport: a commit at a
+    /// crashed region is refused with [`StoreError::Unavailable`] and
+    /// leaves nothing behind, and one at a live region commits. The
+    /// simulator's region is crashed by its fault plan, the two clusters'
+    /// by hand.
+    #[test]
+    fn a_commit_at_a_down_region_is_unavailable_on_every_transport() {
+        const KEY: &str = "contract";
+        /// Commit one increment at `region`, checked against `node_up`.
+        /// Returns whether it committed.
+        fn commit_once(ctx: &mut impl OpCtx, region: Region) -> bool {
+            let up = ctx.node_up(region);
+            let done = ctx.commit(region, |tx| {
+                tx.ensure(KEY, ObjectKind::PNCounter)?;
+                tx.counter_add(KEY, 1)
+            });
+            match done {
+                Ok(_) => assert!(up, "committed at down region {region}"),
+                Err(e) => {
+                    assert!(!up, "refused at live region {region}: {e}");
+                    assert_eq!(e, StoreError::Unavailable(ReplicaId(region)));
+                }
+            }
+            up
+        }
+        /// Every replica's count of the increments, once quiesced.
+        fn counts(t: &mut impl Transport) -> Vec<i64> {
+            (0..t.node_count() as u16)
+                .map(|r| {
+                    t.with_node(ReplicaId(r), |replica| {
+                        replica
+                            .object(KEY)
+                            .and_then(|o| o.as_pncounter())
+                            .map_or(0, |c| c.value())
+                    })
+                })
+                .collect()
+        }
+        fn by_hand<T: Transport>(mut transport: T, set_down: impl Fn(&mut T, bool)) {
+            let mut ctx = TransportCtx::new(&mut transport, 1);
+            assert!(commit_once(&mut ctx, 0));
+            set_down(ctx.transport(), true);
+            assert!(!commit_once(&mut ctx, 0));
+            assert!(commit_once(&mut ctx, 1));
+            set_down(ctx.transport(), false);
+            assert!(commit_once(&mut ctx, 0));
+            ship_and_quiesce(&mut transport);
+            assert_eq!(counts(&mut transport), vec![3; 3]);
+        }
+        by_hand(Cluster::new(3), |c, down| {
+            if down {
+                c.crash_node(ReplicaId(0));
+            } else {
+                c.restart_node(ReplicaId(0));
+            }
+        });
+        let threaded = ThreadedCluster::start(ThreadedConfig {
+            nodes: 3,
+            ae_interval: None,
+        });
+        by_hand(&threaded, |t, down| {
+            if down {
+                t.crash_node(0);
+            } else {
+                t.restart_node(0);
+            }
+        });
+
+        struct AtRegionZero {
+            committed: i64,
+            refused: u64,
+        }
+        impl ipa_sim::Workload for AtRegionZero {
+            fn op(&mut self, ctx: &mut ipa_sim::SimCtx<'_>, _: ClientInfo) -> ipa_sim::OpOutcome {
+                if commit_once(ctx, 0) {
+                    self.committed += 1;
+                    ipa_sim::OpOutcome::ok("Add", 1, 1)
+                } else {
+                    self.refused += 1;
+                    ipa_sim::OpOutcome::unavailable("Add")
+                }
+            }
+        }
+        let faults = FaultPlan {
+            crashes: vec![ipa_sim::CrashPlan {
+                region: 0,
+                at_s: 0.6,
+                down_s: 0.6,
+            }],
+            ..FaultPlan::none()
+        };
+        let mut sim = Simulation::new(
+            paper_topology(),
+            SimConfig {
+                clients_per_region: 2,
+                warmup_s: 0.2,
+                duration_s: 1.8,
+                seed: 5,
+                faults,
+                ..Default::default()
+            },
+        );
+        let mut w = AtRegionZero {
+            committed: 0,
+            refused: 0,
+        };
+        sim.run(&mut w);
+        sim.quiesce();
+        assert!(w.refused > 0, "the crash window saw commits at region 0");
+        assert_eq!(counts(&mut sim), vec![w.committed; 3]);
+    }
+
     /// [`Transport::converged`] is "equal clocks, nothing buffered". Hand
     /// every node the second batch of a replica outside the node set: its
     /// predecessor is in no log, so it sits in every causal buffer

@@ -327,12 +327,17 @@ impl<'a> SimCtx<'a> {
 
     /// Run a transaction on a region's replica and stage its batch for
     /// asynchronous replication with per-link latency. Returns the
-    /// closure's value alongside the commit info.
+    /// closure's value alongside the commit info. A crashed region's
+    /// replica refuses, with [`StoreError::Unavailable`], as on every
+    /// other transport.
     pub fn commit<T>(
         &mut self,
         region: Region,
         f: impl FnOnce(&mut Transaction<'_>) -> Result<T, StoreError>,
     ) -> Result<(T, CommitInfo), StoreError> {
+        if self.sim.nodes[region as usize].is_down() {
+            return Err(StoreError::Unavailable(ReplicaId(region)));
+        }
         let (value, info) = {
             let replica = self.sim.nodes[region as usize].replica_mut();
             let mut tx = replica.begin();
@@ -382,7 +387,9 @@ pub trait OpCtx {
     fn node_up(&self, region: Region) -> bool;
 
     /// Run a transaction on a region's replica and hand its batch to the
-    /// transport for asynchronous replication.
+    /// transport for asynchronous replication. Refused with
+    /// [`StoreError::Unavailable`], and nothing committed, while
+    /// [`OpCtx::node_up`] is false for the region.
     fn commit<T>(
         &mut self,
         region: Region,
