@@ -117,16 +117,15 @@ pub(crate) enum Plan {
 }
 
 /// Call `f` on each member of a set-like object; nothing when missing.
+/// In no particular order: every caller counts the members or marks each
+/// one's atom true.
 fn for_each_member(obj: Option<&Object>, f: impl FnMut(&Val)) {
     match obj {
         Some(Object::AWSet(s)) => s.elements().for_each(f),
         Some(Object::RWSet(s)) => s.elements().for_each(f),
         Some(Object::AWMap(m)) => m.keys().for_each(f),
-        Some(Object::CompSet(s)) => {
-            // Raw view: includes excess not yet compensated.
-            let read = s.read();
-            read.elements.iter().chain(&read.cancelled).for_each(f);
-        }
+        // Raw view: includes excess not yet compensated.
+        Some(Object::CompSet(s)) => s.raw_elements().for_each(f),
         _ => {}
     }
 }

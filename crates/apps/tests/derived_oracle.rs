@@ -242,6 +242,32 @@ proptest! {
     }
 }
 
+/// An IPA ticket pool past its capacity reads back member for member:
+/// the excess its compensated read would cancel included, whatever order
+/// the set keeps them in. An add-wins pool holding the same members reads
+/// back to the same interpretation.
+#[test]
+fn an_over_capacity_compensation_pool_reads_back_every_member() {
+    let (spec, oracle) = (ticket::ticket_spec(), Oracle::ticket(names("e", 1), 2));
+    let key = pool_key("e0");
+    let read_back = |kind: ObjectKind| {
+        let mut replica = Replica::new(ReplicaId(0));
+        let mut tx = replica.begin();
+        tx.ensure(key.as_str(), kind).unwrap();
+        for u in names("u", 5) {
+            add(&mut tx, &key, kind, Val::str(u));
+        }
+        tx.commit();
+        (oracle.interpretation(&spec, &replica), replica)
+    };
+    let (pooled, replica) = read_back(ObjectKind::CompSet { capacity: 2 });
+    let pool = replica.object(&key).and_then(|o| o.as_compset()).unwrap();
+    assert_eq!(pool.read().cancelled.len(), 3, "the pool is past capacity");
+    let (plain, _) = read_back(ObjectKind::AWSet);
+    assert_eq!(pooled, plain);
+    assert_eq!(pooled.true_atoms().count(), 5);
+}
+
 /// The property above is not vacuous: the state generator reaches both
 /// verdicts of every check.
 #[test]

@@ -65,6 +65,13 @@ impl<E: Ord + Clone> CompensationSet<E> {
         self.set.contains(e)
     }
 
+    /// The raw (unconstrained) members, borrowed and in no particular
+    /// order: [`CompensationSet::read`]'s elements and cancelled excess
+    /// together, without its copy and its sort by tag.
+    pub fn raw_elements(&self) -> impl Iterator<Item = &E> {
+        self.set.elements()
+    }
+
     pub fn prepare_add(&self, elem: E, tag: Tag) -> CompensationSetOp<E> {
         self.set.prepare_add(elem, tag)
     }
