@@ -24,7 +24,10 @@
 //!    construction and the solver is not called. An index from ground atom
 //!    to the conjuncts mentioning it finds the changed ones in time
 //!    proportional to what the operation writes, not to `|I|`
-//!    ([`AnalysisSession::image`]).
+//!    ([`AnalysisSession::image`]). An image reads `S` only at the
+//!    conjunct's own atoms, so it is computed once per conjunct and per
+//!    what `S` does to those atoms (the value it assigns each, if any,
+//!    and the delta it adds), and shared from then on.
 //! 2. **Solve incrementally.** Each query opens a scope on the session's
 //!    solver, asserts its handful of changed conjuncts, solves and pops;
 //!    `I`, every Tseitin definition (gates are hash-consed, so a residue
@@ -105,8 +108,9 @@ use crate::universe::{build_universe, canonical_instantiations, named_sorts};
 use crate::wp::apply_summary;
 use crate::AnalysisError;
 use ipa_solver::sat::Stats;
-use ipa_solver::{AtomTable, GroundFormula, Grounder, SolverSession};
+use ipa_solver::{AtomId, AtomTable, GroundFormula, Grounder, SolverSession};
 use ipa_spec::{AppSpec, Constant, GroundEffect, Operation, Sort, Symbol};
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
@@ -167,6 +171,11 @@ pub struct AnalysisSession<'a> {
     conjuncts: Vec<GroundFormula>,
     /// Indices of the conjuncts each atom occurs in, by atom id.
     mentions: Vec<Vec<usize>>,
+    /// The atoms each conjunct mentions, by conjunct.
+    conjunct_atoms: Vec<Vec<AtomId>>,
+    /// Images met so far, by conjunct and what the summary does to its
+    /// atoms ([`AnalysisSession::image_of`]); `None` for "unchanged".
+    images: RefCell<HashMap<Vec<i64>, Option<Rc<GroundFormula>>>>,
     solver: SolverSession,
     /// Counters of the solvers `renew_solver` dropped.
     retired: Stats,
@@ -224,9 +233,13 @@ impl<'a> AnalysisSession<'a> {
                 g => conjuncts.push(g),
             }
         }
+        let conjunct_atoms: Vec<Vec<AtomId>> = conjuncts
+            .iter()
+            .map(|c| c.bool_atoms().into_iter().chain(c.num_atoms()).collect())
+            .collect();
         let mut mentions = vec![Vec::new(); atoms.len()];
-        for (i, c) in conjuncts.iter().enumerate() {
-            for a in c.bool_atoms().into_iter().chain(c.num_atoms()) {
+        for (i, atoms) in conjunct_atoms.iter().enumerate() {
+            for a in atoms {
                 mentions[a.index()].push(i);
             }
         }
@@ -239,6 +252,8 @@ impl<'a> AnalysisSession<'a> {
             solvers: 1,
             conjuncts,
             mentions,
+            conjunct_atoms,
+            images: RefCell::default(),
             ops: Vec::new(),
             by_name: HashMap::new(),
             sorts: Vec::new(),
@@ -296,13 +311,32 @@ impl<'a> AnalysisSession<'a> {
             .collect()
     }
 
-    /// The image of one conjunct under `s`, if `s` changes it.
+    /// The image of one conjunct under `s`, if `s` changes it: computed
+    /// on first use and shared under the conjunct and, per atom of it,
+    /// the value `s` assigns (none, false, true) and the delta it adds
+    /// (rule 1).
     fn image_of(&self, conjunct: usize, s: &EffectSummary) -> Option<Image> {
-        let formula = apply_summary(&self.conjuncts[conjunct], s);
-        (formula != self.conjuncts[conjunct]).then(|| Image {
-            conjunct,
-            formula: Rc::new(formula),
-        })
+        let atoms = &self.conjunct_atoms[conjunct];
+        let mut key = Vec::with_capacity(1 + atoms.len());
+        key.push(conjunct as i64);
+        key.extend(atoms.iter().map(|a| {
+            let assigned = match s.assigns.get(a) {
+                None => 0,
+                Some(false) => 1,
+                Some(true) => 2,
+            };
+            3 * s.deltas.get(a).copied().unwrap_or(0) + assigned
+        }));
+        let formula = self
+            .images
+            .borrow_mut()
+            .entry(key)
+            .or_insert_with(|| {
+                let formula = apply_summary(&self.conjuncts[conjunct], s);
+                (formula != self.conjuncts[conjunct]).then(|| Rc::new(formula))
+            })
+            .clone()?;
+        Some(Image { conjunct, formula })
     }
 
     /// The footprint of `op(args)`, computed on first use and cached under
