@@ -142,7 +142,7 @@ pub fn analysis_costs() -> Vec<Cost> {
 pub fn print_costs(costs: &[Cost]) {
     println!("Analysis cost per application (one run; ms are wall clock, counts are exact).");
     println!(
-        "{:<12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>6} {:>8} {:>9} {:>8} {:>8} {:>10} {:>10} {:>13}",
+        "{:<12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6} {:>6} {:>8} {:>9} {:>8} {:>8} {:>10} {:>10} {:>13}",
         "App",
         "total",
         "scope 3",
@@ -152,6 +152,8 @@ pub fn print_costs(costs: &[Cost]) {
         "repair",
         "pairs",
         "memo",
+        "built",
+        "ext",
         "queries",
         "unsolved",
         "clauses",
@@ -164,7 +166,7 @@ pub fn print_costs(costs: &[Cost]) {
     for c in costs {
         let r = &c.report;
         println!(
-            "{:<12} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>6} {:>6} {:>8} {:>9} {:>8} {:>8} {:>10} {:>10} {:>13}",
+            "{:<12} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>6} {:>6} {:>6} {:>6} {:>8} {:>9} {:>8} {:>8} {:>10} {:>10} {:>13}",
             r.original.name.to_string(),
             ms(c.total),
             ms(c.larger_scopes[0]),
@@ -174,6 +176,8 @@ pub fn print_costs(costs: &[Cost]) {
             ms(r.repair_time),
             r.pair_checks,
             r.memo_hits,
+            r.footprints_built,
+            r.footprints_extended,
             r.queries,
             r.queries - r.solver.solves,
             r.solver.clauses,
@@ -186,7 +190,8 @@ pub fn print_costs(costs: &[Cost]) {
     println!(
         "(total: the analysis at 2 elements per sort, the default; scope 3 / 4: the same \
          analysis at 3 / 4; pairs: detection pair checks run; memo: answered by the \
-         clean-pair memo; unsolved: queries decided without the solver; repair includes \
+         clean-pair memo; built / ext: ground footprints built from an operation's \
+         effects / extended from a repair candidate's original; unsolved: queries decided without the solver; repair includes \
          its SAT time)"
     );
 }
