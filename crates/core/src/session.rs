@@ -397,10 +397,17 @@ impl<'a> AnalysisSession<'a> {
         }
     }
 
-    /// Drop the cached footprints of a repair candidate that will not be
-    /// met again (a rejected one).
+    /// Drop a repair candidate that will not be met again (a rejected
+    /// one) with its footprints. The repair search tests one candidate
+    /// at a time, so it is the operation named last, and its id goes to
+    /// the next.
     pub(crate) fn forget(&mut self, id: OpId) {
-        self.ops[id.0 as usize].footprints = Vec::new();
+        assert_eq!(
+            id.0 as usize + 1,
+            self.ops.len(),
+            "only the candidate named last is forgotten"
+        );
+        self.ops.pop();
     }
 
     pub(crate) fn op(&self, id: OpId) -> &Operation {
