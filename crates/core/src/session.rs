@@ -46,7 +46,8 @@
 //!    the two operation values, so [`AnalysisSession::detect`] memoises it
 //!    under the pair of ids: a later detection pass re-checks only pairs
 //!    involving a repaired operation. Ground footprints are cached per
-//!    `(OpId, slot)`. Nothing is hashed per instantiation.
+//!    `(OpId, slot)`. No operation or constant is hashed per
+//!    instantiation.
 //!
 //!    A repair candidate is not looked up by value. It is its parent plus
 //!    the added effects, which `Operation::with_extra_effects` appends

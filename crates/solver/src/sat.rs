@@ -629,8 +629,8 @@ impl OrderHeap {
     }
 }
 
-/// The reference picker the order heap replaced, and the check that the
-/// two agree, run at every decision of every unit test.
+/// The reference picker, a scan of every variable, and the check that
+/// the order heap agrees with it at every decision of every unit test.
 #[cfg(test)]
 impl Solver {
     /// A scan of every variable: the first unassigned one of highest

@@ -433,11 +433,9 @@ fn tournament_analysis_asks_each_question_once() {
     let per_query = (report.solver.clauses - report.solvers * load) / report.solver.solves;
     assert!(per_query < 8, "{per_query} clauses per solved query");
     // A repair candidate is its original plus the added effects, and its
-    // footprints are extended from the original's, not rebuilt. Before
-    // that, all 594 footprints the analysis computed were built from
-    // their operation's effects. One more is computed now: a candidate is
-    // not looked up by value, so one that repeats a value met earlier is
-    // extended again.
+    // footprints are extended from the original's, not rebuilt. A
+    // candidate is never looked up by value, so one that repeats a value
+    // met earlier is extended again.
     assert_eq!(report.footprints_built, 26);
     assert_eq!(report.footprints_extended, 569);
     // The counters are part of the report's rendering.
