@@ -13,20 +13,23 @@
 use ipa_spec::{
     AppSpec, Atom, Effect, Formula, Operation, PredicateKind, Substitution, Symbol, Term,
 };
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// A candidate repaired pair: one of the two operations extended with
-/// `added` effects.
+/// `added` effects. The extended side is owned; the other borrows the
+/// operation `generate` was given, so a candidate copies nothing it
+/// does not change.
 #[derive(Clone, Debug)]
-pub struct CandidatePair {
-    pub op1: Operation,
-    pub op2: Operation,
+pub struct CandidatePair<'a> {
+    pub op1: Cow<'a, Operation>,
+    pub op2: Cow<'a, Operation>,
     /// Name of the operation that received the new effects.
     pub added_to: Symbol,
     pub added: Vec<Effect>,
 }
 
-impl CandidatePair {
+impl CandidatePair<'_> {
     pub fn added_count(&self) -> usize {
         self.added.len()
     }
@@ -122,12 +125,12 @@ pub fn candidate_effects(spec: &AppSpec, clauses: &[&Formula], op: &Operation) -
 
 /// Enumerate candidate repaired pairs in increasing added-effect order
 /// (Alg. 1 line 29), alternating which operation is modified.
-pub fn generate(
+pub fn generate<'a>(
     spec: &AppSpec,
-    op1: &Operation,
-    op2: &Operation,
+    op1: &'a Operation,
+    op2: &'a Operation,
     max_added: usize,
-) -> Vec<CandidatePair> {
+) -> Vec<CandidatePair<'a>> {
     let clauses = involved_clauses(spec, op1, op2);
     let cands1 = candidate_effects(spec, &clauses, op1);
     let cands2 = candidate_effects(spec, &clauses, op2);
@@ -136,8 +139,8 @@ pub fn generate(
     for size in 1..=max_added {
         for combo in combinations(&cands1, size) {
             out.push(CandidatePair {
-                op1: op1.with_extra_effects(combo.iter().cloned()),
-                op2: op2.clone(),
+                op1: Cow::Owned(op1.with_extra_effects(combo.iter().cloned())),
+                op2: Cow::Borrowed(op2),
                 added_to: op1.name.clone(),
                 added: combo,
             });
@@ -146,8 +149,8 @@ pub fn generate(
         if op1.name != op2.name {
             for combo in combinations(&cands2, size) {
                 out.push(CandidatePair {
-                    op1: op1.clone(),
-                    op2: op2.with_extra_effects(combo.iter().cloned()),
+                    op1: Cow::Borrowed(op1),
+                    op2: Cow::Owned(op2.with_extra_effects(combo.iter().cloned())),
                     added_to: op2.name.clone(),
                     added: combo,
                 });

@@ -122,12 +122,13 @@ impl AnalysisSession<'_> {
                 continue;
             }
             // `generate` extends the first operation under its name, and
-            // the second only when the names differ.
+            // the second only when the names differ; the extended side is
+            // the candidate's one owned operation, moved here.
             let (c1, c2, extended) = if cand.added_to == op1.name {
-                let c1 = self.extend(id1, cand.op1);
+                let c1 = self.extend(id1, cand.op1.into_owned());
                 (c1, id2, c1)
             } else {
-                let c2 = self.extend(id2, cand.op2);
+                let c2 = self.extend(id2, cand.op2.into_owned());
                 (id1, c2, c2)
             };
             // Reject degenerate repairs that narrow an operation's weakest
@@ -152,7 +153,7 @@ impl AnalysisSession<'_> {
 
 /// Does the candidate's added-effect set extend some known solution on the
 /// same operation?
-fn is_pair_subset(cand: &CandidatePair, sols: &[Resolution]) -> bool {
+fn is_pair_subset(cand: &CandidatePair<'_>, sols: &[Resolution]) -> bool {
     sols.iter()
         .any(|s| s.added_to == cand.added_to && s.added.iter().all(|e| cand.added.contains(e)))
 }

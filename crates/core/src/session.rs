@@ -37,7 +37,7 @@
 //!    again, so it starts on a fresh solver loaded with `I`
 //!    (`renew_solver`).
 //! 3. **Name operations, not values.** The session names each
-//!    operation value it meets by a small [`OpId`], once per entry point
+//!    operation value it meets by a small `OpId`, once per entry point
 //!    (it compares the value with those of the same name it knows), and
 //!    an instantiation's arguments by their element numbers: the
 //!    arguments' positions within their sorts, read in mixed radix, are

@@ -104,26 +104,26 @@ fn run_script(kind: ObjectKind, script: &[(u8, Cmd)]) -> Vec<LogEntry> {
                         .prepare_remove_matching(|e: &Val| e.snd() == Some(&t)),
                 ))
             }
-            (ObjectKind::RWSet, Cmd::Add(x)) | (ObjectKind::RWSet, Cmd::Touch(x)) => {
-                Some(ObjectOp::RWSet(states[r].as_rwset().unwrap().prepare_add(
+            (ObjectKind::RWSet, Cmd::Add(x)) | (ObjectKind::RWSet, Cmd::Touch(x)) => Some(
+                ObjectOp::RWSet(Box::new(states[r].as_rwset().unwrap().prepare_add(
                     elem(*x),
                     tag,
                     clock.clone(),
-                )))
-            }
-            (ObjectKind::RWSet, Cmd::Remove(x)) => Some(ObjectOp::RWSet(
+                ))),
+            ),
+            (ObjectKind::RWSet, Cmd::Remove(x)) => Some(ObjectOp::RWSet(Box::new(
                 states[r]
                     .as_rwset()
                     .unwrap()
                     .prepare_remove(elem(*x), tag, clock.clone()),
-            )),
-            (ObjectKind::RWSet, Cmd::RemoveWild(x)) => Some(ObjectOp::RWSet(
+            ))),
+            (ObjectKind::RWSet, Cmd::RemoveWild(x)) => Some(ObjectOp::RWSet(Box::new(
                 states[r].as_rwset().unwrap().prepare_remove_matching(
                     ValPattern::pair(ValPattern::Any, ValPattern::exact(format!("t{}", x % 3))),
                     tag,
                     clock.clone(),
                 ),
-            )),
+            ))),
             _ => None,
         };
         if let Some(op) = op {

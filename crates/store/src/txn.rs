@@ -447,7 +447,9 @@ impl<'a> Transaction<'a> {
         let clock = self.commit_clock.clone();
         self.write(key, Reads::Nothing, |obj| {
             let set = obj.as_rwset().ok_or_else(|| wrong(key, "rw-set"))?;
-            Ok(Some(ObjectOp::RWSet(set.prepare_add(v, tag, clock))))
+            Ok(Some(ObjectOp::RWSet(Box::new(
+                set.prepare_add(v, tag, clock),
+            ))))
         })
     }
 
@@ -457,7 +459,9 @@ impl<'a> Transaction<'a> {
         let clock = self.commit_clock.clone();
         self.write(key, Reads::Nothing, |obj| {
             let set = obj.as_rwset().ok_or_else(|| wrong(key, "rw-set"))?;
-            Ok(Some(ObjectOp::RWSet(set.prepare_remove(v, tag, clock))))
+            Ok(Some(ObjectOp::RWSet(Box::new(
+                set.prepare_remove(v, tag, clock),
+            ))))
         })
     }
 
@@ -474,7 +478,7 @@ impl<'a> Transaction<'a> {
         self.write(key, Reads::Nothing, |obj| {
             let set = obj.as_rwset().ok_or_else(|| wrong(key, "rw-set"))?;
             let op = set.prepare_remove_matching(pattern, tag, clock);
-            Ok(Some(ObjectOp::RWSet(op)))
+            Ok(Some(ObjectOp::RWSet(Box::new(op))))
         })
     }
 
@@ -489,7 +493,9 @@ impl<'a> Transaction<'a> {
         let ts = self.ts;
         self.write(key, Reads::Nothing, |obj| {
             let map = obj.as_awmap().ok_or_else(|| wrong(key, "aw-map"))?;
-            Ok(Some(ObjectOp::AWMap(map.prepare_put(k, tag, clock, ts, v))))
+            Ok(Some(ObjectOp::AWMap(Box::new(
+                map.prepare_put(k, tag, clock, ts, v),
+            ))))
         })
     }
 
@@ -500,7 +506,9 @@ impl<'a> Transaction<'a> {
         let clock = self.commit_clock.clone();
         self.write(key, Reads::Nothing, |obj| {
             let map = obj.as_awmap().ok_or_else(|| wrong(key, "aw-map"))?;
-            Ok(Some(ObjectOp::AWMap(map.prepare_touch(k, tag, clock))))
+            Ok(Some(ObjectOp::AWMap(Box::new(
+                map.prepare_touch(k, tag, clock),
+            ))))
         })
     }
 
@@ -509,7 +517,9 @@ impl<'a> Transaction<'a> {
         let clock = self.commit_clock.clone();
         self.write(key, Reads::Element(k), |obj| {
             let map = obj.as_awmap().ok_or_else(|| wrong(key, "aw-map"))?;
-            Ok(map.prepare_remove(k, clock).map(ObjectOp::AWMap))
+            Ok(map
+                .prepare_remove(k, clock)
+                .map(|op| ObjectOp::AWMap(Box::new(op))))
         })
     }
 

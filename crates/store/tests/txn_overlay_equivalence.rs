@@ -299,23 +299,24 @@ fn run_ref(tx: &mut RefTxn<'_>, k: u8, op: Op, e: u8) -> Res {
         (ObjectKind::RWSet, Op::Add | Op::Touch | Op::Remove | Op::RemoveMatching) => {
             let tag = tx.tag();
             let set = tx.obj(key)?.as_rwset().unwrap();
-            Some(ObjectOp::RWSet(match op {
+            Some(ObjectOp::RWSet(Box::new(match op {
                 Op::Remove => set.prepare_remove(v, tag, clock),
                 Op::RemoveMatching => set.prepare_remove_matching(pattern(e), tag, clock),
                 _ => set.prepare_add(v, tag, clock),
-            }))
+            })))
         }
         (ObjectKind::AWMap, Op::Add | Op::Touch) => {
             let tag = tx.tag();
             let map = tx.obj(key)?.as_awmap().unwrap();
-            Some(ObjectOp::AWMap(match op {
+            Some(ObjectOp::AWMap(Box::new(match op {
                 Op::Add => map.prepare_put(v, tag, clock, ts, Val::int(i64::from(e))),
                 _ => map.prepare_touch(v, tag, clock),
-            }))
+            })))
         }
         (ObjectKind::AWMap, Op::Remove | Op::RemoveMatching) => {
             let map = tx.obj(key)?.as_awmap().unwrap();
-            map.prepare_remove(&v, clock).map(ObjectOp::AWMap)
+            map.prepare_remove(&v, clock)
+                .map(|op| ObjectOp::AWMap(Box::new(op)))
         }
         (ObjectKind::AWMap, Op::Get) => {
             let map = tx.obj(key)?.as_awmap().unwrap();

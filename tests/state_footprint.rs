@@ -80,23 +80,8 @@ fn state_costs_what_it_holds() {
     // `BTreeSet<Tag>` per element cost 299 B here; the inline tag set
     // left only the outer map's slots and their slack (107 B); with a
     // 24-byte `Val` the slot is 48 bytes (92 B).
-    let before = live_bytes();
-    let sets: Vec<Object> = (0..SETS)
-        .map(|_| {
-            let mut set = Object::new(ObjectKind::AWSet, ReplicaId(0));
-            for i in 0..ELEMENTS {
-                let add = AWSetOp::Add {
-                    elem: Val::Int(i as i64),
-                    tag: Tag::new(ReplicaId(0), i as u64 + 1),
-                };
-                set.apply(&ObjectOp::AWSet(add)).expect("an add-wins add");
-            }
-            set
-        })
-        .collect();
-    let per_element = (live_bytes() - before) as usize / (SETS * ELEMENTS);
+    let per_element = bytes_per_element(SETS, ELEMENTS);
     assert!(per_element <= 140, "{per_element} B per live element");
-    drop(sets);
 
     // The write path: one slide (add the next element, remove the oldest)
     // on a stored 4,096-element set, begin to sealed batch. It counted 13
@@ -125,6 +110,56 @@ fn state_costs_what_it_holds() {
         slide < PARENT_SLIDE_ALLOCATIONS,
         "a slide commit made {slide} allocations, the parent {PARENT_SLIDE_ALLOCATIONS}"
     );
+}
+
+/// Heap bytes per live element of `sets` add-wins sets of `n` single-tag
+/// integers each, the `Vec<Object>` holding them included.
+fn bytes_per_element(sets: usize, n: usize) -> usize {
+    let before = live_bytes();
+    let held: Vec<Object> = (0..sets)
+        .map(|_| {
+            let mut set = Object::new(ObjectKind::AWSet, ReplicaId(0));
+            for i in 0..n {
+                let add = AWSetOp::Add {
+                    elem: Val::Int(i as i64),
+                    tag: Tag::new(ReplicaId(0), i as u64 + 1),
+                };
+                set.apply(&ObjectOp::AWSet(add)).expect("an add-wins add");
+            }
+            set
+        })
+        .collect();
+    let per_element = (live_bytes() - before) as usize / (sets * n);
+    // Walking the members allocates nothing, small set or large.
+    let walks = allocations();
+    let members: usize = held
+        .iter()
+        .map(|set| set.as_awset().expect("a set").elements().count())
+        .sum();
+    assert_eq!(members, sets * n);
+    assert_eq!(allocations() - walks, 0, "walking sets of {n} allocated");
+    per_element
+}
+
+#[test]
+fn small_objects_cost_what_they_hold() {
+    use std::mem::size_of;
+    // A shard-table slot's object, and a logged or shipped update. They
+    // were 88 and 112 bytes, the size of the largest kind (a bounded
+    // counter, a map put) whatever the object or effect was.
+    assert!(size_of::<Object>() <= 56, "{}", size_of::<Object>());
+    assert!(size_of::<ObjectOp>() <= 48, "{}", size_of::<ObjectOp>());
+    let logged = size_of::<(Key, ObjectKind, ObjectOp)>();
+    assert!(logged <= 88, "a logged update is {logged} B, was 152");
+
+    // The benchmark's sets hold 4 and 16 elements. A B-tree spent 158 and
+    // 113 B per element on them (one 544-byte leaf per 4-element set); a
+    // sorted vector spends the 48-byte `(Val, TagSet)` slot and a share
+    // of the object's own.
+    let four = bytes_per_element(SETS * 16, 4);
+    let sixteen = bytes_per_element(SETS * 4, 16);
+    assert!(four <= 64, "{four} B per element of a 4-element set");
+    assert!(sixteen <= 56, "{sixteen} B per element of a 16-element set");
 }
 
 #[test]
@@ -218,6 +253,7 @@ fn simulated_cell(
     sim.run(workload);
     sim.quiesce();
     let per_op = (allocations() - before) / sim.metrics.completed as usize;
+    eprintln!("{name}: {per_op} allocations per simulated op");
     assert!(
         per_op <= at_most,
         "{name}: {per_op} allocations per simulated op, pinned at {at_most}"
@@ -236,9 +272,11 @@ fn a_simulated_op_costs_its_own_work_not_the_allocators() {
     // 577 / 3,324 / 199 / 41 allocations per op; while a first write to a
     // stored set or map started a partial copy (8a92d08) 94 / 59 / 24 /
     // 18; once a write was copied only when read back, 31 / 54 / 24 /
-    // 15; now that an escrow decrement records no per-resource demand,
-    // 31 / 54 / 23 / 15. The digests are 4623ee4's: no change moves a
-    // schedule.
+    // 15; once an escrow decrement recorded no per-resource demand,
+    // 31 / 54 / 23 / 15; now that a small set's vector grows one slot per
+    // new member (a reallocation each) and map and rem-wins effects are
+    // boxed, 33 / 56 / 25 / 19. The digests are 4623ee4's: no change
+    // moves a schedule.
     simulated_cell(
         "tournament",
         &mut TournamentWorkload::new(Mode::Ipa, TournamentConfig::default()),
