@@ -120,10 +120,40 @@ use std::time::{Duration, Instant};
 /// `formula = apply_summary(conjuncts[conjunct], S)`, and differs from the
 /// conjunct itself. The formula is shared: an extended footprint keeps
 /// its parent's images of the conjuncts the added effects leave alone.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Image {
     pub conjunct: usize,
     pub formula: Rc<GroundFormula>,
+    /// `¬formula` as the members it adds to a disjunction
+    /// ([`GroundFormula::or`] flattens one level), built once for every
+    /// query that needs the image to fail; `None` when it is `True`,
+    /// which absorbs the disjunction.
+    negation: Option<Rc<[GroundFormula]>>,
+}
+
+impl PartialEq for Image {
+    /// The negation is the formula's, so it is not compared.
+    fn eq(&self, other: &Image) -> bool {
+        self.conjunct == other.conjunct && self.formula == other.formula
+    }
+}
+
+impl Eq for Image {}
+
+impl Image {
+    fn new(conjunct: usize, formula: GroundFormula) -> Image {
+        let negation = match GroundFormula::not(formula.clone()) {
+            GroundFormula::True => None,
+            GroundFormula::False => Some(Rc::from([])),
+            GroundFormula::Or(parts) => Some(parts.into()),
+            g => Some(Rc::from([g])),
+        };
+        Image {
+            conjunct,
+            formula: Rc::new(formula),
+            negation,
+        }
+    }
 }
 
 /// One ground execution `op(args)` as the analysis sees it.
@@ -176,7 +206,7 @@ pub struct AnalysisSession<'a> {
     conjunct_atoms: Vec<Vec<AtomId>>,
     /// Images met so far, by conjunct and what the summary does to its
     /// atoms ([`AnalysisSession::image_of`]); `None` for "unchanged".
-    images: RefCell<HashMap<Vec<i64>, Option<Rc<GroundFormula>>>>,
+    images: RefCell<HashMap<Vec<i64>, Option<Image>>>,
     solver: SolverSession,
     /// Counters of the solvers `renew_solver` dropped.
     retired: Stats,
@@ -328,16 +358,14 @@ impl<'a> AnalysisSession<'a> {
             };
             3 * s.deltas.get(a).copied().unwrap_or(0) + assigned
         }));
-        let formula = self
-            .images
+        self.images
             .borrow_mut()
             .entry(key)
             .or_insert_with(|| {
                 let formula = apply_summary(&self.conjuncts[conjunct], s);
-                (formula != self.conjuncts[conjunct]).then(|| Rc::new(formula))
+                (formula != self.conjuncts[conjunct]).then(|| Image::new(conjunct, formula))
             })
-            .clone()?;
-        Some(Image { conjunct, formula })
+            .clone()
     }
 
     /// The footprint of `op(args)`, computed on first use and cached under
@@ -589,14 +617,15 @@ impl<'a> AnalysisSession<'a> {
     /// is yes, the solver's [`SolverSession::model`] is such a state.
     pub fn query(&mut self, holds: &[&Image], fails: &[&Image]) -> bool {
         self.queries += 1;
-        let negated = GroundFormula::or(
-            fails
-                .iter()
-                .filter(|i| !holds.contains(i))
-                .map(|i| GroundFormula::not((*i.formula).clone()))
-                .collect(),
-        );
-        if negated == GroundFormula::False
+        // The members of `∨ ¬fails`; `None` when it is `True`.
+        let negated: Option<Vec<&GroundFormula>> = fails
+            .iter()
+            .filter(|i| !holds.contains(i))
+            .try_fold(Vec::new(), |mut members, i| {
+                members.extend(i.negation.as_deref()?);
+                Some(members)
+            });
+        if negated.as_ref().is_some_and(Vec::is_empty)
             || holds.iter().any(|i| *i.formula == GroundFormula::False)
         {
             return false; // UNSAT by construction
@@ -606,7 +635,14 @@ impl<'a> AnalysisSession<'a> {
         for i in holds {
             self.solver.assert(&i.formula);
         }
-        self.solver.assert(&negated);
+        // Asserted as `assert` would assert `GroundFormula::or` of them:
+        // a lone member as itself (a conjunction splits), more as one
+        // clause.
+        match negated.as_deref() {
+            None => {}
+            Some([member]) => self.solver.assert(member),
+            Some(members) => self.solver.assert_any(members.iter().copied()),
+        }
         let sat = self.solver.satisfiable();
         self.solver.pop();
         self.sat_time += began.elapsed();

@@ -9,6 +9,32 @@
 //! (Fig. 2c), and what purges a removed Twitter user's history from all
 //! timelines (§5.1.2).
 //!
+//! **Verdicts are kept, not recomputed.** Each element's add entry holds
+//! a flag that always equals that decision over the current entries. The
+//! decision is a disjunction over the element's adds of a conjunction over
+//! the removes that bear on it, so an effect can flip only the verdicts it
+//! names:
+//!
+//! * an `Add` can only make its element present, and decides just the new
+//!   add, and only when the element is not already a member;
+//! * a `Remove` can only make its element absent, and re-decides it only
+//!   when it was a member;
+//! * a `RemoveMatching` can only make elements absent, and re-decides only
+//!   the members its pattern matches;
+//! * [`RWSet::compact`] changes no verdict (debug-asserted), and a
+//!   [`RWSet::copy_entry`] carries the copied entry's.
+//!
+//! So `contains`, `elements` and `len` read flags and never evaluate a
+//! pattern. An `Add` costs at most one check of its clock against the
+//! element's removes and the wildcards, a `Remove` or `RemoveMatching`
+//! that hits a member a check per add of that member, and a wildcard
+//! additionally one pattern test per member. Wherever a wildcard is still
+//! tested, its clock is compared first: a wildcard an add dominates cannot
+//! defeat it, whatever its pattern matches. Compaction re-checks only
+//! members with more than one add (to pick a representative), and tests
+//! a stable wildcard only against the adds not strictly above the
+//! frontier.
+//!
 //! State is compacted via causal stability ([`RWSet::compact`]).
 
 use crate::clock::VClock;
@@ -39,14 +65,23 @@ impl<E> Pattern<E> for NoPattern {
     }
 }
 
+type Removes<E> = BTreeMap<E, Vec<(Tag, VClock)>>;
+
 /// Operation-based remove-wins set.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RWSet<E: Ord + Clone, P = NoPattern> {
-    adds: BTreeMap<E, Vec<(Tag, VClock)>>,
-    removes: BTreeMap<E, Vec<(Tag, VClock)>>,
+    adds: BTreeMap<E, Adds>,
+    removes: Removes<E>,
     /// Wildcard removes: affect every matching element, including
     /// concurrently added ones.
     wild_removes: Vec<(P, Tag, VClock)>,
+}
+
+/// An element's adds and its membership verdict over the whole state.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+struct Adds {
+    tags: Vec<(Tag, VClock)>,
+    present: bool,
 }
 
 impl<E: Ord + Clone, P> Default for RWSet<E, P> {
@@ -69,6 +104,49 @@ pub enum RWSetOp<E, P> {
     RemoveMatching { pattern: P, tag: Tag, clock: VClock },
 }
 
+/// Does an add of `e` at `add_clock` strictly dominate every remove that
+/// bears on `e`: its element removes and each matching wildcard?
+fn visible<E: Ord, P: Pattern<E>>(
+    removes: &Removes<E>,
+    wild_removes: &[(P, Tag, VClock)],
+    e: &E,
+    add_clock: &VClock,
+) -> bool {
+    removes
+        .get(e)
+        .into_iter()
+        .flatten()
+        .all(|(_, rc)| rc.lt(add_clock))
+        && wild_removes
+            .iter()
+            .all(|(p, _, rc)| rc.lt(add_clock) || !p.matches(e))
+}
+
+/// `e`'s verdict from scratch: does one of its adds survive everything?
+fn decide<E: Ord, P: Pattern<E>>(
+    removes: &Removes<E>,
+    wild_removes: &[(P, Tag, VClock)],
+    e: &E,
+    adds: &[(Tag, VClock)],
+) -> bool {
+    adds.iter()
+        .any(|(_, ac)| visible(removes, wild_removes, e, ac))
+}
+
+/// `e`'s verdict after an effect at `clock` that can only defeat adds:
+/// a member still is one iff an add dominating `clock` survives
+/// everything.
+fn redecide<E: Ord, P: Pattern<E>>(
+    removes: &Removes<E>,
+    wild_removes: &[(P, Tag, VClock)],
+    e: &E,
+    adds: &[(Tag, VClock)],
+    clock: &VClock,
+) -> bool {
+    adds.iter()
+        .any(|(_, ac)| clock.lt(ac) && visible(removes, wild_removes, e, ac))
+}
+
 impl<E: Ord + Clone, P: Pattern<E>> RWSet<E, P> {
     pub fn new() -> Self {
         Self::default()
@@ -77,27 +155,11 @@ impl<E: Ord + Clone, P: Pattern<E>> RWSet<E, P> {
     /// Is an element present? Present iff some add dominates all its
     /// removes (element-specific and matching wildcards).
     pub fn contains(&self, e: &E) -> bool {
-        let Some(adds) = self.adds.get(e) else {
-            return false;
-        };
-        adds.iter().any(|(_, ac)| self.add_visible(e, ac))
-    }
-
-    fn add_visible(&self, e: &E, add_clock: &VClock) -> bool {
-        let element_removes = self.removes.get(e).into_iter().flatten();
-        let wild = self
-            .wild_removes
-            .iter()
-            .filter(|(p, _, _)| p.matches(e))
-            .map(|(_, t, c)| (t, c));
-        element_removes
-            .map(|(t, c)| (t, c))
-            .chain(wild)
-            .all(|(_, rc)| rc.le(add_clock) && rc != add_clock)
+        self.adds.get(e).is_some_and(|a| a.present)
     }
 
     pub fn elements(&self) -> impl Iterator<Item = &E> {
-        self.adds.keys().filter(move |e| self.contains(e))
+        self.adds.iter().filter(|(_, a)| a.present).map(|(e, _)| e)
     }
 
     pub fn len(&self) -> usize {
@@ -105,7 +167,7 @@ impl<E: Ord + Clone, P: Pattern<E>> RWSet<E, P> {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.elements().next().is_none()
     }
 
     /// The start of a partial copy: no element entries, but every
@@ -120,18 +182,24 @@ impl<E: Ord + Clone, P: Pattern<E>> RWSet<E, P> {
         }
     }
 
-    /// Copy `e`'s entry (its adds and element removes) into `into`, which
-    /// began as [`RWSet::partial_copy`] of this set: `into` then decides
-    /// `e`'s membership exactly as `self` does. Returns whether there was
-    /// an entry.
+    /// Copy `e`'s entry (its adds, element removes and verdict) into
+    /// `into`, which began as [`RWSet::partial_copy`] of this set: `into`
+    /// then decides `e`'s membership exactly as `self` does, once `into`'s
+    /// own wildcards are counted. Those were appended after this set's and
+    /// can only defeat adds, so a member's verdict is re-decided when
+    /// there are any, and no other. Returns whether there was an entry.
     pub fn copy_entry(&self, e: &E, into: &mut Self) -> bool {
         let adds = self.adds.get(e);
         let removes = self.removes.get(e);
-        if let Some(adds) = adds {
-            into.adds.insert(e.clone(), adds.clone());
-        }
         if let Some(removes) = removes {
             into.removes.insert(e.clone(), removes.clone());
+        }
+        if let Some(adds) = adds {
+            let mut adds = adds.clone();
+            if adds.present && into.wild_removes.len() != self.wild_removes.len() {
+                adds.present = decide(&into.removes, &into.wild_removes, e, &adds.tags);
+            }
+            into.adds.insert(e.clone(), adds);
         }
         adds.is_some() || removes.is_some()
     }
@@ -160,27 +228,42 @@ impl<E: Ord + Clone, P: Pattern<E>> RWSet<E, P> {
     // Apply
     // ------------------------------------------------------------------
 
+    /// Record an effect and bring the verdicts it can flip up to date
+    /// (see the module header).
     pub fn apply(&mut self, op: &RWSetOp<E, P>) {
+        let RWSet {
+            adds,
+            removes,
+            wild_removes,
+        } = self;
         match op {
             RWSetOp::Add { elem, tag, clock } => {
-                self.adds
-                    .entry(elem.clone())
-                    .or_default()
-                    .push((*tag, clock.clone()));
+                let entry = adds.entry(elem.clone()).or_default();
+                if !entry.present {
+                    entry.present = visible(removes, wild_removes, elem, clock);
+                }
+                entry.tags.push((*tag, clock.clone()));
             }
             RWSetOp::Remove { elem, tag, clock } => {
-                self.removes
+                removes
                     .entry(elem.clone())
                     .or_default()
                     .push((*tag, clock.clone()));
+                if let Some(entry) = adds.get_mut(elem).filter(|a| a.present) {
+                    entry.present = redecide(removes, wild_removes, elem, &entry.tags, clock);
+                }
             }
             RWSetOp::RemoveMatching {
                 pattern,
                 tag,
                 clock,
             } => {
-                self.wild_removes
-                    .push((pattern.clone(), *tag, clock.clone()));
+                wild_removes.push((pattern.clone(), *tag, clock.clone()));
+                for (e, entry) in adds.iter_mut() {
+                    if entry.present && pattern.matches(e) {
+                        entry.present = redecide(removes, wild_removes, e, &entry.tags, clock);
+                    }
+                }
             }
         }
     }
@@ -200,66 +283,74 @@ impl<E: Ord + Clone, P: Pattern<E>> RWSet<E, P> {
     ///   stable entries, defeated stable adds and spent stable removes can
     ///   be dropped;
     /// * a surviving stable add is kept as a single representative.
+    ///
+    /// No verdict changes: a kept representative was visible and loses
+    /// only removes, an absent element's entries all go, and a wildcard
+    /// goes only once every add it matches dominates it.
     pub fn compact(&mut self, stable: &VClock) {
-        // Decide presence per element using the full state first.
-        let decided: Vec<E> = self.adds.keys().cloned().collect();
-        for e in decided {
-            let all_stable = self
-                .adds
-                .get(&e)
-                .into_iter()
-                .flatten()
-                .chain(self.removes.get(&e).into_iter().flatten())
+        let RWSet {
+            adds,
+            removes,
+            wild_removes,
+        } = self;
+        adds.retain(|e, entry| {
+            let all_stable = entry
+                .tags
+                .iter()
+                .chain(removes.get(e).into_iter().flatten())
                 .all(|(_, c)| c.le(stable));
             if !all_stable {
-                continue;
+                return true;
             }
-            let present = self.contains(&e);
-            if present {
-                // Keep one representative add — the causally latest
-                // *visible* one. A defeated add must never become the
-                // representative: a still-live wildcard remove would
-                // defeat it again after the element's own removes are
-                // dropped, flipping observable membership.
-                let keep = self
-                    .adds
-                    .get(&e)
-                    .into_iter()
-                    .flatten()
-                    .filter(|(_, ac)| self.add_visible(&e, ac))
-                    .max_by(|a, b| a.1.total().cmp(&b.1.total()).then(a.0.cmp(&b.0)))
-                    .cloned();
-                if let Some(keep) = keep {
-                    self.adds.insert(e.clone(), vec![keep]);
-                }
-                self.removes.remove(&e);
-            } else {
-                self.adds.remove(&e);
-                self.removes.remove(&e);
+            if !entry.present || entry.tags.len() == 1 {
+                removes.remove(e);
+                return entry.present;
             }
-        }
+            // Keep one representative add — the causally latest *visible*
+            // one. A defeated add must never become the representative: a
+            // still-live wildcard remove would defeat it again after the
+            // element's own removes are dropped, flipping observable
+            // membership.
+            let keep = entry
+                .tags
+                .iter()
+                .enumerate()
+                .filter(|(_, (_, ac))| visible(removes, wild_removes, e, ac))
+                .max_by(|(_, a), (_, b)| a.1.total().cmp(&b.1.total()).then(a.0.cmp(&b.0)))
+                .map(|(i, _)| i);
+            if let Some(i) = keep {
+                entry.tags = vec![entry.tags.swap_remove(i)];
+            }
+            removes.remove(e);
+            true
+        });
         // A stable wildcard remove cannot defeat *future* adds (their
         // clocks dominate the frontier), but it may still be the only
         // thing defeating an already-delivered concurrent add that was
         // too fresh to compact above. Keep it until no retained add
-        // depends on it.
-        let adds = &self.adds;
-        self.wild_removes.retain(|(p, _, rc)| {
-            if !rc.le(stable) {
-                return true;
-            }
-            adds.iter().any(|(e, entries)| {
-                p.matches(e) && entries.iter().any(|(_, ac)| !(rc.le(ac) && rc != ac))
-            })
-        });
-        // Defensive: drop empty buckets.
-        self.adds.retain(|_, v| !v.is_empty());
-        self.removes.retain(|_, v| !v.is_empty());
+        // depends on it. An add strictly above the frontier dominates
+        // every stable wildcard, so only the others are looked at.
+        if wild_removes.iter().any(|(_, _, rc)| rc.le(stable)) {
+            let below: Vec<(&E, &VClock)> = adds
+                .iter()
+                .flat_map(|(e, entry)| entry.tags.iter().map(move |(_, ac)| (e, ac)))
+                .filter(|(_, ac)| !stable.lt(ac))
+                .collect();
+            wild_removes.retain(|(p, _, rc)| {
+                !rc.le(stable) || below.iter().any(|(e, ac)| !rc.lt(ac) && p.matches(e))
+            });
+        }
+        debug_assert!(
+            self.adds
+                .iter()
+                .all(|(e, a)| a.present == decide(&self.removes, &self.wild_removes, e, &a.tags)),
+            "compaction changed a verdict"
+        );
     }
 
     /// Rough memory footprint in entries (for GC tests/metrics).
     pub fn entry_count(&self) -> usize {
-        self.adds.values().map(Vec::len).sum::<usize>()
+        self.adds.values().map(|a| a.tags.len()).sum::<usize>()
             + self.removes.values().map(Vec::len).sum::<usize>()
             + self.wild_removes.len()
     }
@@ -420,5 +511,266 @@ mod tests {
         s.apply(&s.prepare_remove("x", tag(1, 1), clock(&[(1, 1)])));
         s.apply(&s.prepare_add("x", tag(0, 1), clock(&[(0, 1)])));
         assert!(!s.contains(&"x"));
+    }
+
+    // ------------------------------------------------------------------
+    // Property: the kept verdicts are the decision made from scratch
+    // ------------------------------------------------------------------
+
+    use crate::value::{Val, ValPattern};
+    use proptest::prelude::*;
+
+    type ValSet = RWSet<Val, ValPattern>;
+
+    impl<E: Ord + Clone, P: Pattern<E>> RWSet<E, P> {
+        /// The reference: `e`'s membership decided from the entries
+        /// alone, every remove and every wildcard tested, as reads decided
+        /// it before verdicts were kept.
+        fn decided(&self, e: &E) -> bool {
+            let Some(adds) = self.adds.get(e) else {
+                return false;
+            };
+            adds.tags.iter().any(|(_, ac)| {
+                let element = self.removes.get(e).into_iter().flatten();
+                let wild = self.wild_removes.iter().filter(|(p, _, _)| p.matches(e));
+                element
+                    .map(|(_, rc)| rc)
+                    .chain(wild.map(|(_, _, rc)| rc))
+                    .all(|rc| rc.le(ac) && rc != ac)
+            })
+        }
+    }
+
+    const SITES: usize = 3;
+    const ELEMENTS: u8 = 18;
+
+    /// Six pairs `(p, t)` and twelve triples `(p, t, k)`.
+    fn element(i: u8) -> Val {
+        let i = i % ELEMENTS;
+        let (p, t) = (format!("p{}", i % 3), format!("t{}", i / 3 % 2));
+        if i < 6 {
+            Val::pair(p, t)
+        } else {
+            Val::triple(p, t, i64::from(i / 6 % 2))
+        }
+    }
+
+    /// Pair and triple patterns, each matching a few of the elements.
+    fn pattern(i: u8) -> ValPattern {
+        use ValPattern::Any;
+        let p = || ValPattern::exact(format!("p{}", i / 6 % 3));
+        let t = || ValPattern::exact(format!("t{}", i / 6 % 2));
+        match i % 6 {
+            0 => ValPattern::pair(Any, t()),
+            1 => ValPattern::pair(p(), Any),
+            2 => ValPattern::triple(Any, t(), Any),
+            3 => ValPattern::triple(p(), Any, Any),
+            4 => ValPattern::triple(Any, Any, ValPattern::exact(i64::from(i / 6 % 2))),
+            _ => ValPattern::pair(p(), t()),
+        }
+    }
+
+    /// Each kept verdict of `s` against the reference.
+    fn check_verdicts(s: &ValSet) -> TestCaseResult {
+        for i in 0..ELEMENTS {
+            let e = element(i);
+            prop_assert_eq!(s.contains(&e), s.decided(&e), "{}", e);
+        }
+        let members: Vec<&Val> = s.adds.keys().filter(|e| s.decided(e)).collect();
+        prop_assert!(s.elements().eq(members.iter().copied()));
+        prop_assert_eq!(s.len(), members.len());
+        prop_assert_eq!(s.is_empty(), members.is_empty());
+        Ok(())
+    }
+
+    struct Logged {
+        origin: ReplicaId,
+        op: RWSetOp<Val, ValPattern>,
+    }
+
+    impl Logged {
+        fn clock(&self) -> &VClock {
+            match &self.op {
+                RWSetOp::Add { clock, .. }
+                | RWSetOp::Remove { clock, .. }
+                | RWSetOp::RemoveMatching { clock, .. } => clock,
+            }
+        }
+    }
+
+    #[derive(Default)]
+    struct Site {
+        set: ValSet,
+        /// The same effects, never compacted: compaction under its
+        /// contract must not change an answer, now or later.
+        whole: ValSet,
+        clock: VClock,
+        /// By log position: whether the effect has reached this site.
+        applied: Vec<bool>,
+    }
+
+    /// Three sites issuing effects and delivering each other's in causal
+    /// order.
+    struct History {
+        sites: Vec<Site>,
+        log: Vec<Logged>,
+    }
+
+    impl History {
+        fn issue(&mut self, s: usize, make: impl FnOnce(Tag, VClock) -> RWSetOp<Val, ValPattern>) {
+            let r = ReplicaId(s as u16);
+            let clock = &mut self.sites[s].clock;
+            let seq = clock.tick(r);
+            let op = make(tag(r.0, seq), clock.clone());
+            self.log.push(Logged { origin: r, op });
+            self.deliver(s, self.log.len() - 1);
+        }
+
+        fn pending(&self, s: usize) -> impl Iterator<Item = usize> + '_ {
+            let applied = &self.sites[s].applied;
+            (0..self.log.len()).filter(move |&i| !applied.get(i).copied().unwrap_or(false))
+        }
+
+        fn ready(&self, s: usize) -> Vec<usize> {
+            let clock = &self.sites[s].clock;
+            self.pending(s)
+                .filter(|&i| {
+                    self.log[i]
+                        .clock()
+                        .deliverable_from(self.log[i].origin, clock)
+                })
+                .collect()
+        }
+
+        fn deliver(&mut self, s: usize, i: usize) {
+            let (site, logged) = (&mut self.sites[s], &self.log[i]);
+            site.set.apply(&logged.op);
+            site.whole.apply(&logged.op);
+            site.clock.merge(logged.clock());
+            if site.applied.len() <= i {
+                site.applied.resize(i + 1, false);
+            }
+            site.applied[i] = true;
+        }
+
+        /// The greatest frontier meeting compact's contract at `s`: every
+        /// effect still to reach `s`, issued or to be issued, dominates
+        /// it.
+        fn frontier(&self, s: usize) -> VClock {
+            let ids: Vec<ReplicaId> = (0..SITES as u16).map(ReplicaId).collect();
+            let issued = self.pending(s).map(|i| self.log[i].clock());
+            self.sites
+                .iter()
+                .map(|site| &site.clock)
+                .chain(issued)
+                .fold(self.sites[s].clock.clone(), |f, c| f.meet(c, &ids))
+        }
+
+        fn check(&self) -> TestCaseResult {
+            for site in &self.sites {
+                check_verdicts(&site.set)?;
+                check_verdicts(&site.whole)?;
+                prop_assert!(site.set.elements().eq(site.whole.elements()));
+            }
+            Ok(())
+        }
+    }
+
+    /// A partial copy of `set` filled element by element, with effects of
+    /// its own in between, as a transaction fills one. `picks` names the
+    /// elements; `effects` says after which of them an effect comes.
+    fn check_copy(site: &Site, id: u16, picks: u8, effects: u8) -> TestCaseResult {
+        let (set, mut clock) = (&site.set, site.clock.clone());
+        let mut copy = set.partial_copy();
+        let mut own = false;
+        for k in 0..4u8 {
+            let e = element(picks.wrapping_mul(k + 1).wrapping_add(k));
+            set.copy_entry(&e, &mut copy);
+            if !own {
+                prop_assert_eq!(copy.contains(&e), set.contains(&e), "{}", e);
+            }
+            if effects >> k & 1 == 1 {
+                own = true;
+                let seq = clock.tick(ReplicaId(id));
+                let (tag, clock) = (tag(id, seq), clock.clone());
+                let op = match (effects >> 4 >> k) & 1 {
+                    0 => copy.prepare_add(e, tag, clock),
+                    _ => copy.prepare_remove_matching(pattern(picks ^ effects), tag, clock),
+                };
+                copy.apply(&op);
+            }
+            check_verdicts(&copy)?;
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random concurrent histories over three sites, delivered in
+        /// random causal orders and compacted at random frontiers that
+        /// meet the contract: after every step each site's kept
+        /// `contains`, `elements` and `len` are the reference decision
+        /// over its entries, and those of a partial copy over its own. A
+        /// step is (site, kind, a, b): the kind picks the effect, `a` and
+        /// `b` its element or pattern, the effect delivered, the frontier
+        /// or the copy.
+        #[test]
+        fn kept_verdicts_equal_the_decision_from_scratch(
+            steps in prop::collection::vec((0u8..3, 0u8..16, 0u8..=255, 0u8..=255), 20..120),
+        ) {
+            let mut h = History {
+                sites: (0..SITES).map(|_| Site::default()).collect(),
+                log: Vec::new(),
+            };
+            for &(s, kind, a, b) in &steps {
+                let s = usize::from(s);
+                match kind {
+                    0..=3 => h.issue(s, |t, c| RWSetOp::Add { elem: element(a), tag: t, clock: c }),
+                    4..=5 => h.issue(s, |t, c| RWSetOp::Remove { elem: element(a), tag: t, clock: c }),
+                    6..=7 => h.issue(s, |t, c| RWSetOp::RemoveMatching {
+                        pattern: pattern(a),
+                        tag: t,
+                        clock: c,
+                    }),
+                    8..=11 => {
+                        let ready = h.ready(s);
+                        if !ready.is_empty() {
+                            h.deliver(s, ready[usize::from(a) % ready.len()]);
+                        }
+                    }
+                    12 => {
+                        while let Some(&i) = h.ready(s).get(usize::from(a) % 2) {
+                            h.deliver(s, i);
+                        }
+                        while let Some(&i) = h.ready(s).first() {
+                            h.deliver(s, i);
+                        }
+                    }
+                    13 | 14 => {
+                        // The greatest frontier, or one component lowered.
+                        let mut f = h.frontier(s);
+                        if kind == 14 {
+                            let r = ReplicaId(u16::from(a) % SITES as u16);
+                            f.set(r, f.get(r).saturating_sub(u64::from(b % 4)));
+                        }
+                        h.sites[s].set.compact(&f);
+                    }
+                    _ => check_copy(&h.sites[s], s as u16, a, b)?,
+                }
+                h.check()?;
+            }
+            // Everything delivered everywhere: the sites agree.
+            for s in 0..SITES {
+                while let Some(&i) = h.ready(s).first() {
+                    h.deliver(s, i);
+                }
+            }
+            h.check()?;
+            let first: Vec<&Val> = h.sites[0].set.elements().collect();
+            for site in &h.sites[1..] {
+                prop_assert!(site.set.elements().eq(first.iter().copied()));
+            }
+        }
     }
 }

@@ -168,15 +168,20 @@ impl SolverSession {
         match g {
             GroundFormula::True => {}
             GroundFormula::And(parts) => parts.iter().for_each(|p| self.assert(p)),
-            GroundFormula::Or(parts) => {
-                let clause: Vec<Lit> = parts.iter().map(|p| self.encoder.encode(p)).collect();
-                self.add_clause(clause);
-            }
+            GroundFormula::Or(parts) => self.assert_any(parts),
             g => {
                 let l = self.encoder.encode(g);
                 self.add_clause(vec![l]);
             }
         }
+    }
+
+    /// Assert the disjunction of `parts` as one clause, as
+    /// [`SolverSession::assert`] asserts a `GroundFormula::Or` of them,
+    /// without building one.
+    pub fn assert_any<'f>(&mut self, parts: impl IntoIterator<Item = &'f GroundFormula>) {
+        let clause: Vec<Lit> = parts.into_iter().map(|p| self.encoder.encode(p)).collect();
+        self.add_clause(clause);
     }
 
     fn add_clause(&mut self, mut lits: Vec<Lit>) {

@@ -99,6 +99,7 @@ impl CausalBuffer {
             order,
             per_origin,
         } = self;
+        let before = order.len();
         order.retain(|&(origin, seq)| {
             let stale = seq <= clock.get(origin);
             if stale {
@@ -107,8 +108,11 @@ impl CausalBuffer {
             }
             !stale
         });
-        for (pos, key) in order.iter().enumerate() {
-            slots.get_mut(key).expect(AGREE).pos = pos;
+        // `retain` keeps positional order, so only a drop moves a slot.
+        if order.len() < before {
+            for (pos, key) in order.iter().enumerate() {
+                slots.get_mut(key).expect(AGREE).pos = pos;
+            }
         }
     }
 
