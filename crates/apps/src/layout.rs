@@ -4,8 +4,11 @@
 //!
 //! Read backwards, [`Layout::interpretation`] materialises a replica as an
 //! `ipa_spec::Interpretation`, the language's reference semantics, which
-//! every check is tested against. A check's plan walks only what is
-//! stored, for three clause shapes:
+//! every check is tested against. Read forwards, [`Layout::member`] turns
+//! a predicate's arguments into the tuple the store holds: a place may
+//! put first the argument its runtime reads by ([`Place::ordered`]), so
+//! that such a read is one range of the ordered set. A check's plan
+//! walks only what is stored, for three clause shapes:
 //!
 //! * `G(x̄) ⇒ C` and `¬(G(x̄) ∧ R)`: walk the members of the guard atom
 //!   `G`, whose distinct variables bind all others, and test `C` (or
@@ -52,10 +55,17 @@ impl Place {
     /// A set of `arity`-tuples in the predicate's argument order.
     pub const fn tuple(key: &'static str, arity: usize) -> Place {
         let orders: [&[usize]; 3] = [&[0], &[0, 1], &[0, 1, 2]];
+        Place::ordered(key, orders[arity - 1])
+    }
+
+    /// A set of whole tuples holding the predicate's i-th argument at
+    /// position `args[i]`: the argument a runtime reads by goes first, so
+    /// that its members are one range of the ordered set.
+    pub const fn ordered(key: &'static str, args: &'static [usize]) -> Place {
         Place::Members {
             key,
-            arity,
-            args: orders[arity - 1],
+            arity: args.len(),
+            args,
         }
     }
 }
@@ -130,14 +140,18 @@ fn for_each_member(obj: Option<&Object>, f: impl FnMut(&Val)) {
     }
 }
 
-/// A per-entity object's measure: a counter's value, a set's size.
+/// A per-entity object's measure: a counter's value, a set's size (its
+/// own `len`, O(1) on an add-wins pool; a compensation set's raw size).
 fn measure(obj: Option<&Object>) -> Option<i64> {
-    if let Some(c) = obj?.as_pncounter() {
-        return Some(c.value());
-    }
-    let mut size = 0;
-    for_each_member(obj, |_| size += 1);
-    Some(size)
+    let size = match obj? {
+        Object::PNCounter(c) => return Some(c.value()),
+        Object::AWSet(s) => s.len(),
+        Object::RWSet(s) => s.len(),
+        Object::AWMap(m) => m.len(),
+        Object::CompSet(s) => s.raw_len(),
+        _ => 0,
+    };
+    Some(size as i64)
 }
 
 /// A member's values for the predicate's arguments (filler past its
@@ -155,6 +169,16 @@ fn project<'v>(m: &'v Val, arity: usize, args: &[usize]) -> Option<[&'v Val; 3]>
     Some(out)
 }
 
+/// The stored value of a tuple's components: the bare value when one.
+fn tuple(t: &[&Val]) -> Val {
+    match *t {
+        [a] => a.clone(),
+        [a, b] => Val::pair(a.clone(), b.clone()),
+        [a, b, c] => Val::triple(a.clone(), b.clone(), c.clone()),
+        _ => unreachable!("places hold 1- to 3-tuples"),
+    }
+}
+
 /// The variables of an atom whose arguments are distinct variables or
 /// wildcards.
 fn binds(a: &Atom) -> Result<Vec<&Var>, &'static str> {
@@ -167,6 +191,27 @@ fn binds(a: &Atom) -> Result<Vec<&Var>, &'static str> {
 }
 
 impl Layout {
+    /// The stored member of `pred(args…)`: the layout table read
+    /// forwards, the inverse of the read-back's projection. `None` when
+    /// the predicate is not placed, `args` does not fit its arity, or its
+    /// place holds no whole tuple of the arguments (a place whose `args`
+    /// skip a position, a per-entity place).
+    pub fn member(&self, pred: &str, args: &[Val]) -> Option<Val> {
+        let (_, place) = self.places.iter().find(|(p, _)| *p == pred)?;
+        match *place {
+            Place::Members {
+                arity, args: at, ..
+            } if at.len() == arity && args.len() == arity && arity <= 3 => {
+                let mut t = [&args[0]; 3];
+                for (v, &j) in args.iter().zip(at) {
+                    t[j] = v;
+                }
+                Some(tuple(&t[..arity]))
+            }
+            _ => None,
+        }
+    }
+
     /// The place of an atom's predicate, with an arity that fits it.
     fn place(&self, a: &Atom) -> Result<(usize, Place), &'static str> {
         let found = self.places.iter().position(|(p, _)| *p == a.pred.as_str());
@@ -284,8 +329,7 @@ impl Test {
                 }
                 let hit = match args.len() {
                     1 => obj.set_contains(t[0]),
-                    2 => obj.set_contains(&Val::pair(t[0].clone(), t[1].clone())),
-                    _ => obj.set_contains(&Val::triple(t[0].clone(), t[1].clone(), t[2].clone())),
+                    n => obj.set_contains(&tuple(&t[..n])),
                 };
                 hit.unwrap_or(false)
             }
@@ -410,5 +454,57 @@ impl Plan {
             _ => unreachable!("a plan is compiled against its place"),
         }
         n
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn layouts() -> [(&'static str, &'static Layout); 4] {
+        [
+            ("tournament", &crate::tournament::runtime::LAYOUT),
+            ("twitter", &crate::twitter::runtime::LAYOUT),
+            ("ticket", &crate::ticket::runtime::LAYOUT),
+            ("tpc", &crate::tpc::runtime::LAYOUT),
+        ]
+    }
+
+    /// Every place of every app: a place of whole tuples turns arguments
+    /// into the member that its projection reads back as the same
+    /// arguments, any other place has no member, and an argument list of
+    /// the wrong length has none either.
+    #[test]
+    fn member_is_the_inverse_of_project_on_every_place() {
+        let vals = [Val::str("a"), Val::str("b"), Val::str("c")];
+        let mut whole = 0;
+        for (app, layout) in layouts() {
+            for &(pred, place) in layout.places {
+                let arity = match place {
+                    Place::Members { arity, args, .. } if args.len() == arity => arity,
+                    _ => {
+                        for n in 1..=3 {
+                            assert_eq!(layout.member(pred, &vals[..n]), None, "{app}: {pred}");
+                        }
+                        continue;
+                    }
+                };
+                let Place::Members { args, .. } = place else {
+                    unreachable!()
+                };
+                let m = layout.member(pred, &vals[..arity]).expect("a member");
+                let back = project(&m, arity, args).expect("a tuple of the place's arity");
+                assert!(
+                    back[..arity].iter().copied().eq(&vals[..arity]),
+                    "{app}: {pred}"
+                );
+                for n in (1..=3).filter(|&n| n != arity) {
+                    assert_eq!(layout.member(pred, &vals[..n]), None, "{app}: {pred}/{n}");
+                }
+                whole += 1;
+            }
+            assert_eq!(layout.member("no such predicate", &vals[..1]), None);
+        }
+        assert!(whole >= 10, "only {whole} places of whole tuples");
     }
 }

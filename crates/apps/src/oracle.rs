@@ -408,8 +408,8 @@ mod tests {
         let mut r = Replica::new(ReplicaId(0));
         let mut tx = r.begin();
         tx.ensure(tourn::ENROLLED, ObjectKind::AWSet).unwrap();
-        tx.aw_add(tourn::ENROLLED, Val::pair("p1", "ghost"))
-            .unwrap();
+        let orphan = tourn::LAYOUT.member("enrolled", &[Val::str("p1"), Val::str("ghost")]);
+        tx.aw_add(tourn::ENROLLED, orphan.unwrap()).unwrap();
         tx.commit();
         let oracle = Oracle::tournament();
         let report = oracle.audit(&r, Phase::Continuous);
@@ -433,7 +433,8 @@ mod tests {
             let p = format!("p{i}");
             tx.map_put(tourn::PLAYERS, Val::str(p.as_str()), Val::str("x"))
                 .unwrap();
-            tx.aw_add(tourn::ENROLLED, Val::pair(p, "t")).unwrap();
+            let seat = tourn::LAYOUT.member("enrolled", &[Val::str(p), Val::str("t")]);
+            tx.aw_add(tourn::ENROLLED, seat.unwrap()).unwrap();
         }
         tx.commit();
         let oracle = Oracle::tournament();

@@ -23,18 +23,41 @@ pub const ACTIVE: &str = "tournament/active";
 pub const FINISHED: &str = "tournament/finished";
 pub const MATCHES: &str = "tournament/matches";
 
-/// Where each predicate of `tournament_spec()` lives in the store.
+/// Where each predicate of `tournament_spec()` lives in the store. The
+/// tournament comes first in `enrolled(p, t)`, stored `(t, p)`, and in
+/// `inMatch(p, q, t)`, stored `(t, p, q)`: `enroll` and `status` read
+/// one tournament's members as a range.
 pub const LAYOUT: Layout = Layout {
     places: &[
         ("player", Place::set(PLAYERS)),
         ("tournament", Place::set(TOURNS)),
-        ("enrolled", Place::tuple(ENROLLED, 2)),
+        ("enrolled", Place::ordered(ENROLLED, &[1, 0])),
         ("active", Place::set(ACTIVE)),
         ("finished", Place::set(FINISHED)),
-        ("inMatch", Place::tuple(MATCHES, 3)),
+        ("inMatch", Place::ordered(MATCHES, &[1, 2, 0])),
     ],
     unmapped: &[],
 };
+
+/// The stored member of `enrolled(p, t)` ([`LAYOUT`]'s order).
+pub fn enrolled(p: impl Into<Val>, t: impl Into<Val>) -> Val {
+    Val::pair(t, p)
+}
+
+/// The pattern of `enrolled(p, t)`'s members, each argument a pattern.
+pub fn enrolled_matching(p: ValPattern, t: ValPattern) -> ValPattern {
+    ValPattern::pair(t, p)
+}
+
+/// The stored member of `inMatch(p, q, t)` ([`LAYOUT`]'s order).
+pub fn in_match(p: impl Into<Val>, q: impl Into<Val>, t: impl Into<Val>) -> Val {
+    Val::triple(t, p, q)
+}
+
+/// The pattern of `inMatch(p, q, t)`'s members, each argument a pattern.
+pub fn in_match_matching(p: ValPattern, q: ValPattern, t: ValPattern) -> ValPattern {
+    ValPattern::triple(t, p, q)
+}
 
 /// The Tournament application in one consistency mode.
 #[derive(Clone, Copy, Debug)]
@@ -135,15 +158,15 @@ impl Tournament {
         // invariant locally, §2.2).
         tx.aw_remove_matching(
             ENROLLED,
-            &ValPattern::pair(ValPattern::exact(p), ValPattern::Any),
+            &enrolled_matching(ValPattern::exact(p), ValPattern::Any),
         )?;
         self.matches_clear(
             tx,
-            ValPattern::triple(ValPattern::exact(p), ValPattern::Any, ValPattern::Any),
+            in_match_matching(ValPattern::exact(p), ValPattern::Any, ValPattern::Any),
         )?;
         self.matches_clear(
             tx,
-            ValPattern::triple(ValPattern::Any, ValPattern::exact(p), ValPattern::Any),
+            in_match_matching(ValPattern::Any, ValPattern::exact(p), ValPattern::Any),
         )?;
         tx.map_remove(PLAYERS, &Val::str(p))?;
         Ok(OpCost::new(3, 4))
@@ -165,11 +188,11 @@ impl Tournament {
         // analysis proposes for this operation).
         tx.aw_remove_matching(
             ENROLLED,
-            &ValPattern::pair(ValPattern::Any, ValPattern::exact(t)),
+            &enrolled_matching(ValPattern::Any, ValPattern::exact(t)),
         )?;
         self.matches_clear(
             tx,
-            ValPattern::triple(ValPattern::Any, ValPattern::Any, ValPattern::exact(t)),
+            in_match_matching(ValPattern::Any, ValPattern::Any, ValPattern::exact(t)),
         )?;
         self.active_remove(tx, t)?;
         tx.aw_remove(FINISHED, &Val::str(t))?;
@@ -183,14 +206,14 @@ impl Tournament {
         // origin state (§2.2). Concurrent enrollments elsewhere can still
         // overshoot — that residue is repaired by the read-side
         // compensation in `status` (§3.4).
+        let tv = Val::str(t);
         let mut seats = 0;
-        tx.for_each_element(ENROLLED, |e| {
-            seats += usize::from(e.snd().and_then(Val::as_str) == Some(t));
-        })?;
+        let seated = enrolled_matching(ValPattern::Any, ValPattern::Exact(tv.clone()));
+        tx.for_each_matching(ENROLLED, &seated, |_| seats += 1)?;
         if seats >= CAPACITY {
             return Ok(OpCost::new(1, 0));
         }
-        tx.aw_add(ENROLLED, Val::pair(p, t))?;
+        tx.aw_add(ENROLLED, enrolled(p, tv))?;
         if self.mode == Mode::Ipa {
             self.ensure_enroll(tx, p, t)?;
             return Ok(OpCost::new(3, 3));
@@ -205,15 +228,15 @@ impl Tournament {
         t: &str,
     ) -> Result<OpCost, StoreError> {
         self.ensure_schema(tx)?;
-        tx.aw_remove(ENROLLED, &Val::pair(p, t))?;
+        tx.aw_remove(ENROLLED, &enrolled(p, t))?;
         // Leaving a tournament cancels the player's matches in it.
         self.matches_clear(
             tx,
-            ValPattern::triple(ValPattern::exact(p), ValPattern::Any, ValPattern::exact(t)),
+            in_match_matching(ValPattern::exact(p), ValPattern::Any, ValPattern::exact(t)),
         )?;
         self.matches_clear(
             tx,
-            ValPattern::triple(ValPattern::Any, ValPattern::exact(p), ValPattern::exact(t)),
+            in_match_matching(ValPattern::Any, ValPattern::exact(p), ValPattern::exact(t)),
         )?;
         Ok(OpCost::new(2, 3))
     }
@@ -259,12 +282,12 @@ impl Tournament {
         t: &str,
     ) -> Result<OpCost, StoreError> {
         self.ensure_schema(tx)?;
-        self.matches_add(tx, Val::triple(p, q, t))?;
+        self.matches_add(tx, in_match(p, q, t))?;
         if self.mode == Mode::Ipa {
             // ensureDoMatch = ensureEnroll(p1) + ensureEnroll(p2) and the
             // enrollments themselves are restored.
-            tx.aw_add(ENROLLED, Val::pair(p, t))?;
-            tx.aw_add(ENROLLED, Val::pair(q, t))?;
+            tx.aw_add(ENROLLED, enrolled(p, t))?;
+            tx.aw_add(ENROLLED, enrolled(q, t))?;
             self.ensure_enroll(tx, p, t)?;
             self.ensure_enroll(tx, q, t)?;
             return Ok(OpCost::new(4, 7));
@@ -287,9 +310,10 @@ impl Tournament {
     /// is actually exceeded".
     pub fn status(&self, tx: &mut Transaction<'_>, t: &str) -> Result<OpCost, StoreError> {
         self.ensure_schema(tx)?;
-        let _meta = tx.map_get(TOURNS, &Val::str(t))?;
-        let active = tx.contains(ACTIVE, &Val::str(t))?;
-        if self.mode == Mode::Ipa && !active && !tx.contains(FINISHED, &Val::str(t))? {
+        let tv = Val::str(t);
+        let _meta = tx.map_get(TOURNS, &tv)?;
+        let active = tx.contains(ACTIVE, &tv)?;
+        if self.mode == Mode::Ipa && !active && !tx.contains(FINISHED, &tv)? {
             // Disjunction compensation (§3.4-style read repair): two
             // concurrent finish→begin(restart) chains can annihilate both
             // phase marks — each branch's begin observed-removes its own
@@ -298,46 +322,47 @@ impl Tournament {
             // that is neither running nor finished. Restore the
             // finish-prevails outcome the resolution is built around.
             let mut stranded = false;
-            tx.for_each_element(MATCHES, |m| {
-                stranded |= m.thd().and_then(Val::as_str) == Some(t);
-            })?;
+            let played = in_match_matching(
+                ValPattern::Any,
+                ValPattern::Any,
+                ValPattern::Exact(tv.clone()),
+            );
+            tx.for_each_matching(MATCHES, &played, |_| stranded = true)?;
             if stranded {
-                tx.aw_add(FINISHED, Val::str(t))?;
+                tx.aw_add(FINISHED, tv.clone())?;
             }
         }
         // Kept, not only counted: the over-capacity tail is what the
-        // compensation below removes.
-        let mut enrolled: Vec<Val> = Vec::new();
-        tx.for_each_element(ENROLLED, |e| {
-            if e.snd().and_then(Val::as_str) == Some(t) {
-                enrolled.push(e.clone());
-            }
-        })?;
-        if self.mode == Mode::Ipa && enrolled.len() > CAPACITY {
+        // compensation below removes. The range yields them in element
+        // order, `(t, p)` sorted by `p`.
+        let mut seated: Vec<Val> = Vec::new();
+        let of_t = enrolled_matching(ValPattern::Any, ValPattern::Exact(tv.clone()));
+        tx.for_each_matching(ENROLLED, &of_t, |e| seated.push(e.clone()))?;
+        if self.mode == Mode::Ipa && seated.len() > CAPACITY {
             // Deterministic choice: every replica observing the same
             // oversized state cancels the same (largest) elements, so the
             // compensations commute and converge.
-            enrolled.sort();
-            let excess: Vec<Val> = enrolled.split_off(CAPACITY);
+            let excess: Vec<Val> = seated.split_off(CAPACITY);
             let n = excess.len();
             for e in &excess {
                 tx.aw_remove(ENROLLED, e)?;
-                if let (Some(p), Some(tt)) = (e.fst().cloned(), e.snd().cloned()) {
+                // `enrolled(p, t)` is stored `(t, p)`.
+                if let Some(p) = e.snd().cloned() {
                     // Cascade: the disenrolled players' matches go too.
                     self.matches_clear(
                         tx,
-                        ValPattern::triple(
+                        in_match_matching(
                             ValPattern::Exact(p.clone()),
                             ValPattern::Any,
-                            ValPattern::Exact(tt.clone()),
+                            ValPattern::Exact(tv.clone()),
                         ),
                     )?;
                     self.matches_clear(
                         tx,
-                        ValPattern::triple(
+                        in_match_matching(
                             ValPattern::Any,
                             ValPattern::Exact(p),
-                            ValPattern::Exact(tt),
+                            ValPattern::Exact(tv.clone()),
                         ),
                     )?;
                 }
@@ -487,6 +512,21 @@ mod tests {
             assert_eq!(finished, Some(true));
             assert!(crate::Oracle::tournament().final_violations(rep) > 0);
         });
+    }
+
+    #[test]
+    fn tuple_constructors_agree_with_the_layout() {
+        let (p, q, t) = (Val::str("p"), Val::str("q"), Val::str("t"));
+        let seat = LAYOUT.member("enrolled", &[p.clone(), t.clone()]);
+        assert_eq!(Some(enrolled("p", "t")), seat);
+        let game = LAYOUT.member("inMatch", &[p.clone(), q.clone(), t.clone()]);
+        assert_eq!(Some(in_match("p", "q", "t")), game);
+        let exact = |v: &Val| ValPattern::Exact(v.clone());
+        assert!(enrolled_matching(exact(&p), exact(&t)).matches(&enrolled("p", "t")));
+        assert!(!enrolled_matching(exact(&t), exact(&p)).matches(&enrolled("p", "t")));
+        let pattern = in_match_matching(exact(&p), exact(&q), exact(&t));
+        assert!(pattern.matches(&in_match("p", "q", "t")));
+        assert!(!pattern.matches(&in_match("q", "p", "t")));
     }
 
     #[test]

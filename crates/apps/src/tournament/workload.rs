@@ -300,7 +300,7 @@ impl AppWorkload for TournamentWorkload {
                     for player in [p, q] {
                         if !tx.contains(
                             crate::tournament::runtime::ENROLLED,
-                            &ipa_crdt::Val::pair(player.as_str(), t.as_str()),
+                            &crate::tournament::runtime::enrolled(player.as_str(), t.as_str()),
                         )? {
                             let c = app.enroll(tx, player, t)?;
                             total.objects += c.objects;

@@ -25,6 +25,11 @@ pub const LAYOUT: Layout = Layout {
     unmapped: &[],
 };
 
+/// The stored member of `ordered(o, p)` ([`LAYOUT`]'s order).
+pub fn ordered(o: impl Into<Val>, p: impl Into<Val>) -> Val {
+    Val::pair(o, p)
+}
+
 pub use crate::common::OpCost;
 
 /// The TPC application.
@@ -92,7 +97,7 @@ impl TpcApp {
         if tx.counter_value(stock_key(p))? <= 0 {
             return Ok(None);
         }
-        tx.aw_add(ORDERS, Val::pair(order, p))?;
+        tx.aw_add(ORDERS, ordered(order, p))?;
         tx.counter_add(stock_key(p), -1)?;
         if self.mode == Mode::Ipa {
             // The analysis-added restore: a purchase keeps its product
@@ -153,6 +158,12 @@ mod tests {
         let out = f(&mut tx).expect("op");
         tx.commit();
         out
+    }
+
+    #[test]
+    fn tuple_constructor_agrees_with_the_layout() {
+        let member = LAYOUT.member("ordered", &[Val::str("o"), Val::str("p")]);
+        assert_eq!(Some(ordered("o", "p")), member);
     }
 
     #[test]

@@ -36,7 +36,10 @@ pub const ENTRIES: &str = "twitter/entries";
 pub const FOLLOWS: &str = "twitter/follows";
 
 /// Where each predicate of `twitter_spec(_)` lives in the store: the
-/// entry `(owner, tweet, author)` is `inTimeline(tweet, owner)`.
+/// entry `(owner, tweet, author)` is `inTimeline(tweet, owner)`, and
+/// `follows(a, b)` is stored `(b, a)`. Each puts first what a read names,
+/// so `timeline` and `followers_of` read one owner's or one followee's
+/// members as a range.
 pub const LAYOUT: Layout = Layout {
     places: &[
         ("user", Place::set(USERS)),
@@ -49,10 +52,26 @@ pub const LAYOUT: Layout = Layout {
                 args: &[1, 0],
             },
         ),
-        ("follows", Place::tuple(FOLLOWS, 2)),
+        ("follows", Place::ordered(FOLLOWS, &[1, 0])),
     ],
     unmapped: &[],
 };
+
+/// The stored member of `follows(a, b)`, `a` following `b` ([`LAYOUT`]'s
+/// order).
+pub fn follows(a: impl Into<Val>, b: impl Into<Val>) -> Val {
+    Val::pair(b, a)
+}
+
+/// The pattern of `follows(a, b)`'s members, each argument a pattern.
+pub fn follows_matching(a: ValPattern, b: ValPattern) -> ValPattern {
+    ValPattern::pair(b, a)
+}
+
+/// A timeline entry: `tweet`, by `author`, in `owner`'s timeline.
+pub fn entry(owner: impl Into<Val>, tweet: impl Into<Val>, author: impl Into<Val>) -> Val {
+    Val::triple(owner, tweet, author)
+}
 
 pub use crate::common::OpCost;
 
@@ -82,14 +101,7 @@ impl Twitter {
         Ok(())
     }
 
-    fn add_entry(
-        &self,
-        tx: &mut Transaction<'_>,
-        owner: &str,
-        tweet: &str,
-        author: &str,
-    ) -> Result<(), StoreError> {
-        let e = Val::triple(owner, tweet, author);
+    fn add_entry(&self, tx: &mut Transaction<'_>, e: Val) -> Result<(), StoreError> {
         match self.entries_kind() {
             ObjectKind::RWSet => tx.rw_add(ENTRIES, e),
             _ => tx.aw_add(ENTRIES, e),
@@ -108,11 +120,11 @@ impl Twitter {
         // Sequential cleanup of the user's follow edges.
         tx.aw_remove_matching(
             FOLLOWS,
-            &ValPattern::pair(ValPattern::exact(u), ValPattern::Any),
+            &follows_matching(ValPattern::exact(u), ValPattern::Any),
         )?;
         tx.aw_remove_matching(
             FOLLOWS,
-            &ValPattern::pair(ValPattern::Any, ValPattern::exact(u)),
+            &follows_matching(ValPattern::Any, ValPattern::exact(u)),
         )?;
         if self.strategy == Strategy::RemWins {
             // Purge the user's whole history from all timelines — the
@@ -135,17 +147,18 @@ impl Twitter {
         id: &str,
     ) -> Result<OpCost, StoreError> {
         self.ensure_schema(tx)?;
-        tx.map_put(TWEETS, Val::str(id), Val::str(author))?;
-        let followers = self.followers_of(tx, author)?;
-        self.add_entry(tx, author, id, author)?;
+        let (author, id) = (Val::str(author), Val::str(id));
+        tx.map_put(TWEETS, id.clone(), author.clone())?;
+        let followers = self.followers_of(tx, &author)?;
+        self.add_entry(tx, entry(author.clone(), id.clone(), author.clone()))?;
         let mut updates = 2 + followers.len();
-        for f in &followers {
-            self.add_entry(tx, f, id, author)?;
+        for f in followers {
+            self.add_entry(tx, entry(f, id.clone(), author.clone()))?;
         }
         let mut objects = 2; // tweets + entries
         if self.strategy == Strategy::AddWins {
             // Restore the author against a concurrent rem_user.
-            tx.map_touch(USERS, Val::str(author))?;
+            tx.map_touch(USERS, author)?;
             objects += 1;
             updates += 1;
         }
@@ -161,21 +174,22 @@ impl Twitter {
         id: &str,
     ) -> Result<OpCost, StoreError> {
         self.ensure_schema(tx)?;
+        let (user, id) = (Val::str(user), Val::str(id));
         let author = tx
-            .map_get(TWEETS, &Val::str(id))?
-            .and_then(|v| v.as_str().map(str::to_owned))
-            .unwrap_or_else(|| user.to_owned());
-        let followers = self.followers_of(tx, user)?;
-        self.add_entry(tx, user, id, &author)?;
-        for f in &followers {
-            self.add_entry(tx, f, id, &author)?;
-        }
+            .map_get(TWEETS, &id)?
+            .filter(|v| v.as_str().is_some())
+            .unwrap_or_else(|| user.clone());
+        let followers = self.followers_of(tx, &user)?;
+        self.add_entry(tx, entry(user, id.clone(), author.clone()))?;
         let mut objects = 1;
         let mut updates = 1 + followers.len();
+        for f in followers {
+            self.add_entry(tx, entry(f, id.clone(), author.clone()))?;
+        }
         if self.strategy == Strategy::AddWins {
             // "recover the deleted tweet": touch restores the tweet entity
             // with its payload against a concurrent deletion.
-            tx.map_touch(TWEETS, Val::str(id))?;
+            tx.map_touch(TWEETS, id)?;
             objects += 1;
             updates += 1;
         }
@@ -210,7 +224,7 @@ impl Twitter {
 
     pub fn follow(&self, tx: &mut Transaction<'_>, a: &str, b: &str) -> Result<OpCost, StoreError> {
         self.ensure_schema(tx)?;
-        tx.aw_add(FOLLOWS, Val::pair(a, b))?;
+        tx.aw_add(FOLLOWS, follows(a, b))?;
         if self.strategy == Strategy::AddWins {
             tx.map_touch(USERS, Val::str(a))?;
             tx.map_touch(USERS, Val::str(b))?;
@@ -226,7 +240,7 @@ impl Twitter {
         b: &str,
     ) -> Result<OpCost, StoreError> {
         self.ensure_schema(tx)?;
-        tx.aw_remove(FOLLOWS, &Val::pair(a, b))?;
+        tx.aw_remove(FOLLOWS, &follows(a, b))?;
         Ok(OpCost::new(1, 1))
     }
 
@@ -241,10 +255,9 @@ impl Twitter {
     ) -> Result<(Vec<String>, OpCost), StoreError> {
         self.ensure_schema(tx)?;
         let mut ids: Vec<String> = Vec::new();
-        tx.for_each_element(ENTRIES, |e| {
-            if e.fst().and_then(Val::as_str) == Some(user) {
-                ids.push(e.snd().and_then(Val::as_str).unwrap_or_default().to_owned());
-            }
+        let owned = ValPattern::triple(ValPattern::exact(user), ValPattern::Any, ValPattern::Any);
+        tx.for_each_matching(ENTRIES, &owned, |e| {
+            ids.push(e.snd().and_then(Val::as_str).unwrap_or_default().to_owned());
         })?;
         if self.strategy == Strategy::RemWins {
             // Compensation: consult the tweets map and hide removed
@@ -271,17 +284,12 @@ impl Twitter {
         ))
     }
 
-    fn followers_of(
-        &self,
-        tx: &mut Transaction<'_>,
-        user: &str,
-    ) -> Result<Vec<String>, StoreError> {
+    /// Who follows `user`, in order: one range of the follow edges,
+    /// stored followee first.
+    fn followers_of(&self, tx: &mut Transaction<'_>, user: &Val) -> Result<Vec<Val>, StoreError> {
         let mut followers = Vec::new();
-        tx.for_each_element(FOLLOWS, |f| {
-            if f.snd().and_then(Val::as_str) == Some(user) {
-                followers.extend(f.fst().and_then(Val::as_str).map(str::to_owned));
-            }
-        })?;
+        let of_user = follows_matching(ValPattern::Any, ValPattern::Exact(user.clone()));
+        tx.for_each_matching(FOLLOWS, &of_user, |f| followers.extend(f.snd().cloned()))?;
         Ok(followers)
     }
 }
@@ -311,6 +319,27 @@ mod tests {
             app.follow(tx, "bob", "alice")
         });
         cluster.sync();
+    }
+
+    #[test]
+    fn tuple_constructors_agree_with_the_layout() {
+        let (a, b) = (Val::str("a"), Val::str("b"));
+        let edge = LAYOUT.member("follows", &[a.clone(), b.clone()]);
+        assert_eq!(Some(follows("a", "b")), edge);
+        let pattern = follows_matching(ValPattern::Exact(a), ValPattern::Exact(b));
+        assert!(pattern.matches(&follows("a", "b")));
+        assert!(!pattern.matches(&follows("b", "a")));
+        // An entry holds more than `inTimeline(tweet, owner)` names: the
+        // layout builds no member, and reads the entry back by position.
+        assert_eq!(
+            LAYOUT.member("inTimeline", &[Val::str("w"), Val::str("u")]),
+            None
+        );
+        let e = entry("u", "w", "author");
+        assert_eq!(
+            (e.fst(), e.snd()),
+            (Some(&Val::str("u")), Some(&Val::str("w")))
+        );
     }
 
     #[test]

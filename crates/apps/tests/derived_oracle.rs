@@ -49,6 +49,12 @@ fn add(tx: &mut Transaction<'_>, key: &str, kind: ObjectKind, v: Val) {
     .unwrap();
 }
 
+/// The stored member of `pred(args…)`, through the app's layout table.
+fn member(layout: &Layout, pred: &str, args: &[&str]) -> Val {
+    let args: Vec<Val> = args.iter().map(|a| Val::str(*a)).collect();
+    layout.member(pred, &args).expect("a place of whole tuples")
+}
+
 /// One of the two set kinds the runtimes choose between by mode.
 fn set_kind(d: &mut Draw<'_>) -> ObjectKind {
     if d.coin() {
@@ -106,12 +112,12 @@ fn apps() -> [App; 4] {
                                 tx,
                                 tourn::ENROLLED,
                                 ObjectKind::AWSet,
-                                Val::pair(p.as_str(), t.as_str()),
+                                member(&tourn::LAYOUT, "enrolled", &[p, t]),
                             );
                         }
                         for q in &ps {
                             if d.below(4) == 0 {
-                                let m = Val::triple(p.as_str(), q.as_str(), t.as_str());
+                                let m = member(&tourn::LAYOUT, "inMatch", &[p, q, t]);
                                 add(tx, tourn::MATCHES, matches, m);
                             }
                         }
@@ -120,7 +126,7 @@ fn apps() -> [App; 4] {
                 // Now and then a crowd past capacity.
                 if d.below(4) == 0 {
                     for i in 0..=tourn::CAPACITY {
-                        let e = Val::pair(format!("c{i}"), "t0");
+                        let e = member(&tourn::LAYOUT, "enrolled", &[&format!("c{i}"), "t0"]);
                         add(tx, tourn::ENROLLED, ObjectKind::AWSet, e);
                     }
                 }
@@ -146,7 +152,7 @@ fn apps() -> [App; 4] {
                                 tx,
                                 FOLLOWS,
                                 ObjectKind::AWSet,
-                                Val::pair(u.as_str(), v.as_str()),
+                                member(&twitter::runtime::LAYOUT, "follows", &[u, v]),
                             );
                         }
                     }
@@ -197,7 +203,8 @@ fn apps() -> [App; 4] {
                     }
                     for o in names("o", 2) {
                         if d.below(3) == 0 {
-                            add(tx, ORDERS, ObjectKind::AWSet, Val::pair(o, i.as_str()));
+                            let ordered = member(&tpc::runtime::LAYOUT, "ordered", &[&o, i]);
+                            add(tx, ORDERS, ObjectKind::AWSet, ordered);
                         }
                     }
                     if d.coin() {

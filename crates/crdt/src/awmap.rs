@@ -13,6 +13,7 @@ use crate::tag::Tag;
 use crate::tagset::TagSet;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::RangeBounds;
 
 /// Per-key entry: presence tags + payload + last-modification clock
 /// (for stability-based payload GC).
@@ -90,12 +91,19 @@ impl<K: Ord + Clone, V: Clone + PartialEq> AWMap<K, V> {
     }
 
     pub fn keys(&self) -> impl Iterator<Item = &K> {
+        self.range(..)
+    }
+
+    /// The present keys within `range`, in key order: what
+    /// [`AWMap::keys`] yields there, from a B-tree range of the entries.
+    pub fn range(&self, range: impl RangeBounds<K>) -> impl Iterator<Item = &K> {
         self.entries
-            .iter()
+            .range(range)
             .filter(|(_, e)| !e.tags.is_empty())
             .map(|(k, _)| k)
     }
 
+    /// A walk of the entries: a removed key keeps its latent payload.
     pub fn len(&self) -> usize {
         self.entries.values().filter(|e| !e.tags.is_empty()).count()
     }
@@ -246,6 +254,24 @@ mod tests {
         m.apply(&m.prepare_touch("alice", tag(1, 1), clock(&[(0, 2), (1, 1)])));
         assert!(m.contains(&"alice"));
         assert_eq!(m.get(&"alice"), Some(&100), "old payload visible again");
+    }
+
+    #[test]
+    fn range_yields_the_present_keys_in_it() {
+        let mut m: AWMap<u32, i64> = AWMap::new();
+        for k in 0..10u32 {
+            m.apply(&m.prepare_put(k, tag(0, u64::from(k) + 1), clock(&[(0, 1)]), 1, 0));
+        }
+        for k in [3, 4, 8] {
+            m.apply(&m.prepare_remove(&k, clock(&[(0, 2)])).unwrap());
+        }
+        assert!(m.range(2..=8).eq(&[2, 5, 6, 7]));
+        assert!(m.range(..).eq(m.keys()));
+        assert_eq!(
+            m.range(4..5).count(),
+            0,
+            "a removed key keeps only its payload"
+        );
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! a `BTreeMap`, and it moves back only once fewer than `VEC_MIN` (32)
 //! remain. The vector grows one slot at a time, so its capacity is the
 //! most elements it has held. Nothing outside this module can tell the
-//! two apart: lookups answer the same, iteration visits members in
-//! element order either way, and `==` compares contents.
+//! two apart: lookups answer the same, iteration and [`AWSet::range`]
+//! visit members in element order either way, and `==` compares contents.
 //!
 //! Why: the store's sets are small (the benchmark's hold 4 or 16
 //! elements), and a B-tree spends a 544-byte leaf on a 4-element set —
@@ -35,6 +35,7 @@ use crate::tagset::TagSet;
 use serde::{Deserialize, Serialize};
 use std::collections::{btree_map, BTreeMap};
 use std::fmt;
+use std::ops::{Bound, RangeBounds};
 
 /// The most elements a set keeps in its sorted vector.
 const VEC_MAX: usize = 64;
@@ -54,10 +55,10 @@ enum Live<E> {
     Tree(BTreeMap<E, TagSet>),
 }
 
-/// [`Live`]'s entries in element order, whichever it holds.
+/// [`Live`]'s entries in a range, in element order, whichever it holds.
 enum Iter<'a, E> {
     Vec(std::slice::Iter<'a, (E, TagSet)>),
-    Tree(btree_map::Iter<'a, E, TagSet>),
+    Tree(btree_map::Range<'a, E, TagSet>),
 }
 
 impl<'a, E> Iterator for Iter<'a, E> {
@@ -86,9 +87,28 @@ impl<E> Default for Live<E> {
 
 impl<E: Ord> Live<E> {
     fn iter(&self) -> Iter<'_, E> {
+        self.range(..)
+    }
+
+    /// The entries whose element lies in `range`: a binary search for
+    /// each bound of a vector, a B-tree's own range.
+    fn range(&self, range: impl RangeBounds<E>) -> Iter<'_, E> {
         match self {
-            Live::Vec(entries) => Iter::Vec(entries.iter()),
-            Live::Tree(entries) => Iter::Tree(entries.iter()),
+            Live::Vec(entries) => {
+                let at = |bound: Bound<&E>, past_equal: bool| match bound {
+                    Bound::Unbounded if past_equal => entries.len(),
+                    Bound::Unbounded => 0,
+                    Bound::Included(e) if past_equal => entries.partition_point(|(k, _)| k <= e),
+                    Bound::Excluded(e) if !past_equal => entries.partition_point(|(k, _)| k <= e),
+                    Bound::Included(e) | Bound::Excluded(e) => {
+                        entries.partition_point(|(k, _)| k < e)
+                    }
+                };
+                let start = at(range.start_bound(), false);
+                let end = at(range.end_bound(), true).max(start);
+                Iter::Vec(entries[start..end].iter())
+            }
+            Live::Tree(entries) => Iter::Tree(entries.range(range)),
         }
     }
 
@@ -206,6 +226,13 @@ impl<E: Ord + Clone> AWSet<E> {
     /// The live elements, in element order.
     pub fn elements(&self) -> impl Iterator<Item = &E> {
         self.live.iter().map(|(e, _)| e)
+    }
+
+    /// The live elements within `range`, in element order: what
+    /// [`AWSet::elements`] yields there, found by a search rather than a
+    /// walk from the first element.
+    pub fn range(&self, range: impl RangeBounds<E>) -> impl Iterator<Item = &E> {
+        self.live.range(range).map(|(e, _)| e)
     }
 
     pub fn len(&self) -> usize {
@@ -507,6 +534,18 @@ mod tests {
             let (set, model) = (&self.set, &self.model);
             prop_assert!(set.elements().eq(model.keys()));
             prop_assert_eq!(set.len(), model.len());
+            // Ranges with every kind of bound, at bounds the step picks.
+            let (a, b) = (step as u32 * 37 % 200, step as u32 * 91 % 200);
+            let (lo, hi) = (a.min(b), a.max(b));
+            let ranges = [
+                (Bound::Included(lo), Bound::Excluded(hi)),
+                (Bound::Excluded(lo), Bound::Included(hi)),
+                (Bound::Included(lo), Bound::Unbounded),
+                (Bound::Unbounded, Bound::Included(hi)),
+            ];
+            for range in ranges {
+                prop_assert!(set.range(range).eq(model.range(range).map(|(e, _)| e)));
+            }
             let named: Vec<u32> = match op {
                 AWSetOp::Add { elem, .. } => vec![*elem],
                 AWSetOp::Remove { victims } => victims.iter().map(|(e, _)| *e).collect(),

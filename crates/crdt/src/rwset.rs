@@ -41,6 +41,7 @@ use crate::clock::VClock;
 use crate::tag::Tag;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::RangeBounds;
 
 /// A (serializable) element predicate used by wildcard removes.
 pub trait Pattern<E>: Clone {
@@ -159,9 +160,21 @@ impl<E: Ord + Clone, P: Pattern<E>> RWSet<E, P> {
     }
 
     pub fn elements(&self) -> impl Iterator<Item = &E> {
-        self.adds.iter().filter(|(_, a)| a.present).map(|(e, _)| e)
+        self.range(..)
     }
 
+    /// The members within `range`, in element order: what
+    /// [`RWSet::elements`] yields there, from a B-tree range of the add
+    /// entries, each read by its kept verdict.
+    pub fn range(&self, range: impl RangeBounds<E>) -> impl Iterator<Item = &E> {
+        self.adds
+            .range(range)
+            .filter(|(_, a)| a.present)
+            .map(|(e, _)| e)
+    }
+
+    /// A walk of the add entries: the verdicts are kept per entry, not
+    /// counted.
     pub fn len(&self) -> usize {
         self.elements().count()
     }
@@ -580,6 +593,12 @@ mod tests {
         prop_assert!(s.elements().eq(members.iter().copied()));
         prop_assert_eq!(s.len(), members.len());
         prop_assert_eq!(s.is_empty(), members.is_empty());
+        // A range from each element on: the members at or after it.
+        for i in 0..ELEMENTS {
+            let e = element(i);
+            let after = members.iter().copied().filter(|m| **m >= e);
+            prop_assert!(s.range(&e..).eq(after), "{}..", e);
+        }
         Ok(())
     }
 

@@ -15,10 +15,18 @@
 //! built. Order, equality, hashing and printing go through the `Arc`s to
 //! the content. Read tuple components with [`Val::fst`], [`Val::snd`] and
 //! [`Val::thd`] rather than by matching on the representation.
+//!
+//! **Reads by leading component.** The order is the variant's, then the
+//! content's, tuples component by component, so every value a pattern
+//! with an exact leading component can match lies in one run of the
+//! order: it starts at [`ValPattern::first_candidate`] and lasts while
+//! [`ValPattern::leads`] holds. A store that puts the component it reads
+//! by first reads such a pattern as a range of its ordered sets.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A dynamic value: the element type used by store-resident CRDTs.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -37,6 +45,13 @@ impl Val {
 
     pub fn int(i: i64) -> Val {
         Val::Int(i)
+    }
+
+    /// The least value of the order, the empty string, shared: a range
+    /// bound built from it allocates only its own tuple.
+    pub fn least() -> Val {
+        static LEAST: OnceLock<Val> = OnceLock::new();
+        LEAST.get_or_init(|| Val::str("")).clone()
     }
 
     pub fn pair(a: impl Into<Val>, b: impl Into<Val>) -> Val {
@@ -155,6 +170,45 @@ impl ValPattern {
             (ValPattern::Triple(pa, pb, pc), Val::Triple(t)) => {
                 pa.matches(&t.0) && pb.matches(&t.1) && pc.matches(&t.2)
             }
+            _ => false,
+        }
+    }
+
+    /// The least value this pattern can match, when it fixes the leading
+    /// component (or is one exact value): every value it matches lies at
+    /// or after it, in the run over which [`ValPattern::leads`] holds.
+    /// `None` when the leading component is not exact. A tuple's bound
+    /// costs one allocation; an exact value is borrowed.
+    pub fn first_candidate(&self) -> Option<Cow<'_, Val>> {
+        match self {
+            ValPattern::Exact(v) => Some(Cow::Borrowed(v)),
+            ValPattern::Pair(a, _) => match &**a {
+                ValPattern::Exact(a) => Some(Cow::Owned(Val::pair(a.clone(), Val::least()))),
+                _ => None,
+            },
+            ValPattern::Triple(a, _, _) => match &**a {
+                ValPattern::Exact(a) => Some(Cow::Owned(Val::triple(
+                    a.clone(),
+                    Val::least(),
+                    Val::least(),
+                ))),
+                _ => None,
+            },
+            ValPattern::Any => None,
+        }
+    }
+
+    /// Does `v` share what this pattern fixes first: its exact value, or
+    /// the shape and exact leading component of its tuple? True of every
+    /// value the pattern matches; for a pattern with a
+    /// [`ValPattern::first_candidate`], true exactly of the run of the
+    /// order that starts there.
+    pub fn leads(&self, v: &Val) -> bool {
+        match (self, v) {
+            (ValPattern::Any, _) => true,
+            (ValPattern::Exact(p), v) => p == v,
+            (ValPattern::Pair(a, _), Val::Pair(t)) => a.leads(&t.0),
+            (ValPattern::Triple(a, _, _), Val::Triple(t)) => a.leads(&t.0),
             _ => false,
         }
     }
@@ -315,5 +369,73 @@ mod tests {
             matched += usize::from(got && p != ValPattern::Any);
         }
         assert!(matched > 100, "only {matched} non-trivial matches drawn");
+    }
+
+    #[test]
+    fn what_a_pattern_fixes_first_bounds_one_run_of_the_order() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let leaf = |rng: &mut StdRng| match rng.gen_range(0..3) {
+            0 => Val::str(["", "a", "b"][rng.gen_range(0..3usize)]),
+            1 => Val::int(rng.gen_range(-1..2)),
+            _ => Val::pair("a", rng.gen_range(0..2i64)),
+        };
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut values: Vec<Val> = (0..400)
+            .map(|_| match rng.gen_range(0..3) {
+                0 => leaf(&mut rng),
+                1 => Val::pair(leaf(&mut rng), leaf(&mut rng)),
+                _ => Val::triple(leaf(&mut rng), leaf(&mut rng), leaf(&mut rng)),
+            })
+            .collect();
+        values.sort();
+        values.dedup();
+        let exact_or_any = |rng: &mut StdRng| match rng.gen_bool(0.5) {
+            true => ValPattern::Exact(leaf(rng)),
+            false => ValPattern::Any,
+        };
+        let mut ranged = 0;
+        for _ in 0..2_000 {
+            let p = match rng.gen_range(0..4) {
+                0 => ValPattern::Exact(values[rng.gen_range(0..values.len())].clone()),
+                1 => ValPattern::pair(exact_or_any(&mut rng), exact_or_any(&mut rng)),
+                2 => ValPattern::triple(
+                    exact_or_any(&mut rng),
+                    exact_or_any(&mut rng),
+                    exact_or_any(&mut rng),
+                ),
+                _ => ValPattern::Any,
+            };
+            let matched: Vec<&Val> = values.iter().filter(|v| p.matches(v)).collect();
+            assert!(matched.iter().all(|v| p.leads(v)), "{p}");
+            let Some(first) = p.first_candidate() else {
+                continue;
+            };
+            let start = values.partition_point(|v| v < &*first);
+            let run: Vec<&Val> = values[start..].iter().take_while(|v| p.leads(v)).collect();
+            assert!(values[..start].iter().all(|v| !p.leads(v)), "{p}");
+            let after = &values[start + run.len()..];
+            assert!(after.iter().all(|v| !p.leads(v)), "{p}");
+            let in_run: Vec<&Val> = run.into_iter().filter(|v| p.matches(v)).collect();
+            assert_eq!(in_run, matched, "{p}");
+            ranged += usize::from(!matched.is_empty());
+        }
+        assert!(
+            ranged > 200,
+            "only {ranged} non-empty ranged patterns drawn"
+        );
+    }
+
+    #[test]
+    fn the_least_value_is_shared_and_least() {
+        let (a, b) = (Val::least(), Val::least());
+        match (&a, &b) {
+            (Val::Str(x), Val::Str(y)) => assert!(Arc::ptr_eq(x, y)),
+            _ => panic!("the least value is the empty string"),
+        }
+        for v in [Val::str("\0"), Val::int(i64::MIN), Val::pair("", "")] {
+            assert!(a < v, "{v:?}");
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! Replicated update batches: the atomic unit of transaction effects.
 
+use crate::hash::{mix, mix_bytes};
 use crate::key::Key;
 use ipa_crdt::{ObjectKind, ObjectOp, ReplicaId, VClock};
 use serde::{Deserialize, Serialize};
@@ -26,22 +27,8 @@ pub struct UpdateBatch {
     pub check: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv_word(mut h: u64, word: u64) -> u64 {
-    for byte in word.to_le_bytes() {
-        h = (h ^ byte as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &byte in bytes {
-        h = (h ^ byte as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+/// Where a seal starts.
+const SEAL_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// A structural fingerprint of an [`ObjectKind`], folded into the batch
 /// checksum so a kind swapped in flight is detected.
@@ -51,12 +38,31 @@ fn kind_fingerprint(kind: &ObjectKind) -> u64 {
         ObjectKind::RWSet => 2,
         ObjectKind::AWMap => 3,
         ObjectKind::PNCounter => 4,
-        ObjectKind::BCounter { floor, initial } => {
-            fnv_word(fnv_word(5, floor as u64), initial as u64)
-        }
+        ObjectKind::BCounter { floor, initial } => mix(mix(5, floor as u64), initial as u64),
         ObjectKind::LWW => 6,
-        ObjectKind::CompSet { capacity } => fnv_word(8, capacity as u64),
+        ObjectKind::CompSet { capacity } => mix(8, capacity as u64),
     }
+}
+
+/// The seal over an envelope's words, in order: origin, seq and lamport;
+/// each clock entry; the update count; each update's key bytes and kind
+/// fingerprint. One [`mix`] per word, so a change to any one word (or
+/// key byte) always changes the seal.
+fn seal<'a>(
+    head: [u64; 3],
+    clock: impl Iterator<Item = (u64, u64)>,
+    count: u64,
+    updates: impl Iterator<Item = (&'a [u8], u64)>,
+) -> u64 {
+    let mut h = head.into_iter().fold(SEAL_SEED, mix);
+    for (r, v) in clock {
+        h = mix(mix(h, r), v);
+    }
+    h = mix(h, count);
+    for (key, kind) in updates {
+        h = mix(mix_bytes(h, key), kind);
+    }
+    h
 }
 
 impl UpdateBatch {
@@ -81,27 +87,22 @@ impl UpdateBatch {
         b
     }
 
-    /// The envelope checksum: FNV-1a over origin, seq, lamport, the
-    /// clock's entries, and each update's key bytes + kind fingerprint.
+    /// The envelope checksum, folded a word at a step
+    /// ([`crate::hash`]) over origin, seq, lamport, the clock's entries,
+    /// the update count, and each update's key bytes + kind fingerprint.
     /// Cheap (no op payload walk) but sensitive to every corruption
     /// class the adversarial nemesis injects: bit-flips on seq/lamport,
     /// truncated update vectors, forged sequence numbers, and mutated
     /// duplicate payload keys.
     pub fn envelope_check(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        h = fnv_word(h, self.origin.0 as u64);
-        h = fnv_word(h, self.seq);
-        h = fnv_word(h, self.lamport);
-        for (r, v) in self.clock.iter() {
-            h = fnv_word(h, r.0 as u64);
-            h = fnv_word(h, v);
-        }
-        h = fnv_word(h, self.updates.len() as u64);
-        for (key, kind, _) in &self.updates {
-            h = fnv_bytes(h, key.as_str().as_bytes());
-            h = fnv_word(h, kind_fingerprint(kind));
-        }
-        h
+        seal(
+            [u64::from(self.origin.0), self.seq, self.lamport],
+            self.clock.iter().map(|(r, v)| (u64::from(r.0), v)),
+            self.updates.len() as u64,
+            self.updates
+                .iter()
+                .map(|(key, kind, _)| (key.as_str().as_bytes(), kind_fingerprint(kind))),
+        )
     }
 
     /// Re-seal after a *legitimate* envelope change (e.g. the simulator's
@@ -196,6 +197,63 @@ mod tests {
         b.reseal();
         assert!(b.integrity_ok());
         assert!(!b.well_formed());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Every single-bit flip of an envelope word the seal covers
+        /// changes the seal: origin, seq, lamport, each clock entry, the
+        /// update count, each key byte and each kind fingerprint.
+        #[test]
+        fn flipping_any_sealed_bit_changes_the_seal(
+            head in (0u64..=u64::from(u16::MAX), 0u64..u64::MAX, 0u64..u64::MAX),
+            clock in proptest::collection::vec((0u64..16, 0u64..u64::MAX), 0..5),
+            keys in proptest::collection::vec(
+                (proptest::collection::vec(0u8..=255, 0..24), 0u64..u64::MAX),
+                0..5,
+            ),
+        ) {
+            let head = [head.0, head.1, head.2];
+            let sealed = |head: [u64; 3], clock: &[(u64, u64)], count: u64, keys: &[(Vec<u8>, u64)]| {
+                seal(head, clock.iter().copied(), count, keys.iter().map(|(k, f)| (&k[..], *f)))
+            };
+            let count = keys.len() as u64;
+            let original = sealed(head, &clock, count, &keys);
+            for bit in 0..64 {
+                for i in 0..3 {
+                    let mut h = head;
+                    h[i] ^= 1 << bit;
+                    proptest::prop_assert_ne!(sealed(h, &clock, count, &keys), original);
+                }
+                for i in 0..clock.len() {
+                    for side in 0..2 {
+                        let mut c = clock.clone();
+                        if side == 0 { c[i].0 ^= 1 << bit } else { c[i].1 ^= 1 << bit }
+                        proptest::prop_assert_ne!(sealed(head, &c, count, &keys), original);
+                    }
+                }
+                let flipped = sealed(head, &clock, count ^ 1 << bit, &keys);
+                proptest::prop_assert_ne!(flipped, original);
+                for i in 0..keys.len() {
+                    let mut k = keys.clone();
+                    k[i].1 ^= 1 << bit;
+                    proptest::prop_assert_ne!(sealed(head, &clock, count, &k), original);
+                    if bit < 8 {
+                        for byte in 0..keys[i].0.len() {
+                            let mut k = keys.clone();
+                            k[i].0[byte] ^= 1 << bit;
+                            proptest::prop_assert_ne!(sealed(head, &clock, count, &k), original);
+                        }
+                    }
+                }
+            }
+            // Truncated updates, the count sealed as it now reads.
+            for n in 0..keys.len() {
+                let cut = sealed(head, &clock, n as u64, &keys[..n]);
+                proptest::prop_assert_ne!(cut, original);
+            }
+        }
     }
 
     #[test]

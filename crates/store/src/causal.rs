@@ -20,8 +20,8 @@
 //! removal is swap-remove: the schedule digests pin this order.
 
 use crate::batch::UpdateBatch;
+use crate::hash::FastMap;
 use ipa_crdt::{ReplicaId, VClock};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 const AGREE: &str = "order and index agree";
@@ -35,7 +35,7 @@ struct Slot {
 
 #[derive(Debug, Default)]
 pub(crate) struct CausalBuffer {
-    slots: HashMap<(ReplicaId, u64), Slot>,
+    slots: FastMap<(ReplicaId, u64), Slot>,
     /// The buffer's positional order.
     order: Vec<(ReplicaId, u64)>,
     /// Buffered batches per origin id: only origins with something

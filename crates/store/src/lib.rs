@@ -24,6 +24,7 @@ pub mod batch;
 mod causal;
 pub mod cluster;
 pub mod errors;
+mod hash;
 pub mod key;
 mod origin_log;
 mod pool;

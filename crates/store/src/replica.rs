@@ -12,12 +12,12 @@
 
 use crate::batch::UpdateBatch;
 use crate::causal::CausalBuffer;
+use crate::hash::{FastMap, FastSet};
 use crate::key::Key;
 use crate::origin_log::DurableLog;
 use crate::stability::Stability;
 use crate::txn::Transaction;
 use ipa_crdt::{BCounterOp, Object, ObjectKind, ObjectOp, ReplicaId, Tag, VClock};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Counters exposed for tests and the benchmark harness.
@@ -71,6 +71,13 @@ pub struct ReplicaStats {
     /// nothing. With `txn_objects_copied`: "a write costs its effect",
     /// pinned without a wall clock.
     pub txn_entries_copied: u64,
+    /// Members transactions' whole-set and range reads visited
+    /// ([`Transaction::for_each_matching`](crate::Transaction::for_each_matching)):
+    /// the members of a pattern's leading-component range, or of the
+    /// whole set when the pattern fixes no leading component. `set_len`
+    /// and element reads visit none. Deterministic, so a per-op cost is
+    /// pinned without a wall clock.
+    pub read_members_visited: u64,
     /// Stability-frontier reads served by the cached fold.
     pub frontier_cache_hits: u64,
     /// Wide batches handed to the shard-worker pool.
@@ -98,7 +105,7 @@ pub struct ShardStats {
 /// pool's workers may apply them concurrently.
 #[derive(Debug, Default)]
 pub(crate) struct ShardTable {
-    objects: HashMap<Key, (ObjectKind, Object)>,
+    objects: FastMap<Key, (ObjectKind, Object)>,
     stats: ShardStats,
 }
 
@@ -124,8 +131,9 @@ pub enum ApplyDispatch {
     Pool,
 }
 
-/// Deterministic shard assignment: FNV-1a over the key bytes (`HashMap`'s
-/// SipHash is seeded per process, and layout must not depend on it).
+/// Deterministic shard assignment: FNV-1a over the key bytes. It is kept
+/// apart from the tables' hasher ([`crate::hash`]): which shard holds a
+/// key is layout, pinned by the shard-count-invariance tests.
 fn shard_of(key: &str, shards: usize) -> usize {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in key.bytes() {
@@ -192,7 +200,7 @@ pub struct Replica {
     /// `(origin, seq)` slots refused by the integrity gate and not yet
     /// covered by a clean copy: the repair targets anti-entropy owes.
     /// Durable; empty on every benign run.
-    quarantined: HashSet<(ReplicaId, u64)>,
+    quarantined: FastSet<(ReplicaId, u64)>,
     pub stats: ReplicaStats,
 }
 
@@ -218,7 +226,7 @@ impl Replica {
             outbox: Vec::new(),
             log: DurableLog::default(),
             stability: Stability::default(),
-            quarantined: HashSet::new(),
+            quarantined: FastSet::default(),
             stats: ReplicaStats::default(),
         }
     }

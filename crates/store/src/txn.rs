@@ -28,8 +28,8 @@
 //!    names it, and the element is remembered as covered even when the
 //!    stored object had no entry; reads, prepares and effects run against
 //!    the partial copy.
-//! 3. **Written key, whole-object access** (`for_each_element`, which
-//!    `set_elements` and `set_len` are built on, and
+//! 3. **Written key, whole-object access** (`for_each_matching`, which
+//!    `for_each_element` and `set_elements` are built on, `set_len`, and
 //!    `aw_remove_matching`; `compset_read` and counter or register reads
 //!    ask the same way, and by rule 4 always find a whole copy): the copy
 //!    is made whole once, as the stored object's clone plus a replay of
@@ -59,14 +59,25 @@
 //! of the shard table's own; only `ensure` of a key stored nowhere needs a
 //! new one (`Into<Key>`: built from a name, taken as it is from a caller
 //! that holds a `Key`).
+//!
+//! # A read visits the members it names
+//!
+//! [`Transaction::for_each_matching`] reads a pattern whose leading
+//! component is exact as one range of the ordered set (the members
+//! sharing that component), and walks the set only for a pattern that
+//! starts with a wildcard; [`Transaction::set_len`] is the object's own
+//! `len`. An application stores each tuple with the component it reads
+//! by first. Members visited are counted in
+//! [`ReplicaStats::read_members_visited`](crate::ReplicaStats).
 
 use crate::batch::UpdateBatch;
 use crate::errors::StoreError;
+use crate::hash::FastMap;
 use crate::key::Key;
 use crate::replica::{creation_owner, Replica};
 use ipa_crdt::compset::CompensatedRead;
 use ipa_crdt::{Object, ObjectKind, ObjectOp, VClock, Val, ValPattern};
-use std::collections::HashMap;
+use std::ops::Bound;
 
 /// Result of a successful commit.
 #[derive(Clone, Debug)]
@@ -280,7 +291,7 @@ enum Reads<'e> {
 pub struct Transaction<'a> {
     replica: &'a mut Replica,
     /// Copy-on-write view of the keys created or written (module docs).
-    overlay: HashMap<Key, Shadow>,
+    overlay: FastMap<Key, Shadow>,
     buffer: Buffer,
     /// The clock this commit will carry (replica clock + own tick).
     commit_clock: VClock,
@@ -295,7 +306,7 @@ impl<'a> Transaction<'a> {
         let ts = replica.lamport() + 1;
         Transaction {
             replica,
-            overlay: HashMap::new(),
+            overlay: FastMap::default(),
             buffer: Buffer::default(),
             commit_clock,
             ts,
@@ -669,22 +680,64 @@ impl<'a> Transaction<'a> {
         key: impl AsRef<str>,
         f: impl FnMut(&Val),
     ) -> Result<(), StoreError> {
+        self.for_each_matching(key, &ValPattern::Any, f)
+    }
+
+    /// Call `f` on each element of a set-like object (the keys of a map)
+    /// that `pattern` matches, in element order: exactly what
+    /// [`Transaction::for_each_element`] followed by `pattern.matches`
+    /// yields.
+    ///
+    /// When the pattern fixes the leading component (or is one exact
+    /// value) this visits only the members that share it: a range of the
+    /// ordered set from [`ValPattern::first_candidate`] while
+    /// [`ValPattern::leads`] holds, at the cost of one bound, built once.
+    /// Otherwise it walks the whole set and filters. A compensation set
+    /// is read through its constrained read, whose compensation is
+    /// co-committed, and filtered. Members visited are counted in
+    /// [`ReplicaStats::read_members_visited`](crate::ReplicaStats).
+    pub fn for_each_matching(
+        &mut self,
+        key: impl AsRef<str>,
+        pattern: &ValPattern,
+        mut f: impl FnMut(&Val),
+    ) -> Result<(), StoreError> {
         let key = key.as_ref();
+        let mut visited = 0;
         let compensated = self.access(key, Reads::Whole, |obj| {
-            match obj {
-                Object::AWSet(s) => s.elements().for_each(f),
-                Object::RWSet(s) => s.elements().for_each(f),
-                Object::AWMap(m) => m.keys().for_each(f),
-                Object::CompSet(s) => {
-                    let read = s.read();
-                    read.elements.iter().for_each(f);
-                    let comp = read.compensation.map(ObjectOp::CompSet);
-                    return Ok((comp.is_some(), comp));
+            let mut visit = |e: &Val| {
+                visited += 1;
+                if pattern.matches(e) {
+                    f(e);
                 }
-                _ => return Err(wrong(key, "set-like")),
+            };
+            if let Object::CompSet(s) = obj {
+                let read = s.read();
+                read.elements.iter().for_each(visit);
+                let comp = read.compensation.map(ObjectOp::CompSet);
+                return Ok((comp.is_some(), comp));
             }
+            let first = pattern.first_candidate();
+            let from = first.as_deref().map_or(Bound::Unbounded, Bound::Included);
+            let range = (from, Bound::Unbounded);
+            // A range ends at the first member past the leading component.
+            let ranged = first.is_some();
+            let mut in_run = |e: &Val| {
+                let go_on = !ranged || pattern.leads(e);
+                if go_on {
+                    visit(e);
+                }
+                go_on
+            };
+            match obj {
+                Object::AWSet(s) => s.range(range).all(&mut in_run),
+                Object::RWSet(s) => s.range(range).all(&mut in_run),
+                Object::AWMap(m) => m.range(range).all(&mut in_run),
+                _ => return Err(wrong(key, "set-like")),
+            };
             Ok((false, None))
         })?;
+        self.replica.stats.read_members_visited += visited;
         self.compensations += usize::from(compensated);
         Ok(())
     }
@@ -696,10 +749,27 @@ impl<'a> Transaction<'a> {
         Ok(elements)
     }
 
-    /// Number of elements of a set-like object.
+    /// Number of elements of a set-like object: the object's own `len`,
+    /// with no member visited (O(1) on an add-wins set). On a
+    /// compensation set, the constrained read's, its compensation
+    /// co-committed.
     pub fn set_len(&mut self, key: impl AsRef<str>) -> Result<usize, StoreError> {
-        let mut n = 0;
-        self.for_each_element(key, |_| n += 1)?;
+        let key = key.as_ref();
+        let (n, compensated) = self.access(key, Reads::Whole, |obj| {
+            let n = match obj {
+                Object::AWSet(s) => s.len(),
+                Object::RWSet(s) => s.len(),
+                Object::AWMap(m) => m.len(),
+                Object::CompSet(s) => {
+                    let read = s.read();
+                    let comp = read.compensation.map(ObjectOp::CompSet);
+                    return Ok(((read.elements.len(), comp.is_some()), comp));
+                }
+                _ => return Err(wrong(key, "set-like")),
+            };
+            Ok(((n, false), None))
+        })?;
+        self.compensations += usize::from(compensated);
         Ok(n)
     }
 
@@ -789,6 +859,11 @@ fn wrong(key: &str, expected: &'static str) -> StoreError {
 mod tests {
     use super::*;
     use ipa_crdt::ReplicaId;
+    use proptest::prelude::TestCaseError;
+    use proptest::prop_assert;
+    use proptest::prop_assert_eq;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn replica() -> Replica {
         Replica::new(ReplicaId(0))
@@ -915,6 +990,154 @@ mod tests {
             b.object("tickets").unwrap().as_compset().unwrap().raw_len(),
             1
         );
+    }
+
+    /// Components of the property test's members: strings and integers
+    /// side by side in the order.
+    fn leaf(j: u16) -> Val {
+        match j % 8 {
+            k @ 0..=3 => Val::str(["", "a", "ab", "b"][usize::from(k)]),
+            k => Val::int([-1, 0, 1, 7][usize::from(k - 4)]),
+        }
+    }
+
+    /// One of 8 bare values, 64 pairs and 512 triples, so that a range
+    /// meets neighbours of another shape or variant at both ends.
+    fn member(rng: &mut StdRng) -> Val {
+        let i = rng.gen_range(0..2560u16);
+        let (a, b, c) = (leaf(i), leaf(i / 8), leaf(i / 64));
+        match i % 5 {
+            0 => a,
+            1 | 2 => Val::pair(a, b),
+            _ => Val::triple(a, b, c),
+        }
+    }
+
+    fn pattern(rng: &mut StdRng) -> ValPattern {
+        let part = |rng: &mut StdRng| match rng.gen_range(0..3) {
+            0 => ValPattern::Any,
+            _ => ValPattern::Exact(leaf(rng.gen_range(0..8))),
+        };
+        match rng.gen_range(0..5) {
+            0 => ValPattern::Any,
+            1 => ValPattern::Exact(member(rng)),
+            2 | 3 => ValPattern::pair(part(rng), part(rng)),
+            _ => ValPattern::triple(part(rng), part(rng), part(rng)),
+        }
+    }
+
+    /// One random edit of a set-like object, through the transaction.
+    fn edit(tx: &mut Transaction<'_>, key: &str, kind: ObjectKind, rng: &mut StdRng) {
+        let v = member(rng);
+        let wildcard = rng.gen_bool(1.0 / 12.0);
+        match kind {
+            ObjectKind::AWSet if wildcard => tx.aw_remove_matching(key, &pattern(rng)),
+            ObjectKind::AWSet if rng.gen_bool(1.0 / 4.0) => tx.aw_remove(key, &v),
+            ObjectKind::AWSet => tx.aw_add(key, v),
+            ObjectKind::RWSet if wildcard => tx.rw_remove_matching(key, pattern(rng)),
+            ObjectKind::RWSet if rng.gen_bool(1.0 / 4.0) => tx.rw_remove(key, v),
+            ObjectKind::RWSet => tx.rw_add(key, v),
+            ObjectKind::AWMap if rng.gen_bool(1.0 / 4.0) => tx.map_remove(key, &v),
+            ObjectKind::AWMap if rng.gen_bool(1.0 / 4.0) => tx.map_touch(key, v),
+            ObjectKind::AWMap => tx.map_put(key, v, Val::int(0)),
+            _ => unreachable!("a set-like kind"),
+        }
+        .unwrap();
+    }
+
+    /// `for_each_matching` against `for_each_element` and the filter, and
+    /// `set_len` against the walk, on what `tx` sees of `key`; and the
+    /// members a range read visits are the ones sharing the pattern's
+    /// leading component.
+    fn check_reads(
+        tx: &mut Transaction<'_>,
+        key: &str,
+        rng: &mut StdRng,
+    ) -> Result<(), TestCaseError> {
+        let all = tx.set_elements(key).unwrap();
+        prop_assert_eq!(tx.set_len(key).unwrap(), all.len());
+        for _ in 0..6 {
+            let p = pattern(rng);
+            let expected: Vec<&Val> = all.iter().filter(|e| p.matches(e)).collect();
+            let before = tx.replica.stats.read_members_visited;
+            let mut got = Vec::new();
+            tx.for_each_matching(key, &p, |e| got.push(e.clone()))
+                .unwrap();
+            prop_assert!(got.iter().eq(expected), "{} on {}", p, key);
+            let visited = tx.replica.stats.read_members_visited - before;
+            let leading = match p.first_candidate() {
+                Some(_) => all.iter().filter(|e| p.leads(e)).count(),
+                None => all.len(),
+            };
+            prop_assert_eq!(visited, leading as u64, "{} on {}", p, key);
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Stored add-wins sets on both sides of the vector/B-tree
+        /// threshold, rem-wins sets with wildcards and maps, read stored
+        /// and then with the same transaction's writes buffered: a range
+        /// read yields exactly what a whole-set walk and the pattern
+        /// filter yield, in the same order, and `set_len` counts the walk.
+        #[test]
+        fn matching_reads_equal_the_filtered_walk(seed in 0u64..u64::MAX, size in 0usize..240) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut r = replica();
+            let kinds = [ObjectKind::AWSet, ObjectKind::RWSet, ObjectKind::AWMap];
+            let mut tx = r.begin();
+            for (i, kind) in kinds.into_iter().enumerate() {
+                let key = format!("k{i}");
+                tx.ensure(key.as_str(), kind).unwrap();
+                for _ in 0..size {
+                    edit(&mut tx, &key, kind, &mut rng);
+                }
+            }
+            tx.commit();
+            let mut tx = r.begin();
+            for (i, kind) in kinds.into_iter().enumerate() {
+                let key = format!("k{i}");
+                check_reads(&mut tx, &key, &mut rng)?;
+                for _ in 0..rng.gen_range(1..8) {
+                    edit(&mut tx, &key, kind, &mut rng);
+                }
+                check_reads(&mut tx, &key, &mut rng)?;
+            }
+        }
+    }
+
+    #[test]
+    fn a_matching_read_of_a_compensation_set_co_commits_its_compensation() {
+        let mut a = replica();
+        for user in ["u1", "u2", "u3"] {
+            let mut tx = a.begin();
+            tx.ensure("tickets", ObjectKind::CompSet { capacity: 1 })
+                .unwrap();
+            tx.compset_add("tickets", Val::str(user)).unwrap();
+            tx.commit();
+        }
+        let mut tx = a.begin();
+        let mut seen = Vec::new();
+        let u2 = ValPattern::exact("u2");
+        tx.for_each_matching("tickets", &u2, |e| seen.push(e.clone()))
+            .unwrap();
+        assert!(seen.is_empty(), "u2 is excess: masked, then cancelled");
+        assert_eq!(tx.set_len("tickets").unwrap(), 1, "read-your-writes");
+        let info = tx.commit();
+        assert_eq!((info.compensations, info.updates), (1, 1));
+        let stored = a.object("tickets").unwrap().as_compset().unwrap();
+        assert_eq!(stored.raw_len(), 1);
+        // `set_len` on an oversold set compensates too.
+        for user in ["u4", "u5"] {
+            let mut tx = a.begin();
+            tx.compset_add("tickets", Val::str(user)).unwrap();
+            tx.commit();
+        }
+        let mut tx = a.begin();
+        assert_eq!(tx.set_len("tickets").unwrap(), 1);
+        assert_eq!(tx.commit().compensations, 1);
     }
 
     #[test]

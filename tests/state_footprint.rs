@@ -232,12 +232,14 @@ fn naming_a_stored_object_allocates_no_key() {
 
 /// One of the benchmark's `sim_apps` cells (its topology, clients, warm-up,
 /// fault plan and seed 1; no auditor), `run` then `quiesce`: allocations
-/// per completed op stay within `at_most` and the schedule is the parent's.
+/// per completed op stay within `at_most`, members handed to whole-set
+/// and range reads per completed op within `visits_at_most`, and the
+/// schedule is the parent's.
 fn simulated_cell(
     name: &str,
     workload: &mut dyn Workload,
     virtual_s: f64,
-    at_most: usize,
+    (at_most, visits_at_most): (usize, f64),
     parent_digest: u64,
 ) {
     let cfg = SimConfig {
@@ -258,6 +260,15 @@ fn simulated_cell(
         per_op <= at_most,
         "{name}: {per_op} allocations per simulated op, pinned at {at_most}"
     );
+    let visited: u64 = (0..sim.regions())
+        .map(|r| sim.replica(r as u16).stats.read_members_visited)
+        .sum();
+    let visits = visited as f64 / sim.metrics.completed as f64;
+    eprintln!("{name}: {visits:.1} members read per simulated op");
+    assert!(
+        visits <= visits_at_most,
+        "{name}: {visits:.1} members read per simulated op, pinned at {visits_at_most}"
+    );
     assert_eq!(
         sim.schedule_digest(),
         parent_digest,
@@ -275,20 +286,27 @@ fn a_simulated_op_costs_its_own_work_not_the_allocators() {
     // 15; once an escrow decrement recorded no per-resource demand,
     // 31 / 54 / 23 / 15; now that a small set's vector grows one slot per
     // new member (a reallocation each) and map and rem-wins effects are
-    // boxed, 33 / 56 / 25 / 19. The digests are 4623ee4's: no change
-    // moves a schedule.
+    // boxed, 33 / 56 / 25 / 19; now that an op reads the members it
+    // names as a range (one bound each) and builds a tweet's entries from
+    // shared values, 35 / 54 / 25 / 19. The digests are 4623ee4's: no
+    // change moves a schedule.
+    //
+    // Members handed to whole-set reads per op were 96 / 538 / 164 / 0
+    // while `enroll`, `status`, `timeline` and `followers_of` walked whole
+    // sets and `set_len` counted a walk; reading by leading component,
+    // and `set_len` from the object's `len`, 8.0 / 17.8 / 0 / 0.
     simulated_cell(
         "tournament",
         &mut TournamentWorkload::new(Mode::Ipa, TournamentConfig::default()),
         5.0,
-        135,
+        (135, 12.0),
         0x2854_3b09_146f_d9b6,
     );
     simulated_cell(
         "twitter",
         &mut TwitterWorkload::with_defaults(Strategy::AddWins),
         0.8,
-        100,
+        (100, 24.0),
         0xe3b3_cd96_2014_2f5a,
     );
     let sale = SaleConfig {
@@ -301,14 +319,14 @@ fn a_simulated_op_costs_its_own_work_not_the_allocators() {
         "ticket",
         &mut SaleWorkload::new(SaleBackend::Escrow, sale),
         6.0,
-        40,
+        (40, 1.0),
         0x377c_4f4e_aed5_c9d7,
     );
     simulated_cell(
         "tpc",
         &mut TpcWorkload::with_defaults(Mode::Ipa),
         6.0,
-        32,
+        (32, 1.0),
         0x1803_83b8_8392_7e41,
     );
 }
