@@ -87,9 +87,10 @@ impl UpdateBatch {
         b
     }
 
-    /// The envelope checksum, folded a word at a step
-    /// ([`crate::hash`]) over origin, seq, lamport, the clock's entries,
-    /// the update count, and each update's key bytes + kind fingerprint.
+    /// The envelope checksum, folded a word at a step (one rotate, xor
+    /// and odd multiply each, the store's `hash` module) over origin,
+    /// seq, lamport, the clock's entries, the update count, and each
+    /// update's key bytes + kind fingerprint.
     /// Cheap (no op payload walk) but sensitive to every corruption
     /// class the adversarial nemesis injects: bit-flips on seq/lamport,
     /// truncated update vectors, forged sequence numbers, and mutated
