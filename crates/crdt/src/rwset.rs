@@ -20,7 +20,8 @@
 //! * a `Remove` can only make its element absent, and re-decides it only
 //!   when it was a member;
 //! * a `RemoveMatching` can only make elements absent, and re-decides only
-//!   the members its pattern matches;
+//!   the members its pattern matches, read as a range when the pattern
+//!   fixes its leading component ([`Pattern::first_candidate`]);
 //! * [`RWSet::compact`] changes no verdict (debug-asserted), and a
 //!   [`RWSet::copy_entry`] carries the copied entry's.
 //!
@@ -39,20 +40,53 @@
 
 use crate::clock::VClock;
 use crate::tag::Tag;
+use crate::value::{Val, ValPattern};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::RangeBounds;
 
 /// A (serializable) element predicate used by wildcard removes.
 pub trait Pattern<E>: Clone {
     fn matches(&self, e: &E) -> bool;
+
+    /// The least element the pattern can match, when every element it
+    /// matches lies in the run of the order that starts there and over
+    /// which [`Pattern::leads`] holds: a wildcard then reads that range
+    /// alone. `None`, the default, when matches can lie anywhere.
+    fn first_candidate(&self) -> Option<Cow<'_, E>>
+    where
+        E: Clone,
+    {
+        None
+    }
+
+    /// Is `e` in the run that starts at [`Pattern::first_candidate`]?
+    fn leads(&self, _e: &E) -> bool {
+        true
+    }
 }
 
-impl Pattern<crate::value::Val> for crate::value::ValPattern {
-    fn matches(&self, e: &crate::value::Val) -> bool {
-        // Resolves to the inherent method (inherent impls take precedence
-        // over trait impls in path resolution).
-        crate::value::ValPattern::matches(self, e)
+impl Pattern<Val> for ValPattern {
+    // Each resolves to the inherent method (inherent impls take
+    // precedence over trait impls in path resolution).
+    fn matches(&self, e: &Val) -> bool {
+        ValPattern::matches(self, e)
+    }
+
+    fn first_candidate(&self) -> Option<Cow<'_, Val>> {
+        ValPattern::first_candidate(self)
+    }
+
+    fn leads(&self, e: &Val) -> bool {
+        ValPattern::leads(self, e)
+    }
+}
+
+/// Any predicate is a pattern that walks the whole set.
+impl<E, F: Fn(&E) -> bool + Clone> Pattern<E> for F {
+    fn matches(&self, e: &E) -> bool {
+        self(e)
     }
 }
 
@@ -272,7 +306,13 @@ impl<E: Ord + Clone, P: Pattern<E>> RWSet<E, P> {
                 clock,
             } => {
                 wild_removes.push((pattern.clone(), *tag, clock.clone()));
-                for (e, entry) in adds.iter_mut() {
+                let from = pattern.first_candidate();
+                let entries = match &from {
+                    Some(first) => adds.range_mut(&**first..),
+                    None => adds.range_mut(..),
+                };
+                let run = entries.take_while(|(e, _)| from.is_none() || pattern.leads(e));
+                for (e, entry) in run {
                     if entry.present && pattern.matches(e) {
                         entry.present = redecide(removes, wild_removes, e, &entry.tags, clock);
                     }

@@ -101,7 +101,7 @@ fn run_script(kind: ObjectKind, script: &[(u8, Cmd)]) -> Vec<LogEntry> {
                     states[r]
                         .as_awset()
                         .unwrap()
-                        .prepare_remove_matching(|e: &Val| e.snd() == Some(&t)),
+                        .prepare_remove_matching(&|e: &Val| e.snd() == Some(&t)),
                 ))
             }
             (ObjectKind::RWSet, Cmd::Add(x)) | (ObjectKind::RWSet, Cmd::Touch(x)) => Some(

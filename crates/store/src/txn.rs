@@ -443,7 +443,7 @@ impl<'a> Transaction<'a> {
         let key = key.as_ref();
         self.write(key, Reads::Whole, |obj| {
             let set = obj.as_awset().ok_or_else(|| wrong(key, "aw-set"))?;
-            let op = set.prepare_remove_matching(|e| pattern.matches(e));
+            let op = set.prepare_remove_matching(pattern);
             Ok(Some(ObjectOp::AWSet(op)))
         })
     }
@@ -1077,7 +1077,7 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// Stored add-wins sets on both sides of the vector/B-tree
+        /// Stored add-wins sets on both sides of the vector/chunk-list
         /// threshold, rem-wins sets with wildcards and maps, read stored
         /// and then with the same transaction's writes buffered: a range
         /// read yields exactly what a whole-set walk and the pattern

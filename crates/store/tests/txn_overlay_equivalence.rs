@@ -293,7 +293,7 @@ fn run_ref(tx: &mut RefTxn<'_>, k: u8, op: Op, e: u8) -> Res {
         (ObjectKind::AWSet, Op::RemoveMatching) => {
             let (set, pat) = (tx.obj(key)?.as_awset().unwrap(), pattern(e));
             Some(ObjectOp::AWSet(
-                set.prepare_remove_matching(|x| pat.matches(x)),
+                set.prepare_remove_matching(&|x: &Val| pat.matches(x)),
             ))
         }
         (ObjectKind::RWSet, Op::Add | Op::Touch | Op::Remove | Op::RemoveMatching) => {

@@ -76,20 +76,34 @@ const ELEMENTS: usize = 4096;
 #[test]
 fn state_costs_what_it_holds() {
     // Resident state: 64 sets of 4,096 single-tag integers, inserted in
-    // ascending order (the B-tree's emptiest leaves). A nested
-    // `BTreeSet<Tag>` per element cost 299 B here; the inline tag set
-    // left only the outer map's slots and their slack (107 B); with a
-    // 24-byte `Val` the slot is 48 bytes (92 B).
-    let per_element = bytes_per_element(SETS, ELEMENTS);
-    assert!(per_element <= 140, "{per_element} B per live element");
+    // ascending order. In a B-tree (whose leaves ascending inserts leave
+    // 6/11 full) a nested `BTreeSet<Tag>` per element cost 299 B here;
+    // the inline tag set left only the outer map's slots and their slack
+    // (107 B); with a 24-byte `Val` the slot is 48 bytes (92 B). In a
+    // list of full 64-slot chunks it is the slot and a share of the list.
+    let ascending = bytes_per_element(SETS, ELEMENTS, add_ascending);
+    eprintln!("ascending: {ascending} B per live element");
+    assert!(ascending <= 56, "{ascending} B per live element");
+    // Scattered adds and removes leave chunks partly full: 57 B per
+    // element, where the B-tree spent 76.
+    let churned = bytes_per_element(SETS, ELEMENTS, churn_scattered);
+    eprintln!("scattered churn: {churned} B per live element");
+    assert!(churned <= 78, "{churned} B per live element");
 
-    // The write path: one slide (add the next element, remove the oldest)
-    // on a stored 4,096-element set, begin to sealed batch. It counted 13
-    // with nested `BTreeSet<Tag>` entries and two `Vec`s per remove
-    // (eececc3), then PARENT_SLIDE_ALLOCATIONS while the first write to
-    // the set started a partial copy (8a92d08); it counts 7 now that a
-    // write the transaction never reads back copies nothing.
-    const PARENT_SLIDE_ALLOCATIONS: usize = 8;
+    // The write path: slides (add the next element, remove the oldest)
+    // on a stored 4,096-element set, begin to sealed batch. One slide
+    // counted 13 with nested `BTreeSet<Tag>` entries and two `Vec`s per
+    // remove (eececc3), then 8 while the first write to the set started a
+    // partial copy (8a92d08), then 7 once a write the transaction never
+    // reads back copied nothing. A large set is a list of 64-slot chunks
+    // and the first slide here opens the 65th, so the count is taken over
+    // `SLIDES` slides in a row: 7 each, the chunk opened and the chunk
+    // list's one growth, and the replica's outbox and origin log (never
+    // drained here) each doubling at the 5th, 9th, 17th, 33rd and 65th
+    // batch. The B-tree counted 468: a leaf per few ascending adds.
+    const SLIDES: usize = 64;
+    const PER_SLIDE: usize = 7;
+    const LOG_GROWTH: usize = 2 * 5;
     let key = Key::new("hot");
     let mut replica = Replica::new(ReplicaId(0));
     let mut tx = replica.begin();
@@ -100,32 +114,31 @@ fn state_costs_what_it_holds() {
     }
     tx.commit();
     let before = allocations();
-    let mut tx = replica.begin();
-    tx.aw_add(key.clone(), Val::Int(ELEMENTS as i64))
-        .expect("an add");
-    tx.aw_remove(key.clone(), &Val::Int(0)).expect("a remove");
-    tx.commit();
-    let slide = allocations() - before;
+    for i in 0..SLIDES {
+        let mut tx = replica.begin();
+        tx.aw_add(key.clone(), Val::Int((ELEMENTS + i) as i64))
+            .expect("an add");
+        tx.aw_remove(key.clone(), &Val::Int(i as i64))
+            .expect("a remove");
+        tx.commit();
+    }
+    let slides = allocations() - before;
+    let bound = PER_SLIDE * SLIDES + 2 + LOG_GROWTH;
     assert!(
-        slide < PARENT_SLIDE_ALLOCATIONS,
-        "a slide commit made {slide} allocations, the parent {PARENT_SLIDE_ALLOCATIONS}"
+        slides <= bound,
+        "{SLIDES} slide commits made {slides} allocations, pinned at {bound}"
     );
 }
 
 /// Heap bytes per live element of `sets` add-wins sets of `n` single-tag
-/// integers each, the `Vec<Object>` holding them included.
-fn bytes_per_element(sets: usize, n: usize) -> usize {
+/// integers each, each built by `fill`, the `Vec<Object>` holding them
+/// included.
+fn bytes_per_element(sets: usize, n: usize, fill: fn(&mut Object, usize)) -> usize {
     let before = live_bytes();
     let held: Vec<Object> = (0..sets)
         .map(|_| {
             let mut set = Object::new(ObjectKind::AWSet, ReplicaId(0));
-            for i in 0..n {
-                let add = AWSetOp::Add {
-                    elem: Val::Int(i as i64),
-                    tag: Tag::new(ReplicaId(0), i as u64 + 1),
-                };
-                set.apply(&ObjectOp::AWSet(add)).expect("an add-wins add");
-            }
+            fill(&mut set, n);
             set
         })
         .collect();
@@ -139,6 +152,36 @@ fn bytes_per_element(sets: usize, n: usize) -> usize {
     assert_eq!(members, sets * n);
     assert_eq!(allocations() - walks, 0, "walking sets of {n} allocated");
     per_element
+}
+
+fn add(set: &mut Object, e: usize) {
+    let add = AWSetOp::Add {
+        elem: Val::Int(e as i64),
+        tag: Tag::new(ReplicaId(0), e as u64 + 1),
+    };
+    set.apply(&ObjectOp::AWSet(add)).expect("an add-wins add");
+}
+
+/// `0..n`, in ascending order.
+fn add_ascending(set: &mut Object, n: usize) {
+    (0..n).for_each(|e| add(set, e));
+}
+
+/// `2n` integers in a scattered order (an odd stride through a power of
+/// two visits each once): the first `n` added, then `n` rounds that each
+/// remove the oldest member and add the next integer.
+fn churn_scattered(set: &mut Object, n: usize) {
+    let space = 2 * n;
+    assert!(space.is_power_of_two());
+    let nth = |i: usize| i * 5_003 % space;
+    (0..n).for_each(|i| add(set, nth(i)));
+    for i in 0..n {
+        let oldest = Val::Int(nth(i) as i64);
+        let remove = set.as_awset().expect("a set").prepare_remove(&oldest);
+        let remove = ObjectOp::AWSet(remove.expect("a member"));
+        set.apply(&remove).expect("an add-wins remove");
+        add(set, nth(n + i));
+    }
 }
 
 #[test]
@@ -156,8 +199,8 @@ fn small_objects_cost_what_they_hold() {
     // 113 B per element on them (one 544-byte leaf per 4-element set); a
     // sorted vector spends the 48-byte `(Val, TagSet)` slot and a share
     // of the object's own.
-    let four = bytes_per_element(SETS * 16, 4);
-    let sixteen = bytes_per_element(SETS * 4, 16);
+    let four = bytes_per_element(SETS * 16, 4, add_ascending);
+    let sixteen = bytes_per_element(SETS * 4, 16, add_ascending);
     assert!(four <= 64, "{four} B per element of a 4-element set");
     assert!(sixteen <= 56, "{sixteen} B per element of a 16-element set");
 }
