@@ -250,16 +250,17 @@ impl<E> Default for Live<E> {
 type At = (usize, usize);
 
 /// How many entries a search within a vector scans rather than halves.
-const SCAN: usize = 16;
+const SCAN: usize = 8;
 
 /// The index of the first of `entries` whose element fails `below`, which
 /// holds of a prefix of them: halve down to [`SCAN`] entries, then scan
 /// those. A full chunk's 48-byte slots span 48 cache lines; on sets that
 /// do not fit in the cache the scan, which reads its lines in order,
-/// costs less than the halvings it replaces, each a miss of its own
-/// (random lookups in 64 sets of 4,096, 2-vCPU Xeon, release build:
-/// 0.65–0.8 µs with a binary search within the chunk, 0.19–0.24 µs so,
-/// 0.27–0.36 µs in B-trees).
+/// costs less than the halvings it replaces, each a miss of its own.
+/// Random lookups in 64 sets of 4,096 (2-vCPU Xeon, release build) took
+/// 0.65–0.8 µs with a binary search within the chunk, 0.25–0.37 µs so,
+/// and 0.3–0.37 µs in B-trees; a scan of 16 made a lookup of the last of
+/// 16 elements cost twice a binary search's.
 fn boundary<E>(entries: &[(E, TagSet)], below: impl Fn(&E) -> bool) -> usize {
     let (mut lo, mut hi) = (0, entries.len());
     while hi - lo > SCAN {
