@@ -761,3 +761,72 @@ fn a_dropped_orbit_turns_the_oracle_red() {
     let renamed = compare_enumeration(&spec, &cfg, renaming_named_sorts);
     assert!(renamed.is_err(), "a renamed named sort went unnoticed");
 }
+
+// ---------------------------------------------------------------------
+// The CNF beyond the shipped specifications: solver counters of fixed
+// generated specifications.
+// ---------------------------------------------------------------------
+
+/// A fixed list of [`generated_spec`] inputs, enumerated by arithmetic
+/// rather than drawn, so the list cannot move with the RNG. Every third
+/// one starts with `close_second`, the operation that names an element.
+fn pinned_inputs() -> Vec<(Vec<usize>, Vec<usize>, Vec<usize>)> {
+    (0..24)
+        .map(|k| {
+            let invariants = vec![k % 7, (k + 2) % 7, (3 * k + 5) % 7];
+            let mut operations = vec![k % 11, (k + 4) % 11, (7 * k + 3) % 11, (5 * k + 9) % 11];
+            if k % 3 == 0 {
+                operations.insert(0, 10);
+            }
+            operations.extend([3, 6, 8]);
+            let policies = vec![k % 3, (k / 3) % 3, (k / 9) % 3, (k + 1) % 3];
+            (invariants, operations, policies)
+        })
+        .collect()
+}
+
+/// Each pinned input's `Analyzer::analyze` counters: queries, then the
+/// solver's solves, decisions, conflicts, propagations and clauses. A
+/// moved counter means the CNF, its clause order or its variable
+/// numbering changed.
+const GENERATED_COUNTERS: &str = "\
+00: queries 141, solves 49, decisions 181, conflicts 3, propagations 805, clauses 181
+01: queries 87, solves 17, decisions 110, conflicts 0, propagations 230, clauses 92
+02: queries 36, solves 5, decisions 20, conflicts 0, propagations 56, clauses 62
+03: queries 263, solves 156, decisions 505, conflicts 22, propagations 2265, clauses 544
+04: queries 396, solves 130, decisions 1600, conflicts 0, propagations 4291, clauses 2787
+05: queries 45, solves 22, decisions 77, conflicts 2, propagations 550, clauses 109
+06: queries 34, solves 0, decisions 0, conflicts 0, propagations 4, clauses 36
+07: queries 96, solves 66, decisions 260, conflicts 8, propagations 797, clauses 197
+08: queries 74, solves 17, decisions 112, conflicts 0, propagations 185, clauses 19
+09: queries 26, solves 0, decisions 0, conflicts 0, propagations 6, clauses 30
+10: queries 181, solves 58, decisions 209, conflicts 3, propagations 933, clauses 240
+11: queries 58, solves 14, decisions 117, conflicts 0, propagations 370, clauses 106
+12: queries 127, solves 50, decisions 176, conflicts 7, propagations 1332, clauses 247
+13: queries 398, solves 128, decisions 1344, conflicts 0, propagations 3908, clauses 2916
+14: queries 75, solves 35, decisions 123, conflicts 2, propagations 500, clauses 105
+15: queries 39, solves 0, decisions 0, conflicts 0, propagations 0, clauses 8
+16: queries 78, solves 20, decisions 47, conflicts 0, propagations 130, clauses 96
+17: queries 252, solves 141, decisions 438, conflicts 14, propagations 1978, clauses 636
+18: queries 670, solves 130, decisions 1600, conflicts 0, propagations 4291, clauses 2787
+19: queries 27, solves 4, decisions 22, conflicts 0, propagations 129, clauses 91
+20: queries 26, solves 2, decisions 0, conflicts 0, propagations 5, clauses 37
+21: queries 288, solves 137, decisions 350, conflicts 14, propagations 1677, clauses 342
+22: queries 26, solves 0, decisions 0, conflicts 0, propagations 0, clauses 8
+23: queries 128, solves 54, decisions 77, conflicts 0, propagations 232, clauses 116
+";
+
+#[test]
+fn generated_spec_solver_counters_match_their_golden() {
+    let mut got = String::new();
+    for (k, (invariants, operations, policies)) in pinned_inputs().into_iter().enumerate() {
+        let spec = generated_spec(&invariants, &operations, &policies);
+        let report = Analyzer::for_spec(&spec).analyze(&spec).expect("analysis");
+        let s = &report.solver;
+        got.push_str(&format!(
+            "{k:02}: queries {}, solves {}, decisions {}, conflicts {}, propagations {}, clauses {}\n",
+            report.queries, s.solves, s.decisions, s.conflicts, s.propagations, s.clauses
+        ));
+    }
+    assert_eq!(got, GENERATED_COUNTERS);
+}
