@@ -9,7 +9,7 @@
 //! only the invariant conjuncts the operations change.
 
 use crate::pipeline::AnalysisConfig;
-use crate::session::{AnalysisSession, Image, OpId};
+use crate::session::{AnalysisSession, OpId};
 use crate::summary::EffectSummary;
 use crate::AnalysisError;
 use ipa_solver::AtomId;
@@ -163,7 +163,6 @@ impl AnalysisSession<'_> {
             if f1.summary.is_empty() && f2.summary.is_empty() {
                 continue;
             }
-            let wp: Vec<&Image> = f1.wp.iter().chain(&f2.wp).collect();
             let alternatives = f1
                 .summary
                 .merge(&f2.summary, &self.spec.rules, &self.atoms)
@@ -173,9 +172,11 @@ impl AnalysisSession<'_> {
                     atoms,
                 })?;
             for merged in alternatives {
-                let post = self.image(&merged);
-                let post: Vec<&Image> = post.iter().collect();
-                if self.query(&wp, &post) {
+                let mut post = self.take_post();
+                self.image_into(&merged, &mut post);
+                let sat = self.ask(f1.wp.iter().chain(&f2.wp), post.iter());
+                self.put_post(post);
+                if sat {
                     return Ok(Some(Conflict {
                         args1: case.args1.clone(),
                         args2: case.args2.clone(),
@@ -236,9 +237,7 @@ impl AnalysisSession<'_> {
                 continue;
             };
             // A state where the originals execute but a candidate would not.
-            let originals: Vec<&Image> = o1.wp.iter().chain(&o2.wp).collect();
-            let candidates: Vec<&Image> = c1.wp.iter().chain(&c2.wp).collect();
-            if self.query(&originals, &candidates) {
+            if self.ask(o1.wp.iter().chain(&o2.wp), c1.wp.iter().chain(&c2.wp)) {
                 return Ok(false);
             }
         }

@@ -109,10 +109,12 @@ use crate::universe::{build_universe, canonical_instantiations, named_sorts};
 use crate::wp::apply_summary;
 use crate::AnalysisError;
 use ipa_solver::sat::Stats;
-use ipa_solver::{AtomId, AtomTable, GroundFormula, Grounder, SolverSession};
-use ipa_spec::{AppSpec, Constant, GroundEffect, Operation, Sort, Symbol};
+use ipa_solver::{
+    AtomId, AtomTable, GroundError, GroundFormula, Grounder, IdMap, IdSet, Pattern, SolverSession,
+};
+use ipa_spec::{AppSpec, Atom, Constant, Effect, EffectKind, Operation, Sort, Symbol};
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -124,6 +126,9 @@ use std::time::{Duration, Instant};
 pub struct Image {
     pub conjunct: usize,
     pub formula: Rc<GroundFormula>,
+    /// The image's number in its session: two images of one session have
+    /// one number exactly when they have one conjunct and one formula.
+    id: u32,
     /// `¬formula` as the members it adds to a disjunction
     /// ([`GroundFormula::or`] flattens one level), built once for every
     /// query that needs the image to fail; `None` when it is `True`,
@@ -132,16 +137,16 @@ pub struct Image {
 }
 
 impl PartialEq for Image {
-    /// The negation is the formula's, so it is not compared.
+    /// Images of one session are equal when their numbers are.
     fn eq(&self, other: &Image) -> bool {
-        self.conjunct == other.conjunct && self.formula == other.formula
+        self.id == other.id
     }
 }
 
 impl Eq for Image {}
 
 impl Image {
-    fn new(conjunct: usize, formula: GroundFormula) -> Image {
+    fn new(conjunct: usize, id: u32, formula: GroundFormula) -> Image {
         let negation = match GroundFormula::not(formula.clone()) {
             GroundFormula::True => None,
             GroundFormula::False => Some(Rc::from([])),
@@ -151,8 +156,51 @@ impl Image {
         Image {
             conjunct,
             formula: Rc::new(formula),
+            id,
             negation,
         }
+    }
+}
+
+/// The images met so far (rule 1), with the scratch space of looking
+/// them up.
+struct Images {
+    /// By conjunct and what the summary does to its atoms
+    /// ([`AnalysisSession::image_of`]); `None` for "unchanged".
+    by_key: IdMap<Vec<i64>, Option<Image>>,
+    /// The distinct images of each conjunct, by conjunct: two keys that
+    /// leave a conjunct the same formula share an image and its number.
+    distinct: Vec<Vec<Image>>,
+    /// Images numbered so far.
+    numbered: u32,
+    /// The key being looked up.
+    key: Vec<i64>,
+    /// The conjuncts a summary's written atoms occur in.
+    touched: Vec<usize>,
+}
+
+impl Images {
+    fn new(conjuncts: usize) -> Images {
+        Images {
+            by_key: IdMap::default(),
+            distinct: (0..conjuncts).map(|_| Vec::new()).collect(),
+            numbered: 0,
+            key: Vec::new(),
+            touched: Vec::new(),
+        }
+    }
+
+    /// The image of `conjunct` that is `formula`: the one met before, or
+    /// a new one with the next number.
+    fn intern(&mut self, conjunct: usize, formula: GroundFormula) -> Image {
+        let distinct = &mut self.distinct[conjunct];
+        if let Some(known) = distinct.iter().find(|i| *i.formula == formula) {
+            return known.clone();
+        }
+        let image = Image::new(conjunct, self.numbered, formula);
+        self.numbered += 1;
+        distinct.push(image.clone());
+        image
     }
 }
 
@@ -174,12 +222,46 @@ struct Known {
     op: Operation,
     /// Its parameter sorts, as an index into `AnalysisSession::sorts`.
     sorts: usize,
-    /// For a repair candidate: the operation it extends, and where in
-    /// `op.added_effects` its own added effects start.
-    base: Option<(OpId, usize)>,
+    /// For a repair candidate: the operation it extends.
+    base: Option<OpId>,
+    /// The effects its footprints apply, compiled (rule 6): all of the
+    /// operation's when they are built, the candidate's own added effects
+    /// when they are extended. `None` when one names a variable that is
+    /// no parameter, so that no instantiation grounds it.
+    effects: Option<Box<[Compiled]>>,
     /// Footprints by slot, filled on first use. The inner `None` records
     /// an instantiation the operation's sorts reject.
     footprints: Vec<Option<Option<Rc<Footprint>>>>,
+}
+
+/// An effect of an operation, compiled once per session (rule 6).
+struct Compiled {
+    kind: EffectKind,
+    target: Target,
+}
+
+/// The atoms a compiled effect writes.
+enum Target {
+    /// Numbered by block arithmetic from the instantiation's element
+    /// positions ([`AtomTable::expand_compiled`]).
+    Block(Pattern),
+    /// A pattern the blocks do not number (one that names a constant
+    /// outside the universe, or does not fit its predicate): substituted
+    /// and grounded by name, which numbers its atoms after the
+    /// universe's or reports the error.
+    Named(Atom),
+}
+
+/// A distinct list of parameter sorts, with what numbers a footprint
+/// table over it.
+struct SortList {
+    sorts: Vec<Sort>,
+    /// The table's size: the product of the sorts' sizes.
+    table: usize,
+    /// Per parameter: its sort's size, and the product of the sizes after
+    /// it. A slot's digit for parameter `i` is `slot / stride % size`.
+    sizes: Vec<usize>,
+    strides: Vec<usize>,
 }
 
 /// One instantiation of rule 5, with its slot in each operation's
@@ -204,9 +286,11 @@ pub struct AnalysisSession<'a> {
     mentions: Vec<Vec<usize>>,
     /// The atoms each conjunct mentions, by conjunct.
     conjunct_atoms: Vec<Vec<AtomId>>,
-    /// Images met so far, by conjunct and what the summary does to its
-    /// atoms ([`AnalysisSession::image_of`]); `None` for "unchanged".
-    images: RefCell<HashMap<Vec<i64>, Option<Image>>>,
+    images: RefCell<Images>,
+    /// Scratch: the post-state images of the query being asked, and the
+    /// writes of the footprint being extended.
+    post: Vec<Image>,
+    writes: Vec<(EffectKind, AtomId)>,
     solver: SolverSession,
     /// Counters of the solvers `renew_solver` dropped.
     retired: Stats,
@@ -217,16 +301,15 @@ pub struct AnalysisSession<'a> {
     /// The ids of the operations that entry points look up by value, by
     /// name. A rejected repair candidate is never among them.
     by_name: HashMap<Symbol, Vec<OpId>>,
-    /// The distinct parameter sort lists met, each with the size of a
-    /// footprint table over it: the product of its sorts' sizes.
-    sorts: Vec<(Vec<Sort>, usize)>,
+    /// The distinct parameter sort lists met.
+    sorts: Vec<SortList>,
     /// Pairs of operations found not to conflict.
-    clean: HashSet<(OpId, OpId)>,
+    clean: IdSet<(OpId, OpId)>,
     /// Sorts an invariant or an effect met so far names an element of:
     /// rule 5 does not rename them.
     pinned: BTreeSet<Sort>,
     /// Rule 5's instantiations, per pair of parameter sort lists.
-    instantiations: HashMap<(usize, usize), Rc<[Case]>>,
+    instantiations: IdMap<(usize, usize), Rc<[Case]>>,
     pub(crate) pair_checks: u64,
     pub(crate) memo_hits: u64,
     pub(crate) queries: u64,
@@ -281,16 +364,18 @@ impl<'a> AnalysisSession<'a> {
             solver: load_solver(cfg, &conjuncts),
             retired: Stats::default(),
             solvers: 1,
+            images: RefCell::new(Images::new(conjuncts.len())),
             conjuncts,
             mentions,
             conjunct_atoms,
-            images: RefCell::default(),
+            post: Vec::new(),
+            writes: Vec::new(),
             ops: Vec::new(),
             by_name: HashMap::new(),
             sorts: Vec::new(),
-            clean: HashSet::new(),
+            clean: IdSet::default(),
             pinned: named_sorts(&spec.invariants, &spec.operations),
-            instantiations: HashMap::new(),
+            instantiations: IdMap::default(),
             pair_checks: 0,
             memo_hits: 0,
             queries: 0,
@@ -326,46 +411,69 @@ impl<'a> AnalysisSession<'a> {
     /// Rule 1: the conjuncts `s` changes, with their images, in conjunct
     /// order. Only conjuncts mentioning an atom `s` writes are looked at.
     pub fn image(&self, s: &EffectSummary) -> Vec<Image> {
-        let mut touched: Vec<usize> = s
-            .assigns
-            .keys()
-            .chain(s.deltas.keys())
-            .filter_map(|a| self.mentions.get(a.index()))
-            .flatten()
-            .copied()
-            .collect();
+        let mut out = Vec::new();
+        self.image_into(s, &mut out);
+        out
+    }
+
+    /// The session's buffer for a query's post-state images, empty; hand
+    /// it back with [`AnalysisSession::put_post`].
+    pub(crate) fn take_post(&mut self) -> Vec<Image> {
+        std::mem::take(&mut self.post)
+    }
+
+    pub(crate) fn put_post(&mut self, mut post: Vec<Image>) {
+        post.clear();
+        self.post = post;
+    }
+
+    /// [`AnalysisSession::image`], appended to `out`.
+    pub(crate) fn image_into(&self, s: &EffectSummary, out: &mut Vec<Image>) {
+        let mut images = self.images.borrow_mut();
+        let mut touched = std::mem::take(&mut images.touched);
+        touched.clear();
+        touched.extend(
+            s.assigns
+                .keys()
+                .chain(s.deltas.keys())
+                .filter_map(|a| self.mentions.get(a.index()))
+                .flatten(),
+        );
         touched.sort_unstable();
         touched.dedup();
-        touched
-            .into_iter()
-            .filter_map(|conjunct| self.image_of(conjunct, s))
-            .collect()
+        out.extend(
+            touched
+                .iter()
+                .filter_map(|&conjunct| self.image_of(&mut images, conjunct, s)),
+        );
+        images.touched = touched;
     }
 
     /// The image of one conjunct under `s`, if `s` changes it: computed
     /// on first use and shared under the conjunct and, per atom of it,
     /// the value `s` assigns (none, false, true) and the delta it adds
-    /// (rule 1).
-    fn image_of(&self, conjunct: usize, s: &EffectSummary) -> Option<Image> {
-        let atoms = &self.conjunct_atoms[conjunct];
-        let mut key = Vec::with_capacity(1 + atoms.len());
-        key.push(conjunct as i64);
-        key.extend(atoms.iter().map(|a| {
-            let assigned = match s.assigns.get(a) {
-                None => 0,
-                Some(false) => 1,
-                Some(true) => 2,
-            };
-            3 * s.deltas.get(a).copied().unwrap_or(0) + assigned
-        }));
-        self.images
-            .borrow_mut()
-            .entry(key)
-            .or_insert_with(|| {
-                let formula = apply_summary(&self.conjuncts[conjunct], s);
-                (formula != self.conjuncts[conjunct]).then(|| Image::new(conjunct, formula))
-            })
-            .clone()
+    /// (rule 1). The key is built in a buffer kept for the purpose and
+    /// looked up as a slice; only a new key is copied into the table.
+    fn image_of(&self, images: &mut Images, conjunct: usize, s: &EffectSummary) -> Option<Image> {
+        images.key.clear();
+        images.key.push(conjunct as i64);
+        images
+            .key
+            .extend(self.conjunct_atoms[conjunct].iter().map(|a| {
+                let assigned = match s.assigns.get(a) {
+                    None => 0,
+                    Some(false) => 1,
+                    Some(true) => 2,
+                };
+                3 * s.deltas.get(a).copied().unwrap_or(0) + assigned
+            }));
+        if let Some(known) = images.by_key.get(images.key.as_slice()) {
+            return known.clone();
+        }
+        let formula = apply_summary(&self.conjuncts[conjunct], s);
+        let image = (formula != self.conjuncts[conjunct]).then(|| images.intern(conjunct, formula));
+        images.by_key.insert(images.key.clone(), image.clone());
+        image
     }
 
     /// The footprint of `op(args)`, computed on first use and cached under
@@ -376,10 +484,20 @@ impl<'a> AnalysisSession<'a> {
         args: &[Constant],
     ) -> Result<Option<Rc<Footprint>>, AnalysisError> {
         let id = self.intern(op);
-        match self.slot(&self.sorts[self.known(id).sorts].0, args) {
+        match self.slot(&self.sorts[self.known(id).sorts].sorts, args) {
             Some(slot) => self.footprint_at(id, slot, args),
-            // Arguments from outside the universe: nothing to cache under.
-            None => Ok(self.build(op, args)?.map(Rc::new)),
+            // Arguments from outside the universe: nothing to cache under,
+            // and no element positions to number atoms by, so the
+            // effects are grounded by name.
+            None => {
+                let Some(effects) = op.ground(args) else {
+                    return Ok(None);
+                };
+                let grounder = Grounder::with_atoms(&self.atoms, &self.spec.constants);
+                let summary = EffectSummary::from_effects(&effects, &grounder)?;
+                let wp = self.image(&summary);
+                Ok(Some(Rc::new(Footprint { summary, wp })))
+            }
         }
     }
 
@@ -447,25 +565,78 @@ impl<'a> AnalysisSession<'a> {
         &self.ops[id.0 as usize]
     }
 
+    /// Name `op`: a repair candidate extending `base` with
+    /// `op.added_effects[from..]` when `base` is `Some((base, from))`.
     fn register(&mut self, op: Operation, base: Option<(OpId, usize)>) -> OpId {
         self.pin(&op);
-        let params: Vec<Sort> = op.params.iter().map(|p| p.sort.clone()).collect();
-        let sorts = match self.sorts.iter().position(|(s, _)| *s == params) {
-            Some(i) => i,
-            None => {
-                let universe = self.atoms.universe();
-                let table = params.iter().map(|s| universe.size(s)).product();
-                self.sorts.push((params, table));
-                self.sorts.len() - 1
-            }
+        let (sorts, effects) = match base {
+            // A candidate has its original's parameters.
+            Some((base, from)) => (
+                self.known(base).sorts,
+                self.compile(&op, &op.added_effects[from..]),
+            ),
+            None => (self.sort_list(&op), self.compile(&op, op.all_effects())),
         };
         self.ops.push(Known {
             op,
             sorts,
-            base,
+            base: base.map(|(base, _)| base),
+            effects,
             footprints: Vec::new(),
         });
         OpId(self.ops.len() as u32 - 1)
+    }
+
+    /// The index of `op`'s parameter sort list in `self.sorts`, added if
+    /// new.
+    fn sort_list(&mut self, op: &Operation) -> usize {
+        if let Some(i) = self
+            .sorts
+            .iter()
+            .position(|l| l.sorts.iter().eq(op.params.iter().map(|p| &p.sort)))
+        {
+            return i;
+        }
+        let universe = self.atoms.universe();
+        let sorts: Vec<Sort> = op.params.iter().map(|p| p.sort.clone()).collect();
+        let sizes: Vec<usize> = sorts.iter().map(|s| universe.size(s)).collect();
+        let mut strides = vec![1; sizes.len()];
+        for i in (1..sizes.len()).rev() {
+            strides[i - 1] = strides[i] * sizes[i];
+        }
+        self.sorts.push(SortList {
+            table: sizes.iter().product(),
+            sorts,
+            sizes,
+            strides,
+        });
+        self.sorts.len() - 1
+    }
+
+    /// Rule 6: `effects`, effects of `op`, compiled against the atom
+    /// table. `None` when one names a variable that is no parameter of
+    /// `op`, as [`Operation::ground`] refuses it.
+    fn compile<'e>(
+        &self,
+        op: &Operation,
+        effects: impl IntoIterator<Item = &'e Effect>,
+    ) -> Option<Box<[Compiled]>> {
+        effects
+            .into_iter()
+            .map(|e| {
+                if e.atom.vars().any(|v| !op.params.contains(v)) {
+                    return None;
+                }
+                let target = match self.atoms.compile(&e.atom, &op.params) {
+                    Some(pattern) => Target::Block(pattern),
+                    None => Target::Named(e.atom.clone()),
+                };
+                Some(Compiled {
+                    kind: e.kind,
+                    target,
+                })
+            })
+            .collect()
     }
 
     /// The slot of `args` in a footprint table over `sorts`: each
@@ -496,20 +667,22 @@ impl<'a> AnalysisSession<'a> {
             return Ok(hit.clone());
         }
         let footprint = match self.known(id).base {
-            Some((base, from)) => match self.footprint_at(base, slot, args)? {
+            Some(base) => match self.footprint_at(base, slot, args)? {
                 Some(parent) => {
                     self.footprints_extended += 1;
-                    self.extended(&parent, &self.known(id).op, from, args)?
+                    let mut writes = std::mem::take(&mut self.writes);
+                    let extended = self.extended(&parent, id, slot, args, &mut writes);
+                    self.writes = writes;
+                    extended?
                 }
                 None => None,
             },
             None => {
                 self.footprints_built += 1;
-                self.build(&self.known(id).op, args)?
+                self.build(id, slot, args)?.map(Rc::new)
             }
-        }
-        .map(Rc::new);
-        let table = self.sorts[self.known(id).sorts].1;
+        };
+        let table = self.sorts[self.known(id).sorts].table;
         let footprints = &mut self.ops[id.0 as usize].footprints;
         if footprints.is_empty() {
             footprints.resize(table, None);
@@ -518,41 +691,51 @@ impl<'a> AnalysisSession<'a> {
         Ok(footprint)
     }
 
-    /// The footprint of `op(args)` from its effects.
-    fn build(&self, op: &Operation, args: &[Constant]) -> Result<Option<Footprint>, AnalysisError> {
-        let Some(effects) = op.ground(args) else {
+    /// The footprint of operation `id` at `slot` from its effects.
+    fn build(
+        &self,
+        id: OpId,
+        slot: usize,
+        args: &[Constant],
+    ) -> Result<Option<Footprint>, AnalysisError> {
+        let mut summary = EffectSummary::default();
+        if !self.each_write(id, slot, args, |kind, t| summary.write(kind, t))? {
             return Ok(None);
-        };
-        let grounder = Grounder::with_atoms(&self.atoms, &self.spec.constants);
-        let summary = EffectSummary::from_effects(&effects, &grounder)?;
+        }
         let wp = self.image(&summary);
         Ok(Some(Footprint { summary, wp }))
     }
 
-    /// The footprint of `op(args)` from `parent`, the footprint of the
-    /// operation `op` extends with `op.added_effects[from..]`, at the same
-    /// arguments (rule 3).
+    /// The footprint of candidate `id` at `slot` from `parent`, the
+    /// footprint of the operation it extends at the same slot (rule 3).
+    /// When the added effects write nothing the parent's summary lacks,
+    /// the candidate's footprint is the parent's, shared.
     fn extended(
         &self,
-        parent: &Footprint,
-        op: &Operation,
-        from: usize,
+        parent: &Rc<Footprint>,
+        id: OpId,
+        slot: usize,
         args: &[Constant],
-    ) -> Result<Option<Footprint>, AnalysisError> {
-        let binding = op.binding(args);
-        let Some(added) = op.added_effects[from..]
-            .iter()
-            .map(|e| GroundEffect::from_effect(&e.substitute(&binding)))
-            .collect::<Option<Vec<_>>>()
-        else {
+        writes: &mut Vec<(EffectKind, AtomId)>,
+    ) -> Result<Option<Rc<Footprint>>, AnalysisError> {
+        writes.clear();
+        if !self.each_write(id, slot, args, |kind, t| writes.push((kind, t)))? {
             return Ok(None);
-        };
-        let grounder = Grounder::with_atoms(&self.atoms, &self.spec.constants);
+        }
+        if writes
+            .iter()
+            .all(|&(kind, t)| parent.summary.writes_nothing(kind, t))
+        {
+            return Ok(Some(parent.clone()));
+        }
         let mut summary = parent.summary.clone();
-        let mut touched: Vec<usize> = Vec::new();
-        summary.apply(&added, &grounder, |a| {
-            touched.extend(self.mentions.get(a.index()).into_iter().flatten())
-        })?;
+        let mut images = self.images.borrow_mut();
+        let mut touched = std::mem::take(&mut images.touched);
+        touched.clear();
+        for &(kind, t) in writes.iter() {
+            summary.write(kind, t);
+            touched.extend(self.mentions.get(t.index()).into_iter().flatten());
+        }
         touched.sort_unstable();
         touched.dedup();
         let mut kept = parent
@@ -565,10 +748,46 @@ impl<'a> AnalysisSession<'a> {
             while let Some(i) = kept.next_if(|i| i.conjunct < conjunct) {
                 wp.push(i.clone());
             }
-            wp.extend(self.image_of(conjunct, &summary));
+            wp.extend(self.image_of(&mut images, conjunct, &summary));
         }
         wp.extend(kept.cloned());
-        Ok(Some(Footprint { summary, wp }))
+        images.touched = touched;
+        Ok(Some(Rc::new(Footprint { summary, wp })))
+    }
+
+    /// Pass `write` each ground effect of operation `id`'s compiled
+    /// effects at `slot`, whose arguments are `args`, in order: its kind
+    /// and the atom it writes. `false` when the effects name a variable
+    /// that is no parameter, so nothing is written.
+    fn each_write(
+        &self,
+        id: OpId,
+        slot: usize,
+        args: &[Constant],
+        mut write: impl FnMut(EffectKind, AtomId),
+    ) -> Result<bool, GroundError> {
+        let known = self.known(id);
+        let Some(effects) = known.effects.as_deref() else {
+            return Ok(false);
+        };
+        let list = &self.sorts[known.sorts];
+        // Parameter `i`'s element position within its sort.
+        let at = |i: usize| slot / list.strides[i] % list.sizes[i];
+        for e in effects {
+            match &e.target {
+                Target::Block(pattern) => self
+                    .atoms
+                    .expand_compiled(pattern, &at, &mut |t| write(e.kind, t)),
+                Target::Named(atom) => {
+                    let grounder = Grounder::with_atoms(&self.atoms, &self.spec.constants);
+                    let atom = atom.substitute(&known.op.binding(args));
+                    for t in grounder.expand_count_pattern(&atom)? {
+                        write(e.kind, t);
+                    }
+                }
+            }
+        }
+        Ok(true)
     }
 
     /// Rule 5: the instantiations of `op1 ∥ op2`, one per orbit, in the
@@ -579,7 +798,7 @@ impl<'a> AnalysisSession<'a> {
         if let Some(cases) = self.instantiations.get(&key) {
             return cases.clone();
         }
-        let (s1, s2) = (&self.sorts[key.0].0, &self.sorts[key.1].0);
+        let (s1, s2) = (&self.sorts[key.0].sorts, &self.sorts[key.1].sorts);
         let cases: Rc<[Case]> =
             canonical_instantiations(s1, s2, self.atoms.universe(), &self.pinned)
                 .into_iter()
@@ -616,32 +835,58 @@ impl<'a> AnalysisSession<'a> {
     /// `fails` side — as is an image that `holds` asserts. When the answer
     /// is yes, the solver's [`SolverSession::model`] is such a state.
     pub fn query(&mut self, holds: &[&Image], fails: &[&Image]) -> bool {
+        self.ask(holds.iter().copied(), fails.iter().copied())
+    }
+
+    /// [`AnalysisSession::query`] over any two runs of images. Rule 2:
+    /// the solver asserts each image by its number, so an image asserted
+    /// before on the same solver replays the literals and clauses its
+    /// first assertion recorded ([`SolverSession::assert_numbered`]).
+    /// Image `n`'s formula is solver number `2n` and the lone member of
+    /// its negation `2n + 1`; its negation's member list is member list
+    /// `n`.
+    pub(crate) fn ask<'i>(
+        &mut self,
+        holds: impl Iterator<Item = &'i Image> + Clone,
+        fails: impl Iterator<Item = &'i Image> + Clone,
+    ) -> bool {
         self.queries += 1;
-        // The members of `∨ ¬fails`; `None` when it is `True`.
-        let negated: Option<Vec<&GroundFormula>> = fails
-            .iter()
-            .filter(|i| !holds.contains(i))
-            .try_fold(Vec::new(), |mut members, i| {
-                members.extend(i.negation.as_deref()?);
-                Some(members)
-            });
-        if negated.as_ref().is_some_and(Vec::is_empty)
-            || holds.iter().any(|i| *i.formula == GroundFormula::False)
-        {
+        let failing = fails.filter(|i| !holds.clone().any(|h| h.id == i.id));
+        // How many members `∨ ¬failing` has; `None` when it is `True`.
+        let mut members = Some(0);
+        let mut lone = None;
+        for i in failing.clone() {
+            match (&i.negation, &mut members) {
+                (None, _) => members = None,
+                (Some(negation), Some(n)) => {
+                    *n += negation.len();
+                    if negation.len() == 1 {
+                        lone = Some(i);
+                    }
+                }
+                (Some(_), None) => {}
+            }
+        }
+        if members == Some(0) || holds.clone().any(|i| *i.formula == GroundFormula::False) {
             return false; // UNSAT by construction
         }
         let began = Instant::now();
         self.solver.push();
-        for i in holds {
-            self.solver.assert(&i.formula);
+        for i in holds.clone() {
+            self.solver.assert_numbered(2 * i.id, &i.formula);
         }
-        // Asserted as `assert` would assert `GroundFormula::or` of them:
-        // a lone member as itself (a conjunction splits), more as one
-        // clause.
-        match negated.as_deref() {
-            None => {}
-            Some([member]) => self.solver.assert(member),
-            Some(members) => self.solver.assert_any(members.iter().copied()),
+        // Asserted as `assert` would assert `GroundFormula::or` of the
+        // members: a lone member as itself (a conjunction splits), more
+        // as one clause.
+        match (members, lone) {
+            (None, _) => {}
+            (Some(1), Some(i)) => {
+                let member = &i.negation.as_deref().expect("a member")[0];
+                self.solver.assert_numbered(2 * i.id + 1, member);
+            }
+            (Some(_), _) => self.solver.assert_any_numbered(
+                failing.map(|i| (i.id, i.negation.as_deref().expect("not absorbing"))),
+            ),
         }
         let sat = self.solver.satisfiable();
         self.solver.pop();

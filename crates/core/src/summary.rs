@@ -41,22 +41,39 @@ impl EffectSummary {
         mut written: impl FnMut(AtomId),
     ) -> Result<(), GroundError> {
         for e in effects {
-            let targets = grounder.expand_count_pattern(&e.atom)?;
-            for t in targets {
-                match e.kind {
-                    EffectKind::SetTrue => {
-                        self.assigns.insert(t, true);
-                    }
-                    EffectKind::SetFalse => {
-                        self.assigns.insert(t, false);
-                    }
-                    EffectKind::Inc(k) => *self.deltas.entry(t).or_insert(0) += k,
-                    EffectKind::Dec(k) => *self.deltas.entry(t).or_insert(0) -= k,
-                }
+            for t in grounder.expand_count_pattern(&e.atom)? {
+                self.write(e.kind, t);
                 written(t);
             }
         }
         Ok(())
+    }
+
+    /// Apply one ground effect of kind `kind` to the atom `t`: an
+    /// assignment overwrites, a delta adds.
+    pub fn write(&mut self, kind: EffectKind, t: AtomId) {
+        match kind {
+            EffectKind::SetTrue => {
+                self.assigns.insert(t, true);
+            }
+            EffectKind::SetFalse => {
+                self.assigns.insert(t, false);
+            }
+            EffectKind::Inc(k) => *self.deltas.entry(t).or_insert(0) += k,
+            EffectKind::Dec(k) => *self.deltas.entry(t).or_insert(0) -= k,
+        }
+    }
+
+    /// Would [`EffectSummary::write`] of `kind` to `t` leave the summary
+    /// as it is? An assignment of the value `t` has, or a zero delta to
+    /// an atom that has a delta.
+    pub fn writes_nothing(&self, kind: EffectKind, t: AtomId) -> bool {
+        match kind {
+            EffectKind::SetTrue => self.assigns.get(&t) == Some(&true),
+            EffectKind::SetFalse => self.assigns.get(&t) == Some(&false),
+            EffectKind::Inc(0) | EffectKind::Dec(0) => self.deltas.contains_key(&t),
+            EffectKind::Inc(_) | EffectKind::Dec(_) => false,
+        }
     }
 
     /// Atoms on which the two summaries write opposing boolean values —

@@ -830,3 +830,104 @@ fn generated_spec_solver_counters_match_their_golden() {
     }
     assert_eq!(got, GENERATED_COUNTERS);
 }
+
+// ---------------------------------------------------------------------
+// Footprints by block arithmetic against footprints by name.
+// ---------------------------------------------------------------------
+
+/// Every argument list of `op` over the universe: one per slot of its
+/// footprint table.
+fn arguments(op: &Operation, universe: &Universe) -> Vec<Vec<Constant>> {
+    let mut out: Vec<Vec<Constant>> = vec![Vec::new()];
+    for p in &op.params {
+        out = out
+            .iter()
+            .flat_map(|prefix| {
+                universe.elements(&p.sort).iter().map(move |e| {
+                    let mut args = prefix.clone();
+                    args.push(e.clone());
+                    args
+                })
+            })
+            .collect();
+    }
+    out
+}
+
+/// The session's footprint of every operation of `spec` and of every
+/// repair it accepts for a conflicting pair, at every slot: its summary
+/// is what grounding the effects by name gives (`Operation::ground`,
+/// then `EffectSummary::from_effects`), and its images are that
+/// summary's. An accepted repair's footprints are extended from its
+/// original's. Returns how many footprints were compared.
+fn compare_footprints(spec: &AppSpec, cfg: &AnalysisConfig) -> Result<usize, String> {
+    let reference = Reference::new(spec, cfg);
+    let mut session = AnalysisSession::new(spec, cfg).expect("session");
+    let mut ops = spec.operations.clone();
+    for (i, op1) in spec.operations.iter().enumerate() {
+        for op2 in &spec.operations[i..] {
+            if session.conflicts(op1, op2).expect("conflicts") {
+                for r in session.repair_conflicts(op1, op2).expect("repairs") {
+                    ops.extend([r.op1, r.op2]);
+                }
+            }
+        }
+    }
+    let mut compared = 0;
+    for op in &ops {
+        for args in arguments(op, reference.universe()) {
+            let got = session.footprint(op, &args).expect("footprint");
+            let expected = reference.summary(op, &args);
+            if got.as_ref().map(|f| &f.summary) != expected.as_ref() {
+                return Err(format!(
+                    "{}: {op} at {args:?}: by name {expected:?}, by arithmetic {:?}",
+                    spec.name,
+                    got.map(|f| f.summary.clone())
+                ));
+            }
+            if let Some(f) = got {
+                if f.wp != session.image(&f.summary) {
+                    return Err(format!("{}: {op} at {args:?}: images", spec.name));
+                }
+            }
+            compared += 1;
+        }
+    }
+    Ok(compared)
+}
+
+/// The shipped specifications and every intermediate one their
+/// fixpoints pass through, at scopes 2 and 3; the pinned generated ones
+/// at scopes 1, 2 and 11. At scope 1 the element `close_second` names,
+/// `B#2`, is outside the universe, so its effect is grounded by name.
+/// From `Sort#10` on, the universe's order of a sort's elements (`#1,
+/// #2, …, #10, #11`) is not their sorted order (`#1, #10, #11, #2, …`),
+/// which the atom table counts in.
+#[test]
+fn compiled_footprints_equal_the_footprints_grounded_by_name() {
+    let shipped = shipped_specs()
+        .into_iter()
+        .flat_map(|spec| trajectory(&spec))
+        .map(|(step, _)| (step, vec![2, 3]));
+    let generated = pinned_inputs()
+        .into_iter()
+        .map(|(invariants, operations, policies)| {
+            (
+                generated_spec(&invariants, &operations, &policies),
+                vec![1, 2, 11],
+            )
+        });
+    let mut named = 0;
+    for (spec, scopes) in shipped.chain(generated) {
+        named += usize::from(spec.operation("close_second").is_some());
+        for universe_per_sort in scopes {
+            let cfg = AnalysisConfig {
+                universe_per_sort,
+                ..AnalysisConfig::tuned_for(&spec)
+            };
+            let compared = compare_footprints(&spec, &cfg).unwrap_or_else(|e| panic!("{e}"));
+            assert!(compared > 0, "{}: nothing compared", spec.name);
+        }
+    }
+    assert!(named > 0, "no specification names an element");
+}

@@ -105,6 +105,11 @@ impl AtomId {
 /// A count pattern's atoms are listed in the order the universe holds the
 /// sort's elements, as quantifiers enumerate them, not in id order: the
 /// encoder sees the same count whatever the elements' names.
+///
+/// An atom pattern over an operation's parameters compiles to a
+/// [`Pattern`] ([`AtomTable::compile`]): the ids it ranges over, for any
+/// binding of the parameters to elements, then come from the elements'
+/// positions by the same arithmetic ([`AtomTable::expand_compiled`]).
 #[derive(Clone, Debug)]
 pub struct AtomTable {
     universe: Universe,
@@ -140,6 +145,27 @@ impl Slot {
     fn digit(&self, c: &Constant) -> Option<u32> {
         self.sorted.iter().position(|e| e == c).map(|k| k as u32)
     }
+}
+
+/// An atom pattern whose arguments are elements, wildcards and an
+/// operation's parameters, compiled against an [`AtomTable`]'s blocks.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Pattern {
+    base: u32,
+    /// Per argument: the slot of its position's sort, and what it is.
+    args: Box<[(usize, PatternArg)]>,
+}
+
+/// One argument of a [`Pattern`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PatternArg {
+    /// The operation's parameter at this index.
+    Param(usize),
+    /// The element with this digit, its position among its sort's
+    /// elements sorted.
+    Element(u32),
+    /// Every element of the position's sort, in the universe's order.
+    Any,
 }
 
 #[derive(Clone, Debug, Default)]
@@ -326,6 +352,82 @@ impl AtomTable {
             .into_iter()
             .map(|o| AtomId(block.base + o))
             .collect())
+    }
+
+    /// `pattern` with its variables standing for the parameters `params`,
+    /// compiled to block arithmetic. `None` when the blocks do not number
+    /// every atom it ranges over under every binding of the parameters
+    /// to elements: an undeclared predicate, a wrong number of arguments,
+    /// a constant outside the universe, a parameter of another sort than
+    /// its position's, or a variable that is no parameter.
+    pub fn compile(&self, pattern: &Atom, params: &[Var]) -> Option<Pattern> {
+        let block = &self.preds[*self.by_name.get(&pattern.pred)?];
+        if pattern.args.len() != block.params.len() {
+            return None;
+        }
+        let args = pattern
+            .args
+            .iter()
+            .zip(&block.params)
+            .map(|(t, &slot)| {
+                let arg = match t {
+                    Term::Const(c) => PatternArg::Element(self.slots[slot].digit(c)?),
+                    Term::Var(v) => {
+                        let i = params.iter().position(|p| p == v)?;
+                        (params[i].sort == self.slots[slot].sort).then_some(PatternArg::Param(i))?
+                    }
+                    Term::Wildcard => PatternArg::Any,
+                };
+                Some((slot, arg))
+            })
+            .collect::<Option<_>>()?;
+        Some(Pattern {
+            base: block.base,
+            args,
+        })
+    }
+
+    /// Pass `f` the ids `pattern` ranges over, with parameter `i` bound
+    /// to the element at position `at(i)` of its sort in the universe's
+    /// order, in the order [`Grounder::expand_count_pattern`] lists the
+    /// atoms of the pattern so bound.
+    pub fn expand_compiled(
+        &self,
+        pattern: &Pattern,
+        at: &impl Fn(usize) -> usize,
+        f: &mut impl FnMut(AtomId),
+    ) {
+        self.expand_from(pattern.base, &pattern.args, 0, at, f);
+    }
+
+    /// The atoms of `args`, a pattern's arguments from some position on,
+    /// after the arguments before it made `offset`: the first argument
+    /// varies slowest, as in [`AtomTable::expand`].
+    fn expand_from(
+        &self,
+        base: u32,
+        args: &[(usize, PatternArg)],
+        offset: u32,
+        at: &impl Fn(usize) -> usize,
+        f: &mut impl FnMut(AtomId),
+    ) {
+        let Some((&(slot, arg), rest)) = args.split_first() else {
+            f(AtomId(base + offset));
+            return;
+        };
+        let slot = &self.slots[slot];
+        let radix = slot.sorted.len() as u32;
+        match arg {
+            PatternArg::Param(i) => {
+                self.expand_from(base, rest, offset * radix + slot.walk[at(i)], at, f)
+            }
+            PatternArg::Element(d) => self.expand_from(base, rest, offset * radix + d, at, f),
+            PatternArg::Any => {
+                for &d in &slot.walk {
+                    self.expand_from(base, rest, offset * radix + d, at, f);
+                }
+            }
+        }
     }
 
     /// [`AtomTable::expand`] for a pattern of constants and wildcards that

@@ -32,13 +32,17 @@
 pub mod brute;
 pub mod cnf;
 pub mod ground;
+pub mod hash;
 pub mod lit;
 pub mod query;
 pub mod sat;
 pub mod tseitin;
 
 pub use cnf::{Clause, Cnf};
-pub use ground::{AtomId, AtomTable, GroundError, GroundFormula, Grounder, Universe};
+pub use ground::{
+    AtomId, AtomTable, GroundError, GroundFormula, Grounder, Pattern, PatternArg, Universe,
+};
+pub use hash::{IdHasher, IdMap, IdSet};
 pub use lit::{Lit, SatVar};
 pub use query::{Model, Outcome, SolverError, SolverSession};
 pub use sat::Solver;

@@ -100,6 +100,20 @@ impl Outcome {
 /// learnt clauses are consequences of the database, so both outlive the
 /// scope that caused them.
 ///
+/// A caller that asserts the same formulas in scope after scope can
+/// number them and assert them by number
+/// ([`SolverSession::assert_numbered`],
+/// [`SolverSession::assert_any_numbered`]). The first time a number is
+/// asserted, the formula is encoded and what the assertion adds to the
+/// scope is recorded: the literals it assumes and the clauses it guards
+/// with the selector, in order. Every later time the record is replayed.
+/// Encoding is idempotent (see [`crate::tseitin`]): encoding the formula
+/// again would allocate no variable, define no gate and return the same
+/// literals. So a replay adds exactly the assumptions and clauses a fresh
+/// `assert` of the formula would, and the variables, the clause order and
+/// every counter are those of asserting the formula each time. A record
+/// is valid only in the session that made it.
+///
 /// ```
 /// use ipa_solver::{Grounder, SolverSession, Universe};
 /// use ipa_spec::{parser::parse_formula, Constant, PredicateDecl, Sort};
@@ -127,6 +141,44 @@ pub struct SolverSession {
     solver: Solver,
     /// The open scopes, outermost first.
     scopes: Vec<Scope>,
+    /// The literals of the clause being added.
+    clause: Vec<Lit>,
+    /// The assumptions of the solve under way.
+    assumptions: Vec<Lit>,
+    /// Whether the clauses added are being recorded.
+    recording: bool,
+    /// What asserting each numbered formula added to its scope, by
+    /// number: a run of `pieces`.
+    asserted: Vec<Option<Run>>,
+    /// The literals of each numbered member list, by number: a run of
+    /// `literals`.
+    members: Vec<Option<Run>>,
+    /// The recorded clauses, each a run of `literals`, one literal for an
+    /// assumption.
+    pieces: Vec<Run>,
+    literals: Vec<Lit>,
+}
+
+/// `len` entries from `start` of a table of the session's.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    start: u32,
+    len: u32,
+}
+
+impl Run {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// The entry of `table` for `key`, grown to hold it.
+fn entry<T: Default>(table: &mut Vec<T>, key: u32) -> &mut T {
+    let i = key as usize;
+    if table.len() <= i {
+        table.resize_with(i + 1, T::default);
+    }
+    &mut table[i]
 }
 
 #[derive(Default)]
@@ -145,6 +197,13 @@ impl SolverSession {
             encoder: Encoder::new(numeric_bound),
             solver: Solver::new(),
             scopes: Vec::new(),
+            clause: Vec::new(),
+            assumptions: Vec::new(),
+            recording: false,
+            asserted: Vec::new(),
+            members: Vec::new(),
+            pieces: Vec::new(),
+            literals: Vec::new(),
         }
     }
 
@@ -171,7 +230,9 @@ impl SolverSession {
             GroundFormula::Or(parts) => self.assert_any(parts),
             g => {
                 let l = self.encoder.encode(g);
-                self.add_clause(vec![l]);
+                self.clause.clear();
+                self.clause.push(l);
+                self.add_clause();
             }
         }
     }
@@ -180,21 +241,96 @@ impl SolverSession {
     /// [`SolverSession::assert`] asserts a `GroundFormula::Or` of them,
     /// without building one.
     pub fn assert_any<'f>(&mut self, parts: impl IntoIterator<Item = &'f GroundFormula>) {
-        let clause: Vec<Lit> = parts.into_iter().map(|p| self.encoder.encode(p)).collect();
-        self.add_clause(clause);
+        let mut clause = std::mem::take(&mut self.clause);
+        clause.clear();
+        clause.extend(parts.into_iter().map(|p| self.encoder.encode(p)));
+        self.clause = clause;
+        self.add_clause();
     }
 
-    fn add_clause(&mut self, mut lits: Vec<Lit>) {
+    /// [`SolverSession::assert`] of `g`, a formula the caller numbers
+    /// `key`, in the innermost open scope: recorded the first time `key`
+    /// is asserted, replayed every later time (see the type's
+    /// documentation). The caller gives one number one formula.
+    pub fn assert_numbered(&mut self, key: u32, g: &GroundFormula) {
+        assert!(
+            !self.scopes.is_empty(),
+            "a numbered assertion needs a scope"
+        );
+        if let Some(run) = *entry(&mut self.asserted, key) {
+            for k in run.range() {
+                let piece = self.pieces[k];
+                self.clause.clear();
+                self.clause.extend_from_slice(&self.literals[piece.range()]);
+                self.add_clause();
+            }
+            return;
+        }
+        let start = self.pieces.len() as u32;
+        self.recording = true;
+        self.assert(g);
+        self.recording = false;
+        let len = self.pieces.len() as u32 - start;
+        self.asserted[key as usize] = Some(Run { start, len });
+    }
+
+    /// [`SolverSession::assert_any`] of the members of several lists,
+    /// one after the other, each a list the caller numbers: its members'
+    /// literals are encoded the first time its number is met and reused
+    /// every later time. The caller gives one number one list. Member
+    /// numbers and the numbers of [`SolverSession::assert_numbered`] are
+    /// apart.
+    pub fn assert_any_numbered<'f>(
+        &mut self,
+        lists: impl IntoIterator<Item = (u32, &'f [GroundFormula])>,
+    ) {
+        let mut clause = std::mem::take(&mut self.clause);
+        clause.clear();
+        for (key, members) in lists {
+            let run = match *entry(&mut self.members, key) {
+                Some(run) => run,
+                None => {
+                    let start = self.literals.len() as u32;
+                    for m in members {
+                        let l = self.encoder.encode(m);
+                        self.literals.push(l);
+                    }
+                    let run = Run {
+                        start,
+                        len: members.len() as u32,
+                    };
+                    self.members[key as usize] = Some(run);
+                    run
+                }
+            };
+            clause.extend_from_slice(&self.literals[run.range()]);
+        }
+        self.clause = clause;
+        self.add_clause();
+    }
+
+    /// Add the clause in `self.clause` as asserted in the innermost scope
+    /// (for the rest of the session if none is open): one literal is
+    /// assumed while the scope is open, more are guarded by its selector.
+    fn add_clause(&mut self) {
         self.load_definitions();
+        if self.recording {
+            let start = self.literals.len() as u32;
+            self.literals.extend_from_slice(&self.clause);
+            self.pieces.push(Run {
+                start,
+                len: self.clause.len() as u32,
+            });
+        }
         match self.scopes.last_mut() {
-            None => self.solver.add_clause(&lits),
-            Some(scope) if lits.len() == 1 => scope.assumed.push(lits[0]),
+            None => self.solver.add_clause(&self.clause),
+            Some(scope) if self.clause.len() == 1 => scope.assumed.push(self.clause[0]),
             Some(scope) => {
                 let s = *scope
                     .selector
                     .get_or_insert_with(|| self.encoder.cnf.fresh_var().positive());
-                lits.push(s.negated());
-                self.solver.add_clause(&lits);
+                self.clause.push(s.negated());
+                self.solver.add_clause(&self.clause);
             }
         }
     }
@@ -223,13 +359,13 @@ impl SolverSession {
         while (self.solver.num_vars() as u32) < self.encoder.cnf.num_vars() {
             self.solver.new_var();
         }
-        let assumptions: Vec<Lit> = self
-            .scopes
-            .iter()
-            .flat_map(|s| s.selector.iter().chain(&s.assumed))
-            .copied()
-            .collect();
-        self.solver.solve_under(&assumptions)
+        self.assumptions.clear();
+        self.assumptions.extend(
+            self.scopes
+                .iter()
+                .flat_map(|s| s.selector.iter().chain(&s.assumed)),
+        );
+        self.solver.solve_under(&self.assumptions)
     }
 
     /// The model of the last [`SolverSession::satisfiable`] call that

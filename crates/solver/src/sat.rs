@@ -3,20 +3,13 @@
 //! saving, and geometric restarts.
 //!
 //! A decision branches on the unassigned variable of highest activity,
-//! ties to the lowest index. The variables live in an *order heap*, as in
-//! MiniSat (Eén & Sörensson, *An Extensible SAT-solver*, SAT 2003): an
-//! indexed binary max-heap over (activity desc, index asc), where a bump
-//! sifts its variable up and the rescale that keeps activities finite
-//! (it can make two activities equal) rebuilds the heap. Unlike MiniSat's,
-//! this heap keeps every variable, assigned or not. A pick walks down
-//! from the top through assigned entries and stops at the first
-//! unassigned one on each path, since everything below an entry ranks
-//! below it. Nothing is popped on a decision or re-inserted on
-//! backtracking. The analysis returns to level 0 after each of its
-//! hundreds of small solves, so MiniSat's lazy removal would pop and
-//! re-insert most of the assigned variables in every one. The pick is
-//! the variable a scan of every variable finds; the unit tests check
-//! that the two pickers agree at every decision.
+//! ties to the lowest index, found by a scan of every variable. MiniSat
+//! (Eén & Sörensson, *An Extensible SAT-solver*, SAT 2003) keeps the
+//! variables in an order heap instead. At the analysis's sizes (hundreds
+//! to a few thousand variables, hundreds of small solves that each
+//! return to level 0) a heap that keeps every variable was measured no
+//! faster at two elements per sort and slower at three and four: its
+//! walk re-crosses the assigned entries at its top on every decision.
 //!
 //! The solver is incremental in the MiniSat sense: clauses may be added
 //! between calls, and [`Solver::solve_under`] decides satisfiability under
@@ -36,9 +29,18 @@ use crate::lit::{Lit, SatVar};
 const ACTIVITY_DECAY: f64 = 0.95;
 const ACTIVITY_RESCALE: f64 = 1e100;
 
-#[derive(Clone, Debug)]
-struct ClauseData {
-    lits: Vec<Lit>,
+/// A stored clause: `len` literals from `start` in the solver's literal
+/// arena, the two watched ones first.
+#[derive(Clone, Copy, Debug)]
+struct ClauseRef {
+    start: u32,
+    len: u32,
+}
+
+impl ClauseRef {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -50,7 +52,16 @@ struct Watcher {
 /// in added clauses (or explicitly via [`Solver::new_var`]).
 #[derive(Debug, Default)]
 pub struct Solver {
-    clauses: Vec<ClauseData>,
+    clauses: Vec<ClauseRef>,
+    /// The literals of every stored clause, problem and learnt, one
+    /// clause after the other.
+    arena: Vec<Lit>,
+    /// Scratch of [`Solver::add_clause`]: the clause being normalised.
+    scratch: Vec<Lit>,
+    /// Scratch of [`Solver::analyze`]: the clause it learns, and the
+    /// reason clause it resolves on.
+    learnt: Vec<Lit>,
+    reason: Vec<Lit>,
     watches: Vec<Vec<Watcher>>, // indexed by lit code
     values: Vec<i8>,            // 0 = unassigned, 1 = true, -1 = false
     levels: Vec<u32>,
@@ -67,8 +78,6 @@ pub struct Solver {
     /// Conflict-analysis scratch (one flag per variable, all clear between
     /// conflicts).
     seen: Vec<bool>,
-    /// The branching candidates (see the module documentation).
-    order: OrderHeap,
     /// Statistics: total conflicts, decisions, propagations.
     pub stats: Stats,
 }
@@ -123,7 +132,6 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.order.push(v.0, 0.0);
         v
     }
 
@@ -152,40 +160,56 @@ impl Solver {
         if self.unsat {
             return;
         }
-        // Normalize: dedup, drop tautologies, drop false lits fixed at
-        // level 0, and skip clauses satisfied at level 0.
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
+        let mut c = std::mem::take(&mut self.scratch);
+        if self.normalize(lits, &mut c) {
+            match c.len() {
+                0 => self.unsat = true,
+                1 => {
+                    self.stats.clauses += 1;
+                    if !self.enqueue(c[0], None) || self.propagate().is_some() {
+                        self.unsat = true;
+                    }
+                }
+                _ => {
+                    self.stats.clauses += 1;
+                    self.store(&c);
+                }
+            }
+        }
+        self.scratch = c;
+    }
+
+    /// `lits` as a clause into `c`: sorted, duplicates and literals false
+    /// at level 0 dropped. `false` when the clause is a tautology or is
+    /// satisfied at level 0, and so is not added at all.
+    fn normalize(&mut self, lits: &[Lit], c: &mut Vec<Lit>) -> bool {
+        c.clear();
         for &l in lits {
             self.ensure_var(l.var());
             match self.value_of(l) {
-                1 => return,    // satisfied at level 0
-                -1 => continue, // already false at level 0: drop literal
+                1 => return false, // satisfied at level 0
+                -1 => continue,    // already false at level 0: drop literal
                 _ => c.push(l),
             }
         }
         c.sort_unstable();
         c.dedup();
-        for w in c.windows(2) {
-            if w[0].var() == w[1].var() {
-                return; // tautology
-            }
-        }
-        match c.len() {
-            0 => self.unsat = true,
-            1 => {
-                self.stats.clauses += 1;
-                if !self.enqueue(c[0], None) || self.propagate().is_some() {
-                    self.unsat = true;
-                }
-            }
-            _ => {
-                self.stats.clauses += 1;
-                let idx = self.clauses.len() as u32;
-                self.watches[c[0].code()].push(Watcher { clause: idx });
-                self.watches[c[1].code()].push(Watcher { clause: idx });
-                self.clauses.push(ClauseData { lits: c });
-            }
-        }
+        // x and ~x both present: a tautology.
+        !c.windows(2).any(|w| w[0].var() == w[1].var())
+    }
+
+    /// Store a clause of at least two literals, watching its first two;
+    /// returns its index.
+    fn store(&mut self, lits: &[Lit]) -> u32 {
+        let idx = self.clauses.len() as u32;
+        self.watches[lits[0].code()].push(Watcher { clause: idx });
+        self.watches[lits[1].code()].push(Watcher { clause: idx });
+        self.clauses.push(ClauseRef {
+            start: self.arena.len() as u32,
+            len: lits.len() as u32,
+        });
+        self.arena.extend_from_slice(lits);
+        idx
     }
 
     /// Assign `l` true with an optional reason clause. Returns false on
@@ -220,12 +244,12 @@ impl Solver {
                 let ci = watchers[i].clause;
                 // Make lits[1] the false literal.
                 let (keep, propagate_lit, conflict) = {
-                    let clause = &mut self.clauses[ci as usize];
-                    if clause.lits[0] == false_lit {
-                        clause.lits.swap(0, 1);
+                    let clause = &mut self.arena[self.clauses[ci as usize].range()];
+                    if clause[0] == false_lit {
+                        clause.swap(0, 1);
                     }
-                    debug_assert_eq!(clause.lits[1], false_lit);
-                    let first = clause.lits[0];
+                    debug_assert_eq!(clause[1], false_lit);
+                    let first = clause[0];
                     if first != false_lit && {
                         let v = self.values[first.var().index()];
                         (if first.is_positive() { v } else { -v }) == 1
@@ -234,19 +258,13 @@ impl Solver {
                         (true, None, false)
                     } else {
                         // Look for a new literal to watch.
-                        let mut found = None;
-                        for k in 2..clause.lits.len() {
-                            let l = clause.lits[k];
+                        let found = clause[2..].iter().position(|&l| {
                             let v = self.values[l.var().index()];
-                            let val = if l.is_positive() { v } else { -v };
-                            if val != -1 {
-                                found = Some(k);
-                                break;
-                            }
-                        }
-                        if let Some(k) = found {
-                            clause.lits.swap(1, k);
-                            let new_watch = clause.lits[1];
+                            (if l.is_positive() { v } else { -v }) != -1
+                        });
+                        if let Some(k) = found.map(|k| k + 2) {
+                            clause.swap(1, k);
+                            let new_watch = clause[1];
                             self.watches[new_watch.code()].push(Watcher { clause: ci });
                             (false, None, false)
                         } else {
@@ -294,9 +312,6 @@ impl Solver {
                 *act /= ACTIVITY_RESCALE;
             }
             self.activity_inc /= ACTIVITY_RESCALE;
-            self.order.rebuild(&self.activity);
-        } else {
-            self.order.increased(v.0, *a);
         }
     }
 
@@ -304,23 +319,26 @@ impl Solver {
         self.activity_inc /= ACTIVITY_DECAY;
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (with the
-    /// asserting literal first) and the backjump level.
-    fn analyze(&mut self, conflict: u32) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::new(SatVar(0), true)]; // placeholder slot 0
+    /// First-UIP conflict analysis. Leaves the learnt clause (with the
+    /// asserting literal first) in `self.learnt` and returns the backjump
+    /// level.
+    fn analyze(&mut self, conflict: u32) -> u32 {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        let mut reason_lits = std::mem::take(&mut self.reason);
+        learnt.clear();
+        learnt.push(Lit::new(SatVar(0), true)); // placeholder slot 0
         let mut counter = 0u32; // literals at current level pending
         let mut p: Option<Lit> = None;
         let mut clause_idx = conflict;
         let mut trail_pos = self.trail.len();
         let current_level = self.decision_level();
 
-        let mut reason_lits: Vec<Lit> = Vec::new();
         loop {
             {
-                let clause = &self.clauses[clause_idx as usize];
+                let clause = &self.arena[self.clauses[clause_idx as usize].range()];
                 let start = usize::from(p.is_some());
                 reason_lits.clear();
-                reason_lits.extend_from_slice(&clause.lits[start..]);
+                reason_lits.extend_from_slice(&clause[start..]);
             }
             for &q in &reason_lits {
                 let vi = q.var().index();
@@ -368,7 +386,9 @@ impl Solver {
         if max_i > 0 {
             learnt.swap(1, max_i); // watch a literal at the backjump level
         }
-        (learnt, bj)
+        self.learnt = learnt;
+        self.reason = reason_lits;
+        bj
     }
 
     fn cancel_until(&mut self, level: u32) {
@@ -385,21 +405,23 @@ impl Solver {
     }
 
     /// The unassigned variable of highest activity, ties to the lowest
-    /// index, in its saved phase. It stays in the order heap.
-    fn pick_branch(&mut self) -> Option<Lit> {
-        let mut picked = None;
+    /// index, in its saved phase.
+    fn pick_branch(&self) -> Option<Lit> {
         // The trail lists each assigned variable once; when it lists all
         // of them there is nothing to pick.
-        if self.trail.len() < self.values.len() {
-            let values = &self.values;
-            picked = self
-                .order
-                .top_where(|v| values[v as usize] == 0)
-                .map(|v| Lit::new(SatVar(v), self.phase[v as usize]));
+        if self.trail.len() == self.values.len() {
+            return None;
         }
-        #[cfg(test)]
-        self.check_pick(picked);
-        picked
+        let mut best: Option<(usize, f64)> = None;
+        for (i, &v) in self.values.iter().enumerate() {
+            if v == 0 {
+                let a = self.activity[i];
+                if best.is_none_or(|(_, ba)| a > ba) {
+                    best = Some((i, a));
+                }
+            }
+        }
+        best.map(|(i, _)| Lit::new(SatVar(i as u32), self.phase[i]))
     }
 
     /// Solve the formula. Returns `true` if satisfiable; the model is then
@@ -442,26 +464,23 @@ impl Solver {
                         self.unsat = true;
                         return false;
                     }
-                    let (learnt, bj) = self.analyze(conflict);
+                    let bj = self.analyze(conflict);
                     self.cancel_until(bj);
                     self.decay_activities();
-                    match learnt.len() {
-                        1 => {
-                            let ok = self.enqueue(learnt[0], None);
-                            if !ok {
-                                self.unsat = true;
-                                return false;
-                            }
-                        }
+                    let learnt = std::mem::take(&mut self.learnt);
+                    let refuted = match learnt.len() {
+                        1 => !self.enqueue(learnt[0], None),
                         _ => {
-                            let idx = self.clauses.len() as u32;
-                            self.watches[learnt[0].code()].push(Watcher { clause: idx });
-                            self.watches[learnt[1].code()].push(Watcher { clause: idx });
-                            let assert_lit = learnt[0];
-                            self.clauses.push(ClauseData { lits: learnt });
-                            let ok = self.enqueue(assert_lit, Some(idx));
+                            let idx = self.store(&learnt);
+                            let ok = self.enqueue(learnt[0], Some(idx));
                             debug_assert!(ok, "asserting literal must be unassigned");
+                            false
                         }
+                    };
+                    self.learnt = learnt;
+                    if refuted {
+                        self.unsat = true;
+                        return false;
                     }
                 }
                 None => {
@@ -513,151 +532,6 @@ impl Solver {
     pub fn model_value(&self, v: SatVar) -> bool {
         self.model.get(v.index()).copied().unwrap_or(false)
     }
-}
-
-/// An indexed binary max-heap of every variable, ordered by (activity
-/// desc, index asc). Each entry carries its variable's activity, kept
-/// equal to the solver's by [`OrderHeap::increased`] and
-/// [`OrderHeap::rebuild`], so a comparison reads the heap alone.
-#[derive(Debug, Default)]
-struct OrderHeap {
-    heap: Vec<(f64, u32)>,
-    /// Each variable's position in `heap`.
-    pos: Vec<u32>,
-    /// Scratch stack of [`OrderHeap::top_where`].
-    walk: Vec<usize>,
-}
-
-impl OrderHeap {
-    /// Does entry `a` go above entry `b`?
-    fn above(a: (f64, u32), b: (f64, u32)) -> bool {
-        a.0 > b.0 || (a.0 == b.0 && a.1 < b.1)
-    }
-
-    /// Add the new variable `v`, of activity `activity`.
-    fn push(&mut self, v: u32, activity: f64) {
-        debug_assert_eq!(v as usize, self.pos.len(), "variables are added in order");
-        self.pos.push(self.heap.len() as u32);
-        self.heap.push((activity, v));
-        self.sift_up(self.heap.len() - 1);
-    }
-
-    /// `v`'s activity grew to `activity`.
-    fn increased(&mut self, v: u32, activity: f64) {
-        let i = self.pos[v as usize] as usize;
-        self.heap[i].0 = activity;
-        self.sift_up(i);
-    }
-
-    /// The highest variable satisfying `wanted`. Every entry is above
-    /// the entries below it, so the walk from the top goes down only
-    /// through entries that are not wanted and are above the best one
-    /// found so far.
-    fn top_where(&mut self, wanted: impl Fn(u32) -> bool) -> Option<u32> {
-        let mut best: Option<(f64, u32)> = None;
-        self.walk.clear();
-        if !self.heap.is_empty() {
-            self.walk.push(0);
-        }
-        while let Some(i) = self.walk.pop() {
-            let entry = self.heap[i];
-            if best.is_some_and(|b| Self::above(b, entry)) {
-                continue;
-            }
-            if wanted(entry.1) {
-                best = Some(entry);
-            } else {
-                let left = 2 * i + 1;
-                self.walk
-                    .extend((left..left + 2).filter(|&c| c < self.heap.len()));
-            }
-        }
-        best.map(|(_, v)| v)
-    }
-
-    /// Take every activity afresh and re-establish the heap property,
-    /// after activities changed other than by growing.
-    fn rebuild(&mut self, activity: &[f64]) {
-        for entry in &mut self.heap {
-            entry.0 = activity[entry.1 as usize];
-        }
-        for i in (0..self.heap.len() / 2).rev() {
-            self.sift_down(i);
-        }
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        let entry = self.heap[i];
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            let p = self.heap[parent];
-            if !Self::above(entry, p) {
-                break;
-            }
-            self.heap[i] = p;
-            self.pos[p.1 as usize] = i as u32;
-            i = parent;
-        }
-        self.heap[i] = entry;
-        self.pos[entry.1 as usize] = i as u32;
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let entry = self.heap[i];
-        let len = self.heap.len();
-        loop {
-            let left = 2 * i + 1;
-            if left >= len {
-                break;
-            }
-            let right = left + 1;
-            let child = if right < len && Self::above(self.heap[right], self.heap[left]) {
-                right
-            } else {
-                left
-            };
-            let c = self.heap[child];
-            if !Self::above(c, entry) {
-                break;
-            }
-            self.heap[i] = c;
-            self.pos[c.1 as usize] = i as u32;
-            i = child;
-        }
-        self.heap[i] = entry;
-        self.pos[entry.1 as usize] = i as u32;
-    }
-}
-
-/// The reference picker, a scan of every variable, and the check that
-/// the order heap agrees with it at every decision of every unit test.
-#[cfg(test)]
-impl Solver {
-    /// A scan of every variable: the first unassigned one of highest
-    /// activity.
-    fn pick_branch_linear(&self) -> Option<Lit> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, &v) in self.values.iter().enumerate() {
-            if v == 0 {
-                let a = self.activity[i];
-                if best.is_none_or(|(_, ba)| a > ba) {
-                    best = Some((i, a));
-                }
-            }
-        }
-        best.map(|(i, _)| Lit::new(SatVar(i as u32), self.phase[i]))
-    }
-
-    fn check_pick(&self, picked: Option<Lit>) {
-        assert_eq!(picked, self.pick_branch_linear(), "the pickers disagree");
-        PICKS_CHECKED.with(|n| n.set(n.get() + 1));
-    }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Decisions [`Solver::check_pick`] compared, on this test's thread.
-    static PICKS_CHECKED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -775,76 +649,6 @@ mod tests {
     fn unsat_after_unit_conflict_at_level_zero() {
         let mut s = solver_with(&[&[1], &[-1, 2], &[-2]]);
         assert!(!s.solve());
-    }
-
-    /// A random CNF over `nvars` variables, drawn as `tests/prop.rs`
-    /// draws them: up to `nclauses` clauses of one to four literals.
-    fn arb_cnf(nvars: u32, nclauses: usize) -> impl Strategy<Value = Vec<Vec<i32>>> {
-        let lit = (1..=nvars as i32).prop_flat_map(|v| prop_oneof![Just(v), Just(-v)]);
-        let clause = prop::collection::vec(lit, 1..=4);
-        prop::collection::vec(clause, 0..=nclauses)
-    }
-
-    /// Solve `clauses`, then under each assumption set in turn, on one
-    /// solver whose activity increment starts at `activity_inc`. Every
-    /// decision compares the order heap's pick with the scan's
-    /// ([`Solver::check_pick`]). Returns the solver.
-    fn run_both_pickers(clauses: &[Vec<i32>], assumptions: &[Vec<i32>], inc: f64) -> Solver {
-        let refs: Vec<&[i32]> = clauses.iter().map(Vec::as_slice).collect();
-        let mut s = solver_with(&refs);
-        s.activity_inc = inc;
-        s.solve();
-        for a in assumptions {
-            s.solve_under(&lits(a));
-        }
-        s
-    }
-
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The order heap picks the literal the scan of every variable
-        /// picks, at every decision: from a fresh start, and started just
-        /// below `ACTIVITY_RESCALE`, where a few bumps rescale every
-        /// activity (and can make two of them equal) and the heap is
-        /// rebuilt.
-        #[test]
-        fn order_heap_picks_what_the_scan_picks(
-            clauses in arb_cnf(12, 60),
-            assumptions in prop::collection::vec(prop::collection::vec(
-                (1..=12i32).prop_flat_map(|v| prop_oneof![Just(v), Just(-v)]), 1..=3), 0..=4),
-            near_rescale in prop_oneof![Just(false), Just(true)],
-        ) {
-            let inc = if near_rescale { ACTIVITY_RESCALE / 8.0 } else { 1.0 };
-            run_both_pickers(&clauses, &assumptions, inc);
-        }
-    }
-
-    /// The property above is not vacuous: its pickers met decisions, and
-    /// a run started below the limit went past it.
-    #[test]
-    fn picker_comparison_covers_decisions_and_a_rescale() {
-        PICKS_CHECKED.with(|n| n.set(0));
-        // Pigeonhole, 5 into 4: unsatisfiable, and only after conflicts.
-        let mut clauses: Vec<Vec<i32>> = Vec::new();
-        let var = |p: i32, h: i32| p * 4 + h + 1;
-        for p in 0..5 {
-            clauses.push((0..4).map(|h| var(p, h)).collect());
-        }
-        for h in 0..4 {
-            for p in 0..5 {
-                for q in p + 1..5 {
-                    clauses.push(vec![-var(p, h), -var(q, h)]);
-                }
-            }
-        }
-        let inc = ACTIVITY_RESCALE / 8.0;
-        let s = run_both_pickers(&clauses, &[], inc);
-        assert!(s.stats.conflicts > 0);
-        assert!(s.activity_inc < inc, "no rescale happened");
-        assert!(PICKS_CHECKED.with(|n| n.get()) > 0);
     }
 
     #[test]

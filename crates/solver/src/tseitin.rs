@@ -15,12 +15,15 @@
 //! negated inputs), so a long-lived encoder pays for a sub-formula the
 //! first time it sees it and nothing afterwards. Every definition is a
 //! full equivalence, hence valid in any context and never retracted.
+//! So encoding is idempotent: encoding a formula again returns the same
+//! literal and allocates no variable and no clause.
 
 use crate::cnf::Cnf;
 use crate::ground::{AtomId, GroundFormula};
+use crate::hash::IdMap;
 use crate::lit::{Lit, SatVar};
 use ipa_spec::CmpOp;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Encoder state: atom/variable tables plus the CNF under construction.
 #[derive(Debug, Default)]
@@ -36,7 +39,12 @@ pub struct Encoder {
     true_lit: Option<Lit>,
     /// AND gates defined so far, keyed on their sorted, deduplicated
     /// inputs.
-    gates: HashMap<Vec<Lit>, Lit>,
+    gates: IdMap<Vec<Lit>, Lit>,
+    /// The key of the gate being looked up.
+    key: Vec<Lit>,
+    /// The literals of the members of the conjunctions and disjunctions
+    /// being encoded, innermost last.
+    stack: Vec<Lit>,
 }
 
 /// The slot of `atom` in a table indexed by id, grown to hold it.
@@ -104,18 +112,36 @@ impl Encoder {
         self.lit_true().negated()
     }
 
-    /// AND gate: returns `g` with `g ⇔ ∧ lits`. Constant and duplicate
-    /// inputs are folded away first, so equal conjunctions share one gate.
+    /// AND gate: returns `g` with `g ⇔ ∧ lits`.
     fn gate_and(&mut self, lits: &[Lit]) -> Lit {
-        let mut key: Vec<Lit> = Vec::with_capacity(lits.len());
-        for &l in lits {
-            if Some(l) == self.true_lit {
-                continue;
+        let mut key = std::mem::take(&mut self.key);
+        key.clear();
+        key.extend_from_slice(lits);
+        let g = self.gate(&mut key);
+        self.key = key;
+        g
+    }
+
+    /// OR gate: returns `g` with `g ⇔ ∨ lits`, as `¬ ∧ ¬lits` so both
+    /// connectives share one gate table.
+    fn gate_or(&mut self, lits: &[Lit]) -> Lit {
+        let mut key = std::mem::take(&mut self.key);
+        key.clear();
+        key.extend(lits.iter().map(|l| l.negated()));
+        let g = self.gate(&mut key);
+        self.key = key;
+        g.negated()
+    }
+
+    /// The AND gate over the literals in `key`, which it reorders.
+    /// Constant and duplicate inputs are folded away first, so equal
+    /// conjunctions share one gate.
+    fn gate(&mut self, key: &mut Vec<Lit>) -> Lit {
+        if let Some(t) = self.true_lit {
+            if key.contains(&t.negated()) {
+                return t.negated();
             }
-            if Some(l.negated()) == self.true_lit {
-                return l;
-            }
-            key.push(l);
+            key.retain(|&l| l != t);
         }
         key.sort_unstable();
         key.dedup();
@@ -126,27 +152,44 @@ impl Encoder {
             0 => self.lit_true(),
             1 => key[0],
             _ => {
-                if let Some(&g) = self.gates.get(&key) {
+                if let Some(&g) = self.gates.get(key.as_slice()) {
                     return g;
                 }
                 let g = self.cnf.fresh_var().positive();
-                for &l in &key {
+                for &l in key.iter() {
                     self.cnf.add_clause([g.negated(), l]);
                 }
-                let mut big: Vec<Lit> = key.iter().map(|l| l.negated()).collect();
-                big.push(g);
-                self.cnf.add_clause(big);
-                self.gates.insert(key, g);
+                self.cnf
+                    .add_clause(key.iter().map(|l| l.negated()).chain([g]));
+                self.gates.insert(key.clone(), g);
                 g
             }
         }
     }
 
-    /// OR gate: returns `g` with `g ⇔ ∨ lits`, as `¬ ∧ ¬lits` so both
-    /// connectives share one gate table.
-    fn gate_or(&mut self, lits: &[Lit]) -> Lit {
-        let negated: Vec<Lit> = lits.iter().map(|l| l.negated()).collect();
-        self.gate_and(&negated).negated()
+    /// The gate over the members of a conjunction (a disjunction when
+    /// `or`): each member is encoded onto the stack, then the gate is
+    /// taken over them.
+    fn encode_members(&mut self, members: &[GroundFormula], or: bool) -> Lit {
+        let base = self.stack.len();
+        for m in members {
+            let l = self.encode(m);
+            self.stack.push(l);
+        }
+        let mut key = std::mem::take(&mut self.key);
+        key.clear();
+        key.extend(
+            self.stack
+                .drain(base..)
+                .map(|l| if or { l.negated() } else { l }),
+        );
+        let g = self.gate(&mut key);
+        self.key = key;
+        if or {
+            g.negated()
+        } else {
+            g
+        }
     }
 
     /// Encode a ground formula, returning a literal equivalent to it.
@@ -156,14 +199,8 @@ impl Encoder {
             GroundFormula::False => self.lit_false(),
             GroundFormula::Atom(a) => self.bool_var(*a).positive(),
             GroundFormula::Not(g) => self.encode(g).negated(),
-            GroundFormula::And(gs) => {
-                let lits: Vec<Lit> = gs.iter().map(|g| self.encode(g)).collect();
-                self.gate_and(&lits)
-            }
-            GroundFormula::Or(gs) => {
-                let lits: Vec<Lit> = gs.iter().map(|g| self.encode(g)).collect();
-                self.gate_or(&lits)
-            }
+            GroundFormula::And(gs) => self.encode_members(gs, false),
+            GroundFormula::Or(gs) => self.encode_members(gs, true),
             GroundFormula::CountCmp {
                 atoms,
                 offset,

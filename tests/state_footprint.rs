@@ -1,6 +1,7 @@
 //! What replicated state costs in heap, counted exactly: bytes per live
 //! add-wins element, allocations per slide commit, per simulated
-//! application op, per value clone and per lookup by name. `peak_rss_mb`
+//! application op, per value clone, per lookup by name and per static
+//! analysis of a shipped specification. `peak_rss_mb`
 //! and ops per wall second can only show these on a quiet runner; this
 //! pins them on any.
 //!
@@ -9,12 +10,14 @@
 //! counts per thread, so the harness's own threads do not disturb it.
 //! Outside it, `crates/store/src/pool.rs` stays the repo's only `unsafe`.
 
+use ipa::analysis::Analyzer;
 use ipa::apps::ticket::sale::{SaleBackend, SaleConfig, SaleWorkload};
+use ipa::apps::ticket::ticket_spec;
 use ipa::apps::tournament::workload::TournamentConfig;
-use ipa::apps::tournament::TournamentWorkload;
-use ipa::apps::tpc::TpcWorkload;
+use ipa::apps::tournament::{tournament_spec, TournamentWorkload};
+use ipa::apps::tpc::{tpc_spec, TpcWorkload};
 use ipa::apps::twitter::runtime::Strategy;
-use ipa::apps::twitter::TwitterWorkload;
+use ipa::apps::twitter::{twitter_spec, TwitterWorkload};
 use ipa::apps::Mode;
 use ipa::crdt::{AWSetOp, Object, ObjectKind, ObjectOp, ReplicaId, Tag, Val};
 use ipa::sim::{paper_topology, FaultPlan, SimConfig, Simulation, Workload};
@@ -372,4 +375,34 @@ fn a_simulated_op_costs_its_own_work_not_the_allocators() {
         (32, 1.0),
         0x1803_83b8_8392_7e41,
     );
+}
+
+/// Allocations of one `Analyzer::analyze` of each shipped specification,
+/// counted after a warm-up analysis of the same specification. While a
+/// query re-walked its images' formulas, hashed them with SipHash and
+/// built a `Vec` per clause, and a footprint grounded its effects through
+/// names (7dd900b), the four counted 67,190 / 4,241 / 731 / 1,391; with
+/// images asserted by number, effects grounded by block arithmetic and
+/// the solver's clauses in one arena, 22,922 / 2,336 / 519 / 1,063.
+#[test]
+fn an_analysis_allocates_per_answer_not_per_lookup() {
+    for (spec, at_most) in [
+        (tournament_spec(), 24_000),
+        (twitter_spec(false), 2_500),
+        (ticket_spec(), 560),
+        (tpc_spec(), 1_150),
+    ] {
+        let analyzer = Analyzer::for_spec(&spec);
+        analyzer.analyze(&spec).expect("warm-up analysis");
+        let before = allocations();
+        let report = analyzer.analyze(&spec).expect("analysis");
+        let made = allocations() - before;
+        drop(report);
+        eprintln!("{}: {made} allocations per analysis", spec.name);
+        assert!(
+            made <= at_most,
+            "{}: {made} allocations per analysis, pinned at {at_most}",
+            spec.name
+        );
+    }
 }
