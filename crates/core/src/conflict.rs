@@ -172,10 +172,11 @@ impl AnalysisSession<'_> {
                     atoms,
                 })?;
             for merged in alternatives {
-                let mut post = self.take_post();
+                let mut post = std::mem::take(&mut self.post);
                 self.image_into(&merged, &mut post);
                 let sat = self.ask(f1.wp.iter().chain(&f2.wp), post.iter());
-                self.put_post(post);
+                post.clear();
+                self.post = post;
                 if sat {
                     return Ok(Some(Conflict {
                         args1: case.args1.clone(),

@@ -35,7 +35,14 @@
 //!    solver lives from one repair search to the next: a search defines
 //!    the residues of some hundred candidates that are never asked about
 //!    again, so it starts on a fresh solver loaded with `I`
-//!    (`renew_solver`).
+//!    (`renew_solver`). Each distinct image has a number, and a query
+//!    asserts its images by number: the first time a solver meets one
+//!    it encodes it and records the literals and clauses the assertion
+//!    added, every later time it replays them
+//!    ([`SolverSession::assert_numbered`]). Encoding is idempotent, so a
+//!    replay adds what re-encoding would: the same clauses over the same
+//!    variables, and every counter as before. A record is the solver's,
+//!    and goes with it.
 //! 3. **Name operations, not values.** The session names each
 //!    operation value it meets by a small `OpId`, once per entry point
 //!    (it compares the value with those of the same name it knows), and
@@ -96,8 +103,15 @@
 //!    summary, the merge's last-writer-wins alternatives, the contested
 //!    atoms) iterates as before, the encoder allocates an atom's
 //!    variables when it first meets the atom, not by id, and a count
-//!    lists its atoms in the universe's order of elements. Only a witness
-//!    decodes a model: the repair search's two questions,
+//!    lists its atoms in the universe's order of elements. Effects are
+//!    grounded by block arithmetic too: an operation's effects are
+//!    compiled once ([`AtomTable::compile`]), and a footprint's atoms come
+//!    from its slot's digits, each argument's position in the universe's
+//!    order of its sort, mapped to the table's sorted order
+//!    ([`AtomTable::expand_compiled`]). Only an effect the blocks do not
+//!    number (one naming a constant outside the universe) is grounded by
+//!    name. Only a witness decodes a model: the repair search's two
+//!    questions,
 //!    [`AnalysisSession::conflicts`] and
 //!    [`AnalysisSession::preserves_executability`], ask for
 //!    satisfiability alone.
@@ -289,7 +303,7 @@ pub struct AnalysisSession<'a> {
     images: RefCell<Images>,
     /// Scratch: the post-state images of the query being asked, and the
     /// writes of the footprint being extended.
-    post: Vec<Image>,
+    pub(crate) post: Vec<Image>,
     writes: Vec<(EffectKind, AtomId)>,
     solver: SolverSession,
     /// Counters of the solvers `renew_solver` dropped.
@@ -414,17 +428,6 @@ impl<'a> AnalysisSession<'a> {
         let mut out = Vec::new();
         self.image_into(s, &mut out);
         out
-    }
-
-    /// The session's buffer for a query's post-state images, empty; hand
-    /// it back with [`AnalysisSession::put_post`].
-    pub(crate) fn take_post(&mut self) -> Vec<Image> {
-        std::mem::take(&mut self.post)
-    }
-
-    pub(crate) fn put_post(&mut self, mut post: Vec<Image>) {
-        post.clear();
-        self.post = post;
     }
 
     /// [`AnalysisSession::image`], appended to `out`.
@@ -679,9 +682,10 @@ impl<'a> AnalysisSession<'a> {
             },
             None => {
                 self.footprints_built += 1;
-                self.build(id, slot, args)?.map(Rc::new)
+                self.build(id, slot, args)?
             }
-        };
+        }
+        .map(Rc::new);
         let table = self.sorts[self.known(id).sorts].table;
         let footprints = &mut self.ops[id.0 as usize].footprints;
         if footprints.is_empty() {
@@ -708,25 +712,17 @@ impl<'a> AnalysisSession<'a> {
 
     /// The footprint of candidate `id` at `slot` from `parent`, the
     /// footprint of the operation it extends at the same slot (rule 3).
-    /// When the added effects write nothing the parent's summary lacks,
-    /// the candidate's footprint is the parent's, shared.
     fn extended(
         &self,
-        parent: &Rc<Footprint>,
+        parent: &Footprint,
         id: OpId,
         slot: usize,
         args: &[Constant],
         writes: &mut Vec<(EffectKind, AtomId)>,
-    ) -> Result<Option<Rc<Footprint>>, AnalysisError> {
+    ) -> Result<Option<Footprint>, AnalysisError> {
         writes.clear();
         if !self.each_write(id, slot, args, |kind, t| writes.push((kind, t)))? {
             return Ok(None);
-        }
-        if writes
-            .iter()
-            .all(|&(kind, t)| parent.summary.writes_nothing(kind, t))
-        {
-            return Ok(Some(parent.clone()));
         }
         let mut summary = parent.summary.clone();
         let mut images = self.images.borrow_mut();
@@ -752,7 +748,7 @@ impl<'a> AnalysisSession<'a> {
         }
         wp.extend(kept.cloned());
         images.touched = touched;
-        Ok(Some(Rc::new(Footprint { summary, wp })))
+        Ok(Some(Footprint { summary, wp }))
     }
 
     /// Pass `write` each ground effect of operation `id`'s compiled

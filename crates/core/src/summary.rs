@@ -64,18 +64,6 @@ impl EffectSummary {
         }
     }
 
-    /// Would [`EffectSummary::write`] of `kind` to `t` leave the summary
-    /// as it is? An assignment of the value `t` has, or a zero delta to
-    /// an atom that has a delta.
-    pub fn writes_nothing(&self, kind: EffectKind, t: AtomId) -> bool {
-        match kind {
-            EffectKind::SetTrue => self.assigns.get(&t) == Some(&true),
-            EffectKind::SetFalse => self.assigns.get(&t) == Some(&false),
-            EffectKind::Inc(0) | EffectKind::Dec(0) => self.deltas.contains_key(&t),
-            EffectKind::Inc(_) | EffectKind::Dec(_) => false,
-        }
-    }
-
     /// Atoms on which the two summaries write opposing boolean values —
     /// the trigger for consulting convergence rules (Alg. 1, line 8).
     pub fn contested_atoms(&self, other: &EffectSummary) -> Vec<AtomId> {

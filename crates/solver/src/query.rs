@@ -543,6 +543,49 @@ mod tests {
         s.pop();
     }
 
+    /// Asserting by number, scope after scope, adds what asserting the
+    /// formulas each time adds: the same answers, models and counters,
+    /// clauses included, whether a record is made or replayed.
+    #[test]
+    fn a_numbered_assertion_replays_what_asserting_adds() {
+        let (p, mut plain) = setup();
+        let mut numbered = SolverSession::new(8);
+        let grounder = Grounder::with_atoms(&p.atoms, &p.named);
+        let ground = |f: &str| grounder.ground(&parse_formula(f).unwrap()).unwrap();
+        // Clauses from a conjunction, one clause from a disjunction, and
+        // one assumed literal from a count.
+        let asserted = [
+            ground(
+                "forall(Player: p, Tournament: t) :- enrolled(p,t) => player(p) and tournament(t)",
+            ),
+            ground("exists(Player: p) :- player(p)"),
+            ground("forall(Tournament: t) :- #enrolled(*, t) <= Capacity"),
+        ];
+        let GroundFormula::Or(members) =
+            ground("exists(Player: p, Tournament: t) :- enrolled(p, t) and not(player(p))")
+        else {
+            panic!("a disjunction");
+        };
+        for _ in 0..3 {
+            plain.push();
+            numbered.push();
+            for (key, g) in asserted.iter().enumerate() {
+                plain.assert(g);
+                numbered.assert_numbered(key as u32, g);
+            }
+            plain.assert_any(&members);
+            numbered.assert_any_numbered([(0, members.as_slice())]);
+            assert_eq!(plain.solve(), numbered.solve());
+            plain.pop();
+            numbered.pop();
+            assert_eq!(
+                format!("{:?}", plain.stats()),
+                format!("{:?}", numbered.stats())
+            );
+        }
+        assert_eq!(plain.solve(), numbered.solve());
+    }
+
     #[test]
     fn a_query_decodes_its_model_after_its_scope_is_popped() {
         let (p, mut s) = setup();

@@ -3,7 +3,11 @@
 //! saving, and geometric restarts.
 //!
 //! A decision branches on the unassigned variable of highest activity,
-//! ties to the lowest index, found by a scan of every variable. MiniSat
+//! ties to the lowest index, found by a scan of the variables in index
+//! order. A variable assigned at decision level 0 stays assigned (a solve
+//! never backtracks below it), so the scan skips the ones that were at
+//! the start of the solve: in the analysis most of them are the
+//! selectors of retired queries. MiniSat
 //! (Eén & Sörensson, *An Extensible SAT-solver*, SAT 2003) keeps the
 //! variables in an order heap instead. At the analysis's sizes (hundreds
 //! to a few thousand variables, hundreds of small solves that each
@@ -78,6 +82,11 @@ pub struct Solver {
     /// Conflict-analysis scratch (one flag per variable, all clear between
     /// conflicts).
     seen: Vec<bool>,
+    /// The variables a decision may pick, in index order: every variable
+    /// but those assigned at level 0 when the list was last compacted.
+    candidates: Vec<u32>,
+    /// How many level-0 assignments the last compaction saw.
+    compacted: usize,
     /// Statistics: total conflicts, decisions, propagations.
     pub stats: Stats,
 }
@@ -130,6 +139,7 @@ impl Solver {
         self.activity.push(0.0);
         self.phase.push(false);
         self.seen.push(false);
+        self.candidates.push(v.0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         v
@@ -413,8 +423,9 @@ impl Solver {
             return None;
         }
         let mut best: Option<(usize, f64)> = None;
-        for (i, &v) in self.values.iter().enumerate() {
-            if v == 0 {
+        for &v in &self.candidates {
+            let i = v as usize;
+            if self.values[i] == 0 {
                 let a = self.activity[i];
                 if best.is_none_or(|(_, ba)| a > ba) {
                     best = Some((i, a));
@@ -422,6 +433,18 @@ impl Solver {
             }
         }
         best.map(|(i, _)| Lit::new(SatVar(i as u32), self.phase[i]))
+    }
+
+    /// Drop from the candidates the variables assigned at level 0 since
+    /// the last compaction. Called at level 0, where the whole trail is
+    /// level 0's.
+    fn compact_candidates(&mut self) {
+        debug_assert_eq!(self.decision_level(), 0);
+        if self.trail.len() > self.compacted {
+            let values = &self.values;
+            self.candidates.retain(|&v| values[v as usize] == 0);
+            self.compacted = self.trail.len();
+        }
     }
 
     /// Solve the formula. Returns `true` if satisfiable; the model is then
@@ -440,6 +463,7 @@ impl Solver {
         for &a in assumptions {
             self.ensure_var(a.var());
         }
+        self.compact_candidates();
         let sat = self.search(assumptions);
         if sat {
             self.model.clear();
