@@ -354,8 +354,9 @@ impl AtomTable {
             .collect())
     }
 
-    /// `pattern` with its variables standing for the parameters `params`,
-    /// compiled to block arithmetic. `None` when the blocks do not number
+    /// `pattern` with its variables standing for the parameters `params`
+    /// (the last of equal ones, as a binding of them keeps it), compiled
+    /// to block arithmetic. `None` when the blocks do not number
     /// every atom it ranges over under every binding of the parameters
     /// to elements: an undeclared predicate, a wrong number of arguments,
     /// a constant outside the universe, a parameter of another sort than
@@ -373,7 +374,7 @@ impl AtomTable {
                 let arg = match t {
                     Term::Const(c) => PatternArg::Element(self.slots[slot].digit(c)?),
                     Term::Var(v) => {
-                        let i = params.iter().position(|p| p == v)?;
+                        let i = params.iter().rposition(|p| p == v)?;
                         (params[i].sort == self.slots[slot].sort).then_some(PatternArg::Param(i))?
                     }
                     Term::Wildcard => PatternArg::Any,
